@@ -286,6 +286,12 @@ impl DataStoreState {
         self.store.to_vec()
     }
 
+    /// The stored items with their mapped values, by reference, in
+    /// mapped-value order (what [`Self::local_items_mapped`] clones).
+    pub fn items_mapped(&self) -> impl Iterator<Item = (u64, &Item)> {
+        self.store.items().map(|(mapped, item)| (*mapped, item))
+    }
+
     /// The Data Store configuration.
     pub fn config(&self) -> &DsConfig {
         &self.cfg

@@ -1,6 +1,7 @@
 //! The composed peer: ring + data store + replication + router + index API.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 use pepper_datastore::{DataStoreState, DsConfig, DsEvent, DsMsg, DsStatus, QueryId};
@@ -345,16 +346,13 @@ impl PeerNode {
         let now = ctx.now();
         self.trace.set_cid(ctx.cid());
         self.note(now, "api", "Start", String::new);
-        let mut out = Effects::new();
-        self.start_layers(now, &mut out);
-        ctx.apply(out, |m| m);
+        self.start_layers(now, ctx.effects());
     }
 
     /// `insertItem`: store `item` in the index (routed to the responsible
     /// peer; acknowledged asynchronously via [`Observation::InsertAcked`]).
     pub fn insert_item(&mut self, ctx: &mut Context<'_, PeerMsg>, item: Item) {
         let now = ctx.now();
-        let mut out = Effects::new();
         let mapped = self.cfg.key_map.map(item.skv).raw();
         self.trace.set_cid(ctx.cid());
         self.note(now, "api", "InsertItem", || format!("mapped={mapped}"));
@@ -376,15 +374,13 @@ impl PeerNode {
                 reply_to: self.id,
             },
             0,
-            &mut out,
+            ctx.effects(),
         );
-        ctx.apply(out, |m| m);
     }
 
     /// `deleteItem`: remove the item with search key `key` from the index.
     pub fn delete_item(&mut self, ctx: &mut Context<'_, PeerMsg>, key: SearchKey) {
         let now = ctx.now();
-        let mut out = Effects::new();
         let mapped = self.cfg.key_map.map(key).raw();
         self.trace.set_cid(ctx.cid());
         self.note(now, "api", "DeleteItem", || format!("mapped={mapped}"));
@@ -398,9 +394,8 @@ impl PeerNode {
                 reply_to: self.id,
             },
             0,
-            &mut out,
+            ctx.effects(),
         );
-        ctx.apply(out, |m| m);
     }
 
     /// `rangeQuery` / `findItems`: evaluate a range query. The result is
@@ -414,18 +409,16 @@ impl PeerNode {
         let now = ctx.now();
         self.trace.set_cid(ctx.cid());
         self.note(now, "api", "RangeQuery", String::new);
-        let mut out = Effects::new();
+        let out = ctx.effects();
         let lctx = LayerCtx::new(self.id, now);
         let (registered, ds_events) = self
             .ds
-            .with(&mut out, |ds, fx| ds.register_query(lctx, query, fx));
-        self.process_ds_events(now, ds_events, &mut out);
-        let result = registered.map(|(id, interval)| {
-            self.route_scan_start(now, id, interval, self.cfg.protocol.pepper_scan, &mut out);
+            .with(out, |ds, fx| ds.register_query(lctx, query, fx));
+        self.process_ds_events(now, ds_events, out);
+        registered.map(|(id, interval)| {
+            self.route_scan_start(now, id, interval, self.cfg.protocol.pepper_scan, out);
             id
-        });
-        ctx.apply(out, |m| m);
-        result
+        })
     }
 
     /// Voluntarily leave the ring: offer this peer's range to its
@@ -438,19 +431,17 @@ impl PeerNode {
         let now = ctx.now();
         self.trace.set_cid(ctx.cid());
         self.note(now, "api", "RequestLeave", String::new);
-        let mut out = Effects::new();
-        let started = match self.ring.pred() {
+        let out = ctx.effects();
+        match self.ring.pred() {
             Some((pred, _)) if pred != self.id => {
                 let (ok, ds_events) = self
                     .ds
-                    .with(&mut out, |ds, fx| ds.begin_voluntary_leave(pred, fx));
-                self.process_ds_events(now, ds_events, &mut out);
+                    .with(out, |ds, fx| ds.begin_voluntary_leave(pred, fx));
+                self.process_ds_events(now, ds_events, out);
                 ok
             }
             _ => false,
-        };
-        ctx.apply(out, |m| m);
-        started
+        }
     }
 
     // ------------------------------------------------------------------
@@ -493,15 +484,28 @@ impl PeerNode {
         self.process_storage_events(now, stor_events, out);
     }
 
-    /// The currently `JOINED` ring successors, in list order (the snapshot
-    /// the replication layer works against).
-    fn joined_successors(&self) -> Vec<PeerId> {
-        self.ring
-            .succ_list()
+    /// The currently `JOINED` successors of `ring`, in list order (the
+    /// snapshot the replication layer works against).
+    fn joined_successors(ring: &RingState) -> impl Iterator<Item = PeerId> + '_ {
+        ring.succ_list()
             .iter()
             .filter(|e| e.state == EntryState::Joined)
             .map(|e| e.peer)
-            .collect()
+    }
+
+    /// One replication refresh round of the CFS scheme, fed with the
+    /// cross-layer snapshot only the composed peer can take: the Data
+    /// Store's items, cloned once into a batch all successors share.
+    fn push_replicas(&mut self, now: SimTime, out: &mut Effects<PeerMsg>) {
+        let batch: Arc<[(u64, Item)]> = self
+            .ds
+            .items_mapped()
+            .map(|(mapped, item)| (mapped, item.clone()))
+            .collect();
+        let ((), repl_events) = self.repl.with(out, |repl, fx| {
+            repl.push_batch(batch, Self::joined_successors(&self.ring), fx)
+        });
+        self.process_repl_events(now, repl_events, out);
     }
 
     /// Unwraps the unified message and hands it to the owning layer through
@@ -597,7 +601,7 @@ impl PeerNode {
         let revived = self.repl.take_replicas_in(&acquired);
         let ((), ds_events) = self.ds.with(out, |ds, _fx| ds.install_revived(revived));
         self.process_ds_events(now, ds_events, out);
-        for succ in self.joined_successors() {
+        for succ in Self::joined_successors(&self.ring) {
             out.send(
                 succ,
                 PeerMsg::Repl(pepper_replication::ReplMsg::RecoverRequest { range: acquired }),
@@ -749,7 +753,7 @@ impl PeerNode {
                     // Item availability protection: replicate everything this
                     // peer stores one additional hop before leaving.
                     let own_items = self.ds.local_items_mapped();
-                    let succs = self.joined_successors();
+                    let succs: Vec<PeerId> = Self::joined_successors(&self.ring).collect();
                     let (_, repl_events) = self.repl.with(out, |repl, fx| {
                         repl.replicate_additional_hop(ctx, &own_items, &succs, fx)
                     });
@@ -782,13 +786,7 @@ impl PeerNode {
                     // Shrinks (the giving side of a transfer) hold nothing
                     // new and skip the push.
                     if grew {
-                        let own_items = self.ds.local_items_mapped();
-                        let succs = self.joined_successors();
-                        let ctx = self.layer_ctx(now);
-                        let ((), repl_events) = self.repl.with(out, |repl, fx| {
-                            repl.push_to_successors(ctx, &own_items, &succs, fx)
-                        });
-                        self.process_repl_events(now, repl_events, out);
+                        self.push_replicas(now, out);
                     }
                 }
                 DsEvent::BecameFree => {
@@ -913,17 +911,7 @@ impl PeerNode {
         for event in events {
             self.note(now, "repl", event.tag(), String::new);
             match event {
-                ReplEvent::RefreshDue => {
-                    // One refresh round of the CFS scheme, fed with the
-                    // cross-layer snapshot only the composed peer can take.
-                    let own_items = self.ds.local_items_mapped();
-                    let succs = self.joined_successors();
-                    let ctx = self.layer_ctx(now);
-                    let ((), repl_events) = self.repl.with(out, |repl, fx| {
-                        repl.push_to_successors(ctx, &own_items, &succs, fx)
-                    });
-                    self.process_repl_events(now, repl_events, out);
-                }
+                ReplEvent::RefreshDue => self.push_replicas(now, out),
                 ReplEvent::Recovered { items } => {
                     // Recovery replies after a range takeover: the Data
                     // Store keeps only what falls in its range and is not
@@ -1015,7 +1003,7 @@ impl PeerNode {
         self.note(now, "api", "RestartRejoin", || {
             format!("donating={donation_len}")
         });
-        let mut out = Effects::new();
+        let out = ctx.effects();
         if let Some((peer, value)) = contact {
             self.ds.set_successor(peer, value);
         }
@@ -1040,11 +1028,10 @@ impl PeerNode {
                     reply_to: self.id,
                 },
                 0,
-                &mut out,
+                out,
             );
         }
         self.pool.readmit(self.id);
-        ctx.apply(out, |m| m);
         donated
     }
 
@@ -1301,9 +1288,7 @@ impl Node for PeerNode {
                 },
             );
         }
-        let mut out = Effects::new();
-        self.dispatch(now, from, msg, &mut out);
-        ctx.apply(out, |m| m);
+        self.dispatch(now, from, msg, ctx.effects());
     }
 
     fn on_killed(&mut self) {
@@ -1372,25 +1357,20 @@ mod tests {
     }
 
     fn total_items(sim: &Simulator<PeerNode>) -> usize {
-        sim.peer_ids()
-            .iter()
-            .filter(|p| sim.is_alive(**p))
-            .map(|p| sim.node(*p).unwrap().item_count())
+        sim.alive_nodes_iter()
+            .map(|(_, node)| node.item_count())
             .sum()
     }
 
     fn ring_members(sim: &Simulator<PeerNode>) -> usize {
-        sim.peer_ids()
-            .iter()
-            .filter(|p| sim.is_alive(**p))
-            .filter(|p| sim.node(**p).unwrap().is_ring_member())
+        sim.alive_nodes_iter()
+            .filter(|(_, node)| node.is_ring_member())
             .count()
     }
 
     fn snapshots(sim: &Simulator<PeerNode>) -> Vec<RingSnapshot> {
-        sim.peer_ids()
-            .iter()
-            .map(|p| RingSnapshot::of(sim.node(*p).unwrap().ring(), sim.is_alive(*p)))
+        sim.nodes_iter()
+            .map(|(p, node)| RingSnapshot::of(node.ring(), sim.is_alive(p)))
             .collect()
     }
 
@@ -1424,12 +1404,9 @@ mod tests {
         assert_eq!(total_items(&sim), 8, "no item may be lost by splits");
         // The splitter observed the insertSucc completion.
         let insert_succ_seen: usize = sim
-            .peer_ids()
-            .iter()
-            .map(|p| {
-                sim.node(*p)
-                    .unwrap()
-                    .observations()
+            .nodes_iter()
+            .map(|(_, node)| {
+                node.observations()
                     .iter()
                     .filter(|o| matches!(o, Observation::InsertSuccCompleted { .. }))
                     .count()
@@ -1507,12 +1484,9 @@ mod tests {
         assert!(check_consistent_successor_pointers(&snaps).is_consistent());
         assert!(check_connectivity(&snaps).is_consistent());
         let frees: usize = sim
-            .peer_ids()
-            .iter()
-            .map(|p| {
-                sim.node(*p)
-                    .unwrap()
-                    .observations()
+            .nodes_iter()
+            .map(|(_, node)| {
+                node.observations()
                     .iter()
                     .filter(|o| matches!(o, Observation::BecameFree))
                     .count()
@@ -1533,8 +1507,7 @@ mod tests {
 
         // Kill one ring member that is not the query issuer.
         let victim = sim
-            .peer_ids()
-            .into_iter()
+            .peers()
             .find(|p| {
                 *p != first
                     && sim.node(*p).unwrap().is_ring_member()
@@ -1599,8 +1572,7 @@ mod tests {
 
         // Ask a non-bootstrap member to leave voluntarily.
         let leaver = sim
-            .peer_ids()
-            .into_iter()
+            .peers()
             .find(|p| *p != first && sim.node(*p).unwrap().is_ring_member())
             .expect("a second ring member");
         let started = sim

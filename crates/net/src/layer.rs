@@ -47,7 +47,7 @@ pub trait ProtocolLayer {
 /// from the layer's message type into the peer's unified message type.
 ///
 /// All effect mapping funnels through [`LayerSlot::with`]; the composed
-/// peer never touches `Effects::map_into`/`absorb` itself. Read access to the
+/// peer never touches [`Effects::absorb`] itself. Read access to the
 /// layer goes through `Deref`, and state mutators that emit neither effects
 /// nor events can be called through `DerefMut`; anything that emits either
 /// must run inside [`LayerSlot::with`] so the effects are captured and mapped
@@ -71,9 +71,12 @@ impl<L: ProtocolLayer, M> LayerSlot<L, M> {
         self.layer
     }
 
-    /// Runs `f` against the layer with a fresh effect buffer, maps every
-    /// emitted effect into `out`, and returns the closure result together
-    /// with the events the invocation buffered. This is the one generic
+    /// Runs `f` against the layer with a fresh effect buffer, moves every
+    /// emitted effect, mapped and in emission order, onto the end of `out`,
+    /// and returns the closure result together with the events the
+    /// invocation buffered. The fresh buffer lives on this call's stack and
+    /// touches the heap only for a burst beyond its inline slots, so nothing
+    /// is retained per slot between invocations. This is the one generic
     /// mapping site of a composed peer, and draining here (rather than at
     /// the call site) guarantees no event is left behind to be mis-attributed
     /// to a later, unrelated invocation.
@@ -124,6 +127,7 @@ impl<L: ProtocolLayer, M> DerefMut for LayerSlot<L, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::effect::{Effect, INLINE};
     use crate::time::SimTime;
     use std::time::Duration;
 
@@ -131,6 +135,8 @@ mod tests {
     enum EchoMsg {
         Tick,
         Hello,
+        /// Answered with that many numbered `Hello`s (to peers `0..n`).
+        Burst(u64),
     }
 
     #[derive(Debug, PartialEq, Eq)]
@@ -143,7 +149,8 @@ mod tests {
         Echo(EchoMsg),
     }
 
-    /// A minimal layer: re-arms a tick and greets back whoever says hello.
+    /// A minimal layer: re-arms a tick, greets back whoever says hello and
+    /// emits bursts on request.
     #[derive(Debug, Default)]
     struct EchoLayer {
         started: bool,
@@ -174,6 +181,7 @@ mod tests {
                     fx.send(from, EchoMsg::Hello);
                     self.events.push(EchoEvent::Greeted(from));
                 }
+                EchoMsg::Burst(n) => (0..n).for_each(|i| fx.send(PeerId(i), EchoMsg::Hello)),
             }
         }
 
@@ -242,5 +250,57 @@ mod tests {
         // nothing is left behind for a later invocation to pick up.
         assert_eq!(events, vec![EchoEvent::Greeted(PeerId(2))]);
         assert!(slot.drain_events().is_empty());
+    }
+
+    /// The destinations of the buffered sends, in buffer order.
+    fn destinations(out: &Effects<WireMsg>) -> Vec<u64> {
+        out.iter()
+            .map(|e| match e {
+                Effect::Send { to, .. } => to.raw(),
+                Effect::Timer { .. } => panic!("only sends were emitted"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn with_appends_in_emission_order_below_and_beyond_the_inline_slots() {
+        let mut slot = LayerSlot::new(EchoLayer::default(), WireMsg::Echo);
+        for n in [0, 1, INLINE as u64, 3 * INLINE as u64 + 1] {
+            let mut out: Effects<WireMsg> = Effects::new();
+            // `out` already holds an effect of an earlier layer call of the
+            // same event; the slot appends after it.
+            out.send(PeerId(100), WireMsg::Echo(EchoMsg::Tick));
+            slot.handle(ctx(), PeerId(7), EchoMsg::Burst(n), &mut out);
+            let mut want = vec![100];
+            want.extend(0..n);
+            assert_eq!(destinations(&out), want, "burst of {n}");
+        }
+    }
+
+    #[test]
+    fn a_reused_out_buffer_carries_nothing_into_the_next_invocation() {
+        let mut slot = LayerSlot::new(EchoLayer::default(), WireMsg::Echo);
+        let mut out: Effects<WireMsg> = Effects::new();
+        // A burst that spills, drained the way the simulator schedules it …
+        slot.handle(
+            ctx(),
+            PeerId(7),
+            EchoMsg::Burst(3 * INLINE as u64),
+            &mut out,
+        );
+        let mut scheduled = 0;
+        out.drain_each(|_| scheduled += 1);
+        assert_eq!(scheduled, 3 * INLINE);
+        // … then invocations that emit nothing: an empty burst, and
+        // `start_timers` returning early on its second call.
+        slot.handle(ctx(), PeerId(7), EchoMsg::Burst(0), &mut out);
+        assert!(out.is_empty());
+        slot.start_timers(ctx(), &mut out);
+        assert_eq!(out.drain().len(), 1, "first start arms the tick");
+        slot.start_timers(ctx(), &mut out);
+        assert!(out.is_empty(), "early return emits nothing, old or new");
+        // And one that emits a single effect gets exactly that one.
+        slot.handle(ctx(), PeerId(9), EchoMsg::Hello, &mut out);
+        assert_eq!(destinations(&out), vec![9]);
     }
 }

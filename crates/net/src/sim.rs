@@ -47,6 +47,7 @@
 //! same canonical state, so traces keyed by them are byte-identical across
 //! thread counts (see `pepper-trace`).
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::mpsc;
@@ -106,16 +107,17 @@ enum Payload<M> {
 /// The mutable context handed to a node while it handles an event.
 ///
 /// Effects requested through the context are scheduled by the simulator after
-/// the handler returns. The backing buffer is a scratch vector owned by the
-/// simulator and reused across deliveries, so handling an event allocates
-/// nothing once the buffer has warmed up.
+/// the handler returns. The backing buffer is owned by the simulator and
+/// reused across deliveries, so handling an event allocates nothing once the
+/// buffer has warmed up; composed nodes emit into it directly through
+/// [`Context::effects`].
 pub struct Context<'a, M> {
     self_id: PeerId,
     now: SimTime,
     cid: Cid,
     is_timer: bool,
     rng: &'a mut StdRng,
-    out: Vec<Effect<M>>,
+    out: &'a mut Effects<M>,
 }
 
 impl<'a, M> Context<'a, M> {
@@ -158,18 +160,25 @@ impl<'a, M> Context<'a, M> {
 
     /// Sends `msg` to `to` (delivered after the network latency).
     pub fn send(&mut self, to: PeerId, msg: M) {
-        self.out.push(Effect::Send { to, msg });
+        self.out.send(to, msg);
     }
 
     /// Schedules `msg` to be delivered back to this peer after `delay`.
     pub fn set_timer(&mut self, delay: Duration, msg: M) {
-        self.out.push(Effect::Timer { delay, msg });
+        self.out.timer(delay, msg);
+    }
+
+    /// The buffer the simulator schedules from once the handler returns.
+    /// A node composed of [`LayerSlot`](crate::layer::LayerSlot)s passes it
+    /// as their `out`, so layer effects are mapped straight into it.
+    pub fn effects(&mut self) -> &mut Effects<M> {
+        self.out
     }
 
     /// Applies a buffer of layer effects, wrapping each layer message into
     /// this node's message type.
     pub fn apply<L>(&mut self, effects: Effects<L>, wrap: impl FnMut(L) -> M) {
-        self.out.extend(effects.map_into(wrap));
+        self.out.absorb(effects, wrap);
     }
 }
 
@@ -215,7 +224,7 @@ enum Outcome<M> {
         dense: u32,
         kind: DeliverKind,
         cid: Cid,
-        effects: Vec<Effect<M>>,
+        effects: Box<Effects<M>>,
     },
     Kill {
         peer: PeerId,
@@ -261,7 +270,7 @@ struct ShardTask<N: Node> {
     events: Vec<WindowEvent<N::Msg>>,
     tables: Tables<N>,
     rng: *mut StdRng,
-    pool: *mut Vec<Vec<Effect<N::Msg>>>,
+    pool: *mut Vec<Box<Effects<N::Msg>>>,
 }
 
 // SAFETY: the raw pointers target state partitioned by shard (see
@@ -324,13 +333,14 @@ fn process_shard<N: Node>(task: ShardTask<N>) -> ShardResult<N::Msg> {
                     out.push((ev.idx, outcome));
                     continue;
                 }
+                let mut effects = pool.pop().unwrap_or_default();
                 let mut ctx = Context {
                     self_id: to,
                     now: ev.at,
                     cid,
                     is_timer,
                     rng,
-                    out: pool.pop().unwrap_or_default(),
+                    out: &mut effects,
                 };
                 // SAFETY: as above — shard-owned slot.
                 unsafe {
@@ -350,7 +360,7 @@ fn process_shard<N: Node>(task: ShardTask<N>) -> ShardResult<N::Msg> {
                         dense: ev.dense,
                         kind,
                         cid,
-                        effects: ctx.out,
+                        effects,
                     },
                 ));
             }
@@ -378,9 +388,10 @@ pub struct Simulator<N: Node> {
     /// their constraint lies in the past, so churn-heavy runs cannot grow
     /// the map without bound.
     fifo: FifoMap,
-    /// Scratch effects buffer reused across event deliveries (see
-    /// [`Context`]).
-    scratch: Vec<Effect<N::Msg>>,
+    /// Effects buffer reused across event deliveries (see [`Context`]);
+    /// boxed so that lending it to a handler and scheduling from it move a
+    /// pointer, not the buffer's inline slots. `None` only while lent out.
+    scratch: Option<Box<Effects<N::Msg>>>,
     /// Monotone counter bumped whenever node or liveness state may have
     /// changed (event processed, node added, kill, node accessed mutably).
     /// Lets callers memoize derived views of the cluster and invalidate
@@ -401,8 +412,8 @@ pub struct Simulator<N: Node> {
     /// parallel mode (lazily sized).
     shard_rngs: Vec<StdRng>,
     /// Per-shard pools of recycled effect buffers — the cross-shard
-    /// extension of the classic loop's single `scratch` vector.
-    shard_pools: Vec<Vec<Vec<Effect<N::Msg>>>>,
+    /// extension of the classic loop's single `scratch` buffer.
+    shard_pools: Vec<Vec<Box<Effects<N::Msg>>>>,
     /// Wall-clock per-phase cost profile of the epoch engine (empty for
     /// classic runs).
     profile: EngineProfile,
@@ -433,7 +444,7 @@ impl<N: Node> Simulator<N> {
             rng,
             stats: NetStats::default(),
             fifo: FifoMap::default(),
-            scratch: Vec::new(),
+            scratch: None,
             version: 0,
             deliveries_by_slot: Vec::new(),
             lookahead_nanos,
@@ -532,15 +543,6 @@ impl<N: Node> Simulator<N> {
     }
 
     /// All registered peer ids (alive and dead), in increasing order.
-    ///
-    /// Allocates; per-op loops should prefer [`Simulator::peers`] /
-    /// [`Simulator::nodes_iter`].
-    pub fn peer_ids(&self) -> Vec<PeerId> {
-        self.peers().collect()
-    }
-
-    /// All registered peer ids (alive and dead), in increasing order,
-    /// without allocating.
     pub fn peers(&self) -> impl Iterator<Item = PeerId> + '_ {
         self.table.order().iter().map(|&d| self.table.raw_of(d))
     }
@@ -569,14 +571,6 @@ impl<N: Node> Simulator<N> {
     }
 
     /// All currently alive peer ids, in increasing order.
-    ///
-    /// Allocates; per-op loops should prefer [`Simulator::alive_iter`].
-    pub fn alive_peers(&self) -> Vec<PeerId> {
-        self.alive_iter().collect()
-    }
-
-    /// All currently alive peer ids, in increasing order, without
-    /// allocating.
     pub fn alive_iter(&self) -> impl Iterator<Item = PeerId> + '_ {
         self.table
             .order()
@@ -698,18 +692,18 @@ impl<N: Node> Simulator<N> {
         }
         self.version += 1;
         let cid = Cid::new(self.now.as_nanos(), self.seq);
+        let mut out = self.scratch.take().unwrap_or_default();
         let mut ctx = Context {
             self_id: id,
             now: self.now,
             cid,
             is_timer: false,
             rng: &mut self.rng,
-            out: std::mem::take(&mut self.scratch),
+            out: &mut out,
         };
         let result = f(self.table.node_mut(d), &mut ctx);
-        let mut out = ctx.out;
         self.schedule_effects(id, cid, &mut out);
-        self.scratch = out;
+        self.scratch = Some(out);
         Some(result)
     }
 
@@ -722,51 +716,52 @@ impl<N: Node> Simulator<N> {
         let latency = self.config.latency.sample(&mut self.rng);
         let mut at = self.now + latency + self.config.processing_delay;
         // Enforce FIFO delivery per (sender, receiver) pair.
-        if let Some(prev) = self.fifo.get(&(from, to)) {
-            at = at.max(*prev + Duration::from_nanos(1));
+        match self.fifo.entry((from, to)) {
+            Entry::Occupied(mut prev) => {
+                at = at.max(*prev.get() + Duration::from_nanos(1));
+                prev.insert(at);
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(at);
+            }
         }
-        self.fifo.insert((from, to), at);
         self.stats.peak_fifo_channels = self.stats.peak_fifo_channels.max(self.fifo.len() as u64);
         at
     }
 
-    /// Schedules the drained effects, leaving `effects` empty (its capacity
-    /// is returned to the scratch buffer by the caller). Every scheduled
-    /// delivery inherits `cid`, the correlation id of the event whose
-    /// handler emitted the effects.
-    fn schedule_effects(&mut self, from: PeerId, cid: Cid, effects: &mut Vec<Effect<N::Msg>>) {
-        for effect in effects.drain(..) {
-            match effect {
-                Effect::Send { to, msg } => {
-                    let at = self.schedule_send(from, to);
-                    self.push(
-                        at,
-                        Payload::Deliver {
-                            from,
-                            to,
-                            msg,
-                            is_timer: false,
-                            is_external: false,
-                            cid,
-                        },
-                    );
-                }
-                Effect::Timer { delay, msg } => {
-                    let at = self.now + delay;
-                    self.push(
-                        at,
-                        Payload::Deliver {
-                            from,
-                            to: from,
-                            msg,
-                            is_timer: true,
-                            is_external: false,
-                            cid,
-                        },
-                    );
-                }
-            }
-        }
+    /// Turns one effect emitted by `from` into its queued delivery — the
+    /// delivery time and the event — applying the send bookkeeping. Shared by
+    /// both engines. The delivery inherits `cid`, the correlation id of the
+    /// event whose handler emitted the effect.
+    #[inline]
+    fn delivery_of(
+        &mut self,
+        from: PeerId,
+        cid: Cid,
+        effect: Effect<N::Msg>,
+    ) -> (SimTime, Payload<N::Msg>) {
+        let (at, to, msg, is_timer) = match effect {
+            Effect::Send { to, msg } => (self.schedule_send(from, to), to, msg, false),
+            Effect::Timer { delay, msg } => (self.now + delay, from, msg, true),
+        };
+        let payload = Payload::Deliver {
+            from,
+            to,
+            msg,
+            is_timer,
+            is_external: false,
+            cid,
+        };
+        (at, payload)
+    }
+
+    /// Schedules the buffered effects in emission order, leaving `effects`
+    /// empty (the caller hands the buffer back for reuse).
+    fn schedule_effects(&mut self, from: PeerId, cid: Cid, effects: &mut Effects<N::Msg>) {
+        effects.drain_each(|effect| {
+            let (at, payload) = self.delivery_of(from, cid, effect);
+            self.push(at, payload);
+        });
     }
 
     /// Drops FIFO entries whose ordering constraint lies strictly in the
@@ -831,18 +826,18 @@ impl<N: Node> Simulator<N> {
                     self.stats.messages_delivered += 1;
                 }
                 self.deliveries_by_slot[d as usize] += 1;
+                let mut out = self.scratch.take().unwrap_or_default();
                 let mut ctx = Context {
                     self_id: to,
                     now: self.now,
                     cid,
                     is_timer,
                     rng: &mut self.rng,
-                    out: std::mem::take(&mut self.scratch),
+                    out: &mut out,
                 };
                 self.table.node_mut(d).on_message(&mut ctx, from, msg);
-                let mut out = ctx.out;
                 self.schedule_effects(to, cid, &mut out);
-                self.scratch = out;
+                self.scratch = Some(out);
             }
         }
         true
@@ -1026,7 +1021,7 @@ impl<N: Node> Simulator<N> {
                         events: std::mem::take(events),
                         tables,
                         rng: &mut self.shard_rngs[s] as *mut StdRng,
-                        pool: &mut self.shard_pools[s] as *mut Vec<Vec<Effect<N::Msg>>>,
+                        pool: &mut self.shard_pools[s] as *mut Vec<Box<Effects<N::Msg>>>,
                     };
                     let lane = s % (n_workers + 1);
                     if wide && lane != 0 {
@@ -1091,31 +1086,8 @@ impl<N: Node> Simulator<N> {
                                 DeliverKind::Msg => self.stats.messages_delivered += 1,
                             }
                             self.deliveries_by_slot[dense as usize] += 1;
-                            for effect in effects.drain(..) {
-                                let (at, payload) = match effect {
-                                    Effect::Send { to: target, msg } => (
-                                        self.schedule_send(to, target),
-                                        Payload::Deliver {
-                                            from: to,
-                                            to: target,
-                                            msg,
-                                            is_timer: false,
-                                            is_external: false,
-                                            cid,
-                                        },
-                                    ),
-                                    Effect::Timer { delay, msg } => (
-                                        self.now + delay,
-                                        Payload::Deliver {
-                                            from: to,
-                                            to,
-                                            msg,
-                                            is_timer: true,
-                                            is_external: false,
-                                            cid,
-                                        },
-                                    ),
-                                };
+                            effects.drain_each(|effect| {
+                                let (at, payload) = self.delivery_of(to, cid, effect);
                                 if at < window_end {
                                     self.lookahead_deferrals += 1;
                                 }
@@ -1123,7 +1095,7 @@ impl<N: Node> Simulator<N> {
                                 virtual_depth += 1;
                                 self.stats.peak_queue_depth =
                                     self.stats.peak_queue_depth.max(virtual_depth as u64);
-                            }
+                            });
                             self.shard_pools[s].push(effects);
                         }
                     }
@@ -1367,11 +1339,11 @@ mod tests {
     }
 
     #[test]
-    fn iterators_match_allocating_accessors() {
+    fn iterators_list_peers_in_id_order() {
         let (mut sim, a, b, c) = three_node_sim();
         sim.kill(b);
-        assert_eq!(sim.peers().collect::<Vec<_>>(), sim.peer_ids());
-        assert_eq!(sim.alive_iter().collect::<Vec<_>>(), sim.alive_peers());
+        assert_eq!(sim.peers().collect::<Vec<_>>(), vec![a, b, c]);
+        assert_eq!(sim.alive_iter().collect::<Vec<_>>(), vec![a, c]);
         assert_eq!(
             sim.nodes_iter().map(|(p, _)| p).collect::<Vec<_>>(),
             vec![a, b, c]
@@ -1457,7 +1429,64 @@ mod tests {
         });
         assert_eq!(a, PeerId(0));
         assert_eq!(b, PeerId(1));
-        assert_eq!(sim.peer_ids(), vec![a, b]);
+        assert_eq!(sim.peers().collect::<Vec<_>>(), vec![a, b]);
+    }
+
+    /// Answers `Burst(n)` with `n` numbered items to peer 1, which logs what
+    /// arrives.
+    #[derive(Debug, Default)]
+    struct BurstNode {
+        got: Vec<u32>,
+    }
+
+    #[derive(Debug, Clone)]
+    enum BurstMsg {
+        Burst(u32),
+        Item(u32),
+    }
+
+    impl Node for BurstNode {
+        type Msg = BurstMsg;
+
+        fn on_message(&mut self, ctx: &mut Context<'_, BurstMsg>, _from: PeerId, msg: BurstMsg) {
+            match msg {
+                BurstMsg::Burst(n) => (0..n).for_each(|i| ctx.send(PeerId(1), BurstMsg::Item(i))),
+                BurstMsg::Item(i) => self.got.push(i),
+            }
+        }
+    }
+
+    #[test]
+    fn the_reused_effect_buffer_schedules_every_effect_once_and_in_order() {
+        let big = 3 * crate::effect::INLINE as u32 + 1;
+        let epochs = ExecConfig {
+            threads: 2,
+            parallel_threshold: 1,
+            ..ExecConfig::default()
+        };
+        for exec in [ExecConfig::single_thread(), epochs] {
+            let mut sim: Simulator<BurstNode> =
+                Simulator::new(NetworkConfig::lan(3).with_exec(exec));
+            let a = sim.add_node(|_| BurstNode::default());
+            let b = sim.add_node(|_| BurstNode::default());
+            // A burst that spills to the heap, an event that emits nothing,
+            // then a single effect: each must be scheduled exactly once.
+            for n in [big, 0, 1] {
+                sim.send_external(a, BurstMsg::Burst(n));
+                sim.run_for(Duration::from_millis(5));
+            }
+            // The API entry point lends the same buffer.
+            sim.with_node_ctx(a, |_, ctx| {
+                ctx.send(b, BurstMsg::Item(77));
+                ctx.effects().send(b, BurstMsg::Item(78));
+            });
+            sim.with_node_ctx(a, |_, _| ());
+            sim.run_for(Duration::from_millis(5));
+            // Links are FIFO per pair, so arrival order is emission order.
+            let want: Vec<u32> = (0..big).chain([0, 77, 78]).collect();
+            assert_eq!(sim.node(b).unwrap().got, want, "{exec:?}");
+            assert_eq!(sim.stats().messages_delivered, want.len() as u64);
+        }
     }
 
     // ------------------------------------------------------------------

@@ -12,9 +12,15 @@
 //!   each, ~268 ms of look-ahead at the default width) with an occupancy
 //!   bitmask — pushes into the near future are O(1) bucket appends, and
 //!   advancing skips empty buckets at word-scan speed;
-//! * a **far map** (`BTreeMap` keyed by absolute bucket index) for events
-//!   beyond the near horizon, cascaded into the ring as the cursor
-//!   approaches them;
+//! * a **far map** for events beyond the ring's current *lap* (one full
+//!   turn, [`NEAR_SLOTS`] buckets): a `BTreeMap` of one unsorted bucket per
+//!   lap, spread over the ring when the cursor enters that lap. Protocol
+//!   timers (0.5–4 s) all start out here, so a bucket per lap rather than
+//!   per time slot is what keeps them from allocating per timer. A lap's
+//!   bucket is freed once spread, not recycled: the farthest timers (each
+//!   query's safety net, 30 s and more ahead) keep over a hundred laps
+//!   occupied with a few entries each, and recycled buckets would give
+//!   every one of them the capacity of the fullest lap ever seen;
 //! * a small **overdue heap** for entries pushed behind the cursor — the
 //!   epoch engine's barrier merge schedules effects for causes processed
 //!   earlier in the window, which can land in already-drained buckets.
@@ -36,8 +42,10 @@ const SLOT_SHIFT: u32 = 18;
 /// Bucket width in nanoseconds.
 #[cfg(test)]
 const SLOT_NANOS: u64 = 1 << SLOT_SHIFT;
+/// log2 of the number of buckets in the near ring.
+const LAP_SHIFT: u32 = 10;
 /// Number of buckets in the near ring (power of two).
-pub(crate) const NEAR_SLOTS: u64 = 1024;
+pub(crate) const NEAR_SLOTS: u64 = 1 << LAP_SHIFT;
 const NEAR_MASK: u64 = NEAR_SLOTS - 1;
 const OCC_WORDS: usize = (NEAR_SLOTS / 64) as usize;
 
@@ -85,13 +93,10 @@ impl<T> Slab<T> {
 pub(crate) struct EventWheel<T> {
     payloads: Slab<T>,
     /// Near ring, indexed by `bucket & NEAR_MASK`. Invariant: holds only
-    /// entries whose bucket lies in `[cursor, cursor + NEAR_SLOTS)`.
+    /// entries whose bucket lies after the cursor in the cursor's lap.
     near: Vec<Vec<Entry>>,
     occupied: [u64; OCC_WORDS],
-    /// Events beyond the near horizon, keyed by absolute bucket index.
-    /// (Keys may fall below `cursor + NEAR_SLOTS` as the cursor advances;
-    /// `advance` always consults the map's minimum, so ordering never
-    /// depends on the cascade having caught up.)
+    /// Events of later laps, keyed by lap (`bucket >> LAP_SHIFT`).
     far: BTreeMap<u64, Vec<Entry>>,
     /// Entries pushed behind the cursor (barrier-merge effects): always
     /// strictly earlier than anything in the current bucket.
@@ -160,72 +165,60 @@ impl<T> EventWheel<T> {
             let tail = &self.drain[self.drain_next..];
             let pos = tail.partition_point(|e| (e.at, e.seq) < (entry.at, entry.seq));
             self.drain.insert(self.drain_next + pos, entry);
-        } else if bucket < self.cursor + NEAR_SLOTS {
-            self.near[(bucket & NEAR_MASK) as usize].push(entry);
-            self.set_bit(bucket);
+        } else if bucket >> LAP_SHIFT == self.cursor >> LAP_SHIFT {
+            self.push_near(bucket, entry);
         } else {
-            self.far.entry(bucket).or_default().push(entry);
+            self.far.entry(bucket >> LAP_SHIFT).or_default().push(entry);
         }
     }
 
-    /// First occupied near bucket strictly after the cursor, if any.
+    #[inline]
+    fn push_near(&mut self, bucket: u64, entry: Entry) {
+        self.near[(bucket & NEAR_MASK) as usize].push(entry);
+        self.set_bit(bucket);
+    }
+
+    /// First occupied near bucket strictly after the cursor, if any. The
+    /// ring holds one lap, so the scan runs from the cursor's position to
+    /// the end of the ring and never wraps (a cursor on a lap's last bucket,
+    /// where `advance` parks it before spreading the next lap, scans the
+    /// whole ring).
     fn scan_near(&self) -> Option<u64> {
         let start = ((self.cursor + 1) & NEAR_MASK) as usize;
-        let (w0, b0) = (start >> 6, start & 63);
-        let mut best_off: Option<u64> = None;
-        // Ring positions, in circular order starting at `start`: the first
-        // set bit found is the smallest OFFSET from cursor+1, which (window
-        // ≤ one full ring) is the smallest absolute bucket.
-        for i in 0..=OCC_WORDS {
-            let w = (w0 + i) % OCC_WORDS;
-            let mut word = self.occupied[w];
-            if i == 0 {
-                word &= !0u64 << b0;
-            } else if i == OCC_WORDS {
-                word &= !(!0u64 << b0);
-            }
+        let mut mask = !0u64 << (start & 63);
+        for w in (start >> 6)..OCC_WORDS {
+            let word = self.occupied[w] & mask;
             if word != 0 {
-                let r = (w * 64 + word.trailing_zeros() as usize) as u64;
-                let off = (r + NEAR_SLOTS - start as u64) & NEAR_MASK;
-                best_off = Some(off);
-                break;
+                let position = w * 64 + word.trailing_zeros() as usize;
+                return Some(self.cursor + 1 + (position - start) as u64);
             }
+            mask = !0;
         }
-        best_off.map(|off| self.cursor + 1 + off)
+        None
     }
 
-    /// Moves the cursor to the next occupied bucket (near or far) and fills
-    /// the drain list. Returns `false` when no bucketed entries remain.
+    /// Moves the cursor to the next occupied bucket and fills the drain
+    /// list. Returns `false` when no bucketed entries remain.
     fn advance(&mut self) -> bool {
-        let s_near = self.scan_near();
-        let s_far = self.far.keys().next().copied();
-        let next = match (s_near, s_far) {
-            (Some(a), Some(b)) => a.min(b),
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (None, None) => return false,
+        let next = loop {
+            if let Some(next) = self.scan_near() {
+                break next;
+            }
+            // The cursor's lap is exhausted: spread the next occupied lap
+            // over the (now empty) ring and scan it from its first bucket.
+            let Some((lap, entries)) = self.far.pop_first() else {
+                return false;
+            };
+            self.cursor = (lap << LAP_SHIFT) - 1;
+            for entry in entries {
+                self.push_near(entry.at >> SLOT_SHIFT, entry);
+            }
         };
         self.cursor = next;
         self.drain.clear();
         self.drain_next = 0;
-        if s_near == Some(next) {
-            let slot = (next & NEAR_MASK) as usize;
-            std::mem::swap(&mut self.drain, &mut self.near[slot]);
-            self.clear_bit(next);
-        }
-        if let Some(mut v) = self.far.remove(&next) {
-            self.drain.append(&mut v);
-        }
-        // Cascade far entries that now fall inside the near window.
-        let horizon = self.cursor + NEAR_SLOTS;
-        while let Some((&k, _)) = self.far.iter().next() {
-            if k >= horizon {
-                break;
-            }
-            let v = self.far.remove(&k).expect("key just observed");
-            self.near[(k & NEAR_MASK) as usize].extend(v);
-            self.set_bit(k);
-        }
+        std::mem::swap(&mut self.drain, &mut self.near[(next & NEAR_MASK) as usize]);
+        self.clear_bit(next);
         self.drain.sort_unstable();
         true
     }

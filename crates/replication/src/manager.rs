@@ -1,6 +1,7 @@
 //! The replication manager state machine.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 use pepper_net::{Effects, LayerCtx, ProtocolLayer};
@@ -120,20 +121,29 @@ impl ReplicationManager {
         successors: &[PeerId],
         fx: &mut Effects<ReplMsg>,
     ) {
-        if own_items.is_empty() {
+        self.push_batch(own_items.into(), successors.iter().copied(), fx);
+    }
+
+    /// One refresh round over an already built batch: every one of the `k`
+    /// nearest successors is sent the same shared `batch`.
+    pub fn push_batch(
+        &mut self,
+        batch: Arc<[(u64, Item)]>,
+        successors: impl IntoIterator<Item = PeerId>,
+        fx: &mut Effects<ReplMsg>,
+    ) {
+        if batch.is_empty() {
             return;
         }
-        let targets: Vec<PeerId> = successors
-            .iter()
-            .copied()
+        let targets = successors
+            .into_iter()
             .filter(|p| *p != self.id)
-            .take(self.cfg.replication_factor)
-            .collect();
+            .take(self.cfg.replication_factor);
         for target in targets {
             fx.send(
                 target,
                 ReplMsg::Push {
-                    items: own_items.to_vec(),
+                    items: Arc::clone(&batch),
                     extra_hop: false,
                 },
             );
@@ -181,7 +191,7 @@ impl ReplicationManager {
         fx.send(
             target,
             ReplMsg::Push {
-                items: payload,
+                items: payload.into(),
                 extra_hop: true,
             },
         );
@@ -192,7 +202,7 @@ impl ReplicationManager {
                 fx.send(
                     first,
                     ReplMsg::Push {
-                        items: self.replicas(),
+                        items: self.replicas().into(),
                         extra_hop: true,
                     },
                 );
@@ -279,10 +289,10 @@ impl ProtocolLayer for ReplicationManager {
             } => {
                 self.pushes_received += 1;
                 let mut delta = Vec::new();
-                for (mapped, item) in items {
-                    if self.replica_store.get(&mapped) != Some(&item) {
-                        delta.push((mapped, item.clone()));
-                        self.replica_store.insert(mapped, item);
+                for (mapped, item) in items.iter() {
+                    if self.replica_store.get(mapped) != Some(item) {
+                        delta.push((*mapped, item.clone()));
+                        self.replica_store.insert(*mapped, item.clone());
                     }
                 }
                 if !delta.is_empty() {
@@ -382,20 +392,28 @@ mod tests {
         assert!(refreshed);
         let effects = fx.drain();
         // Timer re-arm + pushes to exactly k = 2 successors.
-        let targets: Vec<PeerId> = effects
+        let pushes: Vec<_> = effects
             .iter()
             .filter_map(|e| match e {
                 Effect::Send {
                     to,
                     msg:
                         ReplMsg::Push {
-                            extra_hop: false, ..
+                            extra_hop: false,
+                            items,
                         },
-                } => Some(*to),
+                } => Some((*to, items)),
                 _ => None,
             })
             .collect();
+        let targets: Vec<PeerId> = pushes.iter().map(|(to, _)| *to).collect();
         assert_eq!(targets, vec![PeerId(1), PeerId(2)]);
+        // Every target of the round gets this peer's items — one batch,
+        // built once and shared.
+        for (to, items) in &pushes {
+            assert_eq!(&items[..], &own[..], "batch for {to}");
+            assert!(Arc::ptr_eq(items, pushes[0].1), "batch for {to} is shared");
+        }
         assert!(effects.iter().any(|e| matches!(
             e,
             Effect::Timer {
@@ -422,7 +440,7 @@ mod tests {
             ctx(1),
             PeerId(0),
             ReplMsg::Push {
-                items: vec![item(10), item(20)],
+                items: vec![item(10), item(20)].into(),
                 extra_hop: false,
             },
             &[],
@@ -446,7 +464,7 @@ mod tests {
             ctx(1),
             PeerId(0),
             ReplMsg::Push {
-                items: vec![item(10), item(20), item(30)],
+                items: vec![item(10), item(20), item(30)].into(),
                 extra_hop: false,
             },
             &[],
@@ -475,7 +493,7 @@ mod tests {
             ctx(0),
             PeerId(9),
             ReplMsg::Push {
-                items: vec![item(5)],
+                items: vec![item(5)].into(),
                 extra_hop: false,
             },
             &[],
@@ -487,18 +505,20 @@ mod tests {
         assert!(rm.replicate_additional_hop(ctx(0), &own, &succs, &mut fx));
         assert_eq!(rm.extra_hop_pushes(), 1);
         let effects = fx.drain();
-        // The main extra-hop push goes to the (k+1)-th successor (index 2).
+        // The main extra-hop push — own items, then the held replicas — goes
+        // to the (k+1)-th successor (index 2).
         assert!(effects.iter().any(|e| matches!(
             e,
             Effect::Send { to, msg: ReplMsg::Push { extra_hop: true, items } }
-                if *to == PeerId(3) && items.len() == 2
+                if *to == PeerId(3) && items[..] == [item(10), item(5)]
         )));
         // The held replicas also move to the immediate successor.
         assert!(effects.iter().any(|e| matches!(
             e,
             Effect::Send { to, msg: ReplMsg::Push { extra_hop: true, items } }
-                if *to == PeerId(1) && items.len() == 1
+                if *to == PeerId(1) && items[..] == [item(5)]
         )));
+        assert_eq!(effects.len(), 2);
     }
 
     #[test]
@@ -533,7 +553,7 @@ mod tests {
             ctx(1),
             PeerId(0),
             ReplMsg::Push {
-                items: vec![item(10), item(50)],
+                items: vec![item(10), item(50)].into(),
                 extra_hop: false,
             },
             &[],
@@ -555,7 +575,7 @@ mod tests {
             ctx(2),
             PeerId(9),
             ReplMsg::Push {
-                items: vec![item(10), item(50)],
+                items: vec![item(10), item(50)].into(),
                 extra_hop: false,
             },
             &mut fx,
@@ -621,7 +641,7 @@ mod tests {
             ctx(1),
             PeerId(0),
             ReplMsg::Push {
-                items: vec![item(10), item(20)],
+                items: vec![item(10), item(20)].into(),
                 extra_hop: false,
             },
             &mut fx,
@@ -637,7 +657,7 @@ mod tests {
             ctx(1),
             PeerId(0),
             ReplMsg::Push {
-                items: vec![item(10), item(20)],
+                items: vec![item(10), item(20)].into(),
                 extra_hop: false,
             },
             &mut fx,
@@ -657,7 +677,7 @@ mod tests {
             ctx(1),
             PeerId(0),
             ReplMsg::Push {
-                items: vec![changed.clone(), item(20)],
+                items: vec![changed.clone(), item(20)].into(),
                 extra_hop: false,
             },
             &mut fx,
@@ -666,6 +686,34 @@ mod tests {
             &rm.drain_events()[..],
             [ReplEvent::ReplicasInstalled { items }] if items == &vec![changed.clone()]
         ));
+    }
+
+    #[test]
+    fn receivers_of_one_shared_batch_each_install_their_own_delta() {
+        let batch: Arc<[(u64, Item)]> = vec![item(10), item(20)].into();
+        let push = ReplMsg::Push {
+            items: Arc::clone(&batch),
+            extra_hop: false,
+        };
+        let mut fx = Effects::new();
+        // One receiver already holds item 10, the other holds nothing.
+        let mut partial = ReplicationManager::new(PeerId(1), ReplicaConfig::test(2));
+        partial.install_replicas(vec![item(10)]);
+        let mut empty = ReplicationManager::new(PeerId(2), ReplicaConfig::test(2));
+        ProtocolLayer::handle(&mut partial, ctx(1), PeerId(0), push.clone(), &mut fx);
+        ProtocolLayer::handle(&mut empty, ctx(2), PeerId(0), push, &mut fx);
+        assert!(matches!(
+            &partial.drain_events()[..],
+            [ReplEvent::ReplicasInstalled { items }] if items[..] == [item(20)]
+        ));
+        assert!(matches!(
+            &empty.drain_events()[..],
+            [ReplEvent::ReplicasInstalled { items }] if items[..] == batch[..]
+        ));
+        // Both end up holding the whole batch.
+        assert_eq!(partial.replicas(), batch.to_vec());
+        assert_eq!(empty.replicas(), batch.to_vec());
+        assert!(fx.is_empty());
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Replication protocol messages.
 
+use std::sync::Arc;
+
 use pepper_types::{CircularRange, Item};
 
 /// Messages exchanged by the Replication Manager.
@@ -13,8 +15,10 @@ pub enum ReplMsg {
     /// `extra_hop` marks pushes performed by a peer that is about to leave
     /// on a merge (the paper's replicate-to-additional-hop).
     Push {
-        /// The items being replicated (mapped value, item).
-        items: Vec<(u64, Item)>,
+        /// The items being replicated (mapped value, item). One refresh
+        /// round builds the batch once and every target shares it; the
+        /// receiver clones only what it installs.
+        items: Arc<[(u64, Item)]>,
         /// Whether this push is the pre-leave additional-hop replication.
         extra_hop: bool,
     },
@@ -55,7 +59,7 @@ mod tests {
         assert_eq!(ReplMsg::RefreshTick.tag(), "RefreshTick");
         assert_eq!(
             ReplMsg::Push {
-                items: vec![],
+                items: Arc::new([]),
                 extra_hop: false
             }
             .tag(),

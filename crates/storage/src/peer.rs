@@ -363,7 +363,7 @@ mod tests {
         st.log_item_insert(9, &newer);
         let rec = st.recover(RecoveryMode::Clean);
         assert_eq!(rec.items.len(), 1);
-        assert_eq!(rec.items[0].1.payload, "newer");
+        assert_eq!(&*rec.items[0].1.payload, "newer");
     }
 
     /// Builds a never-snapshotted WAL of `n` insert/delete records churning

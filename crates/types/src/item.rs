@@ -1,6 +1,7 @@
 //! Data items stored in the index.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::key::SearchKey;
 use crate::peer::PeerId;
@@ -43,13 +44,15 @@ pub struct Item {
     pub id: ItemId,
     /// The search key value the item is indexed by.
     pub skv: SearchKey,
-    /// Application payload (opaque to the index).
-    pub payload: String,
+    /// Application payload (opaque to the index). Immutable and shared:
+    /// replicating, handing off or reporting an item copies a pointer, not
+    /// the bytes.
+    pub payload: Arc<str>,
 }
 
 impl Item {
     /// Creates a new item.
-    pub fn new(id: ItemId, skv: SearchKey, payload: impl Into<String>) -> Self {
+    pub fn new(id: ItemId, skv: SearchKey, payload: impl Into<Arc<str>>) -> Self {
         Item {
             id,
             skv,
@@ -64,7 +67,7 @@ impl Item {
         Item {
             id: ItemId::new(PeerId(0), skv.raw()),
             skv,
-            payload: String::new(),
+            payload: "".into(),
         }
     }
 }
