@@ -354,10 +354,16 @@ fn measure(cfg: HarnessConfig) -> (MacroRun, RunReport) {
     )
 }
 
-fn print_run(run: &MacroRun) {
+/// One line per run. The last three figures say how redundant the replica
+/// refresh traffic was: pushes delivered, and the shares the receiver skipped
+/// as already held or walked without installing anything.
+fn print_run(run: &MacroRun, report: &RunReport) {
+    let pushes = report.metrics.counter("repl", "Push");
+    let share = |name| 100.0 * report.metrics.counter("repl", name) as f64 / pushes.max(1) as f64;
     println!(
         "{:<10} peers={:<4} ops={:<5} seed={:<5} threads={} wall={:>8.1}ms events={:>9} \
-         ({:>9.0}/s) members={:<4} hops_p99={:<6.2} load_imb={:<5.2} violations={}",
+         ({:>9.0}/s) members={:<4} hops_p99={:<6.2} load_imb={:<5.2} violations={} \
+         repl_push={} skipped={:.1}% noop_walk={:.1}%",
         run.profile,
         run.peers,
         run.ops,
@@ -370,6 +376,9 @@ fn print_run(run: &MacroRun) {
         run.hops_p99,
         run.load_imbalance,
         run.violations,
+        pushes,
+        share("push_skipped"),
+        share("push_noop_walk"),
     );
 }
 
@@ -457,14 +466,14 @@ pub fn run(args: &[String]) -> i32 {
             }
             cfg.trace = bench_trace_config();
             let (run, report) = measure(cfg.clone());
-            print_run(&run);
+            print_run(&run, &report);
             violations += run.violations;
             if threads > 1 {
                 // Re-run on the epoch-parallel engine and hold it to the
                 // byte-identical contract.
                 cfg.exec = pepper_sim::ExecConfig::threaded(threads);
                 let (trun, treport) = measure(cfg);
-                print_run(&trun);
+                print_run(&trun, &treport);
                 violations += trun.violations;
                 if determinism_witness(&run, &report) != determinism_witness(&trun, &treport) {
                     eprintln!(
@@ -631,11 +640,11 @@ pub fn overhead_guard(args: &[String]) -> i32 {
     let seed = matrix_seed(0);
     let mut cfg = HarnessConfig::from_profile(&profile, seed).expect("known profile");
     cfg.trace = TraceConfig::off();
-    let (off_run, _) = measure(cfg.clone());
-    print_run(&off_run);
+    let (off_run, off_report) = measure(cfg.clone());
+    print_run(&off_run, &off_report);
     cfg.trace = TraceConfig::enabled();
-    let (on_run, _) = measure(cfg);
-    print_run(&on_run);
+    let (on_run, on_report) = measure(cfg);
+    print_run(&on_run, &on_report);
 
     let delta = (off_run.events_per_sec - baseline) / baseline * 100.0;
     let enabled_cost =

@@ -292,6 +292,12 @@ impl DataStoreState {
         self.store.items().map(|(mapped, item)| (*mapped, item))
     }
 
+    /// Mutation counter of the item set: as long as it reads the same,
+    /// [`Self::items_mapped`] yields the same items.
+    pub fn items_version(&self) -> u64 {
+        self.store.version()
+    }
+
     /// The Data Store configuration.
     pub fn config(&self) -> &DsConfig {
         &self.cfg

@@ -9,10 +9,24 @@ use std::collections::BTreeMap;
 use pepper_types::{CircularRange, Item, KeyInterval};
 
 /// An ordered collection of items keyed by mapped value.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct ItemStore {
     map: BTreeMap<u64, Item>,
+    /// Bumped by every mutator (the only writers of `map`), so equal
+    /// versions of one store mean an unchanged item set. It lets the
+    /// replication refresh reuse the batch it built last round.
+    version: u64,
 }
+
+/// Two stores are equal when they hold the same items, whatever sequence of
+/// mutations built them.
+impl PartialEq for ItemStore {
+    fn eq(&self, other: &Self) -> bool {
+        self.map == other.map
+    }
+}
+
+impl Eq for ItemStore {}
 
 impl ItemStore {
     /// Creates an empty store.
@@ -33,12 +47,21 @@ impl ItemStore {
     /// Inserts an item under its mapped value. Returns the previous item
     /// stored under the same mapped value, if any.
     pub fn insert(&mut self, mapped: u64, item: Item) -> Option<Item> {
+        self.version += 1;
         self.map.insert(mapped, item)
     }
 
     /// Removes the item stored under `mapped`.
     pub fn remove(&mut self, mapped: u64) -> Option<Item> {
+        self.version += 1;
         self.map.remove(&mapped)
+    }
+
+    /// The mutation counter: unchanged between two reads means the item set
+    /// is unchanged (the converse does not hold — a mutator that finds
+    /// nothing to do still counts).
+    pub fn version(&self) -> u64 {
+        self.version
     }
 
     /// Returns the item stored under `mapped`, if any.
@@ -81,6 +104,7 @@ impl ItemStore {
     /// Removes and returns the items whose mapped value lies in the circular
     /// range (used by hand-offs).
     pub fn take_range(&mut self, range: &CircularRange) -> Vec<(u64, Item)> {
+        self.version += 1;
         let keys: Vec<u64> = self
             .map
             .keys()
@@ -94,11 +118,13 @@ impl ItemStore {
 
     /// Bulk-inserts items.
     pub fn extend(&mut self, items: impl IntoIterator<Item = (u64, Item)>) {
+        self.version += 1;
         self.map.extend(items);
     }
 
     /// Removes every item and returns them.
     pub fn drain_all(&mut self) -> Vec<(u64, Item)> {
+        self.version += 1;
         let out: Vec<(u64, Item)> = self.map.iter().map(|(k, v)| (*k, v.clone())).collect();
         self.map.clear();
         out
@@ -211,6 +237,32 @@ mod tests {
         let drained = s.drain_all();
         assert_eq!(drained.len(), 4);
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn every_mutator_moves_the_version_and_equality_ignores_it() {
+        let mut s = store_with(&[1, 5, 8]);
+        let mut seen = vec![s.version()];
+        s.insert(9, item(9));
+        seen.push(s.version());
+        s.remove(9);
+        seen.push(s.version());
+        s.take_range(&CircularRange::new(4u64, 5u64));
+        seen.push(s.version());
+        s.extend(vec![(5, item(5))]);
+        seen.push(s.version());
+        assert!(seen.windows(2).all(|w| w[0] < w[1]), "{seen:?}");
+        // Reads leave it alone.
+        s.get(5);
+        s.to_vec();
+        s.split_point(&CircularRange::full(100u64));
+        assert_eq!(s.version(), *seen.last().unwrap());
+        // Same items through a different history: equal stores.
+        assert_eq!(s, store_with(&[1, 5, 8]));
+        assert_ne!(s.version(), store_with(&[1, 5, 8]).version());
+        let before = s.version();
+        s.drain_all();
+        assert!(s.version() > before);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use pepper_datastore::{DataStoreState, DsConfig, DsEvent, DsMsg, DsStatus, QueryId};
 use pepper_net::{Context, Effects, LayerCtx, LayerSlot, Node, SimTime};
-use pepper_replication::{ReplEvent, ReplicaConfig, ReplicationManager};
+use pepper_replication::{Batch, BatchStamp, ReplEvent, ReplicaConfig, ReplicationManager};
 use pepper_ring::{EntryState, RingConfig, RingEvent, RingState};
 use pepper_router::{HierarchicalRouter, RouterConfig};
 use pepper_storage::{
@@ -77,6 +77,9 @@ pub struct PeerNode {
     /// Items recovered from durable storage, awaiting donation to their
     /// current owners through [`PeerNode::restart_rejoin`].
     recovered_donation: Vec<(u64, Item)>,
+    /// The replica batch the last refresh round built, and its stamp. Reused
+    /// for as long as the Data Store's item set stays what it was built from.
+    built_batch: Option<(BatchStamp, Batch)>,
     pool: FreePool,
     /// The free peer an in-flight split is waiting to hand off to.
     pending_split: Option<PeerId>,
@@ -116,6 +119,7 @@ impl PeerNode {
             storage: None,
             recovery_mode: RecoveryMode::Clean,
             recovered_donation: Vec::new(),
+            built_batch: None,
             pool,
             cfg,
             pending_split: None,
@@ -154,6 +158,7 @@ impl PeerNode {
             storage: None,
             recovery_mode: RecoveryMode::Clean,
             recovered_donation: Vec::new(),
+            built_batch: None,
             pool,
             cfg,
             pending_split: None,
@@ -495,15 +500,30 @@ impl PeerNode {
 
     /// One replication refresh round of the CFS scheme, fed with the
     /// cross-layer snapshot only the composed peer can take: the Data
-    /// Store's items, cloned once into a batch all successors share.
+    /// Store's items, cloned into a batch all successors share — once per
+    /// change of the item set, not once per round.
     fn push_replicas(&mut self, now: SimTime, out: &mut Effects<PeerMsg>) {
-        let batch: Arc<[(u64, Item)]> = self
-            .ds
-            .items_mapped()
-            .map(|(mapped, item)| (mapped, item.clone()))
-            .collect();
+        let store_version = self.ds.items_version();
+        let (stamp, batch) = match &self.built_batch {
+            Some((stamp, batch)) if stamp.store_version == store_version => {
+                (*stamp, Arc::clone(batch))
+            }
+            _ => {
+                let stamp = BatchStamp {
+                    built_at: now,
+                    store_version,
+                };
+                let batch: Batch = self
+                    .ds
+                    .items_mapped()
+                    .map(|(mapped, item)| (mapped, item.clone()))
+                    .collect();
+                self.built_batch = Some((stamp, Arc::clone(&batch)));
+                (stamp, batch)
+            }
+        };
         let ((), repl_events) = self.repl.with(out, |repl, fx| {
-            repl.push_batch(batch, Self::joined_successors(&self.ring), fx)
+            repl.push_batch(batch, Some(stamp), Self::joined_successors(&self.ring), fx)
         });
         self.process_repl_events(now, repl_events, out);
     }
@@ -1635,6 +1655,94 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| e.layer == "ds" && api_cids.contains(&e.cid)));
+    }
+
+    /// One refresh round of `peer` taken outside the simulator: the pushes
+    /// it would send (target, batch, stamp).
+    fn refresh_round(
+        sim: &mut Simulator<PeerNode>,
+        peer: PeerId,
+    ) -> Vec<(PeerId, Batch, Option<BatchStamp>)> {
+        let now = sim.now();
+        let mut out = Effects::new();
+        sim.node_mut(peer)
+            .expect("peer exists")
+            .push_replicas(now, &mut out);
+        out.drain()
+            .into_iter()
+            .filter_map(|e| match e {
+                pepper_net::Effect::Send {
+                    to,
+                    msg: PeerMsg::Repl(pepper_replication::ReplMsg::Push { items, stamp, .. }),
+                } => Some((to, items, stamp)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn refresh_rounds_share_one_batch_until_the_item_set_changes() {
+        let cfg = test_cfg(ProtocolConfig::pepper());
+        let (mut sim, _pool, first) = cluster(&cfg, 4, 23);
+        insert_keys(&mut sim, first, (1..=10).map(|k| k * 1_000_000));
+        sim.run_for(Duration::from_secs(3));
+        assert!(ring_members(&sim) >= 3);
+
+        // Every successor of one round is handed the same allocation, and
+        // so is every later round while the Data Store is left alone.
+        let mut last = refresh_round(&mut sim, first);
+        assert_eq!(last.len(), 2, "k = 2 successors");
+        let stored = |sim: &Simulator<PeerNode>| {
+            let node = sim.node(first).expect("first exists");
+            node.data_store().local_items_mapped()
+        };
+        assert_eq!(last[0].1.to_vec(), stored(&sim));
+        assert!(last[0].2.is_some());
+        sim.run_for(Duration::from_secs(1));
+        for (_, batch, stamp) in refresh_round(&mut sim, first) {
+            assert!(Arc::ptr_eq(&batch, &last[0].1) && Arc::ptr_eq(&batch, &last[1].1));
+            assert_eq!(stamp, last[0].2);
+        }
+
+        // An insert, a delete and a split hand-off each change the item
+        // set: the next round builds a fresh batch under a fresh stamp.
+        let own = |sim: &Simulator<PeerNode>, key: u64| {
+            let node = sim.node(first).expect("first exists");
+            node.data_store().range().contains(key)
+        };
+        let fresh = (1..).map(|k| k * 1_000_000 + 7).find(|k| own(&sim, *k));
+        let victim = stored(&sim)[0].0;
+        let members = ring_members(&sim);
+        type Change<'a> = &'a dyn Fn(&mut Simulator<PeerNode>);
+        let changes: [(&str, Change<'_>); 3] = [
+            ("insert", &|sim| insert_keys(sim, first, fresh)),
+            ("delete", &|sim| {
+                sim.with_node_ctx(first, |node, ctx| node.delete_item(ctx, SearchKey(victim)));
+                sim.run_for(Duration::from_millis(30));
+            }),
+            ("split", &|sim| {
+                let mut key = fresh.expect("range not empty");
+                while ring_members(sim) == members {
+                    key += 1;
+                    insert_keys(sim, first, own(sim, key).then_some(key));
+                    sim.run_for(Duration::from_millis(300));
+                }
+            }),
+        ];
+        for (what, change) in changes {
+            let before = stored(&sim);
+            change(&mut sim);
+            assert_ne!(stored(&sim), before, "{what} changed nothing");
+            let round = refresh_round(&mut sim, first);
+            assert!(!round.is_empty(), "{what}");
+            for (_, batch, stamp) in &round {
+                assert!(Arc::ptr_eq(batch, &round[0].1), "{what}");
+                assert!(!Arc::ptr_eq(batch, &last[0].1), "{what}");
+                assert_ne!(*stamp, last[0].2, "{what}");
+            }
+            assert_eq!(round[0].1.to_vec(), stored(&sim), "{what}");
+            last = round;
+        }
     }
 
     #[test]

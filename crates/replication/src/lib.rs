@@ -19,4 +19,4 @@ pub mod messages;
 
 pub use events::ReplEvent;
 pub use manager::{ReplicaConfig, ReplicationManager};
-pub use messages::ReplMsg;
+pub use messages::{Batch, BatchStamp, ReplMsg};

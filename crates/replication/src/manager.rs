@@ -8,7 +8,7 @@ use pepper_net::{Effects, LayerCtx, ProtocolLayer};
 use pepper_types::{CircularRange, Item, KeyInterval, PeerId, SystemConfig};
 
 use crate::events::ReplEvent;
-use crate::messages::ReplMsg;
+use crate::messages::{Batch, BatchStamp, ReplMsg};
 
 /// Configuration of the Replication Manager.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,9 +55,18 @@ pub struct ReplicationManager {
     cfg: ReplicaConfig,
     /// Replicas held on behalf of predecessors, keyed by mapped value.
     replica_store: BTreeMap<u64, Item>,
+    /// The stamped batches walked since `replica_store` last changed, one per
+    /// sender: the store still holds every entry of each, so walking one
+    /// again would install nothing. Every mutation of `replica_store` goes
+    /// through [`Self::store_changed`], which empties this.
+    walked: Vec<(PeerId, BatchStamp)>,
     timers_started: bool,
     /// Number of replica pushes received (metrics).
     pushes_received: u64,
+    /// Pushes recognised in `walked` and not walked again (metrics).
+    pushes_skipped: u64,
+    /// Pushes walked that installed nothing (metrics).
+    pushes_noop_walked: u64,
     /// Number of extra-hop pushes performed (metrics).
     extra_hop_pushes: u64,
     /// Events buffered for the composed peer.
@@ -71,8 +80,11 @@ impl ReplicationManager {
             id,
             cfg,
             replica_store: BTreeMap::new(),
+            walked: Vec::new(),
             timers_started: false,
             pushes_received: 0,
+            pushes_skipped: 0,
+            pushes_noop_walked: 0,
             extra_hop_pushes: 0,
             events: Vec::new(),
         }
@@ -107,13 +119,27 @@ impl ReplicationManager {
         self.pushes_received
     }
 
+    /// Of the pushes received, how many carried a batch this peer had
+    /// already walked with no change to its replica store since, and were
+    /// therefore not walked again.
+    pub fn pushes_skipped(&self) -> u64 {
+        self.pushes_skipped
+    }
+
+    /// Of the pushes received, how many were walked item by item and
+    /// installed nothing — the redundancy the skip does not catch.
+    pub fn pushes_noop_walked(&self) -> u64 {
+        self.pushes_noop_walked
+    }
+
     /// Number of additional-hop pushes performed (metrics).
     pub fn extra_hop_pushes(&self) -> u64 {
         self.extra_hop_pushes
     }
 
     /// Pushes this peer's items to its `k` nearest successors (one refresh
-    /// round of the CFS scheme).
+    /// round of the CFS scheme). The batch is built here and unstamped, so
+    /// every receiver walks it.
     pub fn push_to_successors(
         &mut self,
         _ctx: LayerCtx,
@@ -121,14 +147,17 @@ impl ReplicationManager {
         successors: &[PeerId],
         fx: &mut Effects<ReplMsg>,
     ) {
-        self.push_batch(own_items.into(), successors.iter().copied(), fx);
+        self.push_batch(own_items.into(), None, successors.iter().copied(), fx);
     }
 
     /// One refresh round over an already built batch: every one of the `k`
-    /// nearest successors is sent the same shared `batch`.
+    /// nearest successors is sent the same shared `batch`. A caller that
+    /// keeps the batch across rounds names it with a `stamp` (equal stamps,
+    /// same batch), which lets receivers skip a batch they already hold.
     pub fn push_batch(
         &mut self,
-        batch: Arc<[(u64, Item)]>,
+        batch: Batch,
+        stamp: Option<BatchStamp>,
         successors: impl IntoIterator<Item = PeerId>,
         fx: &mut Effects<ReplMsg>,
     ) {
@@ -144,6 +173,7 @@ impl ReplicationManager {
                 target,
                 ReplMsg::Push {
                     items: Arc::clone(&batch),
+                    stamp,
                     extra_hop: false,
                 },
             );
@@ -166,8 +196,8 @@ impl ReplicationManager {
         if !self.cfg.extra_hop_enabled {
             return false;
         }
-        let mut payload: Vec<(u64, Item)> = own_items.to_vec();
-        payload.extend(self.replicas());
+        let held: Batch = self.replicas().into();
+        let payload: Batch = own_items.iter().chain(held.iter()).cloned().collect();
         if payload.is_empty() {
             return false;
         }
@@ -191,18 +221,20 @@ impl ReplicationManager {
         fx.send(
             target,
             ReplMsg::Push {
-                items: payload.into(),
+                items: payload,
+                stamp: None,
                 extra_hop: true,
             },
         );
         // Also hand the replicas we hold to our immediate successor so the
         // items of our predecessors keep k copies after we are gone.
         if let Some(first) = candidates.first().copied() {
-            if first != target && !self.replica_store.is_empty() {
+            if first != target && !held.is_empty() {
                 fx.send(
                     first,
                     ReplMsg::Push {
-                        items: self.replicas().into(),
+                        items: held,
+                        stamp: None,
                         extra_hop: true,
                     },
                 );
@@ -215,23 +247,25 @@ impl ReplicationManager {
     /// in `acquired`, to be revived into the Data Store after this peer took
     /// over a failed predecessor's range.
     pub fn take_replicas_in(&mut self, acquired: &CircularRange) -> Vec<(u64, Item)> {
-        let keys: Vec<u64> = self
-            .replica_store
-            .keys()
-            .filter(|k| acquired.contains(**k))
-            .copied()
-            .collect();
-        keys.into_iter()
-            .map(|k| (k, self.replica_store.remove(&k).expect("key present")))
-            .collect()
+        let mut taken = Vec::new();
+        self.replica_store.retain(|mapped, item| {
+            let take = acquired.contains(*mapped);
+            if take {
+                taken.push((*mapped, item.clone()));
+            }
+            !take
+        });
+        if !taken.is_empty() {
+            self.store_changed();
+        }
+        taken
     }
 
     /// Installs replicas recovered from durable storage after a restart (no
     /// event is emitted: the records are already journaled).
     pub fn install_replicas(&mut self, items: Vec<(u64, Item)>) {
-        for (mapped, item) in items {
-            self.replica_store.insert(mapped, item);
-        }
+        self.replica_store.extend(items);
+        self.store_changed();
     }
 
     /// Returns the replicas in a linear interval without removing them
@@ -248,15 +282,34 @@ impl ReplicationManager {
     /// opportunistically by the composed peer; keeps the replica store from
     /// growing without bound in long experiments.
     pub fn prune_owned(&mut self, own_range: &CircularRange) {
-        let keys: Vec<u64> = self
-            .replica_store
-            .keys()
-            .filter(|k| own_range.contains(**k))
-            .copied()
-            .collect();
-        for k in keys {
-            self.replica_store.remove(&k);
+        let held = self.replica_store.len();
+        self.replica_store
+            .retain(|mapped, _| !own_range.contains(*mapped));
+        if self.replica_store.len() != held {
+            self.store_changed();
         }
+    }
+
+    /// Must follow every mutation of `replica_store`: a batch walked before
+    /// the change may no longer be held in full.
+    fn store_changed(&mut self) {
+        self.walked.clear();
+    }
+
+    /// Installs what `items` holds that the replica store does not, and
+    /// returns it.
+    fn install_delta(&mut self, items: &[(u64, Item)]) -> Vec<(u64, Item)> {
+        let mut delta = Vec::new();
+        for (mapped, item) in items {
+            if self.replica_store.get(mapped) != Some(item) {
+                delta.push((*mapped, item.clone()));
+                self.replica_store.insert(*mapped, item.clone());
+            }
+        }
+        if !delta.is_empty() {
+            self.store_changed();
+        }
+        delta
     }
 }
 
@@ -285,17 +338,34 @@ impl ProtocolLayer for ReplicationManager {
             }
             ReplMsg::Push {
                 items,
+                stamp,
                 extra_hop: _,
             } => {
                 self.pushes_received += 1;
-                let mut delta = Vec::new();
-                for (mapped, item) in items.iter() {
-                    if self.replica_store.get(mapped) != Some(item) {
-                        delta.push((*mapped, item.clone()));
-                        self.replica_store.insert(*mapped, item.clone());
+                if stamp.is_some_and(|stamp| self.walked.contains(&(from, stamp))) {
+                    self.pushes_skipped += 1;
+                    // Debug builds (the test suite, the harness seed matrix)
+                    // do the walk the skip saves, to check it.
+                    debug_assert!(
+                        items
+                            .iter()
+                            .all(|(mapped, item)| self.replica_store.get(mapped) == Some(item)),
+                        "skipped push {stamp:?} from {from} would have installed something"
+                    );
+                    return;
+                }
+                let delta = self.install_delta(&items);
+                // Recorded after the walk, which empties `walked` when it
+                // installs something: the batch is held in full either way.
+                if let Some(stamp) = stamp {
+                    match self.walked.iter_mut().find(|(peer, _)| *peer == from) {
+                        Some(entry) => entry.1 = stamp,
+                        None => self.walked.push((from, stamp)),
                     }
                 }
-                if !delta.is_empty() {
+                if delta.is_empty() {
+                    self.pushes_noop_walked += 1;
+                } else {
                     self.events
                         .push(ReplEvent::ReplicasInstalled { items: delta });
                 }
@@ -401,6 +471,7 @@ mod tests {
                         ReplMsg::Push {
                             extra_hop: false,
                             items,
+                            ..
                         },
                 } => Some((*to, items)),
                 _ => None,
@@ -441,6 +512,7 @@ mod tests {
             PeerId(0),
             ReplMsg::Push {
                 items: vec![item(10), item(20)].into(),
+                stamp: None,
                 extra_hop: false,
             },
             &[],
@@ -465,6 +537,7 @@ mod tests {
             PeerId(0),
             ReplMsg::Push {
                 items: vec![item(10), item(20), item(30)].into(),
+                stamp: None,
                 extra_hop: false,
             },
             &[],
@@ -494,6 +567,7 @@ mod tests {
             PeerId(9),
             ReplMsg::Push {
                 items: vec![item(5)].into(),
+                stamp: None,
                 extra_hop: false,
             },
             &[],
@@ -509,13 +583,13 @@ mod tests {
         // to the (k+1)-th successor (index 2).
         assert!(effects.iter().any(|e| matches!(
             e,
-            Effect::Send { to, msg: ReplMsg::Push { extra_hop: true, items } }
+            Effect::Send { to, msg: ReplMsg::Push { extra_hop: true, items, .. } }
                 if *to == PeerId(3) && items[..] == [item(10), item(5)]
         )));
         // The held replicas also move to the immediate successor.
         assert!(effects.iter().any(|e| matches!(
             e,
-            Effect::Send { to, msg: ReplMsg::Push { extra_hop: true, items } }
+            Effect::Send { to, msg: ReplMsg::Push { extra_hop: true, items, .. } }
                 if *to == PeerId(1) && items[..] == [item(5)]
         )));
         assert_eq!(effects.len(), 2);
@@ -554,6 +628,7 @@ mod tests {
             PeerId(0),
             ReplMsg::Push {
                 items: vec![item(10), item(50)].into(),
+                stamp: None,
                 extra_hop: false,
             },
             &[],
@@ -576,6 +651,7 @@ mod tests {
             PeerId(9),
             ReplMsg::Push {
                 items: vec![item(10), item(50)].into(),
+                stamp: None,
                 extra_hop: false,
             },
             &mut fx,
@@ -642,6 +718,7 @@ mod tests {
             PeerId(0),
             ReplMsg::Push {
                 items: vec![item(10), item(20)].into(),
+                stamp: None,
                 extra_hop: false,
             },
             &mut fx,
@@ -658,6 +735,7 @@ mod tests {
             PeerId(0),
             ReplMsg::Push {
                 items: vec![item(10), item(20)].into(),
+                stamp: None,
                 extra_hop: false,
             },
             &mut fx,
@@ -678,6 +756,7 @@ mod tests {
             PeerId(0),
             ReplMsg::Push {
                 items: vec![changed.clone(), item(20)].into(),
+                stamp: None,
                 extra_hop: false,
             },
             &mut fx,
@@ -690,9 +769,10 @@ mod tests {
 
     #[test]
     fn receivers_of_one_shared_batch_each_install_their_own_delta() {
-        let batch: Arc<[(u64, Item)]> = vec![item(10), item(20)].into();
+        let batch: Batch = vec![item(10), item(20)].into();
         let push = ReplMsg::Push {
             items: Arc::clone(&batch),
+            stamp: None,
             extra_hop: false,
         };
         let mut fx = Effects::new();
@@ -714,6 +794,212 @@ mod tests {
         assert_eq!(partial.replicas(), batch.to_vec());
         assert_eq!(empty.replicas(), batch.to_vec());
         assert!(fx.is_empty());
+    }
+
+    fn stamp(built_at_secs: u64, store_version: u64) -> BatchStamp {
+        BatchStamp {
+            built_at: SimTime::from_secs(built_at_secs),
+            store_version,
+        }
+    }
+
+    fn versioned(k: u64, payload: &str) -> (u64, Item) {
+        let id = pepper_types::ItemId::new(PeerId(7), k);
+        (k, Item::new(id, SearchKey(k), payload))
+    }
+
+    /// Delivers one push and returns the events it led to.
+    fn deliver(
+        rm: &mut ReplicationManager,
+        from: PeerId,
+        items: &Batch,
+        stamp: Option<BatchStamp>,
+    ) -> Vec<ReplEvent> {
+        let push = ReplMsg::Push {
+            items: Arc::clone(items),
+            stamp,
+            extra_hop: false,
+        };
+        let mut fx = Effects::new();
+        ProtocolLayer::handle(rm, ctx(1), from, push, &mut fx);
+        assert!(fx.is_empty());
+        rm.drain_events()
+    }
+
+    #[test]
+    fn a_stamped_batch_already_walked_is_skipped_but_still_counted() {
+        let mut rm = ReplicationManager::new(PeerId(1), ReplicaConfig::test(2));
+        let batch: Batch = vec![item(10), item(20)].into();
+        let first = deliver(&mut rm, PeerId(0), &batch, Some(stamp(1, 5)));
+        assert!(matches!(
+            &first[..],
+            [ReplEvent::ReplicasInstalled { items }] if items[..] == batch[..]
+        ));
+        assert_eq!((rm.pushes_skipped(), rm.pushes_noop_walked()), (0, 0));
+        // The refresh rounds that follow resend the very same batch.
+        for round in 1..=3 {
+            assert!(deliver(&mut rm, PeerId(0), &batch, Some(stamp(1, 5))).is_empty());
+            assert_eq!(rm.pushes_skipped(), round);
+            assert_eq!(rm.pushes_received(), 1 + round);
+        }
+        assert_eq!(rm.pushes_noop_walked(), 0);
+        // The memo is per sender: the same stamp from another peer names
+        // another batch. It is walked once, then skipped too.
+        assert!(deliver(&mut rm, PeerId(9), &batch, Some(stamp(1, 5))).is_empty());
+        assert_eq!((rm.pushes_skipped(), rm.pushes_noop_walked()), (3, 1));
+        assert!(deliver(&mut rm, PeerId(9), &batch, Some(stamp(1, 5))).is_empty());
+        assert!(deliver(&mut rm, PeerId(0), &batch, Some(stamp(1, 5))).is_empty());
+        assert_eq!((rm.pushes_skipped(), rm.pushes_noop_walked()), (5, 1));
+        // An unstamped push of the same items is always walked.
+        assert!(deliver(&mut rm, PeerId(0), &batch, None).is_empty());
+        assert_eq!((rm.pushes_skipped(), rm.pushes_noop_walked()), (5, 2));
+        assert_eq!(rm.replicas(), batch.to_vec());
+    }
+
+    #[test]
+    fn any_change_of_the_replica_store_makes_the_next_push_walk_again() {
+        type Change = fn(&mut ReplicationManager);
+        // Each change touches key 10 of the batch; the re-push must put the
+        // sender's version back and report it.
+        let changes: [(&str, Change); 4] = [
+            ("another sender overwrites a key", |rm| {
+                let other: Batch = vec![versioned(10, "theirs")].into();
+                assert_eq!(deliver(rm, PeerId(8), &other, Some(stamp(1, 1))).len(), 1);
+            }),
+            ("prune_owned removes a key", |rm| {
+                rm.prune_owned(&CircularRange::new(5u64, 10u64));
+            }),
+            ("take_replicas_in removes a key", |rm| {
+                assert_eq!(
+                    rm.take_replicas_in(&CircularRange::new(5u64, 10u64)).len(),
+                    1
+                );
+            }),
+            ("install_replicas overwrites a key", |rm| {
+                rm.install_replicas(vec![versioned(10, "recovered")]);
+            }),
+        ];
+        for (what, change) in changes {
+            let mut rm = ReplicationManager::new(PeerId(1), ReplicaConfig::test(2));
+            let batch: Batch = vec![item(10), item(20)].into();
+            deliver(&mut rm, PeerId(0), &batch, Some(stamp(1, 5)));
+            assert!(deliver(&mut rm, PeerId(0), &batch, Some(stamp(1, 5))).is_empty());
+            assert_eq!(rm.pushes_skipped(), 1, "{what}");
+            change(&mut rm);
+            let events = deliver(&mut rm, PeerId(0), &batch, Some(stamp(1, 5)));
+            assert!(
+                matches!(
+                    &events[..],
+                    [ReplEvent::ReplicasInstalled { items }] if items[..] == [item(10)]
+                ),
+                "{what}: {events:?}"
+            );
+            assert_eq!(rm.pushes_skipped(), 1, "{what}");
+            assert_eq!(rm.replicas(), batch.to_vec(), "{what}");
+            // Whole again: the next round is skipped.
+            assert!(deliver(&mut rm, PeerId(0), &batch, Some(stamp(1, 5))).is_empty());
+            assert_eq!(rm.pushes_skipped(), 2, "{what}");
+        }
+        // A prune or take that finds nothing leaves the memo alone.
+        let mut rm = ReplicationManager::new(PeerId(1), ReplicaConfig::test(2));
+        let batch: Batch = vec![item(10), item(20)].into();
+        deliver(&mut rm, PeerId(0), &batch, Some(stamp(1, 5)));
+        rm.prune_owned(&CircularRange::new(40u64, 60u64));
+        assert!(rm
+            .take_replicas_in(&CircularRange::new(40u64, 60u64))
+            .is_empty());
+        assert!(deliver(&mut rm, PeerId(0), &batch, Some(stamp(1, 5))).is_empty());
+        assert_eq!(rm.pushes_skipped(), 1);
+    }
+
+    #[test]
+    fn a_restarted_sender_reaching_an_old_store_version_is_not_mistaken_for_its_past() {
+        let mut rm = ReplicationManager::new(PeerId(1), ReplicaConfig::test(2));
+        let before: Batch = vec![item(10), item(20)].into();
+        deliver(&mut rm, PeerId(0), &before, Some(stamp(1, 2)));
+        assert!(deliver(&mut rm, PeerId(0), &before, Some(stamp(1, 2))).is_empty());
+        // Peer 0 crashes, restarts with its counter reset, and two mutations
+        // later owns other items under store version 2 again. Nothing
+        // touched this replica store in between.
+        let after: Batch = vec![item(30), item(40)].into();
+        let events = deliver(&mut rm, PeerId(0), &after, Some(stamp(90, 2)));
+        assert!(matches!(
+            &events[..],
+            [ReplEvent::ReplicasInstalled { items }] if items[..] == after[..]
+        ));
+        assert_eq!(rm.replica_count(), 4);
+    }
+
+    #[test]
+    fn skipping_never_changes_what_a_manager_holds_or_reports() {
+        // Three senders whose batches change now and then push to `memo`
+        // with stamps and to `reference` without, so `reference` walks
+        // everything; prunes, revivals and recoveries hit both alike.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let mut memo = ReplicationManager::new(PeerId(1), ReplicaConfig::test(2));
+        let mut reference = memo.clone();
+        let senders = [PeerId(10), PeerId(11), PeerId(12)];
+        let mut batches: Vec<(BatchStamp, Batch)> =
+            vec![(stamp(0, 0), Arc::new([])); senders.len()];
+        for step in 1..=4000u64 {
+            let range = {
+                let low = next(64);
+                CircularRange::new(low, (low + 1 + next(8)) % 64)
+            };
+            match next(20) {
+                0..=11 => {
+                    let s = next(3) as usize;
+                    let (stamp, batch) = &batches[s];
+                    let got = deliver(&mut memo, senders[s], batch, Some(*stamp));
+                    assert_eq!(got, deliver(&mut reference, senders[s], batch, None));
+                }
+                12..=14 => {
+                    // Senders overlap on keys 0..64 and disagree on payloads.
+                    let s = next(3) as usize;
+                    let items: Vec<(u64, Item)> = (0..64)
+                        .filter_map(|k| match next(8) {
+                            0 => Some(versioned(k, "a")),
+                            1 => Some(versioned(k, "b")),
+                            _ => None,
+                        })
+                        .collect();
+                    batches[s] = (stamp(step, batches[s].0.store_version + 1), items.into());
+                }
+                15 | 16 => {
+                    memo.prune_owned(&range);
+                    reference.prune_owned(&range);
+                }
+                17 => assert_eq!(
+                    memo.take_replicas_in(&range),
+                    reference.take_replicas_in(&range)
+                ),
+                18 => {
+                    let items = vec![versioned(next(64), "recovered")];
+                    memo.install_replicas(items.clone());
+                    reference.install_replicas(items);
+                }
+                _ => {
+                    let batch: Batch = vec![versioned(next(64), "hop")].into();
+                    let got = deliver(&mut memo, PeerId(13), &batch, None);
+                    assert_eq!(got, deliver(&mut reference, PeerId(13), &batch, None));
+                }
+            }
+            assert_eq!(memo.replicas(), reference.replicas(), "step {step}");
+        }
+        assert_eq!(reference.pushes_skipped(), 0);
+        assert_eq!(memo.pushes_received(), reference.pushes_received());
+        assert!(
+            memo.pushes_skipped() > 200 && memo.pushes_noop_walked() > 0,
+            "the sequence must exercise both: {} skipped, {} walked for nothing",
+            memo.pushes_skipped(),
+            memo.pushes_noop_walked()
+        );
     }
 
     #[test]

@@ -53,7 +53,6 @@ impl RingState {
     fn send_ping(&mut self, target: PeerId, fx: &mut Effects<RingMsg>) {
         self.ping_seq += 1;
         let seq = self.ping_seq;
-        self.outstanding_pings.insert(target, seq);
         fx.send(target, RingMsg::Ping { seq });
         fx.timer(self.cfg.ping_timeout, RingMsg::PingTimeout { target, seq });
     }
@@ -143,7 +142,6 @@ impl RingState {
         if answered >= seq {
             return; // a reply to this ping (or a later one) arrived in time
         }
-        self.outstanding_pings.remove(&target);
         if self.remove_peer(target) {
             self.emit(RingEvent::SuccessorFailed { peer: target });
             // If the failed peer is the one this peer was inserting, the

@@ -50,7 +50,6 @@ pub struct RingState {
     pub(crate) pending_insert: Option<PendingInsert>,
     pub(crate) leave_started: Option<SimTime>,
     pub(crate) ping_seq: u64,
-    pub(crate) outstanding_pings: HashMap<PeerId, u64>,
     pub(crate) answered_pings: HashMap<PeerId, u64>,
     pub(crate) last_new_succ: Option<PeerId>,
     pub(crate) timers_started: bool,
@@ -76,7 +75,6 @@ impl RingState {
             pending_insert: None,
             leave_started: None,
             ping_seq: 0,
-            outstanding_pings: HashMap::new(),
             answered_pings: HashMap::new(),
             last_new_succ: Some(id),
             timers_started: false,
@@ -99,7 +97,6 @@ impl RingState {
             pending_insert: None,
             leave_started: None,
             ping_seq: 0,
-            outstanding_pings: HashMap::new(),
             answered_pings: HashMap::new(),
             last_new_succ: None,
             timers_started: false,

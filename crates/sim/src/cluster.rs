@@ -166,6 +166,10 @@ pub struct Cluster {
     /// Tracing + metrics settings every peer is constructed with.
     trace: TraceConfig,
     next_item_seq: u64,
+    /// Replica pushes (skipped as already held, walked for nothing) counted
+    /// by peer incarnations a restart has since replaced, so that
+    /// [`Cluster::metrics`] never counts backwards.
+    retired_pushes: (u64, u64),
     /// Memoized ring-membership snapshot, keyed by the simulator's state
     /// version: the harness oracle asks for the member list once per
     /// scheduled op (and `owner_of` once per lookup), and rebuilding it by
@@ -206,6 +210,7 @@ impl Cluster {
             storage_seed,
             trace,
             next_item_seq: 0,
+            retired_pushes: (0, 0),
             members_cache: RefCell::new(None),
         };
         for _ in 0..cfg.initial_free_peers {
@@ -295,7 +300,10 @@ impl Cluster {
             .node(peer)
             .map(|n| n.trace_events())
             .unwrap_or_default();
-        let storage = self.sim.node_mut(peer)?.take_storage()?;
+        let crashed = self.sim.node_mut(peer)?;
+        let storage = crashed.take_storage()?;
+        self.retired_pushes.0 += crashed.replication().pushes_skipped();
+        self.retired_pushes.1 += crashed.replication().pushes_noop_walked();
         let recovered = storage.recover(durability.recovery);
         let outcome = RestartOutcome {
             wal_records_replayed: recovered.wal_records_replayed,
@@ -373,10 +381,23 @@ impl Cluster {
 
     /// The whole-cluster metrics registry: every peer's counters and
     /// histograms absorbed into one. Empty when metrics are off.
+    ///
+    /// `repl.push_skipped` and `repl.push_noop_walk` — of the `repl.Push`
+    /// messages delivered, how many the receiver recognised as a batch it
+    /// already held, and how many it walked without installing anything —
+    /// are read from the replication managers' own counters here: a
+    /// registry update per push costs more than the skip saves.
     pub fn metrics(&self) -> Metrics {
         let mut total = Metrics::enabled();
+        let (mut skipped, mut noop_walked) = self.retired_pushes;
         for (_, node) in self.sim.nodes_iter() {
             total.absorb(node.metrics());
+            skipped += node.replication().pushes_skipped();
+            noop_walked += node.replication().pushes_noop_walked();
+        }
+        if self.trace.metrics {
+            total.add("repl", "push_skipped", skipped);
+            total.add("repl", "push_noop_walk", noop_walked);
         }
         total
     }
@@ -773,6 +794,48 @@ mod tests {
         }
         let (consistent, connected) = cluster.check_ring();
         assert!(consistent && connected);
+    }
+
+    #[test]
+    fn push_outcome_counters_are_in_the_registry_and_survive_a_restart() {
+        let mut cluster = Cluster::new(
+            ClusterConfig::fast(31)
+                .with_free_peers(3)
+                .with_durability(DurabilityConfig::default())
+                .with_trace(TraceConfig {
+                    metrics: true,
+                    ..TraceConfig::off()
+                }),
+        );
+        for k in 1..=10u64 {
+            cluster.insert_key(k * 10_000_000);
+            cluster.run(Duration::from_millis(50));
+        }
+        cluster.run_secs(4);
+        let outcomes = |c: &Cluster| {
+            let m = c.metrics();
+            (
+                m.counter("repl", "push_skipped"),
+                m.counter("repl", "push_noop_walk"),
+            )
+        };
+        let before = outcomes(&cluster);
+        assert!(before.0 > 0, "settled refresh rounds are skipped");
+        assert!(before.0 + before.1 <= cluster.metrics().counter("repl", "Push"));
+        let victim = *cluster
+            .ring_members()
+            .iter()
+            .find(|p| **p != cluster.first)
+            .expect("a member besides the bootstrap peer");
+        let counted = cluster.node(victim).unwrap().replication().pushes_skipped();
+        assert!(counted > 0);
+        cluster.crash_peer(victim);
+        cluster.restart_peer(victim).expect("restart succeeds");
+        // The rebuilt peer counts from zero; what its past counted stays.
+        assert_eq!(outcomes(&cluster), before);
+        // With metrics off the registry stays empty.
+        let (quiet, _) = grown_durable_cluster(31);
+        assert_eq!(quiet.metrics().counters().count(), 0);
     }
 
     #[test]

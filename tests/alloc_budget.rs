@@ -15,8 +15,9 @@ use pepper_sim::cluster::{Cluster, ClusterConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Heap allocations allowed per simulated event in the steady state.
-const BUDGET: f64 = 0.8;
+/// Heap allocations allowed per simulated event in the steady state: the
+/// measured 0.156 (0.177 before refresh rounds reused their batch) plus 50%.
+const BUDGET: f64 = 0.234;
 
 /// Counts every allocation request (growth through `realloc` included) and
 /// otherwise defers to the system allocator.
