@@ -1,10 +1,5 @@
 //! Benchmark harness crate.
 //!
-//! * `benches/microbench.rs` — Criterion micro-benchmarks of the hot data
-//!   structures (circular ranges, the item store, successor-list trimming).
-//! * `benches/figures.rs` — Criterion benchmarks that run one reduced
-//!   instance of each protocol-level measurement (insertSucc, scanRange,
-//!   leave), so regressions in the protocols show up in `cargo bench`.
 //! * `src/macro_bench.rs` — the whole-system macro benchmark: harness
 //!   profiles at N ∈ {32, 128, 512} peers, emitting the committed
 //!   `BENCH_macro.json` perf trajectory (`cargo run --release -p
@@ -15,6 +10,8 @@
 //!   (`cargo run --release -p pepper-bench -- trace ...`).
 //! * `src/main.rs` (the `experiments` binary) — regenerates every table and
 //!   figure of the paper; see `EXPERIMENTS.md`.
+
+#![forbid(unsafe_code)]
 
 pub mod macro_bench;
 pub mod trace_cli;

@@ -14,19 +14,11 @@
 //! against the previous one; CI runs a reduced `--smoke` variant that
 //! fails only on panic or invariant violation, never on timing noise.
 //!
-//! With `--threads T` (T > 1) every ladder instance is executed twice —
-//! once on the classic single-threaded engine and once on the
-//! epoch-parallel engine with `T` worker threads — and the run **fails**
-//! if the op-trace hash, the final-state hash or any `NetStats` counter
-//! diverges between the two: the determinism contract of the parallel
-//! engine, enforced on every bench run. Both rows are written to the JSON,
-//! so the committed file documents the cross-thread agreement.
-//!
 //! Usage (via the `experiments` binary):
 //!
 //! ```text
 //! cargo run --release -p pepper-bench -- macro \
-//!     [--smoke] [--seeds K] [--threads T] [--out PATH]
+//!     [--smoke] [--seeds K] [--out PATH]
 //! ```
 
 use std::fmt::Write as _;
@@ -49,15 +41,16 @@ pub fn bench_trace_config() -> TraceConfig {
 }
 
 /// Schema identifier written into the JSON (bump on layout changes).
-/// v3: per-run `threads`, `trace_hash` + `final_state_hash` (the
-/// cross-thread determinism witnesses), hop-count histogram + percentile
-/// summary, per-peer load summary, the `xlarge` N=4096 rung, and a
-/// two-length WAL-replay scaling block.
+/// v3: per-run `trace_hash` + `final_state_hash` (the determinism
+/// witnesses), hop-count histogram + percentile summary, per-peer load
+/// summary, the `xlarge` N=4096 rung, and a two-length WAL-replay scaling
+/// block.
 /// v4: percentiles are linearly interpolated (fractional values on small
-/// samples), and every run carries the epoch-engine wall-clock profile
-/// (`engine_*`) plus the per-layer metrics registry (`metrics` counters and
-/// `metrics_histograms` summaries) collected with tracing off.
-pub const SCHEMA: &str = "pepper-bench-macro/v4";
+/// samples), and every run carries the per-layer metrics registry (`metrics`
+/// counters and `metrics_histograms` summaries) collected with tracing off.
+/// v5: one row per `(profile, seed)` — the `threads` and `engine_*` columns
+/// went with the epoch-parallel engine.
+pub const SCHEMA: &str = "pepper-bench-macro/v5";
 
 /// Default output path: `BENCH_macro.json` at the repository root.
 pub fn default_out_path() -> PathBuf {
@@ -90,7 +83,6 @@ struct MacroRun {
     peers: usize,
     ops: usize,
     seed: u64,
-    threads: u32,
     wall_ms: f64,
     virtual_ms: u64,
     expected_virtual_ms: u64,
@@ -126,8 +118,6 @@ struct MacroRun {
     /// `load_max / load_mean`: the load-imbalance factor the D3-tree-style
     /// balancing work will target.
     load_imbalance: f64,
-    /// Epoch-engine wall-clock profile (phase times + shard occupancy).
-    engine: pepper_sim::EngineProfile,
     /// Pre-rendered JSON of the per-layer metrics counters.
     metrics_json: String,
     /// Pre-rendered JSON of the per-layer metrics histogram summaries.
@@ -138,7 +128,7 @@ struct MacroRun {
 const HOP_BUCKETS: usize = 32;
 
 impl MacroRun {
-    fn from_report(cfg_threads: u32, wall_s: f64, run: RunMeta, report: &RunReport) -> Self {
+    fn from_report(wall_s: f64, run: RunMeta, report: &RunReport) -> Self {
         let mut hops: Vec<u64> = report.query_hops.iter().map(|&h| u64::from(h)).collect();
         hops.sort_unstable();
         let mut hop_histogram = vec![0u64; HOP_BUCKETS];
@@ -185,7 +175,6 @@ impl MacroRun {
             peers: run.peers,
             ops: run.ops,
             seed: run.seed,
-            threads: cfg_threads,
             wall_ms: wall_s * 1e3,
             virtual_ms: report.virtual_elapsed.as_millis_f64() as u64,
             expected_virtual_ms: run.expected_virtual_ms,
@@ -219,7 +208,6 @@ impl MacroRun {
             } else {
                 0.0
             },
-            engine: report.engine,
             metrics_json,
             metrics_hist_json,
         }
@@ -230,12 +218,11 @@ impl MacroRun {
         let mut s = String::new();
         let _ = write!(
             s,
-            "    {{\n      \"profile\": \"{}\",\n      \"peers\": {},\n      \"ops\": {},\n      \"seed\": {},\n      \"threads\": {},\n      \"wall_ms\": {:.1},\n      \"virtual_ms\": {},\n      \"expected_virtual_ms\": {},\n      \"events\": {},\n      \"events_per_sec\": {:.0},\n      \"messages_sent\": {},\n      \"messages_delivered\": {},\n      \"peak_queue_depth\": {},\n      \"peak_fifo_channels\": {},\n      \"rss_proxy_peak\": {},\n      \"final_ring_members\": {},\n      \"trace_ops\": {},\n      \"trace_hash\": \"{:016x}\",\n      \"final_state_hash\": \"{:016x}\",\n      \"kills\": {},\n      \"restarts\": {},\n      \"wal_records_replayed\": {},\n      \"queries_checked\": {},\n      \"queries_incomplete\": {},\n      \"violations\": {},\n      \"hops_p50\": {:.2},\n      \"hops_p99\": {:.2},\n      \"hops_max\": {},\n      \"hop_histogram\": [{}],\n      \"load_mean\": {:.1},\n      \"load_p50\": {:.2},\n      \"load_p99\": {:.2},\n      \"load_max\": {},\n      \"load_imbalance\": {:.2},\n      \"engine_windows\": {},\n      \"engine_parallel_windows\": {},\n      \"engine_drain_ms\": {:.1},\n      \"engine_exec_ms\": {:.1},\n      \"engine_merge_ms\": {:.1},\n      \"engine_imbalance\": {:.2},\n      \"metrics\": {},\n      \"metrics_histograms\": {}\n    }}",
+            "    {{\n      \"profile\": \"{}\",\n      \"peers\": {},\n      \"ops\": {},\n      \"seed\": {},\n      \"wall_ms\": {:.1},\n      \"virtual_ms\": {},\n      \"expected_virtual_ms\": {},\n      \"events\": {},\n      \"events_per_sec\": {:.0},\n      \"messages_sent\": {},\n      \"messages_delivered\": {},\n      \"peak_queue_depth\": {},\n      \"peak_fifo_channels\": {},\n      \"rss_proxy_peak\": {},\n      \"final_ring_members\": {},\n      \"trace_ops\": {},\n      \"trace_hash\": \"{:016x}\",\n      \"final_state_hash\": \"{:016x}\",\n      \"kills\": {},\n      \"restarts\": {},\n      \"wal_records_replayed\": {},\n      \"queries_checked\": {},\n      \"queries_incomplete\": {},\n      \"violations\": {},\n      \"hops_p50\": {:.2},\n      \"hops_p99\": {:.2},\n      \"hops_max\": {},\n      \"hop_histogram\": [{}],\n      \"load_mean\": {:.1},\n      \"load_p50\": {:.2},\n      \"load_p99\": {:.2},\n      \"load_max\": {},\n      \"load_imbalance\": {:.2},\n      \"metrics\": {},\n      \"metrics_histograms\": {}\n    }}",
             self.profile,
             self.peers,
             self.ops,
             self.seed,
-            self.threads,
             self.wall_ms,
             self.virtual_ms,
             self.expected_virtual_ms,
@@ -265,12 +252,6 @@ impl MacroRun {
             self.load_p99,
             self.load_max,
             self.load_imbalance,
-            self.engine.windows,
-            self.engine.parallel_windows,
-            self.engine.drain_nanos as f64 / 1e6,
-            self.engine.exec_nanos as f64 / 1e6,
-            self.engine.merge_nanos as f64 / 1e6,
-            self.engine.imbalance(),
             self.metrics_json,
             self.metrics_hist_json,
         );
@@ -335,7 +316,6 @@ fn measure(cfg: HarnessConfig) -> (MacroRun, RunReport) {
         seed: cfg.seed,
         expected_virtual_ms: cfg.virtual_duration().as_millis() as u64,
     };
-    let threads = cfg.exec.threads;
     let start = Instant::now();
     let report = Harness::run_generated(cfg);
     let wall_s = start.elapsed().as_secs_f64().max(1e-9);
@@ -348,10 +328,7 @@ fn measure(cfg: HarnessConfig) -> (MacroRun, RunReport) {
             Err(e) => eprintln!("failed to dump violation artifact: {e}"),
         }
     }
-    (
-        MacroRun::from_report(threads, wall_s, meta, &report),
-        report,
-    )
+    (MacroRun::from_report(wall_s, meta, &report), report)
 }
 
 /// One line per run. The last three figures say how redundant the replica
@@ -361,14 +338,13 @@ fn print_run(run: &MacroRun, report: &RunReport) {
     let pushes = report.metrics.counter("repl", "Push");
     let share = |name| 100.0 * report.metrics.counter("repl", name) as f64 / pushes.max(1) as f64;
     println!(
-        "{:<10} peers={:<4} ops={:<5} seed={:<5} threads={} wall={:>8.1}ms events={:>9} \
+        "{:<10} peers={:<4} ops={:<5} seed={:<5} wall={:>8.1}ms events={:>9} \
          ({:>9.0}/s) members={:<4} hops_p99={:<6.2} load_imb={:<5.2} violations={} \
          repl_push={} skipped={:.1}% noop_walk={:.1}%",
         run.profile,
         run.peers,
         run.ops,
         run.seed,
-        run.threads,
         run.wall_ms,
         run.events,
         run.events_per_sec,
@@ -382,28 +358,11 @@ fn print_run(run: &MacroRun, report: &RunReport) {
     );
 }
 
-/// Fields that must agree bit for bit between a single-threaded run and an
-/// epoch-parallel run of the same (profile, seed).
-fn determinism_witness(run: &MacroRun, report: &RunReport) -> impl PartialEq + std::fmt::Debug {
-    (
-        run.trace_hash,
-        run.final_state_hash,
-        report.net,
-        report.final_members,
-        report.stats.queries_checked,
-        report.query_hops.clone(),
-        report.peer_deliveries.clone(),
-    )
-}
-
 /// Runs the macro benchmark. Returns the process exit code: non-zero iff
-/// any run tripped an invariant or (with `--threads`) the parallel engine
-/// diverged from the single-threaded trace (timing is reported, never
-/// judged).
+/// any run tripped an invariant (timing is reported, never judged).
 pub fn run(args: &[String]) -> i32 {
     let mut smoke = false;
     let mut seeds = 1u64;
-    let mut threads = 1u32;
     let mut out = default_out_path();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -413,13 +372,6 @@ pub fn run(args: &[String]) -> i32 {
                 Some(k) => seeds = k,
                 None => {
                     eprintln!("--seeds needs a number");
-                    return 2;
-                }
-            },
-            "--threads" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(t) => threads = t,
-                None => {
-                    eprintln!("--threads needs a number");
                     return 2;
                 }
             },
@@ -450,7 +402,6 @@ pub fn run(args: &[String]) -> i32 {
 
     let mut runs = Vec::new();
     let mut violations = 0usize;
-    let mut divergences = 0usize;
     for make in &instances {
         for i in 0..seeds {
             let seed = matrix_seed(i);
@@ -465,32 +416,9 @@ pub fn run(args: &[String]) -> i32 {
                 continue;
             }
             cfg.trace = bench_trace_config();
-            let (run, report) = measure(cfg.clone());
+            let (run, report) = measure(cfg);
             print_run(&run, &report);
             violations += run.violations;
-            if threads > 1 {
-                // Re-run on the epoch-parallel engine and hold it to the
-                // byte-identical contract.
-                cfg.exec = pepper_sim::ExecConfig::threaded(threads);
-                let (trun, treport) = measure(cfg);
-                print_run(&trun, &treport);
-                violations += trun.violations;
-                if determinism_witness(&run, &report) != determinism_witness(&trun, &treport) {
-                    eprintln!(
-                        "DIVERGENCE: {} seed {} differs between 1 and {} threads \
-                         (trace {:016x} vs {:016x}, state {:016x} vs {:016x})",
-                        run.profile,
-                        run.seed,
-                        threads,
-                        run.trace_hash,
-                        trun.trace_hash,
-                        run.final_state_hash,
-                        trun.final_state_hash,
-                    );
-                    divergences += 1;
-                }
-                runs.push(trun);
-            }
             runs.push(run);
         }
     }
@@ -513,7 +441,6 @@ pub fn run(args: &[String]) -> i32 {
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"schema\": \"{SCHEMA}\",");
     let _ = writeln!(json, "  \"smoke\": {smoke},");
-    let _ = writeln!(json, "  \"threads\": {threads},");
     let _ = writeln!(json, "  \"recovery\": {{");
     let _ = writeln!(json, "    \"wal_replay_records\": {},", recovery.records);
     let _ = writeln!(json, "    \"wal_replay_wall_ms\": {:.1},", recovery.wall_ms);
@@ -547,10 +474,6 @@ pub fn run(args: &[String]) -> i32 {
         }
     }
 
-    if divergences > 0 {
-        eprintln!("macro bench: {divergences} cross-thread divergence(s) — failing");
-        return 1;
-    }
     if violations > 0 {
         eprintln!("macro bench: {violations} invariant violation(s) — failing");
         return 1;
@@ -558,21 +481,17 @@ pub fn run(args: &[String]) -> i32 {
     0
 }
 
-/// Pulls `events_per_sec` of the single-threaded run of `profile` out of a
-/// committed `BENCH_macro.json` (a stateful line scan over our own writer's
-/// output — the file is machine-written, two fields per run suffice).
+/// Pulls `events_per_sec` of the first run of `profile` out of a committed
+/// `BENCH_macro.json` (a stateful line scan over our own writer's output —
+/// the file is machine-written, two fields per run suffice).
 fn baseline_events_per_sec(json: &str, profile: &str) -> Option<f64> {
     let mut in_profile = false;
-    let mut single_threaded = false;
     for line in json.lines() {
         let line = line.trim().trim_end_matches(',');
         if let Some(v) = line.strip_prefix("\"profile\": ") {
             in_profile = v.trim_matches('"') == profile;
-            single_threaded = false;
-        } else if let Some(v) = line.strip_prefix("\"threads\": ") {
-            single_threaded = v == "1";
         } else if let Some(v) = line.strip_prefix("\"events_per_sec\": ") {
-            if in_profile && single_threaded {
+            if in_profile {
                 return v.parse().ok();
             }
         }
@@ -630,10 +549,7 @@ pub fn overhead_guard(args: &[String]) -> i32 {
         }
     };
     let Some(baseline) = baseline_events_per_sec(&baseline_json, &profile) else {
-        eprintln!(
-            "no single-threaded `{profile}` run in {}",
-            baseline_path.display()
-        );
+        eprintln!("no `{profile}` run in {}", baseline_path.display());
         return 2;
     };
 
@@ -696,12 +612,13 @@ mod tests {
     }
 
     #[test]
-    fn baseline_scan_finds_the_single_threaded_row() {
+    fn baseline_scan_finds_the_first_row_of_the_profile() {
         let json = "\
-            {\n  \"runs\": [\n    {\n      \"profile\": \"large\",\n      \"threads\": 4,\n      \
+            {\n  \"runs\": [\n    {\n      \"profile\": \"medium\",\n      \
             \"events_per_sec\": 111\n    },\n    {\n      \"profile\": \"large\",\n      \
-            \"threads\": 1,\n      \"events_per_sec\": 222\n    }\n  ]\n}\n";
+            \"events_per_sec\": 222\n    },\n    {\n      \"profile\": \"large\",\n      \
+            \"events_per_sec\": 333\n    }\n  ]\n}\n";
         assert_eq!(baseline_events_per_sec(json, "large"), Some(222.0));
-        assert_eq!(baseline_events_per_sec(json, "medium"), None);
+        assert_eq!(baseline_events_per_sec(json, "xlarge"), None);
     }
 }

@@ -5,11 +5,10 @@
 //! guarantees the re-execution reproduces the recorded run event for
 //! event — and then renders what actually happened: per-query timelines
 //! (issue → per-hop scan traffic → completion), crash/takeover cascades,
-//! a per-layer cost summary from the metrics registry, and the epoch
-//! engine's wall-clock profile. `--profile P --seed S` inspects a fresh
-//! generated run instead (green runs are traceable too). `--chrome PATH`
-//! additionally writes Chrome trace-event JSON loadable in
-//! `chrome://tracing` / Perfetto.
+//! and a per-layer cost summary from the metrics registry.
+//! `--profile P --seed S` inspects a fresh generated run instead (green runs
+//! are traceable too). `--chrome PATH` additionally writes Chrome
+//! trace-event JSON loadable in `chrome://tracing` / Perfetto.
 //!
 //! Usage (via the `experiments` binary):
 //!
@@ -333,18 +332,6 @@ pub fn run(args: &[String]) -> i32 {
         let _ = writeln!(out, "  {layer}: {n} trace events");
     }
     let _ = write!(out, "{}", report.metrics.render());
-
-    let _ = writeln!(out, "\n== epoch-engine profile (wall clock) ==");
-    let _ = writeln!(
-        out,
-        "  windows={} parallel={} drain={:.1}ms exec={:.1}ms merge={:.1}ms imbalance={:.2}",
-        report.engine.windows,
-        report.engine.parallel_windows,
-        report.engine.drain_nanos as f64 / 1e6,
-        report.engine.exec_nanos as f64 / 1e6,
-        report.engine.merge_nanos as f64 / 1e6,
-        report.engine.imbalance()
-    );
 
     print!("{out}");
 

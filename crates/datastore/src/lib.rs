@@ -23,6 +23,7 @@
 //! Like the ring, the Data Store is a pure state machine: handlers consume
 //! [`DsMsg`]s and emit effects plus [`DsEvent`]s for the composed peer.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -22,6 +22,7 @@
 //! distributed free-peer tracking (see `DESIGN.md`), which none of the
 //! reproduced experiments measure.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

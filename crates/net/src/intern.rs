@@ -60,6 +60,7 @@ impl<N> PeerTable<N> {
     }
 
     /// Number of interned peers (alive and dead).
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.raw.len()
     }
@@ -157,13 +158,6 @@ impl<N> PeerTable<N> {
         }
     }
 
-    /// Re-synchronizes the alive count after worker shards flipped liveness
-    /// flags directly (epoch engine). `killed` is how many flags went from
-    /// alive to dead.
-    pub(crate) fn note_killed(&mut self, killed: usize) {
-        self.alive_count -= killed;
-    }
-
     #[inline]
     pub(crate) fn floor(&self, dense: u32) -> u64 {
         self.floor[dense as usize]
@@ -184,29 +178,14 @@ impl<N> PeerTable<N> {
 
     /// Mutable iteration over every node in increasing raw-id order.
     pub(crate) fn iter_mut_ordered(&mut self) -> impl Iterator<Item = (PeerId, &mut N)> + '_ {
-        let pairs: Vec<(PeerId, u32)> = self
-            .order
-            .iter()
-            .map(|&d| (self.raw[d as usize], d))
-            .collect();
-        let nodes = self.nodes.as_mut_ptr();
-        pairs.into_iter().map(move |(id, d)| {
-            // SAFETY: `order` holds each dense slot exactly once, so every
-            // yielded `&mut` targets a distinct element; the `'_` lifetime
-            // keeps `self` exclusively borrowed for the iterator's life.
-            (id, unsafe { &mut *nodes.add(d as usize) })
+        // `order` holds each dense slot exactly once, so every slot is taken
+        // exactly once.
+        let mut slots: Vec<Option<&mut N>> = self.nodes.iter_mut().map(Some).collect();
+        let raw = &self.raw;
+        self.order.iter().map(move |&d| {
+            let node = slots[d as usize].take().expect("slot listed once");
+            (raw[d as usize], node)
         })
-    }
-
-    /// Raw pointers to the slot storage, for the epoch engine's sharded
-    /// workers. Callers must uphold the shard-partition discipline
-    /// documented on `sim::Tables`.
-    pub(crate) fn storage_ptrs(&mut self) -> (*mut N, *mut bool, *const u64) {
-        (
-            self.nodes.as_mut_ptr(),
-            self.alive.as_mut_ptr(),
-            self.floor.as_ptr(),
-        )
     }
 }
 
@@ -260,6 +239,26 @@ mod tests {
         );
         assert_eq!(t.dense(PeerId(u64::MAX - 1)), 2);
         assert_eq!(t.dense(PeerId(u64::MAX - 2)), DENSE_NONE);
+    }
+
+    #[test]
+    fn iter_mut_ordered_yields_every_slot_once_in_id_order() {
+        let mut t: PeerTable<u64> = PeerTable::new();
+        let ids = [5, 1, u64::MAX - 1, 3, 0];
+        for id in ids {
+            t.intern(PeerId(id), id);
+        }
+        let mut seen = Vec::new();
+        for (id, node) in t.iter_mut_ordered() {
+            assert_eq!(*node, id.raw(), "the slot handed out belongs to its id");
+            *node += 1;
+            seen.push(id.raw());
+        }
+        assert_eq!(seen, vec![0, 1, 3, 5, u64::MAX - 1]);
+        // Every slot was visited exactly once: each node was bumped once.
+        for id in ids {
+            assert_eq!(*t.node(t.dense(PeerId(id))), id.wrapping_add(1));
+        }
     }
 
     #[test]

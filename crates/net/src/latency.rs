@@ -74,71 +74,6 @@ impl Default for LatencyModel {
     }
 }
 
-/// How the simulated ring's peers are partitioned into shards for the
-/// epoch-parallel execution engine. The layout is an execution detail:
-/// every layout (and every shard count) produces byte-identical traces,
-/// statistics and final states — the engine merges shard results at each
-/// epoch barrier in canonical `(time, seq)` order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardLayout {
-    /// Peer slot `i` belongs to shard `i mod shards` (default: spreads
-    /// neighbouring ring positions — which exchange the most traffic —
-    /// across shards).
-    #[default]
-    RoundRobin,
-    /// Contiguous blocks of peer slots per shard.
-    Blocks,
-}
-
-/// Execution engine knobs: worker threads, shard partitioning and the
-/// inline-dispatch threshold. Pure performance tuning — none of these
-/// change any observable simulation output (see `ARCHITECTURE.md`,
-/// "Parallel epochs").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecConfig {
-    /// Worker threads driving event delivery. `1` (the default) runs the
-    /// classic sequential loop; `> 1` enables the deterministic
-    /// virtual-time epoch engine.
-    pub threads: u32,
-    /// Number of peer shards for the epoch engine; `0` picks
-    /// `4 × threads`.
-    pub shards: u32,
-    /// How peers map onto shards.
-    pub layout: ShardLayout,
-    /// Epochs with fewer queued events than this are processed inline on
-    /// the driving thread (same algorithm, so same results): the typical
-    /// protocol epoch holds only a handful of events, and a thread
-    /// round-trip would cost more than it saves.
-    pub parallel_threshold: u32,
-}
-
-impl Default for ExecConfig {
-    fn default() -> Self {
-        ExecConfig {
-            threads: 1,
-            shards: 0,
-            layout: ShardLayout::default(),
-            parallel_threshold: 96,
-        }
-    }
-}
-
-impl ExecConfig {
-    /// Single-threaded classic execution (the default).
-    pub fn single_thread() -> Self {
-        ExecConfig::default()
-    }
-
-    /// Epoch-parallel execution with `threads` workers and the default
-    /// shard layout.
-    pub fn threaded(threads: u32) -> Self {
-        ExecConfig {
-            threads: threads.max(1),
-            ..ExecConfig::default()
-        }
-    }
-}
-
 /// Network-level configuration for the simulator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetworkConfig {
@@ -149,8 +84,6 @@ pub struct NetworkConfig {
     pub processing_delay: Duration,
     /// Seed for the simulator's deterministic random number generator.
     pub seed: u64,
-    /// Execution engine tuning (threads/shards); output-invariant.
-    pub exec: ExecConfig,
 }
 
 impl NetworkConfig {
@@ -160,7 +93,6 @@ impl NetworkConfig {
             latency: LatencyModel::lan(),
             processing_delay: Duration::from_micros(50),
             seed,
-            exec: ExecConfig::default(),
         }
     }
 
@@ -170,7 +102,6 @@ impl NetworkConfig {
             latency: LatencyModel::wan(),
             processing_delay: Duration::from_micros(50),
             seed,
-            exec: ExecConfig::default(),
         }
     }
 
@@ -180,7 +111,6 @@ impl NetworkConfig {
             latency: LatencyModel::zero(),
             processing_delay: Duration::ZERO,
             seed,
-            exec: ExecConfig::default(),
         }
     }
 
@@ -200,18 +130,6 @@ impl NetworkConfig {
     /// Builder-style override of the simulator seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Builder-style override of the execution engine tuning.
-    pub fn with_exec(mut self, exec: ExecConfig) -> Self {
-        self.exec = exec;
-        self
-    }
-
-    /// Builder-style override of the worker thread count.
-    pub fn with_threads(mut self, threads: u32) -> Self {
-        self.exec.threads = threads.max(1);
         self
     }
 }

@@ -17,6 +17,7 @@
 //! in-flight splits during scans, failures between stabilization rounds) that
 //! the paper's correctness arguments are about.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -32,10 +33,10 @@ mod wheel;
 
 pub use effect::{Effect, Effects, LayerCtx};
 pub use failure::FailureSchedule;
-pub use latency::{ExecConfig, LatencyModel, NetworkConfig, ShardLayout};
+pub use latency::{LatencyModel, NetworkConfig};
 pub use layer::{LayerSlot, ProtocolLayer};
 pub use sim::{Context, Node, Simulator};
-pub use stats::{EngineProfile, NetStats};
+pub use stats::NetStats;
 pub use time::SimTime;
 
 // Correlation ids ride every delivery envelope (see `sim`); re-exported so

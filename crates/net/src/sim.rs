@@ -6,36 +6,13 @@
 //! `(virtual time, sequence number)`, which makes every run fully
 //! deterministic for a given seed and call sequence.
 //!
-//! # Execution engines
+//! # Execution
 //!
-//! Two engines drive event delivery, selected by
-//! [`ExecConfig::threads`](crate::latency::ExecConfig):
-//!
-//! * **classic** (`threads == 1`, the default): the textbook sequential
-//!   loop — pop, deliver, schedule effects, repeat.
-//! * **epoch-parallel** (`threads > 1`): conservative parallel
-//!   discrete-event simulation over virtual-time epochs. Each epoch drains
-//!   every event in the window `[T, T + lookahead)` — `lookahead` is the
-//!   minimum latency plus the processing delay, so nothing processed in
-//!   the window can schedule an effect back *into* the window — partitions
-//!   them by destination-peer shard, runs the handlers per shard (on
-//!   worker threads when the window is wide enough to pay for the
-//!   round-trip), and then replays all scheduling side effects at the
-//!   epoch barrier in canonical `(time, seq)` order: sequence numbers,
-//!   latency RNG draws, FIFO bumps, statistics and queue-depth high-water
-//!   marks all happen exactly as the classic loop would have performed
-//!   them. The observable trace, [`NetStats`], and every node's state are
-//!   therefore byte-identical for any thread count and any shard layout.
-//!
-//! The equivalence argument needs two workload properties, both satisfied
-//! by the protocol stack (and asserted by the thread-matrix tests):
-//! handlers draw nothing from [`Context::rng`] (in parallel mode each
-//! shard owns a private stream), and no timer fires faster than the
-//! lookahead (protocol timers are ≥ 20 ms against a 150 µs LAN lookahead).
-//! Sub-lookahead effects are still *correctly ordered* against all future
-//! events — they are merely deferred to the next epoch instead of joining
-//! the current one, which the [`Simulator::lookahead_deferrals`]
-//! diagnostic counts.
+//! There is one delivery loop: [`Simulator::step`] pops the earliest event,
+//! delivers it, and schedules the effects its handler emitted;
+//! [`Simulator::run_until`] repeats that up to a deadline. Nothing about how
+//! the loop executes is configurable, so the `(time, seq)` order is the only
+//! interleaving a seed can produce.
 //!
 //! # Correlation ids
 //!
@@ -43,14 +20,12 @@
 //! sequence number)` at each causal root — an external injection
 //! ([`Simulator::send_external`]) or a harness API call
 //! ([`Simulator::with_node_ctx`]) — and inherited by every send and timer
-//! the handler schedules. Both engines stamp and propagate ids through the
-//! same canonical state, so traces keyed by them are byte-identical across
-//! thread counts (see `pepper-trace`).
+//! the handler schedules, so traces keyed by them are determined by the seed
+//! (see `pepper-trace`).
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::mpsc;
 use std::time::Duration;
 
 use pepper_trace::Cid;
@@ -60,8 +35,8 @@ use rand::SeedableRng;
 
 use crate::effect::{Effect, Effects, LayerCtx};
 use crate::intern::{PeerTable, DENSE_NONE};
-use crate::latency::{LatencyModel, NetworkConfig, ShardLayout};
-use crate::stats::{EngineProfile, NetStats};
+use crate::latency::NetworkConfig;
+use crate::stats::NetStats;
 use crate::time::SimTime;
 use crate::wheel::EventWheel;
 
@@ -70,14 +45,9 @@ use crate::wheel::EventWheel;
 pub const EXTERNAL_SENDER: PeerId = PeerId(u64::MAX);
 
 /// A peer state machine driven by the simulator.
-///
-/// `Send` bounds (on the node and its message type) exist for the
-/// epoch-parallel engine, which moves events and touches node state from
-/// worker threads; every protocol node is plain owned data, so the bounds
-/// are free.
-pub trait Node: Send {
+pub trait Node {
     /// The message type this node exchanges (timers deliver the same type).
-    type Msg: Clone + std::fmt::Debug + Send;
+    type Msg: Clone + std::fmt::Debug;
 
     /// Handles a delivered message. `from` is [`EXTERNAL_SENDER`] for
     /// harness-injected messages and the node's own id for timers.
@@ -116,7 +86,6 @@ pub struct Context<'a, M> {
     now: SimTime,
     cid: Cid,
     is_timer: bool,
-    rng: &'a mut StdRng,
     out: &'a mut Effects<M>,
 }
 
@@ -146,16 +115,6 @@ impl<'a, M> Context<'a, M> {
     /// A [`LayerCtx`] snapshot for handing to protocol-layer functions.
     pub fn layer(&self) -> LayerCtx {
         LayerCtx::new(self.self_id, self.now)
-    }
-
-    /// The simulator's deterministic random number generator.
-    ///
-    /// In epoch-parallel runs each shard draws from its own deterministic
-    /// stream, so a node that consumes randomness here is reproducible per
-    /// `(seed, shard count)` but not across thread counts. No protocol
-    /// node uses this; it exists for ad-hoc experiment nodes.
-    pub fn rng(&mut self) -> &mut StdRng {
-        self.rng
     }
 
     /// Sends `msg` to `to` (delivered after the network latency).
@@ -206,169 +165,6 @@ impl Hasher for PairHasher {
 
 type FifoMap = HashMap<(PeerId, PeerId), SimTime, BuildHasherDefault<PairHasher>>;
 
-/// How a delivered event was classified (for the stats counters).
-#[derive(Debug, Clone, Copy)]
-enum DeliverKind {
-    Msg,
-    Timer,
-    External,
-}
-
-/// What happened to one window event on its shard — everything the barrier
-/// merge needs to replay the classic loop's side effects canonically.
-enum Outcome<M> {
-    DropMsg,
-    DropTimer,
-    Deliver {
-        to: PeerId,
-        dense: u32,
-        kind: DeliverKind,
-        cid: Cid,
-        effects: Box<Effects<M>>,
-    },
-    Kill {
-        peer: PeerId,
-        did: bool,
-    },
-}
-
-/// One drained event, tagged with its window position and the interned
-/// slot of its destination.
-struct WindowEvent<M> {
-    idx: u32,
-    at: SimTime,
-    seq: u64,
-    dense: u32,
-    payload: Payload<M>,
-}
-
-/// Raw views into the peer table for shard workers.
-///
-/// # Safety discipline
-///
-/// The epoch engine partitions dense peer slots across shards; a shard
-/// task dereferences `nodes`/`alive` only for slots owned by its shard
-/// (`floor` is read-only and static during a run). The driving thread
-/// does not touch the table between dispatching tasks and collecting the
-/// last shard result, so no slot is ever aliased mutably.
-struct Tables<N> {
-    nodes: *mut N,
-    alive: *mut bool,
-    floor: *const u64,
-}
-
-impl<N> Clone for Tables<N> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<N> Copy for Tables<N> {}
-
-/// One shard's slice of an epoch window plus the raw state it may touch.
-struct ShardTask<N: Node> {
-    shard: u32,
-    events: Vec<WindowEvent<N::Msg>>,
-    tables: Tables<N>,
-    rng: *mut StdRng,
-    pool: *mut Vec<Box<Effects<N::Msg>>>,
-}
-
-// SAFETY: the raw pointers target state partitioned by shard (see
-// `Tables`); `N` and `N::Msg` are `Send` by the `Node` supertrait bounds.
-unsafe impl<N: Node> Send for ShardTask<N> {}
-
-type ShardResult<M> = (u32, Vec<(u32, Outcome<M>)>);
-
-/// Runs one shard's window events in `(time, seq)` order, mutating only
-/// shard-owned node/liveness slots and recording an [`Outcome`] per event.
-/// All global side effects (stats, RNG, FIFO, scheduling) are deferred to
-/// the barrier merge.
-fn process_shard<N: Node>(task: ShardTask<N>) -> ShardResult<N::Msg> {
-    let ShardTask {
-        shard,
-        events,
-        tables,
-        rng,
-        pool,
-    } = task;
-    // SAFETY: the shard exclusively owns its RNG stream and effect-buffer
-    // pool for the duration of the epoch (see `Tables`).
-    let rng = unsafe { &mut *rng };
-    let pool = unsafe { &mut *pool };
-    let mut out = Vec::with_capacity(events.len());
-    for ev in events {
-        match ev.payload {
-            Payload::Kill { peer } => {
-                // SAFETY: `peer` belongs to this shard (events are routed
-                // by destination slot).
-                let did = ev.dense != DENSE_NONE
-                    && ev.seq >= unsafe { *tables.floor.add(ev.dense as usize) }
-                    && unsafe { *tables.alive.add(ev.dense as usize) };
-                if did {
-                    unsafe {
-                        *tables.alive.add(ev.dense as usize) = false;
-                        (*tables.nodes.add(ev.dense as usize)).on_killed();
-                    }
-                }
-                out.push((ev.idx, Outcome::Kill { peer, did }));
-            }
-            Payload::Deliver {
-                from,
-                to,
-                msg,
-                is_timer,
-                is_external,
-                cid,
-            } => {
-                // SAFETY: `to` belongs to this shard.
-                let deliver = ev.dense != DENSE_NONE
-                    && ev.seq >= unsafe { *tables.floor.add(ev.dense as usize) }
-                    && unsafe { *tables.alive.add(ev.dense as usize) };
-                if !deliver {
-                    let outcome = if is_timer {
-                        Outcome::DropTimer
-                    } else {
-                        Outcome::DropMsg
-                    };
-                    out.push((ev.idx, outcome));
-                    continue;
-                }
-                let mut effects = pool.pop().unwrap_or_default();
-                let mut ctx = Context {
-                    self_id: to,
-                    now: ev.at,
-                    cid,
-                    is_timer,
-                    rng,
-                    out: &mut effects,
-                };
-                // SAFETY: as above — shard-owned slot.
-                unsafe {
-                    (*tables.nodes.add(ev.dense as usize)).on_message(&mut ctx, from, msg);
-                }
-                let kind = if is_timer {
-                    DeliverKind::Timer
-                } else if is_external {
-                    DeliverKind::External
-                } else {
-                    DeliverKind::Msg
-                };
-                out.push((
-                    ev.idx,
-                    Outcome::Deliver {
-                        to,
-                        dense: ev.dense,
-                        kind,
-                        cid,
-                        effects,
-                    },
-                ));
-            }
-        }
-    }
-    (shard, out)
-}
-
 /// The discrete-event simulator.
 pub struct Simulator<N: Node> {
     /// Interned peer slots: nodes, liveness, revive floors (see
@@ -400,23 +196,6 @@ pub struct Simulator<N: Node> {
     /// Delivered events (messages + timers + external) per peer slot — the
     /// raw material of the macro bench's per-peer load histogram.
     deliveries_by_slot: Vec<u64>,
-    /// Conservative epoch width in nanoseconds: minimum latency plus
-    /// processing delay. Zero disables the epoch engine (instant configs).
-    lookahead_nanos: u64,
-    /// Effects that landed inside their own epoch window (only possible
-    /// for sub-lookahead timers, which no protocol node uses): correctly
-    /// ordered, but deferred to the next epoch rather than processed in
-    /// the current one as the classic loop would.
-    lookahead_deferrals: u64,
-    /// Per-shard deterministic RNG streams for [`Context::rng`] in
-    /// parallel mode (lazily sized).
-    shard_rngs: Vec<StdRng>,
-    /// Per-shard pools of recycled effect buffers — the cross-shard
-    /// extension of the classic loop's single `scratch` buffer.
-    shard_pools: Vec<Vec<Box<Effects<N::Msg>>>>,
-    /// Wall-clock per-phase cost profile of the epoch engine (empty for
-    /// classic runs).
-    profile: EngineProfile,
 }
 
 /// Prune the FIFO map whenever an event lands and the map exceeds this many
@@ -429,11 +208,6 @@ impl<N: Node> Simulator<N> {
     /// Creates a simulator with the given network configuration.
     pub fn new(config: NetworkConfig) -> Self {
         let rng = StdRng::seed_from_u64(config.seed);
-        let min_latency = match config.latency {
-            LatencyModel::Constant(d) => d,
-            LatencyModel::Uniform { min, .. } => min,
-        };
-        let lookahead_nanos = (min_latency + config.processing_delay).as_nanos() as u64;
         Simulator {
             table: PeerTable::new(),
             queue: EventWheel::new(),
@@ -447,11 +221,6 @@ impl<N: Node> Simulator<N> {
             scratch: None,
             version: 0,
             deliveries_by_slot: Vec::new(),
-            lookahead_nanos,
-            lookahead_deferrals: 0,
-            shard_rngs: Vec::new(),
-            shard_pools: Vec::new(),
-            profile: EngineProfile::default(),
         }
     }
 
@@ -476,21 +245,6 @@ impl<N: Node> Simulator<N> {
     /// memoize expensive whole-cluster scans.
     pub fn state_version(&self) -> u64 {
         self.version
-    }
-
-    /// How many effects were scheduled inside their own epoch window (see
-    /// the module docs). Always zero for the protocol stack; non-zero only
-    /// if a node sets timers shorter than the network lookahead while the
-    /// epoch engine is active.
-    pub fn lookahead_deferrals(&self) -> u64 {
-        self.lookahead_deferrals
-    }
-
-    /// Wall-clock cost profile of the epoch-parallel engine (all zero when
-    /// only the classic loop ran). Non-deterministic by nature; never part
-    /// of determinism witnesses.
-    pub fn engine_profile(&self) -> EngineProfile {
-        self.profile
     }
 
     /// Delivered events (messages + timers + external) per registered
@@ -591,14 +345,10 @@ impl<N: Node> Simulator<N> {
         self.fifo.len()
     }
 
-    fn push_raw(&mut self, at: SimTime, payload: Payload<N::Msg>) {
+    fn push(&mut self, at: SimTime, payload: Payload<N::Msg>) {
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(at, seq, payload);
-    }
-
-    fn push(&mut self, at: SimTime, payload: Payload<N::Msg>) {
-        self.push_raw(at, payload);
         self.stats.peak_queue_depth = self.stats.peak_queue_depth.max(self.queue.len() as u64);
     }
 
@@ -698,7 +448,6 @@ impl<N: Node> Simulator<N> {
             now: self.now,
             cid,
             is_timer: false,
-            rng: &mut self.rng,
             out: &mut out,
         };
         let result = f(self.table.node_mut(d), &mut ctx);
@@ -707,8 +456,8 @@ impl<N: Node> Simulator<N> {
         Some(result)
     }
 
-    /// Applies the send bookkeeping shared by both engines: messages-sent
-    /// counter, latency draw, FIFO bump and channel high-water mark.
+    /// Applies the send bookkeeping: messages-sent counter, latency draw,
+    /// FIFO bump and channel high-water mark.
     /// Returns the delivery time; the caller pushes the event.
     #[inline]
     fn schedule_send(&mut self, from: PeerId, to: PeerId) -> SimTime {
@@ -730,9 +479,9 @@ impl<N: Node> Simulator<N> {
     }
 
     /// Turns one effect emitted by `from` into its queued delivery — the
-    /// delivery time and the event — applying the send bookkeeping. Shared by
-    /// both engines. The delivery inherits `cid`, the correlation id of the
-    /// event whose handler emitted the effect.
+    /// delivery time and the event — applying the send bookkeeping. The
+    /// delivery inherits `cid`, the correlation id of the event whose handler
+    /// emitted the effect.
     #[inline]
     fn delivery_of(
         &mut self,
@@ -832,7 +581,6 @@ impl<N: Node> Simulator<N> {
                     now: self.now,
                     cid,
                     is_timer,
-                    rng: &mut self.rng,
                     out: &mut out,
                 };
                 self.table.node_mut(d).on_message(&mut ctx, from, msg);
@@ -847,17 +595,8 @@ impl<N: Node> Simulator<N> {
     /// event scheduled at or before the deadline is processed, and the clock
     /// ends at exactly `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) {
-        if self.config.exec.threads > 1 && self.lookahead_nanos > 0 {
-            self.run_epochs(deadline);
-        } else {
-            loop {
-                match self.queue.peek() {
-                    Some(at) if at <= deadline => {
-                        self.step();
-                    }
-                    _ => break,
-                }
-            }
+        while self.queue.peek().is_some_and(|at| at <= deadline) {
+            self.step();
         }
         self.now = self.now.max(deadline);
     }
@@ -882,237 +621,11 @@ impl<N: Node> Simulator<N> {
     pub fn pending_events(&self) -> usize {
         self.queue.len()
     }
-
-    // ------------------------------------------------------------------
-    // The epoch-parallel engine
-    // ------------------------------------------------------------------
-
-    /// Maps a dense peer slot to its shard under the configured layout.
-    #[inline]
-    fn shard_of(dense: u32, shards: usize, layout: ShardLayout, block: usize) -> usize {
-        match layout {
-            ShardLayout::RoundRobin => dense as usize % shards,
-            ShardLayout::Blocks => (dense as usize / block).min(shards - 1),
-        }
-    }
-
-    /// The conservative epoch loop (see the module docs): drain a
-    /// lookahead window, process it per shard, replay every scheduling
-    /// side effect at the barrier in canonical `(time, seq)` order.
-    fn run_epochs(&mut self, deadline: SimTime) {
-        let exec = self.config.exec;
-        let shards = if exec.shards == 0 {
-            (exec.threads as usize * 4).max(1)
-        } else {
-            exec.shards as usize
-        };
-        while self.shard_rngs.len() < shards {
-            // Stable per-shard streams: Context::rng draws are reproducible
-            // per (seed, shard index) regardless of thread count.
-            let i = self.shard_rngs.len() as u64;
-            self.shard_rngs.push(StdRng::seed_from_u64(
-                self.config.seed ^ (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1),
-            ));
-            self.shard_pools.push(Vec::new());
-        }
-        let threshold = exec.parallel_threshold.max(1) as usize;
-        let n_workers = (exec.threads as usize - 1).min(shards.saturating_sub(1));
-        let block = self.table.len().div_ceil(shards).max(1);
-        let layout = exec.layout;
-
-        std::thread::scope(|scope| {
-            // Workers are spawned lazily on the first window wide enough to
-            // dispatch: typical protocol epochs hold a handful of events and
-            // run inline, so narrow runs never pay the spawn cost.
-            let mut senders: Vec<mpsc::Sender<ShardTask<N>>> = Vec::new();
-            let (result_tx, result_rx) = mpsc::channel::<ShardResult<N::Msg>>();
-            let mut shard_events: Vec<Vec<WindowEvent<N::Msg>>> =
-                (0..shards).map(|_| Vec::new()).collect();
-            let mut meta: Vec<(SimTime, u32)> = Vec::new();
-            let mut results: Vec<Vec<(u32, Outcome<N::Msg>)>> =
-                (0..shards).map(|_| Vec::new()).collect();
-            let mut cursors = vec![0usize; shards];
-
-            while let Some(t_min) = self.queue.peek() {
-                if t_min > deadline {
-                    break;
-                }
-                let window_end = SimTime::from_nanos(
-                    t_min
-                        .as_nanos()
-                        .saturating_add(self.lookahead_nanos)
-                        .min(deadline.as_nanos().saturating_add(1)),
-                );
-                // Queue depth before the drain — replayed during the merge
-                // so peak_queue_depth matches the classic loop exactly.
-                let mut virtual_depth = self.queue.len();
-                let t_drain = std::time::Instant::now();
-                meta.clear();
-                let mut count = 0u32;
-                while let Some(at) = self.queue.peek() {
-                    if at >= window_end {
-                        break;
-                    }
-                    let (at, seq, payload) = self.queue.pop().expect("peeked");
-                    let dense = match &payload {
-                        Payload::Deliver { to, .. } => self.table.dense(*to),
-                        Payload::Kill { peer } => self.table.dense(*peer),
-                    };
-                    let shard = if dense == DENSE_NONE {
-                        0
-                    } else {
-                        Self::shard_of(dense, shards, layout, block)
-                    };
-                    meta.push((at, shard as u32));
-                    shard_events[shard].push(WindowEvent {
-                        idx: count,
-                        at,
-                        seq,
-                        dense,
-                        payload,
-                    });
-                    count += 1;
-                }
-                // Profile bookkeeping (wall clock only — never fed back
-                // into the simulation, so determinism is untouched).
-                self.profile.windows += 1;
-                self.profile.window_events += u64::from(count);
-                self.profile.max_window_events =
-                    self.profile.max_window_events.max(u64::from(count));
-                self.profile.occupied_shard_windows +=
-                    shard_events.iter().filter(|e| !e.is_empty()).count() as u64;
-                let busiest = shard_events.iter().map(Vec::len).max().unwrap_or(0);
-                self.profile.occupancy_max_events += busiest as u64;
-                self.profile.drain_nanos += t_drain.elapsed().as_nanos() as u64;
-                let t_exec = std::time::Instant::now();
-
-                // Dispatch: worker threads when the window is wide enough,
-                // inline otherwise — same per-shard function, same records,
-                // same merge, so the dispatch choice is output-invariant.
-                let wide = count as usize >= threshold && n_workers > 0;
-                if wide && senders.is_empty() {
-                    for _ in 0..n_workers {
-                        let (tx, rx) = mpsc::channel::<ShardTask<N>>();
-                        let rtx = result_tx.clone();
-                        scope.spawn(move || {
-                            while let Ok(task) = rx.recv() {
-                                if rtx.send(process_shard(task)).is_err() {
-                                    break;
-                                }
-                            }
-                        });
-                        senders.push(tx);
-                    }
-                }
-                let (nodes, alive, floor) = self.table.storage_ptrs();
-                let tables = Tables {
-                    nodes,
-                    alive,
-                    floor,
-                };
-                let mut outstanding = 0usize;
-                for (s, events) in shard_events.iter_mut().enumerate() {
-                    if events.is_empty() {
-                        results[s].clear();
-                        continue;
-                    }
-                    let task = ShardTask {
-                        shard: s as u32,
-                        events: std::mem::take(events),
-                        tables,
-                        rng: &mut self.shard_rngs[s] as *mut StdRng,
-                        pool: &mut self.shard_pools[s] as *mut Vec<Box<Effects<N::Msg>>>,
-                    };
-                    let lane = s % (n_workers + 1);
-                    if wide && lane != 0 {
-                        senders[lane - 1].send(task).expect("worker alive");
-                        outstanding += 1;
-                    } else {
-                        let (shard, recs) = process_shard(task);
-                        results[shard as usize] = recs;
-                    }
-                }
-                for _ in 0..outstanding {
-                    let (shard, recs) = result_rx.recv().expect("worker result");
-                    results[shard as usize] = recs;
-                }
-                if wide {
-                    self.profile.parallel_windows += 1;
-                }
-                self.profile.exec_nanos += t_exec.elapsed().as_nanos() as u64;
-                let t_merge = std::time::Instant::now();
-
-                // Barrier merge: replay all global side effects in canonical
-                // (time, seq) order — the exact interleaving the classic
-                // loop would have produced.
-                cursors.iter_mut().for_each(|c| *c = 0);
-                let mut killed = 0usize;
-                for (i, &(at, shard)) in meta.iter().enumerate() {
-                    self.now = self.now.max(at);
-                    self.version += 1;
-                    self.stats.events_processed += 1;
-                    virtual_depth -= 1;
-                    if self.stats.events_processed % FIFO_PRUNE_INTERVAL == 0
-                        && self.fifo.len() > FIFO_PRUNE_THRESHOLD
-                    {
-                        self.prune_stale_fifo();
-                    }
-                    let s = shard as usize;
-                    let (idx, outcome) =
-                        std::mem::replace(&mut results[s][cursors[s]], (0, Outcome::DropMsg));
-                    debug_assert_eq!(idx as usize, i, "shard records must interleave in order");
-                    cursors[s] += 1;
-                    match outcome {
-                        Outcome::DropMsg => self.stats.messages_dropped += 1,
-                        Outcome::DropTimer => self.stats.timers_dropped += 1,
-                        Outcome::Kill { peer, did } => {
-                            if did {
-                                self.version += 1;
-                                killed += 1;
-                                self.fifo
-                                    .retain(|(from, to), _| *from != peer && *to != peer);
-                            }
-                        }
-                        Outcome::Deliver {
-                            to,
-                            dense,
-                            kind,
-                            cid,
-                            mut effects,
-                        } => {
-                            match kind {
-                                DeliverKind::Timer => self.stats.timers_fired += 1,
-                                DeliverKind::External => self.stats.external_delivered += 1,
-                                DeliverKind::Msg => self.stats.messages_delivered += 1,
-                            }
-                            self.deliveries_by_slot[dense as usize] += 1;
-                            effects.drain_each(|effect| {
-                                let (at, payload) = self.delivery_of(to, cid, effect);
-                                if at < window_end {
-                                    self.lookahead_deferrals += 1;
-                                }
-                                self.push_raw(at, payload);
-                                virtual_depth += 1;
-                                self.stats.peak_queue_depth =
-                                    self.stats.peak_queue_depth.max(virtual_depth as u64);
-                            });
-                            self.shard_pools[s].push(effects);
-                        }
-                    }
-                }
-                if killed > 0 {
-                    self.table.note_killed(killed);
-                }
-                self.profile.merge_nanos += t_merge.elapsed().as_nanos() as u64;
-            }
-        });
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::latency::ExecConfig;
 
     /// A toy node: forwards a counter around a fixed ring of peers and counts
     /// how many times it saw the token; also supports a periodic tick.
@@ -1459,142 +972,26 @@ mod tests {
     #[test]
     fn the_reused_effect_buffer_schedules_every_effect_once_and_in_order() {
         let big = 3 * crate::effect::INLINE as u32 + 1;
-        let epochs = ExecConfig {
-            threads: 2,
-            parallel_threshold: 1,
-            ..ExecConfig::default()
-        };
-        for exec in [ExecConfig::single_thread(), epochs] {
-            let mut sim: Simulator<BurstNode> =
-                Simulator::new(NetworkConfig::lan(3).with_exec(exec));
-            let a = sim.add_node(|_| BurstNode::default());
-            let b = sim.add_node(|_| BurstNode::default());
-            // A burst that spills to the heap, an event that emits nothing,
-            // then a single effect: each must be scheduled exactly once.
-            for n in [big, 0, 1] {
-                sim.send_external(a, BurstMsg::Burst(n));
-                sim.run_for(Duration::from_millis(5));
-            }
-            // The API entry point lends the same buffer.
-            sim.with_node_ctx(a, |_, ctx| {
-                ctx.send(b, BurstMsg::Item(77));
-                ctx.effects().send(b, BurstMsg::Item(78));
-            });
-            sim.with_node_ctx(a, |_, _| ());
+        let mut sim: Simulator<BurstNode> = Simulator::new(NetworkConfig::lan(3));
+        let a = sim.add_node(|_| BurstNode::default());
+        let b = sim.add_node(|_| BurstNode::default());
+        // A burst that spills to the heap, an event that emits nothing,
+        // then a single effect: each must be scheduled exactly once.
+        for n in [big, 0, 1] {
+            sim.send_external(a, BurstMsg::Burst(n));
             sim.run_for(Duration::from_millis(5));
-            // Links are FIFO per pair, so arrival order is emission order.
-            let want: Vec<u32> = (0..big).chain([0, 77, 78]).collect();
-            assert_eq!(sim.node(b).unwrap().got, want, "{exec:?}");
-            assert_eq!(sim.stats().messages_delivered, want.len() as u64);
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Epoch-engine equivalence
-    // ------------------------------------------------------------------
-
-    /// A churn-heavy token workload over `n` peers: external bursts wide
-    /// enough to trigger worker dispatch, chained forwards, periodic
-    /// ticks, scheduled kills and a revive.
-    fn churny_run(exec: ExecConfig, n: u64) -> (SimTime, NetStats, Vec<(PeerId, u64)>, Vec<u32>) {
-        let mut sim: Simulator<TokenNode> = Simulator::new(NetworkConfig::lan(7).with_exec(exec));
-        for i in 0..n {
-            sim.add_node(|id| TokenNode {
-                next: PeerId((id.raw() + 1) % n),
-                tokens_seen: 0,
-                ticks: 0,
-                killed: false,
-            });
-            let _ = i;
-        }
-        // A wide same-instant burst: every peer gets a chained token, so
-        // the first epochs hold hundreds of events.
-        for i in 0..n {
-            sim.send_external(PeerId(i), TokenMsg::Token(20));
-        }
-        sim.send_external(PeerId(0), TokenMsg::Tick);
-        sim.kill_at(PeerId(3), SimTime::from_millis(2));
-        sim.kill_at(PeerId(5), SimTime::from_millis(4));
-        sim.run_for(Duration::from_millis(10));
-        sim.revive(
-            PeerId(3),
-            TokenNode {
-                next: PeerId(4 % n),
-                tokens_seen: 0,
-                ticks: 0,
-                killed: false,
-            },
-        );
-        for i in 0..n {
-            sim.send_external(PeerId(i), TokenMsg::Token(10));
-        }
-        sim.run_for(Duration::from_secs(3));
-        let tokens: Vec<u32> = sim.nodes_iter().map(|(_, node)| node.tokens_seen).collect();
-        (sim.now(), sim.stats(), sim.per_peer_deliveries(), tokens)
-    }
-
-    #[test]
-    fn epoch_engine_is_byte_identical_to_classic() {
-        let n = 64;
-        let classic = churny_run(ExecConfig::single_thread(), n);
-        for threads in [2, 4, 8] {
-            for layout in [ShardLayout::RoundRobin, ShardLayout::Blocks] {
-                for shards in [0, 3, 16] {
-                    let exec = ExecConfig {
-                        threads,
-                        shards,
-                        layout,
-                        // Low threshold: force actual worker dispatch even
-                        // for mid-sized windows.
-                        parallel_threshold: 8,
-                    };
-                    let parallel = churny_run(exec, n);
-                    assert_eq!(
-                        classic, parallel,
-                        "threads={threads} layout={layout:?} shards={shards} diverged"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn epoch_engine_defers_sub_lookahead_timers_and_counts_them() {
-        // A node whose timer is shorter than the network lookahead: the
-        // epoch engine keeps total order but defers the timer to the next
-        // epoch, and reports having done so.
-        #[derive(Debug)]
-        struct FastTimer {
-            fired: u32,
-        }
-        impl Node for FastTimer {
-            type Msg = ();
-            fn on_message(&mut self, ctx: &mut Context<'_, ()>, _from: PeerId, _msg: ()) {
-                self.fired += 1;
-                if self.fired < 50 {
-                    ctx.set_timer(Duration::from_micros(10), ());
-                }
-            }
-        }
-        let exec = ExecConfig {
-            threads: 2,
-            parallel_threshold: 1,
-            ..ExecConfig::default()
-        };
-        let mut sim: Simulator<FastTimer> = Simulator::new(NetworkConfig::lan(1).with_exec(exec));
-        let a = sim.add_node(|_| FastTimer { fired: 0 });
-        sim.send_external(a, ());
-        sim.run_for(Duration::from_secs(1));
-        assert_eq!(sim.node(a).unwrap().fired, 50);
-        assert!(
-            sim.lookahead_deferrals() > 0,
-            "10 µs timers against a 150 µs lookahead must be deferred"
-        );
-        // Protocol-speed timers never defer.
-        let (mut normal, a2, _, _) = three_node_sim();
-        normal.send_external(a2, TokenMsg::Tick);
-        normal.run_for(Duration::from_secs(5));
-        assert_eq!(normal.lookahead_deferrals(), 0);
+        // The API entry point lends the same buffer.
+        sim.with_node_ctx(a, |_, ctx| {
+            ctx.send(b, BurstMsg::Item(77));
+            ctx.effects().send(b, BurstMsg::Item(78));
+        });
+        sim.with_node_ctx(a, |_, _| ());
+        sim.run_for(Duration::from_millis(5));
+        // Links are FIFO per pair, so arrival order is emission order.
+        let want: Vec<u32> = (0..big).chain([0, 77, 78]).collect();
+        assert_eq!(sim.node(b).unwrap().got, want);
+        assert_eq!(sim.stats().messages_delivered, want.len() as u64);
     }
 
     // ------------------------------------------------------------------
@@ -1628,8 +1025,8 @@ mod tests {
         }
     }
 
-    fn probe_pair(exec: ExecConfig) -> Simulator<CidProbe> {
-        let mut sim = Simulator::new(NetworkConfig::lan(11).with_exec(exec));
+    fn probe_pair() -> Simulator<CidProbe> {
+        let mut sim = Simulator::new(NetworkConfig::lan(11));
         sim.add_node(|_| CidProbe {
             next: PeerId(1),
             seen: Vec::new(),
@@ -1643,7 +1040,7 @@ mod tests {
 
     #[test]
     fn effects_inherit_the_root_cid_across_hops() {
-        let mut sim = probe_pair(ExecConfig::single_thread());
+        let mut sim = probe_pair();
         sim.send_external(PeerId(0), ProbeMsg::Fwd(4));
         sim.run_for(Duration::from_secs(1));
         let mut all: Vec<(Cid, bool)> = Vec::new();
@@ -1661,7 +1058,7 @@ mod tests {
 
     #[test]
     fn distinct_roots_mint_distinct_cids() {
-        let mut sim = probe_pair(ExecConfig::single_thread());
+        let mut sim = probe_pair();
         sim.send_external(PeerId(0), ProbeMsg::Fwd(0));
         sim.send_external(PeerId(1), ProbeMsg::Fwd(0));
         sim.run_for(Duration::from_secs(1));
@@ -1672,7 +1069,7 @@ mod tests {
 
     #[test]
     fn timers_inherit_the_cid_of_the_scheduling_context() {
-        let mut sim = probe_pair(ExecConfig::single_thread());
+        let mut sim = probe_pair();
         let root = sim
             .with_node_ctx(PeerId(0), |_, ctx| {
                 ctx.set_timer(Duration::from_millis(5), ProbeMsg::Tick);
@@ -1684,65 +1081,5 @@ mod tests {
         let seen = &sim.node(PeerId(0)).unwrap().seen;
         assert_eq!(seen.len(), 1);
         assert_eq!(seen[0], (root, true), "timer fires under the api-call cid");
-    }
-
-    #[test]
-    fn epoch_engine_stamps_identical_cids_and_profiles_itself() {
-        let run = |exec: ExecConfig| {
-            let mut sim = probe_pair(exec);
-            for i in 0..2 {
-                sim.send_external(PeerId(i), ProbeMsg::Fwd(12));
-            }
-            sim.with_node_ctx(PeerId(0), |_, ctx| {
-                ctx.set_timer(Duration::from_millis(7), ProbeMsg::Tick)
-            });
-            sim.run_for(Duration::from_secs(1));
-            let seen: Vec<Vec<(Cid, bool)>> = sim
-                .nodes_iter()
-                .map(|(_, node)| node.seen.clone())
-                .collect();
-            (seen, sim.engine_profile())
-        };
-        let (classic, classic_profile) = run(ExecConfig::single_thread());
-        let (parallel, parallel_profile) = run(ExecConfig {
-            threads: 2,
-            shards: 0,
-            layout: ShardLayout::RoundRobin,
-            parallel_threshold: 1,
-        });
-        assert_eq!(classic, parallel, "cid streams must be engine-invariant");
-        assert_eq!(
-            classic_profile,
-            EngineProfile::default(),
-            "classic loop never populates the epoch profile"
-        );
-        assert!(parallel_profile.windows > 0);
-        assert!(parallel_profile.window_events > 0);
-        assert!(parallel_profile.imbalance() >= 1.0 - 1e-9);
-    }
-
-    #[test]
-    fn instant_config_stays_on_the_classic_engine() {
-        // Zero lookahead (instant network) cannot form epochs; the
-        // simulator must silently fall back to the classic loop.
-        let exec = ExecConfig::threaded(4);
-        let mut sim: Simulator<TokenNode> =
-            Simulator::new(NetworkConfig::instant(3).with_exec(exec));
-        let a = sim.add_node(|_| TokenNode {
-            next: PeerId(1),
-            tokens_seen: 0,
-            ticks: 0,
-            killed: false,
-        });
-        sim.add_node(|_| TokenNode {
-            next: PeerId(0),
-            tokens_seen: 0,
-            ticks: 0,
-            killed: false,
-        });
-        sim.send_external(a, TokenMsg::Token(9));
-        sim.run_for(Duration::from_secs(1));
-        assert_eq!(sim.stats().messages_delivered, 9);
-        assert_eq!(sim.lookahead_deferrals(), 0);
     }
 }

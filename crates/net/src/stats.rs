@@ -42,57 +42,6 @@ impl NetStats {
     }
 }
 
-/// Wall-clock cost profile of the epoch-parallel engine, accumulated per
-/// [`run_until`](crate::Simulator::run_until) that takes the epoch path.
-///
-/// Unlike [`NetStats`] these numbers are *measurements of the engine
-/// itself* — wall time per phase and shard-occupancy shape — so they are
-/// NOT deterministic and never participate in determinism witnesses. They
-/// answer the question the parallel engine previously could not: where
-/// does a rung's wall time go, and how evenly does work spread over the
-/// shards?
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineProfile {
-    /// Epoch windows executed.
-    pub windows: u64,
-    /// Windows wide enough to dispatch to worker threads.
-    pub parallel_windows: u64,
-    /// Wall nanoseconds spent draining windows from the event queue.
-    pub drain_nanos: u64,
-    /// Wall nanoseconds spent in shard execution (workers + inline lane).
-    pub exec_nanos: u64,
-    /// Wall nanoseconds spent replaying side effects at the barrier.
-    pub merge_nanos: u64,
-    /// Events processed through the epoch engine.
-    pub window_events: u64,
-    /// Events in the widest single window.
-    pub max_window_events: u64,
-    /// Sum over windows of the busiest shard's event count.
-    pub occupancy_max_events: u64,
-    /// Sum over windows of the number of non-empty shards.
-    pub occupied_shard_windows: u64,
-}
-
-impl EngineProfile {
-    /// Shard-occupancy imbalance: the average busiest-shard event count
-    /// divided by the average events per occupied shard. 1.0 means
-    /// perfectly even windows; large values mean one shard dominates each
-    /// window (worker threads idle while it runs).
-    pub fn imbalance(&self) -> f64 {
-        if self.windows == 0 || self.window_events == 0 || self.occupied_shard_windows == 0 {
-            return 1.0;
-        }
-        let mean_max = self.occupancy_max_events as f64 / self.windows as f64;
-        let mean_occ = self.window_events as f64 / self.occupied_shard_windows as f64;
-        mean_max / mean_occ
-    }
-
-    /// Total wall nanoseconds across the three phases.
-    pub fn total_nanos(&self) -> u64 {
-        self.drain_nanos + self.exec_nanos + self.merge_nanos
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,24 +65,5 @@ mod tests {
     fn empty_stats_have_zero_drop_rate() {
         assert_eq!(NetStats::default().drop_rate(), 0.0);
         assert_eq!(NetStats::default().total_events(), 0);
-    }
-
-    #[test]
-    fn engine_profile_imbalance() {
-        assert_eq!(EngineProfile::default().imbalance(), 1.0);
-        // Two windows of 8 events over 4 occupied shards each, busiest
-        // shard holding 4: mean max = 4, mean occupancy = 16/8 = 2.
-        let p = EngineProfile {
-            windows: 2,
-            window_events: 16,
-            occupancy_max_events: 8,
-            occupied_shard_windows: 8,
-            drain_nanos: 5,
-            exec_nanos: 10,
-            merge_nanos: 15,
-            ..EngineProfile::default()
-        };
-        assert!((p.imbalance() - 2.0).abs() < 1e-9);
-        assert_eq!(p.total_nanos(), 30);
     }
 }

@@ -21,9 +21,10 @@
 //!   query's safety net, 30 s and more ahead) keep over a hundred laps
 //!   occupied with a few entries each, and recycled buckets would give
 //!   every one of them the capacity of the fullest lap ever seen;
-//! * a small **overdue heap** for entries pushed behind the cursor — the
-//!   epoch engine's barrier merge schedules effects for causes processed
-//!   earlier in the window, which can land in already-drained buckets.
+//! * a small **overdue heap** for entries pushed behind the cursor —
+//!   `peek` moves the cursor to the next event's bucket, so what the harness
+//!   schedules at the current time after `run_until` looked past its
+//!   deadline can land in already-drained buckets.
 //!
 //! Pop order is the simulator's total event order: strictly increasing
 //! `(time, seq)`, bucket contents sorted on first drain. The wheel is a
@@ -98,8 +99,8 @@ pub(crate) struct EventWheel<T> {
     occupied: [u64; OCC_WORDS],
     /// Events of later laps, keyed by lap (`bucket >> LAP_SHIFT`).
     far: BTreeMap<u64, Vec<Entry>>,
-    /// Entries pushed behind the cursor (barrier-merge effects): always
-    /// strictly earlier than anything in the current bucket.
+    /// Entries pushed behind the cursor (scheduled after a `peek` ran
+    /// ahead): always strictly earlier than anything in the current bucket.
     overdue: BinaryHeap<Reverse<Entry>>,
     /// Absolute bucket index currently being drained.
     cursor: u64,
@@ -159,9 +160,8 @@ impl<T> EventWheel<T> {
             self.overdue.push(Reverse(entry));
         } else if bucket == self.cursor {
             // Insert into the still-undrained suffix of the current bucket,
-            // keeping it sorted. (The already-popped prefix is all ≤ the new
-            // entry only in classic runs; in general the entry just needs to
-            // land in order among the REMAINING ones.)
+            // keeping it sorted: the entry only needs to land in order among
+            // the REMAINING ones.
             let tail = &self.drain[self.drain_next..];
             let pos = tail.partition_point(|e| (e.at, e.seq) < (entry.at, entry.seq));
             self.drain.insert(self.drain_next + pos, entry);
@@ -386,15 +386,15 @@ mod tests {
 
     #[test]
     fn overdue_pushes_behind_the_cursor_still_pop_in_order() {
-        // The epoch barrier merge schedules effects for window events that
-        // were processed before the last-drained bucket: pushes land BEHIND
-        // the cursor and must still pop before everything later.
+        // `peek` moves the cursor to the next event's bucket; whatever is
+        // scheduled for an earlier time afterwards lands BEHIND the cursor
+        // and must still pop before everything later.
         let mut w: EventWheel<&'static str> = EventWheel::new();
         let far = SimTime::from_millis(50);
         w.push(far, 10, "late");
         // Drain up to `far`'s bucket so the cursor moves past early buckets.
         assert_eq!(w.peek(), Some(far));
-        // Now push behind the cursor (an effect of an early-window cause).
+        // Now push behind the cursor.
         let early = SimTime::from_millis(1);
         w.push(early, 11, "overdue");
         assert_eq!(w.peek(), Some(early));

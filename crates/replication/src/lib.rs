@@ -10,6 +10,7 @@
 //! count in the system never decreases (Section 5.2). The naive baseline
 //! skips that extra hop, which is what loses items in the Figure 17 scenario.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -27,6 +27,7 @@
 //! consume messages and emit [`Effects`](pepper_net::Effects) plus
 //! [`RingEvent`]s for the layers above (Data Store, Replication Manager).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -17,6 +17,7 @@
 //! * a trivial linear fallback (just follow successors), which is what the
 //!   hierarchical router degenerates to before its shortcuts are built.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -11,7 +11,6 @@ use std::time::Duration;
 
 use pepper_datastore::{DsSnapshot, QueryId};
 use pepper_index::{FreePool, Observation, PeerMsg, PeerNode};
-use pepper_net::EngineProfile;
 use pepper_net::{NetworkConfig, SimTime, Simulator};
 use pepper_ring::consistency::{
     check_connectivity, check_consistent_successor_pointers, check_ring_invariants,
@@ -400,11 +399,6 @@ impl Cluster {
             total.add("repl", "push_noop_walk", noop_walked);
         }
         total
-    }
-
-    /// Wall-clock profile of the epoch-parallel execution engine.
-    pub fn engine_profile(&self) -> EngineProfile {
-        self.sim.engine_profile()
     }
 
     /// Advances virtual time.

@@ -45,7 +45,7 @@ use std::time::Duration;
 
 use pepper_datastore::QueryId;
 use pepper_index::Observation;
-use pepper_net::{EngineProfile, ExecConfig, NetworkConfig, SimTime};
+use pepper_net::{NetworkConfig, SimTime};
 use pepper_ring::consistency::format_ring;
 use pepper_storage::RecoveryMode;
 use pepper_trace::{render_trace, Metrics, TraceConfig, TraceEvent};
@@ -128,14 +128,10 @@ pub struct HarnessConfig {
     /// skewed Zipf keys stress split/merge balancing, sequential keys are
     /// the order-preserving worst case).
     pub key_distribution: KeyDistribution,
-    /// Simulator execution engine (threads/shards). Output-invariant: any
-    /// value produces the same trace, stats and final-state hash, so replay
-    /// artifacts do not record it and the thread-matrix tests assert it.
-    pub exec: ExecConfig,
-    /// Causal tracing + metrics. Off (zero-overhead) by default; also
+    /// Causal tracing + metrics. Off (zero-overhead) by default;
     /// output-invariant when on — the recorded trace streams are derived
     /// from virtual time and canonical sequence numbers only, so replay
-    /// artifacts do not record this either.
+    /// artifacts do not record it.
     pub trace: TraceConfig,
 }
 
@@ -161,7 +157,6 @@ impl HarnessConfig {
             pre_kill_settle: Duration::from_millis(400),
             durability: Some(DurabilityConfig::default()),
             key_distribution: KeyDistribution::Uniform { domain: KEY_DOMAIN },
-            exec: ExecConfig::default(),
             trace: TraceConfig::off(),
         }
     }
@@ -197,7 +192,6 @@ impl HarnessConfig {
             pre_kill_settle: Duration::from_millis(400),
             durability: Some(DurabilityConfig::default()),
             key_distribution: KeyDistribution::Uniform { domain: KEY_DOMAIN },
-            exec: ExecConfig::default(),
             trace: TraceConfig::off(),
         }
     }
@@ -333,7 +327,7 @@ impl HarnessConfig {
     fn cluster(&self) -> Cluster {
         Cluster::new(ClusterConfig {
             system: self.system(),
-            network: NetworkConfig::lan(self.seed).with_exec(self.exec),
+            network: NetworkConfig::lan(self.seed),
             initial_free_peers: self.initial_free_peers,
             first_value: u64::MAX / 2,
             durability: self.durability,
@@ -450,9 +444,6 @@ pub struct RunReport {
     /// The whole-cluster metrics registry (no entries unless
     /// [`HarnessConfig::trace`] enabled metrics).
     pub metrics: Metrics,
-    /// Wall-clock profile of the epoch-parallel execution engine (phase
-    /// times, shard occupancy). Never folded into determinism witnesses.
-    pub engine: EngineProfile,
     /// The frozen artifact, present iff violations were found.
     pub artifact: Option<FailureArtifact>,
 }
@@ -1033,7 +1024,6 @@ impl Harness {
             peer_deliveries: self.cluster.sim.per_peer_deliveries(),
             traces: self.cluster.trace_events(),
             metrics: self.cluster.metrics(),
-            engine: self.cluster.engine_profile(),
             artifact,
         }
     }

@@ -19,6 +19,7 @@
 //! Every experiment runs in virtual time on the deterministic simulator, so
 //! results are reproducible for a given seed.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -31,9 +32,7 @@ pub mod workload;
 pub use cluster::{Cluster, ClusterConfig};
 pub use harness::{Harness, HarnessConfig, RunReport};
 pub use metrics::{Stats, Table};
-// Simulator execution-engine knobs, re-exported so harness drivers (bench,
-// integration tests) can set thread/shard counts without depending on
-// `pepper-net` directly.
-pub use pepper_net::{EngineProfile, ExecConfig, ShardLayout};
-// Observability knobs and collectors, re-exported for the same reason.
+// Observability knobs and collectors, re-exported so harness drivers (bench,
+// integration tests) can name them without depending on `pepper-trace`
+// directly.
 pub use pepper_trace::{chrome_trace_json, render_trace, Cid, Metrics, TraceConfig, TraceEvent};

@@ -31,6 +31,7 @@
 //! byte-identically, durable state included. [`MemVfs::digest`] folds the
 //! durable bytes into the harness's final-state hash.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

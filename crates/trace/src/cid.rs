@@ -15,10 +15,9 @@ use std::fmt;
 /// # Determinism
 ///
 /// Both components are canonical simulator state: virtual time and the
-/// global event sequence number are byte-identical across thread counts and
-/// shard layouts (the epoch engine replays all scheduling at the barrier in
-/// canonical order). No wall clock and no RNG draw ever contributes, so a
-/// trace keyed by these ids is reproducible by construction.
+/// global event sequence number. No wall clock and no RNG draw ever
+/// contributes, so a trace keyed by these ids is reproducible by
+/// construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Cid {
     /// Virtual time (nanoseconds) at which the root was minted.

@@ -23,10 +23,11 @@
 //!   loadable in `chrome://tracing` / Perfetto.
 //!
 //! Determinism contract: everything recorded here is derived from virtual
-//! time, canonical sequence numbers and node state. Rendering the same
-//! run's trace must produce the same bytes for any thread count — the
-//! `thread_determinism` integration tests hold the whole stack to that.
+//! time, canonical sequence numbers and node state. Rendering the trace of
+//! two runs of the same seed must produce the same bytes — the same-seed
+//! test of `tests/harness_invariants.rs` holds the whole stack to that.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -19,6 +19,7 @@
 //! Nothing in this crate knows about networking or protocols; it is purely
 //! the data model, so every other crate can depend on it without cycles.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

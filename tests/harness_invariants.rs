@@ -12,7 +12,8 @@
 //! `PEPPER_HARNESS_SEEDS` (number of seeds, default 4) and
 //! `PEPPER_HARNESS_OPS` (ops per run, default 150).
 
-use pepper_sim::harness::{matrix_seed, FailureArtifact, Harness, HarnessConfig};
+use pepper_sim::harness::{matrix_seed, FailureArtifact, Harness, HarnessConfig, RunReport};
+use pepper_sim::{render_trace, TraceConfig, TraceEvent};
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -22,7 +23,7 @@ fn env_usize(name: &str, default: usize) -> usize {
 }
 
 /// Runs one seed and panics with a dumped, replayable artifact on violation.
-fn run_clean(cfg: HarnessConfig) -> pepper_sim::harness::RunReport {
+fn run_clean(cfg: HarnessConfig) -> RunReport {
     let seed = cfg.seed;
     let report = Harness::run_generated(cfg);
     if let Some(artifact) = &report.artifact {
@@ -71,8 +72,11 @@ fn every_invariant_holds_across_the_seed_matrix() {
 #[test]
 fn same_seed_reproduces_the_same_trace_and_final_state() {
     let ops = env_usize("PEPPER_HARNESS_OPS", 150);
+    // Tracing and metrics on: what the observability layer records is part
+    // of what a seed determines.
     let cfg = || HarnessConfig {
         ops,
+        trace: TraceConfig::enabled().with_ring_capacity(512),
         ..HarnessConfig::quick(7321)
     };
     let a = run_clean(cfg());
@@ -84,6 +88,28 @@ fn same_seed_reproduces_the_same_trace_and_final_state() {
     );
     assert_eq!(a.final_state_hash, b.final_state_hash);
     assert_eq!(a.stats, b.stats);
+    let observed = |report: &RunReport| {
+        let streams: Vec<(u64, Vec<TraceEvent>)> = report
+            .traces
+            .iter()
+            .map(|(p, evs)| (p.raw(), evs.clone()))
+            .collect();
+        format!(
+            "{}\n---\n{}",
+            render_trace(&streams),
+            report.metrics.render()
+        )
+    };
+    let rendered = observed(&a);
+    assert!(
+        rendered.contains("QueryCompleted") || rendered.contains("scan_hops"),
+        "the traced run must actually record query activity"
+    );
+    assert_eq!(
+        rendered,
+        observed(&b),
+        "rendered trace streams and metrics must be seed-determined"
+    );
 }
 
 #[test]
