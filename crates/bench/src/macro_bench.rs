@@ -31,7 +31,7 @@ use pepper_sim::TraceConfig;
 /// The trace configuration macro-bench runs execute under: the metrics
 /// registry on (its per-layer counters land in the committed JSON), causal
 /// tracing off (the committed events/sec trajectory measures the
-/// tracing-disabled fast path the overhead guard holds to baseline).
+/// tracing-disabled fast path).
 pub fn bench_trace_config() -> TraceConfig {
     TraceConfig {
         tracing: false,
@@ -481,106 +481,6 @@ pub fn run(args: &[String]) -> i32 {
     0
 }
 
-/// Pulls `events_per_sec` of the first run of `profile` out of a committed
-/// `BENCH_macro.json` (a stateful line scan over our own writer's output —
-/// the file is machine-written, two fields per run suffice).
-fn baseline_events_per_sec(json: &str, profile: &str) -> Option<f64> {
-    let mut in_profile = false;
-    for line in json.lines() {
-        let line = line.trim().trim_end_matches(',');
-        if let Some(v) = line.strip_prefix("\"profile\": ") {
-            in_profile = v.trim_matches('"') == profile;
-        } else if let Some(v) = line.strip_prefix("\"events_per_sec\": ") {
-            if in_profile {
-                return v.parse().ok();
-            }
-        }
-    }
-    None
-}
-
-/// The disabled-tracing overhead guard (`experiments trace-overhead`): runs
-/// the large rung with tracing fully off and fails if its events/sec fell
-/// more than `--tolerance` percent below the committed `BENCH_macro.json`
-/// baseline — the instrumentation's disabled fast path must stay free. The
-/// default tolerance is generous because CI machines differ from the
-/// machine that committed the baseline; run with `--tolerance 3` locally
-/// on the baseline machine for the tight check. Also reports (never
-/// judges) the cost of tracing *enabled* on the same rung.
-pub fn overhead_guard(args: &[String]) -> i32 {
-    let mut tolerance = 40.0f64;
-    let mut baseline_path = default_out_path();
-    let mut profile = "large".to_string();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--tolerance" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(t) => tolerance = t,
-                None => {
-                    eprintln!("--tolerance needs a percentage");
-                    return 2;
-                }
-            },
-            "--baseline" => match it.next() {
-                Some(p) => baseline_path = PathBuf::from(p),
-                None => {
-                    eprintln!("--baseline needs a path");
-                    return 2;
-                }
-            },
-            "--profile" => match it.next() {
-                Some(p) => profile = p.clone(),
-                None => {
-                    eprintln!("--profile needs a name");
-                    return 2;
-                }
-            },
-            other => {
-                eprintln!("unknown trace-overhead flag `{other}`");
-                return 2;
-            }
-        }
-    }
-    let baseline_json = match std::fs::read_to_string(&baseline_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot read baseline {}: {e}", baseline_path.display());
-            return 2;
-        }
-    };
-    let Some(baseline) = baseline_events_per_sec(&baseline_json, &profile) else {
-        eprintln!("no `{profile}` run in {}", baseline_path.display());
-        return 2;
-    };
-
-    let seed = matrix_seed(0);
-    let mut cfg = HarnessConfig::from_profile(&profile, seed).expect("known profile");
-    cfg.trace = TraceConfig::off();
-    let (off_run, off_report) = measure(cfg.clone());
-    print_run(&off_run, &off_report);
-    cfg.trace = TraceConfig::enabled();
-    let (on_run, on_report) = measure(cfg);
-    print_run(&on_run, &on_report);
-
-    let delta = (off_run.events_per_sec - baseline) / baseline * 100.0;
-    let enabled_cost =
-        (off_run.events_per_sec - on_run.events_per_sec) / off_run.events_per_sec.max(1e-9) * 100.0;
-    println!(
-        "trace-overhead: {profile} disabled {:.0}/s vs baseline {:.0}/s ({:+.1}%); \
-         enabled costs {:.1}%",
-        off_run.events_per_sec, baseline, delta, enabled_cost
-    );
-    if off_run.events_per_sec < baseline * (1.0 - tolerance / 100.0) {
-        eprintln!(
-            "trace-overhead: disabled-tracing throughput fell {:.1}% below the committed \
-             baseline (tolerance {tolerance}%)",
-            -delta
-        );
-        return 1;
-    }
-    0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -609,16 +509,5 @@ mod tests {
         assert_eq!(percentile(&[], 99.0), 0.0);
         assert_eq!(percentile(&[7], 50.0), 7.0);
         assert_eq!(percentile(&[7], 99.0), 7.0);
-    }
-
-    #[test]
-    fn baseline_scan_finds_the_first_row_of_the_profile() {
-        let json = "\
-            {\n  \"runs\": [\n    {\n      \"profile\": \"medium\",\n      \
-            \"events_per_sec\": 111\n    },\n    {\n      \"profile\": \"large\",\n      \
-            \"events_per_sec\": 222\n    },\n    {\n      \"profile\": \"large\",\n      \
-            \"events_per_sec\": 333\n    }\n  ]\n}\n";
-        assert_eq!(baseline_events_per_sec(json, "large"), Some(222.0));
-        assert_eq!(baseline_events_per_sec(json, "xlarge"), None);
     }
 }

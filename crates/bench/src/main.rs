@@ -5,7 +5,6 @@
 //!   cargo run --release -p pepper-bench -- [quick|full] [fig19|fig20|fig21|fig22|fig23|correctness|availability|item-availability|load-balance|all]
 //!   cargo run --release -p pepper-bench -- macro [--smoke] [--seeds K] [--out PATH]
 //!   cargo run --release -p pepper-bench -- trace ARTIFACT|--profile P --seed S [--chrome PATH]
-//!   cargo run --release -p pepper-bench -- trace-overhead [--tolerance PCT] [--baseline PATH]
 
 use pepper_sim::experiments::{availability, correctness, insert_succ, leave, scan_range, Effort};
 
@@ -16,9 +15,6 @@ fn main() {
     }
     if args.first().map(String::as_str) == Some("trace") {
         std::process::exit(pepper_bench::trace_cli::run(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("trace-overhead") {
-        std::process::exit(pepper_bench::macro_bench::overhead_guard(&args[1..]));
     }
     let effort = if args.iter().any(|a| a == "full") {
         Effort::Full

@@ -11,23 +11,21 @@
 //!   becomes a free peer again (full merge, preceded by the availability
 //!   protections of Section 5).
 //!
-//! Every transfer is *copy-then-delete*: the giving side keeps its items and
-//! range until the receiving side has acknowledged the installation, and
-//! both sides apply their range change only while no scan holds their range
-//! lock (see [`crate::state`]). While a transfer is in flight the giving
-//! side parks incoming item inserts/deletes so no item can land in (or
-//! silently vanish from) the moving sub-range.
+//! All three are one transfer, described by a `Give`: a contiguous part of
+//! the giver's range and its items move to a ring neighbour,
+//! *copy-then-delete*. The giving side keeps its items and range until the
+//! receiving side has acknowledged the installation, and both sides apply
+//! their range change only while no scan holds their range lock (see
+//! [`crate::state`]). While a transfer is on the wire the giving side parks
+//! incoming item inserts/deletes so no item can land in (or silently vanish
+//! from) the moving sub-range.
 
 use pepper_net::{Effects, LayerCtx};
 use pepper_types::{CircularRange, Item, PeerId, PeerValue};
 
 use crate::events::DsEvent;
 use crate::messages::DsMsg;
-use crate::state::{DataStoreState, DeferredWrite, DsStatus};
-
-/// The payload of a full merge grant: the recipient predecessor, the range
-/// being given up, and its items.
-pub type MergeGivePayload = (PeerId, CircularRange, Vec<(u64, Item)>);
+use crate::state::{DataStoreState, DeferredWrite, DsStatus, Give, Giving};
 
 impl DataStoreState {
     // ------------------------------------------------------------------
@@ -71,11 +69,11 @@ impl DataStoreState {
     }
 
     /// Aborts an announced rebalance (no free peer available, no successor,
-    /// ring insert failed, …) and schedules a retry.
+    /// ring insert failed, …) and schedules a retry. A give that is already
+    /// on the wire cannot be called back this way.
     pub fn cancel_rebalance(&mut self, fx: &mut Effects<DsMsg>) {
         self.rebalancing = false;
-        self.pending_split = None;
-        self.handoff_to = None;
+        self.giving = self.giving.filter(|g| g.sent);
         self.merge_requested_from = None;
         fx.timer(self.cfg.rebalance_retry_delay, DsMsg::RebalanceRetry);
     }
@@ -87,31 +85,28 @@ impl DataStoreState {
     /// every abort safe: the giving side still holds all items until the ack
     /// that will now never come.
     pub fn on_peer_failed(&mut self, ctx: LayerCtx, peer: PeerId, fx: &mut Effects<DsMsg>) {
-        // Drop deferred grants from the dead peer: its retained range is
-        // revived from replicas by its ring successor, so applying the stale
-        // grant here would double-own the granted sub-range. (The grant was
-        // a copy — the items live on as replicas — so nothing is lost.)
-        let had_grant = self.deferred.iter().any(|w| {
-            matches!(w,
-                DeferredWrite::ApplyRedistribute { granter, .. }
-                | DeferredWrite::ApplyMergeGrant { granter, .. } if *granter == peer)
+        // Drop deferred grants from the dead successor: its retained range
+        // is revived from replicas by its own ring successor, so applying
+        // the stale grant here would double-own the granted sub-range. (The
+        // grant was a copy — the items live on as replicas — so nothing is
+        // lost.)
+        let before = self.deferred.len();
+        self.deferred.retain(|w| {
+            !matches!(w, DeferredWrite::Install { give, giver, .. }
+                if *giver == peer && !matches!(give, Give::Upper(_)))
         });
-        if had_grant {
-            self.deferred.retain(|w| {
-                !matches!(w,
-                    DeferredWrite::ApplyRedistribute { granter, .. }
-                    | DeferredWrite::ApplyMergeGrant { granter, .. } if *granter == peer)
-            });
+        if self.deferred.len() != before {
             self.rebalancing = false;
             fx.timer(self.cfg.rebalance_retry_delay, DsMsg::RebalanceRetry);
         }
-        if self.handoff_to == Some(peer) {
-            // Split receiver died before acknowledging the hand-off.
-            self.handoff_to = None;
-            self.pending_split = None;
-            self.rebalancing = false;
-            self.unblock_item_writes(ctx, fx);
-            fx.timer(self.cfg.rebalance_retry_delay, DsMsg::RebalanceRetry);
+        // Split receiver died before acknowledging the hand-off. (The
+        // receiver of the other gives is this peer's predecessor, which the
+        // failure detector never reports; `GiveTimeout` covers those.)
+        let handoff_sent_to_peer = self
+            .giving
+            .is_some_and(|g| matches!(g.give, Give::Upper(_)) && g.sent && g.to == Some(peer));
+        if handoff_sent_to_peer {
+            self.abort_give(ctx, fx);
         }
         if self.merge_requested_from == Some(peer) {
             // The successor died before answering our merge request.
@@ -128,13 +123,40 @@ impl DataStoreState {
         }
     }
 
-    pub(crate) fn on_rebalance_retry(&mut self, _ctx: LayerCtx) {
-        self.recheck_balance();
+    // ------------------------------------------------------------------
+    // the giving side
+    // ------------------------------------------------------------------
+
+    /// The `(moved, kept)` parts of this peer's range under `give`. A full
+    /// circle is anchored at `low == high`, so the same arithmetic splits it.
+    fn parts(&self, give: Give) -> (CircularRange, CircularRange) {
+        let (low, high) = (self.range.low(), self.range.high());
+        match give {
+            Give::Upper(b) => (CircularRange::new(b, high), CircularRange::new(low, b)),
+            Give::Lower(b) => (CircularRange::new(low, b), CircularRange::new(b, high)),
+            // Everything stored leaves, whatever the range says: a free peer
+            // holds nothing.
+            Give::All => (CircularRange::full(high), CircularRange::empty(high)),
+        }
     }
 
-    // ------------------------------------------------------------------
-    // split (overflow)
-    // ------------------------------------------------------------------
+    /// Whether the in-flight give, if any, is exactly `give`.
+    pub(crate) fn is_giving(&self, give: Give) -> bool {
+        self.giving.map(|g| g.give) == Some(give)
+    }
+
+    /// Whether a rebalance or a give is in flight, so no other may start.
+    fn is_busy(&self) -> bool {
+        self.rebalancing || self.giving.is_some()
+    }
+
+    /// Gives up on the in-flight give: range and items are untouched
+    /// (copy-then-delete), parked writes resume, the thresholds are retried.
+    pub(crate) fn abort_give(&mut self, ctx: LayerCtx, fx: &mut Effects<DsMsg>) {
+        self.rebalancing = false;
+        self.unblock_item_writes(ctx, fx);
+        fx.timer(self.cfg.rebalance_retry_delay, DsMsg::RebalanceRetry);
+    }
 
     /// Plans a split: chooses the boundary and the value for the new peer.
     ///
@@ -146,31 +168,19 @@ impl DataStoreState {
     /// Returns `None` (and clears the rebalancing flag) when a split is not
     /// possible (too few items or not live).
     pub fn begin_split(&mut self) -> Option<(PeerValue, PeerValue)> {
-        if self.status != DsStatus::Live {
-            self.rebalancing = false;
-            return None;
-        }
-        let Some(boundary) = self.store.split_point(&self.range) else {
-            self.rebalancing = false;
-            return None;
-        };
         let high = self.range.high();
-        if boundary == high.raw() {
+        let boundary = self.store.split_point(&self.range).filter(|b| {
+            self.status == DsStatus::Live && *b != high.raw() && self.range.contains(*b)
+        });
+        let Some(boundary) = boundary else {
             self.rebalancing = false;
             return None;
-        }
-        let moved = if self.range.is_full() {
-            CircularRange::new(boundary, high)
-        } else {
-            match self.range.split_at(boundary) {
-                Some((_keep, moved)) => moved,
-                None => {
-                    self.rebalancing = false;
-                    return None;
-                }
-            }
         };
-        self.pending_split = Some(moved);
+        self.giving = Some(Giving {
+            give: Give::Upper(PeerValue(boundary)),
+            to: None,
+            sent: false,
+        });
         Some((high, PeerValue(boundary)))
     }
 
@@ -178,58 +188,21 @@ impl DataStoreState {
     /// index layer once the ring reports the `insertSucc` as complete. From
     /// this point until the hand-off is acknowledged, item writes at this
     /// peer are parked.
-    pub fn send_handoff(
-        &mut self,
-        _ctx: LayerCtx,
-        to: PeerId,
-        fx: &mut Effects<DsMsg>,
-    ) -> Option<CircularRange> {
-        let moved = self.pending_split?;
-        let items = self.store.items_in_range(&moved);
-        self.item_writes_blocked = true;
-        self.handoff_to = Some(to);
-        fx.send(
-            to,
-            DsMsg::HandoffInstall {
-                range: moved,
-                items,
-            },
-        );
-        Some(moved)
-    }
-
-    /// New-peer side: install the hand-off (deferred while scans pass).
-    pub(crate) fn on_handoff_install(
-        &mut self,
-        ctx: LayerCtx,
-        from: PeerId,
-        range: CircularRange,
-        items: Vec<(u64, Item)>,
-        fx: &mut Effects<DsMsg>,
-    ) {
-        self.write_or_defer(
-            ctx,
-            DeferredWrite::InstallHandoff {
-                range,
-                items,
-                splitter: from,
-            },
-            fx,
-        );
-    }
-
-    /// Splitter side: the new peer confirmed; drop the moved items and
-    /// shrink the range (deferred while scans pass).
-    pub(crate) fn on_handoff_ack(&mut self, ctx: LayerCtx, fx: &mut Effects<DsMsg>) {
-        let Some(moved) = self.pending_split else {
-            return;
+    pub fn send_handoff(&mut self, to: PeerId, fx: &mut Effects<DsMsg>) -> Option<CircularRange> {
+        let give = self.giving.map(|g| g.give)?;
+        let Give::Upper(_) = give else {
+            return None;
         };
-        self.write_or_defer(ctx, DeferredWrite::CompleteSplit { moved }, fx);
+        let (range, _) = self.parts(give);
+        let items = self.store.items_in_range(&range);
+        self.giving = Some(Giving {
+            give,
+            to: Some(to),
+            sent: true,
+        });
+        fx.send(to, DsMsg::HandoffInstall { range, items });
+        Some(range)
     }
-
-    // ------------------------------------------------------------------
-    // merge / redistribute (underflow)
-    // ------------------------------------------------------------------
 
     /// Sends a merge request to the successor. Called by the index layer in
     /// response to [`DsEvent::MergeNeeded`].
@@ -248,169 +221,197 @@ impl DataStoreState {
     /// merge.
     pub(crate) fn on_merge_request(
         &mut self,
-        _ctx: LayerCtx,
         from: PeerId,
         requester_items: usize,
-        _requester_value: PeerValue,
         fx: &mut Effects<DsMsg>,
     ) {
-        if self.status != DsStatus::Live
-            || self.rebalancing
-            || self.merge_give_to.is_some()
-            || self.item_writes_blocked
-            || self.range.is_full()
-        {
+        if self.status != DsStatus::Live || self.is_busy() || self.range.is_full() {
             fx.send(from, DsMsg::MergeDeclined);
             return;
         }
         let total = self.store.len() + requester_items;
         if total <= self.cfg.overflow_threshold() {
-            // Full merge: this peer will give up its entire range. The index
-            // layer first runs the availability protections (extra-hop
-            // replication + ring leave) and then calls `send_merge_grant`.
-            self.rebalancing = true;
-            self.merge_give_to = Some(from);
-            self.emit(DsEvent::MergeGiveStarted { to: from });
+            self.start_full_give(from);
             return;
         }
         // Redistribute: hand the lower portion over so both end up with
         // roughly `total / 2` items.
-        let give = (total / 2).saturating_sub(requester_items).max(1);
-        let Some(new_boundary) = self.store.redistribute_point(give, &self.range) else {
+        let count = (total / 2).saturating_sub(requester_items).max(1);
+        let Some(new_boundary) = self.store.redistribute_point(count, &self.range) else {
             fx.send(from, DsMsg::MergeDeclined);
             return;
         };
-        let moving = CircularRange::new(self.range.low(), new_boundary);
-        let items = self.store.items_in_range(&moving);
+        let new_boundary = PeerValue(new_boundary);
+        let give = Give::Lower(new_boundary);
+        let items = self.store.items_in_range(&self.parts(give).0);
         self.rebalancing = true;
-        self.item_writes_blocked = true;
-        self.redistribute_give_boundary = Some(PeerValue(new_boundary));
+        self.giving = Some(Giving {
+            give,
+            to: Some(from),
+            sent: true,
+        });
         fx.send(
             from,
             DsMsg::RedistributeGrant {
                 items,
-                new_boundary: PeerValue(new_boundary),
+                new_boundary,
                 granter_low: self.range.low(),
             },
         );
-        // The requester is this peer's *predecessor*: its failure is
-        // invisible to the ping loop, so only a timer can end the wait.
-        fx.timer(
-            self.cfg.leave_absorb_timeout,
-            DsMsg::GiveTimeout {
-                to: from,
-                boundary: Some(PeerValue(new_boundary)),
-                attempt: 1,
-            },
-        );
+        self.arm_give_timeout(from, Some(new_boundary), 1, fx);
     }
 
-    /// Requester side: install the redistributed items and move the boundary
-    /// up (deferred while scans pass).
-    pub(crate) fn on_redistribute_grant(
-        &mut self,
-        ctx: LayerCtx,
-        from: PeerId,
-        items: Vec<(u64, Item)>,
-        new_boundary: PeerValue,
-        granter_low: PeerValue,
+    /// Announces a full give to the predecessor `to`. The index layer first
+    /// runs the availability protections (extra-hop replication + ring
+    /// leave) and then calls `send_merge_grant`.
+    fn start_full_give(&mut self, to: PeerId) {
+        self.rebalancing = true;
+        self.giving = Some(Giving {
+            give: Give::All,
+            to: Some(to),
+            sent: false,
+        });
+        self.emit(DsEvent::MergeGiveStarted { to });
+    }
+
+    /// Guards a give to the *predecessor*: its failure is invisible to the
+    /// ping loop, so only a timer can end the wait for its acknowledgement.
+    fn arm_give_timeout(
+        &self,
+        to: PeerId,
+        boundary: Option<PeerValue>,
+        attempt: u32,
         fx: &mut Effects<DsMsg>,
     ) {
-        self.merge_requested_from = None;
-        self.write_or_defer(
-            ctx,
-            DeferredWrite::ApplyRedistribute {
-                items,
-                new_boundary,
-                granter_low,
-                granter: from,
-            },
-            fx,
-        );
-    }
-
-    /// Granter side: the requester installed; drop the granted items and move
-    /// the range's low end up (deferred while scans pass).
-    pub(crate) fn on_redistribute_ack(
-        &mut self,
-        ctx: LayerCtx,
-        new_boundary: PeerValue,
-        fx: &mut Effects<DsMsg>,
-    ) {
-        self.write_or_defer(ctx, DeferredWrite::FinishRedistribute { new_boundary }, fx);
-    }
-
-    /// The payload of a full merge grant (copies; nothing is removed until
-    /// the requester acknowledges). Returns `None` if no merge-give is in
-    /// flight.
-    pub fn merge_give_payload(&self) -> Option<MergeGivePayload> {
-        let to = self.merge_give_to?;
-        Some((to, self.range, self.store.to_vec()))
-    }
-
-    /// Sends the full merge grant to the predecessor. Called by the index
-    /// layer once the availability protections (extra-hop replication and
-    /// ring leave) have completed.
-    pub fn send_merge_grant(&mut self, fx: &mut Effects<DsMsg>) -> Option<PeerId> {
-        let (to, range, items) = self.merge_give_payload()?;
-        self.item_writes_blocked = true;
-        fx.send(
-            to,
-            DsMsg::MergeGrant {
-                range,
-                items,
-                granter_value: range.high(),
-            },
-        );
-        // The requester is this peer's *predecessor*: its failure is
-        // invisible to the ping loop, so only a timer can end the wait.
         fx.timer(
             self.cfg.leave_absorb_timeout,
             DsMsg::GiveTimeout {
                 to,
-                boundary: None,
-                attempt: 1,
+                boundary,
+                attempt,
             },
         );
+    }
+
+    /// Sends the full merge grant (copies; nothing is removed until the
+    /// predecessor acknowledges). Called by the index layer once the
+    /// availability protections (extra-hop replication and ring leave) have
+    /// completed. Returns `None` if no full give is in flight.
+    pub fn send_merge_grant(&mut self, fx: &mut Effects<DsMsg>) -> Option<PeerId> {
+        let giving = self.giving.as_mut().filter(|g| g.give == Give::All)?;
+        let to = giving.to?;
+        giving.sent = true;
+        fx.send(
+            to,
+            DsMsg::MergeGrant {
+                range: self.range,
+                items: self.store.to_vec(),
+                granter_value: self.range.high(),
+            },
+        );
+        self.arm_give_timeout(to, None, 1, fx);
         Some(to)
     }
 
     /// Aborts an announced merge-give (for example when the ring refuses to
     /// start a `leave` because another operation is in flight). The requester
     /// is expected to be told via a `MergeDeclined` by the caller.
-    pub fn cancel_merge_give(&mut self, _fx: &mut Effects<DsMsg>) {
-        self.merge_give_to = None;
+    pub fn cancel_merge_give(&mut self) {
+        self.giving = None;
         self.rebalancing = false;
-        self.item_writes_blocked = false;
     }
 
-    /// Requester side: absorb the granter's range and items (deferred while
-    /// scans pass).
-    pub(crate) fn on_merge_grant(
+    /// Giving side: the receiver's acknowledgement never arrived — it
+    /// fail-stopped mid-transfer (it is this peer's predecessor, invisible
+    /// to the ping loop).
+    ///
+    /// * A redistribute give is simply aborted: copy-then-delete means every
+    ///   item is still here, and the requester's range is revived by its own
+    ///   successor's takeover.
+    /// * A merge give cannot be aborted — this peer has already left the
+    ///   ring. It completes the give unilaterally instead: the pre-leave
+    ///   additional-hop replication has pushed every item it holds, so the
+    ///   takeover of this (now unowned) range revives them from replicas,
+    ///   exactly as if this peer had failed.
+    pub(crate) fn on_give_timeout(
+        &mut self,
+        ctx: LayerCtx,
+        to: PeerId,
+        boundary: Option<PeerValue>,
+        attempt: u32,
+        fx: &mut Effects<DsMsg>,
+    ) {
+        let give = boundary.map_or(Give::All, Give::Lower);
+        if !self.is_giving(give) {
+            return; // resolved (acked, abort-acked or cancelled) in the meantime
+        }
+        match boundary {
+            None => {
+                if self.giving.and_then(|g| g.to) == Some(to) {
+                    self.write_or_defer(ctx, DeferredWrite::Finish(give), fx);
+                }
+            }
+            // The requester may be alive with the grant parked behind scan
+            // locks: ask it to drop the grant, and only abort unilaterally
+            // if that, too, goes unanswered.
+            Some(b) if attempt == 1 => {
+                fx.send(to, DsMsg::RedistributeAbort { new_boundary: b });
+                self.arm_give_timeout(to, boundary, 2, fx);
+            }
+            // Neither a RedistributeAck nor an abort ack within a whole
+            // extra guard period: the requester is dead.
+            Some(_) => self.abort_give(ctx, fx),
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // the receiving side
+    // ------------------------------------------------------------------
+
+    /// A grant arrived: install it (deferred while scans pass). A grant from
+    /// the successor also answers this peer's merge request.
+    pub(crate) fn on_grant(
         &mut self,
         ctx: LayerCtx,
         from: PeerId,
+        give: Give,
         range: CircularRange,
         items: Vec<(u64, Item)>,
-        _granter_value: PeerValue,
         fx: &mut Effects<DsMsg>,
     ) {
-        self.merge_requested_from = None;
-        self.write_or_defer(
-            ctx,
-            DeferredWrite::ApplyMergeGrant {
-                range,
-                items,
-                granter: from,
-            },
-            fx,
-        );
+        if !matches!(give, Give::Upper(_)) {
+            self.merge_requested_from = None;
+        }
+        let install = DeferredWrite::Install {
+            give,
+            range,
+            items,
+            giver: from,
+        };
+        self.write_or_defer(ctx, install, fx);
     }
 
-    /// Granter side: the requester absorbed everything; become a free peer
-    /// (deferred while scans pass).
-    pub(crate) fn on_merge_grant_ack(&mut self, ctx: LayerCtx, fx: &mut Effects<DsMsg>) {
-        self.write_or_defer(ctx, DeferredWrite::FinishMergeGive, fx);
+    /// Requester side: the granter's guard expired and it wants the grant
+    /// back. If the grant is still parked behind scan locks, drop it and
+    /// confirm; if it was already applied, ignore — our `RedistributeAck`
+    /// is on its way (per-pair FIFO delivery guarantees the grant itself
+    /// cannot still be in flight behind this abort).
+    pub(crate) fn on_redistribute_abort(
+        &mut self,
+        from: PeerId,
+        new_boundary: PeerValue,
+        fx: &mut Effects<DsMsg>,
+    ) {
+        let before = self.deferred.len();
+        self.deferred.retain(|w| {
+            !matches!(w, DeferredWrite::Install { give, giver, .. }
+                if *giver == from && *give == Give::Lower(new_boundary))
+        });
+        if self.deferred.len() != before {
+            self.rebalancing = false;
+            fx.send(from, DsMsg::RedistributeAbortAck { new_boundary });
+            fx.timer(self.cfg.rebalance_retry_delay, DsMsg::RebalanceRetry);
+        }
     }
 
     /// Requester side: the successor declined; retry later. Also unlocks a
@@ -419,12 +420,7 @@ impl DataStoreState {
     /// match the operation being declined — a stale decline from an
     /// already-cleaned-up operation must not unlock an unrelated in-flight
     /// one.
-    pub(crate) fn on_merge_declined(
-        &mut self,
-        _ctx: LayerCtx,
-        from: PeerId,
-        fx: &mut Effects<DsMsg>,
-    ) {
+    pub(crate) fn on_merge_declined(&mut self, from: PeerId, fx: &mut Effects<DsMsg>) {
         let was_requester = self.merge_requested_from == Some(from);
         let was_absorbing = self.absorbing_leave_from == Some(from);
         if !was_requester && !was_absorbing {
@@ -454,8 +450,7 @@ impl DataStoreState {
     /// right now (free, rebalancing, sole owner of the ring, …).
     pub fn begin_voluntary_leave(&mut self, pred: PeerId, fx: &mut Effects<DsMsg>) -> bool {
         if self.status != DsStatus::Live
-            || self.rebalancing
-            || self.item_writes_blocked
+            || self.is_busy()
             || self.leave_offered_to.is_some()
             || self.range.is_full()
             || pred == self.id
@@ -482,23 +477,13 @@ impl DataStoreState {
     /// offer. The offer is only accepted when it comes from this peer's
     /// *direct* successor as currently cached — anything else means the
     /// topology between the two has changed and absorbing the range would
-    /// corrupt the partition.
-    pub(crate) fn on_leave_offer(
-        &mut self,
-        _ctx: LayerCtx,
-        from: PeerId,
-        leaver_value: PeerValue,
-        fx: &mut Effects<DsMsg>,
-    ) {
-        // Only the peer identity is compared: the cached successor *value*
-        // reflects the moment the successor was announced and goes stale when
-        // the successor later splits (its value moves down). `leaver_value`
-        // stays in the message for diagnostics and tracing.
-        let _ = leaver_value;
+    /// corrupt the partition. Only the peer identity is compared: the cached
+    /// successor *value* reflects the moment the successor was announced and
+    /// goes stale when the successor later splits (its value moves down).
+    pub(crate) fn on_leave_offer(&mut self, from: PeerId, fx: &mut Effects<DsMsg>) {
         let from_direct_successor = self.succ.map(|(p, _)| p) == Some(from);
         if self.status != DsStatus::Live
-            || self.rebalancing
-            || self.item_writes_blocked
+            || self.is_busy()
             || self.absorbing_leave_from.is_some()
             || !from_direct_successor
         {
@@ -518,152 +503,36 @@ impl DataStoreState {
 
     /// Leaver side: the predecessor is locked; run the availability
     /// protections and grant, exactly like an underflow-driven full merge.
-    pub(crate) fn on_leave_offer_ack(
-        &mut self,
-        _ctx: LayerCtx,
-        from: PeerId,
-        fx: &mut Effects<DsMsg>,
-    ) {
+    pub(crate) fn on_leave_offer_ack(&mut self, from: PeerId, fx: &mut Effects<DsMsg>) {
         if self.leave_offered_to != Some(from) {
             return;
         }
         self.leave_offered_to = None;
-        if self.status != DsStatus::Live
-            || self.rebalancing
-            || self.item_writes_blocked
-            || self.range.is_full()
-        {
+        if self.status != DsStatus::Live || self.is_busy() || self.range.is_full() {
             // A split/merge started while the offer was in flight: abort the
             // leave and release the locked predecessor.
             fx.send(from, DsMsg::MergeDeclined);
             return;
         }
-        self.rebalancing = true;
-        self.merge_give_to = Some(from);
-        self.emit(DsEvent::MergeGiveStarted { to: from });
+        self.start_full_give(from);
     }
 
-    /// Leaver side: the predecessor cannot absorb right now; stay in the
-    /// ring.
-    pub(crate) fn on_leave_offer_declined(&mut self, _ctx: LayerCtx, from: PeerId) {
-        if self.leave_offered_to == Some(from) {
+    /// Leaver side: the predecessor `pred` declined the offer, or never
+    /// answered it (failed, or the cached pointer was stale). Stay in the
+    /// ring; a later leave can offer again.
+    pub(crate) fn clear_leave_offer(&mut self, pred: PeerId) {
+        if self.leave_offered_to == Some(pred) {
             self.leave_offered_to = None;
         }
     }
 
     /// Predecessor side: the merge grant never arrived (the leaver probably
     /// failed mid-leave); unlock.
-    pub(crate) fn on_leave_absorb_timeout(&mut self, _ctx: LayerCtx, from: PeerId) {
+    pub(crate) fn on_leave_absorb_timeout(&mut self, from: PeerId) {
         if self.absorbing_leave_from == Some(from) {
             self.absorbing_leave_from = None;
             self.rebalancing = false;
             self.recheck_balance();
-        }
-    }
-
-    /// Giving side: the receiver's acknowledgement never arrived — it
-    /// fail-stopped mid-transfer (it is this peer's predecessor, invisible
-    /// to the ping loop).
-    ///
-    /// * A redistribute give is simply aborted: copy-then-delete means every
-    ///   item is still here, and the requester's range is revived by its own
-    ///   successor's takeover.
-    /// * A merge give cannot be aborted — this peer has already left the
-    ///   ring. It completes the give unilaterally instead: the pre-leave
-    ///   additional-hop replication has pushed every item it holds, so the
-    ///   takeover of this (now unowned) range revives them from replicas,
-    ///   exactly as if this peer had failed.
-    pub(crate) fn on_give_timeout(
-        &mut self,
-        ctx: LayerCtx,
-        to: PeerId,
-        boundary: Option<PeerValue>,
-        attempt: u32,
-        fx: &mut Effects<DsMsg>,
-    ) {
-        match boundary {
-            None => {
-                if self.merge_give_to == Some(to) {
-                    self.write_or_defer(ctx, DeferredWrite::FinishMergeGive, fx);
-                }
-            }
-            Some(b) => {
-                if self.redistribute_give_boundary != Some(b) {
-                    return; // resolved (acked or abort-acked) in the meantime
-                }
-                if attempt == 1 {
-                    // The requester may be alive with the grant parked
-                    // behind scan locks: ask it to drop the grant, and only
-                    // abort unilaterally if that, too, goes unanswered.
-                    fx.send(to, DsMsg::RedistributeAbort { new_boundary: b });
-                    fx.timer(
-                        self.cfg.leave_absorb_timeout,
-                        DsMsg::GiveTimeout {
-                            to,
-                            boundary: Some(b),
-                            attempt: 2,
-                        },
-                    );
-                } else {
-                    // Neither a RedistributeAck nor an abort ack within a
-                    // whole extra guard period: the requester is dead.
-                    // Copy-then-delete means every item is still here.
-                    self.redistribute_give_boundary = None;
-                    self.rebalancing = false;
-                    self.unblock_item_writes(ctx, fx);
-                    fx.timer(self.cfg.rebalance_retry_delay, DsMsg::RebalanceRetry);
-                }
-            }
-        }
-    }
-
-    /// Requester side: the granter's guard expired and it wants the grant
-    /// back. If the grant is still parked behind scan locks, drop it and
-    /// confirm; if it was already applied, ignore — our `RedistributeAck`
-    /// is on its way (per-pair FIFO delivery guarantees the grant itself
-    /// cannot still be in flight behind this abort).
-    pub(crate) fn on_redistribute_abort(
-        &mut self,
-        _ctx: LayerCtx,
-        from: PeerId,
-        new_boundary: PeerValue,
-        fx: &mut Effects<DsMsg>,
-    ) {
-        let before = self.deferred.len();
-        self.deferred.retain(|w| {
-            !matches!(w,
-                DeferredWrite::ApplyRedistribute { granter, new_boundary: b, .. }
-                    if *granter == from && *b == new_boundary)
-        });
-        if self.deferred.len() != before {
-            self.rebalancing = false;
-            fx.send(from, DsMsg::RedistributeAbortAck { new_boundary });
-            fx.timer(self.cfg.rebalance_retry_delay, DsMsg::RebalanceRetry);
-        }
-    }
-
-    /// Granter side: the requester dropped the unapplied grant; keep the
-    /// range and items and unlock.
-    pub(crate) fn on_redistribute_abort_ack(
-        &mut self,
-        ctx: LayerCtx,
-        new_boundary: PeerValue,
-        fx: &mut Effects<DsMsg>,
-    ) {
-        if self.redistribute_give_boundary == Some(new_boundary) {
-            self.redistribute_give_boundary = None;
-            self.rebalancing = false;
-            self.unblock_item_writes(ctx, fx);
-            fx.timer(self.cfg.rebalance_retry_delay, DsMsg::RebalanceRetry);
-        }
-    }
-
-    /// Leaver side: the offered predecessor never answered (failed, or the
-    /// cached pointer was stale); clear the offer so a later leave can be
-    /// attempted.
-    pub(crate) fn on_leave_offer_timeout(&mut self, _ctx: LayerCtx, to: PeerId) {
-        if self.leave_offered_to == Some(to) {
-            self.leave_offered_to = None;
         }
     }
 
@@ -679,177 +548,100 @@ impl DataStoreState {
         fx: &mut Effects<DsMsg>,
     ) {
         match write {
-            DeferredWrite::CompleteSplit { moved } => {
-                let removed = self.store.take_range(&moved);
-                for (mapped, item) in &removed {
-                    self.emit(DsEvent::ItemRemoved {
-                        item: item.id,
-                        mapped: *mapped,
-                    });
+            DeferredWrite::Install {
+                give,
+                range,
+                items,
+                giver,
+            } => {
+                for (mapped, item) in items {
+                    self.emit(DsEvent::ItemStored { item: item.clone() });
+                    self.store.insert(mapped, item);
                 }
-                // The kept range is everything up to the boundary.
-                let boundary = moved.low();
-                let new_range = if self.range.is_full() {
-                    CircularRange::new(moved.high(), boundary)
+                if let Give::Upper(_) = give {
+                    // A freshly joined peer owns nothing yet.
+                    self.status = DsStatus::Live;
+                    self.range = range;
                 } else {
-                    CircularRange::new(self.range.low(), boundary)
-                };
-                self.range = new_range;
-                self.pending_split = None;
-                self.handoff_to = None;
-                self.rebalancing = false;
-                self.emit(DsEvent::RangeChanged {
-                    range: self.range,
-                    value: self.range.high(),
-                    grew: false,
-                });
-                self.unblock_item_writes(ctx, fx);
-                self.recheck_balance();
-            }
-            DeferredWrite::InstallHandoff {
-                range,
-                items,
-                splitter,
-            } => {
-                self.status = DsStatus::Live;
-                self.range = range;
-                for (mapped, item) in items {
-                    self.emit(DsEvent::ItemStored { item: item.clone() });
-                    self.store.insert(mapped, item);
-                }
-                self.emit(DsEvent::RangeChanged {
-                    range: self.range,
-                    value: self.range.high(),
-                    grew: true,
-                });
-                fx.send(splitter, DsMsg::HandoffAck);
-                self.recheck_balance();
-            }
-            DeferredWrite::ApplyRedistribute {
-                items,
-                new_boundary,
-                granter_low,
-                granter,
-            } => {
-                for (mapped, item) in items {
-                    self.emit(DsEvent::ItemStored { item: item.clone() });
-                    self.store.insert(mapped, item);
-                }
-                // The granter is normally ring-adjacent: its low end is this
-                // peer's high end. When a peer between the two failed and
-                // its takeover had not run yet, this redistribute bridges
-                // the dead peer's stretch — report it so the layer above
-                // revives its items from replicas (exactly like the
-                // non-adjacent merge-grant case below).
-                if granter_low != self.range.high() {
-                    let gap = CircularRange::new(self.range.high(), granter_low);
-                    if !gap.is_empty() {
-                        self.emit(DsEvent::RangeBridged { gap });
-                    }
-                }
-                self.range = CircularRange::new(self.range.low(), new_boundary);
-                self.rebalancing = false;
-                self.emit(DsEvent::RangeChanged {
-                    range: self.range,
-                    value: self.range.high(),
-                    grew: true,
-                });
-                fx.send(granter, DsMsg::RedistributeAck { new_boundary });
-                self.recheck_balance();
-            }
-            DeferredWrite::FinishRedistribute { new_boundary } => {
-                if self.redistribute_give_boundary != Some(new_boundary) {
-                    // Aborted by the give timeout (guard cleared), or a
-                    // stale ack from an earlier give (guard holds a newer
-                    // boundary): committing it would cut the range at the
-                    // wrong place.
-                    return;
-                }
-                self.redistribute_give_boundary = None;
-                let moving = CircularRange::new(self.range.low(), new_boundary);
-                let removed = self.store.take_range(&moving);
-                for (mapped, item) in &removed {
-                    self.emit(DsEvent::ItemRemoved {
-                        item: item.id,
-                        mapped: *mapped,
-                    });
-                }
-                self.range = CircularRange::new(new_boundary, self.range.high());
-                self.rebalancing = false;
-                self.emit(DsEvent::RangeChanged {
-                    range: self.range,
-                    value: self.range.high(),
-                    grew: false,
-                });
-                self.unblock_item_writes(ctx, fx);
-                self.recheck_balance();
-            }
-            DeferredWrite::ApplyMergeGrant {
-                range,
-                items,
-                granter,
-            } => {
-                for (mapped, item) in items {
-                    self.emit(DsEvent::ItemStored { item: item.clone() });
-                    self.store.insert(mapped, item);
-                }
-                match self.range.merge_with_successor(&range) {
-                    Some(merged) => self.range = merged,
-                    None => {
+                    self.range = self.range.merge_with_successor(&range).unwrap_or_else(|| {
                         // The grant does not start where this range ends:
-                        // the granter departed across peers that failed in
-                        // between (their takeover had not happened yet).
+                        // the giver is normally ring-adjacent, but peers in
+                        // between failed and their takeover had not run yet.
                         // Absorbing bridges their unowned stretch — report
                         // it so the layer above revives its items from
                         // replicas, exactly like a failure takeover.
                         let gap = CircularRange::new(self.range.high(), range.low());
-                        if !gap.is_empty() {
-                            self.emit(DsEvent::RangeBridged { gap });
-                        }
-                        self.range = CircularRange::new(self.range.low(), range.high());
-                    }
-                }
-                self.rebalancing = false;
-                if self.absorbing_leave_from == Some(granter) {
-                    self.absorbing_leave_from = None;
+                        self.emit(DsEvent::RangeBridged { gap });
+                        CircularRange::new(self.range.low(), range.high())
+                    });
+                    self.rebalancing = false;
                 }
                 self.emit(DsEvent::RangeChanged {
                     range: self.range,
                     value: self.range.high(),
                     grew: true,
                 });
-                self.emit(DsEvent::AbsorbedSuccessor { granter });
-                fx.send(granter, DsMsg::MergeGrantAck);
-                // Absorbing a voluntary leaver can overflow a peer of any
-                // size; re-check so the split fires without waiting for the
-                // next item write.
+                let ack = match give {
+                    Give::Upper(_) => DsMsg::HandoffAck,
+                    Give::Lower(new_boundary) => DsMsg::RedistributeAck { new_boundary },
+                    Give::All => {
+                        if self.absorbing_leave_from == Some(giver) {
+                            self.absorbing_leave_from = None;
+                        }
+                        self.emit(DsEvent::AbsorbedSuccessor { granter: giver });
+                        DsMsg::MergeGrantAck
+                    }
+                };
+                fx.send(giver, ack);
+                // Absorbing (a voluntary leaver above all) can overflow a
+                // peer of any size; re-check so the split fires without
+                // waiting for the next item write.
                 self.recheck_balance();
             }
-            DeferredWrite::FinishMergeGive => {
-                if self.status == DsStatus::Free {
-                    return; // already completed (e.g. give timeout + late ack)
+            DeferredWrite::Finish(give) => {
+                // Staleness is per kind. A split completion carries its own
+                // boundary and applies even after `on_peer_failed` cleared
+                // the record. A redistribute ack must match the record: it
+                // may have been aborted by the give timeout, or belong to an
+                // earlier give, and would cut the range at the wrong place.
+                // A full give completes once (give timeout + late ack).
+                let stale = match give {
+                    Give::Upper(_) => false,
+                    Give::Lower(_) => !self.is_giving(give),
+                    Give::All => self.status == DsStatus::Free,
+                };
+                if stale {
+                    return;
                 }
-                let removed = self.store.drain_all();
-                for (mapped, item) in &removed {
+                let (moved, kept) = self.parts(give);
+                for (mapped, item) in self.store.take_range(&moved) {
                     self.emit(DsEvent::ItemRemoved {
                         item: item.id,
-                        mapped: *mapped,
+                        mapped,
                     });
                 }
-                let anchor = self.range.high();
-                self.range = CircularRange::empty(anchor);
-                self.status = DsStatus::Free;
+                self.range = kept;
                 self.rebalancing = false;
-                self.merge_give_to = None;
-                self.emit(DsEvent::BecameFree);
+                if give == Give::All {
+                    self.status = DsStatus::Free;
+                    self.emit(DsEvent::BecameFree);
+                } else {
+                    self.emit(DsEvent::RangeChanged {
+                        range: self.range,
+                        value: self.range.high(),
+                        grew: false,
+                    });
+                }
                 self.unblock_item_writes(ctx, fx);
+                self.recheck_balance();
             }
         }
     }
 
-    /// Re-dispatches item writes that were parked during a transfer.
+    /// Ends the in-flight give and re-dispatches the item writes that were
+    /// parked while it was on the wire.
     fn unblock_item_writes(&mut self, ctx: LayerCtx, fx: &mut Effects<DsMsg>) {
-        self.item_writes_blocked = false;
+        self.giving = None;
         let parked = std::mem::take(&mut self.blocked_item_writes);
         for (from, msg) in parked {
             self.dispatch(ctx, from, msg, fx);
@@ -882,6 +674,11 @@ mod tests {
         ds
     }
 
+    /// Delivers `msg` from peer `from` through the layer's message dispatch.
+    fn deliver(ds: &mut DataStoreState, from: u64, msg: DsMsg, fx: &mut Effects<DsMsg>) {
+        ds.handle(ctx(ds.id().raw()), PeerId(from), msg, fx);
+    }
+
     // -------------------------------------------------------------- split
 
     #[test]
@@ -897,7 +694,7 @@ mod tests {
 
         // The ring join happens here (index layer); then the hand-off.
         let mut fx = Effects::new();
-        let moved = q.send_handoff(ctx(1), PeerId(9), &mut fx).unwrap();
+        let moved = q.send_handoff(PeerId(9), &mut fx).unwrap();
         assert_eq!(moved, CircularRange::new(30u64, 100u64));
         let handoff = fx.drain();
         let (range, items) = match &handoff[0] {
@@ -918,7 +715,7 @@ mod tests {
         let mut n = DataStoreState::new_free(PeerId(9), DsConfig::test());
         n.became_ring_member(PeerValue(100));
         let mut nfx = Effects::new();
-        n.on_handoff_install(ctx(9), PeerId(1), range, items, &mut nfx);
+        deliver(&mut n, 1, DsMsg::HandoffInstall { range, items }, &mut nfx);
         assert_eq!(n.status(), DsStatus::Live);
         assert_eq!(n.item_count(), 3);
         assert_eq!(n.range(), CircularRange::new(30u64, 100u64));
@@ -929,7 +726,7 @@ mod tests {
 
         // The splitter completes on the ack.
         let mut qfx = Effects::new();
-        q.on_handoff_ack(ctx(1), &mut qfx);
+        deliver(&mut q, 9, DsMsg::HandoffAck, &mut qfx);
         assert_eq!(q.item_count(), 3);
         assert_eq!(q.range(), CircularRange::new(0u64, 30u64));
         assert!(!q.is_rebalancing());
@@ -952,9 +749,9 @@ mod tests {
         assert_eq!(new_value, PeerValue(100));
         assert_eq!(boundary, PeerValue(20));
         let mut fx = Effects::new();
-        let moved = q.send_handoff(ctx(1), PeerId(9), &mut fx).unwrap();
+        let moved = q.send_handoff(PeerId(9), &mut fx).unwrap();
         assert_eq!(moved, CircularRange::new(20u64, 100u64));
-        q.on_handoff_ack(ctx(1), &mut fx);
+        deliver(&mut q, 9, DsMsg::HandoffAck, &mut fx);
         assert_eq!(q.range(), CircularRange::new(100u64, 20u64));
         assert_eq!(q.item_count(), 2);
     }
@@ -973,7 +770,7 @@ mod tests {
         q.check_overflow();
         q.begin_split().unwrap();
         let mut fx = Effects::new();
-        q.send_handoff(ctx(1), PeerId(9), &mut fx).unwrap();
+        q.send_handoff(PeerId(9), &mut fx).unwrap();
 
         // An insert arriving mid-hand-off is parked, not lost and not stored.
         let mut fx2 = Effects::new();
@@ -992,7 +789,7 @@ mod tests {
         // After the ack the parked insert is re-dispatched; since 45 is now
         // outside the shrunk range it bounces back for re-routing.
         let mut fx3 = Effects::new();
-        q.on_handoff_ack(ctx(1), &mut fx3);
+        deliver(&mut q, 9, DsMsg::HandoffAck, &mut fx3);
         assert!(fx3.iter().any(|e| matches!(
             e,
             Effect::Send { to, msg: DsMsg::NotResponsible { mapped: 45 } } if *to == PeerId(5)
@@ -1026,7 +823,15 @@ mod tests {
         };
 
         let mut sfx = Effects::new();
-        s.on_merge_request(ctx(2), PeerId(1), req_items, req_value, &mut sfx);
+        deliver(
+            &mut s,
+            1,
+            DsMsg::MergeRequest {
+                requester_items: req_items,
+                requester_value: req_value,
+            },
+            &mut sfx,
+        );
         let grant = sfx.drain().remove(0);
         let (items, new_boundary) = match grant {
             Effect::Send {
@@ -1052,12 +857,14 @@ mod tests {
 
         // Requester installs and acks.
         let mut qfx = Effects::new();
-        q.on_redistribute_grant(
-            ctx(1),
-            PeerId(2),
-            items,
-            new_boundary,
-            PeerValue(30),
+        deliver(
+            &mut q,
+            2,
+            DsMsg::RedistributeGrant {
+                items,
+                new_boundary,
+                granter_low: PeerValue(30),
+            },
             &mut qfx,
         );
         assert_eq!(q.item_count(), 3);
@@ -1070,7 +877,12 @@ mod tests {
 
         // Granter finishes.
         let mut sfx2 = Effects::new();
-        s.on_redistribute_ack(ctx(2), new_boundary, &mut sfx2);
+        deliver(
+            &mut s,
+            1,
+            DsMsg::RedistributeAck { new_boundary },
+            &mut sfx2,
+        );
         assert_eq!(s.item_count(), 4);
         assert_eq!(s.range(), CircularRange::new(50u64, 100u64));
         assert!(!s.is_rebalancing());
@@ -1083,7 +895,15 @@ mod tests {
         let mut s = live_peer(2, 30, 100, &[40, 90]);
         let mut fx = Effects::new();
 
-        s.on_merge_request(ctx(2), PeerId(1), 1, PeerValue(30), &mut fx);
+        deliver(
+            &mut s,
+            1,
+            DsMsg::MergeRequest {
+                requester_items: 1,
+                requester_value: PeerValue(30),
+            },
+            &mut fx,
+        );
         assert!(
             fx.is_empty(),
             "full merge defers the grant to the index layer"
@@ -1114,7 +934,16 @@ mod tests {
         // Requester absorbs.
         let mut qfx = Effects::new();
         q.rebalancing = true;
-        q.on_merge_grant(ctx(1), PeerId(2), range, items, gvalue, &mut qfx);
+        deliver(
+            &mut q,
+            2,
+            DsMsg::MergeGrant {
+                range,
+                items,
+                granter_value: gvalue,
+            },
+            &mut qfx,
+        );
         assert_eq!(q.range(), CircularRange::new(0u64, 100u64));
         assert_eq!(q.item_count(), 3);
         assert!(q
@@ -1128,7 +957,7 @@ mod tests {
 
         // Granter becomes free.
         let mut sfx2 = Effects::new();
-        s.on_merge_grant_ack(ctx(2), &mut sfx2);
+        deliver(&mut s, 1, DsMsg::MergeGrantAck, &mut sfx2);
         assert_eq!(s.status(), DsStatus::Free);
         assert_eq!(s.item_count(), 0);
         assert!(s
@@ -1142,7 +971,15 @@ mod tests {
         let mut s = live_peer(2, 30, 100, &[40, 50, 60, 70, 80]);
         s.rebalancing = true;
         let mut fx = Effects::new();
-        s.on_merge_request(ctx(2), PeerId(1), 1, PeerValue(30), &mut fx);
+        deliver(
+            &mut s,
+            1,
+            DsMsg::MergeRequest {
+                requester_items: 1,
+                requester_value: PeerValue(30),
+            },
+            &mut fx,
+        );
         assert!(fx.iter().any(|e| matches!(
             e,
             Effect::Send {
@@ -1156,11 +993,11 @@ mod tests {
         q.merge_requested_from = Some(PeerId(2));
         let mut qfx = Effects::new();
         // A decline from an unrelated peer is ignored.
-        q.on_merge_declined(ctx(1), PeerId(9), &mut qfx);
+        deliver(&mut q, 9, DsMsg::MergeDeclined, &mut qfx);
         assert!(q.is_rebalancing());
         assert!(qfx.is_empty());
         // The decline from the peer actually asked releases the rebalance.
-        q.on_merge_declined(ctx(1), PeerId(2), &mut qfx);
+        deliver(&mut q, 2, DsMsg::MergeDeclined, &mut qfx);
         assert!(!q.is_rebalancing());
         assert!(qfx.iter().any(|e| matches!(
             e,
@@ -1174,7 +1011,7 @@ mod tests {
     #[test]
     fn rebalance_retry_rechecks_thresholds() {
         let mut q = live_peer(1, 0, 30, &[10]);
-        q.on_rebalance_retry(ctx(1));
+        deliver(&mut q, 1, DsMsg::RebalanceRetry, &mut Effects::new());
         assert!(q
             .drain_events()
             .iter()
@@ -1187,12 +1024,14 @@ mod tests {
         q.rebalancing = true;
         q.acquire_scan_lock();
         let mut fx = Effects::new();
-        q.on_merge_grant(
-            ctx(1),
-            PeerId(2),
-            CircularRange::new(30u64, 100u64),
-            vec![(40, item(40))],
-            PeerValue(100),
+        deliver(
+            &mut q,
+            2,
+            DsMsg::MergeGrant {
+                range: CircularRange::new(30u64, 100u64),
+                items: vec![(40, item(40))],
+                granter_value: PeerValue(100),
+            },
             &mut fx,
         );
         // Nothing applied, no ack sent while the scan lock is held.
@@ -1230,7 +1069,15 @@ mod tests {
         let mut s = DataStoreState::new_first(PeerId(2), PeerValue(100), DsConfig::test());
         s.store.insert(40, item(40));
         let mut fx = Effects::new();
-        s.on_merge_request(ctx(2), PeerId(1), 0, PeerValue(30), &mut fx);
+        deliver(
+            &mut s,
+            1,
+            DsMsg::MergeRequest {
+                requester_items: 0,
+                requester_value: PeerValue(30),
+            },
+            &mut fx,
+        );
         assert!(fx.iter().any(|e| matches!(
             e,
             Effect::Send {
@@ -1246,7 +1093,7 @@ mod tests {
         q.check_overflow();
         q.begin_split().unwrap();
         let mut fx = Effects::new();
-        q.send_handoff(ctx(1), PeerId(9), &mut fx).unwrap();
+        q.send_handoff(PeerId(9), &mut fx).unwrap();
         // An insert arriving mid-hand-off is parked.
         q.handle(
             ctx(1),
@@ -1281,6 +1128,29 @@ mod tests {
     }
 
     #[test]
+    fn parked_split_completion_survives_the_receivers_failure() {
+        let mut q = live_peer(1, 0, 100, &[10, 20, 30, 40, 50, 60]);
+        q.check_overflow();
+        q.begin_split().unwrap();
+        let mut fx = Effects::new();
+        q.send_handoff(PeerId(9), &mut fx).unwrap();
+        // The receiver installed and acknowledged, but a scan holds the
+        // range lock here: the completion is parked.
+        q.acquire_scan_lock();
+        deliver(&mut q, 9, DsMsg::HandoffAck, &mut fx);
+        assert_eq!(q.range(), CircularRange::new(0u64, 100u64));
+        // The receiver is then declared failed: the record is cleared and
+        // parked item writes resume...
+        q.on_peer_failed(ctx(1), PeerId(9), &mut fx);
+        assert!(!q.is_item_writes_blocked());
+        // ...but the receiver did install, so the parked completion must
+        // still shrink the range — otherwise both peers own (30, 100].
+        q.release_scan_lock(ctx(1), &mut fx);
+        assert_eq!(q.range(), CircularRange::new(0u64, 30u64));
+        assert_eq!(q.item_count(), 3);
+    }
+
+    #[test]
     fn dead_merge_target_unsticks_the_requester() {
         let mut q = live_peer(1, 0, 30, &[10]);
         q.check_underflow();
@@ -1308,7 +1178,15 @@ mod tests {
         // Redistribute granter: requester dies before the ack.
         let mut s = live_peer(2, 30, 100, &[40, 50, 60, 70, 80, 90]);
         let mut fx = Effects::new();
-        s.on_merge_request(ctx(2), PeerId(1), 1, PeerValue(30), &mut fx);
+        deliver(
+            &mut s,
+            1,
+            DsMsg::MergeRequest {
+                requester_items: 1,
+                requester_value: PeerValue(30),
+            },
+            &mut fx,
+        );
         assert!(s.is_rebalancing() && s.is_item_writes_blocked());
         // A stale guard for a different boundary is ignored.
         s.on_give_timeout(ctx(2), PeerId(1), Some(PeerValue(99)), 1, &mut fx);
@@ -1328,7 +1206,14 @@ mod tests {
         assert!(!s.is_rebalancing() && !s.is_item_writes_blocked());
         assert_eq!(s.item_count(), 6);
         // The requester's late ack must not shrink the range a second time.
-        s.on_redistribute_ack(ctx(2), PeerValue(50), &mut fx);
+        deliver(
+            &mut s,
+            1,
+            DsMsg::RedistributeAck {
+                new_boundary: PeerValue(50),
+            },
+            &mut fx,
+        );
         assert_eq!(s.item_count(), 6);
         assert_eq!(s.range(), CircularRange::new(30u64, 100u64));
 
@@ -1337,7 +1222,15 @@ mod tests {
         // (items survive as replicas pushed by the pre-leave protection).
         let mut g = live_peer(3, 30, 100, &[40, 90]);
         let mut gfx = Effects::new();
-        g.on_merge_request(ctx(3), PeerId(1), 1, PeerValue(30), &mut gfx);
+        deliver(
+            &mut g,
+            1,
+            DsMsg::MergeRequest {
+                requester_items: 1,
+                requester_value: PeerValue(30),
+            },
+            &mut gfx,
+        );
         g.drain_events();
         g.send_merge_grant(&mut gfx);
         // Guard for a different requester is ignored.
@@ -1350,7 +1243,7 @@ mod tests {
             .iter()
             .any(|e| matches!(e, DsEvent::BecameFree)));
         // A late ack after the forced completion is a no-op.
-        g.on_merge_grant_ack(ctx(3), &mut gfx);
+        deliver(&mut g, 1, DsMsg::MergeGrantAck, &mut gfx);
         assert_eq!(g.status(), DsStatus::Free);
     }
 
@@ -1367,12 +1260,14 @@ mod tests {
         let mut q = live_peer(1, 0, 30, &[10]);
         q.rebalancing = true;
         let mut qfx = Effects::new();
-        q.on_redistribute_grant(
-            ctx(1),
-            PeerId(2),
-            vec![(70, item(70))],
-            PeerValue(80),
-            PeerValue(60), // granter's low ≠ q's high 30: (30, 60] is bridged
+        deliver(
+            &mut q,
+            2,
+            DsMsg::RedistributeGrant {
+                items: vec![(70, item(70))],
+                new_boundary: PeerValue(80),
+                granter_low: PeerValue(60),
+            },
             &mut qfx,
         );
         assert_eq!(q.range(), CircularRange::new(0u64, 80u64));
@@ -1389,18 +1284,163 @@ mod tests {
         let mut q2 = live_peer(1, 0, 30, &[10]);
         q2.rebalancing = true;
         let mut q2fx = Effects::new();
-        q2.on_redistribute_grant(
-            ctx(1),
-            PeerId(2),
-            vec![(40, item(40))],
-            PeerValue(50),
-            PeerValue(30),
+        deliver(
+            &mut q2,
+            2,
+            DsMsg::RedistributeGrant {
+                items: vec![(40, item(40))],
+                new_boundary: PeerValue(50),
+                granter_low: PeerValue(30),
+            },
             &mut q2fx,
         );
         assert!(!q2
             .drain_events()
             .iter()
             .any(|e| matches!(e, DsEvent::RangeBridged { .. })));
+    }
+
+    #[test]
+    fn full_merge_across_a_dead_peers_range_reports_the_bridged_gap_once() {
+        // Same ring as above, but s(60,100] gives up its whole range.
+        let mut q = live_peer(1, 0, 30, &[10]);
+        q.rebalancing = true;
+        let mut qfx = Effects::new();
+        deliver(
+            &mut q,
+            2,
+            DsMsg::MergeGrant {
+                range: CircularRange::new(60u64, 100u64),
+                items: vec![(70, item(70))],
+                granter_value: PeerValue(100),
+            },
+            &mut qfx,
+        );
+        assert_eq!(q.range(), CircularRange::new(0u64, 100u64));
+        let gaps: Vec<CircularRange> = q
+            .drain_events()
+            .iter()
+            .filter_map(|e| match e {
+                DsEvent::RangeBridged { gap } => Some(*gap),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(gaps, vec![CircularRange::new(30u64, 60u64)]);
+    }
+
+    #[test]
+    fn every_give_partitions_the_range_and_conserves_items() {
+        // (giver range, its keys, boundary, predecessor range, its keys):
+        // plain, wrapping and full-circle givers. The predecessor of a
+        // full-circle giver owns nothing yet.
+        let full = CircularRange::full(100u64);
+        let cases = [
+            (
+                CircularRange::new(30u64, 100u64),
+                vec![40, 50, 60, 70],
+                50,
+                CircularRange::new(0u64, 30u64),
+                vec![10],
+            ),
+            (
+                CircularRange::new(200u64, 50u64),
+                vec![210, 250, 10, 40],
+                10,
+                CircularRange::new(100u64, 200u64),
+                vec![150],
+            ),
+            (
+                full,
+                vec![120, 250, 10, 40],
+                250,
+                CircularRange::empty(100u64),
+                vec![],
+            ),
+        ];
+        let probes = [
+            0,
+            5,
+            10,
+            11,
+            30,
+            31,
+            50,
+            51,
+            100,
+            101,
+            150,
+            200,
+            201,
+            250,
+            251,
+            u64::MAX,
+        ];
+        for (g_range, g_keys, boundary, p_range, p_keys) in cases {
+            let b = PeerValue(boundary);
+            for give in [Give::Upper(b), Give::Lower(b), Give::All] {
+                let mut g = live_peer(2, 0, 0, &g_keys);
+                g.range = g_range;
+                g.giving = Some(Giving {
+                    give,
+                    to: Some(PeerId(1)),
+                    sent: true,
+                });
+                // A split goes to a freshly joined successor, the other
+                // gives to the predecessor.
+                let mut r = if let Give::Upper(_) = give {
+                    let mut n = DataStoreState::new_free(PeerId(1), DsConfig::test());
+                    n.became_ring_member(g_range.high());
+                    n
+                } else {
+                    let mut p = live_peer(1, 0, 0, &p_keys);
+                    p.range = p_range;
+                    p
+                };
+                let (owned_before, mut keys_before) = (
+                    [g.range(), r.range()],
+                    [g.snapshot().mapped_keys, r.snapshot().mapped_keys].concat(),
+                );
+
+                // What the giver puts on the wire, then install and finish.
+                let moved = g.parts(give).0;
+                let install = DeferredWrite::Install {
+                    give,
+                    range: if give == Give::All { g_range } else { moved },
+                    items: g.store.items_in_range(&moved),
+                    giver: PeerId(2),
+                };
+                let mut fx = Effects::new();
+                r.apply_write(ctx(1), install, &mut fx);
+                g.apply_write(ctx(2), DeferredWrite::Finish(give), &mut fx);
+
+                let what = format!("{give:?} of {g_range:?}");
+                for v in probes {
+                    let owners = |ranges: [CircularRange; 2]| {
+                        ranges.iter().filter(|range| range.contains(v)).count()
+                    };
+                    assert_eq!(
+                        owners([g.range(), r.range()]),
+                        owners(owned_before),
+                        "{what}: value {v} must keep exactly its one owner"
+                    );
+                }
+                let mut keys_after = [g.snapshot().mapped_keys, r.snapshot().mapped_keys].concat();
+                keys_before.sort_unstable();
+                keys_after.sort_unstable();
+                assert_eq!(
+                    keys_after, keys_before,
+                    "{what}: no item lost or duplicated"
+                );
+                for ds in [&g, &r] {
+                    assert!(
+                        ds.items_mapped().all(|(k, _)| ds.range().contains(k)),
+                        "{what}: every item sits inside its holder's range"
+                    );
+                }
+                assert_eq!(g.giving, None, "{what}: the record is cleared");
+                assert_eq!(g.status() == DsStatus::Free, give == Give::All);
+            }
+        }
     }
 
     #[test]
@@ -1411,22 +1451,38 @@ mod tests {
         q.rebalancing = true;
         q.acquire_scan_lock();
         let mut qfx = Effects::new();
-        q.on_redistribute_grant(
-            ctx(1),
-            PeerId(2),
-            vec![(40, item(40))],
-            PeerValue(50),
-            PeerValue(30),
+        deliver(
+            &mut q,
+            2,
+            DsMsg::RedistributeGrant {
+                items: vec![(40, item(40))],
+                new_boundary: PeerValue(50),
+                granter_low: PeerValue(30),
+            },
             &mut qfx,
         );
         assert_eq!(q.range(), CircularRange::new(0u64, 30u64), "still parked");
 
         // Abort for a different boundary is ignored (nothing dropped).
         let mut qfx2 = Effects::new();
-        q.on_redistribute_abort(ctx(1), PeerId(2), PeerValue(99), &mut qfx2);
+        deliver(
+            &mut q,
+            2,
+            DsMsg::RedistributeAbort {
+                new_boundary: PeerValue(99),
+            },
+            &mut qfx2,
+        );
         assert!(qfx2.is_empty());
         // The matching abort drops the parked grant and confirms.
-        q.on_redistribute_abort(ctx(1), PeerId(2), PeerValue(50), &mut qfx2);
+        deliver(
+            &mut q,
+            2,
+            DsMsg::RedistributeAbort {
+                new_boundary: PeerValue(50),
+            },
+            &mut qfx2,
+        );
         assert!(qfx2.iter().any(|e| matches!(
             e,
             Effect::Send { to, msg: DsMsg::RedistributeAbortAck { .. } } if *to == PeerId(2)
@@ -1440,14 +1496,36 @@ mod tests {
         // Granter side: the abort ack unlocks with range and items intact.
         let mut s = live_peer(2, 30, 100, &[40, 50, 60, 70, 80, 90]);
         let mut sfx = Effects::new();
-        s.on_merge_request(ctx(2), PeerId(1), 1, PeerValue(30), &mut sfx);
+        deliver(
+            &mut s,
+            1,
+            DsMsg::MergeRequest {
+                requester_items: 1,
+                requester_value: PeerValue(30),
+            },
+            &mut sfx,
+        );
         assert!(s.is_item_writes_blocked());
-        s.on_redistribute_abort_ack(ctx(2), PeerValue(50), &mut sfx);
+        deliver(
+            &mut s,
+            1,
+            DsMsg::RedistributeAbortAck {
+                new_boundary: PeerValue(50),
+            },
+            &mut sfx,
+        );
         assert!(!s.is_rebalancing() && !s.is_item_writes_blocked());
         assert_eq!(s.item_count(), 6);
         assert_eq!(s.range(), CircularRange::new(30u64, 100u64));
         // A duplicate/stale abort ack is a no-op.
-        s.on_redistribute_abort_ack(ctx(2), PeerValue(50), &mut sfx);
+        deliver(
+            &mut s,
+            1,
+            DsMsg::RedistributeAbortAck {
+                new_boundary: PeerValue(50),
+            },
+            &mut sfx,
+        );
         assert!(!s.is_rebalancing());
     }
 
@@ -1457,7 +1535,12 @@ mod tests {
         let mut fx = Effects::new();
         assert!(s.begin_voluntary_leave(PeerId(1), &mut fx));
         // The predecessor died and never answers; the guard clears the offer.
-        s.on_leave_offer_timeout(ctx(2), PeerId(1));
+        deliver(
+            &mut s,
+            2,
+            DsMsg::LeaveOfferTimeout { to: PeerId(1) },
+            &mut Effects::new(),
+        );
         assert!(s.begin_voluntary_leave(PeerId(1), &mut fx));
         // An offer guard was armed both times.
         assert_eq!(
@@ -1513,7 +1596,15 @@ mod tests {
         )));
         // While locked, the predecessor declines competing offers/merges.
         let mut qfx2 = Effects::new();
-        q.on_merge_request(ctx(1), PeerId(9), 0, PeerValue(5), &mut qfx2);
+        deliver(
+            &mut q,
+            9,
+            DsMsg::MergeRequest {
+                requester_items: 0,
+                requester_value: PeerValue(5),
+            },
+            &mut qfx2,
+        );
         assert!(qfx2.iter().any(|e| matches!(
             e,
             Effect::Send {
@@ -1545,7 +1636,16 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         };
         let mut qfx3 = Effects::new();
-        q.on_merge_grant(ctx(1), PeerId(2), range, items, gvalue, &mut qfx3);
+        deliver(
+            &mut q,
+            2,
+            DsMsg::MergeGrant {
+                range,
+                items,
+                granter_value: gvalue,
+            },
+            &mut qfx3,
+        );
         assert_eq!(q.range(), CircularRange::new(0u64, 100u64));
         assert_eq!(q.item_count(), 4);
         assert!(!q.is_rebalancing());
@@ -1566,7 +1666,14 @@ mod tests {
         q.set_successor(PeerId(2), PeerValue(100));
         // Offer from peer 7, which is not q's cached direct successor.
         let mut fx = Effects::new();
-        q.on_leave_offer(ctx(1), PeerId(7), PeerValue(60), &mut fx);
+        deliver(
+            &mut q,
+            7,
+            DsMsg::LeaveOffer {
+                leaver_value: PeerValue(60),
+            },
+            &mut fx,
+        );
         assert!(!q.is_rebalancing());
         assert!(fx.iter().any(|e| matches!(
             e,
@@ -1575,7 +1682,14 @@ mod tests {
         // A stale cached *value* does not decline: only the peer identity
         // matters (values go stale when the successor splits).
         let mut fx2 = Effects::new();
-        q.on_leave_offer(ctx(1), PeerId(2), PeerValue(60), &mut fx2);
+        deliver(
+            &mut q,
+            2,
+            DsMsg::LeaveOffer {
+                leaver_value: PeerValue(60),
+            },
+            &mut fx2,
+        );
         assert!(fx2.iter().any(|e| matches!(
             e,
             Effect::Send {
@@ -1612,7 +1726,14 @@ mod tests {
         let mut q = live_peer(1, 0, 30, &[10, 20]);
         q.set_successor(PeerId(2), PeerValue(100));
         let mut fx = Effects::new();
-        q.on_leave_offer(ctx(1), PeerId(2), PeerValue(100), &mut fx);
+        deliver(
+            &mut q,
+            2,
+            DsMsg::LeaveOffer {
+                leaver_value: PeerValue(100),
+            },
+            &mut fx,
+        );
         assert!(q.is_rebalancing());
         // The leaver failed: no grant ever arrives. A guard for a different
         // leaver is ignored; the matching one unlocks.

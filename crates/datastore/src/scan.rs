@@ -327,7 +327,6 @@ impl DataStoreState {
 mod tests {
     use super::*;
     use crate::config::DsConfig;
-    use crate::state::DeferredWrite;
     use pepper_net::{Effect, ProtocolLayer, SimTime};
     use pepper_types::{CircularRange, PeerValue, SearchKey};
 
@@ -493,13 +492,13 @@ mod tests {
         p.on_scan_step(ctx(1), qid(9, 0), interval, None, 0, &mut fx);
         assert_eq!(p.scan_locks(), 1);
 
-        p.write_or_defer(
+        p.handle(
             ctx(1),
-            DeferredWrite::ApplyRedistribute {
+            PeerId(2),
+            DsMsg::RedistributeGrant {
                 items: vec![(60, item(60))],
                 new_boundary: PeerValue(60),
                 granter_low: PeerValue(50),
-                granter: PeerId(2),
             },
             &mut fx,
         );

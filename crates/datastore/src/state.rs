@@ -22,55 +22,51 @@ pub enum DsStatus {
     Live,
 }
 
+/// Which part of the giving peer's range `(low, high]` a transfer moves to
+/// a ring neighbour. Every storage-balance transfer is one of these.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Give {
+    /// Split: `(boundary, high]` goes to the freshly joined successor.
+    Upper(PeerValue),
+    /// Redistribute: `(low, boundary]` goes to the predecessor.
+    Lower(PeerValue),
+    /// Full merge or voluntary leave: everything goes to the predecessor
+    /// and this peer becomes free.
+    All,
+}
+
+/// The giving side's record of its one in-flight transfer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Giving {
+    pub give: Give,
+    /// The receiver; a split learns it only when the ring join completes.
+    pub to: Option<PeerId>,
+    /// Whether the range and items are on the wire. From then until the
+    /// transfer finishes or aborts, item inserts/deletes targeting this peer
+    /// are parked and re-dispatched afterwards, so no item can land in (or
+    /// vanish from) the sub-range that is moving.
+    pub sent: bool,
+}
+
 /// A range/item mutation that must wait until all in-flight scans through
 /// this peer have released their read lock on the range.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum DeferredWrite {
-    /// Splitter side: the new peer installed the hand-off; drop the moved
-    /// items and shrink the range.
-    CompleteSplit {
-        /// The range that was handed to the new peer.
-        moved: CircularRange,
-    },
-    /// New-peer side: install the hand-off received from the splitter.
-    InstallHandoff {
-        /// The range this peer becomes responsible for.
+    /// Receiving side: store the granted items, take over `range` and
+    /// acknowledge to the giver.
+    Install {
+        /// What the giver is giving (selects the acknowledgement).
+        give: Give,
+        /// The granted range.
         range: CircularRange,
         /// The items in that range.
         items: Vec<(u64, Item)>,
-        /// The splitter, to be acknowledged once installed.
-        splitter: PeerId,
+        /// The giver, to be acknowledged once installed.
+        giver: PeerId,
     },
-    /// Requester side of a redistribution: install the granted items and move
-    /// the boundary up.
-    ApplyRedistribute {
-        /// Items granted by the successor.
-        items: Vec<(u64, Item)>,
-        /// The new boundary between requester and granter.
-        new_boundary: PeerValue,
-        /// The granter's range low at grant time (bridged-gap detection).
-        granter_low: PeerValue,
-        /// The granter, to be acknowledged once installed.
-        granter: PeerId,
-    },
-    /// Granter side of a redistribution: the requester installed the items;
-    /// drop them here and move the range's low end up.
-    FinishRedistribute {
-        /// The agreed boundary.
-        new_boundary: PeerValue,
-    },
-    /// Requester side of a full merge: absorb the granter's range and items.
-    ApplyMergeGrant {
-        /// The granter's range.
-        range: CircularRange,
-        /// The granter's items.
-        items: Vec<(u64, Item)>,
-        /// The granter, to be acknowledged once absorbed.
-        granter: PeerId,
-    },
-    /// Granter side of a full merge: the requester absorbed everything; this
-    /// peer becomes free.
-    FinishMergeGive,
+    /// Giving side: the receiver installed; drop the moved items and shrink
+    /// the range.
+    Finish(Give),
 }
 
 /// Bookkeeping for a scan hand-off awaiting the successor's acknowledgement.
@@ -157,27 +153,16 @@ pub struct DataStoreState {
     pub(crate) next_query_seq: u64,
     // rebalance bookkeeping
     pub(crate) rebalancing: bool,
-    pub(crate) merge_give_to: Option<PeerId>,
+    /// The transfer this peer is the giving side of, if any.
+    pub(crate) giving: Option<Giving>,
     /// Leaver side of a voluntary leave: the predecessor the offer went to.
     pub(crate) leave_offered_to: Option<PeerId>,
     /// Predecessor side of a voluntary leave: the successor whose merge
     /// grant this peer is locked waiting for.
     pub(crate) absorbing_leave_from: Option<PeerId>,
-    /// The sub-range promised to a free peer by an in-flight split (set by
-    /// `begin_split`, cleared when the hand-off is acknowledged).
-    pub(crate) pending_split: Option<CircularRange>,
-    /// The peer an in-flight split hand-off was sent to (cleared on ack).
-    pub(crate) handoff_to: Option<PeerId>,
     /// The successor an unanswered merge request went to.
     pub(crate) merge_requested_from: Option<PeerId>,
-    /// Granter side of an in-flight redistribution: the boundary awaiting
-    /// the requester's acknowledgement.
-    pub(crate) redistribute_give_boundary: Option<PeerValue>,
-    /// While a two-sided transfer (split hand-off, redistribute, merge) is in
-    /// flight on the giving side, item inserts/deletes targeting this peer
-    /// are parked here and re-dispatched once the transfer completes, so no
-    /// item can land in (or vanish from) the sub-range that is moving.
-    pub(crate) item_writes_blocked: bool,
+    /// Item writes parked while `giving` is on the wire.
     pub(crate) blocked_item_writes: Vec<(PeerId, DsMsg)>,
     /// Events buffered for the composed peer, drained through
     /// [`ProtocolLayer::drain_events`].
@@ -188,38 +173,19 @@ impl DataStoreState {
     /// Creates the Data Store of the very first peer: live and responsible
     /// for the full value space.
     pub fn new_first(id: PeerId, value: PeerValue, cfg: DsConfig) -> Self {
-        DataStoreState {
-            id,
-            status: DsStatus::Live,
-            range: CircularRange::full(value),
-            store: ItemStore::new(),
-            cfg,
-            succ: None,
-            scan_locks: 0,
-            deferred: Vec::new(),
-            pending_forwards: HashMap::new(),
-            queries: HashMap::new(),
-            next_query_seq: 0,
-            rebalancing: false,
-            merge_give_to: None,
-            leave_offered_to: None,
-            absorbing_leave_from: None,
-            pending_split: None,
-            handoff_to: None,
-            merge_requested_from: None,
-            redistribute_give_boundary: None,
-            item_writes_blocked: false,
-            blocked_item_writes: Vec::new(),
-            events: Vec::new(),
-        }
+        Self::new(id, DsStatus::Live, CircularRange::full(value), cfg)
     }
 
     /// Creates the Data Store of a free peer.
     pub fn new_free(id: PeerId, cfg: DsConfig) -> Self {
+        Self::new(id, DsStatus::Free, CircularRange::empty(0u64), cfg)
+    }
+
+    fn new(id: PeerId, status: DsStatus, range: CircularRange, cfg: DsConfig) -> Self {
         DataStoreState {
             id,
-            status: DsStatus::Free,
-            range: CircularRange::empty(0u64),
+            status,
+            range,
             store: ItemStore::new(),
             cfg,
             succ: None,
@@ -229,14 +195,10 @@ impl DataStoreState {
             queries: HashMap::new(),
             next_query_seq: 0,
             rebalancing: false,
-            merge_give_to: None,
+            giving: None,
             leave_offered_to: None,
             absorbing_leave_from: None,
-            pending_split: None,
-            handoff_to: None,
             merge_requested_from: None,
-            redistribute_give_boundary: None,
-            item_writes_blocked: false,
             blocked_item_writes: Vec::new(),
             events: Vec::new(),
         }
@@ -311,7 +273,7 @@ impl DataStoreState {
     /// Whether a two-sided transfer currently parks item writes at this peer
     /// (the giving side of a split hand-off, redistribution or merge).
     pub fn is_item_writes_blocked(&self) -> bool {
-        self.item_writes_blocked
+        self.giving.is_some_and(|g| g.sent)
     }
 
     /// A point-in-time inspection snapshot for oracles and invariant
@@ -324,7 +286,7 @@ impl DataStoreState {
             range: self.range,
             mapped_keys: self.store.items().map(|(m, _)| *m).collect(),
             rebalancing: self.rebalancing,
-            writes_blocked: self.item_writes_blocked,
+            writes_blocked: self.is_item_writes_blocked(),
             scan_locks: self.scan_locks,
             open_queries: self.queries.len(),
         }
@@ -501,14 +463,8 @@ impl DataStoreState {
     // item insertion / deletion
     // ------------------------------------------------------------------
 
-    fn on_insert_item(
-        &mut self,
-        _ctx: LayerCtx,
-        item: Item,
-        reply_to: PeerId,
-        fx: &mut Effects<DsMsg>,
-    ) {
-        if self.item_writes_blocked {
+    fn on_insert_item(&mut self, item: Item, reply_to: PeerId, fx: &mut Effects<DsMsg>) {
+        if self.is_item_writes_blocked() {
             self.blocked_item_writes
                 .push((reply_to, DsMsg::InsertItem { item, reply_to }));
             return;
@@ -524,14 +480,8 @@ impl DataStoreState {
         self.check_overflow();
     }
 
-    fn on_delete_item(
-        &mut self,
-        _ctx: LayerCtx,
-        mapped: u64,
-        reply_to: PeerId,
-        fx: &mut Effects<DsMsg>,
-    ) {
-        if self.item_writes_blocked {
+    fn on_delete_item(&mut self, mapped: u64, reply_to: PeerId, fx: &mut Effects<DsMsg>) {
+        if self.is_item_writes_blocked() {
             self.blocked_item_writes
                 .push((reply_to, DsMsg::DeleteItem { mapped, reply_to }));
             return;
@@ -627,11 +577,9 @@ impl DataStoreState {
         fx: &mut Effects<DsMsg>,
     ) {
         match msg {
-            DsMsg::InsertItem { item, reply_to } => self.on_insert_item(ctx, item, reply_to, fx),
+            DsMsg::InsertItem { item, reply_to } => self.on_insert_item(item, reply_to, fx),
             DsMsg::InsertItemAck { item } => self.emit(DsEvent::InsertAcked { item }),
-            DsMsg::DeleteItem { mapped, reply_to } => {
-                self.on_delete_item(ctx, mapped, reply_to, fx)
-            }
+            DsMsg::DeleteItem { mapped, reply_to } => self.on_delete_item(mapped, reply_to, fx),
             DsMsg::DeleteItemAck { mapped, found } => {
                 self.emit(DsEvent::DeleteAcked { mapped, found })
             }
@@ -665,46 +613,58 @@ impl DataStoreState {
             DsMsg::ScanDone { query, hops } => self.on_scan_done(ctx, query, hops),
             DsMsg::ScanFailed { query } => self.finalize_query(ctx, query),
 
+            // Storage balance. The three grants differ only in how the wire
+            // message spells the granted range; the three acknowledgements
+            // finish the matching give.
             DsMsg::HandoffInstall { range, items } => {
-                self.on_handoff_install(ctx, from, range, items, fx)
+                self.on_grant(ctx, from, Give::Upper(range.low()), range, items, fx)
             }
-            DsMsg::HandoffAck => self.on_handoff_ack(ctx, fx),
-            DsMsg::MergeRequest {
-                requester_items,
-                requester_value,
-            } => self.on_merge_request(ctx, from, requester_items, requester_value, fx),
             DsMsg::RedistributeGrant {
                 items,
                 new_boundary,
                 granter_low,
-            } => self.on_redistribute_grant(ctx, from, items, new_boundary, granter_low, fx),
-            DsMsg::RedistributeAck { new_boundary } => {
-                self.on_redistribute_ack(ctx, new_boundary, fx)
+            } => {
+                let range = CircularRange::new(granter_low, new_boundary);
+                self.on_grant(ctx, from, Give::Lower(new_boundary), range, items, fx)
             }
+            DsMsg::MergeGrant { range, items, .. } => {
+                self.on_grant(ctx, from, Give::All, range, items, fx)
+            }
+            DsMsg::HandoffAck => {
+                // Only the record knows the boundary of the split being
+                // acknowledged.
+                if let Some(give @ Give::Upper(_)) = self.giving.map(|g| g.give) {
+                    self.write_or_defer(ctx, DeferredWrite::Finish(give), fx);
+                }
+            }
+            DsMsg::RedistributeAck { new_boundary } => {
+                self.write_or_defer(ctx, DeferredWrite::Finish(Give::Lower(new_boundary)), fx)
+            }
+            DsMsg::MergeGrantAck => self.write_or_defer(ctx, DeferredWrite::Finish(Give::All), fx),
+            DsMsg::MergeRequest {
+                requester_items, ..
+            } => self.on_merge_request(from, requester_items, fx),
             DsMsg::RedistributeAbort { new_boundary } => {
-                self.on_redistribute_abort(ctx, from, new_boundary, fx)
+                self.on_redistribute_abort(from, new_boundary, fx)
             }
             DsMsg::RedistributeAbortAck { new_boundary } => {
-                self.on_redistribute_abort_ack(ctx, new_boundary, fx)
+                if self.is_giving(Give::Lower(new_boundary)) {
+                    self.abort_give(ctx, fx);
+                }
             }
-            DsMsg::MergeGrant {
-                range,
-                items,
-                granter_value,
-            } => self.on_merge_grant(ctx, from, range, items, granter_value, fx),
-            DsMsg::MergeGrantAck => self.on_merge_grant_ack(ctx, fx),
-            DsMsg::MergeDeclined => self.on_merge_declined(ctx, from, fx),
-            DsMsg::LeaveOffer { leaver_value } => self.on_leave_offer(ctx, from, leaver_value, fx),
-            DsMsg::LeaveOfferAck => self.on_leave_offer_ack(ctx, from, fx),
-            DsMsg::LeaveOfferDeclined => self.on_leave_offer_declined(ctx, from),
-            DsMsg::RebalanceRetry => self.on_rebalance_retry(ctx),
+            DsMsg::MergeDeclined => self.on_merge_declined(from, fx),
+            // `leaver_value` rides along for diagnostics and tracing only.
+            DsMsg::LeaveOffer { .. } => self.on_leave_offer(from, fx),
+            DsMsg::LeaveOfferAck => self.on_leave_offer_ack(from, fx),
+            DsMsg::LeaveOfferDeclined => self.clear_leave_offer(from),
+            DsMsg::RebalanceRetry => self.recheck_balance(),
             DsMsg::GiveTimeout {
                 to,
                 boundary,
                 attempt,
             } => self.on_give_timeout(ctx, to, boundary, attempt, fx),
-            DsMsg::LeaveOfferTimeout { to } => self.on_leave_offer_timeout(ctx, to),
-            DsMsg::LeaveAbsorbTimeout { from } => self.on_leave_absorb_timeout(ctx, from),
+            DsMsg::LeaveOfferTimeout { to } => self.clear_leave_offer(to),
+            DsMsg::LeaveAbsorbTimeout { from } => self.on_leave_absorb_timeout(from),
         }
     }
 }
@@ -1046,9 +1006,7 @@ mod tests {
         // A split completion arrives while the scan lock is held: deferred.
         ds.write_or_defer(
             ctx(1),
-            DeferredWrite::CompleteSplit {
-                moved: CircularRange::new(20u64, 100u64),
-            },
+            DeferredWrite::Finish(Give::Upper(PeerValue(20))),
             &mut fx,
         );
         assert_eq!(ds.item_count(), 4);

@@ -122,14 +122,6 @@ impl ItemStore {
         self.map.extend(items);
     }
 
-    /// Removes every item and returns them.
-    pub fn drain_all(&mut self) -> Vec<(u64, Item)> {
-        self.version += 1;
-        let out: Vec<(u64, Item)> = self.map.iter().map(|(k, v)| (*k, v.clone())).collect();
-        self.map.clear();
-        out
-    }
-
     /// The stored mapped values in *ring order* for the given responsibility
     /// range: starting just after `range.low()` and wrapping around the top
     /// of the domain if the range does. For a non-wrapping range this is
@@ -234,7 +226,7 @@ mod tests {
         let mut s = store_with(&[1, 2]);
         s.extend(vec![(3, item(3)), (4, item(4))]);
         assert_eq!(s.len(), 4);
-        let drained = s.drain_all();
+        let drained = s.take_range(&CircularRange::full(0u64));
         assert_eq!(drained.len(), 4);
         assert!(s.is_empty());
     }
@@ -261,7 +253,7 @@ mod tests {
         assert_eq!(s, store_with(&[1, 5, 8]));
         assert_ne!(s.version(), store_with(&[1, 5, 8]).version());
         let before = s.version();
-        s.drain_all();
+        s.take_range(&CircularRange::full(0u64));
         assert!(s.version() > before);
     }
 

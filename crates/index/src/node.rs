@@ -262,11 +262,6 @@ impl PeerNode {
         self.id
     }
 
-    /// The system configuration the peer runs with.
-    pub fn system_config(&self) -> &SystemConfig {
-        &self.cfg
-    }
-
     /// The ring layer (read-only).
     pub fn ring(&self) -> &RingState {
         &self.ring
@@ -309,11 +304,6 @@ impl PeerNode {
         self.storage.take()
     }
 
-    /// Items recovered from durable storage still awaiting donation.
-    pub fn pending_donation(&self) -> usize {
-        self.recovered_donation.len()
-    }
-
     /// Observations recorded so far (not drained).
     pub fn observations(&self) -> &[Observation] {
         &self.observations
@@ -334,11 +324,6 @@ impl PeerNode {
     /// tracing is off).
     pub fn trace_events(&self) -> Vec<TraceEvent> {
         self.trace.snapshot()
-    }
-
-    /// Trace events evicted from the bounded ring buffer so far.
-    pub fn trace_dropped(&self) -> u64 {
-        self.trace.dropped()
     }
 
     // ------------------------------------------------------------------
@@ -650,10 +635,8 @@ impl PeerNode {
                         .push(Observation::InsertSuccCompleted { new_peer, elapsed });
                     if self.pending_split == Some(new_peer) {
                         self.pending_split = None;
-                        let ctx = self.layer_ctx(now);
-                        let (_, ds_events) = self
-                            .ds
-                            .with(out, |ds, fx| ds.send_handoff(ctx, new_peer, fx));
+                        let (_, ds_events) =
+                            self.ds.with(out, |ds, fx| ds.send_handoff(new_peer, fx));
                         self.process_ds_events(now, ds_events, out);
                     }
                 }
@@ -785,8 +768,7 @@ impl PeerNode {
                         // Cannot leave right now (e.g. an insert is in
                         // flight); decline the merge so the requester retries.
                         self.merge_started = None;
-                        let ((), ds_events) = self.ds.with(out, |ds, fx| ds.cancel_merge_give(fx));
-                        self.process_ds_events(now, ds_events, out);
+                        self.ds.cancel_merge_give();
                         out.send(to, PeerMsg::Ds(DsMsg::MergeDeclined));
                     }
                     self.process_ring_events(now, ring_events, out);

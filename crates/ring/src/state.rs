@@ -177,20 +177,6 @@ impl RingState {
         self.phase.is_member()
     }
 
-    /// Number of `JOINED` entries in the successor list.
-    pub fn joined_entries(&self) -> usize {
-        self.succ_list
-            .iter()
-            .filter(|e| e.state == EntryState::Joined)
-            .count()
-    }
-
-    /// When the in-flight `insertSucc` started, if any (used by tests and
-    /// metrics).
-    pub fn insert_in_progress(&self) -> Option<PeerId> {
-        self.pending_insert.map(|p| p.new_peer)
-    }
-
     /// Purges every successor-list entry for a peer this node has just
     /// observed departing (e.g. the granter of an absorbed merge). Without
     /// this, a stale JOINED entry for the departed peer survives at its old

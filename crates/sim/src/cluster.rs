@@ -10,11 +10,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 use pepper_datastore::{DsSnapshot, QueryId};
-use pepper_index::{FreePool, Observation, PeerMsg, PeerNode};
+use pepper_index::{FreePool, Observation, PeerNode};
 use pepper_net::{NetworkConfig, SimTime, Simulator};
 use pepper_ring::consistency::{
-    check_connectivity, check_consistent_successor_pointers, check_ring_invariants,
-    ConsistencyReport, RingSnapshot,
+    check_connectivity, check_consistent_successor_pointers, RingSnapshot,
 };
 use pepper_storage::{PeerStorage, RecoveryMode, StorageConfig};
 use pepper_trace::{Metrics, TraceConfig, TraceEvent};
@@ -362,11 +361,6 @@ impl Cluster {
         h
     }
 
-    /// The tracing + metrics settings this cluster's peers run with.
-    pub fn trace_config(&self) -> TraceConfig {
-        self.trace
-    }
-
     /// Every peer's buffered trace events (dead peers included — the last
     /// events before a crash are exactly what a post-mortem needs), in
     /// increasing peer-id order. Empty when tracing is off.
@@ -580,13 +574,6 @@ impl Cluster {
         )
     }
 
-    /// Runs both ring invariants and returns the combined report with
-    /// labelled, per-violation diagnostics (the per-step form of
-    /// [`Cluster::check_ring`] used by the fault-injection harness).
-    pub fn check_ring_report(&self) -> ConsistencyReport {
-        check_ring_invariants(&self.ring_snapshots())
-    }
-
     /// Data Store snapshots of every peer, tagged with liveness (for the
     /// range-partition / item-conservation oracles).
     pub fn datastore_snapshots(&self) -> Vec<(bool, DsSnapshot)> {
@@ -640,15 +627,6 @@ impl Cluster {
     /// Direct access to a peer node.
     pub fn node(&self, id: PeerId) -> Option<&PeerNode> {
         self.sim.node(id)
-    }
-
-    /// Issues an arbitrary closure against a peer with a live context.
-    pub fn with_peer<R>(
-        &mut self,
-        id: PeerId,
-        f: impl FnOnce(&mut PeerNode, &mut pepper_net::Context<'_, PeerMsg>) -> R,
-    ) -> Option<R> {
-        self.sim.with_node_ctx(id, f)
     }
 }
 

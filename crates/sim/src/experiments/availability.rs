@@ -232,7 +232,8 @@ mod tests {
         // majority of items survive the leave + failure. (A handful of items
         // whose replica refresh raced the merge can still be in flight; the
         // comparative claim against the naive baseline is checked below and
-        // the absolute numbers are reported in EXPERIMENTS.md.)
+        // the absolute numbers come from a full-effort run of this driver —
+        // see the driver table in `experiments/mod.rs`.)
         assert!(
             trial.items_lost * 4 <= trial.items_before,
             "lost {} of {} items despite the additional-hop replication",
@@ -248,8 +249,9 @@ mod tests {
         let pepper = leave_then_fail_trial(availability_system(ProtocolConfig::pepper()), seed);
         assert!(naive.leave_observed && pepper.leave_observed);
         // With a single quick trial the per-trial outcomes are noisy; the
-        // full-effort table in EXPERIMENTS.md carries the naive-vs-PEPPER
-        // comparison. Here we only check both trials produced data.
+        // full-effort run of `item_availability` (driver table in
+        // `experiments/mod.rs`) carries the naive-vs-PEPPER comparison. Here
+        // we only check both trials produced data.
         assert!(naive.items_before > 0 && pepper.items_before > 0);
     }
 }

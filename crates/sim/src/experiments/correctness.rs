@@ -248,8 +248,9 @@ mod tests {
         // in fact produces none at all: a scan that claims full coverage has
         // held the range locks the whole way, so it cannot have missed a
         // stable item. (Visible `incomplete` failures are a different,
-        // retriable outcome and are reported separately; the full-effort
-        // absolute counts live in EXPERIMENTS.md.)
+        // retriable outcome and are reported separately; for the absolute
+        // counts run this driver at full effort — see the driver table in
+        // `experiments/mod.rs`.)
         let mut naive_total = CorrectnessOutcome {
             queries: 0,
             incorrect: 0,

@@ -260,9 +260,10 @@ mod tests {
     #[test]
     fn figure_23_produces_finite_positive_means() {
         // With the quick effort the sample counts are too small for the
-        // failure-rate trend to be statistically meaningful; the full run
-        // (see EXPERIMENTS.md) shows the increase the paper reports. Here we
-        // only check that the driver works end to end.
+        // failure-rate trend to be statistically meaningful; the full-effort
+        // run (driver table in `experiments/mod.rs`) is where the increase
+        // the paper reports shows. Here we only check that the driver works
+        // end to end.
         let t = figure_23(Effort::Quick, 23);
         let col = t.column("pepper_insert_succ").unwrap();
         assert_eq!(col.len(), 2);

@@ -75,9 +75,6 @@ pub struct MemVfs {
     /// Drives crash-fault decisions (torn-tail lengths). Seeded from the
     /// simulation seed and the owning peer id, so replays are identical.
     rng: StdRng,
-    /// Whether a crash has been applied (recovery then reads the crashed
-    /// view).
-    crashed: bool,
 }
 
 impl MemVfs {
@@ -86,7 +83,6 @@ impl MemVfs {
         MemVfs {
             files: BTreeMap::new(),
             rng: StdRng::seed_from_u64(seed),
-            crashed: false,
         }
     }
 
@@ -99,7 +95,6 @@ impl MemVfs {
     /// restarted peer that crashes again gets its (new) un-synced tail torn
     /// just like the first time.
     pub fn crash(&mut self) {
-        self.crashed = true;
         for file in self.files.values_mut() {
             if file.unsynced.is_empty() {
                 continue;
@@ -108,11 +103,6 @@ impl MemVfs {
             file.durable.extend_from_slice(&file.unsynced[..keep]);
             file.unsynced.clear();
         }
-    }
-
-    /// Whether [`MemVfs::crash`] has ever been applied.
-    pub fn is_crashed(&self) -> bool {
-        self.crashed
     }
 
     /// Total durable bytes across all files (a storage-size proxy).

@@ -148,12 +148,6 @@ impl SystemConfig {
         self
     }
 
-    /// Builder-style override of the key map.
-    pub fn with_key_map(mut self, key_map: KeyMap) -> Self {
-        self.key_map = key_map;
-        self
-    }
-
     /// Maximum number of items a live peer may hold (`2·sf`).
     pub fn overflow_threshold(&self) -> usize {
         self.storage_factor * 2

@@ -231,8 +231,8 @@ impl CircularRange {
     /// `((low, mid], (mid, high])`.
     ///
     /// This is exactly the range hand-off performed by a Data Store split:
-    /// the splitting peer keeps `(mid, high]` and the free peer takes
-    /// `(low, mid]`.
+    /// the splitting peer keeps `(low, mid]` (its value moves down to `mid`)
+    /// and the free peer takes `(mid, high]`.
     pub fn split_at(&self, mid: impl Into<PeerValue>) -> Option<(CircularRange, CircularRange)> {
         let mid = mid.into().raw();
         if self.is_empty() {
