@@ -1770,6 +1770,228 @@ mod tests {
     }
 
     #[test]
+    fn stale_guards_and_replies_change_nothing() {
+        // Each setup leaves the peer after a hand-off has resolved, or in the
+        // middle of one. Every message below belongs to some *other*
+        // hand-off (or to one already over) and must be a pure no-op.
+        fn requesting() -> DataStoreState {
+            let mut q = live_peer(1, 0, 30, &[10]);
+            q.set_successor(PeerId(2), PeerValue(100));
+            q.check_underflow();
+            q.send_merge_request(PeerId(2), &mut Effects::new());
+            q
+        }
+        fn absorbing() -> DataStoreState {
+            let mut q = live_peer(1, 0, 30, &[10, 20]);
+            q.set_successor(PeerId(2), PeerValue(100));
+            let offer = DsMsg::LeaveOffer {
+                leaver_value: PeerValue(100),
+            };
+            deliver(&mut q, 2, offer, &mut Effects::new());
+            q
+        }
+        fn absorbed() -> DataStoreState {
+            let mut q = absorbing();
+            let grant = DsMsg::MergeGrant {
+                range: CircularRange::new(30u64, 100u64),
+                items: vec![(40, item(40))],
+                granter_value: PeerValue(100),
+            };
+            deliver(&mut q, 2, grant, &mut Effects::new());
+            q
+        }
+        fn redistributing() -> DataStoreState {
+            let mut s = live_peer(2, 30, 100, &[40, 50, 60, 70, 80, 90]);
+            let request = DsMsg::MergeRequest {
+                requester_items: 1,
+                requester_value: PeerValue(30),
+            };
+            deliver(&mut s, 1, request, &mut Effects::new());
+            s
+        }
+        fn redistributed() -> DataStoreState {
+            let mut s = redistributing();
+            let ack = DsMsg::RedistributeAck {
+                new_boundary: PeerValue(50),
+            };
+            deliver(&mut s, 1, ack, &mut Effects::new());
+            s
+        }
+        fn merge_giving() -> DataStoreState {
+            let mut s = live_peer(2, 30, 100, &[40, 90]);
+            let request = DsMsg::MergeRequest {
+                requester_items: 1,
+                requester_value: PeerValue(30),
+            };
+            deliver(&mut s, 1, request, &mut Effects::new());
+            s.send_merge_grant(&mut Effects::new());
+            s
+        }
+        fn leave_declined() -> DataStoreState {
+            let mut s = live_peer(2, 30, 100, &[40, 90]);
+            s.begin_voluntary_leave(PeerId(1), &mut Effects::new());
+            deliver(&mut s, 1, DsMsg::LeaveOfferDeclined, &mut Effects::new());
+            s
+        }
+        let give_timeout = |to: u64, boundary: Option<u64>, attempt: u32| DsMsg::GiveTimeout {
+            to: PeerId(to),
+            boundary: boundary.map(PeerValue),
+            attempt,
+        };
+        let abort_ack = DsMsg::RedistributeAbortAck {
+            new_boundary: PeerValue(50),
+        };
+        type Setup = fn() -> DataStoreState;
+        // (what, setup, sender, message); a timer's sender is the peer itself.
+        let cases: Vec<(&str, Setup, u64, DsMsg)> = vec![
+            (
+                "redistribute guard, attempt 1, after the ack",
+                redistributed,
+                2,
+                give_timeout(1, Some(50), 1),
+            ),
+            (
+                "redistribute guard, attempt 2, after the ack",
+                redistributed,
+                2,
+                give_timeout(1, Some(50), 2),
+            ),
+            (
+                "redistribute guard during a merge give",
+                merge_giving,
+                2,
+                give_timeout(1, Some(50), 1),
+            ),
+            (
+                "merge-give guard during a redistribute",
+                redistributing,
+                2,
+                give_timeout(1, None, 1),
+            ),
+            (
+                "merge-give guard for another receiver",
+                merge_giving,
+                2,
+                give_timeout(9, None, 1),
+            ),
+            (
+                "merge-give guard while requesting",
+                requesting,
+                1,
+                give_timeout(2, None, 1),
+            ),
+            (
+                "leave-offer guard after the decline",
+                leave_declined,
+                2,
+                DsMsg::LeaveOfferTimeout { to: PeerId(1) },
+            ),
+            (
+                "leave-offer guard while requesting",
+                requesting,
+                1,
+                DsMsg::LeaveOfferTimeout { to: PeerId(2) },
+            ),
+            (
+                "absorb guard after the grant applied",
+                absorbed,
+                1,
+                DsMsg::LeaveAbsorbTimeout { from: PeerId(2) },
+            ),
+            (
+                "absorb guard while requesting from the same peer",
+                requesting,
+                1,
+                DsMsg::LeaveAbsorbTimeout { from: PeerId(2) },
+            ),
+            (
+                "abort ack after the redistribute finished",
+                redistributed,
+                1,
+                abort_ack.clone(),
+            ),
+            ("abort ack during a merge give", merge_giving, 1, abort_ack),
+            (
+                "decline from a non-counterpart while requesting",
+                requesting,
+                9,
+                DsMsg::MergeDeclined,
+            ),
+            (
+                "decline from a non-counterpart while absorbing",
+                absorbing,
+                9,
+                DsMsg::MergeDeclined,
+            ),
+            (
+                "decline from the receiver of a redistribute",
+                redistributing,
+                1,
+                DsMsg::MergeDeclined,
+            ),
+        ];
+        for (what, setup, from, msg) in cases {
+            let mut ds = setup();
+            ds.drain_events();
+            let (snapshot, rebalancing, state) = (
+                ds.snapshot(),
+                ds.is_rebalancing(),
+                format!("{ds:?}"),
+            );
+            let mut fx = Effects::new();
+            deliver(&mut ds, from, msg, &mut fx);
+            assert_eq!(ds.snapshot(), snapshot, "{what}: snapshot");
+            assert_eq!(ds.is_rebalancing(), rebalancing, "{what}: rebalancing");
+            assert_eq!(format!("{ds:?}"), state, "{what}: state");
+            assert!(fx.is_empty(), "{what}: no effect");
+            assert!(ds.drain_events().is_empty(), "{what}: no event");
+        }
+    }
+
+    #[test]
+    fn a_leaver_dying_with_its_grant_parked_unlocks_and_rechecks() {
+        // q (one item, below sf) accepted a leave offer from its successor;
+        // the grant arrives while a scan holds q's range lock.
+        let mut q = live_peer(1, 0, 30, &[10]);
+        q.set_successor(PeerId(2), PeerValue(100));
+        let offer = DsMsg::LeaveOffer {
+            leaver_value: PeerValue(100),
+        };
+        deliver(&mut q, 2, offer, &mut Effects::new());
+        q.acquire_scan_lock();
+        let grant = DsMsg::MergeGrant {
+            range: CircularRange::new(30u64, 100u64),
+            items: vec![(40, item(40))],
+            granter_value: PeerValue(100),
+        };
+        deliver(&mut q, 2, grant, &mut Effects::new());
+        assert_eq!(q.range(), CircularRange::new(0u64, 30u64), "parked");
+        q.drain_events();
+
+        // The leaver is declared failed: the parked grant is dropped (its
+        // range is revived by the leaver's successor), a retry is armed, and
+        // the thresholds are re-checked at once.
+        let mut fx = Effects::new();
+        q.on_peer_failed(ctx(1), PeerId(2), &mut fx);
+        assert!(fx.iter().any(|e| matches!(
+            e,
+            Effect::Timer {
+                msg: DsMsg::RebalanceRetry,
+                ..
+            }
+        )));
+        assert!(q
+            .drain_events()
+            .iter()
+            .any(|e| matches!(e, DsEvent::MergeNeeded { .. })));
+        assert!(q.is_rebalancing(), "the re-check announced a merge");
+        // Releasing the lock applies nothing.
+        q.release_scan_lock(ctx(1), &mut fx);
+        assert_eq!(q.range(), CircularRange::new(0u64, 30u64));
+        assert_eq!(q.item_count(), 1);
+    }
+
+    #[test]
     fn query_id_is_unused_in_balance_paths() {
         // Guard that balance handlers never touch query state.
         let q = live_peer(1, 0, 30, &[10]);
