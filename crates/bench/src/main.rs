@@ -8,6 +8,20 @@
 
 use pepper_sim::experiments::{availability, correctness, insert_succ, leave, scan_range, Effort};
 
+/// The experiment names the harness accepts, in the order it runs them.
+const NAMES: [&str; 10] = [
+    "fig19",
+    "fig20",
+    "fig21",
+    "fig22",
+    "fig23",
+    "correctness",
+    "load-balance",
+    "availability",
+    "item-availability",
+    "all",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("macro") {
@@ -26,6 +40,11 @@ fn main() {
         .map(|s| s.as_str())
         .filter(|a| *a != "full" && *a != "quick")
         .collect();
+    if let Some(unknown) = which.iter().find(|a| !NAMES.contains(a)) {
+        eprintln!("unknown experiment `{unknown}`");
+        eprintln!("usage: experiments [quick|full] [{}]...", NAMES.join("|"));
+        std::process::exit(2);
+    }
     let all = which.is_empty() || which.contains(&"all");
     let seed = 2026;
 

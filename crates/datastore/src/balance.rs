@@ -19,13 +19,17 @@
 //! [`crate::state`]). While a transfer is on the wire the giving side parks
 //! incoming item inserts/deletes so no item can land in (or silently vanish
 //! from) the moving sub-range.
+//!
+//! A peer is in at most one hand-off at a time, its `Balance`; every guard
+//! timer and late reply checks that the hand-off it belongs to is still the
+//! current one before it acts.
 
 use pepper_net::{Effects, LayerCtx};
 use pepper_types::{CircularRange, Item, PeerId, PeerValue};
 
 use crate::events::DsEvent;
 use crate::messages::DsMsg;
-use crate::state::{DataStoreState, DeferredWrite, DsStatus, Give, Giving};
+use crate::state::{Balance, DataStoreState, DeferredWrite, DsStatus, Give, Giving};
 
 impl DataStoreState {
     // ------------------------------------------------------------------
@@ -35,11 +39,11 @@ impl DataStoreState {
     /// Declares an overflow when the store exceeds `2·sf` items.
     pub(crate) fn check_overflow(&mut self) {
         if self.status == DsStatus::Live
-            && !self.rebalancing
+            && self.balance == Balance::Idle
             && self.store.len() > self.cfg.overflow_threshold()
             && self.store.len() >= 2
         {
-            self.rebalancing = true;
+            self.balance = Balance::Busy;
             self.emit(DsEvent::SplitNeeded {
                 items: self.store.len(),
             });
@@ -50,11 +54,11 @@ impl DataStoreState {
     /// responsible for the whole circle has nobody to merge with.
     pub(crate) fn check_underflow(&mut self) {
         if self.status == DsStatus::Live
-            && !self.rebalancing
+            && self.balance == Balance::Idle
             && !self.range.is_full()
             && self.store.len() < self.cfg.underflow_threshold()
         {
-            self.rebalancing = true;
+            self.balance = Balance::Busy;
             self.emit(DsEvent::MergeNeeded {
                 items: self.store.len(),
             });
@@ -72,16 +76,27 @@ impl DataStoreState {
     /// ring insert failed, …) and schedules a retry. A give that is already
     /// on the wire cannot be called back this way.
     pub fn cancel_rebalance(&mut self, fx: &mut Effects<DsMsg>) {
-        self.rebalancing = false;
-        self.giving = self.giving.filter(|g| g.sent);
-        self.merge_requested_from = None;
+        if !self.is_item_writes_blocked() {
+            self.balance = Balance::Idle;
+        }
         fx.timer(self.cfg.rebalance_retry_delay, DsMsg::RebalanceRetry);
+    }
+
+    /// Cancels the split waiting on the ring to insert `free`, if that is
+    /// the hand-off in flight (the ring aborted the insert). Returns whether
+    /// it was.
+    pub fn cancel_split(&mut self, free: PeerId, fx: &mut Effects<DsMsg>) -> bool {
+        let waiting = self.split_waiting_on(free).is_some();
+        if waiting {
+            self.cancel_rebalance(fx);
+        }
+        waiting
     }
 
     /// Failure cleanup, driven by the ring's failure detector: `peer` has
     /// been declared fail-stopped. Any two-sided transfer waiting on a reply
-    /// from `peer` would otherwise hang forever (stuck `rebalancing`, parked
-    /// item writes, storage bounds never re-checked). Copy-then-delete makes
+    /// from `peer` would otherwise hang forever (stuck hand-off, parked item
+    /// writes, storage bounds never re-checked). Copy-then-delete makes
     /// every abort safe: the giving side still holds all items until the ack
     /// that will now never come.
     pub fn on_peer_failed(&mut self, ctx: LayerCtx, peer: PeerId, fx: &mut Effects<DsMsg>) {
@@ -90,36 +105,29 @@ impl DataStoreState {
         // the stale grant here would double-own the granted sub-range. (The
         // grant was a copy — the items live on as replicas — so nothing is
         // lost.)
-        let before = self.deferred.len();
-        self.deferred.retain(|w| {
-            !matches!(w, DeferredWrite::Install { give, giver, .. }
-                if *giver == peer && !matches!(give, Give::Upper(_)))
-        });
-        if self.deferred.len() != before {
-            self.rebalancing = false;
+        if self.drop_parked_grants(peer, |give| !matches!(give, Give::Upper(_))) {
             fx.timer(self.cfg.rebalance_retry_delay, DsMsg::RebalanceRetry);
         }
-        // Split receiver died before acknowledging the hand-off. (The
-        // receiver of the other gives is this peer's predecessor, which the
-        // failure detector never reports; `GiveTimeout` covers those.)
-        let handoff_sent_to_peer = self
-            .giving
-            .is_some_and(|g| matches!(g.give, Give::Upper(_)) && g.sent && g.to == Some(peer));
-        if handoff_sent_to_peer {
-            self.abort_give(ctx, fx);
-        }
-        if self.merge_requested_from == Some(peer) {
+        match self.balance {
+            // The split's free peer died before joining or before
+            // acknowledging the hand-off. (The receiver of the other gives
+            // is this peer's predecessor, which the failure detector never
+            // reports; `GiveTimeout` covers those.)
+            Balance::Giving(g) if g.to == peer && matches!(g.give, Give::Upper(_)) => {
+                self.abort_give(ctx, fx)
+            }
             // The successor died before answering our merge request.
-            self.merge_requested_from = None;
-            self.rebalancing = false;
-            fx.timer(self.cfg.rebalance_retry_delay, DsMsg::RebalanceRetry);
-        }
-        if self.absorbing_leave_from == Some(peer) {
-            // The voluntary leaver died before granting; unlock early (the
-            // absorb timeout would catch it later).
-            self.absorbing_leave_from = None;
-            self.rebalancing = false;
-            self.recheck_balance();
+            Balance::Requesting(p) if p == peer => {
+                self.balance = Balance::Idle;
+                fx.timer(self.cfg.rebalance_retry_delay, DsMsg::RebalanceRetry);
+            }
+            // The voluntary leaver died before its grant applied; unlock
+            // early (the absorb timeout would catch it later).
+            Balance::Absorbing(p) if p == peer => {
+                self.balance = Balance::Idle;
+                self.recheck_balance();
+            }
+            _ => {}
         }
     }
 
@@ -140,66 +148,67 @@ impl DataStoreState {
         }
     }
 
-    /// Whether the in-flight give, if any, is exactly `give`.
-    pub(crate) fn is_giving(&self, give: Give) -> bool {
-        self.giving.map(|g| g.give) == Some(give)
+    /// The in-flight give, if this peer is the giving side of a transfer.
+    pub(crate) fn giving(&self) -> Option<Giving> {
+        match self.balance {
+            Balance::Giving(g) => Some(g),
+            _ => None,
+        }
     }
 
-    /// Whether a rebalance or a give is in flight, so no other may start.
-    fn is_busy(&self) -> bool {
-        self.rebalancing || self.giving.is_some()
+    /// Whether the in-flight give, if any, is exactly `give`.
+    pub(crate) fn is_giving(&self, give: Give) -> bool {
+        self.giving().map(|g| g.give) == Some(give)
+    }
+
+    /// The split waiting on the ring to insert `free`, if any.
+    fn split_waiting_on(&self, free: PeerId) -> Option<Giving> {
+        self.giving()
+            .filter(|g| matches!(g.give, Give::Upper(_)) && g.to == free && !g.sent)
     }
 
     /// Gives up on the in-flight give: range and items are untouched
     /// (copy-then-delete), parked writes resume, the thresholds are retried.
     pub(crate) fn abort_give(&mut self, ctx: LayerCtx, fx: &mut Effects<DsMsg>) {
-        self.rebalancing = false;
         self.unblock_item_writes(ctx, fx);
         fx.timer(self.cfg.rebalance_retry_delay, DsMsg::RebalanceRetry);
     }
 
-    /// Plans a split: chooses the boundary and the value for the new peer.
+    /// Plans a split with the free peer `free`: chooses the boundary and the
+    /// value for the new peer.
     ///
-    /// Returns `(new_peer_value, boundary)`: the free peer joins the ring as
-    /// this peer's successor with value `new_peer_value` (this peer's current
-    /// value) and will receive the range `(boundary, new_peer_value]`; this
-    /// peer's value becomes `boundary`.
+    /// Returns the value `free` joins the ring with, as this peer's
+    /// successor: this peer's current value. It will receive the range
+    /// `(boundary, value]`, and this peer's value becomes the boundary.
     ///
-    /// Returns `None` (and clears the rebalancing flag) when a split is not
+    /// Returns `None` (and ends the announced split) when a split is not
     /// possible (too few items or not live).
-    pub fn begin_split(&mut self) -> Option<(PeerValue, PeerValue)> {
+    pub fn begin_split(&mut self, free: PeerId) -> Option<PeerValue> {
         let high = self.range.high();
         let boundary = self.store.split_point(&self.range).filter(|b| {
             self.status == DsStatus::Live && *b != high.raw() && self.range.contains(*b)
         });
         let Some(boundary) = boundary else {
-            self.rebalancing = false;
+            self.balance = Balance::Idle;
             return None;
         };
-        self.giving = Some(Giving {
-            give: Give::Upper(PeerValue(boundary)),
-            to: None,
-            sent: false,
-        });
-        Some((high, PeerValue(boundary)))
+        self.set_giving(Give::Upper(PeerValue(boundary)), free, false);
+        Some(high)
     }
 
-    /// Sends the split hand-off to the freshly joined peer. Called by the
-    /// index layer once the ring reports the `insertSucc` as complete. From
-    /// this point until the hand-off is acknowledged, item writes at this
-    /// peer are parked.
+    fn set_giving(&mut self, give: Give, to: PeerId, sent: bool) {
+        self.balance = Balance::Giving(Giving { give, to, sent });
+    }
+
+    /// Sends the split hand-off to the freshly joined peer `to`, if the split
+    /// is waiting on it. Called by the index layer once the ring reports the
+    /// `insertSucc` as complete. From this point until the hand-off is
+    /// acknowledged, item writes at this peer are parked.
     pub fn send_handoff(&mut self, to: PeerId, fx: &mut Effects<DsMsg>) -> Option<CircularRange> {
-        let give = self.giving.map(|g| g.give)?;
-        let Give::Upper(_) = give else {
-            return None;
-        };
+        let give = self.split_waiting_on(to)?.give;
         let (range, _) = self.parts(give);
         let items = self.store.items_in_range(&range);
-        self.giving = Some(Giving {
-            give,
-            to: Some(to),
-            sent: true,
-        });
+        self.set_giving(give, to, true);
         fx.send(to, DsMsg::HandoffInstall { range, items });
         Some(range)
     }
@@ -207,7 +216,7 @@ impl DataStoreState {
     /// Sends a merge request to the successor. Called by the index layer in
     /// response to [`DsEvent::MergeNeeded`].
     pub fn send_merge_request(&mut self, to: PeerId, fx: &mut Effects<DsMsg>) {
-        self.merge_requested_from = Some(to);
+        self.balance = Balance::Requesting(to);
         fx.send(
             to,
             DsMsg::MergeRequest {
@@ -225,7 +234,7 @@ impl DataStoreState {
         requester_items: usize,
         fx: &mut Effects<DsMsg>,
     ) {
-        if self.status != DsStatus::Live || self.is_busy() || self.range.is_full() {
+        if self.status != DsStatus::Live || self.is_rebalancing() || self.range.is_full() {
             fx.send(from, DsMsg::MergeDeclined);
             return;
         }
@@ -244,12 +253,7 @@ impl DataStoreState {
         let new_boundary = PeerValue(new_boundary);
         let give = Give::Lower(new_boundary);
         let items = self.store.items_in_range(&self.parts(give).0);
-        self.rebalancing = true;
-        self.giving = Some(Giving {
-            give,
-            to: Some(from),
-            sent: true,
-        });
+        self.set_giving(give, from, true);
         fx.send(
             from,
             DsMsg::RedistributeGrant {
@@ -265,12 +269,7 @@ impl DataStoreState {
     /// runs the availability protections (extra-hop replication + ring
     /// leave) and then calls `send_merge_grant`.
     fn start_full_give(&mut self, to: PeerId) {
-        self.rebalancing = true;
-        self.giving = Some(Giving {
-            give: Give::All,
-            to: Some(to),
-            sent: false,
-        });
+        self.set_giving(Give::All, to, false);
         self.emit(DsEvent::MergeGiveStarted { to });
     }
 
@@ -298,9 +297,8 @@ impl DataStoreState {
     /// availability protections (extra-hop replication and ring leave) have
     /// completed. Returns `None` if no full give is in flight.
     pub fn send_merge_grant(&mut self, fx: &mut Effects<DsMsg>) -> Option<PeerId> {
-        let giving = self.giving.as_mut().filter(|g| g.give == Give::All)?;
-        let to = giving.to?;
-        giving.sent = true;
+        let to = self.giving().filter(|g| g.give == Give::All)?.to;
+        self.set_giving(Give::All, to, true);
         fx.send(
             to,
             DsMsg::MergeGrant {
@@ -317,8 +315,7 @@ impl DataStoreState {
     /// start a `leave` because another operation is in flight). The requester
     /// is expected to be told via a `MergeDeclined` by the caller.
     pub fn cancel_merge_give(&mut self) {
-        self.giving = None;
-        self.rebalancing = false;
+        self.balance = Balance::Idle;
     }
 
     /// Giving side: the receiver's acknowledgement never arrived — it
@@ -342,15 +339,12 @@ impl DataStoreState {
         fx: &mut Effects<DsMsg>,
     ) {
         let give = boundary.map_or(Give::All, Give::Lower);
-        if !self.is_giving(give) {
+        let Some(giving) = self.giving().filter(|g| g.give == give) else {
             return; // resolved (acked, abort-acked or cancelled) in the meantime
-        }
+        };
         match boundary {
-            None => {
-                if self.giving.and_then(|g| g.to) == Some(to) {
-                    self.write_or_defer(ctx, DeferredWrite::Finish(give), fx);
-                }
-            }
+            None if giving.to == to => self.write_or_defer(ctx, DeferredWrite::Finish(give), fx),
+            None => {}
             // The requester may be alive with the grant parked behind scan
             // locks: ask it to drop the grant, and only abort unilaterally
             // if that, too, goes unanswered.
@@ -369,7 +363,8 @@ impl DataStoreState {
     // ------------------------------------------------------------------
 
     /// A grant arrived: install it (deferred while scans pass). A grant from
-    /// the successor also answers this peer's merge request.
+    /// the successor also answers this peer's merge request; the peer stays
+    /// busy until the grant is installed.
     pub(crate) fn on_grant(
         &mut self,
         ctx: LayerCtx,
@@ -379,8 +374,8 @@ impl DataStoreState {
         items: Vec<(u64, Item)>,
         fx: &mut Effects<DsMsg>,
     ) {
-        if !matches!(give, Give::Upper(_)) {
-            self.merge_requested_from = None;
+        if !matches!(give, Give::Upper(_)) && matches!(self.balance, Balance::Requesting(_)) {
+            self.balance = Balance::Busy;
         }
         let install = DeferredWrite::Install {
             give,
@@ -389,6 +384,22 @@ impl DataStoreState {
             giver: from,
         };
         self.write_or_defer(ctx, install, fx);
+    }
+
+    /// Drops the grants from `from` parked behind scan locks whose kind
+    /// `stale` picks out, releasing a peer that was only waiting for one to
+    /// install. Returns whether any was dropped.
+    fn drop_parked_grants(&mut self, from: PeerId, stale: impl Fn(Give) -> bool) -> bool {
+        let before = self.deferred.len();
+        self.deferred.retain(|w| match w {
+            DeferredWrite::Install { give, giver, .. } => *giver != from || !stale(*give),
+            DeferredWrite::Finish(_) => true,
+        });
+        let dropped = self.deferred.len() != before;
+        if dropped && self.balance == Balance::Busy {
+            self.balance = Balance::Idle;
+        }
+        dropped
     }
 
     /// Requester side: the granter's guard expired and it wants the grant
@@ -402,13 +413,7 @@ impl DataStoreState {
         new_boundary: PeerValue,
         fx: &mut Effects<DsMsg>,
     ) {
-        let before = self.deferred.len();
-        self.deferred.retain(|w| {
-            !matches!(w, DeferredWrite::Install { give, giver, .. }
-                if *giver == from && *give == Give::Lower(new_boundary))
-        });
-        if self.deferred.len() != before {
-            self.rebalancing = false;
+        if self.drop_parked_grants(from, |give| give == Give::Lower(new_boundary)) {
             fx.send(from, DsMsg::RedistributeAbortAck { new_boundary });
             fx.timer(self.cfg.rebalance_retry_delay, DsMsg::RebalanceRetry);
         }
@@ -421,19 +426,13 @@ impl DataStoreState {
     /// already-cleaned-up operation must not unlock an unrelated in-flight
     /// one.
     pub(crate) fn on_merge_declined(&mut self, from: PeerId, fx: &mut Effects<DsMsg>) {
-        let was_requester = self.merge_requested_from == Some(from);
-        let was_absorbing = self.absorbing_leave_from == Some(from);
-        if !was_requester && !was_absorbing {
-            return;
+        match self.balance {
+            Balance::Requesting(p) | Balance::Absorbing(p) if p == from => {
+                self.balance = Balance::Idle;
+                fx.timer(self.cfg.rebalance_retry_delay, DsMsg::RebalanceRetry);
+            }
+            _ => {}
         }
-        if was_requester {
-            self.merge_requested_from = None;
-        }
-        if was_absorbing {
-            self.absorbing_leave_from = None;
-        }
-        self.rebalancing = false;
-        fx.timer(self.cfg.rebalance_retry_delay, DsMsg::RebalanceRetry);
     }
 
     // ------------------------------------------------------------------
@@ -445,12 +444,12 @@ impl DataStoreState {
     /// The actual hand-off only starts once the predecessor acknowledges: the
     /// ack locks the predecessor against concurrent splits/merges, so no new
     /// peer can be inserted between the two while the grant is in flight
-    /// (the same protection the `rebalancing` flag gives the requester of an
+    /// (the same protection `Balance::Busy` gives the requester of an
     /// underflow-driven merge). Returns `false` when this peer cannot leave
     /// right now (free, rebalancing, sole owner of the ring, …).
     pub fn begin_voluntary_leave(&mut self, pred: PeerId, fx: &mut Effects<DsMsg>) -> bool {
         if self.status != DsStatus::Live
-            || self.is_busy()
+            || self.is_rebalancing()
             || self.leave_offered_to.is_some()
             || self.range.is_full()
             || pred == self.id
@@ -482,16 +481,11 @@ impl DataStoreState {
     /// goes stale when the successor later splits (its value moves down).
     pub(crate) fn on_leave_offer(&mut self, from: PeerId, fx: &mut Effects<DsMsg>) {
         let from_direct_successor = self.succ.map(|(p, _)| p) == Some(from);
-        if self.status != DsStatus::Live
-            || self.is_busy()
-            || self.absorbing_leave_from.is_some()
-            || !from_direct_successor
-        {
+        if self.status != DsStatus::Live || self.is_rebalancing() || !from_direct_successor {
             fx.send(from, DsMsg::LeaveOfferDeclined);
             return;
         }
-        self.rebalancing = true;
-        self.absorbing_leave_from = Some(from);
+        self.balance = Balance::Absorbing(from);
         fx.send(from, DsMsg::LeaveOfferAck);
         // Guard against the leaver failing mid-leave: unlock if the merge
         // grant never arrives.
@@ -508,7 +502,7 @@ impl DataStoreState {
             return;
         }
         self.leave_offered_to = None;
-        if self.status != DsStatus::Live || self.is_busy() || self.range.is_full() {
+        if self.status != DsStatus::Live || self.is_rebalancing() || self.range.is_full() {
             // A split/merge started while the offer was in flight: abort the
             // leave and release the locked predecessor.
             fx.send(from, DsMsg::MergeDeclined);
@@ -529,9 +523,8 @@ impl DataStoreState {
     /// Predecessor side: the merge grant never arrived (the leaver probably
     /// failed mid-leave); unlock.
     pub(crate) fn on_leave_absorb_timeout(&mut self, from: PeerId) {
-        if self.absorbing_leave_from == Some(from) {
-            self.absorbing_leave_from = None;
-            self.rebalancing = false;
+        if self.balance == Balance::Absorbing(from) {
+            self.balance = Balance::Idle;
             self.recheck_balance();
         }
     }
@@ -574,7 +567,11 @@ impl DataStoreState {
                         self.emit(DsEvent::RangeBridged { gap });
                         CircularRange::new(self.range.low(), range.high())
                     });
-                    self.rebalancing = false;
+                    // The wait for this grant is over, whether it answered a
+                    // merge request or a leave offer.
+                    if self.balance == Balance::Busy || self.balance == Balance::Absorbing(giver) {
+                        self.balance = Balance::Idle;
+                    }
                 }
                 self.emit(DsEvent::RangeChanged {
                     range: self.range,
@@ -585,9 +582,6 @@ impl DataStoreState {
                     Give::Upper(_) => DsMsg::HandoffAck,
                     Give::Lower(new_boundary) => DsMsg::RedistributeAck { new_boundary },
                     Give::All => {
-                        if self.absorbing_leave_from == Some(giver) {
-                            self.absorbing_leave_from = None;
-                        }
                         self.emit(DsEvent::AbsorbedSuccessor { granter: giver });
                         DsMsg::MergeGrantAck
                     }
@@ -621,7 +615,6 @@ impl DataStoreState {
                     });
                 }
                 self.range = kept;
-                self.rebalancing = false;
                 if give == Give::All {
                     self.status = DsStatus::Free;
                     self.emit(DsEvent::BecameFree);
@@ -632,7 +625,11 @@ impl DataStoreState {
                         grew: false,
                     });
                 }
-                self.unblock_item_writes(ctx, fx);
+                // A free peer is in no hand-off. A split completion that
+                // outlived its record leaves a newer hand-off alone.
+                if give == Give::All || self.is_giving(give) {
+                    self.unblock_item_writes(ctx, fx);
+                }
                 self.recheck_balance();
             }
         }
@@ -641,7 +638,7 @@ impl DataStoreState {
     /// Ends the in-flight give and re-dispatches the item writes that were
     /// parked while it was on the wire.
     fn unblock_item_writes(&mut self, ctx: LayerCtx, fx: &mut Effects<DsMsg>) {
-        self.giving = None;
+        self.balance = Balance::Idle;
         let parked = std::mem::take(&mut self.blocked_item_writes);
         for (from, msg) in parked {
             self.dispatch(ctx, from, msg, fx);
@@ -688,12 +685,12 @@ mod tests {
         q.check_overflow();
         assert!(q.is_rebalancing());
 
-        let (new_value, boundary) = q.begin_split().unwrap();
-        assert_eq!(new_value, PeerValue(100));
-        assert_eq!(boundary, PeerValue(30));
+        assert_eq!(q.begin_split(PeerId(9)), Some(PeerValue(100)));
 
-        // The ring join happens here (index layer); then the hand-off.
+        // The ring join happens here (index layer); then the hand-off. Only
+        // the free peer the split was planned with gets it.
         let mut fx = Effects::new();
+        assert_eq!(q.send_handoff(PeerId(8), &mut fx), None);
         let moved = q.send_handoff(PeerId(9), &mut fx).unwrap();
         assert_eq!(moved, CircularRange::new(30u64, 100u64));
         let handoff = fx.drain();
@@ -745,9 +742,7 @@ mod tests {
         for k in [10u64, 20, 30, 40, 50] {
             q.store.insert(k, item(k));
         }
-        let (new_value, boundary) = q.begin_split().unwrap();
-        assert_eq!(new_value, PeerValue(100));
-        assert_eq!(boundary, PeerValue(20));
+        assert_eq!(q.begin_split(PeerId(9)), Some(PeerValue(100)));
         let mut fx = Effects::new();
         let moved = q.send_handoff(PeerId(9), &mut fx).unwrap();
         assert_eq!(moved, CircularRange::new(20u64, 100u64));
@@ -759,8 +754,8 @@ mod tests {
     #[test]
     fn split_with_too_few_items_is_cancelled() {
         let mut q = live_peer(1, 0, 100, &[10]);
-        q.rebalancing = true;
-        assert!(q.begin_split().is_none());
+        q.balance = Balance::Busy;
+        assert!(q.begin_split(PeerId(9)).is_none());
         assert!(!q.is_rebalancing());
     }
 
@@ -768,7 +763,7 @@ mod tests {
     fn item_writes_are_parked_during_handoff() {
         let mut q = live_peer(1, 0, 100, &[10, 20, 30, 40, 50, 60]);
         q.check_overflow();
-        q.begin_split().unwrap();
+        q.begin_split(PeerId(9)).unwrap();
         let mut fx = Effects::new();
         q.send_handoff(PeerId(9), &mut fx).unwrap();
 
@@ -933,7 +928,7 @@ mod tests {
 
         // Requester absorbs.
         let mut qfx = Effects::new();
-        q.rebalancing = true;
+        q.balance = Balance::Busy;
         deliver(
             &mut q,
             2,
@@ -969,7 +964,7 @@ mod tests {
     #[test]
     fn busy_successor_declines_and_requester_retries() {
         let mut s = live_peer(2, 30, 100, &[40, 50, 60, 70, 80]);
-        s.rebalancing = true;
+        s.balance = Balance::Busy;
         let mut fx = Effects::new();
         deliver(
             &mut s,
@@ -989,8 +984,7 @@ mod tests {
         )));
 
         let mut q = live_peer(1, 0, 30, &[10]);
-        q.rebalancing = true;
-        q.merge_requested_from = Some(PeerId(2));
+        q.balance = Balance::Requesting(PeerId(2));
         let mut qfx = Effects::new();
         // A decline from an unrelated peer is ignored.
         deliver(&mut q, 9, DsMsg::MergeDeclined, &mut qfx);
@@ -1021,7 +1015,7 @@ mod tests {
     #[test]
     fn deferred_merge_grant_waits_for_scan() {
         let mut q = live_peer(1, 0, 30, &[10]);
-        q.rebalancing = true;
+        q.balance = Balance::Busy;
         q.acquire_scan_lock();
         let mut fx = Effects::new();
         deliver(
@@ -1051,7 +1045,7 @@ mod tests {
     #[test]
     fn cancel_rebalance_schedules_retry() {
         let mut q = live_peer(1, 0, 30, &[10]);
-        q.rebalancing = true;
+        q.balance = Balance::Busy;
         let mut fx = Effects::new();
         q.cancel_rebalance(&mut fx);
         assert!(!q.is_rebalancing());
@@ -1091,7 +1085,7 @@ mod tests {
     fn dead_handoff_receiver_releases_the_split() {
         let mut q = live_peer(1, 0, 100, &[10, 20, 30, 40, 50, 60]);
         q.check_overflow();
-        q.begin_split().unwrap();
+        q.begin_split(PeerId(9)).unwrap();
         let mut fx = Effects::new();
         q.send_handoff(PeerId(9), &mut fx).unwrap();
         // An insert arriving mid-hand-off is parked.
@@ -1131,7 +1125,7 @@ mod tests {
     fn parked_split_completion_survives_the_receivers_failure() {
         let mut q = live_peer(1, 0, 100, &[10, 20, 30, 40, 50, 60]);
         q.check_overflow();
-        q.begin_split().unwrap();
+        q.begin_split(PeerId(9)).unwrap();
         let mut fx = Effects::new();
         q.send_handoff(PeerId(9), &mut fx).unwrap();
         // The receiver installed and acknowledged, but a scan holds the
@@ -1148,6 +1142,80 @@ mod tests {
         q.release_scan_lock(ctx(1), &mut fx);
         assert_eq!(q.range(), CircularRange::new(0u64, 30u64));
         assert_eq!(q.item_count(), 3);
+    }
+
+    #[test]
+    fn a_stale_split_completion_keeps_the_newer_hand_off() {
+        let mut q = live_peer(1, 0, 100, &[10, 20, 30, 40, 50, 60]);
+        q.check_overflow();
+        q.begin_split(PeerId(9)).unwrap();
+        let mut fx = Effects::new();
+        q.send_handoff(PeerId(9), &mut fx).unwrap();
+        // The receiver installs and acks, the completion parks behind a scan
+        // lock, and then the receiver is declared failed: the split aborts.
+        q.acquire_scan_lock();
+        deliver(&mut q, 9, DsMsg::HandoffAck, &mut fx);
+        q.on_peer_failed(ctx(1), PeerId(9), &mut fx);
+        assert!(!q.is_rebalancing());
+        // Deletes drain the peer below sf and it asks its successor to merge.
+        for k in [20, 30, 40, 50, 60] {
+            let delete = DsMsg::DeleteItem {
+                mapped: k,
+                reply_to: PeerId(5),
+            };
+            deliver(&mut q, 5, delete, &mut fx);
+        }
+        q.send_merge_request(PeerId(2), &mut fx);
+        q.drain_events();
+
+        // The parked completion lands: the receiver did install, so the
+        // range shrinks, but the merge request is still the hand-off in
+        // flight and is not announced a second time.
+        q.release_scan_lock(ctx(1), &mut fx);
+        assert_eq!(q.range(), CircularRange::new(0u64, 30u64));
+        assert!(q.is_rebalancing());
+        assert!(!q
+            .drain_events()
+            .iter()
+            .any(|e| matches!(e, DsEvent::MergeNeeded { .. })));
+        // Its counterpart's decline still ends it.
+        deliver(&mut q, 2, DsMsg::MergeDeclined, &mut fx);
+        assert!(!q.is_rebalancing());
+    }
+
+    #[test]
+    fn a_split_is_cancelled_only_for_its_own_free_peer() {
+        let mut q = live_peer(1, 0, 100, &[10, 20, 30, 40, 50, 60]);
+        q.check_overflow();
+        q.begin_split(PeerId(9)).unwrap();
+        let mut fx = Effects::new();
+        // Another peer's aborted insert or failure leaves the split alone.
+        assert!(!q.cancel_split(PeerId(8), &mut fx));
+        q.on_peer_failed(ctx(1), PeerId(8), &mut fx);
+        assert!(q.is_rebalancing() && fx.is_empty());
+        // The ring aborts the insert of the split's free peer.
+        assert!(q.cancel_split(PeerId(9), &mut fx));
+        assert!(!q.is_rebalancing());
+        assert!(q.send_handoff(PeerId(9), &mut fx).is_none());
+        // The free peer dies before it joined.
+        q.check_overflow();
+        q.begin_split(PeerId(9)).unwrap();
+        q.on_peer_failed(ctx(1), PeerId(9), &mut fx);
+        assert!(!q.is_rebalancing());
+        // Each cancellation armed a retry; no hand-off was sent.
+        let retries = fx
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e,
+                    Effect::Timer {
+                        msg: DsMsg::RebalanceRetry,
+                        ..
+                    }
+                )
+            })
+            .count();
+        assert_eq!((retries, fx.len()), (2, 2));
     }
 
     #[test]
@@ -1258,7 +1326,7 @@ mod tests {
         // exist (found by the harness at scale, seed 1000 / large
         // horizon).
         let mut q = live_peer(1, 0, 30, &[10]);
-        q.rebalancing = true;
+        q.balance = Balance::Busy;
         let mut qfx = Effects::new();
         deliver(
             &mut q,
@@ -1282,7 +1350,7 @@ mod tests {
         assert_eq!(bridged, CircularRange::new(30u64, 60u64));
         // An adjacent grant reports nothing.
         let mut q2 = live_peer(1, 0, 30, &[10]);
-        q2.rebalancing = true;
+        q2.balance = Balance::Busy;
         let mut q2fx = Effects::new();
         deliver(
             &mut q2,
@@ -1304,7 +1372,7 @@ mod tests {
     fn full_merge_across_a_dead_peers_range_reports_the_bridged_gap_once() {
         // Same ring as above, but s(60,100] gives up its whole range.
         let mut q = live_peer(1, 0, 30, &[10]);
-        q.rebalancing = true;
+        q.balance = Balance::Busy;
         let mut qfx = Effects::new();
         deliver(
             &mut q,
@@ -1380,9 +1448,9 @@ mod tests {
             for give in [Give::Upper(b), Give::Lower(b), Give::All] {
                 let mut g = live_peer(2, 0, 0, &g_keys);
                 g.range = g_range;
-                g.giving = Some(Giving {
+                g.balance = Balance::Giving(Giving {
                     give,
-                    to: Some(PeerId(1)),
+                    to: PeerId(1),
                     sent: true,
                 });
                 // A split goes to a freshly joined successor, the other
@@ -1437,7 +1505,7 @@ mod tests {
                         "{what}: every item sits inside its holder's range"
                     );
                 }
-                assert_eq!(g.giving, None, "{what}: the record is cleared");
+                assert_eq!(g.giving(), None, "{what}: the record is cleared");
                 assert_eq!(g.status() == DsStatus::Free, give == Give::All);
             }
         }
@@ -1448,7 +1516,7 @@ mod tests {
         // Requester q holds the grant parked behind a scan lock when the
         // granter's guard expires and the abort arrives.
         let mut q = live_peer(1, 0, 30, &[10]);
-        q.rebalancing = true;
+        q.balance = Balance::Busy;
         q.acquire_scan_lock();
         let mut qfx = Effects::new();
         deliver(
@@ -1711,7 +1779,7 @@ mod tests {
         let mut fx = Effects::new();
         assert!(s.begin_voluntary_leave(PeerId(1), &mut fx));
         // A split/merge started at the leaver while the offer was in flight.
-        s.rebalancing = true;
+        s.balance = Balance::Busy;
         let mut fx2 = Effects::new();
         s.handle(ctx(2), PeerId(1), DsMsg::LeaveOfferAck, &mut fx2);
         assert!(s.drain_events().is_empty());
@@ -1764,7 +1832,7 @@ mod tests {
         assert!(!sole.begin_voluntary_leave(PeerId(1), &mut fx));
         // A rebalancing peer must finish first.
         let mut busy = live_peer(2, 30, 100, &[40]);
-        busy.rebalancing = true;
+        busy.balance = Balance::Busy;
         assert!(!busy.begin_voluntary_leave(PeerId(1), &mut fx));
         assert!(fx.is_empty());
     }
@@ -1933,11 +2001,8 @@ mod tests {
         for (what, setup, from, msg) in cases {
             let mut ds = setup();
             ds.drain_events();
-            let (snapshot, rebalancing, state) = (
-                ds.snapshot(),
-                ds.is_rebalancing(),
-                format!("{ds:?}"),
-            );
+            let (snapshot, rebalancing, state) =
+                (ds.snapshot(), ds.is_rebalancing(), format!("{ds:?}"));
             let mut fx = Effects::new();
             deliver(&mut ds, from, msg, &mut fx);
             assert_eq!(ds.snapshot(), snapshot, "{what}: snapshot");

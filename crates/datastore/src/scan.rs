@@ -327,6 +327,7 @@ impl DataStoreState {
 mod tests {
     use super::*;
     use crate::config::DsConfig;
+    use crate::state::Balance;
     use pepper_net::{Effect, ProtocolLayer, SimTime};
     use pepper_types::{CircularRange, PeerValue, SearchKey};
 
@@ -486,7 +487,7 @@ mod tests {
         // waiting for the successor's ack): the range change waits.
         let mut p = live_peer(1, 0, 50, &[10, 40]);
         p.set_successor(PeerId(2), PeerValue(100));
-        p.rebalancing = true;
+        p.balance = Balance::Busy;
         let mut fx = Effects::new();
         let interval = KeyInterval::new(5, 90).unwrap();
         p.on_scan_step(ctx(1), qid(9, 0), interval, None, 0, &mut fx);

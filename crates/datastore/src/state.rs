@@ -39,13 +39,31 @@ pub(crate) enum Give {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Giving {
     pub give: Give,
-    /// The receiver; a split learns it only when the ring join completes.
-    pub to: Option<PeerId>,
+    /// The receiver: a split's free peer, or the predecessor.
+    pub to: PeerId,
     /// Whether the range and items are on the wire. From then until the
     /// transfer finishes or aborts, item inserts/deletes targeting this peer
     /// are parked and re-dispatched afterwards, so no item can land in (or
     /// vanish from) the sub-range that is moving.
     pub sent: bool,
+}
+
+/// The one storage-balance hand-off a peer is in. A peer is in at most one
+/// at a time; every other split, merge, redistribute or leave is declined
+/// or deferred until it is back to `Idle`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Balance {
+    Idle,
+    /// A split or merge has been announced to the index layer, or a grant
+    /// this peer asked for is parked behind scan locks.
+    Busy,
+    /// A merge request went to this successor and is unanswered.
+    Requesting(PeerId),
+    /// Predecessor side of a voluntary leave: locked for this leaver's
+    /// merge grant.
+    Absorbing(PeerId),
+    /// The giving side of a transfer.
+    Giving(Giving),
 }
 
 /// A range/item mutation that must wait until all in-flight scans through
@@ -151,18 +169,12 @@ pub struct DataStoreState {
     // queries issued at this peer
     pub(crate) queries: HashMap<QueryId, QueryProgress>,
     pub(crate) next_query_seq: u64,
-    // rebalance bookkeeping
-    pub(crate) rebalancing: bool,
-    /// The transfer this peer is the giving side of, if any.
-    pub(crate) giving: Option<Giving>,
+    pub(crate) balance: Balance,
     /// Leaver side of a voluntary leave: the predecessor the offer went to.
+    /// Not a `Balance`: a split or merge may start while the offer is in
+    /// flight, and the offer's ack then declines the leave.
     pub(crate) leave_offered_to: Option<PeerId>,
-    /// Predecessor side of a voluntary leave: the successor whose merge
-    /// grant this peer is locked waiting for.
-    pub(crate) absorbing_leave_from: Option<PeerId>,
-    /// The successor an unanswered merge request went to.
-    pub(crate) merge_requested_from: Option<PeerId>,
-    /// Item writes parked while `giving` is on the wire.
+    /// Item writes parked while a give is on the wire.
     pub(crate) blocked_item_writes: Vec<(PeerId, DsMsg)>,
     /// Events buffered for the composed peer, drained through
     /// [`ProtocolLayer::drain_events`].
@@ -194,11 +206,8 @@ impl DataStoreState {
             pending_forwards: HashMap::new(),
             queries: HashMap::new(),
             next_query_seq: 0,
-            rebalancing: false,
-            giving: None,
+            balance: Balance::Idle,
             leave_offered_to: None,
-            absorbing_leave_from: None,
-            merge_requested_from: None,
             blocked_item_writes: Vec::new(),
             events: Vec::new(),
         }
@@ -267,13 +276,13 @@ impl DataStoreState {
 
     /// Whether a rebalance (split/merge/redistribute) is currently in flight.
     pub fn is_rebalancing(&self) -> bool {
-        self.rebalancing
+        self.balance != Balance::Idle
     }
 
     /// Whether a two-sided transfer currently parks item writes at this peer
     /// (the giving side of a split hand-off, redistribution or merge).
     pub fn is_item_writes_blocked(&self) -> bool {
-        self.giving.is_some_and(|g| g.sent)
+        self.giving().is_some_and(|g| g.sent)
     }
 
     /// A point-in-time inspection snapshot for oracles and invariant
@@ -285,7 +294,7 @@ impl DataStoreState {
             status: self.status,
             range: self.range,
             mapped_keys: self.store.items().map(|(m, _)| *m).collect(),
-            rebalancing: self.rebalancing,
+            rebalancing: self.is_rebalancing(),
             writes_blocked: self.is_item_writes_blocked(),
             scan_locks: self.scan_locks,
             open_queries: self.queries.len(),
@@ -633,7 +642,7 @@ impl DataStoreState {
             DsMsg::HandoffAck => {
                 // Only the record knows the boundary of the split being
                 // acknowledged.
-                if let Some(give @ Give::Upper(_)) = self.giving.map(|g| g.give) {
+                if let Some(give @ Give::Upper(_)) = self.giving().map(|g| g.give) {
                     self.write_or_defer(ctx, DeferredWrite::Finish(give), fx);
                 }
             }

@@ -98,8 +98,6 @@ pub struct PeerNode {
     /// for as long as the Data Store's item set stays what it was built from.
     built_batch: Option<(BatchStamp, Batch)>,
     pool: FreePool,
-    /// The free peer an in-flight split is waiting to hand off to.
-    pending_split: Option<PeerId>,
     /// When the in-flight merge-give (this peer giving up its range) started.
     merge_started: Option<SimTime>,
     pending_inserts: HashMap<ItemId, PendingItemInsert>,
@@ -117,57 +115,37 @@ pub struct PeerNode {
 impl PeerNode {
     /// Creates the very first peer of a new index (live, owns everything).
     pub fn first(id: PeerId, value: PeerValue, cfg: SystemConfig, pool: FreePool) -> Self {
-        PeerNode {
-            id,
-            ring: LayerSlot::new(
-                RingState::new_first(id, value, RingConfig::from_system(&cfg)),
-                PeerMsg::Ring,
-            ),
-            ds: LayerSlot::new(
-                DataStoreState::new_first(id, value, DsConfig::from_system(&cfg)),
-                PeerMsg::Ds,
-            ),
-            repl: LayerSlot::new(
-                ReplicationManager::new(id, ReplicaConfig::from_system(&cfg)),
-                PeerMsg::Repl,
-            ),
-            router: LayerSlot::new(
-                HierarchicalRouter::new(id, RouterConfig::from_system(&cfg)),
-                PeerMsg::Router,
-            ),
-            stor: LayerSlot::new(StorageLayer::new(cfg.snapshot_period), PeerMsg::Storage),
-            storage: None,
-            recovery_mode: RecoveryMode::Clean,
-            recovered_donation: Vec::new(),
-            built_batch: None,
-            pool,
-            cfg,
-            pending_split: None,
-            merge_started: None,
-            pending_inserts: HashMap::new(),
-            pending_deletes: HashMap::new(),
-            hop_seq: 0,
-            pending_hops: HashMap::new(),
-            observations: Vec::new(),
-            trace: Tracer::off(),
-            metrics: Metrics::disabled(),
-        }
+        let ring = RingState::new_first(id, value, RingConfig::from_system(&cfg));
+        let ds = DataStoreState::new_first(id, value, DsConfig::from_system(&cfg));
+        PeerNode::new(id, cfg, pool, ring, ds)
     }
 
     /// Creates a free peer and registers it in the free pool. It enters the
     /// ring when some overflowing peer splits with it.
     pub fn free(id: PeerId, cfg: SystemConfig, pool: FreePool) -> Self {
         pool.release(id);
+        PeerNode::free_unpooled(id, cfg, pool)
+    }
+
+    /// A free peer that is not in `pool` yet: [`PeerNode::restarted`]
+    /// re-admits it explicitly once reconciliation is underway.
+    fn free_unpooled(id: PeerId, cfg: SystemConfig, pool: FreePool) -> Self {
+        let ring = RingState::new_free(id, RingConfig::from_system(&cfg));
+        let ds = DataStoreState::new_free(id, DsConfig::from_system(&cfg));
+        PeerNode::new(id, cfg, pool, ring, ds)
+    }
+
+    fn new(
+        id: PeerId,
+        cfg: SystemConfig,
+        pool: FreePool,
+        ring: RingState,
+        ds: DataStoreState,
+    ) -> Self {
         PeerNode {
             id,
-            ring: LayerSlot::new(
-                RingState::new_free(id, RingConfig::from_system(&cfg)),
-                PeerMsg::Ring,
-            ),
-            ds: LayerSlot::new(
-                DataStoreState::new_free(id, DsConfig::from_system(&cfg)),
-                PeerMsg::Ds,
-            ),
+            ring: LayerSlot::new(ring, PeerMsg::Ring),
+            ds: LayerSlot::new(ds, PeerMsg::Ds),
             repl: LayerSlot::new(
                 ReplicationManager::new(id, ReplicaConfig::from_system(&cfg)),
                 PeerMsg::Repl,
@@ -183,7 +161,6 @@ impl PeerNode {
             built_batch: None,
             pool,
             cfg,
-            pending_split: None,
             merge_started: None,
             pending_inserts: HashMap::new(),
             pending_deletes: HashMap::new(),
@@ -250,11 +227,10 @@ impl PeerNode {
         recovered: RecoveredState,
         mode: RecoveryMode,
     ) -> Self {
-        let mut node = PeerNode::free_unpooled(id, cfg);
+        let mut node = PeerNode::free_unpooled(id, cfg, pool);
         node.storage = Some(storage);
         node.recovery_mode = mode;
         node.repl.install_replicas(recovered.replicas);
-        node.pool = pool;
         if recovered.live {
             match mode {
                 RecoveryMode::ServeStaleRange => {
@@ -267,14 +243,6 @@ impl PeerNode {
             }
         }
         node
-    }
-
-    /// A free-peer skeleton that does NOT self-register in the pool: the
-    /// throwaway pool absorbs `free`'s self-registration side effect, and
-    /// [`PeerNode::restarted`] installs the real pool (re-admission happens
-    /// explicitly once reconciliation is underway).
-    fn free_unpooled(id: PeerId, cfg: SystemConfig) -> Self {
-        PeerNode::free(id, cfg, FreePool::new())
     }
 
     // ------------------------------------------------------------------
@@ -666,20 +634,16 @@ impl PeerNode {
                 RingEvent::InsertSuccComplete { new_peer, elapsed } => {
                     self.observations
                         .push(Observation::InsertSuccCompleted { new_peer, elapsed });
-                    if self.pending_split == Some(new_peer) {
-                        self.pending_split = None;
-                        let (_, ds_events) =
-                            self.ds.with(out, |ds, fx| ds.send_handoff(new_peer, fx));
-                        self.process_ds_events(now, ds_events, out);
-                    }
+                    let (_, ds_events) = self.ds.with(out, |ds, fx| ds.send_handoff(new_peer, fx));
+                    self.process_ds_events(now, ds_events, out);
                 }
                 RingEvent::InsertSuccAborted { new_peer } => {
-                    if self.pending_split == Some(new_peer) {
-                        self.pending_split = None;
+                    let (cancelled, ds_events) =
+                        self.ds.with(out, |ds, fx| ds.cancel_split(new_peer, fx));
+                    if cancelled {
                         self.pool.release(new_peer);
-                        let ((), ds_events) = self.ds.with(out, |ds, fx| ds.cancel_rebalance(fx));
-                        self.process_ds_events(now, ds_events, out);
                     }
+                    self.process_ds_events(now, ds_events, out);
                 }
                 RingEvent::NewSuccessor { peer, value } => {
                     self.ds.set_successor(peer, value);
@@ -727,17 +691,10 @@ impl PeerNode {
                 }
                 RingEvent::SuccessorFailed { peer } => {
                     self.router.forget_peer(peer);
-                    // If the dead peer was the free peer of an in-flight
-                    // split (between insertSucc start and hand-off ack),
-                    // release the split. It is NOT returned to the pool —
-                    // `on_killed` already removed it there.
-                    if self.pending_split == Some(peer) {
-                        self.pending_split = None;
-                        let ((), ds_events) = self.ds.with(out, |ds, fx| ds.cancel_rebalance(fx));
-                        self.process_ds_events(now, ds_events, out);
-                    }
                     // Unwedge any Data Store transfer waiting on the dead
-                    // peer (hand-off ack, merge reply, leave grant).
+                    // peer (a split's free peer, merge reply, leave grant).
+                    // A split's free peer is NOT returned to the pool —
+                    // `on_killed` already removed it there.
                     let ctx = self.layer_ctx(now);
                     let ((), ds_events) =
                         self.ds.with(out, |ds, fx| ds.on_peer_failed(ctx, peer, fx));
@@ -1080,29 +1037,19 @@ impl PeerNode {
             self.process_ds_events(now, ds_events, out);
             return;
         };
-        let Some((new_value, boundary)) = self.ds.begin_split() else {
+        let Some(new_value) = self.ds.begin_split(free) else {
             self.pool.release(free);
             return;
         };
+        // This peer's ring value (and Data Store range) only moves down to
+        // the split boundary once the hand-off completes — advertising it
+        // earlier would let the old successor extend its range over items
+        // this peer still owns. A refused insert reports
+        // `InsertSuccAborted`, which cancels the split.
         let ctx = self.layer_ctx(now);
-        let (res, ring_events) = self
+        let (_, ring_events) = self
             .ring
             .with(out, |ring, fx| ring.insert_succ(ctx, free, new_value, fx));
-        match res {
-            Ok(()) => {
-                // The ring value (and the Data Store range) only move to
-                // `boundary` once the hand-off completes — advertising the
-                // new boundary earlier would let the old successor extend its
-                // range over items this peer still owns.
-                let _ = boundary;
-                self.pending_split = Some(free);
-            }
-            Err(_) => {
-                self.pool.release(free);
-                let ((), ds_events) = self.ds.with(out, |ds, fx| ds.cancel_rebalance(fx));
-                self.process_ds_events(now, ds_events, out);
-            }
-        }
         self.process_ring_events(now, ring_events, out);
     }
 

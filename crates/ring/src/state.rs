@@ -63,33 +63,24 @@ impl RingState {
     /// Creates the state of the very first peer of a ring (phase `JOINED`,
     /// responsible for the full circle, successor pointers to itself).
     pub fn new_first(id: PeerId, value: PeerValue, cfg: RingConfig) -> Self {
-        let succ_list = vec![SuccEntry::joined_stab(id, value); cfg.succ_list_len.max(1)];
-        RingState {
-            id,
-            value,
-            phase: RingPhase::Joined,
-            succ_list,
-            pred: Some((id, value)),
-            pred_heard: SimTime::ZERO,
-            pred_tombstone: None,
-            cfg,
-            pending_insert: None,
-            leave_started: None,
-            ping_seq: 0,
-            answered_pings: HashMap::new(),
-            last_new_succ: Some((id, value)),
-            timers_started: false,
-            events: Vec::new(),
-        }
+        let mut s = RingState::new(id, value, RingPhase::Joined, cfg);
+        s.succ_list = vec![SuccEntry::joined_stab(id, value); s.cfg.succ_list_len.max(1)];
+        s.pred = Some((id, value));
+        s.last_new_succ = Some((id, value));
+        s
     }
 
     /// Creates the state of a free peer (not yet part of any ring). Free
     /// peers passively wait for a `Join` (or `NaiveJoin`) message.
     pub fn new_free(id: PeerId, cfg: RingConfig) -> Self {
+        RingState::new(id, PeerValue(0), RingPhase::Free, cfg)
+    }
+
+    fn new(id: PeerId, value: PeerValue, phase: RingPhase, cfg: RingConfig) -> Self {
         RingState {
             id,
-            value: PeerValue(0),
-            phase: RingPhase::Free,
+            value,
+            phase,
             succ_list: Vec::new(),
             pred: None,
             pred_heard: SimTime::ZERO,

@@ -77,9 +77,6 @@ pub struct SystemConfig {
     pub replication_factor: usize,
     /// Period of the replica refresh loop.
     pub replica_refresh_period: Duration,
-    /// Order `d` of the hierarchical content router (each level-`i` pointer
-    /// skips roughly `d^i` peers).
-    pub router_order: usize,
     /// Period of the content-router maintenance loop.
     pub router_refresh_period: Duration,
     /// Period of the durable-storage snapshot loop (WAL compaction). Only
@@ -102,7 +99,6 @@ impl SystemConfig {
             storage_factor: 5,
             replication_factor: 6,
             replica_refresh_period: Duration::from_secs(4),
-            router_order: 2,
             router_refresh_period: Duration::from_secs(4),
             snapshot_period: Duration::from_secs(10),
             key_map: KeyMap::order_preserving(),
