@@ -427,7 +427,7 @@ impl PeerNode {
     }
 
     // ------------------------------------------------------------------
-    // internal plumbing
+    // private plumbing
     // ------------------------------------------------------------------
 
     fn layer_ctx(&self, now: SimTime) -> LayerCtx {

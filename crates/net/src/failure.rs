@@ -19,11 +19,6 @@ pub struct FailureSchedule {
 }
 
 impl FailureSchedule {
-    /// No failures.
-    pub fn none() -> Self {
-        FailureSchedule::default()
-    }
-
     /// Builds a schedule with `failures_per_100s` failures per 100 seconds of
     /// virtual time, spread over `[start, start + horizon]` with uniform
     /// jitter around the nominal inter-failure gap.
@@ -34,12 +29,12 @@ impl FailureSchedule {
         rng: &mut impl Rng,
     ) -> Self {
         if failures_per_100s <= 0.0 {
-            return FailureSchedule::none();
+            return FailureSchedule::default();
         }
         let rate_per_sec = failures_per_100s / 100.0;
         let expected = (horizon.as_secs_f64() * rate_per_sec).floor() as usize;
         if expected == 0 {
-            return FailureSchedule::none();
+            return FailureSchedule::default();
         }
         let gap = horizon.as_secs_f64() / expected as f64;
         let mut times = Vec::with_capacity(expected);
@@ -49,13 +44,6 @@ impl FailureSchedule {
             let at = (nominal + jitter).max(0.0);
             times.push(start + Duration::from_secs_f64(at));
         }
-        times.sort_unstable();
-        FailureSchedule { times }
-    }
-
-    /// Builds a schedule from explicit times.
-    pub fn at_times(times: impl IntoIterator<Item = SimTime>) -> Self {
-        let mut times: Vec<SimTime> = times.into_iter().collect();
         times.sort_unstable();
         FailureSchedule { times }
     }
@@ -88,7 +76,6 @@ mod tests {
         let s =
             FailureSchedule::poisson_like(0.0, SimTime::ZERO, Duration::from_secs(100), &mut rng);
         assert!(s.is_empty());
-        assert!(FailureSchedule::none().is_empty());
     }
 
     #[test]
@@ -155,22 +142,5 @@ mod tests {
         let s =
             FailureSchedule::poisson_like(-5.0, SimTime::ZERO, Duration::from_secs(100), &mut rng);
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn explicit_times_are_sorted() {
-        let s = FailureSchedule::at_times([
-            SimTime::from_secs(9),
-            SimTime::from_secs(1),
-            SimTime::from_secs(4),
-        ]);
-        assert_eq!(
-            s.times(),
-            &[
-                SimTime::from_secs(1),
-                SimTime::from_secs(4),
-                SimTime::from_secs(9)
-            ]
-        );
     }
 }

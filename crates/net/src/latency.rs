@@ -7,9 +7,7 @@ use rand::Rng;
 /// How long a message takes to travel between two peers.
 ///
 /// The paper's cluster is a local area network; the default model reproduces
-/// a LAN-like profile (a fraction of a millisecond, lightly jittered). A
-/// wide-area profile is provided for the "in a WAN we expect range-scan time
-/// to grow with hop count" discussion of Section 6.3.2.
+/// a LAN-like profile (a fraction of a millisecond, lightly jittered).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LatencyModel {
     /// Every message takes exactly this long.
@@ -32,14 +30,6 @@ impl LatencyModel {
         }
     }
 
-    /// WAN profile: 20–80 ms one-way.
-    pub fn wan() -> Self {
-        LatencyModel::Uniform {
-            min: Duration::from_millis(20),
-            max: Duration::from_millis(80),
-        }
-    }
-
     /// Zero latency (useful for pure logic tests).
     pub fn zero() -> Self {
         LatencyModel::Constant(Duration::ZERO)
@@ -56,14 +46,6 @@ impl LatencyModel {
                 let span = (max - min).as_nanos() as u64;
                 min + Duration::from_nanos(rng.gen_range(0..=span))
             }
-        }
-    }
-
-    /// The mean latency of the model (used by analytic sanity checks).
-    pub fn mean(&self) -> Duration {
-        match *self {
-            LatencyModel::Constant(d) => d,
-            LatencyModel::Uniform { min, max } => (min + max) / 2,
         }
     }
 }
@@ -96,15 +78,6 @@ impl NetworkConfig {
         }
     }
 
-    /// WAN profile with a fixed seed.
-    pub fn wan(seed: u64) -> Self {
-        NetworkConfig {
-            latency: LatencyModel::wan(),
-            processing_delay: Duration::from_micros(50),
-            seed,
-        }
-    }
-
     /// Zero-latency profile (for protocol logic tests).
     pub fn instant(seed: u64) -> Self {
         NetworkConfig {
@@ -112,25 +85,6 @@ impl NetworkConfig {
             processing_delay: Duration::ZERO,
             seed,
         }
-    }
-
-    /// Builder-style override of the latency model (harness knob: the same
-    /// scenario can be replayed over LAN-, WAN- or custom-jitter profiles).
-    pub fn with_latency(mut self, latency: LatencyModel) -> Self {
-        self.latency = latency;
-        self
-    }
-
-    /// Builder-style override of the per-message processing delay.
-    pub fn with_processing_delay(mut self, delay: Duration) -> Self {
-        self.processing_delay = delay;
-        self
-    }
-
-    /// Builder-style override of the simulator seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
     }
 }
 
@@ -153,7 +107,6 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(m.sample(&mut rng), Duration::from_millis(3));
         }
-        assert_eq!(m.mean(), Duration::from_millis(3));
     }
 
     #[test]
@@ -166,7 +119,6 @@ mod tests {
             let d = m.sample(&mut rng);
             assert!(d >= min && d <= max, "{d:?} out of bounds");
         }
-        assert_eq!(m.mean(), Duration::from_micros(250));
     }
 
     #[test]
@@ -180,21 +132,10 @@ mod tests {
     }
 
     #[test]
-    fn builders_override_fields() {
-        let cfg = NetworkConfig::lan(1)
-            .with_latency(LatencyModel::wan())
-            .with_processing_delay(Duration::from_micros(9))
-            .with_seed(77);
-        assert_eq!(cfg.latency, LatencyModel::wan());
-        assert_eq!(cfg.processing_delay, Duration::from_micros(9));
-        assert_eq!(cfg.seed, 77);
-    }
-
-    #[test]
     fn presets() {
-        assert!(LatencyModel::lan().mean() < Duration::from_millis(1));
-        assert!(LatencyModel::wan().mean() >= Duration::from_millis(20));
-        assert_eq!(LatencyModel::zero().mean(), Duration::ZERO);
+        let mut rng = StdRng::seed_from_u64(4);
+        assert!(LatencyModel::lan().sample(&mut rng) < Duration::from_millis(1));
+        assert_eq!(LatencyModel::zero().sample(&mut rng), Duration::ZERO);
         let cfg = NetworkConfig::default();
         assert_eq!(cfg.latency, LatencyModel::lan());
         assert_eq!(NetworkConfig::instant(7).processing_delay, Duration::ZERO);

@@ -66,11 +66,6 @@ impl<L: ProtocolLayer, M> LayerSlot<L, M> {
         LayerSlot { layer, wrap }
     }
 
-    /// Consumes the slot, returning the layer.
-    pub fn into_inner(self) -> L {
-        self.layer
-    }
-
     /// Runs `f` against the layer with a fresh effect buffer, moves every
     /// emitted effect, mapped and in emission order, onto the end of `out`,
     /// and returns the closure result together with the events the
@@ -233,7 +228,7 @@ mod tests {
         let mut slot = LayerSlot::new(EchoLayer::default(), WireMsg::Echo);
         assert!(!slot.started);
         slot.started = true; // DerefMut for effect-free mutators
-        assert!(slot.into_inner().started);
+        assert!(slot.started);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! in `DESIGN.md`: a **deterministic discrete-event simulator** in which every
 //! peer is a state machine ([`Node`]) driven by messages and timers, message
 //! delivery latency follows a configurable [`LatencyModel`], peers can be
-//! killed (fail-stop) at scheduled virtual times, and all measurements are
+//! killed (fail-stop) and revived between runs, and all measurements are
 //! taken in virtual time.
 //!
 //! The protocol crates (`pepper-ring`, `pepper-datastore`, …) are written as
@@ -23,7 +23,6 @@
 
 pub mod effect;
 pub mod failure;
-mod intern;
 pub mod latency;
 pub mod layer;
 pub mod sim;

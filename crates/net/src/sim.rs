@@ -8,11 +8,18 @@
 //!
 //! # Execution
 //!
-//! There is one delivery loop: [`Simulator::step`] pops the earliest event,
-//! delivers it, and schedules the effects its handler emitted;
-//! [`Simulator::run_until`] repeats that up to a deadline. Nothing about how
-//! the loop executes is configurable, so the `(time, seq)` order is the only
+//! There is one delivery loop: [`Simulator::run_until`] pops the earliest
+//! event, delivers it, and schedules the effects its handler emitted, until
+//! the next event lies past the deadline. Nothing about how the loop
+//! executes is configurable, so the `(time, seq)` order is the only
 //! interleaving a seed can produce.
+//!
+//! # Peer slots
+//!
+//! [`Simulator::add_node`] hands out ids 0, 1, 2, … in order, so a
+//! [`PeerId`]'s raw value *is* its slot in the simulator's per-peer vectors.
+//! An id at or past the number of registered peers — [`EXTERNAL_SENDER`]
+//! included — is simply absent. A killed and revived peer keeps its slot.
 //!
 //! # Correlation ids
 //!
@@ -34,7 +41,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::effect::{Effect, Effects, LayerCtx};
-use crate::intern::{PeerTable, DENSE_NONE};
 use crate::latency::NetworkConfig;
 use crate::stats::NetStats;
 use crate::time::SimTime;
@@ -58,20 +64,15 @@ pub trait Node {
     fn on_killed(&mut self) {}
 }
 
-/// What a queued event does when it is processed.
+/// A queued event: one message (or timer) on its way to a peer.
 #[derive(Debug, Clone)]
-enum Payload<M> {
-    /// Deliver a message.
-    Deliver {
-        from: PeerId,
-        to: PeerId,
-        msg: M,
-        is_timer: bool,
-        is_external: bool,
-        cid: Cid,
-    },
-    /// Fail-stop the peer.
-    Kill { peer: PeerId },
+struct Delivery<M> {
+    from: PeerId,
+    to: PeerId,
+    msg: M,
+    is_timer: bool,
+    is_external: bool,
+    cid: Cid,
 }
 
 /// The mutable context handed to a node while it handles an event.
@@ -167,13 +168,20 @@ type FifoMap = HashMap<(PeerId, PeerId), SimTime, BuildHasherDefault<PairHasher>
 
 /// The discrete-event simulator.
 pub struct Simulator<N: Node> {
-    /// Interned peer slots: nodes, liveness, revive floors (see
-    /// [`crate::intern::PeerTable`]).
-    table: PeerTable<N>,
-    queue: EventWheel<Payload<N::Msg>>,
+    /// Node state per peer slot (never removed: dead nodes stay
+    /// inspectable). The per-peer vectors below are indexed the same way.
+    nodes: Vec<N>,
+    alive: Vec<bool>,
+    /// Revive delivery floor per peer: an event with `seq <` floor was
+    /// aimed at a previous incarnation.
+    floor: Vec<u64>,
+    /// Delivered events (messages + timers + external) per peer — the raw
+    /// material of the macro bench's per-peer load histogram.
+    deliveries_by_slot: Vec<u64>,
+    alive_count: usize,
+    queue: EventWheel<Delivery<N::Msg>>,
     now: SimTime,
     seq: u64,
-    next_peer_id: u64,
     config: NetworkConfig,
     rng: StdRng,
     stats: NetStats,
@@ -193,9 +201,6 @@ pub struct Simulator<N: Node> {
     /// Lets callers memoize derived views of the cluster and invalidate
     /// them precisely.
     version: u64,
-    /// Delivered events (messages + timers + external) per peer slot — the
-    /// raw material of the macro bench's per-peer load histogram.
-    deliveries_by_slot: Vec<u64>,
 }
 
 /// Prune the FIFO map whenever an event lands and the map exceeds this many
@@ -209,18 +214,20 @@ impl<N: Node> Simulator<N> {
     pub fn new(config: NetworkConfig) -> Self {
         let rng = StdRng::seed_from_u64(config.seed);
         Simulator {
-            table: PeerTable::new(),
+            nodes: Vec::new(),
+            alive: Vec::new(),
+            floor: Vec::new(),
+            deliveries_by_slot: Vec::new(),
+            alive_count: 0,
             queue: EventWheel::new(),
             now: SimTime::ZERO,
             seq: 0,
-            next_peer_id: 0,
             config,
             rng,
             stats: NetStats::default(),
             fifo: FifoMap::default(),
             scratch: None,
             version: 0,
-            deliveries_by_slot: Vec::new(),
         }
     }
 
@@ -234,11 +241,6 @@ impl<N: Node> Simulator<N> {
         self.stats
     }
 
-    /// The network configuration.
-    pub fn config(&self) -> &NetworkConfig {
-        &self.config
-    }
-
     /// A monotone counter that changes whenever node or liveness state may
     /// have changed. Two calls returning the same value guarantee that any
     /// view derived from the node states is still valid, which lets callers
@@ -247,129 +249,111 @@ impl<N: Node> Simulator<N> {
         self.version
     }
 
+    /// The slot of `id`, or `None` if no peer was registered under it.
+    #[inline]
+    fn slot(&self, id: PeerId) -> Option<usize> {
+        usize::try_from(id.raw())
+            .ok()
+            .filter(|&s| s < self.nodes.len())
+    }
+
     /// Delivered events (messages + timers + external) per registered
     /// peer, in increasing id order — the per-peer load profile.
     pub fn per_peer_deliveries(&self) -> Vec<(PeerId, u64)> {
-        self.table
-            .order()
-            .iter()
-            .map(|&d| (self.table.raw_of(d), self.deliveries_by_slot[d as usize]))
+        self.peers()
+            .zip(self.deliveries_by_slot.iter().copied())
             .collect()
     }
 
     /// Adds a node built by `build`, which receives the freshly assigned
-    /// peer id. Returns the id.
+    /// peer id (the next free slot). Returns the id.
     pub fn add_node(&mut self, build: impl FnOnce(PeerId) -> N) -> PeerId {
-        let id = PeerId(self.next_peer_id);
-        self.next_peer_id += 1;
+        let id = PeerId(self.nodes.len() as u64);
         self.version += 1;
-        self.table.intern(id, build(id));
+        self.nodes.push(build(id));
+        self.alive.push(true);
+        self.floor.push(0);
         self.deliveries_by_slot.push(0);
+        self.alive_count += 1;
         id
-    }
-
-    /// Adds a node under an explicit id (useful for tests). Panics if the id
-    /// is already taken or collides with [`EXTERNAL_SENDER`].
-    pub fn add_node_with_id(&mut self, id: PeerId, node: N) {
-        assert_ne!(id, EXTERNAL_SENDER, "peer id reserved for external sender");
-        self.next_peer_id = self.next_peer_id.max(id.raw() + 1);
-        self.version += 1;
-        self.table.intern(id, node);
-        self.deliveries_by_slot.push(0);
     }
 
     /// Returns `true` if the peer exists and has not been killed.
     pub fn is_alive(&self, id: PeerId) -> bool {
-        self.table.is_alive(id)
+        self.slot(id).is_some_and(|s| self.alive[s])
     }
 
     /// Immutable access to a node's state (dead nodes remain inspectable).
     pub fn node(&self, id: PeerId) -> Option<&N> {
-        let d = self.table.dense(id);
-        (d != DENSE_NONE).then(|| self.table.node(d))
+        self.slot(id).map(|s| &self.nodes[s])
     }
 
     /// Mutable access to a node's state.
     pub fn node_mut(&mut self, id: PeerId) -> Option<&mut N> {
         self.version += 1;
-        let d = self.table.dense(id);
-        (d != DENSE_NONE).then(|| self.table.node_mut(d))
+        let s = self.slot(id)?;
+        Some(&mut self.nodes[s])
     }
 
     /// All registered peer ids (alive and dead), in increasing order.
     pub fn peers(&self) -> impl Iterator<Item = PeerId> + '_ {
-        self.table.order().iter().map(|&d| self.table.raw_of(d))
+        (0..self.nodes.len() as u64).map(PeerId)
     }
 
     /// Every registered node tagged with its id, in increasing id order.
     pub fn nodes_iter(&self) -> impl Iterator<Item = (PeerId, &N)> {
-        self.table
-            .order()
-            .iter()
-            .map(|&d| (self.table.raw_of(d), self.table.node(d)))
+        self.peers().zip(&self.nodes)
     }
 
     /// Every alive node tagged with its id, in increasing id order.
     pub fn alive_nodes_iter(&self) -> impl Iterator<Item = (PeerId, &N)> {
-        self.table
-            .order()
-            .iter()
-            .filter(|&&d| self.table.is_alive_dense(d))
-            .map(|&d| (self.table.raw_of(d), self.table.node(d)))
+        self.nodes_iter()
+            .zip(&self.alive)
+            .filter_map(|(entry, &alive)| alive.then_some(entry))
     }
 
-    /// Mutable iteration over every registered node (alive and dead).
+    /// Mutable iteration over every registered node (alive and dead), in
+    /// increasing id order.
     pub fn nodes_iter_mut(&mut self) -> impl Iterator<Item = (PeerId, &mut N)> + '_ {
         self.version += 1;
-        self.table.iter_mut_ordered()
-    }
-
-    /// All currently alive peer ids, in increasing order.
-    pub fn alive_iter(&self) -> impl Iterator<Item = PeerId> + '_ {
-        self.table
-            .order()
-            .iter()
-            .filter(|&&d| self.table.is_alive_dense(d))
-            .map(|&d| self.table.raw_of(d))
+        self.nodes
+            .iter_mut()
+            .enumerate()
+            .map(|(s, node)| (PeerId(s as u64), node))
     }
 
     /// Number of alive peers.
     pub fn alive_count(&self) -> usize {
-        self.table.alive_count()
+        self.alive_count
     }
 
     /// Number of (sender, receiver) channels currently tracked for FIFO
     /// ordering (bounded: purged on kill, stale entries pruned as events
     /// are processed).
-    pub fn fifo_channel_count(&self) -> usize {
+    #[cfg(test)]
+    fn fifo_channel_count(&self) -> usize {
         self.fifo.len()
     }
 
-    fn push(&mut self, at: SimTime, payload: Payload<N::Msg>) {
+    fn push(&mut self, at: SimTime, delivery: Delivery<N::Msg>) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(at, seq, payload);
+        self.queue.push(at, seq, delivery);
         self.stats.peak_queue_depth = self.stats.peak_queue_depth.max(self.queue.len() as u64);
     }
 
     /// Injects an external message to `to`, delivered at the current time
-    /// (plus the processing delay).
-    pub fn send_external(&mut self, to: PeerId, msg: N::Msg) {
-        self.send_external_at(to, msg, self.now);
-    }
-
-    /// Injects an external message to `to`, delivered at `at` (plus the
-    /// processing delay).
+    /// plus the processing delay.
     ///
     /// External injections are causal roots: the delivery is stamped with
     /// a fresh [`Cid`] minted from the delivery time and the event's
     /// sequence number, which every downstream effect inherits.
-    pub fn send_external_at(&mut self, to: PeerId, msg: N::Msg, at: SimTime) {
-        let at = at.max(self.now) + self.config.processing_delay;
+    pub fn send_external(&mut self, to: PeerId, msg: N::Msg) {
+        let at = self.now + self.config.processing_delay;
         let cid = Cid::new(at.as_nanos(), self.seq);
         self.push(
             at,
-            Payload::Deliver {
+            Delivery {
                 from: EXTERNAL_SENDER,
                 to,
                 msg,
@@ -380,45 +364,41 @@ impl<N: Node> Simulator<N> {
         );
     }
 
-    /// Kills `peer` immediately (fail-stop). FIFO channel state involving
-    /// the dead peer is purged: no further message can originate from it,
-    /// and deliveries *to* it are dropped before ordering matters, so the
-    /// entries would otherwise only leak (churn-heavy runs killed hundreds
-    /// of peers and the per-pair map grew without bound).
+    /// Kills `peer` immediately (fail-stop); a no-op for a dead or unknown
+    /// peer. FIFO channel state involving the dead peer is purged: no
+    /// further message can originate from it, and deliveries *to* it are
+    /// dropped before ordering matters, so the entries would otherwise only
+    /// leak (churn-heavy runs killed hundreds of peers and the per-pair map
+    /// grew without bound).
     pub fn kill(&mut self, peer: PeerId) {
-        let d = self.table.dense(peer);
-        if d != DENSE_NONE && self.table.set_dead(d) {
-            self.version += 1;
-            self.fifo
-                .retain(|(from, to), _| *from != peer && *to != peer);
-            self.table.node_mut(d).on_killed();
-        }
+        let Some(s) = self.slot(peer).filter(|&s| self.alive[s]) else {
+            return;
+        };
+        self.alive[s] = false;
+        self.alive_count -= 1;
+        self.version += 1;
+        self.fifo
+            .retain(|(from, to), _| *from != peer && *to != peer);
+        self.nodes[s].on_killed();
     }
 
-    /// Schedules `peer` to be killed at `at`.
-    pub fn kill_at(&mut self, peer: PeerId, at: SimTime) {
-        let at = at.max(self.now);
-        self.push(at, Payload::Kill { peer });
-    }
-
-    /// Revives a previously killed peer under its original id with a fresh
-    /// node state (a process restart on the same host). Every event queued
-    /// before the revival — messages sent to the dead incarnation, its
-    /// leftover timers — is dropped at delivery time via a per-peer
+    /// Revives a previously killed peer under its original id and slot with
+    /// a fresh node state (a process restart on the same host). Every event
+    /// queued before the revival — messages sent to the dead incarnation,
+    /// its leftover timers — is dropped at delivery time via a per-peer
     /// sequence-number floor: a restarted process has fresh connections and
     /// fresh timers, exactly like a real crash-recovery. Panics if the peer
     /// is alive or was never registered.
     pub fn revive(&mut self, peer: PeerId, node: N) {
-        let d = self.table.dense(peer);
-        assert!(d != DENSE_NONE, "revive: peer {peer} was never registered");
-        assert!(
-            !self.table.is_alive_dense(d),
-            "revive: peer {peer} is still alive"
-        );
+        let s = self
+            .slot(peer)
+            .unwrap_or_else(|| panic!("revive: peer {peer} was never registered"));
+        assert!(!self.alive[s], "revive: peer {peer} is still alive");
         self.version += 1;
-        self.table.set_floor(d, self.seq);
-        self.table.replace_node(d, node);
-        self.table.set_alive(d);
+        self.floor[s] = self.seq;
+        self.nodes[s] = node;
+        self.alive[s] = true;
+        self.alive_count += 1;
     }
 
     /// Runs a closure against a node with a live [`Context`], scheduling any
@@ -436,10 +416,7 @@ impl<N: Node> Simulator<N> {
         id: PeerId,
         f: impl FnOnce(&mut N, &mut Context<'_, N::Msg>) -> R,
     ) -> Option<R> {
-        let d = self.table.dense(id);
-        if d == DENSE_NONE || !self.table.is_alive_dense(d) {
-            return None;
-        }
+        let s = self.slot(id).filter(|&s| self.alive[s])?;
         self.version += 1;
         let cid = Cid::new(self.now.as_nanos(), self.seq);
         let mut out = self.scratch.take().unwrap_or_default();
@@ -450,7 +427,7 @@ impl<N: Node> Simulator<N> {
             is_timer: false,
             out: &mut out,
         };
-        let result = f(self.table.node_mut(d), &mut ctx);
+        let result = f(&mut self.nodes[s], &mut ctx);
         self.schedule_effects(id, cid, &mut out);
         self.scratch = Some(out);
         Some(result)
@@ -488,12 +465,12 @@ impl<N: Node> Simulator<N> {
         from: PeerId,
         cid: Cid,
         effect: Effect<N::Msg>,
-    ) -> (SimTime, Payload<N::Msg>) {
+    ) -> (SimTime, Delivery<N::Msg>) {
         let (at, to, msg, is_timer) = match effect {
             Effect::Send { to, msg } => (self.schedule_send(from, to), to, msg, false),
             Effect::Timer { delay, msg } => (self.now + delay, from, msg, true),
         };
-        let payload = Payload::Deliver {
+        let delivery = Delivery {
             from,
             to,
             msg,
@@ -501,15 +478,15 @@ impl<N: Node> Simulator<N> {
             is_external: false,
             cid,
         };
-        (at, payload)
+        (at, delivery)
     }
 
     /// Schedules the buffered effects in emission order, leaving `effects`
     /// empty (the caller hands the buffer back for reuse).
     fn schedule_effects(&mut self, from: PeerId, cid: Cid, effects: &mut Effects<N::Msg>) {
         effects.drain_each(|effect| {
-            let (at, payload) = self.delivery_of(from, cid, effect);
-            self.push(at, payload);
+            let (at, delivery) = self.delivery_of(from, cid, effect);
+            self.push(at, delivery);
         });
     }
 
@@ -524,8 +501,8 @@ impl<N: Node> Simulator<N> {
 
     /// Processes the next queued event, advancing virtual time to it.
     /// Returns `false` when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        let Some((at, seq, payload)) = self.queue.pop() else {
+    fn step(&mut self) -> bool {
+        let Some((at, seq, delivery)) = self.queue.pop() else {
             return false;
         };
         self.now = self.now.max(at);
@@ -536,58 +513,44 @@ impl<N: Node> Simulator<N> {
         {
             self.prune_stale_fifo();
         }
-        match payload {
-            Payload::Kill { peer } => {
-                // The revive delivery floor covers scheduled kills too: a
-                // `kill_at` aimed at an incarnation that has since crashed
-                // and been revived must not fell the NEW incarnation as a
-                // phantom second failure.
-                let d = self.table.dense(peer);
-                let below_floor = d != DENSE_NONE && seq < self.table.floor(d);
-                if !below_floor {
-                    self.kill(peer);
-                }
+        let Delivery {
+            from,
+            to,
+            msg,
+            is_timer,
+            is_external,
+            cid,
+        } = delivery;
+        let Some(s) = self
+            .slot(to)
+            .filter(|&s| seq >= self.floor[s] && self.alive[s])
+        else {
+            if is_timer {
+                self.stats.timers_dropped += 1;
+            } else {
+                self.stats.messages_dropped += 1;
             }
-            Payload::Deliver {
-                from,
-                to,
-                msg,
-                is_timer,
-                is_external,
-                cid,
-            } => {
-                let d = self.table.dense(to);
-                let deliverable =
-                    d != DENSE_NONE && seq >= self.table.floor(d) && self.table.is_alive_dense(d);
-                if !deliverable {
-                    if is_timer {
-                        self.stats.timers_dropped += 1;
-                    } else {
-                        self.stats.messages_dropped += 1;
-                    }
-                    return true;
-                }
-                if is_timer {
-                    self.stats.timers_fired += 1;
-                } else if is_external {
-                    self.stats.external_delivered += 1;
-                } else {
-                    self.stats.messages_delivered += 1;
-                }
-                self.deliveries_by_slot[d as usize] += 1;
-                let mut out = self.scratch.take().unwrap_or_default();
-                let mut ctx = Context {
-                    self_id: to,
-                    now: self.now,
-                    cid,
-                    is_timer,
-                    out: &mut out,
-                };
-                self.table.node_mut(d).on_message(&mut ctx, from, msg);
-                self.schedule_effects(to, cid, &mut out);
-                self.scratch = Some(out);
-            }
+            return true;
+        };
+        if is_timer {
+            self.stats.timers_fired += 1;
+        } else if is_external {
+            self.stats.external_delivered += 1;
+        } else {
+            self.stats.messages_delivered += 1;
         }
+        self.deliveries_by_slot[s] += 1;
+        let mut out = self.scratch.take().unwrap_or_default();
+        let mut ctx = Context {
+            self_id: to,
+            now: self.now,
+            cid,
+            is_timer,
+            out: &mut out,
+        };
+        self.nodes[s].on_message(&mut ctx, from, msg);
+        self.schedule_effects(to, cid, &mut out);
+        self.scratch = Some(out);
         true
     }
 
@@ -605,21 +568,6 @@ impl<N: Node> Simulator<N> {
     pub fn run_for(&mut self, d: Duration) {
         let deadline = self.now + d;
         self.run_until(deadline);
-    }
-
-    /// Runs until the event queue is empty or `max_events` events have been
-    /// processed. Only useful for nodes without periodic timers.
-    pub fn run_until_idle(&mut self, max_events: u64) -> u64 {
-        let mut processed = 0;
-        while processed < max_events && self.step() {
-            processed += 1;
-        }
-        processed
-    }
-
-    /// Number of events currently queued.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
     }
 }
 
@@ -666,38 +614,20 @@ mod tests {
         }
     }
 
+    fn token_node(next: PeerId) -> TokenNode {
+        TokenNode {
+            next,
+            tokens_seen: 0,
+            ticks: 0,
+            killed: false,
+        }
+    }
+
     fn three_node_sim() -> (Simulator<TokenNode>, PeerId, PeerId, PeerId) {
         let mut sim = Simulator::new(NetworkConfig::lan(42));
-        let a = PeerId(0);
-        let b = PeerId(1);
-        let c = PeerId(2);
-        sim.add_node_with_id(
-            a,
-            TokenNode {
-                next: b,
-                tokens_seen: 0,
-                ticks: 0,
-                killed: false,
-            },
-        );
-        sim.add_node_with_id(
-            b,
-            TokenNode {
-                next: c,
-                tokens_seen: 0,
-                ticks: 0,
-                killed: false,
-            },
-        );
-        sim.add_node_with_id(
-            c,
-            TokenNode {
-                next: a,
-                tokens_seen: 0,
-                ticks: 0,
-                killed: false,
-            },
-        );
+        let a = sim.add_node(|_| token_node(PeerId(1)));
+        let b = sim.add_node(|_| token_node(PeerId(2)));
+        let c = sim.add_node(|_| token_node(PeerId(0)));
         (sim, a, b, c)
     }
 
@@ -729,7 +659,8 @@ mod tests {
     fn killed_peer_drops_messages_and_timers() {
         let (mut sim, a, b, c) = three_node_sim();
         sim.send_external(a, TokenMsg::Token(10));
-        sim.kill_at(b, SimTime::from_millis(1));
+        sim.run_until(SimTime::from_millis(1));
+        sim.kill(b);
         sim.run_for(Duration::from_secs(2));
         assert!(sim.node(b).unwrap().killed);
         assert!(!sim.is_alive(b));
@@ -761,18 +692,8 @@ mod tests {
     fn deterministic_for_same_seed() {
         let run = |seed| {
             let mut sim = Simulator::new(NetworkConfig::lan(seed));
-            let a = sim.add_node(|_| TokenNode {
-                next: PeerId(1),
-                tokens_seen: 0,
-                ticks: 0,
-                killed: false,
-            });
-            let b = sim.add_node(|_| TokenNode {
-                next: PeerId(0),
-                tokens_seen: 0,
-                ticks: 0,
-                killed: false,
-            });
+            let a = sim.add_node(|_| token_node(PeerId(1)));
+            let b = sim.add_node(|_| token_node(PeerId(0)));
             sim.send_external(a, TokenMsg::Token(50));
             sim.run_for(Duration::from_secs(5));
             (
@@ -789,9 +710,12 @@ mod tests {
     fn run_until_idle_processes_finite_work() {
         let (mut sim, a, _, _) = three_node_sim();
         sim.send_external(a, TokenMsg::Token(3));
-        let processed = sim.run_until_idle(1000);
+        let mut processed = 0;
+        while sim.step() {
+            processed += 1;
+        }
         assert_eq!(processed, 4);
-        assert_eq!(sim.pending_events(), 0);
+        assert_eq!(sim.queue.len(), 0);
     }
 
     #[test]
@@ -856,7 +780,6 @@ mod tests {
         let (mut sim, a, b, c) = three_node_sim();
         sim.kill(b);
         assert_eq!(sim.peers().collect::<Vec<_>>(), vec![a, b, c]);
-        assert_eq!(sim.alive_iter().collect::<Vec<_>>(), vec![a, c]);
         assert_eq!(
             sim.nodes_iter().map(|(p, _)| p).collect::<Vec<_>>(),
             vec![a, b, c]
@@ -865,7 +788,16 @@ mod tests {
             sim.alive_nodes_iter().map(|(p, _)| p).collect::<Vec<_>>(),
             vec![a, c]
         );
-        assert_eq!(sim.nodes_iter_mut().count(), 3);
+        let mut seen = Vec::new();
+        for (p, node) in sim.nodes_iter_mut() {
+            assert_eq!(
+                node.next.raw(),
+                (p.raw() + 1) % 3,
+                "each id gets its own node"
+            );
+            seen.push(p);
+        }
+        assert_eq!(seen, vec![a, b, c]);
     }
 
     #[test]
@@ -889,15 +821,7 @@ mod tests {
             ctx.set_timer(Duration::from_millis(5), TokenMsg::Tick)
         });
         sim.kill(b);
-        sim.revive(
-            b,
-            TokenNode {
-                next: a,
-                tokens_seen: 0,
-                ticks: 0,
-                killed: false,
-            },
-        );
+        sim.revive(b, token_node(a));
         assert!(sim.is_alive(b));
         sim.run_for(Duration::from_secs(1));
         assert_eq!(sim.node(b).unwrap().tokens_seen, 0, "stale message dropped");
@@ -914,32 +838,46 @@ mod tests {
     #[should_panic(expected = "still alive")]
     fn revive_refuses_a_live_peer() {
         let (mut sim, a, _, _) = three_node_sim();
-        sim.revive(
-            a,
-            TokenNode {
-                next: a,
-                tokens_seen: 0,
-                ticks: 0,
-                killed: false,
-            },
-        );
+        sim.revive(a, token_node(a));
+    }
+
+    #[test]
+    fn kill_and_revive_reuse_the_same_slot() {
+        let (mut sim, a, b, c) = three_node_sim();
+        sim.kill(b);
+        assert_eq!(sim.alive_count(), 2);
+        sim.revive(b, token_node(c));
+        // The revived peer keeps its id and slot: the simulator never grows
+        // with churn, only with `add_node`.
+        assert_eq!(sim.peers().collect::<Vec<_>>(), vec![a, b, c]);
+        assert_eq!(sim.alive_count(), 3);
+        assert!(!sim.node(b).unwrap().killed, "the slot holds the new node");
+        assert_eq!(sim.add_node(|_| token_node(a)), PeerId(3));
+    }
+
+    #[test]
+    fn unknown_ids_are_absent() {
+        let (mut sim, a, _, _) = three_node_sim();
+        for id in [PeerId(3), PeerId(1 << 40), EXTERNAL_SENDER] {
+            assert!(sim.node(id).is_none(), "{id}");
+            assert!(sim.node_mut(id).is_none(), "{id}");
+            assert!(!sim.is_alive(id), "{id}");
+            assert!(sim.with_node_ctx(id, |_, _| ()).is_none(), "{id}");
+            sim.kill(id);
+        }
+        assert_eq!(sim.alive_count(), 3, "killing an unknown id is a no-op");
+        // A message to an unknown id is dropped, not delivered anywhere.
+        sim.with_node_ctx(a, |_, ctx| ctx.send(PeerId(7), TokenMsg::Token(0)));
+        sim.run_for(Duration::from_secs(1));
+        assert_eq!(sim.stats().messages_dropped, 1);
+        assert_eq!(sim.stats().messages_delivered, 0);
     }
 
     #[test]
     fn add_node_assigns_dense_ids() {
         let mut sim: Simulator<TokenNode> = Simulator::new(NetworkConfig::instant(1));
-        let a = sim.add_node(|id| TokenNode {
-            next: id,
-            tokens_seen: 0,
-            ticks: 0,
-            killed: false,
-        });
-        let b = sim.add_node(|id| TokenNode {
-            next: id,
-            tokens_seen: 0,
-            ticks: 0,
-            killed: false,
-        });
+        let a = sim.add_node(token_node);
+        let b = sim.add_node(token_node);
         assert_eq!(a, PeerId(0));
         assert_eq!(b, PeerId(1));
         assert_eq!(sim.peers().collect::<Vec<_>>(), vec![a, b]);

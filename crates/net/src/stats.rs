@@ -31,15 +31,6 @@ impl NetStats {
     pub fn total_events(&self) -> u64 {
         self.messages_delivered + self.timers_fired + self.external_delivered
     }
-
-    /// Fraction of sent messages that were dropped.
-    pub fn drop_rate(&self) -> f64 {
-        if self.messages_sent == 0 {
-            0.0
-        } else {
-            self.messages_dropped as f64 / self.messages_sent as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -58,12 +49,6 @@ mod tests {
             ..NetStats::default()
         };
         assert_eq!(s.total_events(), 16);
-        assert!((s.drop_rate() - 0.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_stats_have_zero_drop_rate() {
-        assert_eq!(NetStats::default().drop_rate(), 0.0);
         assert_eq!(NetStats::default().total_events(), 0);
     }
 }

@@ -53,6 +53,7 @@ impl RingState {
     fn send_ping(&mut self, target: PeerId, fx: &mut Effects<RingMsg>) {
         self.ping_seq += 1;
         let seq = self.ping_seq;
+        self.outstanding_pings.push((target, seq));
         fx.send(target, RingMsg::Ping { seq });
         fx.timer(self.cfg.ping_timeout, RingMsg::PingTimeout { target, seq });
     }
@@ -84,8 +85,9 @@ impl RingState {
         member: bool,
         state: EntryState,
     ) {
-        let answered = self.answered_pings.entry(from).or_insert(0);
-        *answered = (*answered).max(seq);
+        // A reply answers this ping and every earlier one to the same peer.
+        self.outstanding_pings
+            .retain(|&(target, s)| target != from || s > seq);
         if !self.is_member() {
             return;
         }
@@ -135,12 +137,16 @@ impl RingState {
     /// Handles a ping timeout: if no reply with a sequence at least `seq`
     /// arrived from `target`, declare it failed.
     pub(crate) fn on_ping_timeout(&mut self, _ctx: LayerCtx, target: PeerId, seq: u64) {
+        let Some(i) = self
+            .outstanding_pings
+            .iter()
+            .position(|&p| p == (target, seq))
+        else {
+            return; // a reply to this ping (or a later one) arrived in time
+        };
+        self.outstanding_pings.swap_remove(i);
         if !self.is_member() {
             return;
-        }
-        let answered = self.answered_pings.get(&target).copied().unwrap_or(0);
-        if answered >= seq {
-            return; // a reply to this ping (or a later one) arrived in time
         }
         if self.remove_peer(target) {
             self.emit(RingEvent::SuccessorFailed { peer: target });
@@ -327,6 +333,23 @@ mod tests {
             .drain_events()
             .iter()
             .any(|e| matches!(e, RingEvent::SuccessorFailed { peer } if *peer == PeerId(5))));
+    }
+
+    #[test]
+    fn answered_and_timed_out_pings_leave_nothing_behind() {
+        // Every ping is settled by its reply or its timeout, so the
+        // bookkeeping does not grow with the number of peers ever pinged.
+        let mut p = member_with(vec![joined(5, 50)]);
+        let mut fx = Effects::new();
+        for target in 1000..2000u64 {
+            p.send_ping(PeerId(target), &mut fx);
+            let seq = p.ping_seq;
+            if target % 2 == 0 {
+                p.on_ping_reply(ctx(4), PeerId(target), seq, true, EntryState::Joined);
+            }
+            p.on_ping_timeout(ctx(4), PeerId(target), seq);
+        }
+        assert!(p.outstanding_pings.is_empty());
     }
 
     #[test]

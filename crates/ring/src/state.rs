@@ -9,7 +9,6 @@
 //! accessors, successor-list manipulation helpers, and the top-level message
 //! dispatch.
 
-use std::collections::HashMap;
 use std::time::Duration;
 
 use pepper_net::{Effects, LayerCtx, ProtocolLayer, SimTime};
@@ -50,7 +49,9 @@ pub struct RingState {
     pub(crate) pending_insert: Option<PendingInsert>,
     pub(crate) leave_started: Option<SimTime>,
     pub(crate) ping_seq: u64,
-    pub(crate) answered_pings: HashMap<PeerId, u64>,
+    /// Pings sent and not yet answered or timed out, as `(target, seq)`.
+    /// Bounded by the pings of one ping-timeout window.
+    pub(crate) outstanding_pings: Vec<(PeerId, u64)>,
     /// The successor last announced through [`RingEvent::NewSuccessor`].
     pub(crate) last_new_succ: Option<(PeerId, PeerValue)>,
     pub(crate) timers_started: bool,
@@ -89,7 +90,7 @@ impl RingState {
             pending_insert: None,
             leave_started: None,
             ping_seq: 0,
-            answered_pings: HashMap::new(),
+            outstanding_pings: Vec::new(),
             last_new_succ: None,
             timers_started: false,
             events: Vec::new(),

@@ -231,11 +231,6 @@ impl Cluster {
         &self.system
     }
 
-    /// The durable-storage settings, if peers persist their state.
-    pub fn durability(&self) -> Option<DurabilityConfig> {
-        self.durability
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.sim.now()

@@ -44,14 +44,6 @@ impl Effort {
             Effort::Full => full,
         }
     }
-
-    /// Scales a duration by the effort level.
-    pub fn duration(&self, quick: Duration, full: Duration) -> Duration {
-        match self {
-            Effort::Quick => quick,
-            Effort::Full => full,
-        }
-    }
 }
 
 /// Shared helper: builds a cluster with the given system configuration and
@@ -99,10 +91,6 @@ mod tests {
     fn effort_scaling() {
         assert_eq!(Effort::Quick.scale(2, 10), 2);
         assert_eq!(Effort::Full.scale(2, 10), 10);
-        assert_eq!(
-            Effort::Quick.duration(Duration::from_secs(1), Duration::from_secs(9)),
-            Duration::from_secs(1)
-        );
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!
 //! * **ring**: consistent successor pointers (Definition 5) + connectivity
 //!   (suspended inside the short post-fail-stop ring-repair window
-//!   [`HarnessConfig::ring_grace`]; strict on the end state);
+//!   [`scenario::RING_GRACE`]; strict on the end state);
 //! * **range-partition**: live peers' ranges partition the key space (gaps
 //!   only inside a failure-recovery grace window, overlaps only across
 //!   in-flight copy-then-delete transfers);
@@ -59,10 +59,7 @@ pub use oracle::ModelOracle;
 pub use report::FailureArtifact;
 pub use scenario::{fnv1a, GeneratorView, Op, OpTrace, OpWeights, ScenarioGenerator};
 
-/// Exclusive upper bound of the search-key domain every built-in profile
-/// uses — the single source for both the query-bound draws (`key_domain`)
-/// and the default insert-key distribution, so the two cannot diverge.
-const KEY_DOMAIN: u64 = 1_000_000_000;
+use scenario::{ADVANCE_RANGE_MS, FAILURE_GRACE, KEY_DOMAIN, PRE_KILL_SETTLE, RING_GRACE, SETTLE};
 
 /// The canonical seed ladder shared by the CI seed matrix, the env-gated
 /// large matrix and the macro bench: spreading by 17 keeps consecutive
@@ -86,39 +83,12 @@ pub struct HarnessConfig {
     pub protocol: ProtocolConfig,
     /// Free peers registered before the schedule starts.
     pub initial_free_peers: usize,
-    /// Kills and voluntary leaves are suppressed at or below this many ring
-    /// members.
-    pub min_members: usize,
     /// Fail-stop rate handed to [`pepper_net::FailureSchedule`].
     pub failures_per_100s: f64,
     /// Run the per-step invariant checkers after every N-th advance.
     pub check_every: usize,
-    /// Virtual settle time before the quiescence checks (must exceed the
-    /// query safety-net timeout so every pending query finalizes).
-    pub settle: Duration,
-    /// How long after a fail-stop the gap/missing-key checks stay relaxed
-    /// (failure detection + range takeover + replica revival window).
-    pub failure_grace: Duration,
-    /// How long after a fail-stop the ring consistency/connectivity checks
-    /// stay suspended (separately tunable from
-    /// [`failure_grace`](HarnessConfig::failure_grace), which also relaxes
-    /// the item-level checks). Empirically repair of *deep*
-    /// successor-list pointers — corrected knowledge ripples one chained
-    /// stabilization hop per round — can take most of the failure-grace
-    /// window in a growing ring, so the default matches `failure_grace`;
-    /// tighten it in targeted runs to hunt slow-ring-repair regressions.
-    /// The settled end state is always checked strictly, and the
-    /// `quick-no-failures` profile checks every step with no grace at all.
-    pub ring_grace: Duration,
     /// Relative op weights.
     pub weights: OpWeights,
-    /// Exclusive upper bound of the search-key domain.
-    pub key_domain: u64,
-    /// Inclusive range (ms) of the per-op virtual-time advance.
-    pub advance_range_ms: (u64, u64),
-    /// Extra virtual time inserted right before each kill (replica-refresh
-    /// settle; see [`ScenarioGenerator`]).
-    pub pre_kill_settle: Duration,
     /// Durable peer storage. When present every peer journals through a
     /// deterministic in-memory VFS and the `crash_restart` op class is
     /// enabled; when absent the `crash_restart` weight is forced to zero
@@ -145,16 +115,9 @@ impl HarnessConfig {
             ops: 150,
             protocol: ProtocolConfig::pepper(),
             initial_free_peers: 3,
-            min_members: 2,
             failures_per_100s: 12.0,
             check_every: 1,
-            settle: Duration::from_secs(40),
-            failure_grace: Duration::from_secs(5),
-            ring_grace: Duration::from_secs(5),
             weights: OpWeights::default(),
-            key_domain: KEY_DOMAIN,
-            advance_range_ms: scenario::DEFAULT_ADVANCE_RANGE_MS,
-            pre_kill_settle: Duration::from_millis(400),
             durability: Some(DurabilityConfig::default()),
             key_distribution: KeyDistribution::Uniform { domain: KEY_DOMAIN },
             trace: TraceConfig::off(),
@@ -173,12 +136,8 @@ impl HarnessConfig {
             ops,
             protocol: ProtocolConfig::pepper(),
             initial_free_peers: peers.saturating_sub(1),
-            min_members: 2,
             failures_per_100s: 8.0,
             check_every,
-            settle: Duration::from_secs(40),
-            failure_grace: Duration::from_secs(5),
-            ring_grace: Duration::from_secs(5),
             weights: OpWeights {
                 insert: 14,
                 delete: 4,
@@ -187,9 +146,6 @@ impl HarnessConfig {
                 leave: 1,
                 crash_restart: 2,
             },
-            key_domain: KEY_DOMAIN,
-            advance_range_ms: scenario::DEFAULT_ADVANCE_RANGE_MS,
-            pre_kill_settle: Duration::from_millis(400),
             durability: Some(DurabilityConfig::default()),
             key_distribution: KeyDistribution::Uniform { domain: KEY_DOMAIN },
             trace: TraceConfig::off(),
@@ -263,7 +219,7 @@ impl HarnessConfig {
     fn zipfed(base: HarnessConfig, profile: &str) -> Self {
         HarnessConfig {
             key_distribution: KeyDistribution::Zipf {
-                domain: base.key_domain,
+                domain: KEY_DOMAIN,
                 hotspots: 16,
                 theta: 0.9,
             },
@@ -352,19 +308,19 @@ impl HarnessConfig {
     /// schedules spread their kills past the end of the run and quiescence
     /// was entered with most scheduled failures silently dropped.
     fn scheduled_phase(&self) -> Duration {
-        let (lo, hi) = self.advance_range_ms;
+        let (lo, hi) = ADVANCE_RANGE_MS;
         let mean_advance_ms = (lo + hi) / 2;
         let op_phase = Duration::from_millis(self.ops as u64 * mean_advance_ms);
         // Kills due inside the op phase each add one pre-kill settle.
         let expected_kills =
             (self.failures_per_100s * op_phase.as_secs_f64() / 100.0).ceil() as u32;
-        op_phase + self.pre_kill_settle * expected_kills
+        op_phase + PRE_KILL_SETTLE * expected_kills
     }
 
     /// Expected total virtual duration of a run: the scheduled phase plus
     /// the quiescence settle tail.
     pub fn virtual_duration(&self) -> Duration {
-        self.scheduled_phase() + self.settle
+        self.scheduled_phase() + SETTLE
     }
 
     /// Virtual-time horizon the failure schedule spreads its kills over —
@@ -518,15 +474,11 @@ impl Harness {
     /// scheduling new ops at the first violation (the artifact then carries
     /// the minimal prefix), settles, and reports.
     pub fn run_generated(cfg: HarnessConfig) -> RunReport {
-        let mut gen = ScenarioGenerator::with_advance_range(
+        let mut gen = ScenarioGenerator::new(
             cfg.seed,
             cfg.effective_weights(),
-            cfg.key_domain,
-            cfg.min_members,
             cfg.failures_per_100s,
             cfg.failure_horizon(),
-            cfg.pre_kill_settle,
-            cfg.advance_range_ms,
         )
         .with_keys(cfg.key_distribution);
         let mut harness = Harness::new(cfg);
@@ -654,13 +606,13 @@ impl Harness {
     /// Whether `at` lies inside the failure-recovery grace window.
     fn in_failure_grace(&self, at: SimTime) -> bool {
         self.last_kill
-            .is_some_and(|k| at <= k.saturating_add(self.cfg.failure_grace))
+            .is_some_and(|k| at <= k.saturating_add(FAILURE_GRACE))
     }
 
-    /// Whether `at` lies inside the (much shorter) ring-repair grace window.
+    /// Whether `at` lies inside the ring-repair grace window.
     fn in_ring_grace(&self, at: SimTime) -> bool {
         self.last_kill
-            .is_some_and(|k| at <= k.saturating_add(self.cfg.ring_grace))
+            .is_some_and(|k| at <= k.saturating_add(RING_GRACE))
     }
 
     // ------------------------------------------------------------------
@@ -794,11 +746,9 @@ impl Harness {
         // dead peer was the sole holder of (e.g. a crash right after a join
         // ack, before the joiner's Joined status propagated past its
         // inserter) — the ring re-converges via stabilization's notify
-        // repair. The ring oracles are therefore suspended inside a SHORT
-        // ring-repair window (`ring_grace` ≪ `failure_grace`: ring repair
-        // only needs failure detection plus a few stabilization rounds, so
-        // the ring stays watched for most of the churn phase); the settled
-        // end state is always checked strictly.
+        // repair. The ring oracles are therefore suspended inside the
+        // ring-repair window (`RING_GRACE`); the settled end state is
+        // always checked strictly.
         let mut found = if self.in_ring_grace(view.now) {
             Vec::new()
         } else {
@@ -955,7 +905,7 @@ impl Harness {
                     self.apply(Op::AddFreePeer);
                 }
                 self.apply(Op::Advance {
-                    ms: self.cfg.settle.as_millis() as u64,
+                    ms: SETTLE.as_millis() as u64,
                 });
                 // With a sparse check cadence the settle advance may not
                 // land on a checked step; make sure the strict per-step
@@ -973,7 +923,7 @@ impl Harness {
                 // produce phantom violations, so skip them.
                 let settled = self.trace.ops().last()
                     == Some(&Op::Advance {
-                        ms: self.cfg.settle.as_millis() as u64,
+                        ms: SETTLE.as_millis() as u64,
                     });
                 if settled {
                     if self.violations.is_empty() && !self.settle_landed_on_cadence() {

@@ -255,9 +255,22 @@ impl OpWeights {
     }
 }
 
-/// The default inclusive range (milliseconds) of the virtual-time advance
-/// drawn after every op.
-pub const DEFAULT_ADVANCE_RANGE_MS: (u64, u64) = (20, 160);
+/// Exclusive upper bound of the search-key domain: the query-bound draws and
+/// the default insert-key distribution share it, so the two cannot diverge.
+pub const KEY_DOMAIN: u64 = 1_000_000_000;
+
+/// Inclusive range (milliseconds) of the virtual-time advance drawn after
+/// every op.
+pub const ADVANCE_RANGE_MS: (u64, u64) = (20, 160);
+
+/// Kills and voluntary leaves are suppressed at or below this many ring
+/// members.
+pub const MIN_MEMBERS: usize = 2;
+
+/// Extra virtual time inserted right before each kill, so the failure lands
+/// on a system that has had at least one replica-refresh round — the
+/// replication protocol's tolerance assumption.
+pub const PRE_KILL_SETTLE: Duration = Duration::from_millis(400);
 
 /// Inclusive range (milliseconds) of the downtime drawn between a crash and
 /// its restart. Kept well inside the harness failure-grace window: while the
@@ -274,6 +287,22 @@ pub const CRASH_DOWNTIME_MS: (u64, u64) = (600, 2400);
 /// protocol. Kills due while a crashed peer is still down are *deferred*
 /// (not dropped) until the restart has happened and the spacing elapsed.
 pub const FAILSTOP_SPACING: Duration = Duration::from_secs(3);
+
+/// Virtual settle time before the quiescence checks (exceeds the query
+/// safety-net timeout, so every pending query finalizes).
+pub const SETTLE: Duration = Duration::from_secs(40);
+
+/// How long after a fail-stop the gap/missing-key checks stay relaxed
+/// (failure detection + range takeover + replica revival window).
+pub const FAILURE_GRACE: Duration = Duration::from_secs(5);
+
+/// How long after a fail-stop the ring consistency/connectivity checks stay
+/// suspended. Repair of *deep* successor-list pointers — corrected knowledge
+/// ripples one chained stabilization hop per round — can take most of the
+/// failure-grace window in a growing ring, so it matches [`FAILURE_GRACE`].
+/// The settled end state is always checked strictly, and the
+/// `quick-no-failures` profile checks every step with no grace at all.
+pub const RING_GRACE: Duration = Duration::from_secs(5);
 
 /// What the generator needs to know about the live system to resolve an op.
 #[derive(Debug, Clone)]
@@ -296,13 +325,6 @@ pub struct ScenarioGenerator {
     /// Scheduled fail-stop times (ascending); consumed front to back.
     kills: Vec<SimTime>,
     next_kill: usize,
-    min_members: usize,
-    key_domain: u64,
-    advance_range_ms: (u64, u64),
-    /// Extra virtual time inserted right before a kill so the failure lands
-    /// on a system that has had at least one replica-refresh round — the
-    /// replication protocol's tolerance assumption.
-    pre_kill_settle: Duration,
     /// The key seed, kept so [`ScenarioGenerator::with_keys`] can rebuild
     /// the key stream under a different distribution.
     key_seed: u64,
@@ -323,43 +345,9 @@ pub struct ScenarioGenerator {
 }
 
 impl ScenarioGenerator {
-    /// Creates a generator with the default advance distribution
-    /// ([`DEFAULT_ADVANCE_RANGE_MS`]). `horizon` bounds the virtual time
-    /// over which the failure schedule spreads its kills.
-    pub fn new(
-        seed: u64,
-        weights: OpWeights,
-        key_domain: u64,
-        min_members: usize,
-        failures_per_100s: f64,
-        horizon: Duration,
-        pre_kill_settle: Duration,
-    ) -> Self {
-        Self::with_advance_range(
-            seed,
-            weights,
-            key_domain,
-            min_members,
-            failures_per_100s,
-            horizon,
-            pre_kill_settle,
-            DEFAULT_ADVANCE_RANGE_MS,
-        )
-    }
-
-    /// Creates a generator whose per-op virtual-time advance is drawn
-    /// uniformly from `advance_range_ms` (inclusive).
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_advance_range(
-        seed: u64,
-        weights: OpWeights,
-        key_domain: u64,
-        min_members: usize,
-        failures_per_100s: f64,
-        horizon: Duration,
-        pre_kill_settle: Duration,
-        advance_range_ms: (u64, u64),
-    ) -> Self {
+    /// Creates a generator. `horizon` bounds the virtual time over which the
+    /// failure schedule spreads its kills.
+    pub fn new(seed: u64, weights: OpWeights, failures_per_100s: f64, horizon: Duration) -> Self {
         let mut failure_rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9).wrapping_add(2));
         let schedule = FailureSchedule::poisson_like(
             failures_per_100s,
@@ -371,15 +359,11 @@ impl ScenarioGenerator {
             rng: StdRng::seed_from_u64(seed),
             weights,
             keys: KeyGenerator::new(
-                KeyDistribution::Uniform { domain: key_domain },
+                KeyDistribution::Uniform { domain: KEY_DOMAIN },
                 seed ^ 0x5eed,
             ),
             kills: schedule.times().to_vec(),
             next_kill: 0,
-            min_members,
-            key_domain,
-            advance_range_ms,
-            pre_kill_settle,
             key_seed: seed ^ 0x5eed,
             pending_restarts: Vec::new(),
             last_failstop: None,
@@ -409,7 +393,7 @@ impl ScenarioGenerator {
 
     /// Draws the virtual-time advance that follows each op.
     pub fn next_advance(&mut self) -> Op {
-        let (lo, hi) = self.advance_range_ms;
+        let (lo, hi) = ADVANCE_RANGE_MS;
         Op::Advance {
             ms: self.rng.gen_range(lo..=hi),
         }
@@ -454,12 +438,12 @@ impl ScenarioGenerator {
         // one refresh round to cover the newest items.
         if self.kill_due(view.now) && self.failstop_allowed(view.now) {
             self.next_kill += 1;
-            if view.members.len() > self.min_members {
+            if view.members.len() > MIN_MEMBERS {
                 let victim = view.members[self.rng.gen_range(0..view.members.len())];
                 self.last_failstop = Some(view.now);
                 return vec![
                     Op::Advance {
-                        ms: self.pre_kill_settle.as_millis() as u64,
+                        ms: PRE_KILL_SETTLE.as_millis() as u64,
                     },
                     Op::Kill { peer: victim },
                 ];
@@ -496,8 +480,8 @@ impl ScenarioGenerator {
         } else if roll < w.insert + w.delete + w.query {
             match pick_member(&mut self.rng) {
                 Some(at) => {
-                    let a = self.rng.gen_range(0..self.key_domain);
-                    let b = self.rng.gen_range(0..self.key_domain);
+                    let a = self.rng.gen_range(0..KEY_DOMAIN);
+                    let b = self.rng.gen_range(0..KEY_DOMAIN);
                     let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
                     vec![Op::Query { at, lo, hi }]
                 }
@@ -509,7 +493,7 @@ impl ScenarioGenerator {
             // Voluntary leave, only while the ring keeps a quorum and no
             // crashed peer is down (the leaver's hand-off must not race an
             // in-flight failure takeover).
-            if view.members.len() > self.min_members && self.pending_restarts.is_empty() {
+            if view.members.len() > MIN_MEMBERS && self.pending_restarts.is_empty() {
                 match pick_member(&mut self.rng) {
                     Some(peer) => {
                         self.last_leave = Some(view.now);
@@ -528,7 +512,7 @@ impl ScenarioGenerator {
             // only surviving copy — exactly the hazard the durable-storage
             // subsystem exists for. The restart is scheduled after a drawn
             // downtime and emitted once due.
-            if view.members.len() > self.min_members && self.failstop_allowed(view.now) {
+            if view.members.len() > MIN_MEMBERS && self.failstop_allowed(view.now) {
                 match pick_member(&mut self.rng) {
                     Some(peer) => {
                         let (lo, hi) = CRASH_DOWNTIME_MS;
@@ -605,15 +589,8 @@ mod tests {
     #[test]
     fn generator_is_deterministic_per_seed() {
         let run = |seed| {
-            let mut g = ScenarioGenerator::new(
-                seed,
-                OpWeights::default(),
-                1_000_000,
-                2,
-                6.0,
-                Duration::from_secs(60),
-                Duration::from_millis(300),
-            );
+            let mut g =
+                ScenarioGenerator::new(seed, OpWeights::default(), 6.0, Duration::from_secs(60));
             let members = [PeerId(0), PeerId(1), PeerId(2)];
             let deletable = [10u64, 20, 30];
             let mut trace = OpTrace::new();
@@ -646,11 +623,8 @@ mod tests {
                 leave: 0,
                 crash_restart: 1,
             },
-            1_000,
-            1,
             0.0, // no fail-stop schedule: crashes only
             Duration::from_secs(100),
-            Duration::from_millis(100),
         );
         let members = [PeerId(0), PeerId(1), PeerId(2)];
         let view = |ms: u64| GeneratorView {
@@ -683,15 +657,7 @@ mod tests {
             crash_restart: 0,
         };
         let make = |dist: Option<KeyDistribution>| {
-            let g = ScenarioGenerator::new(
-                11,
-                weights,
-                1_000_000,
-                2,
-                0.0,
-                Duration::from_secs(60),
-                Duration::from_millis(100),
-            );
+            let g = ScenarioGenerator::new(11, weights, 0.0, Duration::from_secs(60));
             match dist {
                 Some(d) => g.with_keys(d),
                 None => g,
@@ -715,7 +681,7 @@ mod tests {
         // The default distribution and an explicit Uniform are the same
         // stream (same key seed).
         let uniform = keys_of(make(None));
-        let explicit = keys_of(make(Some(KeyDistribution::Uniform { domain: 1_000_000 })));
+        let explicit = keys_of(make(Some(KeyDistribution::Uniform { domain: KEY_DOMAIN })));
         assert_eq!(uniform, explicit);
         // Sequential produces the strided ramp regardless of seed.
         let seq = keys_of(make(Some(KeyDistribution::Sequential { stride: 10 })));
@@ -735,11 +701,8 @@ mod tests {
                 leave: 1,
                 crash_restart: 1,
             },
-            1_000,
-            2,
             1000.0, // a kill is due immediately
             Duration::from_secs(100),
-            Duration::from_millis(100),
         );
         let members = [PeerId(0), PeerId(1)];
         let view = GeneratorView {
