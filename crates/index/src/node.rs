@@ -427,7 +427,7 @@ impl PeerNode {
     }
 
     // ------------------------------------------------------------------
-    // private plumbing
+    // internal plumbing
     // ------------------------------------------------------------------
 
     fn layer_ctx(&self, now: SimTime) -> LayerCtx {

@@ -15,8 +15,8 @@ pub struct NetStats {
     pub timers_dropped: u64,
     /// External (harness-injected) messages delivered.
     pub external_delivered: u64,
-    /// Queue pops processed by `Simulator::step` (deliveries, drops and
-    /// kills alike) — the denominator for events/sec throughput.
+    /// Queue pops processed by `Simulator::run_until` (deliveries and drops
+    /// alike) — the denominator for events/sec throughput.
     pub events_processed: u64,
     /// Highest number of simultaneously queued events seen (RSS proxy:
     /// each queued event holds one message).

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Interleaved A/B pairs of the benchmark: a parent commit against a change.
 #
-#   tools/abpairs.sh [-n PAIRS] [-w "W1 W2 ..."] [-s SECONDS] [-d DIR] [BASE [CHANGE]]
+#   tools/abpairs.sh [-n PAIRS] [-w "W1 W2 ..."] [-d DIR] [BASE [CHANGE]]
 #
 # BASE and CHANGE are revisions of this repository (default HEAD~1 and HEAD).
 # Each side is cloned into DIR (default ${TMPDIR:-/tmp}/abpairs; an existing
@@ -24,17 +24,15 @@ set -euo pipefail
 
 pairs=10
 workloads="steady scan_heavy grow_shrink peer_churn"
-seconds=""
 dir="${TMPDIR:-/tmp}/abpairs"
 usage() {
     sed -n '4p' "$0" | sed 's/^# *//' >&2
     exit 2
 }
-while getopts "n:w:s:d:h" opt; do
+while getopts "n:w:d:h" opt; do
     case "$opt" in
         n) pairs="$OPTARG" ;;
         w) workloads="$OPTARG" ;;
-        s) seconds="$OPTARG" ;;
         d) dir="$OPTARG" ;;
         *) usage ;;
     esac
@@ -63,8 +61,6 @@ prepare change "$change"
 runs="$dir/runs"
 rm -rf "$runs"
 mkdir -p "$runs"
-extra=()
-[ -z "$seconds" ] || extra=(--seconds "$seconds")
 for w in $workloads; do
     for ((i = 0; i < pairs; i++)); do
         seed=$((i % 5 + 1))
@@ -75,7 +71,7 @@ for w in $workloads; do
             # whose `correct` field the pair comparison covers.
             status=0
             "$dir/$side/benchmark/target/release/pepper-benchmark" run \
-                --workload "$w" --seed "$seed" --trace 0 "${extra[@]}" \
+                --workload "$w" --seed "$seed" --trace 0 \
                 --out "$runs/$w.$i.$side.json" >/dev/null || status=$?
             if [ "$status" -gt 1 ]; then
                 echo "$side: run --workload $w --seed $seed exited $status" >&2
