@@ -6,12 +6,16 @@
 //! leave; the final `NetStats`, the stored keys and every peer's replica keys
 //! are folded into one FNV hash. One message sent, dropped, reordered or
 //! re-timed, one item or one replica more or less, moves it.
+//!
+//! That run uses the paper's timers. The harness profiles run on the fast
+//! timers and on the naive switch, so their seed-1 op-trace and final-state
+//! hashes are pinned here too.
 
 use std::time::Duration;
 
 use pepper_index::Observation;
 use pepper_sim::cluster::{Cluster, ClusterConfig, DurabilityConfig};
-use pepper_sim::harness::fnv1a;
+use pepper_sim::harness::{fnv1a, Harness, HarnessConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -117,4 +121,46 @@ fn a_seeded_run_through_crash_restart_and_leave_matches_the_pinned_fingerprint()
         got, FINGERPRINT,
         "the simulation moved: got {got:#018x}, pinned {FINGERPRINT:#018x}"
     );
+}
+
+/// `(profile, OpTrace::hash, final_state_hash)` of each fast-timer harness
+/// profile at seed 1. Re-pin the way [`FINGERPRINT`] is re-pinned. At seed 1
+/// the two broken-recovery profiles end exactly where `quick` does.
+const PROFILE_HASHES: [(&str, u64, u64); 7] = [
+    ("quick", 0x1f12_b5d9_642a_41c7, 0x2340_4fef_5cdc_bed6),
+    (
+        "quick-no-failures",
+        0xb248_46f3_1129_c14b,
+        0xa11d_d236_529a_d8d3,
+    ),
+    ("quick-naive", 0x0baf_4196_8218_ff6e, 0x146d_fe0a_97a1_a63f),
+    ("quick-zipf", 0xe24e_7010_87fb_f82f, 0x2de0_f78a_7065_5789),
+    (
+        "quick-sequential",
+        0xf8d2_271f_576e_0ff9,
+        0xa2c6_c3fb_116e_23d6,
+    ),
+    (
+        "quick-skip-wal",
+        0x1f12_b5d9_642a_41c7,
+        0x2340_4fef_5cdc_bed6,
+    ),
+    (
+        "quick-serve-stale",
+        0x1f12_b5d9_642a_41c7,
+        0x2340_4fef_5cdc_bed6,
+    ),
+];
+
+#[test]
+fn the_fast_timer_harness_profiles_match_their_pinned_hashes() {
+    let got: Vec<(&str, u64, u64)> = PROFILE_HASHES
+        .iter()
+        .map(|(profile, _, _)| {
+            let cfg = HarnessConfig::from_profile(profile, 1).expect("known profile");
+            let report = Harness::run_generated(cfg);
+            (*profile, report.trace.hash(), report.final_state_hash)
+        })
+        .collect();
+    assert_eq!(got, PROFILE_HASHES, "a fast-timer profile moved");
 }
