@@ -24,12 +24,18 @@
 //! timer and late reply checks that the hand-off it belongs to is still the
 //! current one before it acts.
 
+use std::time::Duration;
+
 use pepper_net::{Effects, LayerCtx};
 use pepper_types::{CircularRange, Item, PeerId, PeerValue};
 
 use crate::events::DsEvent;
 use crate::messages::DsMsg;
 use crate::state::{Balance, DataStoreState, DeferredWrite, DsStatus, Give, Giving};
+
+/// Delay before re-checking an overflow/underflow that could not be acted
+/// upon immediately (no free peer, lock busy, …).
+const REBALANCE_RETRY_DELAY: Duration = Duration::from_millis(500);
 
 impl DataStoreState {
     // ------------------------------------------------------------------
@@ -79,7 +85,7 @@ impl DataStoreState {
         if !self.is_item_writes_blocked() {
             self.balance = Balance::Idle;
         }
-        fx.timer(self.cfg.rebalance_retry_delay, DsMsg::RebalanceRetry);
+        fx.timer(REBALANCE_RETRY_DELAY, DsMsg::RebalanceRetry);
     }
 
     /// Cancels the split waiting on the ring to insert `free`, if that is
@@ -106,7 +112,7 @@ impl DataStoreState {
         // grant was a copy — the items live on as replicas — so nothing is
         // lost.)
         if self.drop_parked_grants(peer, |give| !matches!(give, Give::Upper(_))) {
-            fx.timer(self.cfg.rebalance_retry_delay, DsMsg::RebalanceRetry);
+            fx.timer(REBALANCE_RETRY_DELAY, DsMsg::RebalanceRetry);
         }
         match self.balance {
             // The split's free peer died before joining or before
@@ -119,7 +125,7 @@ impl DataStoreState {
             // The successor died before answering our merge request.
             Balance::Requesting(p) if p == peer => {
                 self.balance = Balance::Idle;
-                fx.timer(self.cfg.rebalance_retry_delay, DsMsg::RebalanceRetry);
+                fx.timer(REBALANCE_RETRY_DELAY, DsMsg::RebalanceRetry);
             }
             // The voluntary leaver died before its grant applied; unlock
             // early (the absorb timeout would catch it later).
@@ -171,7 +177,7 @@ impl DataStoreState {
     /// (copy-then-delete), parked writes resume, the thresholds are retried.
     pub(crate) fn abort_give(&mut self, ctx: LayerCtx, fx: &mut Effects<DsMsg>) {
         self.unblock_item_writes(ctx, fx);
-        fx.timer(self.cfg.rebalance_retry_delay, DsMsg::RebalanceRetry);
+        fx.timer(REBALANCE_RETRY_DELAY, DsMsg::RebalanceRetry);
     }
 
     /// Plans a split with the free peer `free`: chooses the boundary and the
@@ -283,7 +289,7 @@ impl DataStoreState {
         fx: &mut Effects<DsMsg>,
     ) {
         fx.timer(
-            self.cfg.leave_absorb_timeout,
+            self.cfg.leave_absorb_timeout(),
             DsMsg::GiveTimeout {
                 to,
                 boundary,
@@ -415,7 +421,7 @@ impl DataStoreState {
     ) {
         if self.drop_parked_grants(from, |give| give == Give::Lower(new_boundary)) {
             fx.send(from, DsMsg::RedistributeAbortAck { new_boundary });
-            fx.timer(self.cfg.rebalance_retry_delay, DsMsg::RebalanceRetry);
+            fx.timer(REBALANCE_RETRY_DELAY, DsMsg::RebalanceRetry);
         }
     }
 
@@ -429,7 +435,7 @@ impl DataStoreState {
         match self.balance {
             Balance::Requesting(p) | Balance::Absorbing(p) if p == from => {
                 self.balance = Balance::Idle;
-                fx.timer(self.cfg.rebalance_retry_delay, DsMsg::RebalanceRetry);
+                fx.timer(REBALANCE_RETRY_DELAY, DsMsg::RebalanceRetry);
             }
             _ => {}
         }
@@ -466,7 +472,7 @@ impl DataStoreState {
         // The predecessor's failure is invisible to the ping loop (it is
         // behind this peer); time the offer out so a later leave can retry.
         fx.timer(
-            self.cfg.leave_absorb_timeout,
+            self.cfg.leave_absorb_timeout(),
             DsMsg::LeaveOfferTimeout { to: pred },
         );
         true
@@ -490,7 +496,7 @@ impl DataStoreState {
         // Guard against the leaver failing mid-leave: unlock if the merge
         // grant never arrives.
         fx.timer(
-            self.cfg.leave_absorb_timeout,
+            self.cfg.leave_absorb_timeout(),
             DsMsg::LeaveAbsorbTimeout { from },
         );
     }
@@ -649,10 +655,9 @@ impl DataStoreState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::DsConfig;
     use crate::messages::QueryId;
     use pepper_net::{Effect, ProtocolLayer, SimTime};
-    use pepper_types::{Item, SearchKey};
+    use pepper_types::{Item, SearchKey, SystemConfig};
 
     fn ctx(id: u64) -> LayerCtx {
         LayerCtx::new(PeerId(id), SimTime::from_secs(1))
@@ -663,7 +668,7 @@ mod tests {
     }
 
     fn live_peer(id: u64, low: u64, high: u64, keys: &[u64]) -> DataStoreState {
-        let mut ds = DataStoreState::new_first(PeerId(id), PeerValue(high), DsConfig::test());
+        let mut ds = DataStoreState::new_first(PeerId(id), PeerValue(high), SystemConfig::fast());
         ds.range = CircularRange::new(low, high);
         for &k in keys {
             ds.store.insert(k, item(k));
@@ -709,7 +714,7 @@ mod tests {
         assert_eq!(q.item_count(), 6);
 
         // The new peer installs and acks.
-        let mut n = DataStoreState::new_free(PeerId(9), DsConfig::test());
+        let mut n = DataStoreState::new_free(PeerId(9), SystemConfig::fast());
         n.became_ring_member(PeerValue(100));
         let mut nfx = Effects::new();
         deliver(&mut n, 1, DsMsg::HandoffInstall { range, items }, &mut nfx);
@@ -1060,7 +1065,7 @@ mod tests {
 
     #[test]
     fn merge_request_to_full_range_peer_is_declined() {
-        let mut s = DataStoreState::new_first(PeerId(2), PeerValue(100), DsConfig::test());
+        let mut s = DataStoreState::new_first(PeerId(2), PeerValue(100), SystemConfig::fast());
         s.store.insert(40, item(40));
         let mut fx = Effects::new();
         deliver(
@@ -1456,7 +1461,7 @@ mod tests {
                 // A split goes to a freshly joined successor, the other
                 // gives to the predecessor.
                 let mut r = if let Give::Upper(_) = give {
-                    let mut n = DataStoreState::new_free(PeerId(1), DsConfig::test());
+                    let mut n = DataStoreState::new_free(PeerId(1), SystemConfig::fast());
                     n.became_ring_member(g_range.high());
                     n
                 } else {
@@ -1824,11 +1829,11 @@ mod tests {
 
     #[test]
     fn free_or_busy_peer_cannot_offer_leave() {
-        let mut free = DataStoreState::new_free(PeerId(3), DsConfig::test());
+        let mut free = DataStoreState::new_free(PeerId(3), SystemConfig::fast());
         let mut fx = Effects::new();
         assert!(!free.begin_voluntary_leave(PeerId(1), &mut fx));
         // The sole owner of the full circle has nobody to leave to.
-        let mut sole = DataStoreState::new_first(PeerId(0), PeerValue(50), DsConfig::test());
+        let mut sole = DataStoreState::new_first(PeerId(0), PeerValue(50), SystemConfig::fast());
         assert!(!sole.begin_voluntary_leave(PeerId(1), &mut fx));
         // A rebalancing peer must finish first.
         let mut busy = live_peer(2, 30, 100, &[40]);

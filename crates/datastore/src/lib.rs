@@ -28,14 +28,12 @@
 #![warn(rust_2018_idioms)]
 
 pub mod balance;
-pub mod config;
 pub mod events;
 pub mod messages;
 pub mod scan;
 pub mod state;
 pub mod store;
 
-pub use config::DsConfig;
 pub use events::DsEvent;
 pub use messages::{DsMsg, QueryId};
 pub use state::{DataStoreState, DsSnapshot, DsStatus};

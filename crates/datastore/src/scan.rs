@@ -31,6 +31,10 @@ pub const MAX_SCAN_HOPS: u32 = 1024;
 /// finalized with whatever has been collected.
 pub const MAX_SCAN_REROUTES: u32 = 5;
 
+/// How many times a scan hand-off is sent before the scan is reported as
+/// incomplete (the first send plus three retries).
+const SCAN_MAX_RETRIES: usize = 4;
+
 impl DataStoreState {
     fn collect_local(&self, interval: &KeyInterval) -> (Vec<Item>, Vec<KeyInterval>) {
         let pieces = self.range.intersect_interval(interval);
@@ -134,7 +138,7 @@ impl DataStoreState {
                         attempt: 1,
                     });
                 fx.timer(
-                    self.cfg.scan_forward_timeout,
+                    self.cfg.scan_forward_timeout(),
                     DsMsg::ScanForwardTimeout {
                         query,
                         target: succ,
@@ -202,7 +206,7 @@ impl DataStoreState {
             _ => None,
         };
         match retry_target {
-            Some(succ) if attempt < self.cfg.scan_max_retries => {
+            Some(succ) if attempt < SCAN_MAX_RETRIES => {
                 fx.send(
                     succ,
                     DsMsg::ScanStep {
@@ -219,7 +223,7 @@ impl DataStoreState {
                     attempt: next_attempt,
                 };
                 fx.timer(
-                    self.cfg.scan_forward_timeout,
+                    self.cfg.scan_forward_timeout(),
                     DsMsg::ScanForwardTimeout {
                         query,
                         target: succ,
@@ -326,10 +330,9 @@ impl DataStoreState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::DsConfig;
     use crate::state::Balance;
     use pepper_net::{Effect, ProtocolLayer, SimTime};
-    use pepper_types::{CircularRange, PeerValue, SearchKey};
+    use pepper_types::{CircularRange, PeerValue, Protocol, SearchKey, SystemConfig};
 
     fn ctx(id: u64) -> LayerCtx {
         LayerCtx::new(PeerId(id), SimTime::from_secs(1))
@@ -340,7 +343,7 @@ mod tests {
     }
 
     fn live_peer(id: u64, low: u64, high: u64, keys: &[u64]) -> DataStoreState {
-        let mut ds = DataStoreState::new_first(PeerId(id), PeerValue(high), DsConfig::test());
+        let mut ds = DataStoreState::new_first(PeerId(id), PeerValue(high), SystemConfig::fast());
         ds.range = CircularRange::new(low, high);
         for &k in keys {
             ds.store.insert(k, item(k));
@@ -519,19 +522,31 @@ mod tests {
         p.on_scan_step(ctx(1), qid(9, 0), interval, None, 0, &mut fx);
         fx.drain();
 
-        // First timeout: the successor has changed (failure handled by the
-        // ring); the scan is re-forwarded to the new successor.
-        p.set_successor(PeerId(3), PeerValue(100));
-        p.on_scan_forward_timeout(ctx(1), qid(9, 0), PeerId(2), 0, 1, &mut fx);
-        let effects = fx.drain();
-        assert!(effects.iter().any(|e| matches!(
-            e,
-            Effect::Send { to, msg: DsMsg::ScanStep { .. } } if *to == PeerId(3)
-        )));
-        assert_eq!(p.scan_locks(), 1);
+        // Every timeout but the last: the successor has changed (failure
+        // handled by the ring); the scan is re-forwarded to the new successor.
+        let mut target = PeerId(2);
+        for attempt in 1..SCAN_MAX_RETRIES {
+            let next = PeerId(2 + attempt as u64);
+            p.set_successor(next, PeerValue(100));
+            p.on_scan_forward_timeout(ctx(1), qid(9, 0), target, 0, attempt, &mut fx);
+            let effects = fx.drain();
+            assert!(effects.iter().any(|e| matches!(
+                e,
+                Effect::Send { to, msg: DsMsg::ScanStep { .. } } if *to == next
+            )));
+            assert!(!effects.iter().any(|e| matches!(
+                e,
+                Effect::Send {
+                    msg: DsMsg::ScanFailed { .. },
+                    ..
+                }
+            )));
+            assert_eq!(p.scan_locks(), 1);
+            target = next;
+        }
 
         // Exhausting the retries reports failure and releases the lock.
-        p.on_scan_forward_timeout(ctx(1), qid(9, 0), PeerId(3), 0, 2, &mut fx);
+        p.on_scan_forward_timeout(ctx(1), qid(9, 0), target, 0, SCAN_MAX_RETRIES, &mut fx);
         let effects = fx.drain();
         assert!(effects.iter().any(|e| matches!(
             e,
@@ -540,7 +555,7 @@ mod tests {
         assert_eq!(p.scan_locks(), 0);
 
         // A stale timeout afterwards is ignored.
-        p.on_scan_forward_timeout(ctx(1), qid(9, 0), PeerId(3), 0, 2, &mut fx);
+        p.on_scan_forward_timeout(ctx(1), qid(9, 0), target, 0, SCAN_MAX_RETRIES, &mut fx);
         assert_eq!(p.scan_locks(), 0);
     }
 
@@ -756,7 +771,7 @@ mod tests {
 
     #[test]
     fn scan_step_on_free_peer_is_dropped_or_rejected() {
-        let mut free = DataStoreState::new_free(PeerId(3), DsConfig::test());
+        let mut free = DataStoreState::new_free(PeerId(3), SystemConfig::fast());
         let mut fx = Effects::new();
         let interval = KeyInterval::new(5, 90).unwrap();
         // First hop: rejected back to the origin.
@@ -776,7 +791,10 @@ mod tests {
 
     #[test]
     fn naive_scan_on_departed_peer_is_silently_lost() {
-        let mut free = DataStoreState::new_free(PeerId(3), DsConfig::test_naive());
+        let mut free = DataStoreState::new_free(
+            PeerId(3),
+            SystemConfig::fast().with_protocol(Protocol::Naive),
+        );
         let mut fx = Effects::new();
         free.on_naive_scan_step(
             ctx(3),

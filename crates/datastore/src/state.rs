@@ -2,12 +2,12 @@
 //! deletion, and the top-level message dispatch.
 
 use std::collections::HashMap;
-use std::time::Duration;
 
 use pepper_net::{Effects, LayerCtx, ProtocolLayer, SimTime};
-use pepper_types::{CircularRange, Item, KeyInterval, PeerId, PeerValue, RangeQuery};
+use pepper_types::{
+    CircularRange, Item, KeyInterval, PeerId, PeerValue, Protocol, RangeQuery, SystemConfig,
+};
 
-use crate::config::DsConfig;
 use crate::events::DsEvent;
 use crate::messages::{DsMsg, QueryId};
 use crate::store::ItemStore;
@@ -156,7 +156,7 @@ pub struct DataStoreState {
     pub(crate) status: DsStatus,
     pub(crate) range: CircularRange,
     pub(crate) store: ItemStore,
-    pub(crate) cfg: DsConfig,
+    pub(crate) cfg: SystemConfig,
     pub(crate) succ: Option<(PeerId, PeerValue)>,
     // scan locking
     pub(crate) scan_locks: usize,
@@ -184,16 +184,16 @@ pub struct DataStoreState {
 impl DataStoreState {
     /// Creates the Data Store of the very first peer: live and responsible
     /// for the full value space.
-    pub fn new_first(id: PeerId, value: PeerValue, cfg: DsConfig) -> Self {
+    pub fn new_first(id: PeerId, value: PeerValue, cfg: SystemConfig) -> Self {
         Self::new(id, DsStatus::Live, CircularRange::full(value), cfg)
     }
 
     /// Creates the Data Store of a free peer.
-    pub fn new_free(id: PeerId, cfg: DsConfig) -> Self {
+    pub fn new_free(id: PeerId, cfg: SystemConfig) -> Self {
         Self::new(id, DsStatus::Free, CircularRange::empty(0u64), cfg)
     }
 
-    fn new(id: PeerId, status: DsStatus, range: CircularRange, cfg: DsConfig) -> Self {
+    fn new(id: PeerId, status: DsStatus, range: CircularRange, cfg: SystemConfig) -> Self {
         DataStoreState {
             id,
             status,
@@ -267,11 +267,6 @@ impl DataStoreState {
     /// [`Self::items_mapped`] yields the same items.
     pub fn items_version(&self) -> u64 {
         self.store.version()
-    }
-
-    /// The Data Store configuration.
-    pub fn config(&self) -> &DsConfig {
-        &self.cfg
     }
 
     /// Whether a rebalance (split/merge/redistribute) is currently in flight.
@@ -546,7 +541,7 @@ impl DataStoreState {
                 covered: Vec::new(),
                 started: ctx.now,
                 hops: 0,
-                pepper: self.cfg.pepper_scan,
+                pepper: self.cfg.protocol == Protocol::Pepper,
                 reroutes: 0,
             },
         );
@@ -696,14 +691,6 @@ impl ProtocolLayer for DataStoreState {
     }
 }
 
-impl DsConfig {
-    /// Safety-net deadline after which an unfinished query is finalized with
-    /// whatever has been collected.
-    pub fn query_timeout(&self) -> Duration {
-        self.scan_forward_timeout * 4 + Duration::from_secs(30)
-    }
-}
-
 /// Returns `true` iff `pieces` (closed intervals) jointly cover `interval`
 /// without gaps.
 pub fn intervals_cover(interval: KeyInterval, pieces: &[KeyInterval]) -> bool {
@@ -752,7 +739,7 @@ mod tests {
     }
 
     fn live_peer(id: u64, low: u64, high: u64, keys: &[u64]) -> DataStoreState {
-        let mut ds = DataStoreState::new_first(PeerId(id), PeerValue(high), DsConfig::test());
+        let mut ds = DataStoreState::new_first(PeerId(id), PeerValue(high), SystemConfig::fast());
         ds.range = CircularRange::new(low, high);
         for &k in keys {
             ds.store.insert(k, item(k));
@@ -762,7 +749,7 @@ mod tests {
 
     #[test]
     fn first_peer_owns_everything() {
-        let ds = DataStoreState::new_first(PeerId(0), PeerValue(100), DsConfig::test());
+        let ds = DataStoreState::new_first(PeerId(0), PeerValue(100), SystemConfig::fast());
         assert_eq!(ds.status(), DsStatus::Live);
         assert!(ds.range().is_full());
         assert_eq!(ds.item_count(), 0);
@@ -771,7 +758,7 @@ mod tests {
 
     #[test]
     fn free_peer_holds_nothing() {
-        let ds = DataStoreState::new_free(PeerId(1), DsConfig::test());
+        let ds = DataStoreState::new_free(PeerId(1), SystemConfig::fast());
         assert_eq!(ds.status(), DsStatus::Free);
         assert!(ds.range().is_empty());
     }
@@ -902,7 +889,7 @@ mod tests {
 
     #[test]
     fn full_range_peer_never_asks_to_merge() {
-        let mut ds = DataStoreState::new_first(PeerId(0), PeerValue(100), DsConfig::test());
+        let mut ds = DataStoreState::new_first(PeerId(0), PeerValue(100), SystemConfig::fast());
         ds.store.insert(10, item(10));
         let mut fx = Effects::new();
         let events = handle(
@@ -1053,7 +1040,7 @@ mod tests {
 
     #[test]
     fn became_ring_member_gives_empty_anchored_range() {
-        let mut ds = DataStoreState::new_free(PeerId(3), DsConfig::test());
+        let mut ds = DataStoreState::new_free(PeerId(3), SystemConfig::fast());
         ds.became_ring_member(PeerValue(70));
         assert_eq!(ds.status(), DsStatus::Live);
         assert!(ds.range().is_empty());

@@ -4,17 +4,17 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use pepper_datastore::{DataStoreState, DsConfig, DsEvent, DsMsg, DsStatus, QueryId};
+use pepper_datastore::{DataStoreState, DsEvent, DsMsg, DsStatus, QueryId};
 use pepper_net::{Context, Effects, LayerCtx, LayerSlot, Node, SimTime};
-use pepper_replication::{Batch, BatchStamp, ReplEvent, ReplicaConfig, ReplicationManager};
-use pepper_ring::{EntryState, RingConfig, RingEvent, RingState};
-use pepper_router::{HierarchicalRouter, RouterConfig};
+use pepper_replication::{Batch, BatchStamp, ReplEvent, ReplicationManager};
+use pepper_ring::{EntryState, RingEvent, RingState};
+use pepper_router::HierarchicalRouter;
 use pepper_storage::{
     DurableImage, PeerStorage, RecoveredState, RecoveryMode, StorageEvent, StorageLayer,
 };
 use pepper_trace::{Metrics, TraceConfig, TraceEvent, Tracer};
 use pepper_types::{
-    CircularRange, Item, ItemId, KeyInterval, PeerId, PeerValue, RangeQuery, SearchKey,
+    CircularRange, Item, ItemId, KeyInterval, PeerId, PeerValue, Protocol, RangeQuery, SearchKey,
     SystemConfig,
 };
 
@@ -115,8 +115,8 @@ pub struct PeerNode {
 impl PeerNode {
     /// Creates the very first peer of a new index (live, owns everything).
     pub fn first(id: PeerId, value: PeerValue, cfg: SystemConfig, pool: FreePool) -> Self {
-        let ring = RingState::new_first(id, value, RingConfig::from_system(&cfg));
-        let ds = DataStoreState::new_first(id, value, DsConfig::from_system(&cfg));
+        let ring = RingState::new_first(id, value, cfg.clone());
+        let ds = DataStoreState::new_first(id, value, cfg.clone());
         PeerNode::new(id, cfg, pool, ring, ds)
     }
 
@@ -130,8 +130,8 @@ impl PeerNode {
     /// A free peer that is not in `pool` yet: [`PeerNode::restarted`]
     /// re-admits it explicitly once reconciliation is underway.
     fn free_unpooled(id: PeerId, cfg: SystemConfig, pool: FreePool) -> Self {
-        let ring = RingState::new_free(id, RingConfig::from_system(&cfg));
-        let ds = DataStoreState::new_free(id, DsConfig::from_system(&cfg));
+        let ring = RingState::new_free(id, cfg.clone());
+        let ds = DataStoreState::new_free(id, cfg.clone());
         PeerNode::new(id, cfg, pool, ring, ds)
     }
 
@@ -146,15 +146,9 @@ impl PeerNode {
             id,
             ring: LayerSlot::new(ring, PeerMsg::Ring),
             ds: LayerSlot::new(ds, PeerMsg::Ds),
-            repl: LayerSlot::new(
-                ReplicationManager::new(id, ReplicaConfig::from_system(&cfg)),
-                PeerMsg::Repl,
-            ),
-            router: LayerSlot::new(
-                HierarchicalRouter::new(id, RouterConfig::from_system(&cfg)),
-                PeerMsg::Router,
-            ),
-            stor: LayerSlot::new(StorageLayer::new(cfg.snapshot_period), PeerMsg::Storage),
+            repl: LayerSlot::new(ReplicationManager::new(id, cfg.clone()), PeerMsg::Repl),
+            router: LayerSlot::new(HierarchicalRouter::new(id, cfg.clone()), PeerMsg::Router),
+            stor: LayerSlot::new(StorageLayer::default(), PeerMsg::Storage),
             storage: None,
             recovery_mode: RecoveryMode::Clean,
             recovered_donation: Vec::new(),
@@ -398,7 +392,8 @@ impl PeerNode {
             .with(out, |ds, fx| ds.register_query(lctx, query, fx));
         self.process_ds_events(now, ds_events, out);
         registered.map(|(id, interval)| {
-            self.route_scan_start(now, id, interval, self.cfg.protocol.pepper_scan, out);
+            let pepper = self.cfg.protocol == Protocol::Pepper;
+            self.route_scan_start(now, id, interval, pepper, out);
             id
         })
     }
@@ -872,7 +867,7 @@ impl PeerNode {
                         hops,
                         elapsed,
                         complete,
-                        pepper: self.cfg.protocol.pepper_scan,
+                        pepper: self.cfg.protocol == Protocol::Pepper,
                     });
                 }
                 DsEvent::InsertAcked { item } => {
@@ -1353,10 +1348,9 @@ mod tests {
     use pepper_ring::consistency::{
         check_connectivity, check_consistent_successor_pointers, RingSnapshot,
     };
-    use pepper_types::ProtocolConfig;
 
-    /// Builds a cluster: one first peer plus `free` free peers, with fast
-    /// test timers derived from the paper configuration.
+    /// Builds a cluster: one first peer plus `free` free peers, all running
+    /// with `cfg`.
     fn cluster(
         cfg: &SystemConfig,
         free: usize,
@@ -1376,19 +1370,6 @@ mod tests {
         }
         sim.with_node_ctx(first, |node, ctx| node.start(ctx));
         (sim, pool, first)
-    }
-
-    /// A fast-timer version of the paper configuration for tests.
-    fn test_cfg(protocol: ProtocolConfig) -> SystemConfig {
-        let mut cfg = SystemConfig::paper_defaults()
-            .with_storage_factor(2)
-            .with_replication_factor(2)
-            .with_protocol(protocol);
-        cfg.stabilization_period = Duration::from_millis(200);
-        cfg.ping_period = Duration::from_millis(100);
-        cfg.replica_refresh_period = Duration::from_millis(200);
-        cfg.router_refresh_period = Duration::from_millis(200);
-        cfg
     }
 
     fn insert_keys(sim: &mut Simulator<PeerNode>, at: PeerId, keys: impl IntoIterator<Item = u64>) {
@@ -1420,7 +1401,7 @@ mod tests {
 
     #[test]
     fn items_inserted_are_stored_and_acked() {
-        let cfg = test_cfg(ProtocolConfig::pepper());
+        let cfg = SystemConfig::fast();
         let (mut sim, _pool, first) = cluster(&cfg, 0, 7);
         insert_keys(&mut sim, first, [10, 20, 30]);
         sim.run_for(Duration::from_millis(200));
@@ -1437,7 +1418,7 @@ mod tests {
 
     #[test]
     fn overflow_splits_with_a_free_peer_and_preserves_items() {
-        let cfg = test_cfg(ProtocolConfig::pepper());
+        let cfg = SystemConfig::fast();
         let (mut sim, pool, first) = cluster(&cfg, 2, 11);
         assert_eq!(pool.len(), 2);
         // sf = 2: six items force at least one split.
@@ -1465,7 +1446,7 @@ mod tests {
 
     #[test]
     fn range_query_returns_exactly_matching_items() {
-        let cfg = test_cfg(ProtocolConfig::pepper());
+        let cfg = SystemConfig::fast();
         let (mut sim, _pool, first) = cluster(&cfg, 3, 13);
         let keys: Vec<u64> = (1..=12).map(|k| k * 10_000_000).collect();
         insert_keys(&mut sim, first, keys.clone());
@@ -1500,7 +1481,7 @@ mod tests {
 
     #[test]
     fn deletions_trigger_merge_and_peer_becomes_free_again() {
-        let cfg = test_cfg(ProtocolConfig::pepper());
+        let cfg = SystemConfig::fast();
         let (mut sim, pool, first) = cluster(&cfg, 2, 17);
         let keys: Vec<u64> = (1..=10).map(|k| k * 50_000_000).collect();
         insert_keys(&mut sim, first, keys.clone());
@@ -1541,7 +1522,7 @@ mod tests {
 
     #[test]
     fn failed_peer_items_are_revived_from_replicas() {
-        let cfg = test_cfg(ProtocolConfig::pepper());
+        let cfg = SystemConfig::fast();
         let (mut sim, _pool, first) = cluster(&cfg, 3, 23);
         let keys: Vec<u64> = (1..=12).map(|k| k * 30_000_000).collect();
         insert_keys(&mut sim, first, keys.clone());
@@ -1585,7 +1566,7 @@ mod tests {
 
     #[test]
     fn naive_configuration_still_functions_without_churn() {
-        let cfg = test_cfg(ProtocolConfig::naive());
+        let cfg = SystemConfig::fast().with_protocol(Protocol::Naive);
         let (mut sim, _pool, first) = cluster(&cfg, 2, 31);
         let keys: Vec<u64> = (1..=8).map(|k| k * 40_000_000).collect();
         insert_keys(&mut sim, first, keys.clone());
@@ -1606,7 +1587,7 @@ mod tests {
 
     #[test]
     fn voluntary_leave_hands_range_to_predecessor_and_frees_peer() {
-        let cfg = test_cfg(ProtocolConfig::pepper());
+        let cfg = SystemConfig::fast();
         let (mut sim, pool, first) = cluster(&cfg, 2, 19);
         insert_keys(&mut sim, first, (1..=8).map(|k| k * 1_000_000));
         sim.run_for(Duration::from_secs(4));
@@ -1642,7 +1623,7 @@ mod tests {
 
     #[test]
     fn tracing_records_causal_events_and_metrics() {
-        let cfg = test_cfg(ProtocolConfig::pepper());
+        let cfg = SystemConfig::fast();
         let pool = FreePool::new();
         let mut sim: Simulator<PeerNode> = Simulator::new(NetworkConfig::lan(3));
         let tc = TraceConfig::enabled().with_ring_capacity(1 << 12);
@@ -1706,7 +1687,7 @@ mod tests {
 
     #[test]
     fn refresh_rounds_share_one_batch_until_the_item_set_changes() {
-        let cfg = test_cfg(ProtocolConfig::pepper());
+        let cfg = SystemConfig::fast();
         let (mut sim, _pool, first) = cluster(&cfg, 4, 23);
         insert_keys(&mut sim, first, (1..=10).map(|k| k * 1_000_000));
         sim.run_for(Duration::from_secs(3));
@@ -1771,7 +1752,7 @@ mod tests {
 
     /// A settled ring of several members whose routers hold shortcuts.
     fn settled_ring(seed: u64) -> Simulator<PeerNode> {
-        let cfg = test_cfg(ProtocolConfig::pepper());
+        let cfg = SystemConfig::fast();
         let (mut sim, _pool, first) = cluster(&cfg, 12, seed);
         insert_keys(&mut sim, first, (1..=30).map(|k| k * 100_000_000_000));
         sim.run_for(Duration::from_secs(6));
@@ -1859,7 +1840,7 @@ mod tests {
 
     #[test]
     fn an_unknown_seq_in_an_ack_or_a_guard_changes_nothing() {
-        let cfg = test_cfg(ProtocolConfig::pepper());
+        let cfg = SystemConfig::fast();
         let mut node = PeerNode::first(PeerId(1), PeerValue(100), cfg, FreePool::new());
         node.router.set_successor(PeerId(2), PeerValue(200));
         let before = node.router().entries().to_vec();
@@ -1872,7 +1853,7 @@ mod tests {
 
     #[test]
     fn free_peer_registers_itself_and_unregisters_on_kill() {
-        let cfg = test_cfg(ProtocolConfig::pepper());
+        let cfg = SystemConfig::fast();
         let pool = FreePool::new();
         let mut sim: Simulator<PeerNode> = Simulator::new(NetworkConfig::lan(1));
         let cfg2 = cfg.clone();

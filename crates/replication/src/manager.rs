@@ -5,54 +5,16 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pepper_net::{Effects, LayerCtx, ProtocolLayer};
-use pepper_types::{CircularRange, Item, KeyInterval, PeerId, SystemConfig};
+use pepper_types::{CircularRange, Item, KeyInterval, PeerId, Protocol, SystemConfig};
 
 use crate::events::ReplEvent;
 use crate::messages::{Batch, BatchStamp, ReplMsg};
-
-/// Configuration of the Replication Manager.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplicaConfig {
-    /// Replication factor `k`: each item is pushed to `k` successors.
-    pub replication_factor: usize,
-    /// Period of the replica refresh loop.
-    pub refresh_period: Duration,
-    /// Whether the pre-leave additional-hop replication is enabled (the
-    /// PEPPER item-availability protection).
-    pub extra_hop_enabled: bool,
-}
-
-impl ReplicaConfig {
-    /// Derives the replication configuration from the system configuration.
-    pub fn from_system(cfg: &SystemConfig) -> Self {
-        ReplicaConfig {
-            replication_factor: cfg.replication_factor,
-            refresh_period: cfg.replica_refresh_period,
-            extra_hop_enabled: cfg.protocol.extra_hop_replication,
-        }
-    }
-
-    /// Small test configuration (`k = 2`, fast refresh).
-    pub fn test(k: usize) -> Self {
-        ReplicaConfig {
-            replication_factor: k,
-            refresh_period: Duration::from_millis(200),
-            extra_hop_enabled: true,
-        }
-    }
-}
-
-impl Default for ReplicaConfig {
-    fn default() -> Self {
-        ReplicaConfig::from_system(&SystemConfig::paper_defaults())
-    }
-}
 
 /// The per-peer replication manager.
 #[derive(Debug, Clone)]
 pub struct ReplicationManager {
     id: PeerId,
-    cfg: ReplicaConfig,
+    cfg: SystemConfig,
     /// Replicas held on behalf of predecessors, keyed by mapped value.
     replica_store: BTreeMap<u64, Item>,
     /// The stamped batches walked since `replica_store` last changed, one per
@@ -75,7 +37,7 @@ pub struct ReplicationManager {
 
 impl ReplicationManager {
     /// Creates a replication manager for peer `id`.
-    pub fn new(id: PeerId, cfg: ReplicaConfig) -> Self {
+    pub fn new(id: PeerId, cfg: SystemConfig) -> Self {
         ReplicationManager {
             id,
             cfg,
@@ -88,11 +50,6 @@ impl ReplicationManager {
             extra_hop_pushes: 0,
             events: Vec::new(),
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &ReplicaConfig {
-        &self.cfg
     }
 
     /// Number of replicas currently held.
@@ -193,7 +150,7 @@ impl ReplicationManager {
         successors: &[PeerId],
         fx: &mut Effects<ReplMsg>,
     ) -> bool {
-        if !self.cfg.extra_hop_enabled {
+        if self.cfg.protocol == Protocol::Naive {
             return false;
         }
         let held: Batch = self.replicas().into();
@@ -324,7 +281,10 @@ impl ProtocolLayer for ReplicationManager {
         }
         self.timers_started = true;
         let stagger = Duration::from_micros((self.id.raw() % 89) * 300);
-        fx.timer(self.cfg.refresh_period / 2 + stagger, ReplMsg::RefreshTick);
+        fx.timer(
+            self.cfg.replica_refresh_period / 2 + stagger,
+            ReplMsg::RefreshTick,
+        );
     }
 
     /// Handles a replication message. The refresh round itself is performed
@@ -333,7 +293,7 @@ impl ProtocolLayer for ReplicationManager {
     fn handle(&mut self, _ctx: LayerCtx, from: PeerId, msg: ReplMsg, fx: &mut Effects<ReplMsg>) {
         match msg {
             ReplMsg::RefreshTick => {
-                fx.timer(self.cfg.refresh_period, ReplMsg::RefreshTick);
+                fx.timer(self.cfg.replica_refresh_period, ReplMsg::RefreshTick);
                 self.events.push(ReplEvent::RefreshDue);
             }
             ReplMsg::Push {
@@ -398,7 +358,7 @@ impl ProtocolLayer for ReplicationManager {
 mod tests {
     use super::*;
     use pepper_net::{Effect, SimTime};
-    use pepper_types::{ProtocolConfig, SearchKey};
+    use pepper_types::SearchKey;
 
     /// Drives one message through the layer the way the composed peer does:
     /// handle, then serve a `RefreshDue` event with the given snapshot.
@@ -434,19 +394,8 @@ mod tests {
     }
 
     #[test]
-    fn config_from_system() {
-        let cfg = ReplicaConfig::from_system(&SystemConfig::paper_defaults());
-        assert_eq!(cfg.replication_factor, 6);
-        assert!(cfg.extra_hop_enabled);
-        let naive = ReplicaConfig::from_system(
-            &SystemConfig::paper_defaults().with_protocol(ProtocolConfig::naive()),
-        );
-        assert!(!naive.extra_hop_enabled);
-    }
-
-    #[test]
     fn refresh_pushes_to_k_successors() {
-        let mut rm = ReplicationManager::new(PeerId(0), ReplicaConfig::test(2));
+        let mut rm = ReplicationManager::new(PeerId(0), SystemConfig::fast());
         let mut fx = Effects::new();
         let own = vec![item(10), item(20)];
         let succs = vec![PeerId(1), PeerId(2), PeerId(3)];
@@ -496,7 +445,7 @@ mod tests {
 
     #[test]
     fn refresh_with_no_items_sends_nothing() {
-        let mut rm = ReplicationManager::new(PeerId(0), ReplicaConfig::test(2));
+        let mut rm = ReplicationManager::new(PeerId(0), SystemConfig::fast());
         let mut fx = Effects::new();
         rm.push_to_successors(ctx(0), &[], &[PeerId(1)], &mut fx);
         assert!(fx.is_empty());
@@ -504,7 +453,7 @@ mod tests {
 
     #[test]
     fn push_is_stored_in_replica_store() {
-        let mut rm = ReplicationManager::new(PeerId(1), ReplicaConfig::test(2));
+        let mut rm = ReplicationManager::new(PeerId(1), SystemConfig::fast());
         let mut fx = Effects::new();
         let refreshed = handle_with_snapshot(
             &mut rm,
@@ -529,7 +478,7 @@ mod tests {
 
     #[test]
     fn revival_takes_only_acquired_range() {
-        let mut rm = ReplicationManager::new(PeerId(1), ReplicaConfig::test(2));
+        let mut rm = ReplicationManager::new(PeerId(1), SystemConfig::fast());
         let mut fx = Effects::new();
         handle_with_snapshot(
             &mut rm,
@@ -558,7 +507,7 @@ mod tests {
 
     #[test]
     fn extra_hop_targets_the_k_plus_first_successor() {
-        let mut rm = ReplicationManager::new(PeerId(0), ReplicaConfig::test(2));
+        let mut rm = ReplicationManager::new(PeerId(0), SystemConfig::fast());
         let mut fx = Effects::new();
         // Pre-existing replicas held for predecessors.
         handle_with_snapshot(
@@ -597,10 +546,7 @@ mod tests {
 
     #[test]
     fn extra_hop_disabled_in_naive_mode() {
-        let cfg = ReplicaConfig {
-            extra_hop_enabled: false,
-            ..ReplicaConfig::test(2)
-        };
+        let cfg = SystemConfig::fast().with_protocol(Protocol::Naive);
         let mut rm = ReplicationManager::new(PeerId(0), cfg);
         let mut fx = Effects::new();
         assert!(!rm.replicate_additional_hop(ctx(0), &[item(10)], &[PeerId(1)], &mut fx));
@@ -609,7 +555,8 @@ mod tests {
 
     #[test]
     fn extra_hop_with_short_successor_list_uses_last_known() {
-        let mut rm = ReplicationManager::new(PeerId(0), ReplicaConfig::test(4));
+        let mut rm =
+            ReplicationManager::new(PeerId(0), SystemConfig::fast().with_replication_factor(4));
         let mut fx = Effects::new();
         assert!(rm.replicate_additional_hop(ctx(0), &[item(10)], &[PeerId(1), PeerId(2)], &mut fx));
         assert!(fx.iter().any(|e| matches!(
@@ -620,7 +567,7 @@ mod tests {
 
     #[test]
     fn prune_owned_drops_replicas_inside_own_range() {
-        let mut rm = ReplicationManager::new(PeerId(1), ReplicaConfig::test(2));
+        let mut rm = ReplicationManager::new(PeerId(1), SystemConfig::fast());
         let mut fx = Effects::new();
         handle_with_snapshot(
             &mut rm,
@@ -643,7 +590,7 @@ mod tests {
     #[test]
     fn recovery_roundtrip_serves_copies_and_reports_items() {
         // Holder rm keeps replicas for a failed peer's range.
-        let mut holder = ReplicationManager::new(PeerId(2), ReplicaConfig::test(2));
+        let mut holder = ReplicationManager::new(PeerId(2), SystemConfig::fast());
         let mut fx = Effects::new();
         ProtocolLayer::handle(
             &mut holder,
@@ -691,7 +638,7 @@ mod tests {
         );
         assert!(fx3.is_empty());
         // The reviver surfaces the reply as an event.
-        let mut reviver = ReplicationManager::new(PeerId(1), ReplicaConfig::test(2));
+        let mut reviver = ReplicationManager::new(PeerId(1), SystemConfig::fast());
         let mut fx4 = Effects::new();
         ProtocolLayer::handle(
             &mut reviver,
@@ -710,7 +657,7 @@ mod tests {
 
     #[test]
     fn pushes_report_only_the_changed_delta() {
-        let mut rm = ReplicationManager::new(PeerId(1), ReplicaConfig::test(2));
+        let mut rm = ReplicationManager::new(PeerId(1), SystemConfig::fast());
         let mut fx = Effects::new();
         ProtocolLayer::handle(
             &mut rm,
@@ -777,9 +724,9 @@ mod tests {
         };
         let mut fx = Effects::new();
         // One receiver already holds item 10, the other holds nothing.
-        let mut partial = ReplicationManager::new(PeerId(1), ReplicaConfig::test(2));
+        let mut partial = ReplicationManager::new(PeerId(1), SystemConfig::fast());
         partial.install_replicas(vec![item(10)]);
-        let mut empty = ReplicationManager::new(PeerId(2), ReplicaConfig::test(2));
+        let mut empty = ReplicationManager::new(PeerId(2), SystemConfig::fast());
         ProtocolLayer::handle(&mut partial, ctx(1), PeerId(0), push.clone(), &mut fx);
         ProtocolLayer::handle(&mut empty, ctx(2), PeerId(0), push, &mut fx);
         assert!(matches!(
@@ -828,7 +775,7 @@ mod tests {
 
     #[test]
     fn a_stamped_batch_already_walked_is_skipped_but_still_counted() {
-        let mut rm = ReplicationManager::new(PeerId(1), ReplicaConfig::test(2));
+        let mut rm = ReplicationManager::new(PeerId(1), SystemConfig::fast());
         let batch: Batch = vec![item(10), item(20)].into();
         let first = deliver(&mut rm, PeerId(0), &batch, Some(stamp(1, 5)));
         assert!(matches!(
@@ -880,7 +827,7 @@ mod tests {
             }),
         ];
         for (what, change) in changes {
-            let mut rm = ReplicationManager::new(PeerId(1), ReplicaConfig::test(2));
+            let mut rm = ReplicationManager::new(PeerId(1), SystemConfig::fast());
             let batch: Batch = vec![item(10), item(20)].into();
             deliver(&mut rm, PeerId(0), &batch, Some(stamp(1, 5)));
             assert!(deliver(&mut rm, PeerId(0), &batch, Some(stamp(1, 5))).is_empty());
@@ -901,7 +848,7 @@ mod tests {
             assert_eq!(rm.pushes_skipped(), 2, "{what}");
         }
         // A prune or take that finds nothing leaves the memo alone.
-        let mut rm = ReplicationManager::new(PeerId(1), ReplicaConfig::test(2));
+        let mut rm = ReplicationManager::new(PeerId(1), SystemConfig::fast());
         let batch: Batch = vec![item(10), item(20)].into();
         deliver(&mut rm, PeerId(0), &batch, Some(stamp(1, 5)));
         rm.prune_owned(&CircularRange::new(40u64, 60u64));
@@ -914,7 +861,7 @@ mod tests {
 
     #[test]
     fn a_restarted_sender_reaching_an_old_store_version_is_not_mistaken_for_its_past() {
-        let mut rm = ReplicationManager::new(PeerId(1), ReplicaConfig::test(2));
+        let mut rm = ReplicationManager::new(PeerId(1), SystemConfig::fast());
         let before: Batch = vec![item(10), item(20)].into();
         deliver(&mut rm, PeerId(0), &before, Some(stamp(1, 2)));
         assert!(deliver(&mut rm, PeerId(0), &before, Some(stamp(1, 2))).is_empty());
@@ -942,7 +889,7 @@ mod tests {
             state ^= state << 17;
             state % n
         };
-        let mut memo = ReplicationManager::new(PeerId(1), ReplicaConfig::test(2));
+        let mut memo = ReplicationManager::new(PeerId(1), SystemConfig::fast());
         let mut reference = memo.clone();
         let senders = [PeerId(10), PeerId(11), PeerId(12)];
         let mut batches: Vec<(BatchStamp, Batch)> =
@@ -1004,7 +951,7 @@ mod tests {
 
     #[test]
     fn install_replicas_is_silent() {
-        let mut rm = ReplicationManager::new(PeerId(1), ReplicaConfig::test(2));
+        let mut rm = ReplicationManager::new(PeerId(1), SystemConfig::fast());
         rm.install_replicas(vec![item(5), item(6)]);
         assert_eq!(rm.replica_count(), 2);
         assert!(rm.drain_events().is_empty());
@@ -1012,7 +959,7 @@ mod tests {
 
     #[test]
     fn timers_start_once() {
-        let mut rm = ReplicationManager::new(PeerId(1), ReplicaConfig::test(2));
+        let mut rm = ReplicationManager::new(PeerId(1), SystemConfig::fast());
         let mut fx = Effects::new();
         rm.start_timers(ctx(1), &mut fx);
         rm.start_timers(ctx(1), &mut fx);

@@ -10,7 +10,7 @@
 //! scenario of Section 4.2.1.
 
 use pepper_net::{Effects, LayerCtx, SimTime};
-use pepper_types::{Error, PeerId, PeerValue, Result};
+use pepper_types::{Error, PeerId, PeerValue, Protocol, Result};
 
 use crate::entry::{EntryState, RingPhase, SuccEntry};
 use crate::events::RingEvent;
@@ -46,14 +46,14 @@ impl RingState {
         // inserter would stay in INSERTING (and its Data Store in the split)
         // forever.
         fx.timer(
-            self.cfg.insert_timeout,
+            self.cfg.insert_timeout(),
             RingMsg::InsertTimeout {
                 peer: new_peer,
                 started: ctx.now,
             },
         );
 
-        if !self.cfg.pepper_insert {
+        if self.cfg.protocol == Protocol::Naive {
             // Naive insertSucc: the new peer becomes part of the ring
             // immediately, no predecessor is told about it.
             let succ_list_for_new = self.succ_list.clone();
@@ -87,11 +87,10 @@ impl RingState {
 
         match self.pred {
             Some((pred, _)) if pred != self.id => {
-                if self.cfg.proactive_stabilization {
-                    // Poke the predecessor so the JOINING entry propagates
-                    // without waiting for the periodic stabilization.
-                    fx.send(pred, RingMsg::StabilizeNow);
-                }
+                // Poke the predecessor so the JOINING entry propagates
+                // without waiting for the periodic stabilization (the
+                // optimization of Sections 4.3.1 and 6.3.1).
+                fx.send(pred, RingMsg::StabilizeNow);
             }
             _ => {
                 // Single-peer ring (or unknown predecessor pointing at
@@ -234,8 +233,8 @@ impl RingState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RingConfig;
     use pepper_net::{Effect, ProtocolLayer, SimTime};
+    use pepper_types::{Protocol, SystemConfig};
     use std::time::Duration;
 
     fn ctx_at(id: u64, secs: u64) -> LayerCtx {
@@ -248,7 +247,11 @@ mod tests {
 
     #[test]
     fn pepper_insert_marks_joining_and_pokes_predecessor() {
-        let mut p5 = RingState::new_first(PeerId(5), PeerValue(50), RingConfig::test(2));
+        let mut p5 = RingState::new_first(
+            PeerId(5),
+            PeerValue(50),
+            SystemConfig::fast().with_succ_list_len(2),
+        );
         p5.succ_list = vec![joined(1, 10), joined(2, 20)];
         p5.pred = Some((PeerId(4), PeerValue(40)));
         let mut fx = Effects::new();
@@ -273,7 +276,11 @@ mod tests {
 
     #[test]
     fn single_peer_ring_completes_immediately() {
-        let mut p = RingState::new_first(PeerId(0), PeerValue(100), RingConfig::test(3));
+        let mut p = RingState::new_first(
+            PeerId(0),
+            PeerValue(100),
+            SystemConfig::fast().with_succ_list_len(3),
+        );
         let mut fx = Effects::new();
         p.insert_succ(ctx_at(0, 1), PeerId(1), PeerValue(200), &mut fx)
             .unwrap();
@@ -290,7 +297,13 @@ mod tests {
 
     #[test]
     fn naive_insert_sends_join_immediately() {
-        let mut p5 = RingState::new_first(PeerId(5), PeerValue(50), RingConfig::test_naive(2));
+        let mut p5 = RingState::new_first(
+            PeerId(5),
+            PeerValue(50),
+            SystemConfig::fast()
+                .with_succ_list_len(2)
+                .with_protocol(Protocol::Naive),
+        );
         p5.succ_list = vec![joined(1, 10), joined(2, 20)];
         p5.pred = Some((PeerId(4), PeerValue(40)));
         let mut fx = Effects::new();
@@ -313,7 +326,11 @@ mod tests {
 
     #[test]
     fn insert_rejected_while_not_joined() {
-        let mut p = RingState::new_first(PeerId(5), PeerValue(50), RingConfig::test(2));
+        let mut p = RingState::new_first(
+            PeerId(5),
+            PeerValue(50),
+            SystemConfig::fast().with_succ_list_len(2),
+        );
         p.phase = RingPhase::Leaving;
         let mut fx = Effects::new();
         let err = p
@@ -328,7 +345,11 @@ mod tests {
 
     #[test]
     fn join_ack_promotes_entry_and_sends_join() {
-        let mut p5 = RingState::new_first(PeerId(5), PeerValue(50), RingConfig::test(2));
+        let mut p5 = RingState::new_first(
+            PeerId(5),
+            PeerValue(50),
+            SystemConfig::fast().with_succ_list_len(2),
+        );
         p5.succ_list = vec![joined(1, 10), joined(2, 20)];
         p5.pred = Some((PeerId(4), PeerValue(40)));
         let mut fx = Effects::new();
@@ -367,7 +388,11 @@ mod tests {
 
     #[test]
     fn join_ack_for_unknown_peer_is_ignored() {
-        let mut p5 = RingState::new_first(PeerId(5), PeerValue(50), RingConfig::test(2));
+        let mut p5 = RingState::new_first(
+            PeerId(5),
+            PeerValue(50),
+            SystemConfig::fast().with_succ_list_len(2),
+        );
         p5.succ_list = vec![joined(1, 10)];
         p5.pred = Some((PeerId(4), PeerValue(40)));
         let mut fx = Effects::new();
@@ -381,7 +406,7 @@ mod tests {
 
     #[test]
     fn joining_peer_installs_list_and_confirms() {
-        let mut p9 = RingState::new_free(PeerId(9), RingConfig::test(2));
+        let mut p9 = RingState::new_free(PeerId(9), SystemConfig::fast().with_succ_list_len(2));
         let mut fx = Effects::new();
         p9.on_join(
             ctx_at(9, 2),
@@ -420,7 +445,7 @@ mod tests {
 
     #[test]
     fn joining_with_empty_list_points_back_at_inserter() {
-        let mut p9 = RingState::new_free(PeerId(9), RingConfig::test(2));
+        let mut p9 = RingState::new_free(PeerId(9), SystemConfig::fast().with_succ_list_len(2));
         let mut fx = Effects::new();
         p9.on_join(
             ctx_at(9, 2),
@@ -435,7 +460,11 @@ mod tests {
 
     #[test]
     fn join_installed_completes_operation_with_elapsed_time() {
-        let mut p5 = RingState::new_first(PeerId(5), PeerValue(50), RingConfig::test(2));
+        let mut p5 = RingState::new_first(
+            PeerId(5),
+            PeerValue(50),
+            SystemConfig::fast().with_succ_list_len(2),
+        );
         p5.succ_list = vec![joined(1, 10)];
         p5.pred = Some((PeerId(4), PeerValue(40)));
         let mut fx = Effects::new();
@@ -458,7 +487,11 @@ mod tests {
 
     #[test]
     fn join_message_ignored_once_joined() {
-        let mut p = RingState::new_first(PeerId(9), PeerValue(55), RingConfig::test(2));
+        let mut p = RingState::new_first(
+            PeerId(9),
+            PeerValue(55),
+            SystemConfig::fast().with_succ_list_len(2),
+        );
         let before = p.succ_list().to_vec();
         let mut fx = Effects::new();
         p.on_join(

@@ -11,7 +11,7 @@
 //! single subsequent failure to disconnect the ring (Figure 14).
 
 use pepper_net::{Effects, LayerCtx};
-use pepper_types::{Error, Result};
+use pepper_types::{Error, Protocol, Result};
 
 use crate::entry::RingPhase;
 use crate::events::RingEvent;
@@ -30,7 +30,7 @@ impl RingState {
         }
         self.leave_started = Some(ctx.now);
 
-        if !self.cfg.pepper_leave {
+        if self.cfg.protocol == Protocol::Naive {
             // Naive leave: just go. The ring is not told anything; dangling
             // pointers are discovered later by pings and stabilization.
             self.emit(RingEvent::LeaveComplete {
@@ -41,11 +41,7 @@ impl RingState {
 
         self.phase = RingPhase::Leaving;
         match self.pred {
-            Some((pred, _)) if pred != self.id => {
-                if self.cfg.proactive_stabilization {
-                    fx.send(pred, RingMsg::StabilizeNow);
-                }
-            }
+            Some((pred, _)) if pred != self.id => fx.send(pred, RingMsg::StabilizeNow),
             _ => {
                 // Only peer in the ring: nobody points at us, leaving cannot
                 // reduce availability.
@@ -78,10 +74,10 @@ impl RingState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RingConfig;
     use crate::entry::SuccEntry;
     use pepper_net::{Effect, ProtocolLayer, SimTime};
     use pepper_types::{PeerId, PeerValue};
+    use pepper_types::{Protocol, SystemConfig};
     use std::time::Duration;
 
     fn ctx_at(id: u64, secs: u64) -> LayerCtx {
@@ -94,7 +90,11 @@ mod tests {
 
     #[test]
     fn pepper_leave_waits_for_ack() {
-        let mut p = RingState::new_first(PeerId(7), PeerValue(70), RingConfig::test(2));
+        let mut p = RingState::new_first(
+            PeerId(7),
+            PeerValue(70),
+            SystemConfig::fast().with_succ_list_len(2),
+        );
         p.succ_list = vec![joined(1, 10), joined(2, 20)];
         p.pred = Some((PeerId(5), PeerValue(50)));
         let mut fx = Effects::new();
@@ -125,7 +125,13 @@ mod tests {
 
     #[test]
     fn naive_leave_completes_immediately() {
-        let mut p = RingState::new_first(PeerId(7), PeerValue(70), RingConfig::test_naive(2));
+        let mut p = RingState::new_first(
+            PeerId(7),
+            PeerValue(70),
+            SystemConfig::fast()
+                .with_succ_list_len(2)
+                .with_protocol(Protocol::Naive),
+        );
         p.succ_list = vec![joined(1, 10)];
         p.pred = Some((PeerId(5), PeerValue(50)));
         let mut fx = Effects::new();
@@ -140,7 +146,11 @@ mod tests {
 
     #[test]
     fn only_peer_in_ring_leaves_instantly() {
-        let mut p = RingState::new_first(PeerId(0), PeerValue(1), RingConfig::test(2));
+        let mut p = RingState::new_first(
+            PeerId(0),
+            PeerValue(1),
+            SystemConfig::fast().with_succ_list_len(2),
+        );
         let mut fx = Effects::new();
         p.leave(ctx_at(0, 3), &mut fx).unwrap();
         assert!(p
@@ -151,17 +161,25 @@ mod tests {
 
     #[test]
     fn leave_rejected_while_inserting_or_free() {
-        let mut p = RingState::new_first(PeerId(7), PeerValue(70), RingConfig::test(2));
+        let mut p = RingState::new_first(
+            PeerId(7),
+            PeerValue(70),
+            SystemConfig::fast().with_succ_list_len(2),
+        );
         p.phase = RingPhase::Inserting;
         let mut fx = Effects::new();
         assert!(p.leave(ctx_at(7, 1), &mut fx).is_err());
-        let mut free = RingState::new_free(PeerId(8), RingConfig::test(2));
+        let mut free = RingState::new_free(PeerId(8), SystemConfig::fast().with_succ_list_len(2));
         assert!(free.leave(ctx_at(8, 1), &mut fx).is_err());
     }
 
     #[test]
     fn stray_leave_ack_is_ignored() {
-        let mut p = RingState::new_first(PeerId(7), PeerValue(70), RingConfig::test(2));
+        let mut p = RingState::new_first(
+            PeerId(7),
+            PeerValue(70),
+            SystemConfig::fast().with_succ_list_len(2),
+        );
         p.on_leave_ack(ctx_at(7, 1));
         assert!(p.drain_events().is_empty());
         assert_eq!(p.phase(), RingPhase::Joined);

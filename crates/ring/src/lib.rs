@@ -31,7 +31,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod config;
 pub mod consistency;
 pub mod entry;
 pub mod events;
@@ -42,7 +41,6 @@ pub mod ping;
 pub mod stabilization;
 pub mod state;
 
-pub use config::RingConfig;
 pub use entry::{EntryState, RingPhase, SuccEntry};
 pub use events::RingEvent;
 pub use messages::RingMsg;

@@ -55,7 +55,10 @@ impl RingState {
         let seq = self.ping_seq;
         self.outstanding_pings.push((target, seq));
         fx.send(target, RingMsg::Ping { seq });
-        fx.timer(self.cfg.ping_timeout, RingMsg::PingTimeout { target, seq });
+        fx.timer(
+            self.cfg.ping_timeout(),
+            RingMsg::PingTimeout { target, seq },
+        );
     }
 
     /// Answers a liveness probe. Departed peers answer `member = false`.
@@ -177,10 +180,10 @@ impl RingState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RingConfig;
     use crate::entry::SuccEntry;
     use pepper_net::{Effect, ProtocolLayer, SimTime};
     use pepper_types::PeerValue;
+    use pepper_types::SystemConfig;
 
     fn ctx(id: u64) -> LayerCtx {
         LayerCtx::new(PeerId(id), SimTime::from_secs(1))
@@ -191,7 +194,11 @@ mod tests {
     }
 
     fn member_with(list: Vec<SuccEntry>) -> RingState {
-        let mut s = RingState::new_first(PeerId(4), PeerValue(40), RingConfig::test(2));
+        let mut s = RingState::new_first(
+            PeerId(4),
+            PeerValue(40),
+            SystemConfig::fast().with_succ_list_len(2),
+        );
         s.succ_list = list;
         s
     }

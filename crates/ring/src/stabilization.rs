@@ -267,9 +267,7 @@ impl RingState {
         // ---- events and proactive propagation -----------------------------
         self.maybe_emit_new_successor();
 
-        if self.cfg.proactive_stabilization
-            && self.succ_list.iter().any(|e| e.state != EntryState::Joined)
-        {
+        if self.succ_list.iter().any(|e| e.state != EntryState::Joined) {
             if let Some((pred, _)) = self.pred {
                 if pred != self.id {
                     fx.send(pred, RingMsg::StabilizeNow);
@@ -293,9 +291,9 @@ impl RingState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RingConfig;
     use crate::events::RingEvent;
     use pepper_net::{Effect, ProtocolLayer, SimTime};
+    use pepper_types::SystemConfig;
 
     fn ctx(id: u64) -> LayerCtx {
         LayerCtx::new(PeerId(id), SimTime::from_secs(1))
@@ -307,7 +305,11 @@ mod tests {
 
     /// Builds a joined peer with an explicit successor list.
     fn member(id: u64, value: u64, d: usize, list: Vec<SuccEntry>) -> RingState {
-        let mut s = RingState::new_first(PeerId(id), PeerValue(value), RingConfig::test(d));
+        let mut s = RingState::new_first(
+            PeerId(id),
+            PeerValue(value),
+            SystemConfig::fast().with_succ_list_len(d),
+        );
         s.succ_list = list;
         s
     }
@@ -395,7 +397,7 @@ mod tests {
 
     #[test]
     fn joining_and_free_peers_do_not_answer_stabilization() {
-        let mut free = RingState::new_free(PeerId(3), RingConfig::test(2));
+        let mut free = RingState::new_free(PeerId(3), SystemConfig::fast().with_succ_list_len(2));
         let mut fx = Effects::new();
         free.on_stab_request(ctx(3), PeerId(4), PeerValue(40), &mut fx);
         assert!(fx.is_empty());

@@ -12,9 +12,8 @@
 use std::time::Duration;
 
 use pepper_net::{Effects, LayerCtx, ProtocolLayer, SimTime};
-use pepper_types::{in_open, PeerId, PeerValue};
+use pepper_types::{in_open, PeerId, PeerValue, SystemConfig};
 
-use crate::config::RingConfig;
 use crate::entry::{EntryState, RingPhase, SuccEntry};
 use crate::events::RingEvent;
 use crate::messages::RingMsg;
@@ -45,7 +44,7 @@ pub struct RingState {
     /// requests (sent while it was still LEAVING) must not re-register it
     /// as predecessor after the departure was observed.
     pub(crate) pred_tombstone: Option<(PeerId, SimTime)>,
-    pub(crate) cfg: RingConfig,
+    pub(crate) cfg: SystemConfig,
     pub(crate) pending_insert: Option<PendingInsert>,
     pub(crate) leave_started: Option<SimTime>,
     pub(crate) ping_seq: u64,
@@ -63,7 +62,7 @@ pub struct RingState {
 impl RingState {
     /// Creates the state of the very first peer of a ring (phase `JOINED`,
     /// responsible for the full circle, successor pointers to itself).
-    pub fn new_first(id: PeerId, value: PeerValue, cfg: RingConfig) -> Self {
+    pub fn new_first(id: PeerId, value: PeerValue, cfg: SystemConfig) -> Self {
         let mut s = RingState::new(id, value, RingPhase::Joined, cfg);
         s.succ_list = vec![SuccEntry::joined_stab(id, value); s.cfg.succ_list_len.max(1)];
         s.pred = Some((id, value));
@@ -73,11 +72,11 @@ impl RingState {
 
     /// Creates the state of a free peer (not yet part of any ring). Free
     /// peers passively wait for a `Join` (or `NaiveJoin`) message.
-    pub fn new_free(id: PeerId, cfg: RingConfig) -> Self {
+    pub fn new_free(id: PeerId, cfg: SystemConfig) -> Self {
         RingState::new(id, PeerValue(0), RingPhase::Free, cfg)
     }
 
-    fn new(id: PeerId, value: PeerValue, phase: RingPhase, cfg: RingConfig) -> Self {
+    fn new(id: PeerId, value: PeerValue, phase: RingPhase, cfg: SystemConfig) -> Self {
         RingState {
             id,
             value,
@@ -123,8 +122,8 @@ impl RingState {
         self.phase
     }
 
-    /// The ring configuration.
-    pub fn config(&self) -> &RingConfig {
+    /// The system configuration the ring runs with.
+    pub fn config(&self) -> &SystemConfig {
         &self.cfg
     }
 
@@ -433,7 +432,11 @@ mod tests {
 
     #[test]
     fn first_peer_points_at_itself() {
-        let s = RingState::new_first(PeerId(1), PeerValue(10), RingConfig::test(3));
+        let s = RingState::new_first(
+            PeerId(1),
+            PeerValue(10),
+            SystemConfig::fast().with_succ_list_len(3),
+        );
         assert_eq!(s.phase(), RingPhase::Joined);
         assert_eq!(s.succ_list().len(), 3);
         assert!(s.succ_list().iter().all(|e| e.peer == PeerId(1)));
@@ -444,7 +447,7 @@ mod tests {
 
     #[test]
     fn free_peer_is_not_a_member() {
-        let s = RingState::new_free(PeerId(2), RingConfig::test(3));
+        let s = RingState::new_free(PeerId(2), SystemConfig::fast().with_succ_list_len(3));
         assert_eq!(s.phase(), RingPhase::Free);
         assert!(!s.is_member());
         assert!(s.stabilized_succ().is_none());
@@ -454,7 +457,7 @@ mod tests {
 
     #[test]
     fn stabilized_succ_requires_stab_flag() {
-        let mut s = RingState::new_free(PeerId(0), RingConfig::test(2));
+        let mut s = RingState::new_free(PeerId(0), SystemConfig::fast().with_succ_list_len(2));
         s.succ_list = vec![SuccEntry::new(PeerId(1), PeerValue(1), EntryState::Joined)];
         // First JOINED entry is not stabilized: strict read returns None,
         // best-effort read returns it.
@@ -466,7 +469,7 @@ mod tests {
 
     #[test]
     fn stabilized_succ_skips_joining_and_leaving() {
-        let mut s = RingState::new_free(PeerId(0), RingConfig::test(3));
+        let mut s = RingState::new_free(PeerId(0), SystemConfig::fast().with_succ_list_len(3));
         s.succ_list = vec![
             SuccEntry::new(PeerId(9), PeerValue(9), EntryState::Joining),
             SuccEntry::new(PeerId(8), PeerValue(8), EntryState::Leaving),
@@ -477,7 +480,7 @@ mod tests {
 
     #[test]
     fn trim_keeps_d_joined_and_interleaved_special_entries() {
-        let mut s = RingState::new_free(PeerId(0), RingConfig::test(2));
+        let mut s = RingState::new_free(PeerId(0), SystemConfig::fast().with_succ_list_len(2));
         // [p5, p*(JOINING), p1, p2] with d = 2 trims to [p5, p*, p1].
         s.succ_list = vec![
             joined(5, 5),
@@ -508,7 +511,7 @@ mod tests {
 
     #[test]
     fn trim_lengthens_for_leaving_entries() {
-        let mut s = RingState::new_free(PeerId(0), RingConfig::test(2));
+        let mut s = RingState::new_free(PeerId(0), SystemConfig::fast().with_succ_list_len(2));
         // A LEAVING first successor keeps the list one longer than d.
         s.succ_list = vec![
             SuccEntry::new(PeerId(7), PeerValue(7), EntryState::Leaving),
@@ -529,7 +532,7 @@ mod tests {
 
     #[test]
     fn trim_short_list_is_untouched() {
-        let mut s = RingState::new_free(PeerId(0), RingConfig::test(4));
+        let mut s = RingState::new_free(PeerId(0), SystemConfig::fast().with_succ_list_len(4));
         s.succ_list = vec![joined(1, 1), joined(2, 2)];
         s.trim_succ_list();
         assert_eq!(s.succ_list.len(), 2);
@@ -537,7 +540,11 @@ mod tests {
 
     #[test]
     fn remove_peer_drops_all_occurrences() {
-        let mut s = RingState::new_first(PeerId(1), PeerValue(10), RingConfig::test(3));
+        let mut s = RingState::new_first(
+            PeerId(1),
+            PeerValue(10),
+            SystemConfig::fast().with_succ_list_len(3),
+        );
         assert!(s.remove_peer(PeerId(1)));
         assert!(s.succ_list.is_empty());
         assert!(!s.remove_peer(PeerId(1)));
@@ -545,7 +552,7 @@ mod tests {
 
     #[test]
     fn new_successor_event_fires_once_per_change() {
-        let mut s = RingState::new_free(PeerId(0), RingConfig::test(2));
+        let mut s = RingState::new_free(PeerId(0), SystemConfig::fast().with_succ_list_len(2));
         s.succ_list = vec![joined(1, 1)];
         s.maybe_emit_new_successor();
         s.maybe_emit_new_successor();
@@ -557,7 +564,7 @@ mod tests {
 
     #[test]
     fn new_successor_fires_once_when_the_same_successor_changes_value() {
-        let mut s = RingState::new_free(PeerId(0), RingConfig::test(2));
+        let mut s = RingState::new_free(PeerId(0), SystemConfig::fast().with_succ_list_len(2));
         s.succ_list = vec![joined(1, 10)];
         s.maybe_emit_new_successor();
         assert_eq!(s.drain_events().len(), 1);
@@ -577,7 +584,11 @@ mod tests {
     /// A member at value 100 whose predecessor `(peer, value)` last
     /// stabilized at 1 s; its lease runs out at 1.6 s.
     fn with_pred(peer: u64, value: u64) -> RingState {
-        let mut s = RingState::new_first(PeerId(0), PeerValue(100), RingConfig::test(2));
+        let mut s = RingState::new_first(
+            PeerId(0),
+            PeerValue(100),
+            SystemConfig::fast().with_succ_list_len(2),
+        );
         s.update_pred(SimTime::from_millis(1000), PeerId(peer), PeerValue(value));
         s.drain_events();
         s
@@ -614,7 +625,7 @@ mod tests {
 
     #[test]
     fn update_pred_emits_on_change_only() {
-        let mut s = RingState::new_free(PeerId(0), RingConfig::test(2));
+        let mut s = RingState::new_free(PeerId(0), SystemConfig::fast().with_succ_list_len(2));
         s.update_pred(SimTime::from_secs(1), PeerId(3), PeerValue(30));
         s.update_pred(SimTime::from_secs(2), PeerId(3), PeerValue(30));
         assert_eq!(s.drain_events().len(), 1);
@@ -625,7 +636,11 @@ mod tests {
 
     #[test]
     fn depart_clears_everything() {
-        let mut s = RingState::new_first(PeerId(1), PeerValue(10), RingConfig::test(3));
+        let mut s = RingState::new_first(
+            PeerId(1),
+            PeerValue(10),
+            SystemConfig::fast().with_succ_list_len(3),
+        );
         s.depart();
         assert_eq!(s.phase(), RingPhase::Free);
         assert!(s.succ_list().is_empty());
@@ -635,7 +650,11 @@ mod tests {
 
     #[test]
     fn start_timers_is_idempotent() {
-        let mut s = RingState::new_first(PeerId(1), PeerValue(10), RingConfig::test(3));
+        let mut s = RingState::new_first(
+            PeerId(1),
+            PeerValue(10),
+            SystemConfig::fast().with_succ_list_len(3),
+        );
         let ctx = LayerCtx::new(PeerId(1), SimTime::ZERO);
         let mut fx = Effects::new();
         s.start_timers(ctx, &mut fx);
@@ -646,7 +665,11 @@ mod tests {
 
     #[test]
     fn set_value_updates_value_only() {
-        let mut s = RingState::new_first(PeerId(1), PeerValue(10), RingConfig::test(3));
+        let mut s = RingState::new_first(
+            PeerId(1),
+            PeerValue(10),
+            SystemConfig::fast().with_succ_list_len(3),
+        );
         s.set_value(PeerValue(99));
         assert_eq!(s.value(), PeerValue(99));
         assert_eq!(s.phase(), RingPhase::Joined);

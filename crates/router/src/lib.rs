@@ -25,4 +25,4 @@ pub mod messages;
 pub mod router;
 
 pub use messages::RouterMsg;
-pub use router::{HierarchicalRouter, RouterConfig, RouterEvent};
+pub use router::{HierarchicalRouter, RouterEvent};

@@ -12,6 +12,10 @@ use crate::messages::RouterMsg;
 /// keep it empty), up to this many maintenance periods.
 const MAX_BACKOFF: u32 = 4;
 
+/// Number of shortcut levels maintained (level `i` points roughly `2^i`
+/// peers ahead).
+const ROUTER_LEVELS: usize = 16;
+
 /// Events reported by the content router.
 ///
 /// The router is a pure cache: it currently has nothing to tell the composed
@@ -20,40 +24,6 @@ const MAX_BACKOFF: u32 = 4;
 /// (e.g. "shortcut table converged") would go.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouterEvent {}
-
-/// Configuration of the content router.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RouterConfig {
-    /// Number of shortcut levels maintained (level `i` points roughly `2^i`
-    /// peers ahead).
-    pub max_levels: usize,
-    /// Period of the shortcut maintenance loop.
-    pub maintain_period: Duration,
-}
-
-impl RouterConfig {
-    /// Derives the router configuration from the system configuration.
-    pub fn from_system(cfg: &SystemConfig) -> Self {
-        RouterConfig {
-            max_levels: 16,
-            maintain_period: cfg.router_refresh_period,
-        }
-    }
-
-    /// A small, fast configuration for tests.
-    pub fn test() -> Self {
-        RouterConfig {
-            max_levels: 6,
-            maintain_period: Duration::from_millis(100),
-        }
-    }
-}
-
-impl Default for RouterConfig {
-    fn default() -> Self {
-        RouterConfig::from_system(&SystemConfig::paper_defaults())
-    }
-}
 
 /// The per-peer content router: a table of shortcuts at exponentially
 /// increasing ring distances.
@@ -69,7 +39,7 @@ impl Default for RouterConfig {
 #[derive(Debug, Clone)]
 pub struct HierarchicalRouter {
     id: PeerId,
-    cfg: RouterConfig,
+    cfg: SystemConfig,
     /// `entries[0]` is the ring successor; `entries[i]` points roughly
     /// `2^i` peers ahead.
     entries: Vec<Option<(PeerId, PeerValue)>>,
@@ -81,13 +51,12 @@ pub struct HierarchicalRouter {
 
 impl HierarchicalRouter {
     /// Creates a router for peer `id`.
-    pub fn new(id: PeerId, cfg: RouterConfig) -> Self {
-        let levels = cfg.max_levels.max(1);
+    pub fn new(id: PeerId, cfg: SystemConfig) -> Self {
         HierarchicalRouter {
             id,
             cfg,
-            entries: vec![None; levels],
-            refresh: vec![(1, SimTime::ZERO); levels],
+            entries: vec![None; ROUTER_LEVELS],
+            refresh: vec![(1, SimTime::ZERO); ROUTER_LEVELS],
             timers_started: false,
         }
     }
@@ -154,7 +123,7 @@ impl HierarchicalRouter {
             let (periods, due) = &mut self.refresh[slot];
             match self.entries[slot - 1] {
                 Some((peer, _)) if peer != self.id && now >= *due => {
-                    *due = now + self.cfg.maintain_period * *periods;
+                    *due = now + self.cfg.router_refresh_period * *periods;
                     fx.send(
                         peer,
                         RouterMsg::GetEntry {
@@ -180,7 +149,7 @@ impl HierarchicalRouter {
         } else {
             let (periods, due) = &mut self.refresh[slot];
             let grown = (*periods * 2).min(MAX_BACKOFF);
-            *due += self.cfg.maintain_period * (grown - *periods);
+            *due += self.cfg.router_refresh_period * (grown - *periods);
             *periods = grown;
         }
     }
@@ -225,7 +194,7 @@ impl ProtocolLayer for HierarchicalRouter {
         self.timers_started = true;
         let stagger = Duration::from_micros((self.id.raw() % 83) * 400);
         fx.timer(
-            self.cfg.maintain_period / 2 + stagger,
+            self.cfg.router_refresh_period / 2 + stagger,
             RouterMsg::MaintainTick,
         );
     }
@@ -234,7 +203,7 @@ impl ProtocolLayer for HierarchicalRouter {
     fn handle(&mut self, ctx: LayerCtx, from: PeerId, msg: RouterMsg, fx: &mut Effects<RouterMsg>) {
         match msg {
             RouterMsg::MaintainTick => {
-                fx.timer(self.cfg.maintain_period, RouterMsg::MaintainTick);
+                fx.timer(self.cfg.router_refresh_period, RouterMsg::MaintainTick);
                 self.run_maintenance(ctx.now, fx);
             }
             RouterMsg::GetEntry { level, slot } => {
@@ -264,7 +233,7 @@ mod tests {
     }
 
     fn router_with(id: u64, entries: &[(u64, u64)]) -> HierarchicalRouter {
-        let mut r = HierarchicalRouter::new(PeerId(id), RouterConfig::test());
+        let mut r = HierarchicalRouter::new(PeerId(id), SystemConfig::fast());
         for (slot, (peer, value)) in entries.iter().enumerate() {
             r.entries[slot] = Some((PeerId(*peer), PeerValue(*value)));
         }
@@ -273,7 +242,7 @@ mod tests {
 
     #[test]
     fn successor_is_level_zero() {
-        let mut r = HierarchicalRouter::new(PeerId(0), RouterConfig::test());
+        let mut r = HierarchicalRouter::new(PeerId(0), SystemConfig::fast());
         assert_eq!(r.populated_levels(), 0);
         r.set_successor(PeerId(1), PeerValue(10));
         assert_eq!(r.entries()[0], Some((PeerId(1), PeerValue(10))));
@@ -388,7 +357,7 @@ mod tests {
 
     #[test]
     fn next_hop_with_no_entries_is_none() {
-        let r = HierarchicalRouter::new(PeerId(0), RouterConfig::test());
+        let r = HierarchicalRouter::new(PeerId(0), SystemConfig::fast());
         assert_eq!(r.next_hop(PeerValue(0), PeerValue(50)), None);
         // A router that only knows itself also returns None.
         let r = router_with(0, &[(0, 10)]);
@@ -406,7 +375,7 @@ mod tests {
         assert_eq!(r.populated_levels(), 0);
     }
 
-    /// Runs maintenance ticks `ticks` (100 ms apart at the test period) and
+    /// Runs maintenance ticks `ticks` (one maintenance period apart) and
     /// answers every probe of slot `s` with `answer(s)`; returns the
     /// `(tick, slot)` of every probe.
     fn drive(
@@ -416,7 +385,8 @@ mod tests {
     ) -> Vec<(u64, usize)> {
         let mut probed = Vec::new();
         for tick in ticks {
-            let ctx = LayerCtx::new(r.id, SimTime::from_millis(100 * tick));
+            let at = SimTime::ZERO + r.cfg.router_refresh_period * tick as u32;
+            let ctx = LayerCtx::new(r.id, at);
             let mut fx = Effects::new();
             r.handle(ctx, r.id, RouterMsg::MaintainTick, &mut fx);
             for e in fx.drain() {
@@ -500,8 +470,10 @@ mod tests {
         assert_eq!(r.entries()[2], None);
         assert_eq!(&r.refresh[1..5], &[HELD, BASE, BASE, HELD]);
         // Forgetting a peer the table does not hold changes nothing.
+        let before = r.refresh.clone();
         r.forget_peer(PeerId(9));
-        assert_eq!(&r.refresh[4..], &[HELD, HELD]);
+        assert_eq!(r.refresh, before);
+        assert!(r.refresh[4..].iter().all(|p| *p == HELD));
     }
 
     #[test]
@@ -524,7 +496,7 @@ mod tests {
 
     #[test]
     fn timers_start_once() {
-        let mut r = HierarchicalRouter::new(PeerId(1), RouterConfig::test());
+        let mut r = HierarchicalRouter::new(PeerId(1), SystemConfig::fast());
         let mut fx = Effects::new();
         r.start_timers(ctx(1), &mut fx);
         r.start_timers(ctx(1), &mut fx);

@@ -58,6 +58,9 @@ pub struct RestartOutcome {
     pub torn_tail: bool,
 }
 
+/// Ring value of the first (bootstrap) peer.
+const FIRST_VALUE: u64 = u64::MAX / 2;
+
 /// Configuration of a simulated cluster.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -67,8 +70,6 @@ pub struct ClusterConfig {
     pub network: NetworkConfig,
     /// Number of free peers registered at start.
     pub initial_free_peers: usize,
-    /// Ring value of the first (bootstrap) peer.
-    pub first_value: u64,
     /// Durable peer storage (off by default; the harness turns it on).
     pub durability: Option<DurabilityConfig>,
     /// Causal tracing + metrics (off by default — and zero-overhead when
@@ -83,30 +84,15 @@ impl ClusterConfig {
             system: SystemConfig::paper_defaults(),
             network: NetworkConfig::lan(seed),
             initial_free_peers: 0,
-            first_value: u64::MAX / 2,
             durability: None,
             trace: TraceConfig::off(),
         }
     }
 
-    /// A configuration with shrunk periods so unit/integration tests finish
-    /// quickly. Protocol semantics are unchanged.
+    /// [`ClusterConfig::paper`] on [`SystemConfig::fast`], so unit and
+    /// integration tests finish quickly. Protocol semantics are unchanged.
     pub fn fast(seed: u64) -> Self {
-        let mut system = SystemConfig::paper_defaults()
-            .with_storage_factor(2)
-            .with_replication_factor(2);
-        system.stabilization_period = Duration::from_millis(200);
-        system.ping_period = Duration::from_millis(100);
-        system.replica_refresh_period = Duration::from_millis(200);
-        system.router_refresh_period = Duration::from_millis(200);
-        ClusterConfig {
-            system,
-            network: NetworkConfig::lan(seed),
-            initial_free_peers: 0,
-            first_value: u64::MAX / 2,
-            durability: None,
-            trace: TraceConfig::off(),
-        }
+        ClusterConfig::paper(seed).with_system(SystemConfig::fast())
     }
 
     /// Builder-style override of the system configuration.
@@ -184,11 +170,10 @@ impl Cluster {
         let storage_seed = cfg.network.seed;
         let pool_first = pool.clone();
         let sys_first = system.clone();
-        let first_value = cfg.first_value;
         let durability = cfg.durability;
         let trace = cfg.trace;
         let first = sim.add_node(move |id| {
-            let node = PeerNode::first(id, PeerValue(first_value), sys_first, pool_first)
+            let node = PeerNode::first(id, PeerValue(FIRST_VALUE), sys_first, pool_first)
                 .with_trace(&trace);
             match durability {
                 Some(d) => node.with_storage(PeerStorage::new_mem(

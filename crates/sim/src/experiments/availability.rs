@@ -14,7 +14,7 @@
 use std::time::Duration;
 
 use pepper_index::Observation;
-use pepper_types::{PeerId, ProtocolConfig, SystemConfig};
+use pepper_types::{PeerId, Protocol, SystemConfig};
 
 use crate::metrics::Table;
 
@@ -144,7 +144,7 @@ pub fn leave_then_fail_trial(system: SystemConfig, seed: u64) -> AvailabilityTri
     }
 }
 
-fn availability_system(protocol: ProtocolConfig) -> SystemConfig {
+fn availability_system(protocol: Protocol) -> SystemConfig {
     // Short successor lists and a single replica make the system maximally
     // sensitive to the availability bugs the paper describes; the replica
     // refresh period is long so the failure lands *between* refreshes.
@@ -165,10 +165,7 @@ pub fn ring_availability(effort: Effort, seed: u64) -> Table {
         "Ring availability after a leave followed by one failure (0 = naive, 1 = PEPPER)",
         &["pepper", "trials", "disconnected"],
     );
-    for (flag, protocol) in [
-        (0.0, ProtocolConfig::naive()),
-        (1.0, ProtocolConfig::pepper()),
-    ] {
+    for (flag, protocol) in [(0.0, Protocol::Naive), (1.0, Protocol::Pepper)] {
         let mut done = 0usize;
         let mut disconnected = 0usize;
         for t in 0..trials {
@@ -193,10 +190,7 @@ pub fn item_availability(effort: Effort, seed: u64) -> Table {
         "Item availability after a merge followed by one failure (0 = naive, 1 = PEPPER)",
         &["pepper", "trials", "items_before", "items_lost"],
     );
-    for (flag, protocol) in [
-        (0.0, ProtocolConfig::naive()),
-        (1.0, ProtocolConfig::pepper()),
-    ] {
+    for (flag, protocol) in [(0.0, Protocol::Naive), (1.0, Protocol::Pepper)] {
         let mut done = 0usize;
         let mut before = 0usize;
         let mut lost = 0usize;
@@ -219,7 +213,7 @@ mod tests {
 
     #[test]
     fn pepper_survives_leave_then_fail() {
-        let trial = leave_then_fail_trial(availability_system(ProtocolConfig::pepper()), 61);
+        let trial = leave_then_fail_trial(availability_system(Protocol::Pepper), 61);
         assert!(
             trial.leave_observed,
             "the workload must force a merge/leave"
@@ -245,8 +239,8 @@ mod tests {
     #[test]
     fn naive_is_never_safer_than_pepper() {
         let seed = 67;
-        let naive = leave_then_fail_trial(availability_system(ProtocolConfig::naive()), seed);
-        let pepper = leave_then_fail_trial(availability_system(ProtocolConfig::pepper()), seed);
+        let naive = leave_then_fail_trial(availability_system(Protocol::Naive), seed);
+        let pepper = leave_then_fail_trial(availability_system(Protocol::Pepper), seed);
         assert!(naive.leave_observed && pepper.leave_observed);
         // With a single quick trial the per-trial outcomes are noisy; the
         // full-effort run of `item_availability` (driver table in

@@ -16,7 +16,7 @@
 
 use std::time::Duration;
 
-use pepper_types::{ProtocolConfig, SystemConfig};
+use pepper_types::{Protocol, SystemConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -139,10 +139,7 @@ pub fn query_correctness(effort: Effort, seed: u64) -> Table {
             "incorrect_fraction",
         ],
     );
-    for (flag, protocol) in [
-        (0.0, ProtocolConfig::naive()),
-        (1.0, ProtocolConfig::pepper()),
-    ] {
+    for (flag, protocol) in [(0.0, Protocol::Naive), (1.0, Protocol::Pepper)] {
         let outcome = run_correctness(
             SystemConfig::paper_defaults().with_protocol(protocol),
             seed,
@@ -259,7 +256,7 @@ mod tests {
         let mut pepper_total = naive_total;
         for seed in [43u64, 1009, 2026] {
             let naive = run_correctness(
-                SystemConfig::paper_defaults().with_protocol(ProtocolConfig::naive()),
+                SystemConfig::paper_defaults().with_protocol(Protocol::Naive),
                 seed,
                 4,
             );

@@ -11,12 +11,12 @@ use std::time::Duration;
 
 use pepper_index::Observation;
 use pepper_net::SimTime;
-use pepper_types::{ProtocolConfig, SystemConfig};
+use pepper_types::{Protocol, SystemConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::cluster::Cluster;
-use crate::metrics::{Stats, Table};
+use crate::metrics::{mean_secs, Table};
 use crate::workload::{KeyDistribution, KeyGenerator};
 
 use super::Effort;
@@ -52,9 +52,8 @@ impl InsertSuccRun {
     }
 }
 
-/// Runs one measurement and returns the distribution of `insertSucc`
-/// completion times.
-pub fn measure_insert_succ(run: &InsertSuccRun) -> Stats {
+/// Runs one measurement and returns every `insertSucc` completion time.
+pub fn measure_insert_succ(run: &InsertSuccRun) -> Vec<Duration> {
     let mut cluster = Cluster::new(
         crate::cluster::ClusterConfig::paper(run.seed)
             .with_system(run.system.clone())
@@ -104,7 +103,7 @@ pub fn measure_insert_succ(run: &InsertSuccRun) -> Stats {
             samples.push(elapsed);
         }
     }
-    Stats::of_durations(&samples)
+    samples
 }
 
 /// Figure 19: average `insertSucc` time vs successor-list length (2–8),
@@ -128,11 +127,11 @@ pub fn figure_19(effort: Effort, seed: u64) -> Table {
         let naive = measure_insert_succ(&InsertSuccRun::paper(
             SystemConfig::paper_defaults()
                 .with_succ_list_len(d)
-                .with_protocol(ProtocolConfig::naive()),
+                .with_protocol(Protocol::Naive),
             items,
             seed,
         ));
-        table.push_row(vec![d as f64, pepper.mean, naive.mean]);
+        table.push_row(vec![d as f64, mean_secs(&pepper), mean_secs(&naive)]);
     }
     table
 }
@@ -158,11 +157,11 @@ pub fn figure_20(effort: Effort, seed: u64) -> Table {
             SystemConfig::paper_defaults().with_stabilization_period(Duration::from_secs(p));
         let pepper = measure_insert_succ(&InsertSuccRun::paper(system.clone(), items, seed));
         let naive = measure_insert_succ(&InsertSuccRun::paper(
-            system.with_protocol(ProtocolConfig::naive()),
+            system.with_protocol(Protocol::Naive),
             items,
             seed,
         ));
-        table.push_row(vec![p as f64, pepper.mean, naive.mean]);
+        table.push_row(vec![p as f64, mean_secs(&pepper), mean_secs(&naive)]);
     }
     table
 }
@@ -182,8 +181,7 @@ pub fn figure_23(effort: Effort, seed: u64) -> Table {
     for rate in rates {
         let mut run = InsertSuccRun::paper(SystemConfig::paper_defaults(), items, seed);
         run.failures_per_100s = rate;
-        let stats = measure_insert_succ(&run);
-        table.push_row(vec![rate, stats.mean]);
+        table.push_row(vec![rate, mean_secs(&measure_insert_succ(&run))]);
     }
     table
 }
@@ -201,28 +199,24 @@ mod tests {
             seed,
         ));
         let naive = measure_insert_succ(&InsertSuccRun::paper(
-            SystemConfig::paper_defaults().with_protocol(ProtocolConfig::naive()),
+            SystemConfig::paper_defaults().with_protocol(Protocol::Naive),
             30,
             seed,
         ));
         assert!(
-            pepper.count >= 2,
+            pepper.len() >= 2,
             "expected several splits, got {}",
-            pepper.count
+            pepper.len()
         );
-        assert!(naive.count >= 2);
+        assert!(naive.len() >= 2);
+        let (pepper, naive) = (mean_secs(&pepper), mean_secs(&naive));
         // The consistency protocol costs more than the naive join…
-        assert!(
-            pepper.mean > naive.mean,
-            "pepper {} vs naive {}",
-            pepper.mean,
-            naive.mean
-        );
+        assert!(pepper > naive, "pepper {pepper} vs naive {naive}");
         // …but stays in the same ballpark (a fraction of the 4 s
         // stabilization period in a stable LAN system), as the paper
         // reports. The bound leaves headroom for the occasional extra
         // stabilization round the notify-repair path can add to a join.
-        assert!(pepper.mean < 1.5, "pepper mean = {}", pepper.mean);
+        assert!(pepper < 1.5, "pepper mean = {pepper}");
     }
 
     #[test]
@@ -238,11 +232,10 @@ mod tests {
             30,
             seed,
         ));
+        let (short, long) = (mean_secs(&short), mean_secs(&long));
         assert!(
-            long.mean > short.mean,
-            "d=8 ({}) should cost more than d=2 ({})",
-            long.mean,
-            short.mean
+            long > short,
+            "d=8 ({long}) should cost more than d=2 ({short})"
         );
     }
 

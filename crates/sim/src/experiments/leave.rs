@@ -9,9 +9,9 @@
 use std::time::Duration;
 
 use pepper_index::Observation;
-use pepper_types::{ProtocolConfig, SystemConfig};
+use pepper_types::{Protocol, SystemConfig};
 
-use crate::metrics::{Stats, Table};
+use crate::metrics::{mean_secs, Table};
 
 use super::{grow_cluster, Effort};
 
@@ -19,9 +19,9 @@ use super::{grow_cluster, Effort};
 #[derive(Debug, Clone)]
 pub struct LeaveMeasurement {
     /// Ring `leave` durations.
-    pub leave: Stats,
+    pub leave: Vec<Duration>,
     /// Full merge durations (leave + extra-hop replication + hand-off).
-    pub merge: Stats,
+    pub merge: Vec<Duration>,
 }
 
 /// Grows a cluster, then deletes items to force merges and collects the
@@ -53,10 +53,7 @@ pub fn measure_leave(system: SystemConfig, seed: u64, items: usize) -> LeaveMeas
             _ => {}
         }
     }
-    LeaveMeasurement {
-        leave: Stats::of_durations(&leave),
-        merge: Stats::of_durations(&merge),
-    }
+    LeaveMeasurement { leave, merge }
 }
 
 /// Figure 22: leave / leave+merge / naive-leave time vs successor-list
@@ -86,17 +83,17 @@ pub fn figure_22(effort: Effort, seed: u64) -> Table {
         let naive = measure_leave(
             SystemConfig::paper_defaults()
                 .with_succ_list_len(d)
-                .with_protocol(ProtocolConfig::naive()),
+                .with_protocol(Protocol::Naive),
             seed,
             items,
         );
         // Naive leave completes locally; clamp to the per-message processing
         // cost so the log-scale comparison stays meaningful.
-        let naive_ms = (naive.leave.mean * 1e3).max(0.05);
+        let naive_ms = (mean_secs(&naive.leave) * 1e3).max(0.05);
         table.push_row(vec![
             d as f64,
-            pepper.merge.mean * 1e3,
-            pepper.leave.mean * 1e3,
+            mean_secs(&pepper.merge) * 1e3,
+            mean_secs(&pepper.leave) * 1e3,
             naive_ms,
         ]);
     }
@@ -112,25 +109,25 @@ mod tests {
         let seed = 27;
         let pepper = measure_leave(SystemConfig::paper_defaults(), seed, 24);
         let naive = measure_leave(
-            SystemConfig::paper_defaults().with_protocol(ProtocolConfig::naive()),
+            SystemConfig::paper_defaults().with_protocol(Protocol::Naive),
             seed,
             24,
         );
-        assert!(pepper.leave.count >= 1, "expected at least one merge/leave");
-        assert!(naive.leave.count >= 1);
+        assert!(
+            !pepper.leave.is_empty(),
+            "expected at least one merge/leave"
+        );
+        assert!(!naive.leave.is_empty());
+        let leave = mean_secs(&pepper.leave);
         // The availability-preserving leave must wait for its predecessors to
         // lengthen their lists, so it costs measurably more than the naive
         // instant departure…
-        assert!(pepper.leave.mean > naive.leave.mean);
+        assert!(leave > mean_secs(&naive.leave));
         // …but stays far below the stabilization period thanks to the
         // proactive propagation (the paper reports ~100 ms).
-        assert!(
-            pepper.leave.mean < 2.0,
-            "leave mean = {}",
-            pepper.leave.mean
-        );
+        assert!(leave < 2.0, "leave mean = {leave}");
         // The full merge includes the leave.
-        assert!(pepper.merge.mean >= pepper.leave.mean);
+        assert!(mean_secs(&pepper.merge) >= leave);
     }
 
     #[test]

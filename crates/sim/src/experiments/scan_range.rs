@@ -9,10 +9,10 @@
 
 use std::time::Duration;
 
-use pepper_types::{ProtocolConfig, SystemConfig};
+use pepper_types::{Protocol, SystemConfig};
 
 use crate::cluster::Cluster;
-use crate::metrics::{Stats, Table};
+use crate::metrics::{mean_secs, Table};
 
 use super::{grow_cluster, Effort};
 
@@ -37,15 +37,15 @@ pub fn measure_scan_times(
     for hops in 0..=max_hops {
         let samples = scan_samples(&mut cluster, hops, 5);
         if !samples.is_empty() {
-            out.push((hops, Stats::of_values(&samples).mean));
+            out.push((hops, mean_secs(&samples)));
         }
     }
     out
 }
 
 /// Issues `repeats` queries spanning exactly `hops + 1` consecutive peers and
-/// returns their elapsed times in seconds.
-fn scan_samples(cluster: &mut Cluster, hops: usize, repeats: usize) -> Vec<f64> {
+/// returns their elapsed times.
+fn scan_samples(cluster: &mut Cluster, hops: usize, repeats: usize) -> Vec<Duration> {
     let mut samples = Vec::new();
     for attempt in 0..repeats {
         // Order the live members by the upper end of their ranges so that
@@ -81,7 +81,7 @@ fn scan_samples(cluster: &mut Cluster, hops: usize, repeats: usize) -> Vec<f64> 
         };
         if let Some(outcome) = cluster.wait_for_query(first, id, Duration::from_secs(40)) {
             if outcome.hops as usize == hops {
-                samples.push(outcome.elapsed.as_secs_f64());
+                samples.push(outcome.elapsed);
             }
         }
     }
@@ -100,7 +100,7 @@ pub fn figure_21(effort: Effort, seed: u64) -> Table {
 
     let pepper = measure_scan_times(SystemConfig::paper_defaults(), seed, items, max_hops);
     let naive = measure_scan_times(
-        SystemConfig::paper_defaults().with_protocol(ProtocolConfig::naive()),
+        SystemConfig::paper_defaults().with_protocol(Protocol::Naive),
         seed,
         items,
         max_hops,
@@ -124,7 +124,7 @@ mod tests {
     fn scan_range_overhead_is_comparable_to_naive_search() {
         let pepper = measure_scan_times(SystemConfig::paper_defaults(), 3, 30, 2);
         let naive = measure_scan_times(
-            SystemConfig::paper_defaults().with_protocol(ProtocolConfig::naive()),
+            SystemConfig::paper_defaults().with_protocol(Protocol::Naive),
             3,
             30,
             2,

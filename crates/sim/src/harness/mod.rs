@@ -49,7 +49,7 @@ use pepper_net::{NetworkConfig, SimTime};
 use pepper_ring::consistency::format_ring;
 use pepper_storage::RecoveryMode;
 use pepper_trace::{render_trace, Metrics, TraceConfig, TraceEvent};
-use pepper_types::{ItemId, PeerId, ProtocolConfig, SearchKey, SystemConfig};
+use pepper_types::{ItemId, PeerId, Protocol, SearchKey, SystemConfig};
 
 use crate::cluster::{Cluster, ClusterConfig, DurabilityConfig};
 use crate::workload::KeyDistribution;
@@ -80,7 +80,7 @@ pub struct HarnessConfig {
     /// Number of scheduled operations (advances not counted).
     pub ops: usize,
     /// Protocol selection (PEPPER vs naive) for the cluster under test.
-    pub protocol: ProtocolConfig,
+    pub protocol: Protocol,
     /// Free peers registered before the schedule starts.
     pub initial_free_peers: usize,
     /// Fail-stop rate handed to [`pepper_net::FailureSchedule`].
@@ -113,7 +113,7 @@ impl HarnessConfig {
             seed,
             profile: "quick".to_string(),
             ops: 150,
-            protocol: ProtocolConfig::pepper(),
+            protocol: Protocol::Pepper,
             initial_free_peers: 3,
             failures_per_100s: 12.0,
             check_every: 1,
@@ -134,7 +134,7 @@ impl HarnessConfig {
             seed,
             profile: profile.to_string(),
             ops,
-            protocol: ProtocolConfig::pepper(),
+            protocol: Protocol::Pepper,
             initial_free_peers: peers.saturating_sub(1),
             failures_per_100s: 8.0,
             check_every,
@@ -234,7 +234,7 @@ impl HarnessConfig {
             "quick" => Ok(HarnessConfig::quick(seed)),
             "quick-no-failures" => Ok(HarnessConfig::quick_no_failures(seed)),
             "quick-naive" => Ok(HarnessConfig {
-                protocol: ProtocolConfig::naive(),
+                protocol: Protocol::Naive,
                 profile: "quick-naive".to_string(),
                 ..HarnessConfig::quick(seed)
             }),
@@ -267,25 +267,12 @@ impl HarnessConfig {
         }
     }
 
-    /// The (fast-timer) system configuration of the cluster under test.
-    fn system(&self) -> SystemConfig {
-        let mut system = SystemConfig::paper_defaults()
-            .with_storage_factor(2)
-            .with_replication_factor(2)
-            .with_protocol(self.protocol);
-        system.stabilization_period = Duration::from_millis(200);
-        system.ping_period = Duration::from_millis(100);
-        system.replica_refresh_period = Duration::from_millis(200);
-        system.router_refresh_period = Duration::from_millis(200);
-        system
-    }
-
+    /// The cluster under test, on the fast timers.
     fn cluster(&self) -> Cluster {
         Cluster::new(ClusterConfig {
-            system: self.system(),
+            system: SystemConfig::fast().with_protocol(self.protocol),
             network: NetworkConfig::lan(self.seed),
             initial_free_peers: self.initial_free_peers,
-            first_value: u64::MAX / 2,
             durability: self.durability,
             trace: self.trace,
         })

@@ -6,7 +6,7 @@
 //! * [`cluster`] — a convenience wrapper that bootstraps an index (first
 //!   peer + free peers), drives workloads (item inserts/deletes, range
 //!   queries, peer arrivals, failures) and collects observations;
-//! * [`metrics`] — small statistics helpers (mean / percentiles) and table
+//! * [`metrics`] — the mean of a sample set and the figures' result-table
 //!   printing;
 //! * [`workload`] — deterministic key generators (uniform and Zipf-skewed);
 //! * [`harness`] — the deterministic fault-injection harness: seeded random
@@ -31,7 +31,7 @@ pub mod workload;
 
 pub use cluster::{Cluster, ClusterConfig};
 pub use harness::{Harness, HarnessConfig, RunReport};
-pub use metrics::{Stats, Table};
+pub use metrics::Table;
 // Observability knobs and collectors, re-exported so harness drivers (bench,
 // integration tests) can name them without depending on `pepper-trace`
 // directly.

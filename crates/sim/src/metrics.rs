@@ -1,72 +1,14 @@
-//! Statistics and result-table helpers.
+//! The mean of a sample set and the result table of the figure drivers.
 
 use std::fmt;
 use std::time::Duration;
 
-/// Summary statistics over a set of duration samples.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Stats {
-    /// Number of samples.
-    pub count: usize,
-    /// Mean value in seconds.
-    pub mean: f64,
-    /// Median (50th percentile) in seconds.
-    pub p50: f64,
-    /// 95th percentile in seconds.
-    pub p95: f64,
-    /// Minimum in seconds.
-    pub min: f64,
-    /// Maximum in seconds.
-    pub max: f64,
-}
-
-impl Stats {
-    /// Computes statistics from duration samples. Returns a zeroed summary
-    /// for an empty sample set.
-    pub fn of_durations(samples: &[Duration]) -> Stats {
-        let secs: Vec<f64> = samples.iter().map(|d| d.as_secs_f64()).collect();
-        Stats::of_values(&secs)
+/// Mean of duration samples, in seconds; 0 for no samples.
+pub fn mean_secs(samples: &[Duration]) -> f64 {
+    if samples.is_empty() {
+        return 0.0;
     }
-
-    /// Computes statistics from raw `f64` samples.
-    pub fn of_values(samples: &[f64]) -> Stats {
-        if samples.is_empty() {
-            return Stats {
-                count: 0,
-                mean: 0.0,
-                p50: 0.0,
-                p95: 0.0,
-                min: 0.0,
-                max: 0.0,
-            };
-        }
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN samples"));
-        let count = sorted.len();
-        let mean = sorted.iter().sum::<f64>() / count as f64;
-        let pct = |p: f64| -> f64 {
-            let idx = ((count as f64 - 1.0) * p).round() as usize;
-            sorted[idx.min(count - 1)]
-        };
-        Stats {
-            count,
-            mean,
-            p50: pct(0.50),
-            p95: pct(0.95),
-            min: sorted[0],
-            max: sorted[count - 1],
-        }
-    }
-}
-
-impl fmt::Display for Stats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.4}s p50={:.4}s p95={:.4}s min={:.4}s max={:.4}s",
-            self.count, self.mean, self.p50, self.p95, self.min, self.max
-        )
-    }
+    samples.iter().sum::<Duration>().as_secs_f64() / samples.len() as f64
 }
 
 /// A simple result table: named columns, rows of numbers, printed in a
@@ -137,23 +79,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stats_of_empty_is_zeroed() {
-        let s = Stats::of_durations(&[]);
-        assert_eq!(s.count, 0);
-        assert_eq!(s.mean, 0.0);
-    }
-
-    #[test]
-    fn stats_summarize_samples() {
+    fn mean_secs_averages_and_is_zero_without_samples() {
+        assert_eq!(mean_secs(&[]), 0.0);
         let samples: Vec<Duration> = (1..=100).map(Duration::from_millis).collect();
-        let s = Stats::of_durations(&samples);
-        assert_eq!(s.count, 100);
-        assert!((s.mean - 0.0505).abs() < 1e-9);
-        assert!((s.p50 - 0.050).abs() < 0.002);
-        assert!((s.p95 - 0.095).abs() < 0.002);
-        assert_eq!(s.min, 0.001);
-        assert_eq!(s.max, 0.100);
-        assert!(s.to_string().contains("n=100"));
+        assert!((mean_secs(&samples) - 0.0505).abs() < 1e-12);
     }
 
     #[test]

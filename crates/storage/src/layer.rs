@@ -15,6 +15,10 @@ use std::time::Duration;
 use pepper_net::{Effects, LayerCtx, ProtocolLayer};
 use pepper_types::PeerId;
 
+/// Period of the snapshot tick (WAL compaction). Only meaningful for peers
+/// running with a storage engine attached; not a paper parameter.
+const SNAPSHOT_PERIOD: Duration = Duration::from_secs(10);
+
 /// Storage-layer messages (timers only; the layer has no wire traffic).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StorageMsg {
@@ -48,28 +52,11 @@ impl StorageEvent {
     }
 }
 
-/// The storage layer state machine.
-#[derive(Debug, Clone)]
+/// The storage layer state machine, ticking every `SNAPSHOT_PERIOD`.
+#[derive(Debug, Clone, Default)]
 pub struct StorageLayer {
-    period: Duration,
     timers_started: bool,
     events: Vec<StorageEvent>,
-}
-
-impl StorageLayer {
-    /// Creates a storage layer ticking every `period`.
-    pub fn new(period: Duration) -> Self {
-        StorageLayer {
-            period,
-            timers_started: false,
-            events: Vec::new(),
-        }
-    }
-
-    /// The snapshot period.
-    pub fn period(&self) -> Duration {
-        self.period
-    }
 }
 
 impl ProtocolLayer for StorageLayer {
@@ -84,7 +71,7 @@ impl ProtocolLayer for StorageLayer {
         }
         self.timers_started = true;
         let stagger = Duration::from_micros((ctx.self_id.raw() % 83) * 270);
-        fx.timer(self.period / 2 + stagger, StorageMsg::SnapshotTick);
+        fx.timer(SNAPSHOT_PERIOD / 2 + stagger, StorageMsg::SnapshotTick);
     }
 
     fn handle(
@@ -96,7 +83,7 @@ impl ProtocolLayer for StorageLayer {
     ) {
         match msg {
             StorageMsg::SnapshotTick => {
-                fx.timer(self.period, StorageMsg::SnapshotTick);
+                fx.timer(SNAPSHOT_PERIOD, StorageMsg::SnapshotTick);
                 self.events.push(StorageEvent::SnapshotDue);
             }
         }
@@ -118,7 +105,7 @@ mod tests {
 
     #[test]
     fn timers_start_once() {
-        let mut layer = StorageLayer::new(Duration::from_secs(1));
+        let mut layer = StorageLayer::default();
         let mut fx = Effects::new();
         layer.start_timers(ctx(1), &mut fx);
         layer.start_timers(ctx(1), &mut fx);
@@ -127,7 +114,7 @@ mod tests {
 
     #[test]
     fn tick_rearms_and_reports_due() {
-        let mut layer = StorageLayer::new(Duration::from_secs(1));
+        let mut layer = StorageLayer::default();
         let mut fx = Effects::new();
         ProtocolLayer::handle(
             &mut layer,

@@ -1,13 +1,15 @@
 //! System-wide configuration.
 //!
-//! [`SystemConfig`] collects the tunables the paper sweeps in its evaluation
-//! (Section 6.1): successor list length, ring stabilization period, storage
-//! factor, replication factor, and the workload arrival rates. The defaults
-//! are exactly the paper's defaults.
+//! [`SystemConfig`] is the one configuration of a peer. It collects the
+//! tunables the paper sweeps in its evaluation (Section 6.1): successor list
+//! length, ring stabilization period, storage factor, replication factor.
+//! The defaults are exactly the paper's defaults. Every layer (ring, Data
+//! Store, replication, router) is built from it and keeps it, and every
+//! timeout derived from it is one of its methods.
 //!
-//! [`ProtocolConfig`] selects, per mechanism, whether the *naive* baseline or
-//! the paper's *PEPPER* algorithm is used, so every experiment can run both
-//! sides over identical workloads.
+//! [`Protocol`] selects the paper's *PEPPER* algorithms or the *naive*
+//! baselines, so every experiment can run both sides over identical
+//! workloads.
 
 use std::time::Duration;
 
@@ -15,55 +17,26 @@ use crate::key::KeyMap;
 
 /// Protocol variant selection: PEPPER (the paper's algorithms) vs the naive
 /// baselines it compares against in Section 6.2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProtocolConfig {
-    /// Use the consistent `insertSucc` (JOINING/JOINED states propagated via
-    /// stabilization) instead of the naive "just point at your successor".
-    pub pepper_insert_succ: bool,
-    /// Use the `scanRange` primitive (hand-over-hand range locks) instead of
-    /// the naive application-level ring scan.
-    pub pepper_scan: bool,
-    /// Use the availability-preserving `leave` (successor-list lengthening)
-    /// instead of the naive "just leave".
-    pub pepper_leave: bool,
-    /// Replicate the leaving peer's items one additional hop before a merge
-    /// completes, instead of dropping its replicas.
-    pub extra_hop_replication: bool,
-}
-
-impl ProtocolConfig {
-    /// All four PEPPER mechanisms enabled (the paper's system).
-    pub const fn pepper() -> Self {
-        ProtocolConfig {
-            pepper_insert_succ: true,
-            pepper_scan: true,
-            pepper_leave: true,
-            extra_hop_replication: true,
-        }
-    }
-
-    /// All four naive baselines (no correctness / availability guarantees).
-    pub const fn naive() -> Self {
-        ProtocolConfig {
-            pepper_insert_succ: false,
-            pepper_scan: false,
-            pepper_leave: false,
-            extra_hop_replication: false,
-        }
-    }
-}
-
-impl Default for ProtocolConfig {
-    fn default() -> Self {
-        ProtocolConfig::pepper()
-    }
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Protocol {
+    /// The paper's system: the consistent `insertSucc` (JOINING entries
+    /// propagated by stabilization), the `scanRange` primitive (hand-over-hand
+    /// range locks), the availability-preserving `leave` (successor-list
+    /// lengthening) and the leaver's extra-hop replication.
+    #[default]
+    Pepper,
+    /// The naive baselines, with no correctness or availability guarantee:
+    /// the new peer just points at its successor, the scan is a lock-free
+    /// application-level ring walk, a leaver just leaves and drops its
+    /// replicas.
+    Naive,
 }
 
 /// System parameters, with the paper's defaults (Section 6.1).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SystemConfig {
-    /// Length of the Chord-style successor list (paper default: 4, swept 2–8
-    /// in Figures 19 and 22).
+    /// Length `d` of the Chord-style successor list (paper default: 4, swept
+    /// 2–8 in Figures 19 and 22).
     pub succ_list_len: usize,
     /// Ring stabilization period (paper default: 4 s, swept 2–8 s in
     /// Figure 20).
@@ -79,14 +52,10 @@ pub struct SystemConfig {
     pub replica_refresh_period: Duration,
     /// Period of the content-router maintenance loop.
     pub router_refresh_period: Duration,
-    /// Period of the durable-storage snapshot loop (WAL compaction). Only
-    /// meaningful for peers running with a storage engine attached; not a
-    /// paper parameter.
-    pub snapshot_period: Duration,
     /// The map `M : K -> PV` used by the Data Store.
     pub key_map: KeyMap,
-    /// Protocol variant selection (PEPPER vs naive baselines).
-    pub protocol: ProtocolConfig,
+    /// PEPPER or the naive baselines.
+    pub protocol: Protocol,
 }
 
 impl SystemConfig {
@@ -100,16 +69,23 @@ impl SystemConfig {
             replication_factor: 6,
             replica_refresh_period: Duration::from_secs(4),
             router_refresh_period: Duration::from_secs(4),
-            snapshot_period: Duration::from_secs(10),
             key_map: KeyMap::order_preserving(),
-            protocol: ProtocolConfig::pepper(),
+            protocol: Protocol::Pepper,
         }
     }
 
-    /// The paper's default configuration with the naive baselines enabled.
-    pub fn naive_defaults() -> Self {
+    /// The paper's configuration with shrunk periods (`sf` 2, `k` 2, 200 ms
+    /// stabilization, replica and router refresh, 100 ms ping), so tests and
+    /// the fault-injection harness finish quickly. Protocol semantics are
+    /// unchanged.
+    pub fn fast() -> Self {
         SystemConfig {
-            protocol: ProtocolConfig::naive(),
+            stabilization_period: Duration::from_millis(200),
+            ping_period: Duration::from_millis(100),
+            storage_factor: 2,
+            replication_factor: 2,
+            replica_refresh_period: Duration::from_millis(200),
+            router_refresh_period: Duration::from_millis(200),
             ..SystemConfig::paper_defaults()
         }
     }
@@ -139,7 +115,7 @@ impl SystemConfig {
     }
 
     /// Builder-style override of the protocol selection.
-    pub fn with_protocol(mut self, protocol: ProtocolConfig) -> Self {
+    pub fn with_protocol(mut self, protocol: Protocol) -> Self {
         self.protocol = protocol;
         self
     }
@@ -152,6 +128,45 @@ impl SystemConfig {
     /// Minimum number of items a live peer should hold (`sf`).
     pub fn underflow_threshold(&self) -> usize {
         self.storage_factor
+    }
+
+    /// How long the ring waits for a ping reply before declaring the
+    /// successor failed: a quarter of the ping period, at least 20 ms, so
+    /// failure detection keeps working when experiments shrink the periods.
+    pub fn ping_timeout(&self) -> Duration {
+        (self.ping_period / 4).max(Duration::from_millis(20))
+    }
+
+    /// How long an `insertSucc` may stay in flight before it is aborted. A
+    /// joining free peer cannot be ping-probed (it is not a member yet), so
+    /// this guard is the only way out when it fail-stops mid-join. A join
+    /// normally completes within one or two stabilization rounds; well
+    /// beyond that, the joining peer is assumed dead.
+    pub fn insert_timeout(&self) -> Duration {
+        self.stabilization_period * 6 + Duration::from_secs(1)
+    }
+
+    /// How long a scan waits for the successor to acknowledge its hand-off
+    /// before retrying. Tied to the ping period: a scan forwarded to a peer
+    /// that has just departed is retried once the ring's failure/departure
+    /// detection has had a chance to update the cached successor, so the
+    /// retry actually reaches a different peer.
+    pub fn scan_forward_timeout(&self) -> Duration {
+        self.ping_period.max(Duration::from_millis(500))
+    }
+
+    /// How long a predecessor that accepted a voluntary-leave offer waits
+    /// for the merge grant before unlocking itself (covers the leaver failing
+    /// mid-leave). The leaver needs one extra-hop replication round plus a
+    /// ring leave, itself bounded by stabilization rounds, before granting.
+    pub fn leave_absorb_timeout(&self) -> Duration {
+        self.stabilization_period * 4 + Duration::from_secs(2)
+    }
+
+    /// Safety-net deadline after which an unfinished query is finalized with
+    /// whatever has been collected.
+    pub fn query_timeout(&self) -> Duration {
+        self.scan_forward_timeout() * 4 + Duration::from_secs(30)
     }
 }
 
@@ -174,18 +189,37 @@ mod tests {
         assert_eq!(c.replication_factor, 6);
         assert_eq!(c.overflow_threshold(), 10);
         assert_eq!(c.underflow_threshold(), 5);
-        assert_eq!(c.protocol, ProtocolConfig::pepper());
+        assert_eq!(c.protocol, Protocol::Pepper);
     }
 
     #[test]
-    fn naive_defaults_disable_all_mechanisms() {
-        let c = SystemConfig::naive_defaults();
-        assert!(!c.protocol.pepper_insert_succ);
-        assert!(!c.protocol.pepper_scan);
-        assert!(!c.protocol.pepper_leave);
-        assert!(!c.protocol.extra_hop_replication);
-        // Other parameters are untouched.
-        assert_eq!(c.succ_list_len, 4);
+    fn derived_timeouts_follow_the_periods() {
+        let ms = Duration::from_millis;
+        let timeouts = |c: SystemConfig| {
+            [
+                c.ping_timeout(),
+                c.insert_timeout(),
+                c.scan_forward_timeout(),
+                c.leave_absorb_timeout(),
+                c.query_timeout(),
+            ]
+        };
+        assert_eq!(
+            timeouts(SystemConfig::paper_defaults()),
+            [ms(500), ms(25_000), ms(2_000), ms(18_000), ms(38_000)]
+        );
+        assert_eq!(
+            timeouts(SystemConfig::fast()),
+            [ms(25), ms(2_200), ms(500), ms(2_800), ms(32_000)]
+        );
+        // PEPPER is the default, and the (exhaustive) match says naive is the
+        // only other protocol.
+        assert_eq!(Protocol::default(), Protocol::Pepper);
+        let non_default = |p| match p {
+            Protocol::Pepper => false,
+            Protocol::Naive => true,
+        };
+        assert!(non_default(Protocol::Naive));
     }
 
     #[test]
@@ -205,6 +239,5 @@ mod tests {
     #[test]
     fn default_is_paper_default() {
         assert_eq!(SystemConfig::default(), SystemConfig::paper_defaults());
-        assert_eq!(ProtocolConfig::default(), ProtocolConfig::pepper());
     }
 }

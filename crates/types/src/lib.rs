@@ -11,7 +11,7 @@
 //! * [`CircularRange`] — the half-open range `(pred.val, p.val]` a peer is
 //!   responsible for on the circular value space,
 //! * [`KeyInterval`] / [`RangeQuery`] — linear query intervals over `K`,
-//! * [`SystemConfig`] / [`ProtocolConfig`] — the tunable parameters used in
+//! * [`SystemConfig`] / [`Protocol`] — the tunable parameters used in
 //!   the paper's evaluation (successor list length, stabilization period,
 //!   storage factor, replication factor, …),
 //! * [`Error`] — the error type shared across the workspace.
@@ -31,7 +31,7 @@ pub mod peer;
 pub mod query;
 pub mod range;
 
-pub use config::{ProtocolConfig, SystemConfig};
+pub use config::{Protocol, SystemConfig};
 pub use error::{Error, Result};
 pub use item::{Item, ItemId};
 pub use key::{KeyMap, KeyMapKind, PeerValue, SearchKey};

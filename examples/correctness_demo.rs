@@ -6,12 +6,12 @@
 use pepper_sim::experiments::correctness::run_correctness;
 use pepper_sim::experiments::Effort;
 use pepper_sim::experiments::{availability, insert_succ};
-use pepper_types::{ProtocolConfig, SystemConfig};
+use pepper_types::{Protocol, SystemConfig};
 
 fn main() {
     println!("== query correctness under churn (4 rounds each) ==");
     let naive = run_correctness(
-        SystemConfig::paper_defaults().with_protocol(ProtocolConfig::naive()),
+        SystemConfig::paper_defaults().with_protocol(Protocol::Naive),
         2026,
         4,
     );
