@@ -79,10 +79,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_secs_averages_and_is_zero_without_samples() {
+    fn stats_of_empty_is_zeroed() {
         assert_eq!(mean_secs(&[]), 0.0);
+    }
+
+    #[test]
+    fn stats_summarize_samples() {
         let samples: Vec<Duration> = (1..=100).map(Duration::from_millis).collect();
         assert!((mean_secs(&samples) - 0.0505).abs() < 1e-12);
+        assert_eq!(mean_secs(&[Duration::from_millis(250)]), 0.25);
     }
 
     #[test]

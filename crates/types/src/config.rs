@@ -223,6 +223,68 @@ mod tests {
     }
 
     #[test]
+    fn derived_from_system_config() {
+        // The ring reads the successor list length, the periods and the
+        // protocol straight from the system config, and its timeouts follow
+        // an overridden stabilization period.
+        let c = SystemConfig::paper_defaults()
+            .with_succ_list_len(6)
+            .with_stabilization_period(Duration::from_secs(2));
+        assert_eq!(c.succ_list_len, 6);
+        assert_eq!(c.stabilization_period, Duration::from_secs(2));
+        assert_eq!(c.ping_timeout(), Duration::from_millis(500));
+        assert_eq!(c.insert_timeout(), Duration::from_secs(13));
+        assert_eq!(c.leave_absorb_timeout(), Duration::from_secs(10));
+        assert_eq!(c.protocol, Protocol::Pepper);
+    }
+
+    #[test]
+    fn derived_from_system() {
+        // The Data Store's thresholds follow the storage factor; its scan and
+        // query timeouts follow the ping period, with a 500 ms floor.
+        let c = SystemConfig::paper_defaults().with_storage_factor(7);
+        assert_eq!(c.storage_factor, 7);
+        assert_eq!(c.overflow_threshold(), 14);
+        assert_eq!(c.underflow_threshold(), 7);
+        assert_eq!(c.protocol, Protocol::Pepper);
+        let slow_ping = SystemConfig {
+            ping_period: Duration::from_secs(3),
+            ..c.clone()
+        };
+        assert_eq!(slow_ping.scan_forward_timeout(), Duration::from_secs(3));
+        assert_eq!(slow_ping.query_timeout(), Duration::from_secs(42));
+        let quick_ping = SystemConfig {
+            ping_period: Duration::from_millis(40),
+            ..c
+        };
+        assert_eq!(
+            quick_ping.scan_forward_timeout(),
+            Duration::from_millis(500)
+        );
+        assert_eq!(quick_ping.ping_timeout(), Duration::from_millis(20));
+    }
+
+    #[test]
+    fn naive_defaults_disable_all_mechanisms() {
+        // One switch selects every naive baseline; other parameters and the
+        // timeouts derived from them are untouched.
+        let pepper = SystemConfig::paper_defaults();
+        let naive = pepper.clone().with_protocol(Protocol::Naive);
+        assert_eq!(naive.protocol, Protocol::Naive);
+        assert_ne!(naive, pepper);
+        assert_eq!(
+            SystemConfig {
+                protocol: Protocol::Pepper,
+                ..naive.clone()
+            },
+            pepper
+        );
+        assert_eq!(naive.succ_list_len, 4);
+        assert_eq!(naive.insert_timeout(), pepper.insert_timeout());
+        assert_eq!(naive.query_timeout(), pepper.query_timeout());
+    }
+
+    #[test]
     fn builders_override_single_fields() {
         let c = SystemConfig::paper_defaults()
             .with_succ_list_len(8)
