@@ -21,7 +21,7 @@ use pepper_types::{Item, KeyInterval, PeerId};
 
 use crate::events::DsEvent;
 use crate::messages::{DsMsg, QueryId};
-use crate::state::{DataStoreState, DsStatus, PendingForward};
+use crate::state::{Balance, DataStoreState, DsStatus, PendingForward};
 
 /// Hard cap on scan length, guarding against routing loops in badly
 /// inconsistent (naive) rings.
@@ -68,6 +68,20 @@ impl DataStoreState {
         }
         let walked = |v: u64| v.wrapping_sub(interval.lo());
         walked(self.range.high().raw()) >= walked(interval.hi())
+    }
+
+    /// The peer a scan leaving this peer goes to next: the peer that owns
+    /// the range right after this one. That is the cached successor, except
+    /// while this peer waits for its successor's whole range (a merge it
+    /// requested or a leave it accepted): the giver owns that range until
+    /// the grant installs here, even after the ring has moved on to the
+    /// peer behind it.
+    fn scan_next_hop(&self) -> Option<PeerId> {
+        let next = match self.balance {
+            Balance::Requesting(giver) | Balance::Absorbing(giver) => giver,
+            _ => self.succ?.0,
+        };
+        (next != self.id).then_some(next)
     }
 
     /// One hop of the PEPPER `scanRange`.
@@ -117,8 +131,8 @@ impl DataStoreState {
         }
 
         // Forward to the successor, keeping our lock until it acknowledges.
-        match self.succ {
-            Some((succ, _)) if succ != self.id => {
+        match self.scan_next_hop() {
+            Some(succ) => {
                 fx.send(
                     succ,
                     DsMsg::ScanStep {
@@ -147,7 +161,7 @@ impl DataStoreState {
                     },
                 );
             }
-            _ => {
+            None => {
                 fx.send(query.origin, DsMsg::ScanFailed { query });
                 self.release_scan_lock(ctx, fx);
             }
@@ -201,11 +215,7 @@ impl DataStoreState {
         };
         let (interval, hop) = (pending[idx].interval, pending[idx].hop);
         let next_attempt = attempt + 1;
-        let retry_target = match self.succ {
-            Some((succ, _)) if succ != self.id => Some(succ),
-            _ => None,
-        };
-        match retry_target {
+        match self.scan_next_hop() {
             Some(succ) if attempt < SCAN_MAX_RETRIES => {
                 fx.send(
                     succ,
@@ -306,6 +316,7 @@ impl DataStoreState {
     /// Partial result arriving at the query origin.
     pub(crate) fn on_scan_result(
         &mut self,
+        ctx: LayerCtx,
         query: QueryId,
         items: Vec<Item>,
         covered: Vec<KeyInterval>,
@@ -315,22 +326,46 @@ impl DataStoreState {
             progress.items.extend(items);
             progress.covered.extend(covered);
             progress.hops = progress.hops.max(hop);
+            let hop = hop as usize;
+            if progress.hop_results.len() <= hop {
+                progress.hop_results.resize(hop + 1, false);
+            }
+            progress.hop_results[hop] = true;
+            self.finalize_if_reported(ctx, query);
         }
     }
 
-    /// Scan completion arriving at the query origin.
+    /// Scan completion arriving at the query origin. The last hop's result
+    /// came ahead of it on the same link, but a middle hop's result travels
+    /// another link and can still be in flight: the query is finalized once
+    /// every hop up to this one has reported.
     pub(crate) fn on_scan_done(&mut self, ctx: LayerCtx, query: QueryId, hops: u32) {
         if let Some(progress) = self.queries.get_mut(&query) {
             progress.hops = progress.hops.max(hops);
+            progress.final_hop.get_or_insert(hops);
+            self.finalize_if_reported(ctx, query);
         }
-        self.finalize_query(ctx, query);
+    }
+
+    /// Finalizes `query` if its walk has ended and every hop of it has
+    /// reported its result.
+    fn finalize_if_reported(&mut self, ctx: LayerCtx, query: QueryId) {
+        let reported = self.queries.get(&query).is_some_and(|p| {
+            p.final_hop.is_some_and(|last| {
+                p.hop_results
+                    .get(..=last as usize)
+                    .is_some_and(|hops| hops.iter().all(|&seen| seen))
+            })
+        });
+        if reported {
+            self.finalize_query(ctx, query);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::Balance;
     use pepper_net::{Effect, ProtocolLayer, SimTime};
     use pepper_types::{CircularRange, PeerValue, Protocol, SearchKey, SystemConfig};
 
@@ -709,12 +744,14 @@ mod tests {
             )
             .unwrap();
         issuer.on_scan_result(
+            ctx(9),
             id,
             vec![item(15)],
             vec![KeyInterval::new(10, 30).unwrap()],
             0,
         );
         issuer.on_scan_result(
+            ctx(9),
             id,
             vec![item(45), item(15)],
             vec![KeyInterval::new(31, 60).unwrap()],
@@ -751,14 +788,12 @@ mod tests {
                 &mut fx,
             )
             .unwrap();
-        issuer.on_scan_result(
-            id,
-            vec![item(15)],
-            vec![KeyInterval::new(10, 30).unwrap()],
-            0,
-        );
-        // The scan "finished" but a sub-range was skipped (naive scan over an
-        // inconsistent ring): completeness is false.
+        // Every hop reported, but a sub-range was skipped (naive scan over
+        // an inconsistent ring): completeness is false.
+        for (hop, lo, hi) in [(0, 10, 30), (1, 31, 40), (2, 46, 60)] {
+            let covered = vec![KeyInterval::new(lo, hi).unwrap()];
+            issuer.on_scan_result(ctx(9), id, vec![], covered, hop);
+        }
         issuer.on_scan_done(ctx(9), id, 2);
         assert!(issuer.drain_events().iter().any(|e| matches!(
             e,
@@ -767,6 +802,89 @@ mod tests {
                 ..
             }
         )));
+    }
+
+    #[test]
+    fn done_waits_for_a_middle_hops_late_result() {
+        let mut issuer = live_peer(9, 0, 100, &[]);
+        let mut fx = Effects::new();
+        let (id, _) = issuer
+            .register_query(
+                ctx(9),
+                pepper_types::RangeQuery::closed(10u64, 60u64),
+                &mut fx,
+            )
+            .unwrap();
+        let piece = |lo, hi| vec![KeyInterval::new(lo, hi).unwrap()];
+        issuer.on_scan_result(ctx(9), id, vec![item(15)], piece(10, 30), 0);
+        // The last hop's result and `ScanDone` share a link and arrive
+        // first; hop 1's result is still in flight.
+        issuer.on_scan_result(ctx(9), id, vec![], piece(46, 60), 2);
+        issuer.on_scan_done(ctx(9), id, 2);
+        assert!(issuer.drain_events().is_empty());
+        assert_eq!(issuer.open_queries(), 1);
+        issuer.on_scan_result(ctx(9), id, vec![item(40)], piece(31, 45), 1);
+        match &issuer.drain_events()[..] {
+            [DsEvent::QueryCompleted {
+                items,
+                hops: 2,
+                complete: true,
+                ..
+            }] => assert_eq!(items.len(), 2),
+            other => panic!("unexpected {other:?}"),
+        }
+        // A failure report still finalizes at once.
+        let (id, _) = issuer
+            .register_query(
+                ctx(9),
+                pepper_types::RangeQuery::closed(10u64, 60u64),
+                &mut fx,
+            )
+            .unwrap();
+        issuer.on_scan_done(ctx(9), id, 3);
+        issuer.handle(ctx(9), PeerId(4), DsMsg::ScanFailed { query: id }, &mut fx);
+        assert!(issuer.drain_events().iter().any(|e| matches!(
+            e,
+            DsEvent::QueryCompleted {
+                complete: false,
+                ..
+            }
+        )));
+        assert_eq!(issuer.open_queries(), 0);
+    }
+
+    #[test]
+    fn a_peer_awaiting_its_successors_range_forwards_to_the_giver() {
+        let interval = KeyInterval::new(5, 90).unwrap();
+        for balance in [
+            Balance::Requesting(PeerId(2)),
+            Balance::Absorbing(PeerId(2)),
+        ] {
+            let mut p = live_peer(1, 0, 50, &[10]);
+            p.set_successor(PeerId(2), PeerValue(70));
+            p.balance = balance;
+            // The giver is LEAVING: the ring names the peer behind it.
+            p.set_successor(PeerId(3), PeerValue(100));
+            let mut fx = Effects::new();
+            p.on_scan_step(ctx(1), qid(9, 0), interval, None, 0, &mut fx);
+            assert!(fx.drain().iter().any(|e| matches!(
+                e,
+                Effect::Send { to, msg: DsMsg::ScanStep { hop: 1, .. } } if *to == PeerId(2)
+            )));
+            // The retry goes to the giver too.
+            p.on_scan_forward_timeout(ctx(1), qid(9, 0), PeerId(2), 0, 1, &mut fx);
+            assert!(fx.drain().iter().any(|e| matches!(
+                e,
+                Effect::Send { to, msg: DsMsg::ScanStep { hop: 1, .. } } if *to == PeerId(2)
+            )));
+            // Once the wait is over, scans follow the successor again.
+            p.balance = Balance::Idle;
+            p.on_scan_step(ctx(1), qid(9, 1), interval, None, 0, &mut fx);
+            assert!(fx.drain().iter().any(|e| matches!(
+                e,
+                Effect::Send { to, msg: DsMsg::ScanStep { hop: 1, .. } } if *to == PeerId(3)
+            )));
+        }
     }
 
     #[test]

@@ -143,6 +143,11 @@ pub struct QueryProgress {
     pub started: SimTime,
     /// Highest hop count reported.
     pub hops: u32,
+    /// Which hops' results have arrived, indexed by hop.
+    pub hop_results: Vec<bool>,
+    /// The hop that reported `ScanDone`, once it has. Results of earlier
+    /// hops travel other links and may still be on their way.
+    pub final_hop: Option<u32>,
     /// Whether the query uses the PEPPER `scanRange` (vs the naive scan).
     pub pepper: bool,
     /// How many times the scan start has been rejected and re-routed.
@@ -541,6 +546,8 @@ impl DataStoreState {
                 covered: Vec::new(),
                 started: ctx.now,
                 hops: 0,
+                hop_results: Vec::new(),
+                final_hop: None,
                 pepper: self.cfg.protocol == Protocol::Pepper,
                 reroutes: 0,
             },
@@ -613,7 +620,7 @@ impl DataStoreState {
                 items,
                 covered,
                 hop,
-            } => self.on_scan_result(query, items, covered, hop),
+            } => self.on_scan_result(ctx, query, items, covered, hop),
             DsMsg::ScanDone { query, hops } => self.on_scan_done(ctx, query, hops),
             DsMsg::ScanFailed { query } => self.finalize_query(ctx, query),
 

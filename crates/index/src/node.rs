@@ -798,8 +798,13 @@ impl PeerNode {
                     // The granter has left the ring: purge its entries now
                     // rather than waiting for ping/stabilization decay — if
                     // it rejoins elsewhere first, the stale entries would
-                    // look alive again at its old position.
-                    self.ring.note_departed(now, granter);
+                    // look alive again at its old position. The granter's
+                    // successor is announced in this same handler, so the
+                    // next scan through this peer is not forwarded to it.
+                    let ((), ring_events) = self
+                        .ring
+                        .with(out, |ring, _fx| ring.note_departed(now, granter));
+                    self.process_ring_events(now, ring_events, out);
                 }
                 DsEvent::ItemStored { item } => {
                     // Journal-then-ack: this WAL append (synced) happens in
@@ -1619,6 +1624,76 @@ mod tests {
         let snaps = snapshots(&sim);
         assert!(check_consistent_successor_pointers(&snaps).is_consistent());
         assert!(check_connectivity(&snaps).is_consistent());
+    }
+
+    #[test]
+    fn an_absorber_forwards_scans_to_the_granters_successor_at_once() {
+        let cfg = SystemConfig::fast();
+        let (mut sim, _pool, first) = cluster(&cfg, 4, 19);
+        insert_keys(&mut sim, first, (1..=12).map(|k| k * 1_000_000));
+        sim.run_for(Duration::from_secs(4));
+        // A leaver with a range that does not wrap, whose predecessor and
+        // successor are two other members.
+        let (leaver, pred, succ) = sim
+            .alive_nodes_iter()
+            .filter(|(p, n)| *p != first && n.is_ring_member())
+            .find_map(|(p, n)| {
+                let (pred, _) = n.ring().pred()?;
+                let (succ, _) = n.data_store().successor()?;
+                let range = n.data_store().range();
+                let plain = range.low() < range.high() && range.high().raw() < u64::MAX;
+                (plain && pred != succ && ![pred, succ].contains(&p)).then_some((p, pred, succ))
+            })
+            .expect("a member with two distinct neighbours");
+        let absorber = |sim: &Simulator<PeerNode>| {
+            let ds = sim.node(pred).expect("alive").data_store();
+            (ds.range().high(), ds.successor().map(|(p, _)| p))
+        };
+        assert_eq!(absorber(&sim).1, Some(leaver));
+        let granted = sim.node(leaver).expect("alive").data_store().range();
+        assert!(sim
+            .with_node_ctx(leaver, |node, ctx| node.request_leave(ctx))
+            .expect("alive"));
+
+        // Step until the grant installs: the handler that installed it has
+        // already named the granter's successor.
+        let deadline = sim.now() + Duration::from_secs(3);
+        while absorber(&sim).0 != granted.high() {
+            assert!(sim.now() < deadline, "the grant never installed");
+            sim.run_for(Duration::from_micros(10));
+        }
+        assert_eq!(absorber(&sim).1, Some(succ));
+
+        // A scan from the absorber into the successor's range goes straight
+        // there instead of waiting out a forward timeout at the departed
+        // granter.
+        let q = RangeQuery::closed(granted.low().raw() + 1, granted.high().raw() + 1);
+        let id = sim
+            .with_node_ctx(pred, |node, ctx| node.range_query(ctx, q))
+            .expect("alive")
+            .expect("query registered");
+        sim.run_for(Duration::from_secs(2));
+        let outcome = sim
+            .node(pred)
+            .expect("alive")
+            .observations()
+            .iter()
+            .find_map(|o| match o {
+                Observation::QueryCompleted {
+                    query,
+                    hops,
+                    elapsed,
+                    complete,
+                    ..
+                } if *query == id => Some((*hops, *elapsed, *complete)),
+                _ => None,
+            });
+        let (hops, elapsed, complete) = outcome.expect("query completed");
+        assert!(complete && hops >= 1, "hops {hops}, complete {complete}");
+        assert!(
+            elapsed < cfg.scan_forward_timeout(),
+            "a forward timeout acted: {elapsed:?}"
+        );
     }
 
     #[test]

@@ -175,11 +175,24 @@ impl RingState {
     /// ring position — and if the peer promptly *rejoins elsewhere* (free
     /// peers are recycled), the entry looks alive again and captures this
     /// node's stabilization at a phantom position.
+    ///
+    /// If `peer` was the last announced successor, the first `JOINED` entry
+    /// behind it is announced at once, stabilized or not: it is the
+    /// successor the departed peer itself reported, and it owns the range
+    /// right after the one this node just absorbed. Waiting for a
+    /// stabilization round would leave the layers above forwarding to a
+    /// peer that owns nothing.
     pub fn note_departed(&mut self, now: SimTime, peer: PeerId) {
         if peer == self.id {
             return;
         }
-        if self.remove_peer(peer) {
+        let removed = self.remove_peer(peer);
+        if self.last_new_succ.is_some_and(|(p, _)| p == peer) {
+            self.last_new_succ = self.best_succ().map(|e| (e.peer, e.value));
+            if let Some((next, value)) = self.last_new_succ {
+                self.emit(RingEvent::NewSuccessor { peer: next, value });
+            }
+        } else if removed {
             self.maybe_emit_new_successor();
         }
         // The departed peer may have one more stabilization request in
@@ -579,6 +592,45 @@ mod tests {
                 value: PeerValue(7)
             }]
         );
+    }
+
+    #[test]
+    fn a_departed_successor_is_replaced_at_once_and_its_rejoin_is_announced() {
+        let mut s = RingState::new_free(PeerId(0), SystemConfig::fast().with_succ_list_len(3));
+        s.succ_list = vec![joined(1, 10)];
+        s.maybe_emit_new_successor();
+        s.drain_events();
+        // p1 gave its whole range to this peer; p2, behind it, has not been
+        // stabilized with yet.
+        s.succ_list = vec![
+            joined(1, 10),
+            SuccEntry::new(PeerId(2), PeerValue(20), EntryState::Joined),
+        ];
+        s.note_departed(SimTime::from_secs(1), PeerId(1));
+        assert_eq!(
+            s.drain_events(),
+            vec![RingEvent::NewSuccessor {
+                peer: PeerId(2),
+                value: PeerValue(20)
+            }]
+        );
+        // The free pool recycles p1 into a split of the same gap, at the
+        // same value: it is a new successor again.
+        s.succ_list = vec![joined(1, 10), joined(2, 20)];
+        s.maybe_emit_new_successor();
+        assert_eq!(
+            s.drain_events(),
+            vec![RingEvent::NewSuccessor {
+                peer: PeerId(1),
+                value: PeerValue(10)
+            }]
+        );
+        // Losing a peer that was not the announced successor announces
+        // nothing new.
+        s.succ_list
+            .push(SuccEntry::new(PeerId(3), PeerValue(30), EntryState::Joined));
+        s.note_departed(SimTime::from_secs(2), PeerId(3));
+        assert!(s.drain_events().is_empty());
     }
 
     /// A member at value 100 whose predecessor `(peer, value)` last

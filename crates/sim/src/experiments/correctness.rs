@@ -283,6 +283,13 @@ mod tests {
         );
         assert!(pepper_total.incorrect <= naive_total.incorrect);
         assert_eq!(pepper_total.queries, 12);
+        // Nor does one give up on this churn: each hop forwards to the peer
+        // that owns the next range, even while that range is being handed
+        // over, so no scan skips a range and reports itself incomplete.
+        assert_eq!(
+            pepper_total.incomplete, 0,
+            "a scanRange reported incomplete coverage: {pepper_total:?}"
+        );
     }
 
     #[test]

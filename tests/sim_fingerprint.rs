@@ -21,7 +21,7 @@ use rand::{Rng, SeedableRng};
 
 // To re-pin after an *intended* protocol change: run
 // `cargo test -q -p pepper-sim --test sim_fingerprint`, copy the "got" value.
-const FINGERPRINT: u64 = 0x2593_2856_7755_65d4;
+const FINGERPRINT: u64 = 0xe39f_3b8d_fe5e_7722;
 
 const KEY_SPACE: u64 = 1 << 40;
 
@@ -134,11 +134,11 @@ const PROFILE_HASHES: [(&str, u64, u64); 7] = [
         0xa11d_d236_529a_d8d3,
     ),
     ("quick-naive", 0x0baf_4196_8218_ff6e, 0x146d_fe0a_97a1_a63f),
-    ("quick-zipf", 0xe24e_7010_87fb_f82f, 0x2de0_f78a_7065_5789),
+    ("quick-zipf", 0xe24e_7010_87fb_f82f, 0xf6dc_e3bb_0c7d_57d0),
     (
         "quick-sequential",
-        0xf8d2_271f_576e_0ff9,
-        0xa2c6_c3fb_116e_23d6,
+        0xe92e_dd7a_5f2b_e881,
+        0x92b8_83ce_b459_ed07,
     ),
     (
         "quick-skip-wal",

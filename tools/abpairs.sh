@@ -14,7 +14,9 @@
 # so slow phases of a shared box hit both sides alike. Per workload and host
 # metric it prints the parent's median [q1, q3], the change's median, where
 # that median falls against the parent's quartiles, and in how many pairs the
-# change was lower.
+# change was lower. Below that it prints the parent's and the change's medians
+# of every virtual-time end-to-end metric and of the failed-op count, the
+# before/after rows of a change that is meant to move the simulation.
 #
 # Exit status: 0 when every pair agrees exactly in its witness, its failed and
 # attempted op counts and every virtual-time metric; 1 when any pair differs
@@ -90,6 +92,12 @@ import sys
 runs, pairs, bench = sys.argv[1], int(sys.argv[2]), json.load(open(sys.argv[3]))
 HOST = ["host_s", "setup_s", "peak_rss_mb"]
 exact = [m["name"] for m in bench["end_to_end"] if m["name"] not in HOST]
+
+
+def value(doc, name):
+    return doc[name] if name == "failed" else doc["metrics"][name]["value"]
+
+
 differing = 0
 for w in sys.argv[4:]:
     docs = [
@@ -98,18 +106,22 @@ for w in sys.argv[4:]:
     ]
     print(f"{w}: {pairs} pairs")
     for name in HOST:
-        a = [p["metrics"][name]["value"] for p, _ in docs]
-        b = [c["metrics"][name]["value"] for _, c in docs]
+        a = [value(p, name) for p, _ in docs]
+        b = [value(c, name) for _, c in docs]
         q1, med, q3 = statistics.quantiles(a, n=4) if pairs > 1 else (a[0],) * 3
         mb = statistics.median(b)
         where = "below q1" if mb < q1 else "above q3" if mb > q3 else "inside"
         lower = sum(y < x for x, y in zip(a, b))
         print(f"  {name:<12} parent {med:10.4f} [{q1:.4f}, {q3:.4f}]"
               f"  change {mb:10.4f}  {where:<8}  change lower in {lower}/{pairs}")
+    for name in exact + ["failed"]:
+        a = statistics.median(value(p, name) for p, _ in docs)
+        b = statistics.median(value(c, name) for _, c in docs)
+        print(f"  {name:<14} parent median {a:12.4f}  change median {b:12.4f}")
     for i, (p, c) in enumerate(docs):
         fields = ["witness", "attempted", "failed", "correct"]
         diffs = [f for f in fields if p[f] != c[f]]
-        diffs += [n for n in exact if p["metrics"][n]["value"] != c["metrics"][n]["value"]]
+        diffs += [n for n in exact if value(p, n) != value(c, n)]
         if diffs:
             differing += 1
             print(f"  pair {i + 1} (seed {p['seed']}) DIFFERS in {', '.join(diffs)}")
