@@ -5,7 +5,9 @@
 //! guarantees the re-execution reproduces the recorded run event for
 //! event — and then renders what actually happened: per-query timelines
 //! (issue → per-hop scan traffic → completion), crash/takeover cascades,
-//! and a per-layer cost summary from the metrics registry.
+//! and a per-layer cost summary from the metrics registry. For an artifact
+//! it first prints one `replay:` line saying whether the re-execution
+//! reproduced the recorded violations (CI's trace-smoke job greps it).
 //! `--profile P --seed S` inspects a fresh generated run instead (green runs
 //! are traceable too). `--chrome PATH` additionally writes Chrome
 //! trace-event JSON loadable in `chrome://tracing` / Perfetto.
@@ -23,7 +25,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use pepper_sim::harness::{FailureArtifact, Harness, HarnessConfig};
+use pepper_sim::harness::{FailureArtifact, Harness, HarnessConfig, Violation};
 use pepper_sim::{chrome_trace_json, Cid, TraceConfig, TraceEvent};
 
 /// Ring capacity used for inspection: deep enough that short harness runs
@@ -133,6 +135,30 @@ impl Chain {
     }
 }
 
+/// The verdict line on a replayed artifact: the replay reproduced the
+/// recorded run iff it ended in as many violations, of the same invariants,
+/// in the same order.
+fn replay_verdict(recorded: &[Violation], replayed: &[Violation], trace_hash: u64) -> String {
+    let same = recorded.len() == replayed.len()
+        && recorded
+            .iter()
+            .zip(replayed)
+            .all(|(a, b)| a.invariant == b.invariant);
+    if same {
+        format!(
+            "replay: reproduced the recorded run ({} violation(s), trace hash {trace_hash:#x})",
+            recorded.len()
+        )
+    } else {
+        format!(
+            "replay: DIVERGED from the recorded run ({} violation(s) recorded, {} replayed) \
+             — the protocol code has changed since the dump",
+            recorded.len(),
+            replayed.len()
+        )
+    }
+}
+
 /// Groups every peer's buffer into causal chains (events sharing a cid),
 /// dropping the `c-` sentinel, ordered by root id — i.e. by when each
 /// chain's root stimulus entered the simulation.
@@ -214,7 +240,7 @@ pub fn run(args: &[String]) -> i32 {
 
     // Reconstruct the run, traced.
     let trace_cfg = TraceConfig::enabled().with_ring_capacity(INSPECT_RING);
-    let (source, report) = if let Some(path) = artifact_path {
+    let (source, report, recorded) = if let Some(path) = artifact_path {
         let text = match std::fs::read_to_string(&path) {
             Ok(t) => t,
             Err(e) => {
@@ -244,7 +270,8 @@ pub fn run(args: &[String]) -> i32 {
             artifact.seed,
             artifact.step
         );
-        (source, Harness::replay(cfg, &artifact.trace))
+        let report = Harness::replay(cfg, &artifact.trace);
+        (source, report, Some(artifact.violations))
     } else if let Some(profile) = profile {
         let mut cfg = match HarnessConfig::from_profile(&profile, seed) {
             Ok(c) => c,
@@ -268,7 +295,7 @@ pub fn run(args: &[String]) -> i32 {
                 Err(e) => eprintln!("failed to dump violation artifact: {e}"),
             }
         }
-        (source, report)
+        (source, report, None)
     } else {
         eprintln!("usage: trace ARTIFACT | trace --profile P --seed S [--ops N]");
         return 2;
@@ -290,6 +317,10 @@ pub fn run(args: &[String]) -> i32 {
             "  violation: {} {:?} {}",
             v.invariant, v.peers, v.details
         );
+    }
+    if let Some(recorded) = &recorded {
+        let verdict = replay_verdict(recorded, &report.violations, report.trace.hash());
+        let _ = writeln!(out, "{verdict}");
     }
 
     let all = chains(&report.traces);
@@ -404,5 +435,23 @@ mod tests {
         let kinds: Vec<&str> = q.events.iter().map(|e| e.kind).collect();
         assert_eq!(kinds, ["RangeQuery", "ScanStep", "QueryCompleted"]);
         assert!(!chains.iter().find(|c| c.cid == other).unwrap().is_query());
+    }
+
+    #[test]
+    fn a_replay_reproduces_only_the_same_invariants_in_order() {
+        let v = |invariant| Violation {
+            invariant,
+            peers: Vec::new(),
+            details: String::new(),
+        };
+        let recorded = [v("ring-connectivity"), v("range-partition")];
+        let reproduced = |replayed: &[Violation]| {
+            replay_verdict(&recorded, replayed, 7).starts_with("replay: reproduced")
+        };
+        assert!(reproduced(&[v("ring-connectivity"), v("range-partition")]));
+        assert!(!reproduced(&[v("range-partition"), v("ring-connectivity")]));
+        assert!(!reproduced(&[v("ring-connectivity")]));
+        assert!(!reproduced(&[]));
+        assert!(replay_verdict(&[], &[], 7).starts_with("replay: reproduced"));
     }
 }

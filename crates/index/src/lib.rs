@@ -18,9 +18,13 @@
 //!   [`Observation`] that experiments drain and aggregate.
 //!
 //! Free peers are tracked in a [`FreePool`] shared by all peers of one
-//! simulation — a deliberate, documented substitution for P-Ring's
-//! distributed free-peer tracking (see `DESIGN.md`), which none of the
-//! reproduced experiments measure.
+//! simulation — a deliberate substitution for P-Ring's distributed
+//! free-peer tracking (see [`free_pool`]), which none of the reproduced
+//! experiments measure.
+//!
+//! When a storage engine is attached, the peer also journals its Data Store
+//! mutations and snapshots its durable image; the storage engine is driven
+//! by the peer, not a protocol layer of its own.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

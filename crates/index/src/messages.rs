@@ -4,7 +4,6 @@ use pepper_datastore::{DsMsg, QueryId};
 use pepper_replication::ReplMsg;
 use pepper_ring::RingMsg;
 use pepper_router::RouterMsg;
-use pepper_storage::StorageMsg;
 use pepper_types::{Item, KeyInterval, PeerId, PeerValue};
 
 /// Payload of a routed request: delivered to the peer responsible for the
@@ -48,8 +47,6 @@ pub enum PeerMsg {
     Repl(ReplMsg),
     /// Content router traffic.
     Router(RouterMsg),
-    /// Durable-storage traffic (the periodic snapshot timer).
-    Storage(StorageMsg),
     /// A request being routed towards the peer responsible for `target`.
     Route {
         /// The mapped value the request must reach.
@@ -92,6 +89,9 @@ pub enum PeerMsg {
         /// the takeover is stale.
         low_at_arm: PeerValue,
     },
+    /// Self-timer of the periodic snapshot (WAL compaction); a peer with no
+    /// storage engine attached just re-arms it.
+    SnapshotTick,
 }
 
 impl PeerMsg {
@@ -102,24 +102,24 @@ impl PeerMsg {
             PeerMsg::Ds(m) => m.tag(),
             PeerMsg::Repl(m) => m.tag(),
             PeerMsg::Router(m) => m.tag(),
-            PeerMsg::Storage(m) => m.tag(),
             PeerMsg::Route { .. } => "Route",
             PeerMsg::RouteAck { .. } => "RouteAck",
             PeerMsg::RouteGuard { .. } => "RouteGuard",
             PeerMsg::PredTakeover { .. } => "PredTakeover",
+            PeerMsg::SnapshotTick => "SnapshotTick",
         }
     }
 
     /// The protocol layer this message belongs to, as a short static tag
     /// (the index-level routing envelope, its ack and guard, and the
-    /// takeover timer count as `"index"`).
+    /// takeover timer count as `"index"`; the snapshot tick as `"storage"`).
     pub fn layer_tag(&self) -> &'static str {
         match self {
             PeerMsg::Ring(_) => "ring",
             PeerMsg::Ds(_) => "ds",
             PeerMsg::Repl(_) => "repl",
             PeerMsg::Router(_) => "router",
-            PeerMsg::Storage(_) => "storage",
+            PeerMsg::SnapshotTick => "storage",
             PeerMsg::Route { .. }
             | PeerMsg::RouteAck { .. }
             | PeerMsg::RouteGuard { .. }
@@ -141,10 +141,7 @@ mod tests {
             PeerMsg::Router(RouterMsg::MaintainTick).tag(),
             "MaintainTick"
         );
-        assert_eq!(
-            PeerMsg::Storage(StorageMsg::SnapshotTick).tag(),
-            "SnapshotTick"
-        );
+        assert_eq!(PeerMsg::SnapshotTick.tag(), "SnapshotTick");
         assert_eq!(
             PeerMsg::Route {
                 target: 5,
@@ -171,10 +168,7 @@ mod tests {
             PeerMsg::Router(RouterMsg::MaintainTick).layer_tag(),
             "router"
         );
-        assert_eq!(
-            PeerMsg::Storage(StorageMsg::SnapshotTick).layer_tag(),
-            "storage"
-        );
+        assert_eq!(PeerMsg::SnapshotTick.layer_tag(), "storage");
         assert_eq!(
             PeerMsg::PredTakeover {
                 peer: PeerId(1),

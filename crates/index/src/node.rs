@@ -9,13 +9,10 @@ use pepper_net::{Context, Effects, LayerCtx, LayerSlot, Node, SimTime};
 use pepper_replication::{Batch, BatchStamp, ReplEvent, ReplicationManager};
 use pepper_ring::{EntryState, RingEvent, RingState};
 use pepper_router::HierarchicalRouter;
-use pepper_storage::{
-    DurableImage, PeerStorage, RecoveredState, RecoveryMode, StorageEvent, StorageLayer,
-};
+use pepper_storage::{DurableImage, PeerStorage, RecoveredState, RecoveryMode};
 use pepper_trace::{Metrics, TraceConfig, TraceEvent, Tracer};
 use pepper_types::{
-    CircularRange, Item, ItemId, KeyInterval, PeerId, PeerValue, Protocol, RangeQuery, SearchKey,
-    SystemConfig,
+    CircularRange, Item, ItemId, PeerId, PeerValue, Protocol, RangeQuery, SearchKey, SystemConfig,
 };
 
 use crate::free_pool::FreePool;
@@ -47,6 +44,10 @@ pub const DONATION_RETRY_PAUSE: Duration = Duration::from_millis(250);
 /// takes the next-best hop. A round trip takes under a millisecond.
 const ROUTE_GUARD: Duration = Duration::from_millis(500);
 
+/// Period of the snapshot tick (WAL compaction). A peer without a storage
+/// engine ticks too, and persists nothing; not a paper parameter.
+const SNAPSHOT_PERIOD: Duration = Duration::from_secs(10);
+
 #[derive(Debug, Clone)]
 struct PendingItemInsert {
     item: Item,
@@ -75,7 +76,7 @@ struct PendingHop {
 }
 
 /// A full PEPPER peer: the four framework layers composed behind the index
-/// API, runnable on the simulated network.
+/// API, runnable on the simulated network, driving its storage engine.
 #[derive(Debug)]
 pub struct PeerNode {
     id: PeerId,
@@ -84,7 +85,8 @@ pub struct PeerNode {
     ds: LayerSlot<DataStoreState, PeerMsg>,
     repl: LayerSlot<ReplicationManager, PeerMsg>,
     router: LayerSlot<HierarchicalRouter, PeerMsg>,
-    stor: LayerSlot<StorageLayer, PeerMsg>,
+    /// Whether this incarnation armed its [`PeerMsg::SnapshotTick`].
+    snapshot_tick_armed: bool,
     /// The durable-storage engine, if this peer persists its state (the
     /// harness attaches one to every peer; plain experiments run without).
     storage: Option<PeerStorage>,
@@ -148,7 +150,7 @@ impl PeerNode {
             ds: LayerSlot::new(ds, PeerMsg::Ds),
             repl: LayerSlot::new(ReplicationManager::new(id, cfg.clone()), PeerMsg::Repl),
             router: LayerSlot::new(HierarchicalRouter::new(id, cfg.clone()), PeerMsg::Router),
-            stor: LayerSlot::new(StorageLayer::default(), PeerMsg::Storage),
+            snapshot_tick_armed: false,
             storage: None,
             recovery_mode: RecoveryMode::Clean,
             recovered_donation: Vec::new(),
@@ -393,7 +395,12 @@ impl PeerNode {
         self.process_ds_events(now, ds_events, out);
         registered.map(|(id, interval)| {
             let pepper = self.cfg.protocol == Protocol::Pepper;
-            self.route_scan_start(now, id, interval, pepper, out);
+            let payload = RoutePayload::ScanStart {
+                query: id,
+                interval,
+                pepper,
+            };
+            self.handle_route(now, interval.lo(), payload, 0, out);
             id
         })
     }
@@ -446,7 +453,8 @@ impl PeerNode {
     }
 
     /// Starts every layer's periodic timers through the uniform
-    /// [`ProtocolLayer`] boundary (idempotent per layer).
+    /// [`ProtocolLayer`] boundary (idempotent per layer), then arms the
+    /// snapshot tick once per incarnation.
     fn start_layers(&mut self, now: SimTime, out: &mut Effects<PeerMsg>) {
         let ctx = self.layer_ctx(now);
         let ring_events = self.ring.start_timers(ctx, out);
@@ -457,8 +465,12 @@ impl PeerNode {
         self.process_repl_events(now, repl_events, out);
         // RouterEvent is uninhabited: nothing to process.
         self.router.start_timers(ctx, out);
-        let stor_events = self.stor.start_timers(ctx, out);
-        self.process_storage_events(now, stor_events, out);
+        if !self.snapshot_tick_armed {
+            self.snapshot_tick_armed = true;
+            // Staggered per peer so a cluster does not snapshot in lockstep.
+            let stagger = Duration::from_micros((self.id.raw() % 83) * 270);
+            out.timer(SNAPSHOT_PERIOD / 2 + stagger, PeerMsg::SnapshotTick);
+        }
     }
 
     /// The currently `JOINED` successors of `ring`, in list order (the
@@ -523,10 +535,6 @@ impl PeerNode {
                 // RouterEvent is uninhabited: nothing to process.
                 self.router.handle(ctx, from, m, out);
             }
-            PeerMsg::Storage(m) => {
-                let events = self.stor.handle(ctx, from, m, out);
-                self.process_storage_events(now, events, out);
-            }
             PeerMsg::Route {
                 target,
                 payload,
@@ -546,6 +554,7 @@ impl PeerNode {
                 value,
                 low_at_arm,
             } => self.on_pred_takeover(now, peer, value, low_at_arm, out),
+            PeerMsg::SnapshotTick => self.on_snapshot_tick(now, out),
         }
     }
 
@@ -748,8 +757,8 @@ impl PeerNode {
                     self.process_repl_events(now, repl_events, out);
                     // System availability protection: leave the ring properly
                     // before departing.
-                    let (leave, ring_events) = self.ring.with(out, |ring, fx| ring.leave(ctx, fx));
-                    if leave.is_err() {
+                    let (left, ring_events) = self.ring.with(out, |ring, fx| ring.leave(ctx, fx));
+                    if !left {
                         // Cannot leave right now (e.g. an insert is in
                         // flight); decline the merge so the requester retries.
                         self.merge_started = None;
@@ -927,25 +936,16 @@ impl PeerNode {
         }
     }
 
-    // ---- storage event glue -----------------------------------------------
+    // ---- storage ------------------------------------------------------------
 
-    fn process_storage_events(
-        &mut self,
-        now: SimTime,
-        events: Vec<StorageEvent>,
-        _out: &mut Effects<PeerMsg>,
-    ) {
-        for event in events {
-            self.note(now, "storage", event.tag(), String::new);
-            match event {
-                StorageEvent::SnapshotDue => {
-                    // Periodic WAL compaction: only rewrite the image once
-                    // enough records accumulated to make it worthwhile.
-                    if self.storage.as_ref().is_some_and(|s| s.snapshot_due()) {
-                        self.persist_snapshot();
-                    }
-                }
-            }
+    /// The periodic snapshot tick: re-arm it, then compact the WAL, but only
+    /// rewrite the image once enough records accumulated to make it
+    /// worthwhile.
+    fn on_snapshot_tick(&mut self, now: SimTime, out: &mut Effects<PeerMsg>) {
+        out.timer(SNAPSHOT_PERIOD, PeerMsg::SnapshotTick);
+        self.note(now, "storage", "SnapshotDue", String::new);
+        if self.storage.as_ref().is_some_and(|s| s.snapshot_due()) {
+            self.persist_snapshot();
         }
     }
 
@@ -1047,7 +1047,7 @@ impl PeerNode {
         // this peer still owns. A refused insert reports
         // `InsertSuccAborted`, which cancels the split.
         let ctx = self.layer_ctx(now);
-        let (_, ring_events) = self
+        let ((), ring_events) = self
             .ring
             .with(out, |ring, fx| ring.insert_succ(ctx, free, new_value, fx));
         self.process_ring_events(now, ring_events, out);
@@ -1056,11 +1056,14 @@ impl PeerNode {
     /// Re-routes an item insert/delete that bounced off a non-responsible
     /// peer, giving up after [`MAX_ITEM_ATTEMPTS`].
     fn retry_item_op(&mut self, _now: SimTime, mapped: u64, out: &mut Effects<PeerMsg>) {
+        // The lowest id of the key's pending inserts: a choice that does not
+        // depend on the map's per-process iteration order.
         let insert_id = self
             .pending_inserts
             .iter()
-            .find(|(_, p)| p.mapped == mapped)
-            .map(|(id, _)| *id);
+            .filter(|(_, p)| p.mapped == mapped)
+            .map(|(id, _)| *id)
+            .min();
         if let Some(id) = insert_id {
             let retry = {
                 let pending = self.pending_inserts.get_mut(&id).expect("present");
@@ -1130,27 +1133,6 @@ impl PeerNode {
     }
 
     // ---- routing -----------------------------------------------------------
-
-    fn route_scan_start(
-        &mut self,
-        now: SimTime,
-        query: QueryId,
-        interval: KeyInterval,
-        pepper: bool,
-        out: &mut Effects<PeerMsg>,
-    ) {
-        self.handle_route(
-            now,
-            interval.lo(),
-            RoutePayload::ScanStart {
-                query,
-                interval,
-                pepper,
-            },
-            0,
-            out,
-        );
-    }
 
     fn deliver_locally(&mut self, now: SimTime, payload: RoutePayload, out: &mut Effects<PeerMsg>) {
         let msg = match payload {
@@ -1924,6 +1906,143 @@ mod tests {
         node.on_route_guard(SimTime::from_secs(1), 7, &mut out);
         assert!(out.is_empty());
         assert_eq!(node.router().entries(), &before[..]);
+    }
+
+    /// The delays of the snapshot ticks `out` arms.
+    fn snapshot_ticks(out: &Effects<PeerMsg>) -> Vec<Duration> {
+        out.iter()
+            .filter_map(|e| match e {
+                pepper_net::Effect::Timer {
+                    delay,
+                    msg: PeerMsg::SnapshotTick,
+                } => Some(*delay),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_snapshot_tick_is_armed_once_per_incarnation_and_rearms_every_period() {
+        let metrics = TraceConfig {
+            metrics: true,
+            ..TraceConfig::off()
+        };
+        // `start_layers` runs on `start` and again on every `Joined`; only
+        // the first run arms the tick, staggered by the peer's id.
+        let mut node = PeerNode::first(
+            PeerId(90),
+            PeerValue(1),
+            SystemConfig::fast(),
+            FreePool::new(),
+        );
+        let mut out = Effects::new();
+        node.start_layers(SimTime::ZERO, &mut out);
+        let stagger = Duration::from_micros(7 * 270);
+        assert_eq!(snapshot_ticks(&out), [SNAPSHOT_PERIOD / 2 + stagger]);
+        out.drain();
+        node.start_layers(SimTime::from_secs(1), &mut out);
+        assert!(snapshot_ticks(&out).is_empty());
+
+        // On the simulator: ticks at 5 s, 15 s and 25 s (plus the stagger),
+        // each counted under its message tag and the due check.
+        let mut sim: Simulator<PeerNode> = Simulator::new(NetworkConfig::lan(1));
+        let first = sim.add_node(move |id| {
+            PeerNode::first(id, PeerValue(1), SystemConfig::fast(), FreePool::new())
+                .with_trace(&metrics)
+        });
+        sim.with_node_ctx(first, |node, ctx| node.start(ctx));
+        let counted = |sim: &Simulator<PeerNode>| {
+            let m = sim.node(first).expect("alive").metrics();
+            (
+                m.counter("storage", "SnapshotTick"),
+                m.counter("storage", "SnapshotDue"),
+            )
+        };
+        sim.run_for(Duration::from_millis(4_900));
+        assert_eq!(counted(&sim), (0, 0));
+        sim.run_for(Duration::from_secs(10));
+        assert_eq!(counted(&sim), (1, 1));
+        sim.run_for(Duration::from_secs(11));
+        assert_eq!(counted(&sim), (3, 3));
+    }
+
+    #[test]
+    fn a_snapshot_tick_writes_a_snapshot_only_when_due() {
+        let metrics = TraceConfig {
+            metrics: true,
+            ..TraceConfig::off()
+        };
+        let storage = PeerStorage::new_mem(
+            1,
+            pepper_storage::StorageConfig {
+                snapshot_after_records: 2,
+            },
+        );
+        let mut node = PeerNode::first(
+            PeerId(1),
+            PeerValue(1),
+            SystemConfig::fast(),
+            FreePool::new(),
+        )
+        .with_storage(storage)
+        .with_trace(&metrics);
+        let written = |node: &PeerNode| node.metrics().counter("storage", "snapshot_write");
+        let tick = |node: &mut PeerNode| {
+            let mut out = Effects::new();
+            node.dispatch(
+                SimTime::from_secs(5),
+                PeerId(1),
+                PeerMsg::SnapshotTick,
+                &mut out,
+            );
+            assert_eq!(snapshot_ticks(&out), [SNAPSHOT_PERIOD], "the tick re-arms");
+        };
+        tick(&mut node);
+        assert_eq!(written(&node), 0, "nothing journaled since the last image");
+        node.storage.as_mut().expect("attached").log_item_delete(3);
+        tick(&mut node);
+        assert_eq!(written(&node), 0, "one record is not enough");
+        node.storage.as_mut().expect("attached").log_item_delete(4);
+        tick(&mut node);
+        assert_eq!(written(&node), 1);
+        assert!(!node.storage().expect("attached").snapshot_due());
+        assert_eq!(node.metrics().counter("storage", "SnapshotDue"), 3);
+    }
+
+    #[test]
+    fn a_bounce_retries_the_lowest_pending_insert_of_its_key() {
+        // Free peers route nowhere: every insert bounces back to its issuer,
+        // and each bounce re-sends one pending insert of the bounced key. Of
+        // two inserts of one key, the one picked fails first — the lower
+        // id, in every run of the seed and on every peer.
+        let pool = FreePool::new();
+        let mut sim: Simulator<PeerNode> = Simulator::new(NetworkConfig::lan(5));
+        let peers: Vec<PeerId> = (0..16)
+            .map(|_| {
+                let pool = pool.clone();
+                sim.add_node(move |id| PeerNode::free(id, SystemConfig::fast(), pool))
+            })
+            .collect();
+        for &p in &peers {
+            for seq in [1, 2] {
+                let item = Item::new(ItemId::new(p, seq), SearchKey(7), "x");
+                sim.with_node_ctx(p, |node, ctx| node.insert_item(ctx, item));
+            }
+        }
+        sim.run_for(Duration::from_secs(3));
+        for &p in &peers {
+            let failed: Vec<ItemId> = sim
+                .node(p)
+                .expect("alive")
+                .observations()
+                .iter()
+                .filter_map(|o| match o {
+                    Observation::InsertFailed { item } => Some(*item),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(failed, [ItemId::new(p, 1), ItemId::new(p, 2)], "{p:?}");
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Deterministic discrete-event network substrate.
 //!
 //! The paper evaluates its protocols on a real 30-peer deployment spread over
-//! a 10-machine LAN. This crate provides the substitute substrate described
-//! in `DESIGN.md`: a **deterministic discrete-event simulator** in which every
+//! a 10-machine LAN. This crate provides the substitute substrate (see
+//! ARCHITECTURE.md): a **deterministic discrete-event simulator** in which every
 //! peer is a state machine ([`Node`]) driven by messages and timers, message
 //! delivery latency follows a configurable [`LatencyModel`], peers can be
 //! killed (fail-stop) and revived between runs, and all measurements are

@@ -40,7 +40,7 @@ use pepper_types::PeerId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::effect::{Effect, Effects, LayerCtx};
+use crate::effect::{Effect, Effects};
 use crate::latency::NetworkConfig;
 use crate::stats::NetStats;
 use crate::time::SimTime;
@@ -113,11 +113,6 @@ impl<'a, M> Context<'a, M> {
         self.is_timer
     }
 
-    /// A [`LayerCtx`] snapshot for handing to protocol-layer functions.
-    pub fn layer(&self) -> LayerCtx {
-        LayerCtx::new(self.self_id, self.now)
-    }
-
     /// Sends `msg` to `to` (delivered after the network latency).
     pub fn send(&mut self, to: PeerId, msg: M) {
         self.out.send(to, msg);
@@ -133,12 +128,6 @@ impl<'a, M> Context<'a, M> {
     /// as their `out`, so layer effects are mapped straight into it.
     pub fn effects(&mut self) -> &mut Effects<M> {
         self.out
-    }
-
-    /// Applies a buffer of layer effects, wrapping each layer message into
-    /// this node's message type.
-    pub fn apply<L>(&mut self, effects: Effects<L>, wrap: impl FnMut(L) -> M) {
-        self.out.absorb(effects, wrap);
     }
 }
 

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pepper_net::{Effects, LayerCtx, ProtocolLayer};
-use pepper_types::{CircularRange, Item, KeyInterval, PeerId, Protocol, SystemConfig};
+use pepper_types::{CircularRange, Item, PeerId, Protocol, SystemConfig};
 
 use crate::events::ReplEvent;
 use crate::messages::{Batch, BatchStamp, ReplMsg};
@@ -23,14 +23,10 @@ pub struct ReplicationManager {
     /// through [`Self::store_changed`], which empties this.
     walked: Vec<(PeerId, BatchStamp)>,
     timers_started: bool,
-    /// Number of replica pushes received (metrics).
-    pushes_received: u64,
     /// Pushes recognised in `walked` and not walked again (metrics).
     pushes_skipped: u64,
     /// Pushes walked that installed nothing (metrics).
     pushes_noop_walked: u64,
-    /// Number of extra-hop pushes performed (metrics).
-    extra_hop_pushes: u64,
     /// Events buffered for the composed peer.
     events: Vec<ReplEvent>,
 }
@@ -44,10 +40,8 @@ impl ReplicationManager {
             replica_store: BTreeMap::new(),
             walked: Vec::new(),
             timers_started: false,
-            pushes_received: 0,
             pushes_skipped: 0,
             pushes_noop_walked: 0,
-            extra_hop_pushes: 0,
             events: Vec::new(),
         }
     }
@@ -65,15 +59,9 @@ impl ReplicationManager {
             .collect()
     }
 
-    /// Whether a replica for `mapped` is currently held (used by the
-    /// whole-system replication oracle).
+    /// Whether a replica for `mapped` is currently held.
     pub fn holds_replica(&self, mapped: u64) -> bool {
         self.replica_store.contains_key(&mapped)
-    }
-
-    /// Number of replica pushes received (metrics).
-    pub fn pushes_received(&self) -> u64 {
-        self.pushes_received
     }
 
     /// Of the pushes received, how many carried a batch this peer had
@@ -87,11 +75,6 @@ impl ReplicationManager {
     /// installed nothing — the redundancy the skip does not catch.
     pub fn pushes_noop_walked(&self) -> u64 {
         self.pushes_noop_walked
-    }
-
-    /// Number of additional-hop pushes performed (metrics).
-    pub fn extra_hop_pushes(&self) -> u64 {
-        self.extra_hop_pushes
     }
 
     /// Pushes this peer's items to its `k` nearest successors (one refresh
@@ -174,7 +157,6 @@ impl ReplicationManager {
             .get(self.cfg.replication_factor)
             .copied()
             .unwrap_or_else(|| *candidates.last().expect("non-empty"));
-        self.extra_hop_pushes += 1;
         fx.send(
             target,
             ReplMsg::Push {
@@ -223,15 +205,6 @@ impl ReplicationManager {
     pub fn install_replicas(&mut self, items: Vec<(u64, Item)>) {
         self.replica_store.extend(items);
         self.store_changed();
-    }
-
-    /// Returns the replicas in a linear interval without removing them
-    /// (used by oracles and tests).
-    pub fn replicas_in_interval(&self, iv: &KeyInterval) -> Vec<(u64, Item)> {
-        self.replica_store
-            .range(iv.lo()..=iv.hi())
-            .map(|(k, v)| (*k, v.clone()))
-            .collect()
     }
 
     /// Drops replicas that are now owned by this peer itself (they live in
@@ -301,7 +274,6 @@ impl ProtocolLayer for ReplicationManager {
                 stamp,
                 extra_hop: _,
             } => {
-                self.pushes_received += 1;
                 if stamp.is_some_and(|stamp| self.walked.contains(&(from, stamp))) {
                     self.pushes_skipped += 1;
                     // Debug builds (the test suite, the harness seed matrix)
@@ -470,7 +442,6 @@ mod tests {
         );
         assert!(!refreshed);
         assert_eq!(rm.replica_count(), 2);
-        assert_eq!(rm.pushes_received(), 1);
         assert!(rm.holds_replica(10) && rm.holds_replica(20));
         assert!(!rm.holds_replica(30));
         assert!(fx.is_empty());
@@ -497,12 +468,7 @@ mod tests {
         let keys: Vec<u64> = revived.iter().map(|(k, _)| *k).collect();
         assert_eq!(keys, vec![10, 20]);
         // Taken replicas are removed; the rest stays.
-        assert_eq!(rm.replica_count(), 1);
-        assert_eq!(
-            rm.replicas_in_interval(&KeyInterval::new(0, 100).unwrap())
-                .len(),
-            1
-        );
+        assert_eq!(rm.replicas(), vec![item(30)]);
     }
 
     #[test]
@@ -526,7 +492,6 @@ mod tests {
         let own = vec![item(10)];
         let succs = vec![PeerId(1), PeerId(2), PeerId(3), PeerId(4)];
         assert!(rm.replicate_additional_hop(ctx(0), &own, &succs, &mut fx));
-        assert_eq!(rm.extra_hop_pushes(), 1);
         let effects = fx.drain();
         // The main extra-hop push — own items, then the held replicas — goes
         // to the (k+1)-th successor (index 2).
@@ -787,7 +752,6 @@ mod tests {
         for round in 1..=3 {
             assert!(deliver(&mut rm, PeerId(0), &batch, Some(stamp(1, 5))).is_empty());
             assert_eq!(rm.pushes_skipped(), round);
-            assert_eq!(rm.pushes_received(), 1 + round);
         }
         assert_eq!(rm.pushes_noop_walked(), 0);
         // The memo is per sender: the same stamp from another peer names
@@ -940,7 +904,6 @@ mod tests {
             assert_eq!(memo.replicas(), reference.replicas(), "step {step}");
         }
         assert_eq!(reference.pushes_skipped(), 0);
-        assert_eq!(memo.pushes_received(), reference.pushes_received());
         assert!(
             memo.pushes_skipped() > 200 && memo.pushes_noop_walked() > 0,
             "the sequence must exercise both: {} skipped, {} walked for nothing",

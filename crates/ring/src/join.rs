@@ -9,8 +9,8 @@
 //! list right away — which is exactly what allows the inconsistent-ring
 //! scenario of Section 4.2.1.
 
-use pepper_net::{Effects, LayerCtx, SimTime};
-use pepper_types::{Error, PeerId, PeerValue, Protocol, Result};
+use pepper_net::{Effects, LayerCtx, ProtocolLayer, SimTime};
+use pepper_types::{PeerId, PeerValue, Protocol};
 
 use crate::entry::{EntryState, RingPhase, SuccEntry};
 use crate::events::RingEvent;
@@ -24,17 +24,18 @@ impl RingState {
     /// With the PEPPER protocol the operation completes asynchronously: a
     /// [`RingEvent::InsertSuccComplete`] is emitted once the new peer has
     /// installed its successor list and confirmed. With the naive protocol
-    /// the join message is sent immediately.
+    /// the join message is sent immediately. A peer that is not `JOINED`
+    /// refuses with [`RingEvent::InsertSuccAborted`].
     pub fn insert_succ(
         &mut self,
         ctx: LayerCtx,
         new_peer: PeerId,
         new_value: PeerValue,
         fx: &mut Effects<RingMsg>,
-    ) -> Result<()> {
+    ) {
         if self.phase != RingPhase::Joined {
             self.emit(RingEvent::InsertSuccAborted { new_peer });
-            return Err(Error::NotJoined(self.id));
+            return;
         }
         self.pending_insert = Some(PendingInsert {
             new_peer,
@@ -77,7 +78,7 @@ impl RingState {
                     your_value: new_value,
                 },
             );
-            return Ok(());
+            return;
         }
 
         // PEPPER insertSucc: insert as JOINING and wait for the ack.
@@ -99,7 +100,6 @@ impl RingState {
                 self.on_join_ack(ctx, new_peer, fx);
             }
         }
-        Ok(())
     }
 
     /// Handles the join ack: every relevant predecessor now knows about the
@@ -255,8 +255,7 @@ mod tests {
         p5.succ_list = vec![joined(1, 10), joined(2, 20)];
         p5.pred = Some((PeerId(4), PeerValue(40)));
         let mut fx = Effects::new();
-        p5.insert_succ(ctx_at(5, 1), PeerId(9), PeerValue(55), &mut fx)
-            .unwrap();
+        p5.insert_succ(ctx_at(5, 1), PeerId(9), PeerValue(55), &mut fx);
         assert_eq!(p5.phase(), RingPhase::Inserting);
         assert_eq!(p5.succ_list()[0].peer, PeerId(9));
         assert_eq!(p5.succ_list()[0].state, EntryState::Joining);
@@ -282,8 +281,7 @@ mod tests {
             SystemConfig::fast().with_succ_list_len(3),
         );
         let mut fx = Effects::new();
-        p.insert_succ(ctx_at(0, 1), PeerId(1), PeerValue(200), &mut fx)
-            .unwrap();
+        p.insert_succ(ctx_at(0, 1), PeerId(1), PeerValue(200), &mut fx);
         // The join message is sent straight away because no other peer needs
         // to learn about the new one.
         assert!(fx.iter().any(|e| matches!(
@@ -307,8 +305,7 @@ mod tests {
         p5.succ_list = vec![joined(1, 10), joined(2, 20)];
         p5.pred = Some((PeerId(4), PeerValue(40)));
         let mut fx = Effects::new();
-        p5.insert_succ(ctx_at(5, 1), PeerId(9), PeerValue(55), &mut fx)
-            .unwrap();
+        p5.insert_succ(ctx_at(5, 1), PeerId(9), PeerValue(55), &mut fx);
         assert_eq!(p5.phase(), RingPhase::Joined);
         assert_eq!(p5.succ_list()[0].peer, PeerId(9));
         assert_eq!(p5.succ_list()[0].state, EntryState::Joined);
@@ -333,10 +330,8 @@ mod tests {
         );
         p.phase = RingPhase::Leaving;
         let mut fx = Effects::new();
-        let err = p
-            .insert_succ(ctx_at(5, 1), PeerId(9), PeerValue(55), &mut fx)
-            .unwrap_err();
-        assert_eq!(err, Error::NotJoined(PeerId(5)));
+        p.insert_succ(ctx_at(5, 1), PeerId(9), PeerValue(55), &mut fx);
+        assert!(fx.is_empty());
         assert!(matches!(
             p.drain_events()[0],
             RingEvent::InsertSuccAborted { new_peer } if new_peer == PeerId(9)
@@ -353,8 +348,7 @@ mod tests {
         p5.succ_list = vec![joined(1, 10), joined(2, 20)];
         p5.pred = Some((PeerId(4), PeerValue(40)));
         let mut fx = Effects::new();
-        p5.insert_succ(ctx_at(5, 1), PeerId(9), PeerValue(55), &mut fx)
-            .unwrap();
+        p5.insert_succ(ctx_at(5, 1), PeerId(9), PeerValue(55), &mut fx);
         fx.drain();
 
         p5.on_join_ack(ctx_at(5, 2), PeerId(9), &mut fx);
@@ -396,8 +390,7 @@ mod tests {
         p5.succ_list = vec![joined(1, 10)];
         p5.pred = Some((PeerId(4), PeerValue(40)));
         let mut fx = Effects::new();
-        p5.insert_succ(ctx_at(5, 1), PeerId(9), PeerValue(55), &mut fx)
-            .unwrap();
+        p5.insert_succ(ctx_at(5, 1), PeerId(9), PeerValue(55), &mut fx);
         fx.drain();
         p5.on_join_ack(ctx_at(5, 2), PeerId(77), &mut fx);
         assert_eq!(p5.phase(), RingPhase::Inserting);
@@ -468,8 +461,7 @@ mod tests {
         p5.succ_list = vec![joined(1, 10)];
         p5.pred = Some((PeerId(4), PeerValue(40)));
         let mut fx = Effects::new();
-        p5.insert_succ(ctx_at(5, 1), PeerId(9), PeerValue(55), &mut fx)
-            .unwrap();
+        p5.insert_succ(ctx_at(5, 1), PeerId(9), PeerValue(55), &mut fx);
         p5.on_join_ack(ctx_at(5, 2), PeerId(9), &mut fx);
         p5.drain_events();
         p5.on_join_installed(ctx_at(5, 3), PeerId(9));

@@ -11,7 +11,7 @@
 //! single subsequent failure to disconnect the ring (Figure 14).
 
 use pepper_net::{Effects, LayerCtx};
-use pepper_types::{Error, Protocol, Result};
+use pepper_types::Protocol;
 
 use crate::entry::RingPhase;
 use crate::events::RingEvent;
@@ -23,10 +23,11 @@ impl RingState {
     ///
     /// With the PEPPER protocol [`RingEvent::LeaveComplete`] is emitted once
     /// the leave ack arrives; with the naive protocol it is emitted
-    /// immediately and the peer departs on the spot.
-    pub fn leave(&mut self, ctx: LayerCtx, fx: &mut Effects<RingMsg>) -> Result<()> {
+    /// immediately and the peer departs on the spot. Returns `false`, doing
+    /// nothing, when this peer is not `JOINED`.
+    pub fn leave(&mut self, ctx: LayerCtx, fx: &mut Effects<RingMsg>) -> bool {
         if self.phase != RingPhase::Joined {
-            return Err(Error::NotJoined(self.id));
+            return false;
         }
         self.leave_started = Some(ctx.now);
 
@@ -36,7 +37,7 @@ impl RingState {
             self.emit(RingEvent::LeaveComplete {
                 elapsed: std::time::Duration::ZERO,
             });
-            return Ok(());
+            return true;
         }
 
         self.phase = RingPhase::Leaving;
@@ -48,7 +49,7 @@ impl RingState {
                 self.on_leave_ack(ctx);
             }
         }
-        Ok(())
+        true
     }
 
     /// Handles the leave ack: all predecessors pointing at this peer have
@@ -98,7 +99,7 @@ mod tests {
         p.succ_list = vec![joined(1, 10), joined(2, 20)];
         p.pred = Some((PeerId(5), PeerValue(50)));
         let mut fx = Effects::new();
-        p.leave(ctx_at(7, 10), &mut fx).unwrap();
+        assert!(p.leave(ctx_at(7, 10), &mut fx));
         assert_eq!(p.phase(), RingPhase::Leaving);
         assert!(p.drain_events().is_empty());
         // Predecessor is poked proactively.
@@ -135,7 +136,7 @@ mod tests {
         p.succ_list = vec![joined(1, 10)];
         p.pred = Some((PeerId(5), PeerValue(50)));
         let mut fx = Effects::new();
-        p.leave(ctx_at(7, 10), &mut fx).unwrap();
+        assert!(p.leave(ctx_at(7, 10), &mut fx));
         assert!(matches!(
             p.drain_events()[0],
             RingEvent::LeaveComplete { elapsed } if elapsed == Duration::ZERO
@@ -152,7 +153,7 @@ mod tests {
             SystemConfig::fast().with_succ_list_len(2),
         );
         let mut fx = Effects::new();
-        p.leave(ctx_at(0, 3), &mut fx).unwrap();
+        assert!(p.leave(ctx_at(0, 3), &mut fx));
         assert!(p
             .drain_events()
             .iter()
@@ -168,9 +169,9 @@ mod tests {
         );
         p.phase = RingPhase::Inserting;
         let mut fx = Effects::new();
-        assert!(p.leave(ctx_at(7, 1), &mut fx).is_err());
+        assert!(!p.leave(ctx_at(7, 1), &mut fx));
         let mut free = RingState::new_free(PeerId(8), SystemConfig::fast().with_succ_list_len(2));
-        assert!(free.leave(ctx_at(8, 1), &mut fx).is_err());
+        assert!(!free.leave(ctx_at(8, 1), &mut fx));
     }
 
     #[test]

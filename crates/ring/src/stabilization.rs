@@ -31,12 +31,6 @@ impl RingState {
         self.run_stabilization(ctx, fx);
     }
 
-    /// Proactive stabilization request from a successor that has an
-    /// in-flight `insertSucc` / `leave`.
-    pub(crate) fn on_stabilize_now(&mut self, ctx: LayerCtx, fx: &mut Effects<RingMsg>) {
-        self.run_stabilization(ctx, fx);
-    }
-
     /// The peer this node currently stabilizes with: the first `JOINED`
     /// successor. `JOINING` entries (including the head while an
     /// `insertSucc` is in flight) are skipped by *state*, never by position
@@ -132,7 +126,7 @@ impl RingState {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_stab_response(
         &mut self,
-        _ctx: LayerCtx,
+        ctx: LayerCtx,
         from: PeerId,
         their_list: Vec<SuccEntry>,
         responder_state: EntryState,
@@ -249,12 +243,12 @@ impl RingState {
                     if len >= 3 {
                         let inserter = self.succ_list[len - 3].peer;
                         if inserter == self.id {
-                            self.complete_pending_insert_locally(_ctx, joining, fx);
+                            self.on_join_ack(ctx, joining, fx);
                         } else {
                             fx.send(inserter, RingMsg::JoinAck { joining });
                         }
                     } else {
-                        self.complete_pending_insert_locally(_ctx, joining, fx);
+                        self.on_join_ack(ctx, joining, fx);
                     }
                 }
                 EntryState::Leaving => {
@@ -274,17 +268,6 @@ impl RingState {
                 }
             }
         }
-    }
-
-    /// Local shortcut for the join ack when this peer is itself the inserter
-    /// of the penultimate JOINING entry (tiny rings).
-    fn complete_pending_insert_locally(
-        &mut self,
-        ctx: LayerCtx,
-        joining: PeerId,
-        fx: &mut Effects<RingMsg>,
-    ) {
-        self.on_join_ack(ctx, joining, fx);
     }
 }
 

@@ -158,12 +158,6 @@ impl RingState {
             .copied()
     }
 
-    /// The first successor entry of any state (the immediate neighbour,
-    /// which may be JOINING or LEAVING).
-    pub fn first_entry(&self) -> Option<SuccEntry> {
-        self.succ_list.first().copied()
-    }
-
     /// Whether this peer currently participates in the ring protocols.
     pub fn is_member(&self) -> bool {
         self.phase.is_member()
@@ -216,22 +210,6 @@ impl RingState {
     // ------------------------------------------------------------------
     // lifecycle
     // ------------------------------------------------------------------
-
-    /// Schedules the periodic stabilization and ping timers. Idempotent.
-    /// Timers are staggered by a small per-peer offset so that peers do not
-    /// stabilize in lockstep.
-    pub fn start_timers(&mut self, _ctx: LayerCtx, fx: &mut Effects<RingMsg>) {
-        if self.timers_started {
-            return;
-        }
-        self.timers_started = true;
-        let stagger = Duration::from_micros((self.id.raw() % 97) * 250);
-        fx.timer(
-            self.cfg.stabilization_period / 2 + stagger,
-            RingMsg::StabilizeTick,
-        );
-        fx.timer(self.cfg.ping_period / 2 + stagger, RingMsg::PingTick);
-    }
 
     /// Departs the ring: the peer becomes `FREE`, keeps no pointers, and
     /// stops answering ring traffic. Called by the layer above once a merge
@@ -370,30 +348,28 @@ impl ProtocolLayer for RingState {
     type Msg = RingMsg;
     type Event = RingEvent;
 
-    fn start_timers(&mut self, ctx: LayerCtx, fx: &mut Effects<RingMsg>) {
-        RingState::start_timers(self, ctx, fx);
+    /// Schedules the periodic stabilization and ping timers. Idempotent.
+    /// Timers are staggered by a small per-peer offset so that peers do not
+    /// stabilize in lockstep.
+    fn start_timers(&mut self, _ctx: LayerCtx, fx: &mut Effects<RingMsg>) {
+        if self.timers_started {
+            return;
+        }
+        self.timers_started = true;
+        let stagger = Duration::from_micros((self.id.raw() % 97) * 250);
+        fx.timer(
+            self.cfg.stabilization_period / 2 + stagger,
+            RingMsg::StabilizeTick,
+        );
+        fx.timer(self.cfg.ping_period / 2 + stagger, RingMsg::PingTick);
     }
 
     fn handle(&mut self, ctx: LayerCtx, from: PeerId, msg: RingMsg, fx: &mut Effects<RingMsg>) {
-        self.handle_inner(ctx, from, msg, fx);
-    }
-
-    fn drain_events(&mut self) -> Vec<RingEvent> {
-        std::mem::take(&mut self.events)
-    }
-}
-
-impl RingState {
-    fn handle_inner(
-        &mut self,
-        ctx: LayerCtx,
-        from: PeerId,
-        msg: RingMsg,
-        fx: &mut Effects<RingMsg>,
-    ) {
         match msg {
             RingMsg::StabilizeTick => self.on_stabilize_tick(ctx, fx),
-            RingMsg::StabilizeNow => self.on_stabilize_now(ctx, fx),
+            // The proactive poke of a successor with an in-flight
+            // `insertSucc` / `leave`: one round, no re-arm.
+            RingMsg::StabilizeNow => self.run_stabilization(ctx, fx),
             RingMsg::StabRequest { from_value } => self.on_stab_request(ctx, from, from_value, fx),
             RingMsg::StabResponse {
                 succ_list,
@@ -433,6 +409,10 @@ impl RingState {
             RingMsg::PingTimeout { target, seq } => self.on_ping_timeout(ctx, target, seq),
         }
     }
+
+    fn drain_events(&mut self) -> Vec<RingEvent> {
+        std::mem::take(&mut self.events)
+    }
 }
 
 #[cfg(test)]
@@ -465,7 +445,7 @@ mod tests {
         assert!(!s.is_member());
         assert!(s.stabilized_succ().is_none());
         assert!(s.best_succ().is_none());
-        assert!(s.first_entry().is_none());
+        assert!(s.succ_list().is_empty());
     }
 
     #[test]

@@ -33,7 +33,8 @@
 //! [`OpTrace::hash`]) and the same final state hash — every peer's durable
 //! bytes included ([`crate::cluster::Cluster::storage_digest`]); on
 //! violation the harness freezes a replayable [`FailureArtifact`] that
-//! `examples/harness_replay.rs` re-executes byte for byte.
+//! [`Harness::replay_artifact`] re-executes byte for byte (`experiments
+//! trace ARTIFACT` does so traced, and says whether it reproduced).
 
 pub mod invariants;
 pub mod oracle;

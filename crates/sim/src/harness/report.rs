@@ -5,8 +5,10 @@
 //! cluster was built from, the full concrete op trace up to (and including)
 //! the violating step, the violations themselves, and ring / Data Store
 //! dumps taken at the moment of the violation. The artifact is a plain text
-//! format: `FailureArtifact::parse` recovers everything replay needs, and
-//! `examples/harness_replay.rs` re-executes it byte for byte.
+//! format: `FailureArtifact::parse` recovers everything replay needs,
+//! [`Harness::replay_artifact`](super::Harness::replay_artifact) re-executes
+//! it byte for byte, and `experiments trace ARTIFACT` replays it traced and
+//! says whether it reproduced.
 
 use std::fmt::Write as _;
 use std::fs;

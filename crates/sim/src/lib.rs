@@ -14,7 +14,7 @@
 //!   replayable failure artifacts (see `TESTING.md`);
 //! * [`experiments`] — one driver per figure of the paper's evaluation
 //!   (Figures 19–23) plus the correctness / availability / item-availability
-//!   / load-balance ablations described in `DESIGN.md`.
+//!   / load-balance ablations (the driver table is in [`experiments`]).
 //!
 //! Every experiment runs in virtual time on the deterministic simulator, so
 //! results are reproducible for a given seed.

@@ -15,8 +15,8 @@
 //!   lazily (they are soft state a live ring re-pushes anyway);
 //! * a **snapshot** ([`snapshot`]) atomically captures the full durable
 //!   image (status, range, items, replicas) and truncates the WAL; the
-//!   composed peer writes one on every range change and periodically through
-//!   the [`StorageLayer`] timer;
+//!   composed peer writes one on every range change and on its periodic
+//!   snapshot tick;
 //! * the [`Vfs`] trait ([`vfs`]) hides the byte store: [`MemVfs`] is the
 //!   fully deterministic in-memory implementation the simulator uses, with
 //!   seeded crash-fault injection (lost un-synced suffixes, torn tail
@@ -35,13 +35,11 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod layer;
 pub mod peer;
 pub mod snapshot;
 pub mod vfs;
 pub mod wal;
 
-pub use layer::{StorageEvent, StorageLayer, StorageMsg};
 pub use peer::{DurableImage, PeerStorage, RecoveredState, RecoveryMode, StorageConfig};
 pub use snapshot::Snapshot;
 pub use vfs::{FileVfs, MemVfs, Vfs};

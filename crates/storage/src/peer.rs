@@ -11,10 +11,9 @@
 //!   state that live owners re-push every refresh period, so losing the
 //!   un-synced tail in a crash costs nothing the protocol has promised —
 //!   and it is exactly what gives the fault injector real torn tails to cut;
-//! * every range change (and the periodic [`StorageLayer`]
-//!   tick) writes a fresh snapshot and truncates the WAL.
-//!
-//! [`StorageLayer`]: crate::StorageLayer
+//! * every range change writes a fresh snapshot and truncates the WAL, and
+//!   so does the composed peer's periodic snapshot tick once
+//!   [`PeerStorage::snapshot_due`].
 
 use std::collections::BTreeMap;
 
@@ -117,11 +116,6 @@ impl PeerStorage {
     /// The storage configuration.
     pub fn config(&self) -> &StorageConfig {
         &self.cfg
-    }
-
-    /// Records appended since the last snapshot.
-    pub fn wal_records_since_snapshot(&self) -> usize {
-        self.wal_records
     }
 
     /// Whether the periodic tick should rewrite the snapshot.
@@ -344,7 +338,6 @@ mod tests {
         assert!(st.snapshot_due());
         st.write_snapshot(&image(&[]));
         assert!(!st.snapshot_due());
-        assert_eq!(st.wal_records_since_snapshot(), 0);
     }
 
     #[test]

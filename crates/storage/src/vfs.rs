@@ -104,11 +104,6 @@ impl MemVfs {
             file.unsynced.clear();
         }
     }
-
-    /// Total durable bytes across all files (a storage-size proxy).
-    pub fn durable_bytes(&self) -> usize {
-        self.files.values().map(|f| f.durable.len()).sum()
-    }
 }
 
 impl Vfs for MemVfs {
@@ -312,7 +307,6 @@ mod tests {
         vfs.sync("wal");
         vfs.truncate("wal");
         assert_eq!(vfs.read("wal").unwrap(), b"");
-        assert_eq!(vfs.durable_bytes(), 0);
     }
 
     #[test]

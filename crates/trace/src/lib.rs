@@ -11,7 +11,7 @@
 //!   event that carried it. Because both components are canonical simulator
 //!   state — never wall clocks, never RNG draws — traces are byte-identical
 //!   across thread counts and shard layouts.
-//! * [`TraceEvent`] / [`TraceSink`] / [`Tracer`] — structured events
+//! * [`TraceEvent`] / [`Tracer`] — structured events
 //!   recorded into a bounded per-peer ring buffer ([`RingSink`]). The
 //!   disabled default ([`Tracer::off`]) reduces every record call to an
 //!   inlined discriminant check, so tracing costs nothing measurable when
@@ -41,7 +41,7 @@ pub use chrome::chrome_trace_json;
 pub use cid::Cid;
 pub use event::{render_trace, TraceEvent};
 pub use metrics::{Histogram, Metrics};
-pub use sink::{RingSink, TraceSink, Tracer};
+pub use sink::{RingSink, Tracer};
 
 /// Per-peer tracing/metrics configuration, threaded from the harness down
 /// to every composed peer.
@@ -80,11 +80,6 @@ impl TraceConfig {
         }
     }
 
-    /// Returns `true` if neither tracing nor metrics is requested.
-    pub fn is_off(&self) -> bool {
-        !self.tracing && !self.metrics
-    }
-
     /// Builder: sets the per-peer ring-buffer capacity.
     pub fn with_ring_capacity(mut self, cap: usize) -> Self {
         self.ring_capacity = cap;
@@ -98,10 +93,11 @@ mod tests {
 
     #[test]
     fn config_defaults_off() {
-        assert!(TraceConfig::default().is_off());
-        assert!(TraceConfig::off().is_off());
+        let off = TraceConfig::off();
+        assert_eq!(off, TraceConfig::default());
+        assert!(!off.tracing && !off.metrics);
         let on = TraceConfig::enabled().with_ring_capacity(16);
-        assert!(!on.is_off());
+        assert!(on.tracing && on.metrics);
         assert_eq!(on.ring_capacity, 16);
     }
 }

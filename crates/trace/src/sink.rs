@@ -5,33 +5,13 @@ use std::collections::VecDeque;
 use crate::cid::Cid;
 use crate::event::TraceEvent;
 
-/// Where recorded trace events go.
-///
-/// The contract has two halves:
-///
-/// * **recording** must be deterministic: a sink may bound, sample or drop
-///   events, but only as a function of the events it has seen (never of
-///   wall time or thread identity);
-/// * **cost when unused**: the stack never calls `record` unless a sink is
-///   installed (see [`Tracer`]), so implementations do not need their own
-///   fast path for the disabled case.
-pub trait TraceSink: Send {
-    /// Records one event.
-    fn record(&mut self, ev: TraceEvent);
-
-    /// The events currently retained, oldest first.
-    fn snapshot(&self) -> Vec<TraceEvent> {
-        Vec::new()
-    }
-
-    /// How many events were discarded due to bounding.
-    fn dropped(&self) -> u64 {
-        0
-    }
-}
-
 /// A bounded ring buffer of trace events: keeps the most recent
 /// `capacity` events, counting what it evicts.
+///
+/// Recording is deterministic: what is kept or evicted depends only on the
+/// events recorded, never on wall time or thread identity. The stack never
+/// calls [`RingSink::record`] unless a sink is installed (see [`Tracer`]),
+/// so the sink needs no fast path of its own for the disabled case.
 #[derive(Debug)]
 pub struct RingSink {
     capacity: usize,
@@ -48,10 +28,9 @@ impl RingSink {
             dropped: 0,
         }
     }
-}
 
-impl TraceSink for RingSink {
-    fn record(&mut self, ev: TraceEvent) {
+    /// Records one event, evicting the oldest when full.
+    pub fn record(&mut self, ev: TraceEvent) {
         if self.events.len() == self.capacity {
             self.events.pop_front();
             self.dropped += 1;
@@ -59,18 +38,20 @@ impl TraceSink for RingSink {
         self.events.push_back(ev);
     }
 
-    fn snapshot(&self) -> Vec<TraceEvent> {
+    /// The events currently retained, oldest first.
+    pub fn snapshot(&self) -> Vec<TraceEvent> {
         self.events.iter().cloned().collect()
     }
 
-    fn dropped(&self) -> u64 {
+    /// How many events were evicted so far.
+    pub fn dropped(&self) -> u64 {
         self.dropped
     }
 }
 
 /// The per-peer tracing handle: either off (the default — every record
 /// call reduces to an inlined `Option` check and the event, including its
-/// detail string, is never built) or recording into a boxed [`TraceSink`].
+/// detail string, is never built) or recording into a boxed [`RingSink`].
 ///
 /// The tracer also carries the *current* correlation id, stamped by the
 /// node at the start of each event handling, so deeper layers can record

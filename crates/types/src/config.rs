@@ -52,7 +52,7 @@ pub struct SystemConfig {
     pub replica_refresh_period: Duration,
     /// Period of the content-router maintenance loop.
     pub router_refresh_period: Duration,
-    /// The map `M : K -> PV` used by the Data Store.
+    /// The map `M : K -> PV` used by the Data Store (the identity).
     pub key_map: KeyMap,
     /// PEPPER or the naive baselines.
     pub protocol: Protocol,
@@ -69,7 +69,7 @@ impl SystemConfig {
             replication_factor: 6,
             replica_refresh_period: Duration::from_secs(4),
             router_refresh_period: Duration::from_secs(4),
-            key_map: KeyMap::order_preserving(),
+            key_map: KeyMap,
             protocol: Protocol::Pepper,
         }
     }

@@ -5,11 +5,10 @@
 //! value from a domain `PV`. The Data Store owns a map `M : K -> PV`; a peer
 //! `p` stores every item `i` with `M(i.skv) ∈ (pred(p).val, p.val]`.
 //!
-//! Range indices such as P-Ring use an **order-preserving** map (the identity
-//! in the simplest case) so that range queries can be answered by scanning
-//! along the ring. Equality-only indices such as Chord/CFS use a **hashing**
-//! map, which balances load but destroys ordering. Both are provided here so
-//! the load-balance ablation (DESIGN.md, exD) can compare them.
+//! Range indices such as P-Ring need an **order-preserving** map so that range
+//! queries can be answered by scanning along the ring. [`KeyMap`] is the
+//! simplest one, the identity: the load-balance ablation compares key
+//! distributions, not maps.
 
 use std::fmt;
 
@@ -90,67 +89,18 @@ impl fmt::Display for PeerValue {
     }
 }
 
-/// Which map `M : K -> PV` the Data Store uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum KeyMapKind {
-    /// The identity map: order preserving, required for range queries.
-    #[default]
-    OrderPreserving,
-    /// A deterministic hash of the key: balances load with high probability
-    /// but destroys ordering (Chord/CFS style). Used as a baseline.
-    Hashed,
-}
-
-/// The map `M : K -> PV` applied by the Data Store before placing an item.
+/// The map `M : K -> PV` applied by the Data Store before placing an item:
+/// the identity, which preserves the order of `K` so that range queries can
+/// be evaluated by scanning along the ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct KeyMap {
-    kind: KeyMapKind,
-}
+pub struct KeyMap;
 
 impl KeyMap {
-    /// Creates the order-preserving (identity) map used by P-Ring.
-    pub const fn order_preserving() -> Self {
-        KeyMap {
-            kind: KeyMapKind::OrderPreserving,
-        }
-    }
-
-    /// Creates the hashing map used by equality-only indices.
-    pub const fn hashed() -> Self {
-        KeyMap {
-            kind: KeyMapKind::Hashed,
-        }
-    }
-
-    /// Returns which kind of map this is.
-    pub const fn kind(&self) -> KeyMapKind {
-        self.kind
-    }
-
     /// Maps a search key value to a peer value.
     #[inline]
     pub fn map(&self, key: SearchKey) -> PeerValue {
-        match self.kind {
-            KeyMapKind::OrderPreserving => PeerValue(key.0),
-            KeyMapKind::Hashed => PeerValue(splitmix64(key.0)),
-        }
+        PeerValue(key.0)
     }
-
-    /// Returns `true` when the map preserves the ordering of `K`, i.e. range
-    /// queries can be evaluated by scanning along the ring.
-    pub const fn is_order_preserving(&self) -> bool {
-        matches!(self.kind, KeyMapKind::OrderPreserving)
-    }
-}
-
-/// SplitMix64 finalizer: a cheap, high-quality 64-bit mixing function used as
-/// the deterministic hash behind [`KeyMapKind::Hashed`].
-#[inline]
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -166,8 +116,7 @@ mod tests {
 
     #[test]
     fn order_preserving_map_is_identity() {
-        let m = KeyMap::order_preserving();
-        assert!(m.is_order_preserving());
+        let m = KeyMap;
         for k in [0u64, 1, 42, u64::MAX] {
             assert_eq!(m.map(SearchKey(k)), PeerValue(k));
         }
@@ -175,32 +124,11 @@ mod tests {
 
     #[test]
     fn order_preserving_map_preserves_order() {
-        let m = KeyMap::order_preserving();
+        let m = KeyMap;
         let keys = [0u64, 5, 10, 1000, u64::MAX / 2, u64::MAX];
         for w in keys.windows(2) {
             assert!(m.map(SearchKey(w[0])) < m.map(SearchKey(w[1])));
         }
-    }
-
-    #[test]
-    fn hashed_map_is_deterministic_and_scrambles() {
-        let m = KeyMap::hashed();
-        assert!(!m.is_order_preserving());
-        assert_eq!(m.map(SearchKey(42)), m.map(SearchKey(42)));
-        // Consecutive keys should not map to consecutive values.
-        let a = m.map(SearchKey(1)).raw();
-        let b = m.map(SearchKey(2)).raw();
-        assert_ne!(a.wrapping_add(1), b);
-    }
-
-    #[test]
-    fn hashed_map_spreads_small_keys() {
-        let m = KeyMap::hashed();
-        // All values for keys 0..64 should be distinct (no obvious collisions).
-        let mut vals: Vec<u64> = (0..64).map(|k| m.map(SearchKey(k)).raw()).collect();
-        vals.sort_unstable();
-        vals.dedup();
-        assert_eq!(vals.len(), 64);
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //! * [`KeyInterval`] / [`RangeQuery`] — linear query intervals over `K`,
 //! * [`SystemConfig`] / [`Protocol`] — the tunable parameters used in
 //!   the paper's evaluation (successor list length, stabilization period,
-//!   storage factor, replication factor, …),
-//! * [`Error`] — the error type shared across the workspace.
+//!   storage factor, replication factor, …).
 //!
 //! Nothing in this crate knows about networking or protocols; it is purely
 //! the data model, so every other crate can depend on it without cycles.
@@ -24,7 +23,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod config;
-pub mod error;
 pub mod item;
 pub mod key;
 pub mod peer;
@@ -32,9 +30,8 @@ pub mod query;
 pub mod range;
 
 pub use config::{Protocol, SystemConfig};
-pub use error::{Error, Result};
 pub use item::{Item, ItemId};
-pub use key::{KeyMap, KeyMapKind, PeerValue, SearchKey};
+pub use key::{KeyMap, PeerValue, SearchKey};
 pub use peer::PeerId;
 pub use query::{Bound, RangeQuery};
 pub use range::{in_half_open, in_open, CircularRange, KeyInterval};

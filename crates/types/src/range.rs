@@ -119,11 +119,6 @@ impl KeyInterval {
     pub fn overlaps(&self, other: &KeyInterval) -> bool {
         self.intersect(other).is_some()
     }
-
-    /// Returns `true` iff `other` is entirely contained in `self`.
-    pub fn contains_interval(&self, other: &KeyInterval) -> bool {
-        self.lo <= other.lo && other.hi <= self.hi
-    }
 }
 
 impl fmt::Display for KeyInterval {
@@ -226,34 +221,6 @@ impl CircularRange {
         }
     }
 
-    /// Splits `(low, high]` at `mid` (which must lie strictly inside the
-    /// range, i.e. `mid ∈ range` and `mid != high`), producing the pair
-    /// `((low, mid], (mid, high])`.
-    ///
-    /// This is exactly the range hand-off performed by a Data Store split:
-    /// the splitting peer keeps `(low, mid]` (its value moves down to `mid`)
-    /// and the free peer takes `(mid, high]`.
-    pub fn split_at(&self, mid: impl Into<PeerValue>) -> Option<(CircularRange, CircularRange)> {
-        let mid = mid.into().raw();
-        if self.is_empty() {
-            return None;
-        }
-        if !self.contains(PeerValue(mid)) || mid == self.high {
-            return None;
-        }
-        let first = CircularRange {
-            low: self.low,
-            high: mid,
-            full: false,
-        };
-        let second = CircularRange {
-            low: mid,
-            high: self.high,
-            full: false,
-        };
-        Some((first, second))
-    }
-
     /// Extends this range by absorbing the range of its *successor*:
     /// `(low, high] ∪ (high, other_high] = (low, other_high]`.
     ///
@@ -315,11 +282,6 @@ impl CircularRange {
             }
         }
         out
-    }
-
-    /// Returns `true` iff the range overlaps the linear interval.
-    pub fn overlaps_interval(&self, iv: &KeyInterval) -> bool {
-        !self.intersect_interval(iv).is_empty()
     }
 }
 
@@ -388,8 +350,6 @@ mod tests {
         assert_eq!(a.intersect(&c), None);
         assert!(a.overlaps(&b));
         assert!(!a.overlaps(&c));
-        assert!(KeyInterval::full().contains_interval(&a));
-        assert!(!a.contains_interval(&KeyInterval::full()));
     }
 
     #[test]
@@ -423,45 +383,12 @@ mod tests {
     }
 
     #[test]
-    fn split_produces_adjacent_halves() {
-        let r = CircularRange::new(5u64, 10u64);
-        let (a, b) = r.split_at(7u64).unwrap();
-        assert_eq!(a, CircularRange::new(5u64, 7u64));
-        assert_eq!(b, CircularRange::new(7u64, 10u64));
-        // Every element of r is in exactly one half.
-        for v in 0u64..20 {
-            let in_r = r.contains(v);
-            let count = usize::from(a.contains(v)) + usize::from(b.contains(v));
-            assert_eq!(count, usize::from(in_r), "value {v}");
-        }
-        // Splitting at the high end or outside is rejected.
-        assert!(r.split_at(10u64).is_none());
-        assert!(r.split_at(4u64).is_none());
-    }
-
-    #[test]
-    fn split_wrapping_range() {
-        let r = CircularRange::new(20u64, 5u64);
-        let (a, b) = r.split_at(2u64).unwrap();
-        assert_eq!(a, CircularRange::new(20u64, 2u64));
-        assert_eq!(b, CircularRange::new(2u64, 5u64));
-        let (c, d) = r.split_at(30u64).unwrap();
-        assert_eq!(c, CircularRange::new(20u64, 30u64));
-        assert_eq!(d, CircularRange::new(30u64, 5u64));
-    }
-
-    #[test]
-    fn split_full_range() {
-        let f = CircularRange::full(10u64);
-        let (a, b) = f.split_at(4u64).unwrap();
-        assert_eq!(a, CircularRange::new(10u64, 4u64));
-        assert_eq!(b, CircularRange::new(4u64, 10u64));
-    }
-
-    #[test]
     fn merge_with_successor_rejoins_split() {
         let r = CircularRange::new(5u64, 10u64);
-        let (a, b) = r.split_at(7u64).unwrap();
+        let (a, b) = (
+            CircularRange::new(5u64, 7u64),
+            CircularRange::new(7u64, 10u64),
+        );
         assert_eq!(a.merge_with_successor(&b), Some(r));
         // Non-adjacent ranges cannot merge.
         let far = CircularRange::new(12u64, 20u64);
@@ -496,7 +423,6 @@ mod tests {
         assert_eq!(r.intersect_interval(&iv2), vec![iv2]);
         let iv3 = KeyInterval::new(11, 20).unwrap();
         assert!(r.intersect_interval(&iv3).is_empty());
-        assert!(!r.overlaps_interval(&iv3));
     }
 
     #[test]

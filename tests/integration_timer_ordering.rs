@@ -80,7 +80,8 @@ enum WireMsg {
 }
 
 /// Three timer layers composed exactly like the real peer: one `LayerSlot`
-/// per layer, started in a fixed order, dispatched by enum arm.
+/// per layer, started in a fixed order, dispatched by enum arm, each mapping
+/// its effects straight into the simulator's buffer.
 struct ThreeLayerNode {
     ring: LayerSlot<TickLayer, WireMsg>,
     ds: LayerSlot<TickLayer, WireMsg>,
@@ -99,12 +100,11 @@ impl ThreeLayerNode {
     }
 
     fn start(&mut self, ctx: &mut Context<'_, WireMsg>) {
-        let lctx = ctx.layer();
-        let mut out = Effects::new();
-        self.ring.start_timers(lctx, &mut out);
-        self.ds.start_timers(lctx, &mut out);
-        self.repl.start_timers(lctx, &mut out);
-        ctx.apply(out, |m| m);
+        let lctx = LayerCtx::new(ctx.self_id(), ctx.now());
+        let out = ctx.effects();
+        self.ring.start_timers(lctx, out);
+        self.ds.start_timers(lctx, out);
+        self.repl.start_timers(lctx, out);
     }
 }
 
@@ -112,24 +112,23 @@ impl Node for ThreeLayerNode {
     type Msg = WireMsg;
 
     fn on_message(&mut self, ctx: &mut Context<'_, WireMsg>, from: PeerId, msg: WireMsg) {
-        let lctx = ctx.layer();
         let now = ctx.now();
-        let mut out = Effects::new();
+        let lctx = LayerCtx::new(ctx.self_id(), now);
+        let out = ctx.effects();
         match msg {
             WireMsg::Ring(m) => {
                 self.fired.push((now, "ring"));
-                self.ring.handle(lctx, from, m, &mut out);
+                self.ring.handle(lctx, from, m, out);
             }
             WireMsg::Ds(m) => {
                 self.fired.push((now, "ds"));
-                self.ds.handle(lctx, from, m, &mut out);
+                self.ds.handle(lctx, from, m, out);
             }
             WireMsg::Repl(m) => {
                 self.fired.push((now, "repl"));
-                self.repl.handle(lctx, from, m, &mut out);
+                self.repl.handle(lctx, from, m, out);
             }
         }
-        ctx.apply(out, |m| m);
     }
 }
 
