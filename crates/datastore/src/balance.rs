@@ -227,7 +227,6 @@ impl DataStoreState {
             to,
             DsMsg::MergeRequest {
                 requester_items: self.store.len(),
-                requester_value: self.range.high(),
             },
         );
     }
@@ -310,7 +309,6 @@ impl DataStoreState {
             DsMsg::MergeGrant {
                 range: self.range,
                 items: self.store.to_vec(),
-                granter_value: self.range.high(),
             },
         );
         self.arm_give_timeout(to, None, 1, fx);
@@ -463,12 +461,7 @@ impl DataStoreState {
             return false;
         }
         self.leave_offered_to = Some(pred);
-        fx.send(
-            pred,
-            DsMsg::LeaveOffer {
-                leaver_value: self.range.high(),
-            },
-        );
+        fx.send(pred, DsMsg::LeaveOffer);
         // The predecessor's failure is invisible to the ping loop (it is
         // behind this peer); time the offer out so a later leave can retry.
         fx.timer(
@@ -810,15 +803,11 @@ mod tests {
         let mut fx = Effects::new();
         q.send_merge_request(PeerId(2), &mut fx);
         let req = fx.drain().remove(0);
-        let (req_items, req_value) = match req {
+        let req_items = match req {
             Effect::Send {
-                msg:
-                    DsMsg::MergeRequest {
-                        requester_items,
-                        requester_value,
-                    },
+                msg: DsMsg::MergeRequest { requester_items },
                 ..
-            } => (requester_items, requester_value),
+            } => requester_items,
             other => panic!("unexpected {other:?}"),
         };
 
@@ -828,7 +817,6 @@ mod tests {
             1,
             DsMsg::MergeRequest {
                 requester_items: req_items,
-                requester_value: req_value,
             },
             &mut sfx,
         );
@@ -898,10 +886,7 @@ mod tests {
         deliver(
             &mut s,
             1,
-            DsMsg::MergeRequest {
-                requester_items: 1,
-                requester_value: PeerValue(30),
-            },
+            DsMsg::MergeRequest { requester_items: 1 },
             &mut fx,
         );
         assert!(
@@ -917,33 +902,19 @@ mod tests {
         // Index layer has run leave + extra-hop replication; now grant.
         let mut sfx = Effects::new();
         assert_eq!(s.send_merge_grant(&mut sfx), Some(PeerId(1)));
-        let (range, items, gvalue) = match sfx.drain().remove(0) {
+        let (range, items) = match sfx.drain().remove(0) {
             Effect::Send {
-                msg:
-                    DsMsg::MergeGrant {
-                        range,
-                        items,
-                        granter_value,
-                    },
+                msg: DsMsg::MergeGrant { range, items },
                 ..
-            } => (range, items, granter_value),
+            } => (range, items),
             other => panic!("unexpected {other:?}"),
         };
-        assert_eq!(gvalue, PeerValue(100));
+        assert_eq!(range.high(), PeerValue(100));
 
         // Requester absorbs.
         let mut qfx = Effects::new();
         q.balance = Balance::Busy;
-        deliver(
-            &mut q,
-            2,
-            DsMsg::MergeGrant {
-                range,
-                items,
-                granter_value: gvalue,
-            },
-            &mut qfx,
-        );
+        deliver(&mut q, 2, DsMsg::MergeGrant { range, items }, &mut qfx);
         assert_eq!(q.range(), CircularRange::new(0u64, 100u64));
         assert_eq!(q.item_count(), 3);
         assert!(q
@@ -974,10 +945,7 @@ mod tests {
         deliver(
             &mut s,
             1,
-            DsMsg::MergeRequest {
-                requester_items: 1,
-                requester_value: PeerValue(30),
-            },
+            DsMsg::MergeRequest { requester_items: 1 },
             &mut fx,
         );
         assert!(fx.iter().any(|e| matches!(
@@ -1029,7 +997,6 @@ mod tests {
             DsMsg::MergeGrant {
                 range: CircularRange::new(30u64, 100u64),
                 items: vec![(40, item(40))],
-                granter_value: PeerValue(100),
             },
             &mut fx,
         );
@@ -1071,10 +1038,7 @@ mod tests {
         deliver(
             &mut s,
             1,
-            DsMsg::MergeRequest {
-                requester_items: 0,
-                requester_value: PeerValue(30),
-            },
+            DsMsg::MergeRequest { requester_items: 0 },
             &mut fx,
         );
         assert!(fx.iter().any(|e| matches!(
@@ -1254,10 +1218,7 @@ mod tests {
         deliver(
             &mut s,
             1,
-            DsMsg::MergeRequest {
-                requester_items: 1,
-                requester_value: PeerValue(30),
-            },
+            DsMsg::MergeRequest { requester_items: 1 },
             &mut fx,
         );
         assert!(s.is_rebalancing() && s.is_item_writes_blocked());
@@ -1298,10 +1259,7 @@ mod tests {
         deliver(
             &mut g,
             1,
-            DsMsg::MergeRequest {
-                requester_items: 1,
-                requester_value: PeerValue(30),
-            },
+            DsMsg::MergeRequest { requester_items: 1 },
             &mut gfx,
         );
         g.drain_events();
@@ -1385,7 +1343,6 @@ mod tests {
             DsMsg::MergeGrant {
                 range: CircularRange::new(60u64, 100u64),
                 items: vec![(70, item(70))],
-                granter_value: PeerValue(100),
             },
             &mut qfx,
         );
@@ -1572,10 +1529,7 @@ mod tests {
         deliver(
             &mut s,
             1,
-            DsMsg::MergeRequest {
-                requester_items: 1,
-                requester_value: PeerValue(30),
-            },
+            DsMsg::MergeRequest { requester_items: 1 },
             &mut sfx,
         );
         assert!(s.is_item_writes_blocked());
@@ -1672,10 +1626,7 @@ mod tests {
         deliver(
             &mut q,
             9,
-            DsMsg::MergeRequest {
-                requester_items: 0,
-                requester_value: PeerValue(5),
-            },
+            DsMsg::MergeRequest { requester_items: 0 },
             &mut qfx2,
         );
         assert!(qfx2.iter().any(|e| matches!(
@@ -1696,29 +1647,15 @@ mod tests {
         // Grant, absorb, ack: the predecessor unlocks on absorption.
         let mut sfx3 = Effects::new();
         assert_eq!(s.send_merge_grant(&mut sfx3), Some(PeerId(1)));
-        let (range, items, gvalue) = match sfx3.drain().remove(0) {
+        let (range, items) = match sfx3.drain().remove(0) {
             Effect::Send {
-                msg:
-                    DsMsg::MergeGrant {
-                        range,
-                        items,
-                        granter_value,
-                    },
+                msg: DsMsg::MergeGrant { range, items },
                 ..
-            } => (range, items, granter_value),
+            } => (range, items),
             other => panic!("unexpected {other:?}"),
         };
         let mut qfx3 = Effects::new();
-        deliver(
-            &mut q,
-            2,
-            DsMsg::MergeGrant {
-                range,
-                items,
-                granter_value: gvalue,
-            },
-            &mut qfx3,
-        );
+        deliver(&mut q, 2, DsMsg::MergeGrant { range, items }, &mut qfx3);
         assert_eq!(q.range(), CircularRange::new(0u64, 100u64));
         assert_eq!(q.item_count(), 4);
         assert!(!q.is_rebalancing());
@@ -1739,30 +1676,16 @@ mod tests {
         q.set_successor(PeerId(2), PeerValue(100));
         // Offer from peer 7, which is not q's cached direct successor.
         let mut fx = Effects::new();
-        deliver(
-            &mut q,
-            7,
-            DsMsg::LeaveOffer {
-                leaver_value: PeerValue(60),
-            },
-            &mut fx,
-        );
+        deliver(&mut q, 7, DsMsg::LeaveOffer, &mut fx);
         assert!(!q.is_rebalancing());
         assert!(fx.iter().any(|e| matches!(
             e,
             Effect::Send { to, msg: DsMsg::LeaveOfferDeclined } if *to == PeerId(7)
         )));
-        // A stale cached *value* does not decline: only the peer identity
-        // matters (values go stale when the successor splits).
+        // The cached direct successor's offer is accepted: only the peer
+        // identity is compared (values go stale when the successor splits).
         let mut fx2 = Effects::new();
-        deliver(
-            &mut q,
-            2,
-            DsMsg::LeaveOffer {
-                leaver_value: PeerValue(60),
-            },
-            &mut fx2,
-        );
+        deliver(&mut q, 2, DsMsg::LeaveOffer, &mut fx2);
         assert!(fx2.iter().any(|e| matches!(
             e,
             Effect::Send {
@@ -1799,14 +1722,7 @@ mod tests {
         let mut q = live_peer(1, 0, 30, &[10, 20]);
         q.set_successor(PeerId(2), PeerValue(100));
         let mut fx = Effects::new();
-        deliver(
-            &mut q,
-            2,
-            DsMsg::LeaveOffer {
-                leaver_value: PeerValue(100),
-            },
-            &mut fx,
-        );
+        deliver(&mut q, 2, DsMsg::LeaveOffer, &mut fx);
         assert!(q.is_rebalancing());
         // The leaver failed: no grant ever arrives. A guard for a different
         // leaver is ignored; the matching one unlocks.
@@ -1857,9 +1773,7 @@ mod tests {
         fn absorbing() -> DataStoreState {
             let mut q = live_peer(1, 0, 30, &[10, 20]);
             q.set_successor(PeerId(2), PeerValue(100));
-            let offer = DsMsg::LeaveOffer {
-                leaver_value: PeerValue(100),
-            };
+            let offer = DsMsg::LeaveOffer;
             deliver(&mut q, 2, offer, &mut Effects::new());
             q
         }
@@ -1868,17 +1782,13 @@ mod tests {
             let grant = DsMsg::MergeGrant {
                 range: CircularRange::new(30u64, 100u64),
                 items: vec![(40, item(40))],
-                granter_value: PeerValue(100),
             };
             deliver(&mut q, 2, grant, &mut Effects::new());
             q
         }
         fn redistributing() -> DataStoreState {
             let mut s = live_peer(2, 30, 100, &[40, 50, 60, 70, 80, 90]);
-            let request = DsMsg::MergeRequest {
-                requester_items: 1,
-                requester_value: PeerValue(30),
-            };
+            let request = DsMsg::MergeRequest { requester_items: 1 };
             deliver(&mut s, 1, request, &mut Effects::new());
             s
         }
@@ -1892,10 +1802,7 @@ mod tests {
         }
         fn merge_giving() -> DataStoreState {
             let mut s = live_peer(2, 30, 100, &[40, 90]);
-            let request = DsMsg::MergeRequest {
-                requester_items: 1,
-                requester_value: PeerValue(30),
-            };
+            let request = DsMsg::MergeRequest { requester_items: 1 };
             deliver(&mut s, 1, request, &mut Effects::new());
             s.send_merge_grant(&mut Effects::new());
             s
@@ -2024,15 +1931,12 @@ mod tests {
         // the grant arrives while a scan holds q's range lock.
         let mut q = live_peer(1, 0, 30, &[10]);
         q.set_successor(PeerId(2), PeerValue(100));
-        let offer = DsMsg::LeaveOffer {
-            leaver_value: PeerValue(100),
-        };
+        let offer = DsMsg::LeaveOffer;
         deliver(&mut q, 2, offer, &mut Effects::new());
         q.acquire_scan_lock();
         let grant = DsMsg::MergeGrant {
             range: CircularRange::new(30u64, 100u64),
             items: vec![(40, item(40))],
-            granter_value: PeerValue(100),
         };
         deliver(&mut q, 2, grant, &mut Effects::new());
         assert_eq!(q.range(), CircularRange::new(0u64, 30u64), "parked");

@@ -158,8 +158,6 @@ pub enum DsMsg {
     MergeRequest {
         /// How many items the requester currently holds.
         requester_items: usize,
-        /// The requester's current ring value (upper end of its range).
-        requester_value: PeerValue,
     },
     /// The successor grants a redistribution: it hands the lower portion of
     /// its items to the requester; the boundary between the two moves up to
@@ -207,8 +205,6 @@ pub enum DsMsg {
         range: CircularRange,
         /// All of the granter's items.
         items: Vec<(u64, Item)>,
-        /// The granter's ring value (the requester's new value).
-        granter_value: PeerValue,
     },
     /// The requester has absorbed the granter's range and items.
     MergeGrantAck,
@@ -221,11 +217,7 @@ pub enum DsMsg {
     /// its predecessor. The predecessor locks itself against concurrent
     /// splits/merges (so no new peer can appear between the two while the
     /// hand-off is in flight) before acknowledging.
-    LeaveOffer {
-        /// The leaver's current ring value (used by the predecessor to
-        /// verify the offer really comes from its direct successor).
-        leaver_value: PeerValue,
-    },
+    LeaveOffer,
     /// The predecessor accepted the leave offer and is locked; the leaver
     /// proceeds with the availability protections and the merge grant.
     LeaveOfferAck,
@@ -297,7 +289,7 @@ impl DsMsg {
             DsMsg::MergeGrant { .. } => "MergeGrant",
             DsMsg::MergeGrantAck => "MergeGrantAck",
             DsMsg::MergeDeclined => "MergeDeclined",
-            DsMsg::LeaveOffer { .. } => "LeaveOffer",
+            DsMsg::LeaveOffer => "LeaveOffer",
             DsMsg::LeaveOfferAck => "LeaveOfferAck",
             DsMsg::LeaveOfferDeclined => "LeaveOfferDeclined",
             DsMsg::RebalanceRetry => "RebalanceRetry",

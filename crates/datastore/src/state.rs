@@ -4,9 +4,7 @@
 use std::collections::HashMap;
 
 use pepper_net::{Effects, LayerCtx, ProtocolLayer, SimTime};
-use pepper_types::{
-    CircularRange, Item, KeyInterval, PeerId, PeerValue, Protocol, RangeQuery, SystemConfig,
-};
+use pepper_types::{CircularRange, Item, KeyInterval, PeerId, PeerValue, RangeQuery, SystemConfig};
 
 use crate::events::DsEvent;
 use crate::messages::{DsMsg, QueryId};
@@ -148,8 +146,6 @@ pub struct QueryProgress {
     /// The hop that reported `ScanDone`, once it has. Results of earlier
     /// hops travel other links and may still be on their way.
     pub final_hop: Option<u32>,
-    /// Whether the query uses the PEPPER `scanRange` (vs the naive scan).
-    pub pepper: bool,
     /// How many times the scan start has been rejected and re-routed.
     pub reroutes: u32,
 }
@@ -322,10 +318,10 @@ impl DataStoreState {
         self.cfg.key_map.map(item.skv).raw()
     }
 
-    /// Information about a query issued at this peer (used by the composed
+    /// The interval of a query issued at this peer (used by the composed
     /// peer for re-routing rejected scans).
-    pub fn query_info(&self, query: QueryId) -> Option<(KeyInterval, bool)> {
-        self.queries.get(&query).map(|q| (q.interval, q.pepper))
+    pub fn query_interval(&self, query: QueryId) -> Option<KeyInterval> {
+        self.queries.get(&query).map(|q| q.interval)
     }
 
     /// Number of queries currently in flight at this peer.
@@ -548,7 +544,6 @@ impl DataStoreState {
                 hops: 0,
                 hop_results: Vec::new(),
                 final_hop: None,
-                pepper: self.cfg.protocol == Protocol::Pepper,
                 reroutes: 0,
             },
         );
@@ -652,9 +647,9 @@ impl DataStoreState {
                 self.write_or_defer(ctx, DeferredWrite::Finish(Give::Lower(new_boundary)), fx)
             }
             DsMsg::MergeGrantAck => self.write_or_defer(ctx, DeferredWrite::Finish(Give::All), fx),
-            DsMsg::MergeRequest {
-                requester_items, ..
-            } => self.on_merge_request(from, requester_items, fx),
+            DsMsg::MergeRequest { requester_items } => {
+                self.on_merge_request(from, requester_items, fx)
+            }
             DsMsg::RedistributeAbort { new_boundary } => {
                 self.on_redistribute_abort(from, new_boundary, fx)
             }
@@ -664,8 +659,7 @@ impl DataStoreState {
                 }
             }
             DsMsg::MergeDeclined => self.on_merge_declined(from, fx),
-            // `leaver_value` rides along for diagnostics and tracing only.
-            DsMsg::LeaveOffer { .. } => self.on_leave_offer(from, fx),
+            DsMsg::LeaveOffer => self.on_leave_offer(from, fx),
             DsMsg::LeaveOfferAck => self.on_leave_offer_ack(from, fx),
             DsMsg::LeaveOfferDeclined => self.clear_leave_offer(from),
             DsMsg::RebalanceRetry => self.recheck_balance(),
@@ -951,7 +945,7 @@ mod tests {
             .unwrap();
         assert_eq!(interval, KeyInterval::new(10, 30).unwrap());
         assert_eq!(ds.open_queries(), 1);
-        assert!(ds.query_info(id).is_some());
+        assert_eq!(ds.query_interval(id), Some(interval));
         // A safety-net timer was armed.
         assert!(fx
             .iter()

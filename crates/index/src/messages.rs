@@ -30,8 +30,6 @@ pub enum RoutePayload {
         query: QueryId,
         /// The normalized query interval.
         interval: KeyInterval,
-        /// Whether to use the PEPPER `scanRange` (vs the naive scan).
-        pepper: bool,
     },
 }
 

@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use pepper_datastore::{DataStoreState, DsEvent, DsMsg, DsStatus, QueryId};
 use pepper_net::{Context, Effects, LayerCtx, LayerSlot, Node, SimTime};
-use pepper_replication::{Batch, BatchStamp, ReplEvent, ReplicationManager};
+use pepper_replication::{Batch, BatchStamp, PushOutcome, ReplEvent, ReplMsg, ReplicationManager};
 use pepper_ring::{EntryState, RingEvent, RingState};
 use pepper_router::HierarchicalRouter;
 use pepper_storage::{DurableImage, PeerStorage, RecoveredState, RecoveryMode};
@@ -85,8 +85,9 @@ pub struct PeerNode {
     ds: LayerSlot<DataStoreState, PeerMsg>,
     repl: LayerSlot<ReplicationManager, PeerMsg>,
     router: LayerSlot<HierarchicalRouter, PeerMsg>,
-    /// Whether this incarnation armed its [`PeerMsg::SnapshotTick`].
-    snapshot_tick_armed: bool,
+    /// Whether this incarnation armed its periodic timers (every layer's,
+    /// and the [`PeerMsg::SnapshotTick`]).
+    timers_armed: bool,
     /// The durable-storage engine, if this peer persists its state (the
     /// harness attaches one to every peer; plain experiments run without).
     storage: Option<PeerStorage>,
@@ -150,7 +151,7 @@ impl PeerNode {
             ds: LayerSlot::new(ds, PeerMsg::Ds),
             repl: LayerSlot::new(ReplicationManager::new(id, cfg.clone()), PeerMsg::Repl),
             router: LayerSlot::new(HierarchicalRouter::new(id, cfg.clone()), PeerMsg::Router),
-            snapshot_tick_armed: false,
+            timers_armed: false,
             storage: None,
             recovery_mode: RecoveryMode::Clean,
             recovered_donation: Vec::new(),
@@ -394,11 +395,9 @@ impl PeerNode {
             .with(out, |ds, fx| ds.register_query(lctx, query, fx));
         self.process_ds_events(now, ds_events, out);
         registered.map(|(id, interval)| {
-            let pepper = self.cfg.protocol == Protocol::Pepper;
             let payload = RoutePayload::ScanStart {
                 query: id,
                 interval,
-                pepper,
             };
             self.handle_route(now, interval.lo(), payload, 0, out);
             id
@@ -453,9 +452,14 @@ impl PeerNode {
     }
 
     /// Starts every layer's periodic timers through the uniform
-    /// [`ProtocolLayer`] boundary (idempotent per layer), then arms the
-    /// snapshot tick once per incarnation.
+    /// [`ProtocolLayer`] boundary, then arms the snapshot tick. The only
+    /// place a periodic timer is armed, and it runs once per incarnation:
+    /// on [`PeerNode::start`] or the first `Joined`, whichever comes first.
     fn start_layers(&mut self, now: SimTime, out: &mut Effects<PeerMsg>) {
+        if self.timers_armed {
+            return;
+        }
+        self.timers_armed = true;
         let ctx = self.layer_ctx(now);
         let ring_events = self.ring.start_timers(ctx, out);
         self.process_ring_events(now, ring_events, out);
@@ -465,12 +469,9 @@ impl PeerNode {
         self.process_repl_events(now, repl_events, out);
         // RouterEvent is uninhabited: nothing to process.
         self.router.start_timers(ctx, out);
-        if !self.snapshot_tick_armed {
-            self.snapshot_tick_armed = true;
-            // Staggered per peer so a cluster does not snapshot in lockstep.
-            let stagger = Duration::from_micros((self.id.raw() % 83) * 270);
-            out.timer(SNAPSHOT_PERIOD / 2 + stagger, PeerMsg::SnapshotTick);
-        }
+        // Staggered per peer so a cluster does not snapshot in lockstep.
+        let stagger = Duration::from_micros((self.id.raw() % 83) * 270);
+        out.timer(SNAPSHOT_PERIOD / 2 + stagger, PeerMsg::SnapshotTick);
     }
 
     /// The currently `JOINED` successors of `ring`, in list order (the
@@ -526,6 +527,17 @@ impl PeerNode {
             PeerMsg::Ds(m) => {
                 let events = self.ds.handle(ctx, from, m, out);
                 self.process_ds_events(now, events, out);
+            }
+            PeerMsg::Repl(ReplMsg::Push { items, stamp }) => {
+                let (outcome, events) = self
+                    .repl
+                    .with(out, |repl, _| repl.receive_push(from, &items, stamp));
+                // Only the rare outcome is counted: `Cluster::metrics`
+                // derives the skipped pushes from the other two.
+                if outcome == PushOutcome::NoopWalk {
+                    self.metrics.bump("repl", "push_noop_walk");
+                }
+                self.process_repl_events(now, events, out);
             }
             PeerMsg::Repl(m) => {
                 let events = self.repl.handle(ctx, from, m, out);
@@ -614,7 +626,7 @@ impl PeerNode {
         for succ in Self::joined_successors(&self.ring) {
             out.send(
                 succ,
-                PeerMsg::Repl(pepper_replication::ReplMsg::RecoverRequest { range: acquired }),
+                PeerMsg::Repl(ReplMsg::RecoverRequest { range: acquired }),
             );
         }
     }
@@ -841,16 +853,12 @@ impl PeerNode {
                     // Re-route after a pause: rejections mean the routing
                     // state is stale (a peer departed or a range moved); the
                     // ring repairs itself within a ping/stabilization round.
-                    if let Some((interval, pepper)) = self.ds.query_info(query) {
+                    if let Some(interval) = self.ds.query_interval(query) {
                         out.timer(
                             Duration::from_millis(500),
                             PeerMsg::Route {
                                 target: interval.lo(),
-                                payload: RoutePayload::ScanStart {
-                                    query,
-                                    interval,
-                                    pepper,
-                                },
+                                payload: RoutePayload::ScanStart { query, interval },
                                 hops: 0,
                                 ack: None,
                             },
@@ -1138,12 +1146,8 @@ impl PeerNode {
         let msg = match payload {
             RoutePayload::Insert { item, reply_to } => DsMsg::InsertItem { item, reply_to },
             RoutePayload::Delete { mapped, reply_to } => DsMsg::DeleteItem { mapped, reply_to },
-            RoutePayload::ScanStart {
-                query,
-                interval,
-                pepper,
-            } => {
-                if pepper {
+            RoutePayload::ScanStart { query, interval } => {
+                if self.cfg.protocol == Protocol::Pepper {
                     DsMsg::ScanStep {
                         query,
                         interval,
@@ -1335,6 +1339,7 @@ mod tests {
     use pepper_ring::consistency::{
         check_connectivity, check_consistent_successor_pointers, RingSnapshot,
     };
+    use pepper_ring::RingMsg;
 
     /// Builds a cluster: one first peer plus `free` free peers, all running
     /// with `cfg`.
@@ -1735,7 +1740,7 @@ mod tests {
             .filter_map(|e| match e {
                 pepper_net::Effect::Send {
                     to,
-                    msg: PeerMsg::Repl(pepper_replication::ReplMsg::Push { items, stamp, .. }),
+                    msg: PeerMsg::Repl(ReplMsg::Push { items, stamp }),
                 } => Some((to, items, stamp)),
                 _ => None,
             })
@@ -1921,14 +1926,35 @@ mod tests {
             .collect()
     }
 
+    /// The tags of the timers in `out`, sorted.
+    fn timer_tags(out: &Effects<PeerMsg>) -> Vec<&'static str> {
+        let mut tags: Vec<_> = out
+            .iter()
+            .filter_map(|e| match e {
+                pepper_net::Effect::Timer { msg, .. } => Some(msg.tag()),
+                _ => None,
+            })
+            .collect();
+        tags.sort_unstable();
+        tags
+    }
+
     #[test]
     fn the_snapshot_tick_is_armed_once_per_incarnation_and_rearms_every_period() {
+        const PERIODIC: [&str; 5] = [
+            "MaintainTick",
+            "PingTick",
+            "RefreshTick",
+            "SnapshotTick",
+            "StabilizeTick",
+        ];
         let metrics = TraceConfig {
             metrics: true,
             ..TraceConfig::off()
         };
         // `start_layers` runs on `start` and again on every `Joined`; only
-        // the first run arms the tick, staggered by the peer's id.
+        // the first run arms the five periodic ticks, the snapshot tick
+        // staggered by the peer's id.
         let mut node = PeerNode::first(
             PeerId(90),
             PeerValue(1),
@@ -1937,11 +1963,31 @@ mod tests {
         );
         let mut out = Effects::new();
         node.start_layers(SimTime::ZERO, &mut out);
+        assert_eq!(timer_tags(&out), PERIODIC);
         let stagger = Duration::from_micros(7 * 270);
         assert_eq!(snapshot_ticks(&out), [SNAPSHOT_PERIOD / 2 + stagger]);
         out.drain();
         node.start_layers(SimTime::from_secs(1), &mut out);
-        assert!(snapshot_ticks(&out).is_empty());
+        assert!(out.is_empty());
+
+        // A free peer arms them on its first `Joined`, and not again when it
+        // leaves and joins a second time in the same incarnation.
+        let mut free = PeerNode::free(PeerId(91), SystemConfig::fast(), FreePool::new());
+        let join = |at: u64| {
+            PeerMsg::Ring(RingMsg::Join {
+                succ_list: Vec::new(),
+                pred: PeerId(1),
+                pred_value: PeerValue(at),
+                your_value: PeerValue(at + 1),
+            })
+        };
+        free.dispatch(SimTime::from_secs(1), PeerId(1), join(10), &mut out);
+        assert_eq!(timer_tags(&out), PERIODIC);
+        out.drain();
+        free.ring.depart();
+        free.dispatch(SimTime::from_secs(2), PeerId(1), join(20), &mut out);
+        assert_eq!(free.ring.value(), PeerValue(21), "joined again");
+        assert!(timer_tags(&out).is_empty());
 
         // On the simulator: ticks at 5 s, 15 s and 25 s (plus the stagger),
         // each counted under its message tag and the due check.

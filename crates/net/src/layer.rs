@@ -31,8 +31,9 @@ pub trait ProtocolLayer {
     /// data-store rebalance requests, replication refresh ticks, …).
     type Event: std::fmt::Debug;
 
-    /// Schedules the layer's periodic timers. Must be idempotent: composed
-    /// peers may call it again after membership changes.
+    /// Schedules the layer's periodic timers. The composed peer calls it
+    /// once per incarnation, so a layer keeps no flag to guard it; the
+    /// timers re-arm themselves when they fire.
     fn start_timers(&mut self, ctx: LayerCtx, fx: &mut Effects<Self::Msg>);
 
     /// Handles one delivered message (or timer), emitting effects into `fx`

@@ -19,5 +19,5 @@ pub mod manager;
 pub mod messages;
 
 pub use events::ReplEvent;
-pub use manager::ReplicationManager;
+pub use manager::{PushOutcome, ReplicationManager};
 pub use messages::{Batch, BatchStamp, ReplMsg};

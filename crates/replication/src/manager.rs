@@ -10,6 +10,18 @@ use pepper_types::{CircularRange, Item, PeerId, Protocol, SystemConfig};
 use crate::events::ReplEvent;
 use crate::messages::{Batch, BatchStamp, ReplMsg};
 
+/// What one received replica push did; see
+/// [`ReplicationManager::receive_push`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PushOutcome {
+    /// A stamped batch already held in full: not walked.
+    Skipped,
+    /// Walked, and installed at least one new or changed replica.
+    Installed,
+    /// Walked, and installed nothing: the redundancy the skip misses.
+    NoopWalk,
+}
+
 /// The per-peer replication manager.
 #[derive(Debug, Clone)]
 pub struct ReplicationManager {
@@ -22,11 +34,6 @@ pub struct ReplicationManager {
     /// again would install nothing. Every mutation of `replica_store` goes
     /// through [`Self::store_changed`], which empties this.
     walked: Vec<(PeerId, BatchStamp)>,
-    timers_started: bool,
-    /// Pushes recognised in `walked` and not walked again (metrics).
-    pushes_skipped: u64,
-    /// Pushes walked that installed nothing (metrics).
-    pushes_noop_walked: u64,
     /// Events buffered for the composed peer.
     events: Vec<ReplEvent>,
 }
@@ -39,9 +46,6 @@ impl ReplicationManager {
             cfg,
             replica_store: BTreeMap::new(),
             walked: Vec::new(),
-            timers_started: false,
-            pushes_skipped: 0,
-            pushes_noop_walked: 0,
             events: Vec::new(),
         }
     }
@@ -62,19 +66,6 @@ impl ReplicationManager {
     /// Whether a replica for `mapped` is currently held.
     pub fn holds_replica(&self, mapped: u64) -> bool {
         self.replica_store.contains_key(&mapped)
-    }
-
-    /// Of the pushes received, how many carried a batch this peer had
-    /// already walked with no change to its replica store since, and were
-    /// therefore not walked again.
-    pub fn pushes_skipped(&self) -> u64 {
-        self.pushes_skipped
-    }
-
-    /// Of the pushes received, how many were walked item by item and
-    /// installed nothing — the redundancy the skip does not catch.
-    pub fn pushes_noop_walked(&self) -> u64 {
-        self.pushes_noop_walked
     }
 
     /// Pushes this peer's items to its `k` nearest successors (one refresh
@@ -114,7 +105,6 @@ impl ReplicationManager {
                 ReplMsg::Push {
                     items: Arc::clone(&batch),
                     stamp,
-                    extra_hop: false,
                 },
             );
         }
@@ -162,7 +152,6 @@ impl ReplicationManager {
             ReplMsg::Push {
                 items: payload,
                 stamp: None,
-                extra_hop: true,
             },
         );
         // Also hand the replicas we hold to our immediate successor so the
@@ -174,12 +163,50 @@ impl ReplicationManager {
                     ReplMsg::Push {
                         items: held,
                         stamp: None,
-                        extra_hop: true,
                     },
                 );
             }
         }
         true
+    }
+
+    /// Receives one replica push from `from` and says what it did. A stamped
+    /// batch already walked, with the replica store unchanged since, is
+    /// skipped; any other batch is walked, and what it installs is reported
+    /// as [`ReplEvent::ReplicasInstalled`].
+    pub fn receive_push(
+        &mut self,
+        from: PeerId,
+        items: &[(u64, Item)],
+        stamp: Option<BatchStamp>,
+    ) -> PushOutcome {
+        if stamp.is_some_and(|stamp| self.walked.contains(&(from, stamp))) {
+            // Debug builds (the test suite, the harness seed matrix) do the
+            // walk the skip saves, to check it.
+            debug_assert!(
+                items
+                    .iter()
+                    .all(|(mapped, item)| self.replica_store.get(mapped) == Some(item)),
+                "skipped push {stamp:?} from {from} would have installed something"
+            );
+            return PushOutcome::Skipped;
+        }
+        let delta = self.install_delta(items);
+        // Recorded after the walk, which empties `walked` when it installs
+        // something: the batch is held in full either way.
+        if let Some(stamp) = stamp {
+            match self.walked.iter_mut().find(|(peer, _)| *peer == from) {
+                Some(entry) => entry.1 = stamp,
+                None => self.walked.push((from, stamp)),
+            }
+        }
+        if delta.is_empty() {
+            PushOutcome::NoopWalk
+        } else {
+            self.events
+                .push(ReplEvent::ReplicasInstalled { items: delta });
+            PushOutcome::Installed
+        }
     }
 
     /// Returns (and removes from the replica store) the replicas that fall
@@ -247,12 +274,8 @@ impl ProtocolLayer for ReplicationManager {
     type Msg = ReplMsg;
     type Event = ReplEvent;
 
-    /// Schedules the periodic refresh timer. Idempotent.
+    /// Schedules the periodic refresh timer.
     fn start_timers(&mut self, _ctx: LayerCtx, fx: &mut Effects<ReplMsg>) {
-        if self.timers_started {
-            return;
-        }
-        self.timers_started = true;
         let stagger = Duration::from_micros((self.id.raw() % 89) * 300);
         fx.timer(
             self.cfg.replica_refresh_period / 2 + stagger,
@@ -269,38 +292,8 @@ impl ProtocolLayer for ReplicationManager {
                 fx.timer(self.cfg.replica_refresh_period, ReplMsg::RefreshTick);
                 self.events.push(ReplEvent::RefreshDue);
             }
-            ReplMsg::Push {
-                items,
-                stamp,
-                extra_hop: _,
-            } => {
-                if stamp.is_some_and(|stamp| self.walked.contains(&(from, stamp))) {
-                    self.pushes_skipped += 1;
-                    // Debug builds (the test suite, the harness seed matrix)
-                    // do the walk the skip saves, to check it.
-                    debug_assert!(
-                        items
-                            .iter()
-                            .all(|(mapped, item)| self.replica_store.get(mapped) == Some(item)),
-                        "skipped push {stamp:?} from {from} would have installed something"
-                    );
-                    return;
-                }
-                let delta = self.install_delta(&items);
-                // Recorded after the walk, which empties `walked` when it
-                // installs something: the batch is held in full either way.
-                if let Some(stamp) = stamp {
-                    match self.walked.iter_mut().find(|(peer, _)| *peer == from) {
-                        Some(entry) => entry.1 = stamp,
-                        None => self.walked.push((from, stamp)),
-                    }
-                }
-                if delta.is_empty() {
-                    self.pushes_noop_walked += 1;
-                } else {
-                    self.events
-                        .push(ReplEvent::ReplicasInstalled { items: delta });
-                }
+            ReplMsg::Push { items, stamp } => {
+                self.receive_push(from, &items, stamp);
             }
             ReplMsg::RecoverRequest { range } => {
                 // Answer with copies: the requester owns the range now, so
@@ -388,12 +381,7 @@ mod tests {
             .filter_map(|e| match e {
                 Effect::Send {
                     to,
-                    msg:
-                        ReplMsg::Push {
-                            extra_hop: false,
-                            items,
-                            ..
-                        },
+                    msg: ReplMsg::Push { items, .. },
                 } => Some((*to, items)),
                 _ => None,
             })
@@ -434,7 +422,6 @@ mod tests {
             ReplMsg::Push {
                 items: vec![item(10), item(20)].into(),
                 stamp: None,
-                extra_hop: false,
             },
             &[],
             &[],
@@ -458,7 +445,6 @@ mod tests {
             ReplMsg::Push {
                 items: vec![item(10), item(20), item(30)].into(),
                 stamp: None,
-                extra_hop: false,
             },
             &[],
             &[],
@@ -483,7 +469,6 @@ mod tests {
             ReplMsg::Push {
                 items: vec![item(5)].into(),
                 stamp: None,
-                extra_hop: false,
             },
             &[],
             &[],
@@ -497,13 +482,13 @@ mod tests {
         // to the (k+1)-th successor (index 2).
         assert!(effects.iter().any(|e| matches!(
             e,
-            Effect::Send { to, msg: ReplMsg::Push { extra_hop: true, items, .. } }
+            Effect::Send { to, msg: ReplMsg::Push { items, stamp: None } }
                 if *to == PeerId(3) && items[..] == [item(10), item(5)]
         )));
         // The held replicas also move to the immediate successor.
         assert!(effects.iter().any(|e| matches!(
             e,
-            Effect::Send { to, msg: ReplMsg::Push { extra_hop: true, items, .. } }
+            Effect::Send { to, msg: ReplMsg::Push { items, stamp: None } }
                 if *to == PeerId(1) && items[..] == [item(5)]
         )));
         assert_eq!(effects.len(), 2);
@@ -526,7 +511,7 @@ mod tests {
         assert!(rm.replicate_additional_hop(ctx(0), &[item(10)], &[PeerId(1), PeerId(2)], &mut fx));
         assert!(fx.iter().any(|e| matches!(
             e,
-            Effect::Send { to, msg: ReplMsg::Push { extra_hop: true, .. } } if *to == PeerId(2)
+            Effect::Send { to, msg: ReplMsg::Push { stamp: None, .. } } if *to == PeerId(2)
         )));
     }
 
@@ -541,7 +526,6 @@ mod tests {
             ReplMsg::Push {
                 items: vec![item(10), item(50)].into(),
                 stamp: None,
-                extra_hop: false,
             },
             &[],
             &[],
@@ -564,7 +548,6 @@ mod tests {
             ReplMsg::Push {
                 items: vec![item(10), item(50)].into(),
                 stamp: None,
-                extra_hop: false,
             },
             &mut fx,
         );
@@ -631,7 +614,6 @@ mod tests {
             ReplMsg::Push {
                 items: vec![item(10), item(20)].into(),
                 stamp: None,
-                extra_hop: false,
             },
             &mut fx,
         );
@@ -648,7 +630,6 @@ mod tests {
             ReplMsg::Push {
                 items: vec![item(10), item(20)].into(),
                 stamp: None,
-                extra_hop: false,
             },
             &mut fx,
         );
@@ -669,7 +650,6 @@ mod tests {
             ReplMsg::Push {
                 items: vec![changed.clone(), item(20)].into(),
                 stamp: None,
-                extra_hop: false,
             },
             &mut fx,
         );
@@ -685,7 +665,6 @@ mod tests {
         let push = ReplMsg::Push {
             items: Arc::clone(&batch),
             stamp: None,
-            extra_hop: false,
         };
         let mut fx = Effects::new();
         // One receiver already holds item 10, the other holds nothing.
@@ -730,7 +709,6 @@ mod tests {
         let push = ReplMsg::Push {
             items: Arc::clone(items),
             stamp,
-            extra_hop: false,
         };
         let mut fx = Effects::new();
         ProtocolLayer::handle(rm, ctx(1), from, push, &mut fx);
@@ -747,24 +725,37 @@ mod tests {
             &first[..],
             [ReplEvent::ReplicasInstalled { items }] if items[..] == batch[..]
         ));
-        assert_eq!((rm.pushes_skipped(), rm.pushes_noop_walked()), (0, 0));
         // The refresh rounds that follow resend the very same batch.
-        for round in 1..=3 {
-            assert!(deliver(&mut rm, PeerId(0), &batch, Some(stamp(1, 5))).is_empty());
-            assert_eq!(rm.pushes_skipped(), round);
+        let skip =
+            |rm: &mut ReplicationManager, from| rm.receive_push(from, &batch, Some(stamp(1, 5)));
+        for _ in 1..=3 {
+            assert_eq!(skip(&mut rm, PeerId(0)), PushOutcome::Skipped);
         }
-        assert_eq!(rm.pushes_noop_walked(), 0);
         // The memo is per sender: the same stamp from another peer names
         // another batch. It is walked once, then skipped too.
-        assert!(deliver(&mut rm, PeerId(9), &batch, Some(stamp(1, 5))).is_empty());
-        assert_eq!((rm.pushes_skipped(), rm.pushes_noop_walked()), (3, 1));
-        assert!(deliver(&mut rm, PeerId(9), &batch, Some(stamp(1, 5))).is_empty());
-        assert!(deliver(&mut rm, PeerId(0), &batch, Some(stamp(1, 5))).is_empty());
-        assert_eq!((rm.pushes_skipped(), rm.pushes_noop_walked()), (5, 1));
+        assert_eq!(skip(&mut rm, PeerId(9)), PushOutcome::NoopWalk);
+        assert_eq!(skip(&mut rm, PeerId(9)), PushOutcome::Skipped);
+        assert_eq!(skip(&mut rm, PeerId(0)), PushOutcome::Skipped);
         // An unstamped push of the same items is always walked.
-        assert!(deliver(&mut rm, PeerId(0), &batch, None).is_empty());
-        assert_eq!((rm.pushes_skipped(), rm.pushes_noop_walked()), (5, 2));
+        assert_eq!(
+            rm.receive_push(PeerId(0), &batch, None),
+            PushOutcome::NoopWalk
+        );
+        assert!(rm.drain_events().is_empty());
         assert_eq!(rm.replicas(), batch.to_vec());
+    }
+
+    #[test]
+    fn a_skipped_push_leaves_the_whole_manager_state_unchanged() {
+        let mut rm = ReplicationManager::new(PeerId(1), SystemConfig::fast());
+        let batch: Batch = vec![item(10), item(20)].into();
+        assert_eq!(
+            deliver(&mut rm, PeerId(0), &batch, Some(stamp(1, 5))).len(),
+            1
+        );
+        let before = format!("{rm:?}");
+        assert!(deliver(&mut rm, PeerId(0), &batch, Some(stamp(1, 5))).is_empty());
+        assert_eq!(format!("{rm:?}"), before);
     }
 
     #[test]
@@ -793,9 +784,11 @@ mod tests {
         for (what, change) in changes {
             let mut rm = ReplicationManager::new(PeerId(1), SystemConfig::fast());
             let batch: Batch = vec![item(10), item(20)].into();
+            let skipped = |rm: &mut ReplicationManager| {
+                rm.receive_push(PeerId(0), &batch, Some(stamp(1, 5))) == PushOutcome::Skipped
+            };
             deliver(&mut rm, PeerId(0), &batch, Some(stamp(1, 5)));
-            assert!(deliver(&mut rm, PeerId(0), &batch, Some(stamp(1, 5))).is_empty());
-            assert_eq!(rm.pushes_skipped(), 1, "{what}");
+            assert!(skipped(&mut rm), "{what}");
             change(&mut rm);
             let events = deliver(&mut rm, PeerId(0), &batch, Some(stamp(1, 5)));
             assert!(
@@ -805,11 +798,9 @@ mod tests {
                 ),
                 "{what}: {events:?}"
             );
-            assert_eq!(rm.pushes_skipped(), 1, "{what}");
             assert_eq!(rm.replicas(), batch.to_vec(), "{what}");
             // Whole again: the next round is skipped.
-            assert!(deliver(&mut rm, PeerId(0), &batch, Some(stamp(1, 5))).is_empty());
-            assert_eq!(rm.pushes_skipped(), 2, "{what}");
+            assert!(skipped(&mut rm), "{what}");
         }
         // A prune or take that finds nothing leaves the memo alone.
         let mut rm = ReplicationManager::new(PeerId(1), SystemConfig::fast());
@@ -819,8 +810,10 @@ mod tests {
         assert!(rm
             .take_replicas_in(&CircularRange::new(40u64, 60u64))
             .is_empty());
-        assert!(deliver(&mut rm, PeerId(0), &batch, Some(stamp(1, 5))).is_empty());
-        assert_eq!(rm.pushes_skipped(), 1);
+        assert_eq!(
+            rm.receive_push(PeerId(0), &batch, Some(stamp(1, 5))),
+            PushOutcome::Skipped
+        );
     }
 
     #[test]
@@ -855,6 +848,7 @@ mod tests {
         };
         let mut memo = ReplicationManager::new(PeerId(1), SystemConfig::fast());
         let mut reference = memo.clone();
+        let mut outcomes = Vec::new();
         let senders = [PeerId(10), PeerId(11), PeerId(12)];
         let mut batches: Vec<(BatchStamp, Batch)> =
             vec![(stamp(0, 0), Arc::new([])); senders.len()];
@@ -867,7 +861,8 @@ mod tests {
                 0..=11 => {
                     let s = next(3) as usize;
                     let (stamp, batch) = &batches[s];
-                    let got = deliver(&mut memo, senders[s], batch, Some(*stamp));
+                    outcomes.push(memo.receive_push(senders[s], batch, Some(*stamp)));
+                    let got = memo.drain_events();
                     assert_eq!(got, deliver(&mut reference, senders[s], batch, None));
                 }
                 12..=14 => {
@@ -903,12 +898,11 @@ mod tests {
             }
             assert_eq!(memo.replicas(), reference.replicas(), "step {step}");
         }
-        assert_eq!(reference.pushes_skipped(), 0);
+        let count = |o| outcomes.iter().filter(|x| **x == o).count();
+        let (skipped, noop) = (count(PushOutcome::Skipped), count(PushOutcome::NoopWalk));
         assert!(
-            memo.pushes_skipped() > 200 && memo.pushes_noop_walked() > 0,
-            "the sequence must exercise both: {} skipped, {} walked for nothing",
-            memo.pushes_skipped(),
-            memo.pushes_noop_walked()
+            skipped > 200 && noop > 0,
+            "the sequence must exercise both: {skipped} skipped, {noop} walked for nothing"
         );
     }
 
@@ -918,14 +912,5 @@ mod tests {
         rm.install_replicas(vec![item(5), item(6)]);
         assert_eq!(rm.replica_count(), 2);
         assert!(rm.drain_events().is_empty());
-    }
-
-    #[test]
-    fn timers_start_once() {
-        let mut rm = ReplicationManager::new(PeerId(1), SystemConfig::fast());
-        let mut fx = Effects::new();
-        rm.start_timers(ctx(1), &mut fx);
-        rm.start_timers(ctx(1), &mut fx);
-        assert_eq!(fx.len(), 1);
     }
 }

@@ -31,11 +31,9 @@ pub struct BatchStamp {
 pub enum ReplMsg {
     /// Periodic replica-refresh tick.
     RefreshTick,
-    /// A replica push: `items` (with their mapped values) owned by `owner`
-    /// are to be stored in the receiver's replica store.
-    ///
-    /// `extra_hop` marks pushes performed by a peer that is about to leave
-    /// on a merge (the paper's replicate-to-additional-hop).
+    /// A replica push: `items` (with their mapped values), owned by the
+    /// sender or held by it as replicas, are to be stored in the receiver's
+    /// replica store.
     Push {
         /// The items being replicated (mapped value, item). One refresh
         /// round builds the batch once and every target shares it; the
@@ -46,8 +44,6 @@ pub enum ReplMsg {
         /// its replica store since skips the walk. `None` (extra-hop
         /// pushes, one-off batches) is always walked.
         stamp: Option<BatchStamp>,
-        /// Whether this push is the pre-leave additional-hop replication.
-        extra_hop: bool,
     },
     /// A peer that has just taken over a failed predecessor's range asks for
     /// replicas falling inside it. Its own replica store can be empty — for
@@ -87,8 +83,7 @@ mod tests {
         assert_eq!(
             ReplMsg::Push {
                 items: Arc::new([]),
-                stamp: None,
-                extra_hop: false
+                stamp: None
             }
             .tag(),
             "Push"

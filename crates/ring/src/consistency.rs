@@ -53,11 +53,36 @@ impl RingSnapshot {
     }
 }
 
+/// One violated ring invariant.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RingViolation {
+    /// Human-readable description of what went wrong.
+    pub details: String,
+    /// The distinct peers `details` names, in first-mention order.
+    pub peers: Vec<PeerId>,
+}
+
+impl RingViolation {
+    /// A violation naming `peers` (repeats dropped) in `details`.
+    fn new(details: String, peers: &[PeerId]) -> Self {
+        let mut distinct: Vec<PeerId> = Vec::with_capacity(peers.len());
+        for p in peers {
+            if !distinct.contains(p) {
+                distinct.push(*p);
+            }
+        }
+        RingViolation {
+            details,
+            peers: distinct,
+        }
+    }
+}
+
 /// The result of a consistency / connectivity check.
 #[derive(Debug, Clone, Default)]
 pub struct ConsistencyReport {
-    /// Human-readable descriptions of every violation found.
-    pub violations: Vec<String>,
+    /// Every violation found.
+    pub violations: Vec<RingViolation>,
 }
 
 impl ConsistencyReport {
@@ -69,12 +94,11 @@ impl ConsistencyReport {
     /// Merges another report into this one, prefixing each absorbed
     /// violation with `label` so combined reports stay attributable.
     pub fn absorb(&mut self, label: &str, other: ConsistencyReport) {
-        self.violations.extend(
-            other
-                .violations
-                .into_iter()
-                .map(|v| format!("{label}: {v}")),
-        );
+        self.violations
+            .extend(other.violations.into_iter().map(|v| RingViolation {
+                details: format!("{label}: {}", v.details),
+                ..v
+            }));
     }
 }
 
@@ -151,9 +175,9 @@ pub fn check_consistent_successor_pointers(snapshots: &[RingSnapshot]) -> Consis
             .map(|e| e.peer)
             .collect();
         if trim_list.is_empty() {
-            report.violations.push(format!(
-                "peer {} has no pointer to any live JOINED peer",
-                p.id
+            report.violations.push(RingViolation::new(
+                format!("peer {} has no pointer to any live JOINED peer", p.id),
+                &[p.id],
             ));
             continue;
         }
@@ -179,10 +203,13 @@ pub fn check_consistent_successor_pointers(snapshots: &[RingSnapshot]) -> Consis
                 expected = succ[got];
                 matched += 1;
             } else if !seen.contains(got) {
-                report.violations.push(format!(
-                    "peer {}: trimmed successor pointer {} is {} but the ring successor is {} \
-                     (a live JOINED peer was skipped)",
-                    p.id, i, got, expected
+                report.violations.push(RingViolation::new(
+                    format!(
+                        "peer {}: trimmed successor pointer {} is {} but the ring successor is {} \
+                         (a live JOINED peer was skipped)",
+                        p.id, i, got, expected
+                    ),
+                    &[p.id, *got, expected],
                 ));
                 break;
             }
@@ -234,8 +261,9 @@ pub fn check_connectivity(snapshots: &[RingSnapshot]) -> ConsistencyReport {
         match next(by_id[&current]) {
             Some(n) => current = n,
             None => {
-                report.violations.push(format!(
-                    "peer {current} has no live successor pointer: the ring is broken"
+                report.violations.push(RingViolation::new(
+                    format!("peer {current} has no live successor pointer: the ring is broken"),
+                    &[current],
                 ));
                 break;
             }
@@ -246,9 +274,12 @@ pub fn check_connectivity(snapshots: &[RingSnapshot]) -> ConsistencyReport {
     // flight (it still serves scans it already admitted).
     for m in &members {
         if m.is_joined_member() && !visited.contains(&m.id) {
-            report.violations.push(format!(
-                "peer {} is not reachable by following successor pointers from {}",
-                m.id, start
+            report.violations.push(RingViolation::new(
+                format!(
+                    "peer {} is not reachable by following successor pointers from {}",
+                    m.id, start
+                ),
+                &[m.id, start],
             ));
         }
     }
@@ -347,7 +378,12 @@ mod tests {
         ];
         let report = check_consistent_successor_pointers(&ring);
         assert!(!report.is_consistent());
-        assert!(report.violations[0].contains("p4"));
+        assert!(report.violations[0].details.contains("p4"));
+        // The skipping peer, the pointer it holds and the peer it skipped.
+        assert_eq!(
+            report.violations[0].peers,
+            [PeerId(4), PeerId(2), PeerId(1)]
+        );
     }
 
     #[test]
@@ -394,10 +430,9 @@ mod tests {
         ];
         let report = check_ring_invariants(&ring);
         assert!(!report.is_consistent());
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| v.starts_with("consistency:") || v.starts_with("connectivity:")));
+        assert!(report.violations.iter().any(
+            |v| v.details.starts_with("consistency:") || v.details.starts_with("connectivity:")
+        ));
         let dump = format_ring(&ring);
         for peer in ["p1", "p2", "p3", "p4"] {
             assert!(dump.contains(peer), "missing {peer} in:\n{dump}");
@@ -439,7 +474,15 @@ mod tests {
         ];
         let report = check_consistent_successor_pointers(&ring);
         assert!(!report.is_consistent());
-        assert!(report.violations[0].contains("p75"));
+        assert_eq!(
+            report.violations[0].details,
+            "peer p75: trimmed successor pointer 1 is p60 but the ring successor is p46 \
+             (a live JOINED peer was skipped)"
+        );
+        assert_eq!(
+            report.violations[0].peers,
+            [PeerId(75), PeerId(60), PeerId(46)]
+        );
     }
 
     #[test]
@@ -484,7 +527,8 @@ mod tests {
             snap(4, 40, RingPhase::Joined, &[(3, 30)], true),
         ];
         let report = check_connectivity(&ring);
-        assert!(!report.is_consistent());
+        let implicated: Vec<&[PeerId]> = report.violations.iter().map(|v| &v.peers[..]).collect();
+        assert_eq!(implicated, [[PeerId(3), PeerId(1)], [PeerId(4), PeerId(1)]]);
     }
 
     #[test]

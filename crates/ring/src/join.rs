@@ -9,7 +9,7 @@
 //! list right away — which is exactly what allows the inconsistent-ring
 //! scenario of Section 4.2.1.
 
-use pepper_net::{Effects, LayerCtx, ProtocolLayer, SimTime};
+use pepper_net::{Effects, LayerCtx, SimTime};
 use pepper_types::{PeerId, PeerValue, Protocol};
 
 use crate::entry::{EntryState, RingPhase, SuccEntry};
@@ -71,7 +71,7 @@ impl RingState {
             self.maybe_emit_new_successor();
             fx.send(
                 new_peer,
-                RingMsg::NaiveJoin {
+                RingMsg::Join {
                     succ_list: succ_list_for_new,
                     pred: self.id,
                     pred_value: self.value,
@@ -180,7 +180,6 @@ impl RingState {
         self.trim_succ_list();
         self.phase = RingPhase::Joined;
         self.last_new_succ = None;
-        self.start_timers(ctx, fx);
         self.maybe_emit_new_successor();
         fx.send(pred, RingMsg::JoinInstalled);
         self.emit(RingEvent::Joined {
@@ -312,7 +311,7 @@ mod tests {
         let sent: Vec<_> = fx.drain();
         assert!(sent.iter().any(|e| matches!(
             e,
-            Effect::Send { to, msg: RingMsg::NaiveJoin { .. } } if *to == PeerId(9)
+            Effect::Send { to, msg: RingMsg::Join { .. } } if *to == PeerId(9)
         )));
         // Crucially, the predecessor p4 is never told — this is the source of
         // the inconsistency of Section 4.2.1.
@@ -421,19 +420,13 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e, RingEvent::NewSuccessor { peer, .. } if *peer == PeerId(1))));
+        // The confirmation is all it sends: arming the periodic timers is
+        // the composed peer's job, on the `Joined` event.
         let effects = fx.drain();
-        assert!(effects.iter().any(|e| matches!(
-            e,
-            Effect::Send { to, msg: RingMsg::JoinInstalled } if *to == PeerId(5)
-        )));
-        // Timers started.
-        assert!(
-            effects
-                .iter()
-                .filter(|e| matches!(e, Effect::Timer { .. }))
-                .count()
-                >= 2
-        );
+        assert!(matches!(
+            &effects[..],
+            [Effect::Send { to, msg: RingMsg::JoinInstalled }] if *to == PeerId(5)
+        ));
     }
 
     #[test]

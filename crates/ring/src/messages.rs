@@ -67,7 +67,8 @@ pub enum RingMsg {
         joining: PeerId,
     },
     /// Final join message from the inserter to the joining peer: carries the
-    /// successor list and predecessor the new peer should adopt.
+    /// successor list and predecessor the new peer should adopt. The naive
+    /// `insertSucc` sends it at once, without the join handshake.
     Join {
         /// The successor list the joining peer adopts.
         succ_list: Vec<SuccEntry>,
@@ -81,19 +82,6 @@ pub enum RingMsg {
     /// Confirmation from the joining peer back to its inserter that it has
     /// installed the successor list and is now JOINED.
     JoinInstalled,
-
-    // ---- naive insertSucc -------------------------------------------------
-    /// Naive join: the new peer immediately becomes part of the ring.
-    NaiveJoin {
-        /// The successor list the joining peer adopts.
-        succ_list: Vec<SuccEntry>,
-        /// The joining peer's predecessor (the inserter).
-        pred: PeerId,
-        /// Ring value of the predecessor.
-        pred_value: PeerValue,
-        /// The ring value assigned to the joining peer.
-        your_value: PeerValue,
-    },
 
     // ---- leave -------------------------------------------------------------
     /// Leave acknowledgement sent to the LEAVING peer once every predecessor
@@ -132,7 +120,6 @@ impl RingMsg {
             RingMsg::JoinAck { .. } => "JoinAck",
             RingMsg::Join { .. } => "Join",
             RingMsg::JoinInstalled => "JoinInstalled",
-            RingMsg::NaiveJoin { .. } => "NaiveJoin",
             RingMsg::LeaveAck => "LeaveAck",
             RingMsg::Ping { .. } => "Ping",
             RingMsg::PingReply { .. } => "PingReply",
@@ -175,12 +162,6 @@ mod tests {
                 your_value: PeerValue(2),
             },
             RingMsg::JoinInstalled,
-            RingMsg::NaiveJoin {
-                succ_list: vec![],
-                pred: PeerId(1),
-                pred_value: PeerValue(1),
-                your_value: PeerValue(2),
-            },
             RingMsg::LeaveAck,
             RingMsg::Ping { seq: 1 },
             RingMsg::PingReply {

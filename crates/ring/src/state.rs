@@ -53,7 +53,6 @@ pub struct RingState {
     pub(crate) outstanding_pings: Vec<(PeerId, u64)>,
     /// The successor last announced through [`RingEvent::NewSuccessor`].
     pub(crate) last_new_succ: Option<(PeerId, PeerValue)>,
-    pub(crate) timers_started: bool,
     /// Events buffered for the composed peer, drained through
     /// [`ProtocolLayer::drain_events`].
     pub(crate) events: Vec<RingEvent>,
@@ -71,7 +70,7 @@ impl RingState {
     }
 
     /// Creates the state of a free peer (not yet part of any ring). Free
-    /// peers passively wait for a `Join` (or `NaiveJoin`) message.
+    /// peers passively wait for a `Join` message.
     pub fn new_free(id: PeerId, cfg: SystemConfig) -> Self {
         RingState::new(id, PeerValue(0), RingPhase::Free, cfg)
     }
@@ -91,7 +90,6 @@ impl RingState {
             ping_seq: 0,
             outstanding_pings: Vec::new(),
             last_new_succ: None,
-            timers_started: false,
             events: Vec::new(),
         }
     }
@@ -348,14 +346,10 @@ impl ProtocolLayer for RingState {
     type Msg = RingMsg;
     type Event = RingEvent;
 
-    /// Schedules the periodic stabilization and ping timers. Idempotent.
-    /// Timers are staggered by a small per-peer offset so that peers do not
-    /// stabilize in lockstep.
+    /// Schedules the periodic stabilization and ping timers. Timers are
+    /// staggered by a small per-peer offset so that peers do not stabilize
+    /// in lockstep.
     fn start_timers(&mut self, _ctx: LayerCtx, fx: &mut Effects<RingMsg>) {
-        if self.timers_started {
-            return;
-        }
-        self.timers_started = true;
         let stagger = Duration::from_micros((self.id.raw() % 97) * 250);
         fx.timer(
             self.cfg.stabilization_period / 2 + stagger,
@@ -388,12 +382,6 @@ impl ProtocolLayer for RingState {
             RingMsg::JoinAck { joining } => self.on_join_ack(ctx, joining, fx),
             RingMsg::InsertTimeout { peer, started } => self.on_insert_timeout(ctx, peer, started),
             RingMsg::Join {
-                succ_list,
-                pred,
-                pred_value,
-                your_value,
-            } => self.on_join(ctx, succ_list, pred, pred_value, your_value, fx),
-            RingMsg::NaiveJoin {
                 succ_list,
                 pred,
                 pred_value,
@@ -678,21 +666,6 @@ mod tests {
         assert!(s.succ_list().is_empty());
         assert!(s.pred().is_none());
         assert!(!s.is_member());
-    }
-
-    #[test]
-    fn start_timers_is_idempotent() {
-        let mut s = RingState::new_first(
-            PeerId(1),
-            PeerValue(10),
-            SystemConfig::fast().with_succ_list_len(3),
-        );
-        let ctx = LayerCtx::new(PeerId(1), SimTime::ZERO);
-        let mut fx = Effects::new();
-        s.start_timers(ctx, &mut fx);
-        assert_eq!(fx.len(), 2);
-        s.start_timers(ctx, &mut fx);
-        assert_eq!(fx.len(), 2);
     }
 
     #[test]

@@ -46,7 +46,6 @@ pub struct HierarchicalRouter {
     /// Per slot: its refresh period, in maintenance periods, and when it is
     /// next due (slot 0 comes from the ring and is never probed).
     refresh: Vec<(u32, SimTime)>,
-    timers_started: bool,
 }
 
 impl HierarchicalRouter {
@@ -57,7 +56,6 @@ impl HierarchicalRouter {
             cfg,
             entries: vec![None; ROUTER_LEVELS],
             refresh: vec![(1, SimTime::ZERO); ROUTER_LEVELS],
-            timers_started: false,
         }
     }
 
@@ -186,12 +184,8 @@ impl ProtocolLayer for HierarchicalRouter {
     type Msg = RouterMsg;
     type Event = RouterEvent;
 
-    /// Schedules the periodic maintenance timer. Idempotent.
+    /// Schedules the periodic maintenance timer.
     fn start_timers(&mut self, _ctx: LayerCtx, fx: &mut Effects<RouterMsg>) {
-        if self.timers_started {
-            return;
-        }
-        self.timers_started = true;
         let stagger = Duration::from_micros((self.id.raw() % 83) * 400);
         fx.timer(
             self.cfg.router_refresh_period / 2 + stagger,
@@ -492,14 +486,5 @@ mod tests {
         );
         // No slot changed presence: every schedule holds.
         assert!(r.refresh.iter().all(|p| *p == HELD));
-    }
-
-    #[test]
-    fn timers_start_once() {
-        let mut r = HierarchicalRouter::new(PeerId(1), SystemConfig::fast());
-        let mut fx = Effects::new();
-        r.start_timers(ctx(1), &mut fx);
-        r.start_timers(ctx(1), &mut fx);
-        assert_eq!(fx.len(), 1);
     }
 }

@@ -141,19 +141,12 @@ pub struct Cluster {
     pub pool: FreePool,
     /// The bootstrap peer.
     pub first: PeerId,
-    system: SystemConfig,
-    /// Durable-storage settings, if peers persist their state.
-    durability: Option<DurabilityConfig>,
-    /// Base seed for per-peer storage fault injection (the network seed, so
-    /// one harness seed pins the whole run — durable state included).
-    storage_seed: u64,
-    /// Tracing + metrics settings every peer is constructed with.
-    trace: TraceConfig,
+    /// What the cluster was built with; every peer added later is built
+    /// the same way. The network seed doubles as the base seed of per-peer
+    /// storage fault injection, so one harness seed pins the whole run,
+    /// durable state included.
+    cfg: ClusterConfig,
     next_item_seq: u64,
-    /// Replica pushes (skipped as already held, walked for nothing) counted
-    /// by peer incarnations a restart has since replaced, so that
-    /// [`Cluster::metrics`] never counts backwards.
-    retired_pushes: (u64, u64),
     /// Memoized ring-membership snapshot, keyed by the simulator's state
     /// version: the harness oracle asks for the member list once per
     /// scheduled op (and `owner_of` once per lookup), and rebuilding it by
@@ -166,40 +159,43 @@ impl Cluster {
     pub fn new(cfg: ClusterConfig) -> Self {
         let pool = FreePool::new();
         let mut sim = Simulator::new(cfg.network.clone());
-        let system = cfg.system.clone();
-        let storage_seed = cfg.network.seed;
-        let pool_first = pool.clone();
-        let sys_first = system.clone();
-        let durability = cfg.durability;
-        let trace = cfg.trace;
-        let first = sim.add_node(move |id| {
-            let node = PeerNode::first(id, PeerValue(FIRST_VALUE), sys_first, pool_first)
-                .with_trace(&trace);
-            match durability {
-                Some(d) => node.with_storage(PeerStorage::new_mem(
-                    Self::storage_seed_for(storage_seed, id),
-                    d.storage,
-                )),
-                None => node,
-            }
+        let first = Self::add_peer(&mut sim, &cfg, |id| {
+            PeerNode::first(id, PeerValue(FIRST_VALUE), cfg.system.clone(), pool.clone())
         });
         sim.with_node_ctx(first, |node, ctx| node.start(ctx));
+        let free_peers = cfg.initial_free_peers;
         let mut cluster = Cluster {
             sim,
             pool,
             first,
-            system,
-            durability,
-            storage_seed,
-            trace,
+            cfg,
             next_item_seq: 0,
-            retired_pushes: (0, 0),
             members_cache: RefCell::new(None),
         };
-        for _ in 0..cfg.initial_free_peers {
+        for _ in 0..free_peers {
             cluster.add_free_peer();
         }
         cluster
+    }
+
+    /// Adds one peer to `sim`: `role` builds it, then it is traced as `cfg`
+    /// says and, with durability on, journals to its own seeded
+    /// [`pepper_storage::MemVfs`].
+    fn add_peer(
+        sim: &mut Simulator<PeerNode>,
+        cfg: &ClusterConfig,
+        role: impl FnOnce(PeerId) -> PeerNode,
+    ) -> PeerId {
+        sim.add_node(|id| {
+            let node = role(id).with_trace(&cfg.trace);
+            match cfg.durability {
+                Some(d) => node.with_storage(PeerStorage::new_mem(
+                    Self::storage_seed_for(cfg.network.seed, id),
+                    d.storage,
+                )),
+                None => node,
+            }
+        })
     }
 
     /// Derives the fault-injection seed of one peer's [`pepper_storage::MemVfs`]
@@ -213,7 +209,7 @@ impl Cluster {
 
     /// The system configuration the cluster runs with.
     pub fn system(&self) -> &SystemConfig {
-        &self.system
+        &self.cfg.system
     }
 
     /// Current virtual time.
@@ -224,20 +220,8 @@ impl Cluster {
     /// Adds a new free peer to the system (it joins the ring when a split
     /// needs it).
     pub fn add_free_peer(&mut self) -> PeerId {
-        let cfg = self.system.clone();
-        let pool = self.pool.clone();
-        let durability = self.durability;
-        let storage_seed = self.storage_seed;
-        let trace = self.trace;
-        self.sim.add_node(move |id| {
-            let node = PeerNode::free(id, cfg, pool).with_trace(&trace);
-            match durability {
-                Some(d) => node.with_storage(PeerStorage::new_mem(
-                    Self::storage_seed_for(storage_seed, id),
-                    d.storage,
-                )),
-                None => node,
-            }
+        Self::add_peer(&mut self.sim, &self.cfg, |id| {
+            PeerNode::free(id, self.cfg.system.clone(), self.pool.clone())
         })
     }
 
@@ -267,7 +251,7 @@ impl Cluster {
     /// misbehaves exactly as documented there — the harness red-tests its
     /// oracles against those modes.
     pub fn restart_peer(&mut self, peer: PeerId) -> Option<RestartOutcome> {
-        let durability = self.durability?;
+        let durability = self.cfg.durability?;
         if self.sim.is_alive(peer) {
             return None;
         }
@@ -278,10 +262,7 @@ impl Cluster {
             .node(peer)
             .map(|n| n.trace_events())
             .unwrap_or_default();
-        let crashed = self.sim.node_mut(peer)?;
-        let storage = crashed.take_storage()?;
-        self.retired_pushes.0 += crashed.replication().pushes_skipped();
-        self.retired_pushes.1 += crashed.replication().pushes_noop_walked();
+        let storage = self.sim.node_mut(peer)?.take_storage()?;
         let recovered = storage.recover(durability.recovery);
         let outcome = RestartOutcome {
             wal_records_replayed: recovered.wal_records_replayed,
@@ -292,13 +273,13 @@ impl Cluster {
         };
         let node = PeerNode::restarted(
             peer,
-            self.system.clone(),
+            self.cfg.system.clone(),
             self.pool.clone(),
             storage,
             recovered,
             durability.recovery,
         )
-        .with_trace(&self.trace)
+        .with_trace(&self.cfg.trace)
         .with_trace_history(trace_history);
         self.sim.revive(peer, node);
         // Seed the rejoin with a live contact (the lowest-id ring member):
@@ -355,22 +336,28 @@ impl Cluster {
     /// The whole-cluster metrics registry: every peer's counters and
     /// histograms absorbed into one. Empty when metrics are off.
     ///
-    /// `repl.push_skipped` and `repl.push_noop_walk` — of the `repl.Push`
-    /// messages delivered, how many the receiver recognised as a batch it
-    /// already held, and how many it walked without installing anything —
-    /// are read from the replication managers' own counters here: a
-    /// registry update per push costs more than the skip saves.
+    /// Every `repl.Push` delivered ends one of three ways: it installs
+    /// replicas (`repl.ReplicasInstalled`), it is walked and installs
+    /// nothing (`repl.push_noop_walk`), or the receiver skips it as a batch
+    /// it already holds (`repl.push_skipped`). Skips are most pushes, and a
+    /// registry update per skip costs more than the skip saves, so peers
+    /// count only the other two and the skips are derived here. All four
+    /// counters come from the same per-incarnation registries.
     pub fn metrics(&self) -> Metrics {
         let mut total = Metrics::enabled();
-        let (mut skipped, mut noop_walked) = self.retired_pushes;
         for (_, node) in self.sim.nodes_iter() {
             total.absorb(node.metrics());
-            skipped += node.replication().pushes_skipped();
-            noop_walked += node.replication().pushes_noop_walked();
         }
-        if self.trace.metrics {
+        if self.cfg.trace.metrics {
+            let walked = total.counter("repl", "ReplicasInstalled")
+                + total.counter("repl", "push_noop_walk");
+            let skipped = total
+                .counter("repl", "Push")
+                .checked_sub(walked)
+                .expect("every walked push was counted as delivered");
             total.add("repl", "push_skipped", skipped);
-            total.add("repl", "push_noop_walk", noop_walked);
+            // Listed even when no push was walked for nothing.
+            total.add("repl", "push_noop_walk", 0);
         }
         total
     }
@@ -764,27 +751,33 @@ mod tests {
             cluster.run(Duration::from_millis(50));
         }
         cluster.run_secs(4);
-        let outcomes = |c: &Cluster| {
+        // Every push delivered is skipped, walked for nothing or installs
+        // something, counted in one registry per peer incarnation. Returns
+        // how many were skipped.
+        let skipped = |c: &Cluster| {
             let m = c.metrics();
-            (
-                m.counter("repl", "push_skipped"),
-                m.counter("repl", "push_noop_walk"),
-            )
+            let counter = |name| m.counter("repl", name);
+            let outcomes =
+                counter("push_skipped") + counter("push_noop_walk") + counter("ReplicasInstalled");
+            assert_eq!(outcomes, counter("Push"), "{}", m.render());
+            counter("push_skipped")
         };
-        let before = outcomes(&cluster);
-        assert!(before.0 > 0, "settled refresh rounds are skipped");
-        assert!(before.0 + before.1 <= cluster.metrics().counter("repl", "Push"));
+        let before = skipped(&cluster);
+        assert!(before > 0, "settled refresh rounds are skipped");
         let victim = *cluster
             .ring_members()
             .iter()
             .find(|p| **p != cluster.first)
             .expect("a member besides the bootstrap peer");
-        let counted = cluster.node(victim).unwrap().replication().pushes_skipped();
-        assert!(counted > 0);
         cluster.crash_peer(victim);
+        cluster.run_secs(1);
         cluster.restart_peer(victim).expect("restart succeeds");
-        // The rebuilt peer counts from zero; what its past counted stays.
-        assert_eq!(outcomes(&cluster), before);
+        // The rebuilt peer starts a fresh registry: its past pushes leave
+        // every counter together.
+        let after_restart = skipped(&cluster);
+        assert!(after_restart < before, "{after_restart} vs {before}");
+        cluster.run_secs(4);
+        assert!(skipped(&cluster) > after_restart, "skips resume");
         // With metrics off the registry stays empty.
         let (quiet, _) = grown_durable_cluster(31);
         assert_eq!(quiet.metrics().counters().count(), 0);

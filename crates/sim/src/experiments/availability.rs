@@ -112,12 +112,12 @@ pub fn leave_then_fail_trial(system: SystemConfig, seed: u64) -> AvailabilityTri
     // The paper's single failure: kill the peer that *absorbed* the leaver's
     // range (it now stores items whose only replicas lived on the departed
     // peer) — this is simultaneously the Figure 14 and Figure 17 victim.
-    let leaver_value = values
+    let leaver_at = values
         .iter()
         .find(|(p, _)| *p == leaver)
         .map(|(_, v)| *v)
         .unwrap_or(0);
-    let victim = cluster.owner_of(leaver_value).filter(|p| *p != leaver);
+    let victim = cluster.owner_of(leaver_at).filter(|p| *p != leaver);
     if let Some(victim) = victim {
         cluster.sim.kill(victim);
     }

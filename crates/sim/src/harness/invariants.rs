@@ -76,47 +76,12 @@ pub fn check_ring(view: &SystemView) -> Vec<Violation> {
     check_ring_invariants(&view.ring)
         .violations
         .into_iter()
-        .map(|details| Violation {
+        .map(|v| Violation {
             invariant: "ring",
-            // The ring checkers report prose; recover the implicated peers
-            // from the `pNN` tokens so failure artifacts can attach their
-            // trace tails.
-            peers: peer_tokens(&details),
-            details,
+            peers: v.peers,
+            details: v.details,
         })
         .collect()
-}
-
-/// Extracts every distinct `pNN` peer token from a violation message, in
-/// first-mention order.
-fn peer_tokens(details: &str) -> Vec<PeerId> {
-    let bytes = details.as_bytes();
-    let mut out: Vec<PeerId> = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'p'
-            && (i == 0 || !bytes[i - 1].is_ascii_alphanumeric())
-            && i + 1 < bytes.len()
-            && bytes[i + 1].is_ascii_digit()
-        {
-            let start = i + 1;
-            let mut end = start;
-            while end < bytes.len() && bytes[end].is_ascii_digit() {
-                end += 1;
-            }
-            let bounded = end == bytes.len() || !bytes[end].is_ascii_alphanumeric();
-            if let (true, Ok(raw)) = (bounded, details[start..end].parse::<u64>()) {
-                let id = PeerId(raw);
-                if !out.contains(&id) {
-                    out.push(id);
-                }
-            }
-            i = end;
-        } else {
-            i += 1;
-        }
-    }
-    out
 }
 
 /// Live peers' ranges must partition the value space: each range starts
@@ -320,17 +285,6 @@ pub fn check_replication(view: &SystemView, replication_factor: usize) -> Vec<Vi
 mod tests {
     use super::*;
     use pepper_types::CircularRange;
-
-    #[test]
-    fn peer_tokens_recovers_ids_from_violation_prose() {
-        let msg = "peer p75: trimmed successor pointer 1 is p60 but the ring \
-                   successor is p46 (a live JOINED peer was skipped)";
-        assert_eq!(peer_tokens(msg), vec![PeerId(75), PeerId(60), PeerId(46)]);
-        // Dedup, no-match, and embedded-word ("skip75d"/"p2p") cases.
-        assert_eq!(peer_tokens("p3 then p3 again"), vec![PeerId(3)]);
-        assert!(peer_tokens("the ring is broken").is_empty());
-        assert!(peer_tokens("a p2p-style stop7 grasp9").is_empty());
-    }
 
     fn store(id: u64, low: u64, high: u64, keys: &[u64]) -> DsSnapshot {
         DsSnapshot {

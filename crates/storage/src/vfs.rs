@@ -222,15 +222,22 @@ impl Vfs for FileVfs {
         std::fs::read(self.path(file)).ok()
     }
 
+    /// Folds the same `(name, length, bytes)` sequence as
+    /// [`MemVfs::digest`], with names relative to the root, so the digest
+    /// does not depend on where the directory lives.
     fn digest(&self) -> u64 {
         let mut h: u64 = FNV_OFFSET;
-        let mut names: Vec<PathBuf> = std::fs::read_dir(&self.root)
-            .map(|rd| rd.filter_map(|e| e.ok().map(|e| e.path())).collect())
+        let mut names: Vec<String> = std::fs::read_dir(&self.root)
+            .map(|rd| {
+                rd.filter_map(|e| e.ok()?.file_name().into_string().ok())
+                    .collect()
+            })
             .unwrap_or_default();
         names.sort();
-        for path in names {
-            if let Ok(bytes) = std::fs::read(&path) {
-                h = fnv1a(h, path.to_string_lossy().as_bytes());
+        for name in names {
+            if let Some(bytes) = self.read(&name) {
+                h = fnv1a(h, name.as_bytes());
+                h = fnv1a(h, &(bytes.len() as u64).to_le_bytes());
                 h = fnv1a(h, &bytes);
             }
         }
@@ -323,6 +330,22 @@ mod tests {
         vfs.truncate("wal");
         assert_eq!(vfs.read("wal").unwrap(), b"");
         assert!(vfs.read("absent").is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn file_vfs_and_mem_vfs_digest_the_same_synced_writes_alike() {
+        let dir = std::env::temp_dir().join(format!("pepper-vfs-digest-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut file = FileVfs::new(&dir).unwrap();
+        let mut mem = MemVfs::new(1);
+        for vfs in [&mut file as &mut dyn Vfs, &mut mem] {
+            vfs.append("wal", b"record-1");
+            vfs.append("wal", b"record-2");
+            vfs.sync("wal");
+            vfs.write_atomic("snapshot", b"image");
+        }
+        assert_eq!(file.digest(), mem.digest());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
