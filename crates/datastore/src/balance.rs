@@ -30,8 +30,8 @@ use pepper_net::{Effects, LayerCtx};
 use pepper_types::{CircularRange, Item, PeerId, PeerValue};
 
 use crate::events::DsEvent;
-use crate::messages::DsMsg;
-use crate::state::{Balance, DataStoreState, DeferredWrite, DsStatus, Give, Giving};
+use crate::messages::{DsMsg, Give};
+use crate::state::{Balance, DataStoreState, DeferredWrite, DsStatus, Giving};
 
 /// Delay before re-checking an overflow/underflow that could not be acted
 /// upon immediately (no free peer, lock busy, …).
@@ -212,11 +212,25 @@ impl DataStoreState {
     /// acknowledged, item writes at this peer are parked.
     pub fn send_handoff(&mut self, to: PeerId, fx: &mut Effects<DsMsg>) -> Option<CircularRange> {
         let give = self.split_waiting_on(to)?.give;
-        let (range, _) = self.parts(give);
-        let items = self.store.items_in_range(&range);
+        Some(self.send_grant(give, to, fx))
+    }
+
+    /// Puts `give` on the wire to `to` — copies: nothing is removed until
+    /// the receiver acknowledges — and returns the granted range. A give to
+    /// the predecessor is guarded by a timer; a split's receiver is the
+    /// successor, whose failure the ping loop reports.
+    fn send_grant(&mut self, give: Give, to: PeerId, fx: &mut Effects<DsMsg>) -> CircularRange {
+        let moved = self.parts(give).0;
+        let items = self.store.items_in_range(&moved);
+        // The receiver of a full give appends the giver's own range to its
+        // range, not the full circle `parts` moves the items with.
+        let range = if give == Give::All { self.range } else { moved };
         self.set_giving(give, to, true);
-        fx.send(to, DsMsg::HandoffInstall { range, items });
-        Some(range)
+        fx.send(to, DsMsg::Grant { give, range, items });
+        if !matches!(give, Give::Upper(_)) {
+            self.arm_give_timeout(to, give, 1, fx);
+        }
+        range
     }
 
     /// Sends a merge request to the successor. Called by the index layer in
@@ -255,19 +269,7 @@ impl DataStoreState {
             fx.send(from, DsMsg::MergeDeclined);
             return;
         };
-        let new_boundary = PeerValue(new_boundary);
-        let give = Give::Lower(new_boundary);
-        let items = self.store.items_in_range(&self.parts(give).0);
-        self.set_giving(give, from, true);
-        fx.send(
-            from,
-            DsMsg::RedistributeGrant {
-                items,
-                new_boundary,
-                granter_low: self.range.low(),
-            },
-        );
-        self.arm_give_timeout(from, Some(new_boundary), 1, fx);
+        self.send_grant(Give::Lower(PeerValue(new_boundary)), from, fx);
     }
 
     /// Announces a full give to the predecessor `to`. The index layer first
@@ -280,21 +282,9 @@ impl DataStoreState {
 
     /// Guards a give to the *predecessor*: its failure is invisible to the
     /// ping loop, so only a timer can end the wait for its acknowledgement.
-    fn arm_give_timeout(
-        &self,
-        to: PeerId,
-        boundary: Option<PeerValue>,
-        attempt: u32,
-        fx: &mut Effects<DsMsg>,
-    ) {
-        fx.timer(
-            self.cfg.leave_absorb_timeout(),
-            DsMsg::GiveTimeout {
-                to,
-                boundary,
-                attempt,
-            },
-        );
+    fn arm_give_timeout(&self, to: PeerId, give: Give, attempt: u32, fx: &mut Effects<DsMsg>) {
+        let guard = DsMsg::GiveTimeout { to, give, attempt };
+        fx.timer(self.cfg.leave_absorb_timeout(), guard);
     }
 
     /// Sends the full merge grant (copies; nothing is removed until the
@@ -303,15 +293,7 @@ impl DataStoreState {
     /// completed. Returns `None` if no full give is in flight.
     pub fn send_merge_grant(&mut self, fx: &mut Effects<DsMsg>) -> Option<PeerId> {
         let to = self.giving().filter(|g| g.give == Give::All)?.to;
-        self.set_giving(Give::All, to, true);
-        fx.send(
-            to,
-            DsMsg::MergeGrant {
-                range: self.range,
-                items: self.store.to_vec(),
-            },
-        );
-        self.arm_give_timeout(to, None, 1, fx);
+        self.send_grant(Give::All, to, fx);
         Some(to)
     }
 
@@ -338,28 +320,45 @@ impl DataStoreState {
         &mut self,
         ctx: LayerCtx,
         to: PeerId,
-        boundary: Option<PeerValue>,
+        give: Give,
         attempt: u32,
         fx: &mut Effects<DsMsg>,
     ) {
-        let give = boundary.map_or(Give::All, Give::Lower);
         let Some(giving) = self.giving().filter(|g| g.give == give) else {
             return; // resolved (acked, abort-acked or cancelled) in the meantime
         };
-        match boundary {
-            None if giving.to == to => self.write_or_defer(ctx, DeferredWrite::Finish(give), fx),
-            None => {}
+        match give {
+            Give::All if giving.to == to => {
+                self.write_or_defer(ctx, DeferredWrite::Finish(give), fx)
+            }
             // The requester may be alive with the grant parked behind scan
             // locks: ask it to drop the grant, and only abort unilaterally
             // if that, too, goes unanswered.
-            Some(b) if attempt == 1 => {
+            Give::Lower(b) if attempt == 1 => {
                 fx.send(to, DsMsg::RedistributeAbort { new_boundary: b });
-                self.arm_give_timeout(to, boundary, 2, fx);
+                self.arm_give_timeout(to, give, 2, fx);
             }
-            // Neither a RedistributeAck nor an abort ack within a whole
-            // extra guard period: the requester is dead.
-            Some(_) => self.abort_give(ctx, fx),
+            // Neither an ack nor an abort ack within a whole extra guard
+            // period: the requester is dead.
+            Give::Lower(_) => self.abort_give(ctx, fx),
+            Give::All | Give::Upper(_) => {}
         }
+    }
+
+    /// Giving side: the receiver installed the grant of `give`. Only the
+    /// record knows whether a split's ack still belongs to the split in
+    /// flight; the other acks are checked against the record when they
+    /// apply.
+    pub(crate) fn on_grant_ack(&mut self, ctx: LayerCtx, give: Give, fx: &mut Effects<DsMsg>) {
+        let give = match (give, self.giving().map(|g| g.give)) {
+            (Give::Upper(_), Some(recorded @ Give::Upper(_))) => {
+                debug_assert_eq!(recorded, give, "a split's ack names its own boundary");
+                recorded
+            }
+            (Give::Upper(_), _) => return,
+            _ => give,
+        };
+        self.write_or_defer(ctx, DeferredWrite::Finish(give), fx);
     }
 
     // ------------------------------------------------------------------
@@ -408,7 +407,7 @@ impl DataStoreState {
 
     /// Requester side: the granter's guard expired and it wants the grant
     /// back. If the grant is still parked behind scan locks, drop it and
-    /// confirm; if it was already applied, ignore — our `RedistributeAck`
+    /// confirm; if it was already applied, ignore — our `GrantAck`
     /// is on its way (per-pair FIFO delivery guarantees the grant itself
     /// cannot still be in flight behind this abort).
     pub(crate) fn on_redistribute_abort(
@@ -577,15 +576,10 @@ impl DataStoreState {
                     value: self.range.high(),
                     grew: true,
                 });
-                let ack = match give {
-                    Give::Upper(_) => DsMsg::HandoffAck,
-                    Give::Lower(new_boundary) => DsMsg::RedistributeAck { new_boundary },
-                    Give::All => {
-                        self.emit(DsEvent::AbsorbedSuccessor { granter: giver });
-                        DsMsg::MergeGrantAck
-                    }
-                };
-                fx.send(giver, ack);
+                if give == Give::All {
+                    self.emit(DsEvent::AbsorbedSuccessor { granter: giver });
+                }
+                fx.send(giver, DsMsg::GrantAck { give });
                 // Absorbing (a voluntary leaver above all) can overflow a
                 // peer of any size; re-check so the split fires without
                 // waiting for the next item write.
@@ -669,6 +663,13 @@ mod tests {
         ds
     }
 
+    /// The grant of `give` over `(low, high]`, carrying the items `keys`.
+    fn grant(give: Give, low: u64, high: u64, keys: &[u64]) -> DsMsg {
+        let items = keys.iter().map(|&k| (k, item(k))).collect();
+        let range = CircularRange::new(low, high);
+        DsMsg::Grant { give, range, items }
+    }
+
     /// Delivers `msg` from peer `from` through the layer's message dispatch.
     fn deliver(ds: &mut DataStoreState, from: u64, msg: DsMsg, fx: &mut Effects<DsMsg>) {
         ds.handle(ctx(ds.id().raw()), PeerId(from), msg, fx);
@@ -692,12 +693,13 @@ mod tests {
         let moved = q.send_handoff(PeerId(9), &mut fx).unwrap();
         assert_eq!(moved, CircularRange::new(30u64, 100u64));
         let handoff = fx.drain();
+        let split = Give::Upper(PeerValue(30));
         let (range, items) = match &handoff[0] {
             Effect::Send {
                 to,
-                msg: DsMsg::HandoffInstall { range, items },
+                msg: DsMsg::Grant { give, range, items },
             } => {
-                assert_eq!(*to, PeerId(9));
+                assert_eq!((*to, *give), (PeerId(9), split));
                 (*range, items.clone())
             }
             other => panic!("unexpected {other:?}"),
@@ -710,18 +712,19 @@ mod tests {
         let mut n = DataStoreState::new_free(PeerId(9), SystemConfig::fast());
         n.became_ring_member(PeerValue(100));
         let mut nfx = Effects::new();
-        deliver(&mut n, 1, DsMsg::HandoffInstall { range, items }, &mut nfx);
+        let give = split;
+        deliver(&mut n, 1, DsMsg::Grant { give, range, items }, &mut nfx);
         assert_eq!(n.status(), DsStatus::Live);
         assert_eq!(n.item_count(), 3);
         assert_eq!(n.range(), CircularRange::new(30u64, 100u64));
         assert!(nfx.iter().any(|e| matches!(
             e,
-            Effect::Send { to, msg: DsMsg::HandoffAck } if *to == PeerId(1)
+            Effect::Send { to, msg: DsMsg::GrantAck { give } } if *to == PeerId(1) && *give == split
         )));
 
         // The splitter completes on the ack.
         let mut qfx = Effects::new();
-        deliver(&mut q, 9, DsMsg::HandoffAck, &mut qfx);
+        deliver(&mut q, 9, DsMsg::GrantAck { give: split }, &mut qfx);
         assert_eq!(q.item_count(), 3);
         assert_eq!(q.range(), CircularRange::new(0u64, 30u64));
         assert!(!q.is_rebalancing());
@@ -744,7 +747,8 @@ mod tests {
         let mut fx = Effects::new();
         let moved = q.send_handoff(PeerId(9), &mut fx).unwrap();
         assert_eq!(moved, CircularRange::new(20u64, 100u64));
-        deliver(&mut q, 9, DsMsg::HandoffAck, &mut fx);
+        let give = Give::Upper(PeerValue(20));
+        deliver(&mut q, 9, DsMsg::GrantAck { give }, &mut fx);
         assert_eq!(q.range(), CircularRange::new(100u64, 20u64));
         assert_eq!(q.item_count(), 2);
     }
@@ -782,7 +786,8 @@ mod tests {
         // After the ack the parked insert is re-dispatched; since 45 is now
         // outside the shrunk range it bounces back for re-routing.
         let mut fx3 = Effects::new();
-        deliver(&mut q, 9, DsMsg::HandoffAck, &mut fx3);
+        let give = Give::Upper(PeerValue(30));
+        deliver(&mut q, 9, DsMsg::GrantAck { give }, &mut fx3);
         assert!(fx3.iter().any(|e| matches!(
             e,
             Effect::Send { to, msg: DsMsg::NotResponsible { mapped: 45 } } if *to == PeerId(5)
@@ -821,56 +826,38 @@ mod tests {
             &mut sfx,
         );
         let grant = sfx.drain().remove(0);
-        let (items, new_boundary) = match grant {
+        let (give, range, items) = match grant {
             Effect::Send {
                 to,
-                msg:
-                    DsMsg::RedistributeGrant {
-                        items,
-                        new_boundary,
-                        granter_low,
-                    },
+                msg: DsMsg::Grant { give, range, items },
             } => {
                 assert_eq!(to, PeerId(1));
-                assert_eq!(granter_low, PeerValue(30), "granter's low end rides along");
-                (items, new_boundary)
+                (give, range, items)
             }
             other => panic!("unexpected {other:?}"),
         };
-        // total = 7, target ~3 each: s gives 2 items (40, 50), boundary 50.
-        assert_eq!(new_boundary, PeerValue(50));
+        // total = 7, target ~3 each: s gives 2 items (40, 50), boundary 50;
+        // the granter's low end rides along.
+        assert_eq!(give, Give::Lower(PeerValue(50)));
+        assert_eq!(range, CircularRange::new(30u64, 50u64));
         assert_eq!(items.len(), 2);
         // Copy-then-delete: s still holds them.
         assert_eq!(s.item_count(), 6);
 
         // Requester installs and acks.
         let mut qfx = Effects::new();
-        deliver(
-            &mut q,
-            2,
-            DsMsg::RedistributeGrant {
-                items,
-                new_boundary,
-                granter_low: PeerValue(30),
-            },
-            &mut qfx,
-        );
+        deliver(&mut q, 2, DsMsg::Grant { give, range, items }, &mut qfx);
         assert_eq!(q.item_count(), 3);
         assert_eq!(q.range(), CircularRange::new(0u64, 50u64));
         assert!(!q.is_rebalancing());
         assert!(qfx.iter().any(|e| matches!(
             e,
-            Effect::Send { to, msg: DsMsg::RedistributeAck { .. } } if *to == PeerId(2)
+            Effect::Send { to, msg: DsMsg::GrantAck { give: g } } if *to == PeerId(2) && *g == give
         )));
 
         // Granter finishes.
         let mut sfx2 = Effects::new();
-        deliver(
-            &mut s,
-            1,
-            DsMsg::RedistributeAck { new_boundary },
-            &mut sfx2,
-        );
+        deliver(&mut s, 1, DsMsg::GrantAck { give }, &mut sfx2);
         assert_eq!(s.item_count(), 4);
         assert_eq!(s.range(), CircularRange::new(50u64, 100u64));
         assert!(!s.is_rebalancing());
@@ -902,19 +889,29 @@ mod tests {
         // Index layer has run leave + extra-hop replication; now grant.
         let mut sfx = Effects::new();
         assert_eq!(s.send_merge_grant(&mut sfx), Some(PeerId(1)));
-        let (range, items) = match sfx.drain().remove(0) {
-            Effect::Send {
-                msg: DsMsg::MergeGrant { range, items },
-                ..
-            } => (range, items),
-            other => panic!("unexpected {other:?}"),
+        let grant = sfx.drain().remove(0);
+        let Effect::Send {
+            msg:
+                DsMsg::Grant {
+                    give: Give::All,
+                    range,
+                    ..
+                },
+            ..
+        } = &grant
+        else {
+            panic!("unexpected {grant:?}");
         };
-        assert_eq!(range.high(), PeerValue(100));
+        // The giver's own range, not the full circle.
+        assert_eq!(*range, CircularRange::new(30u64, 100u64));
 
         // Requester absorbs.
         let mut qfx = Effects::new();
         q.balance = Balance::Busy;
-        deliver(&mut q, 2, DsMsg::MergeGrant { range, items }, &mut qfx);
+        let Effect::Send { msg: grant, .. } = grant else {
+            unreachable!()
+        };
+        deliver(&mut q, 2, grant, &mut qfx);
         assert_eq!(q.range(), CircularRange::new(0u64, 100u64));
         assert_eq!(q.item_count(), 3);
         assert!(q
@@ -923,12 +920,12 @@ mod tests {
             .any(|e| matches!(e, DsEvent::AbsorbedSuccessor { granter } if *granter == PeerId(2))));
         assert!(qfx.iter().any(|e| matches!(
             e,
-            Effect::Send { to, msg: DsMsg::MergeGrantAck } if *to == PeerId(2)
+            Effect::Send { to, msg: DsMsg::GrantAck { give: Give::All } } if *to == PeerId(2)
         )));
 
         // Granter becomes free.
         let mut sfx2 = Effects::new();
-        deliver(&mut s, 1, DsMsg::MergeGrantAck, &mut sfx2);
+        deliver(&mut s, 1, DsMsg::GrantAck { give: Give::All }, &mut sfx2);
         assert_eq!(s.status(), DsStatus::Free);
         assert_eq!(s.item_count(), 0);
         assert!(s
@@ -991,15 +988,7 @@ mod tests {
         q.balance = Balance::Busy;
         q.acquire_scan_lock();
         let mut fx = Effects::new();
-        deliver(
-            &mut q,
-            2,
-            DsMsg::MergeGrant {
-                range: CircularRange::new(30u64, 100u64),
-                items: vec![(40, item(40))],
-            },
-            &mut fx,
-        );
+        deliver(&mut q, 2, grant(Give::All, 30, 100, &[40]), &mut fx);
         // Nothing applied, no ack sent while the scan lock is held.
         assert_eq!(q.range(), CircularRange::new(0u64, 30u64));
         assert!(fx.is_empty());
@@ -1008,7 +997,7 @@ mod tests {
         assert!(fx.iter().any(|e| matches!(
             e,
             Effect::Send {
-                msg: DsMsg::MergeGrantAck,
+                msg: DsMsg::GrantAck { give: Give::All },
                 ..
             }
         )));
@@ -1100,7 +1089,8 @@ mod tests {
         // The receiver installed and acknowledged, but a scan holds the
         // range lock here: the completion is parked.
         q.acquire_scan_lock();
-        deliver(&mut q, 9, DsMsg::HandoffAck, &mut fx);
+        let give = Give::Upper(PeerValue(30));
+        deliver(&mut q, 9, DsMsg::GrantAck { give }, &mut fx);
         assert_eq!(q.range(), CircularRange::new(0u64, 100u64));
         // The receiver is then declared failed: the record is cleared and
         // parked item writes resume...
@@ -1123,7 +1113,8 @@ mod tests {
         // The receiver installs and acks, the completion parks behind a scan
         // lock, and then the receiver is declared failed: the split aborts.
         q.acquire_scan_lock();
-        deliver(&mut q, 9, DsMsg::HandoffAck, &mut fx);
+        let give = Give::Upper(PeerValue(30));
+        deliver(&mut q, 9, DsMsg::GrantAck { give }, &mut fx);
         q.on_peer_failed(ctx(1), PeerId(9), &mut fx);
         assert!(!q.is_rebalancing());
         // Deletes drain the peer below sf and it asks its successor to merge.
@@ -1223,12 +1214,13 @@ mod tests {
         );
         assert!(s.is_rebalancing() && s.is_item_writes_blocked());
         // A stale guard for a different boundary is ignored.
-        s.on_give_timeout(ctx(2), PeerId(1), Some(PeerValue(99)), 1, &mut fx);
+        s.on_give_timeout(ctx(2), PeerId(1), Give::Lower(PeerValue(99)), 1, &mut fx);
         assert!(s.is_rebalancing());
         // First matching firing only *asks* the requester to drop the grant
         // (it may be alive with the grant parked behind scan locks).
         let mut fx_ask = Effects::new();
-        s.on_give_timeout(ctx(2), PeerId(1), Some(PeerValue(50)), 1, &mut fx_ask);
+        let give = Give::Lower(PeerValue(50));
+        s.on_give_timeout(ctx(2), PeerId(1), give, 1, &mut fx_ask);
         assert!(s.is_rebalancing());
         assert!(fx_ask.iter().any(|e| matches!(
             e,
@@ -1236,22 +1228,15 @@ mod tests {
         )));
         // The second firing (still unanswered) aborts unilaterally: items
         // intact, writes unblocked.
-        s.on_give_timeout(ctx(2), PeerId(1), Some(PeerValue(50)), 2, &mut fx);
+        s.on_give_timeout(ctx(2), PeerId(1), give, 2, &mut fx);
         assert!(!s.is_rebalancing() && !s.is_item_writes_blocked());
         assert_eq!(s.item_count(), 6);
         // The requester's late ack must not shrink the range a second time.
-        deliver(
-            &mut s,
-            1,
-            DsMsg::RedistributeAck {
-                new_boundary: PeerValue(50),
-            },
-            &mut fx,
-        );
+        deliver(&mut s, 1, DsMsg::GrantAck { give }, &mut fx);
         assert_eq!(s.item_count(), 6);
         assert_eq!(s.range(), CircularRange::new(30u64, 100u64));
 
-        // Merge-give granter: requester dies before MergeGrantAck. The
+        // Merge-give granter: requester dies before the ack. The
         // granter has already ring-departed, so it completes unilaterally
         // (items survive as replicas pushed by the pre-leave protection).
         let mut g = live_peer(3, 30, 100, &[40, 90]);
@@ -1265,16 +1250,16 @@ mod tests {
         g.drain_events();
         g.send_merge_grant(&mut gfx);
         // Guard for a different requester is ignored.
-        g.on_give_timeout(ctx(3), PeerId(9), None, 1, &mut gfx);
+        g.on_give_timeout(ctx(3), PeerId(9), Give::All, 1, &mut gfx);
         assert_eq!(g.status(), DsStatus::Live);
-        g.on_give_timeout(ctx(3), PeerId(1), None, 1, &mut gfx);
+        g.on_give_timeout(ctx(3), PeerId(1), Give::All, 1, &mut gfx);
         assert_eq!(g.status(), DsStatus::Free);
         assert!(g
             .drain_events()
             .iter()
             .any(|e| matches!(e, DsEvent::BecameFree)));
         // A late ack after the forced completion is a no-op.
-        deliver(&mut g, 1, DsMsg::MergeGrantAck, &mut gfx);
+        deliver(&mut g, 1, DsMsg::GrantAck { give: Give::All }, &mut gfx);
         assert_eq!(g.status(), DsStatus::Free);
     }
 
@@ -1291,16 +1276,8 @@ mod tests {
         let mut q = live_peer(1, 0, 30, &[10]);
         q.balance = Balance::Busy;
         let mut qfx = Effects::new();
-        deliver(
-            &mut q,
-            2,
-            DsMsg::RedistributeGrant {
-                items: vec![(70, item(70))],
-                new_boundary: PeerValue(80),
-                granter_low: PeerValue(60),
-            },
-            &mut qfx,
-        );
+        let give = Give::Lower(PeerValue(80));
+        deliver(&mut q, 2, grant(give, 60, 80, &[70]), &mut qfx);
         assert_eq!(q.range(), CircularRange::new(0u64, 80u64));
         let events = q.drain_events();
         let bridged = events
@@ -1315,16 +1292,8 @@ mod tests {
         let mut q2 = live_peer(1, 0, 30, &[10]);
         q2.balance = Balance::Busy;
         let mut q2fx = Effects::new();
-        deliver(
-            &mut q2,
-            2,
-            DsMsg::RedistributeGrant {
-                items: vec![(40, item(40))],
-                new_boundary: PeerValue(50),
-                granter_low: PeerValue(30),
-            },
-            &mut q2fx,
-        );
+        let give = Give::Lower(PeerValue(50));
+        deliver(&mut q2, 2, grant(give, 30, 50, &[40]), &mut q2fx);
         assert!(!q2
             .drain_events()
             .iter()
@@ -1337,15 +1306,7 @@ mod tests {
         let mut q = live_peer(1, 0, 30, &[10]);
         q.balance = Balance::Busy;
         let mut qfx = Effects::new();
-        deliver(
-            &mut q,
-            2,
-            DsMsg::MergeGrant {
-                range: CircularRange::new(60u64, 100u64),
-                items: vec![(70, item(70))],
-            },
-            &mut qfx,
-        );
+        deliver(&mut q, 2, grant(Give::All, 60, 100, &[70]), &mut qfx);
         assert_eq!(q.range(), CircularRange::new(0u64, 100u64));
         let gaps: Vec<CircularRange> = q
             .drain_events()
@@ -1481,16 +1442,8 @@ mod tests {
         q.balance = Balance::Busy;
         q.acquire_scan_lock();
         let mut qfx = Effects::new();
-        deliver(
-            &mut q,
-            2,
-            DsMsg::RedistributeGrant {
-                items: vec![(40, item(40))],
-                new_boundary: PeerValue(50),
-                granter_low: PeerValue(30),
-            },
-            &mut qfx,
-        );
+        let give = Give::Lower(PeerValue(50));
+        deliver(&mut q, 2, grant(give, 30, 50, &[40]), &mut qfx);
         assert_eq!(q.range(), CircularRange::new(0u64, 30u64), "still parked");
 
         // Abort for a different boundary is ignored (nothing dropped).
@@ -1647,15 +1600,11 @@ mod tests {
         // Grant, absorb, ack: the predecessor unlocks on absorption.
         let mut sfx3 = Effects::new();
         assert_eq!(s.send_merge_grant(&mut sfx3), Some(PeerId(1)));
-        let (range, items) = match sfx3.drain().remove(0) {
-            Effect::Send {
-                msg: DsMsg::MergeGrant { range, items },
-                ..
-            } => (range, items),
-            other => panic!("unexpected {other:?}"),
+        let Effect::Send { msg: grant, .. } = sfx3.drain().remove(0) else {
+            panic!("the grant is sent first");
         };
         let mut qfx3 = Effects::new();
-        deliver(&mut q, 2, DsMsg::MergeGrant { range, items }, &mut qfx3);
+        deliver(&mut q, 2, grant, &mut qfx3);
         assert_eq!(q.range(), CircularRange::new(0u64, 100u64));
         assert_eq!(q.item_count(), 4);
         assert!(!q.is_rebalancing());
@@ -1779,11 +1728,12 @@ mod tests {
         }
         fn absorbed() -> DataStoreState {
             let mut q = absorbing();
-            let grant = DsMsg::MergeGrant {
-                range: CircularRange::new(30u64, 100u64),
-                items: vec![(40, item(40))],
-            };
-            deliver(&mut q, 2, grant, &mut Effects::new());
+            deliver(
+                &mut q,
+                2,
+                grant(Give::All, 30, 100, &[40]),
+                &mut Effects::new(),
+            );
             q
         }
         fn redistributing() -> DataStoreState {
@@ -1794,8 +1744,8 @@ mod tests {
         }
         fn redistributed() -> DataStoreState {
             let mut s = redistributing();
-            let ack = DsMsg::RedistributeAck {
-                new_boundary: PeerValue(50),
+            let ack = DsMsg::GrantAck {
+                give: Give::Lower(PeerValue(50)),
             };
             deliver(&mut s, 1, ack, &mut Effects::new());
             s
@@ -1813,11 +1763,12 @@ mod tests {
             deliver(&mut s, 1, DsMsg::LeaveOfferDeclined, &mut Effects::new());
             s
         }
-        let give_timeout = |to: u64, boundary: Option<u64>, attempt: u32| DsMsg::GiveTimeout {
+        let give_timeout = |to: u64, give: Give, attempt: u32| DsMsg::GiveTimeout {
             to: PeerId(to),
-            boundary: boundary.map(PeerValue),
+            give,
             attempt,
         };
+        let lower = Give::Lower(PeerValue(50));
         let abort_ack = DsMsg::RedistributeAbortAck {
             new_boundary: PeerValue(50),
         };
@@ -1828,37 +1779,37 @@ mod tests {
                 "redistribute guard, attempt 1, after the ack",
                 redistributed,
                 2,
-                give_timeout(1, Some(50), 1),
+                give_timeout(1, lower, 1),
             ),
             (
                 "redistribute guard, attempt 2, after the ack",
                 redistributed,
                 2,
-                give_timeout(1, Some(50), 2),
+                give_timeout(1, lower, 2),
             ),
             (
                 "redistribute guard during a merge give",
                 merge_giving,
                 2,
-                give_timeout(1, Some(50), 1),
+                give_timeout(1, lower, 1),
             ),
             (
                 "merge-give guard during a redistribute",
                 redistributing,
                 2,
-                give_timeout(1, None, 1),
+                give_timeout(1, Give::All, 1),
             ),
             (
                 "merge-give guard for another receiver",
                 merge_giving,
                 2,
-                give_timeout(9, None, 1),
+                give_timeout(9, Give::All, 1),
             ),
             (
                 "merge-give guard while requesting",
                 requesting,
                 1,
-                give_timeout(2, None, 1),
+                give_timeout(2, Give::All, 1),
             ),
             (
                 "leave-offer guard after the decline",
@@ -1934,11 +1885,12 @@ mod tests {
         let offer = DsMsg::LeaveOffer;
         deliver(&mut q, 2, offer, &mut Effects::new());
         q.acquire_scan_lock();
-        let grant = DsMsg::MergeGrant {
-            range: CircularRange::new(30u64, 100u64),
-            items: vec![(40, item(40))],
-        };
-        deliver(&mut q, 2, grant, &mut Effects::new());
+        deliver(
+            &mut q,
+            2,
+            grant(Give::All, 30, 100, &[40]),
+            &mut Effects::new(),
+        );
         assert_eq!(q.range(), CircularRange::new(0u64, 30u64), "parked");
         q.drain_events();
 

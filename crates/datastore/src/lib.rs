@@ -35,6 +35,6 @@ pub mod state;
 pub mod store;
 
 pub use events::DsEvent;
-pub use messages::{DsMsg, QueryId};
+pub use messages::{DsMsg, Give, QueryId};
 pub use state::{DataStoreState, DsSnapshot, DsStatus};
 pub use store::ItemStore;

@@ -18,6 +18,19 @@ impl std::fmt::Display for QueryId {
     }
 }
 
+/// Which part of the giving peer's range `(low, high]` a transfer moves to
+/// a ring neighbour. Every storage-balance transfer is one of these.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Give {
+    /// Split: `(boundary, high]` goes to the freshly joined successor.
+    Upper(PeerValue),
+    /// Redistribute: `(low, boundary]` goes to the predecessor.
+    Lower(PeerValue),
+    /// Full merge or voluntary leave: everything goes to the predecessor
+    /// and this peer becomes free.
+    All,
+}
+
 /// Messages exchanged by the Data Store layer (timers included).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DsMsg {
@@ -141,49 +154,36 @@ pub enum DsMsg {
         query: QueryId,
     },
 
-    // ---- storage balance: split --------------------------------------------
-    /// Hand-off of the upper half of a splitting peer's range to the freshly
-    /// joined free peer.
-    HandoffInstall {
-        /// The range the new peer becomes responsible for.
+    // ---- storage balance: split, merge, redistribute, leave -------------
+    /// Every storage-balance transfer: the giver hands `range` and the items
+    /// in it to a ring neighbour (copies; the giver removes them only once
+    /// the receiver acknowledges with [`DsMsg::GrantAck`]).
+    Grant {
+        /// Which part of the giver's range moves.
+        give: Give,
+        /// The range the receiver takes over. A split's is `(boundary,
+        /// high]`, a redistribute's `(low, boundary]` and a full give's the
+        /// giver's whole range. Its low end is normally the receiver's high
+        /// end; when a peer between the two failed and its takeover has not
+        /// run yet, the receiver bridges the stretch in between and must
+        /// revive its items from replicas.
         range: CircularRange,
         /// The items in that range (mapped value, item).
         items: Vec<(u64, Item)>,
     },
-    /// Acknowledgement of [`DsMsg::HandoffInstall`].
-    HandoffAck,
-
-    // ---- storage balance: merge / redistribute -------------------------------
+    /// The receiver has installed the [`DsMsg::Grant`] of this `give`.
+    GrantAck {
+        /// The give being acknowledged.
+        give: Give,
+    },
     /// An underflowing peer asks its successor to merge or redistribute.
     MergeRequest {
         /// How many items the requester currently holds.
         requester_items: usize,
     },
-    /// The successor grants a redistribution: it hands the lower portion of
-    /// its items to the requester; the boundary between the two moves up to
-    /// `new_boundary`.
-    RedistributeGrant {
-        /// The items handed over (copies; the granter removes them only once
-        /// the requester acknowledges).
-        items: Vec<(u64, Item)>,
-        /// The new boundary: the requester's range becomes
-        /// `(.., new_boundary]`, the granter's `(new_boundary, ..]`.
-        new_boundary: PeerValue,
-        /// The low end of the granter's range when it granted. Normally
-        /// equal to the requester's high end; when a peer between the two
-        /// failed and its takeover has not run yet, the stretch in between
-        /// is bridged by this redistribute and the requester must revive
-        /// its items from replicas.
-        granter_low: PeerValue,
-    },
-    /// The requester has installed the redistributed items.
-    RedistributeAck {
-        /// The boundary that was agreed.
-        new_boundary: PeerValue,
-    },
     /// The granter's acknowledgement guard expired: it asks the requester to
     /// drop the grant if it has not been applied yet. A requester that
-    /// already applied ignores this (its `RedistributeAck` is on the way); a
+    /// already applied ignores this (its [`DsMsg::GrantAck`] is on the way); a
     /// requester still holding the grant parked behind scan locks drops it
     /// and answers [`DsMsg::RedistributeAbortAck`]. Only if *neither* answer
     /// arrives within another guard period does the granter conclude the
@@ -198,16 +198,6 @@ pub enum DsMsg {
         /// The boundary of the aborted give.
         new_boundary: PeerValue,
     },
-    /// The successor grants a full merge: it hands over its entire range and
-    /// all its items, and will leave the ring once acknowledged.
-    MergeGrant {
-        /// The granter's entire range.
-        range: CircularRange,
-        /// All of the granter's items.
-        items: Vec<(u64, Item)>,
-    },
-    /// The requester has absorbed the granter's range and items.
-    MergeGrantAck,
     /// The successor declines to merge or redistribute right now (e.g. it is
     /// itself rebalancing); the requester retries later.
     MergeDeclined,
@@ -235,10 +225,9 @@ pub enum DsMsg {
     GiveTimeout {
         /// The receiver the guarded transfer went to.
         to: PeerId,
-        /// The redistribution boundary, or `None` for a full merge give —
-        /// ties the guard to the exact transfer so a stale timer cannot
-        /// fire into a later one.
-        boundary: Option<PeerValue>,
+        /// The guarded give — ties the guard to the exact transfer so a
+        /// stale timer cannot fire into a later one.
+        give: Give,
         /// Which firing this is: a redistribute give first *asks* the
         /// requester to drop the grant (attempt 1) and only aborts
         /// unilaterally when that, too, goes unanswered (attempt 2).
@@ -279,15 +268,22 @@ impl DsMsg {
             DsMsg::ScanResult { .. } => "ScanResult",
             DsMsg::ScanDone { .. } => "ScanDone",
             DsMsg::ScanFailed { .. } => "ScanFailed",
-            DsMsg::HandoffInstall { .. } => "HandoffInstall",
-            DsMsg::HandoffAck => "HandoffAck",
+            // One wire message per transfer, but reported under the name of
+            // its kind: the per-tag counters count splits, redistributes and
+            // merges.
+            DsMsg::Grant { give, .. } => match give {
+                Give::Upper(_) => "HandoffInstall",
+                Give::Lower(_) => "RedistributeGrant",
+                Give::All => "MergeGrant",
+            },
+            DsMsg::GrantAck { give } => match give {
+                Give::Upper(_) => "HandoffAck",
+                Give::Lower(_) => "RedistributeAck",
+                Give::All => "MergeGrantAck",
+            },
             DsMsg::MergeRequest { .. } => "MergeRequest",
-            DsMsg::RedistributeGrant { .. } => "RedistributeGrant",
-            DsMsg::RedistributeAck { .. } => "RedistributeAck",
             DsMsg::RedistributeAbort { .. } => "RedistributeAbort",
             DsMsg::RedistributeAbortAck { .. } => "RedistributeAbortAck",
-            DsMsg::MergeGrant { .. } => "MergeGrant",
-            DsMsg::MergeGrantAck => "MergeGrantAck",
             DsMsg::MergeDeclined => "MergeDeclined",
             DsMsg::LeaveOffer => "LeaveOffer",
             DsMsg::LeaveOfferAck => "LeaveOfferAck",
@@ -328,7 +324,19 @@ mod tests {
             .tag(),
             "ScanStep"
         );
-        assert_eq!(DsMsg::HandoffAck.tag(), "HandoffAck");
         assert_eq!(DsMsg::RebalanceRetry.tag(), "RebalanceRetry");
+        // A grant and its ack report the name of their kind, which the
+        // benchmark's per-tag counts (splits, redistributes, merges) read.
+        let b = PeerValue(7);
+        for (give, grant, ack) in [
+            (Give::Upper(b), "HandoffInstall", "HandoffAck"),
+            (Give::Lower(b), "RedistributeGrant", "RedistributeAck"),
+            (Give::All, "MergeGrant", "MergeGrantAck"),
+        ] {
+            let range = CircularRange::new(1u64, 7u64);
+            let items = Vec::new();
+            assert_eq!(DsMsg::Grant { give, range, items }.tag(), grant);
+            assert_eq!(DsMsg::GrantAck { give }.tag(), ack);
+        }
     }
 }

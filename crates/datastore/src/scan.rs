@@ -366,6 +366,7 @@ impl DataStoreState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::Give;
     use pepper_net::{Effect, ProtocolLayer, SimTime};
     use pepper_types::{CircularRange, PeerValue, Protocol, SearchKey, SystemConfig};
 
@@ -531,16 +532,12 @@ mod tests {
         p.on_scan_step(ctx(1), qid(9, 0), interval, None, 0, &mut fx);
         assert_eq!(p.scan_locks(), 1);
 
-        p.handle(
-            ctx(1),
-            PeerId(2),
-            DsMsg::RedistributeGrant {
-                items: vec![(60, item(60))],
-                new_boundary: PeerValue(60),
-                granter_low: PeerValue(50),
-            },
-            &mut fx,
-        );
+        let grant = DsMsg::Grant {
+            give: Give::Lower(PeerValue(60)),
+            range: CircularRange::new(50u64, 60u64),
+            items: vec![(60, item(60))],
+        };
+        p.handle(ctx(1), PeerId(2), grant, &mut fx);
         assert_eq!(p.range(), CircularRange::new(0u64, 50u64));
         // Ack from the successor releases the lock and applies the change.
         p.on_scan_step_ack(ctx(1), qid(9, 0), 1, &mut fx);

@@ -7,7 +7,7 @@ use pepper_net::{Effects, LayerCtx, ProtocolLayer, SimTime};
 use pepper_types::{CircularRange, Item, KeyInterval, PeerId, PeerValue, RangeQuery, SystemConfig};
 
 use crate::events::DsEvent;
-use crate::messages::{DsMsg, QueryId};
+use crate::messages::{DsMsg, Give, QueryId};
 use crate::store::ItemStore;
 
 /// Whether the peer currently stores data (is part of the ring) or is a free
@@ -18,19 +18,6 @@ pub enum DsStatus {
     Free,
     /// Live peer: responsible for a range of the value space.
     Live,
-}
-
-/// Which part of the giving peer's range `(low, high]` a transfer moves to
-/// a ring neighbour. Every storage-balance transfer is one of these.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Give {
-    /// Split: `(boundary, high]` goes to the freshly joined successor.
-    Upper(PeerValue),
-    /// Redistribute: `(low, boundary]` goes to the predecessor.
-    Lower(PeerValue),
-    /// Full merge or voluntary leave: everything goes to the predecessor
-    /// and this peer becomes free.
-    All,
 }
 
 /// The giving side's record of its one in-flight transfer.
@@ -619,34 +606,9 @@ impl DataStoreState {
             DsMsg::ScanDone { query, hops } => self.on_scan_done(ctx, query, hops),
             DsMsg::ScanFailed { query } => self.finalize_query(ctx, query),
 
-            // Storage balance. The three grants differ only in how the wire
-            // message spells the granted range; the three acknowledgements
-            // finish the matching give.
-            DsMsg::HandoffInstall { range, items } => {
-                self.on_grant(ctx, from, Give::Upper(range.low()), range, items, fx)
-            }
-            DsMsg::RedistributeGrant {
-                items,
-                new_boundary,
-                granter_low,
-            } => {
-                let range = CircularRange::new(granter_low, new_boundary);
-                self.on_grant(ctx, from, Give::Lower(new_boundary), range, items, fx)
-            }
-            DsMsg::MergeGrant { range, items, .. } => {
-                self.on_grant(ctx, from, Give::All, range, items, fx)
-            }
-            DsMsg::HandoffAck => {
-                // Only the record knows the boundary of the split being
-                // acknowledged.
-                if let Some(give @ Give::Upper(_)) = self.giving().map(|g| g.give) {
-                    self.write_or_defer(ctx, DeferredWrite::Finish(give), fx);
-                }
-            }
-            DsMsg::RedistributeAck { new_boundary } => {
-                self.write_or_defer(ctx, DeferredWrite::Finish(Give::Lower(new_boundary)), fx)
-            }
-            DsMsg::MergeGrantAck => self.write_or_defer(ctx, DeferredWrite::Finish(Give::All), fx),
+            // Storage balance.
+            DsMsg::Grant { give, range, items } => self.on_grant(ctx, from, give, range, items, fx),
+            DsMsg::GrantAck { give } => self.on_grant_ack(ctx, give, fx),
             DsMsg::MergeRequest { requester_items } => {
                 self.on_merge_request(from, requester_items, fx)
             }
@@ -663,11 +625,9 @@ impl DataStoreState {
             DsMsg::LeaveOfferAck => self.on_leave_offer_ack(from, fx),
             DsMsg::LeaveOfferDeclined => self.clear_leave_offer(from),
             DsMsg::RebalanceRetry => self.recheck_balance(),
-            DsMsg::GiveTimeout {
-                to,
-                boundary,
-                attempt,
-            } => self.on_give_timeout(ctx, to, boundary, attempt, fx),
+            DsMsg::GiveTimeout { to, give, attempt } => {
+                self.on_give_timeout(ctx, to, give, attempt, fx)
+            }
             DsMsg::LeaveOfferTimeout { to } => self.clear_leave_offer(to),
             DsMsg::LeaveAbsorbTimeout { from } => self.on_leave_absorb_timeout(from),
         }

@@ -133,7 +133,7 @@ mod tests {
     #[test]
     fn tags_delegate_to_layers() {
         assert_eq!(PeerMsg::Ring(RingMsg::StabilizeTick).tag(), "StabilizeTick");
-        assert_eq!(PeerMsg::Ds(DsMsg::HandoffAck).tag(), "HandoffAck");
+        assert_eq!(PeerMsg::Ds(DsMsg::MergeDeclined).tag(), "MergeDeclined");
         assert_eq!(PeerMsg::Repl(ReplMsg::RefreshTick).tag(), "RefreshTick");
         assert_eq!(
             PeerMsg::Router(RouterMsg::MaintainTick).tag(),
@@ -160,7 +160,7 @@ mod tests {
     #[test]
     fn layer_tags_name_the_owning_layer() {
         assert_eq!(PeerMsg::Ring(RingMsg::StabilizeTick).layer_tag(), "ring");
-        assert_eq!(PeerMsg::Ds(DsMsg::HandoffAck).layer_tag(), "ds");
+        assert_eq!(PeerMsg::Ds(DsMsg::MergeDeclined).layer_tag(), "ds");
         assert_eq!(PeerMsg::Repl(ReplMsg::RefreshTick).layer_tag(), "repl");
         assert_eq!(
             PeerMsg::Router(RouterMsg::MaintainTick).layer_tag(),

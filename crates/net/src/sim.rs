@@ -71,7 +71,6 @@ struct Delivery<M> {
     to: PeerId,
     msg: M,
     is_timer: bool,
-    is_external: bool,
     cid: Cid,
 }
 
@@ -347,7 +346,6 @@ impl<N: Node> Simulator<N> {
                 to,
                 msg,
                 is_timer: false,
-                is_external: true,
                 cid,
             },
         );
@@ -464,7 +462,6 @@ impl<N: Node> Simulator<N> {
             to,
             msg,
             is_timer,
-            is_external: false,
             cid,
         };
         (at, delivery)
@@ -507,7 +504,6 @@ impl<N: Node> Simulator<N> {
             to,
             msg,
             is_timer,
-            is_external,
             cid,
         } = delivery;
         let Some(s) = self
@@ -523,7 +519,7 @@ impl<N: Node> Simulator<N> {
         };
         if is_timer {
             self.stats.timers_fired += 1;
-        } else if is_external {
+        } else if from == EXTERNAL_SENDER {
             self.stats.external_delivered += 1;
         } else {
             self.stats.messages_delivered += 1;

@@ -5,7 +5,8 @@
 //! insert/delete/query mix through one crash + restart and one voluntary
 //! leave; the final `NetStats`, the stored keys and every peer's replica keys
 //! are folded into one FNV hash. One message sent, dropped, reordered or
-//! re-timed, one item or one replica more or less, moves it.
+//! re-timed, one item or one replica more or less, moves it. The `NetStats`
+//! are also pinned field by field, so a re-pin shows which counter moved.
 //!
 //! That run uses the paper's timers. The harness profiles run on the fast
 //! timers and on the naive switch, so their seed-1 op-trace and final-state
@@ -14,6 +15,7 @@
 use std::time::Duration;
 
 use pepper_index::Observation;
+use pepper_net::NetStats;
 use pepper_sim::cluster::{Cluster, ClusterConfig, DurabilityConfig};
 use pepper_sim::harness::{fnv1a, Harness, HarnessConfig};
 use rand::rngs::StdRng;
@@ -22,6 +24,20 @@ use rand::{Rng, SeedableRng};
 // To re-pin after an *intended* protocol change: run
 // `cargo test -q -p pepper-sim --test sim_fingerprint`, copy the "got" value.
 const FINGERPRINT: u64 = 0xe39f_3b8d_fe5e_7722;
+
+/// The run's final network counters, checked before [`FINGERPRINT`]. Re-pin
+/// them the same way, from the "left" value of the failed assertion.
+const NET_STATS: NetStats = NetStats {
+    messages_sent: 52_615,
+    messages_delivered: 52_573,
+    messages_dropped: 41,
+    timers_fired: 21_743,
+    timers_dropped: 6,
+    external_delivered: 0,
+    events_processed: 74_363,
+    peak_queue_depth: 418,
+    peak_fifo_channels: 1129,
+};
 
 const KEY_SPACE: u64 = 1 << 40;
 
@@ -49,7 +65,7 @@ fn client_mix(cluster: &mut Cluster, rng: &mut StdRng, ops: usize) {
     }
 }
 
-fn fingerprint() -> (u64, usize) {
+fn fingerprint() -> (u64, usize, NetStats) {
     let mut cluster = Cluster::new(
         ClusterConfig::paper(21)
             .with_free_peers(140)
@@ -107,16 +123,17 @@ fn fingerprint() -> (u64, usize) {
         words.extend(&replicas);
     }
     let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-    (fnv1a(&bytes), members)
+    (fnv1a(&bytes), members, s)
 }
 
 #[test]
 fn a_seeded_run_through_crash_restart_and_leave_matches_the_pinned_fingerprint() {
-    let (got, members) = fingerprint();
+    let (got, members, stats) = fingerprint();
     assert!(
         (48..=96).contains(&members),
         "ring of {members} members is not the run that was pinned"
     );
+    assert_eq!(stats, NET_STATS, "the network counters moved");
     assert_eq!(
         got, FINGERPRINT,
         "the simulation moved: got {got:#018x}, pinned {FINGERPRINT:#018x}"
