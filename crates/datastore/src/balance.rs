@@ -11,8 +11,9 @@
 //!   becomes a free peer again (full merge, preceded by the availability
 //!   protections of Section 5).
 //!
-//! All three are one transfer, described by a `Give`: a contiguous part of
-//! the giver's range and its items move to a ring neighbour,
+//! All three, and a voluntary leave, are one transfer, described by a
+//! `Give` and sent as one `Grant` answered by one `GrantAck`: a contiguous
+//! part of the giver's range and its items move to a ring neighbour,
 //! *copy-then-delete*. The giving side keeps its items and range until the
 //! receiving side has acknowledged the installation, and both sides apply
 //! their range change only while no scan holds their range lock (see
@@ -27,7 +28,7 @@
 use std::time::Duration;
 
 use pepper_net::{Effects, LayerCtx};
-use pepper_types::{CircularRange, Item, PeerId, PeerValue};
+use pepper_types::{CircularRange, PeerId, PeerValue};
 
 use crate::events::DsEvent;
 use crate::messages::{DsMsg, Give};
@@ -122,16 +123,11 @@ impl DataStoreState {
             Balance::Giving(g) if g.to == peer && matches!(g.give, Give::Upper(_)) => {
                 self.abort_give(ctx, fx)
             }
-            // The successor died before answering our merge request.
+            // The successor — asked to merge, or a leaver whose offer this
+            // peer accepted — died before its grant reached this peer.
             Balance::Requesting(p) if p == peer => {
                 self.balance = Balance::Idle;
                 fx.timer(REBALANCE_RETRY_DELAY, DsMsg::RebalanceRetry);
-            }
-            // The voluntary leaver died before its grant applied; unlock
-            // early (the absorb timeout would catch it later).
-            Balance::Absorbing(p) if p == peer => {
-                self.balance = Balance::Idle;
-                self.recheck_balance();
             }
             _ => {}
         }
@@ -246,19 +242,26 @@ impl DataStoreState {
     }
 
     /// Successor side: decide between declining, redistributing, or a full
-    /// merge.
+    /// merge. A request from the predecessor this peer offered its leave to
+    /// accepts the offer: it gets the whole range, whatever the counts.
     pub(crate) fn on_merge_request(
         &mut self,
         from: PeerId,
         requester_items: usize,
         fx: &mut Effects<DsMsg>,
     ) {
+        let leaving = self.leave_offered_to == Some(from);
+        if leaving {
+            self.leave_offered_to = None;
+        }
+        // A split or merge that started while a leave offer was in flight
+        // declines the leave too, releasing the predecessor.
         if self.status != DsStatus::Live || self.is_rebalancing() || self.range.is_full() {
             fx.send(from, DsMsg::MergeDeclined);
             return;
         }
         let total = self.store.len() + requester_items;
-        if total <= self.cfg.overflow_threshold() {
+        if leaving || total <= self.cfg.overflow_threshold() {
             self.start_full_give(from);
             return;
         }
@@ -365,33 +368,9 @@ impl DataStoreState {
     // the receiving side
     // ------------------------------------------------------------------
 
-    /// A grant arrived: install it (deferred while scans pass). A grant from
-    /// the successor also answers this peer's merge request; the peer stays
-    /// busy until the grant is installed.
-    pub(crate) fn on_grant(
-        &mut self,
-        ctx: LayerCtx,
-        from: PeerId,
-        give: Give,
-        range: CircularRange,
-        items: Vec<(u64, Item)>,
-        fx: &mut Effects<DsMsg>,
-    ) {
-        if !matches!(give, Give::Upper(_)) && matches!(self.balance, Balance::Requesting(_)) {
-            self.balance = Balance::Busy;
-        }
-        let install = DeferredWrite::Install {
-            give,
-            range,
-            items,
-            giver: from,
-        };
-        self.write_or_defer(ctx, install, fx);
-    }
-
     /// Drops the grants from `from` parked behind scan locks whose kind
-    /// `stale` picks out, releasing a peer that was only waiting for one to
-    /// install. Returns whether any was dropped.
+    /// `stale` picks out, ending this peer's wait for them. Returns whether
+    /// any was dropped.
     fn drop_parked_grants(&mut self, from: PeerId, stale: impl Fn(Give) -> bool) -> bool {
         let before = self.deferred.len();
         self.deferred.retain(|w| match w {
@@ -399,7 +378,7 @@ impl DataStoreState {
             DeferredWrite::Finish(_) => true,
         });
         let dropped = self.deferred.len() != before;
-        if dropped && self.balance == Balance::Busy {
+        if dropped && self.balance == Balance::Requesting(from) {
             self.balance = Balance::Idle;
         }
         dropped
@@ -422,19 +401,15 @@ impl DataStoreState {
         }
     }
 
-    /// Requester side: the successor declined; retry later. Also unlocks a
-    /// predecessor whose accepted voluntary-leave offer was aborted by the
-    /// leaver (e.g. the ring refused to start the leave). The sender must
-    /// match the operation being declined — a stale decline from an
-    /// already-cleaned-up operation must not unlock an unrelated in-flight
-    /// one.
+    /// Requester side: the successor declined — a merge request, or the
+    /// leave it had offered (e.g. the ring refused to start the leave);
+    /// retry later. The sender must match the request being declined — a
+    /// stale decline from an already-cleaned-up operation must not unlock
+    /// an unrelated in-flight one.
     pub(crate) fn on_merge_declined(&mut self, from: PeerId, fx: &mut Effects<DsMsg>) {
-        match self.balance {
-            Balance::Requesting(p) | Balance::Absorbing(p) if p == from => {
-                self.balance = Balance::Idle;
-                fx.timer(REBALANCE_RETRY_DELAY, DsMsg::RebalanceRetry);
-            }
-            _ => {}
+        if self.balance == Balance::Requesting(from) {
+            self.balance = Balance::Idle;
+            fx.timer(REBALANCE_RETRY_DELAY, DsMsg::RebalanceRetry);
         }
     }
 
@@ -444,12 +419,11 @@ impl DataStoreState {
 
     /// Leaver side: offer this peer's entire range to its predecessor `pred`.
     ///
-    /// The actual hand-off only starts once the predecessor acknowledges: the
-    /// ack locks the predecessor against concurrent splits/merges, so no new
-    /// peer can be inserted between the two while the grant is in flight
-    /// (the same protection `Balance::Busy` gives the requester of an
-    /// underflow-driven merge). Returns `false` when this peer cannot leave
-    /// right now (free, rebalancing, sole owner of the ring, …).
+    /// The predecessor accepts by asking for a merge: its `Requesting` wait
+    /// locks it against concurrent splits/merges, so no new peer can be
+    /// inserted between the two while the grant is in flight, exactly as
+    /// for an underflow-driven merge. Returns `false` when this peer cannot
+    /// leave right now (free, rebalancing, sole owner of the ring, …).
     pub fn begin_voluntary_leave(&mut self, pred: PeerId, fx: &mut Effects<DsMsg>) -> bool {
         if self.status != DsStatus::Live
             || self.is_rebalancing()
@@ -470,8 +444,8 @@ impl DataStoreState {
         true
     }
 
-    /// Predecessor side: accept (and lock) or decline a voluntary-leave
-    /// offer. The offer is only accepted when it comes from this peer's
+    /// Predecessor side: accept the offer with a merge request, or decline
+    /// it. The offer is only accepted when it comes from this peer's
     /// *direct* successor as currently cached — anything else means the
     /// topology between the two has changed and absorbing the range would
     /// corrupt the partition. Only the peer identity is compared: the cached
@@ -483,30 +457,9 @@ impl DataStoreState {
             fx.send(from, DsMsg::LeaveOfferDeclined);
             return;
         }
-        self.balance = Balance::Absorbing(from);
-        fx.send(from, DsMsg::LeaveOfferAck);
-        // Guard against the leaver failing mid-leave: unlock if the merge
-        // grant never arrives.
-        fx.timer(
-            self.cfg.leave_absorb_timeout(),
-            DsMsg::LeaveAbsorbTimeout { from },
-        );
-    }
-
-    /// Leaver side: the predecessor is locked; run the availability
-    /// protections and grant, exactly like an underflow-driven full merge.
-    pub(crate) fn on_leave_offer_ack(&mut self, from: PeerId, fx: &mut Effects<DsMsg>) {
-        if self.leave_offered_to != Some(from) {
-            return;
-        }
-        self.leave_offered_to = None;
-        if self.status != DsStatus::Live || self.is_rebalancing() || self.range.is_full() {
-            // A split/merge started while the offer was in flight: abort the
-            // leave and release the locked predecessor.
-            fx.send(from, DsMsg::MergeDeclined);
-            return;
-        }
-        self.start_full_give(from);
+        // The leaver is the direct successor, so `on_peer_failed` ends the
+        // wait if it dies before its grant arrives.
+        self.send_merge_request(from, fx);
     }
 
     /// Leaver side: the predecessor `pred` declined the offer, or never
@@ -515,15 +468,6 @@ impl DataStoreState {
     pub(crate) fn clear_leave_offer(&mut self, pred: PeerId) {
         if self.leave_offered_to == Some(pred) {
             self.leave_offered_to = None;
-        }
-    }
-
-    /// Predecessor side: the merge grant never arrived (the leaver probably
-    /// failed mid-leave); unlock.
-    pub(crate) fn on_leave_absorb_timeout(&mut self, from: PeerId) {
-        if self.balance == Balance::Absorbing(from) {
-            self.balance = Balance::Idle;
-            self.recheck_balance();
         }
     }
 
@@ -567,7 +511,7 @@ impl DataStoreState {
                     });
                     // The wait for this grant is over, whether it answered a
                     // merge request or a leave offer.
-                    if self.balance == Balance::Busy || self.balance == Balance::Absorbing(giver) {
+                    if self.balance == Balance::Requesting(giver) {
                         self.balance = Balance::Idle;
                     }
                 }
@@ -644,7 +588,7 @@ mod tests {
     use super::*;
     use crate::messages::QueryId;
     use pepper_net::{Effect, ProtocolLayer, SimTime};
-    use pepper_types::{Item, SearchKey, SystemConfig};
+    use pepper_types::{Item, KeyInterval, SearchKey, SystemConfig};
 
     fn ctx(id: u64) -> LayerCtx {
         LayerCtx::new(PeerId(id), SimTime::from_secs(1))
@@ -905,15 +849,16 @@ mod tests {
         // The giver's own range, not the full circle.
         assert_eq!(*range, CircularRange::new(30u64, 100u64));
 
-        // Requester absorbs.
+        // Requester absorbs, which ends its wait.
         let mut qfx = Effects::new();
-        q.balance = Balance::Busy;
+        q.balance = Balance::Requesting(PeerId(2));
         let Effect::Send { msg: grant, .. } = grant else {
             unreachable!()
         };
         deliver(&mut q, 2, grant, &mut qfx);
         assert_eq!(q.range(), CircularRange::new(0u64, 100u64));
         assert_eq!(q.item_count(), 3);
+        assert!(!q.is_rebalancing());
         assert!(q
             .drain_events()
             .iter()
@@ -985,7 +930,7 @@ mod tests {
     #[test]
     fn deferred_merge_grant_waits_for_scan() {
         let mut q = live_peer(1, 0, 30, &[10]);
-        q.balance = Balance::Busy;
+        q.balance = Balance::Requesting(PeerId(2));
         q.acquire_scan_lock();
         let mut fx = Effects::new();
         deliver(&mut q, 2, grant(Give::All, 30, 100, &[40]), &mut fx);
@@ -1180,25 +1125,37 @@ mod tests {
 
     #[test]
     fn dead_merge_target_unsticks_the_requester() {
-        let mut q = live_peer(1, 0, 30, &[10]);
-        q.check_underflow();
-        let mut fx = Effects::new();
-        q.send_merge_request(PeerId(2), &mut fx);
-        assert!(q.is_rebalancing());
-        // An unrelated peer's failure changes nothing.
-        q.on_peer_failed(ctx(1), PeerId(7), &mut fx);
-        assert!(q.is_rebalancing());
-        // The asked successor's failure releases the rebalance.
-        let mut fx2 = Effects::new();
-        q.on_peer_failed(ctx(1), PeerId(2), &mut fx2);
-        assert!(!q.is_rebalancing());
-        assert!(fx2.iter().any(|e| matches!(
-            e,
-            Effect::Timer {
-                msg: DsMsg::RebalanceRetry,
-                ..
-            }
-        )));
+        // The request went out for an underflow, or accepting the leave the
+        // successor offered.
+        let underflow = |q: &mut DataStoreState, fx: &mut Effects<DsMsg>| {
+            q.check_underflow();
+            q.send_merge_request(PeerId(2), fx);
+        };
+        let leave_offer = |q: &mut DataStoreState, fx: &mut Effects<DsMsg>| {
+            q.set_successor(PeerId(2), PeerValue(100));
+            deliver(q, 2, DsMsg::LeaveOffer, fx);
+        };
+        type Request = fn(&mut DataStoreState, &mut Effects<DsMsg>);
+        for request in [underflow as Request, leave_offer] {
+            let mut q = live_peer(1, 0, 30, &[10]);
+            let mut fx = Effects::new();
+            request(&mut q, &mut fx);
+            assert_eq!(q.balance, Balance::Requesting(PeerId(2)));
+            // An unrelated peer's failure changes nothing.
+            q.on_peer_failed(ctx(1), PeerId(7), &mut fx);
+            assert!(q.is_rebalancing());
+            // The asked successor's failure releases the rebalance.
+            let mut fx2 = Effects::new();
+            q.on_peer_failed(ctx(1), PeerId(2), &mut fx2);
+            assert!(!q.is_rebalancing());
+            assert!(fx2.iter().any(|e| matches!(
+                e,
+                Effect::Timer {
+                    msg: DsMsg::RebalanceRetry,
+                    ..
+                }
+            )));
+        }
     }
 
     #[test]
@@ -1274,7 +1231,7 @@ mod tests {
         // exist (found by the harness at scale, seed 1000 / large
         // horizon).
         let mut q = live_peer(1, 0, 30, &[10]);
-        q.balance = Balance::Busy;
+        q.balance = Balance::Requesting(PeerId(2));
         let mut qfx = Effects::new();
         let give = Give::Lower(PeerValue(80));
         deliver(&mut q, 2, grant(give, 60, 80, &[70]), &mut qfx);
@@ -1290,7 +1247,7 @@ mod tests {
         assert_eq!(bridged, CircularRange::new(30u64, 60u64));
         // An adjacent grant reports nothing.
         let mut q2 = live_peer(1, 0, 30, &[10]);
-        q2.balance = Balance::Busy;
+        q2.balance = Balance::Requesting(PeerId(2));
         let mut q2fx = Effects::new();
         let give = Give::Lower(PeerValue(50));
         deliver(&mut q2, 2, grant(give, 30, 50, &[40]), &mut q2fx);
@@ -1304,7 +1261,7 @@ mod tests {
     fn full_merge_across_a_dead_peers_range_reports_the_bridged_gap_once() {
         // Same ring as above, but s(60,100] gives up its whole range.
         let mut q = live_peer(1, 0, 30, &[10]);
-        q.balance = Balance::Busy;
+        q.balance = Balance::Requesting(PeerId(2));
         let mut qfx = Effects::new();
         deliver(&mut q, 2, grant(Give::All, 60, 100, &[70]), &mut qfx);
         assert_eq!(q.range(), CircularRange::new(0u64, 100u64));
@@ -1439,7 +1396,7 @@ mod tests {
         // Requester q holds the grant parked behind a scan lock when the
         // granter's guard expires and the abort arrives.
         let mut q = live_peer(1, 0, 30, &[10]);
-        q.balance = Balance::Busy;
+        q.balance = Balance::Requesting(PeerId(2));
         q.acquire_scan_lock();
         let mut qfx = Effects::new();
         let give = Give::Lower(PeerValue(50));
@@ -1558,22 +1515,16 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         };
 
-        // The predecessor locks itself and acknowledges (with a guard timer).
+        // The predecessor accepts by asking the leaver for a merge, which
+        // locks it; it arms no guard of its own.
         let mut qfx = Effects::new();
         q.handle(ctx(1), PeerId(2), offer, &mut qfx);
-        assert!(q.is_rebalancing());
-        let q_effects = qfx.drain();
-        assert!(q_effects.iter().any(|e| matches!(
-            e,
-            Effect::Send { to, msg: DsMsg::LeaveOfferAck } if *to == PeerId(2)
-        )));
-        assert!(q_effects.iter().any(|e| matches!(
-            e,
-            Effect::Timer {
-                msg: DsMsg::LeaveAbsorbTimeout { .. },
-                ..
-            }
-        )));
+        assert_eq!(q.balance, Balance::Requesting(PeerId(2)));
+        let request = match qfx.drain().as_slice() {
+            [Effect::Send { to, msg }] if *to == PeerId(2) => msg.clone(),
+            other => panic!("unexpected {other:?}"),
+        };
+        assert_eq!(request, DsMsg::MergeRequest { requester_items: 2 });
         // While locked, the predecessor declines competing offers/merges.
         let mut qfx2 = Effects::new();
         deliver(
@@ -1590,9 +1541,9 @@ mod tests {
             }
         )));
 
-        // The ack starts the usual merge-give at the leaver.
+        // The request starts the usual merge-give at the leaver.
         let mut sfx2 = Effects::new();
-        s.handle(ctx(2), PeerId(1), DsMsg::LeaveOfferAck, &mut sfx2);
+        s.handle(ctx(2), PeerId(1), request, &mut sfx2);
         assert!(matches!(
             s.drain_events()[0],
             DsEvent::MergeGiveStarted { to } if to == PeerId(1)
@@ -1608,15 +1559,26 @@ mod tests {
         assert_eq!(q.range(), CircularRange::new(0u64, 100u64));
         assert_eq!(q.item_count(), 4);
         assert!(!q.is_rebalancing());
-        // A late guard timeout after the grant applied is a no-op.
-        let mut qfx4 = Effects::new();
-        q.handle(
-            ctx(1),
-            PeerId(1),
-            DsMsg::LeaveAbsorbTimeout { from: PeerId(2) },
-            &mut qfx4,
+    }
+
+    #[test]
+    fn the_offered_predecessors_merge_request_takes_the_whole_range() {
+        // 2 + 6 items exceed 2·sf = 4: a plain merge request would be
+        // answered with a redistribute.
+        let mut s = live_peer(2, 30, 100, &[40, 50, 60, 70, 80, 90]);
+        let mut fx = Effects::new();
+        assert!(s.begin_voluntary_leave(PeerId(1), &mut fx));
+        fx.drain();
+        let request = DsMsg::MergeRequest { requester_items: 2 };
+        deliver(&mut s, 1, request, &mut fx);
+        assert!(fx.is_empty(), "the grant waits for the ring leave");
+        assert_eq!(
+            s.drain_events(),
+            vec![DsEvent::MergeGiveStarted { to: PeerId(1) }]
         );
-        assert!(!q.is_rebalancing());
+        assert!(s.is_giving(Give::All));
+        // The offer is answered: a later request is an ordinary one.
+        assert_eq!(s.leave_offered_to, None);
     }
 
     #[test]
@@ -1637,10 +1599,7 @@ mod tests {
         deliver(&mut q, 2, DsMsg::LeaveOffer, &mut fx2);
         assert!(fx2.iter().any(|e| matches!(
             e,
-            Effect::Send {
-                msg: DsMsg::LeaveOfferAck,
-                ..
-            }
+            Effect::Send { to, msg: DsMsg::MergeRequest { .. } } if *to == PeerId(2)
         )));
         // The declined leaver clears its pending offer.
         let mut s = live_peer(2, 30, 100, &[40]);
@@ -1658,38 +1617,14 @@ mod tests {
         // A split/merge started at the leaver while the offer was in flight.
         s.balance = Balance::Busy;
         let mut fx2 = Effects::new();
-        s.handle(ctx(2), PeerId(1), DsMsg::LeaveOfferAck, &mut fx2);
+        let accept = DsMsg::MergeRequest { requester_items: 2 };
+        s.handle(ctx(2), PeerId(1), accept, &mut fx2);
         assert!(s.drain_events().is_empty());
         assert!(fx2.iter().any(|e| matches!(
             e,
             Effect::Send { to, msg: DsMsg::MergeDeclined } if *to == PeerId(1)
         )));
-    }
-
-    #[test]
-    fn absorb_timeout_unlocks_predecessor_when_leaver_dies() {
-        let mut q = live_peer(1, 0, 30, &[10, 20]);
-        q.set_successor(PeerId(2), PeerValue(100));
-        let mut fx = Effects::new();
-        deliver(&mut q, 2, DsMsg::LeaveOffer, &mut fx);
-        assert!(q.is_rebalancing());
-        // The leaver failed: no grant ever arrives. A guard for a different
-        // leaver is ignored; the matching one unlocks.
-        let mut fx2 = Effects::new();
-        q.handle(
-            ctx(1),
-            PeerId(1),
-            DsMsg::LeaveAbsorbTimeout { from: PeerId(9) },
-            &mut fx2,
-        );
-        assert!(q.is_rebalancing());
-        q.handle(
-            ctx(1),
-            PeerId(1),
-            DsMsg::LeaveAbsorbTimeout { from: PeerId(2) },
-            &mut fx2,
-        );
-        assert!(!q.is_rebalancing());
+        assert_eq!(s.leave_offered_to, None, "the leave is off");
     }
 
     #[test]
@@ -1719,21 +1654,11 @@ mod tests {
             q.send_merge_request(PeerId(2), &mut Effects::new());
             q
         }
-        fn absorbing() -> DataStoreState {
+        fn leave_accepted() -> DataStoreState {
             let mut q = live_peer(1, 0, 30, &[10, 20]);
             q.set_successor(PeerId(2), PeerValue(100));
             let offer = DsMsg::LeaveOffer;
             deliver(&mut q, 2, offer, &mut Effects::new());
-            q
-        }
-        fn absorbed() -> DataStoreState {
-            let mut q = absorbing();
-            deliver(
-                &mut q,
-                2,
-                grant(Give::All, 30, 100, &[40]),
-                &mut Effects::new(),
-            );
             q
         }
         fn redistributing() -> DataStoreState {
@@ -1824,18 +1749,6 @@ mod tests {
                 DsMsg::LeaveOfferTimeout { to: PeerId(2) },
             ),
             (
-                "absorb guard after the grant applied",
-                absorbed,
-                1,
-                DsMsg::LeaveAbsorbTimeout { from: PeerId(2) },
-            ),
-            (
-                "absorb guard while requesting from the same peer",
-                requesting,
-                1,
-                DsMsg::LeaveAbsorbTimeout { from: PeerId(2) },
-            ),
-            (
                 "abort ack after the redistribute finished",
                 redistributed,
                 1,
@@ -1849,8 +1762,8 @@ mod tests {
                 DsMsg::MergeDeclined,
             ),
             (
-                "decline from a non-counterpart while absorbing",
-                absorbing,
+                "decline from a non-counterpart after accepting a leave",
+                leave_accepted,
                 9,
                 DsMsg::MergeDeclined,
             ),
@@ -1895,26 +1808,64 @@ mod tests {
         q.drain_events();
 
         // The leaver is declared failed: the parked grant is dropped (its
-        // range is revived by the leaver's successor), a retry is armed, and
-        // the thresholds are re-checked at once.
+        // range is revived by the leaver's successor), the wait ends, and
+        // one retry is armed to re-check the thresholds.
         let mut fx = Effects::new();
         q.on_peer_failed(ctx(1), PeerId(2), &mut fx);
-        assert!(fx.iter().any(|e| matches!(
-            e,
-            Effect::Timer {
+        assert!(matches!(
+            fx.drain().as_slice(),
+            [Effect::Timer {
                 msg: DsMsg::RebalanceRetry,
                 ..
-            }
-        )));
+            }]
+        ));
+        assert!(!q.is_rebalancing());
+        // Releasing the lock applies nothing.
+        q.release_scan_lock(ctx(1), &mut fx);
+        assert_eq!(q.range(), CircularRange::new(0u64, 30u64));
+        assert_eq!(q.item_count(), 1);
+        // The retry finds the underflow and announces a merge.
+        deliver(&mut q, 1, DsMsg::RebalanceRetry, &mut fx);
         assert!(q
             .drain_events()
             .iter()
             .any(|e| matches!(e, DsEvent::MergeNeeded { .. })));
         assert!(q.is_rebalancing(), "the re-check announced a merge");
-        // Releasing the lock applies nothing.
-        q.release_scan_lock(ctx(1), &mut fx);
-        assert_eq!(q.range(), CircularRange::new(0u64, 30u64));
-        assert_eq!(q.item_count(), 1);
+    }
+
+    #[test]
+    fn a_requester_with_its_grant_parked_forwards_scans_to_the_giver() {
+        // q (0, 30] asked its successor s = 2, owning (30, 100], to merge.
+        // s leaves the ring before granting, so q's cached successor is
+        // already peer 3, behind s.
+        let mut q = live_peer(1, 0, 30, &[10]);
+        q.set_successor(PeerId(2), PeerValue(100));
+        q.check_underflow();
+        q.send_merge_request(PeerId(2), &mut Effects::new());
+        q.set_successor(PeerId(3), PeerValue(200));
+        // A scan holds q's range lock when s's grant arrives: it parks.
+        let interval = KeyInterval::new(5, 150).unwrap();
+        let scan = |seq| DsMsg::ScanStep {
+            query: QueryId {
+                origin: PeerId(9),
+                seq,
+            },
+            interval,
+            prev: None,
+            hop: 0,
+        };
+        let mut fx = Effects::new();
+        deliver(&mut q, 9, scan(0), &mut fx);
+        deliver(&mut q, 2, grant(Give::All, 30, 100, &[40]), &mut fx);
+        assert_eq!(q.range(), CircularRange::new(0u64, 30u64), "parked");
+        fx.drain();
+        // A new scan reaching q goes on to s, which still owns (30, 100];
+        // peer 3 would skip that range.
+        deliver(&mut q, 9, scan(1), &mut fx);
+        assert!(fx.iter().any(|e| matches!(
+            e,
+            Effect::Send { to, msg: DsMsg::ScanStep { hop: 1, .. } } if *to == PeerId(2)
+        )));
     }
 
     #[test]

@@ -204,13 +204,11 @@ pub enum DsMsg {
 
     // ---- voluntary leave ------------------------------------------------------
     /// A peer that wants to leave the ring voluntarily offers its range to
-    /// its predecessor. The predecessor locks itself against concurrent
+    /// its predecessor. The predecessor accepts with a
+    /// [`DsMsg::MergeRequest`], which locks it against concurrent
     /// splits/merges (so no new peer can appear between the two while the
-    /// hand-off is in flight) before acknowledging.
+    /// hand-off is in flight); the leaver answers with a full give.
     LeaveOffer,
-    /// The predecessor accepted the leave offer and is locked; the leaver
-    /// proceeds with the availability protections and the merge grant.
-    LeaveOfferAck,
     /// The predecessor cannot absorb the leaver right now (it is rebalancing
     /// or the offer did not come from its direct successor).
     LeaveOfferDeclined,
@@ -240,14 +238,6 @@ pub enum DsMsg {
         /// The predecessor the guarded offer went to (a stale guard from an
         /// earlier, already-resolved offer must not clear a newer one).
         to: PeerId,
-    },
-    /// Guard at the predecessor absorbing a voluntary leaver: fires if the
-    /// merge grant never arrives (e.g. the leaver failed mid-leave), so the
-    /// predecessor does not stay locked forever.
-    LeaveAbsorbTimeout {
-        /// The leaver the guarded absorption waits on (a stale guard from an
-        /// earlier, already-absorbed leave must not unlock a newer one).
-        from: PeerId,
     },
 }
 
@@ -286,12 +276,10 @@ impl DsMsg {
             DsMsg::RedistributeAbortAck { .. } => "RedistributeAbortAck",
             DsMsg::MergeDeclined => "MergeDeclined",
             DsMsg::LeaveOffer => "LeaveOffer",
-            DsMsg::LeaveOfferAck => "LeaveOfferAck",
             DsMsg::LeaveOfferDeclined => "LeaveOfferDeclined",
             DsMsg::RebalanceRetry => "RebalanceRetry",
             DsMsg::GiveTimeout { .. } => "GiveTimeout",
             DsMsg::LeaveOfferTimeout { .. } => "LeaveOfferTimeout",
-            DsMsg::LeaveAbsorbTimeout { .. } => "LeaveAbsorbTimeout",
         }
     }
 }

@@ -72,13 +72,13 @@ impl DataStoreState {
 
     /// The peer a scan leaving this peer goes to next: the peer that owns
     /// the range right after this one. That is the cached successor, except
-    /// while this peer waits for its successor's whole range (a merge it
-    /// requested or a leave it accepted): the giver owns that range until
-    /// the grant installs here, even after the ring has moved on to the
-    /// peer behind it.
+    /// while this peer waits for a grant from its successor (a merge it
+    /// requested or a leave it accepted), parked behind a scan lock or not:
+    /// the giver owns that range until the grant installs here, even after
+    /// the ring has moved on to the peer behind it.
     fn scan_next_hop(&self) -> Option<PeerId> {
         let next = match self.balance {
-            Balance::Requesting(giver) | Balance::Absorbing(giver) => giver,
+            Balance::Requesting(giver) => giver,
             _ => self.succ?.0,
         };
         (next != self.id).then_some(next)
@@ -526,7 +526,7 @@ mod tests {
         // waiting for the successor's ack): the range change waits.
         let mut p = live_peer(1, 0, 50, &[10, 40]);
         p.set_successor(PeerId(2), PeerValue(100));
-        p.balance = Balance::Busy;
+        p.balance = Balance::Requesting(PeerId(2));
         let mut fx = Effects::new();
         let interval = KeyInterval::new(5, 90).unwrap();
         p.on_scan_step(ctx(1), qid(9, 0), interval, None, 0, &mut fx);
@@ -853,35 +853,30 @@ mod tests {
     #[test]
     fn a_peer_awaiting_its_successors_range_forwards_to_the_giver() {
         let interval = KeyInterval::new(5, 90).unwrap();
-        for balance in [
-            Balance::Requesting(PeerId(2)),
-            Balance::Absorbing(PeerId(2)),
-        ] {
-            let mut p = live_peer(1, 0, 50, &[10]);
-            p.set_successor(PeerId(2), PeerValue(70));
-            p.balance = balance;
-            // The giver is LEAVING: the ring names the peer behind it.
-            p.set_successor(PeerId(3), PeerValue(100));
-            let mut fx = Effects::new();
-            p.on_scan_step(ctx(1), qid(9, 0), interval, None, 0, &mut fx);
-            assert!(fx.drain().iter().any(|e| matches!(
-                e,
-                Effect::Send { to, msg: DsMsg::ScanStep { hop: 1, .. } } if *to == PeerId(2)
-            )));
-            // The retry goes to the giver too.
-            p.on_scan_forward_timeout(ctx(1), qid(9, 0), PeerId(2), 0, 1, &mut fx);
-            assert!(fx.drain().iter().any(|e| matches!(
-                e,
-                Effect::Send { to, msg: DsMsg::ScanStep { hop: 1, .. } } if *to == PeerId(2)
-            )));
-            // Once the wait is over, scans follow the successor again.
-            p.balance = Balance::Idle;
-            p.on_scan_step(ctx(1), qid(9, 1), interval, None, 0, &mut fx);
-            assert!(fx.drain().iter().any(|e| matches!(
-                e,
-                Effect::Send { to, msg: DsMsg::ScanStep { hop: 1, .. } } if *to == PeerId(3)
-            )));
-        }
+        let mut p = live_peer(1, 0, 50, &[10]);
+        p.set_successor(PeerId(2), PeerValue(70));
+        p.balance = Balance::Requesting(PeerId(2));
+        // The giver is LEAVING: the ring names the peer behind it.
+        p.set_successor(PeerId(3), PeerValue(100));
+        let mut fx = Effects::new();
+        p.on_scan_step(ctx(1), qid(9, 0), interval, None, 0, &mut fx);
+        assert!(fx.drain().iter().any(|e| matches!(
+            e,
+            Effect::Send { to, msg: DsMsg::ScanStep { hop: 1, .. } } if *to == PeerId(2)
+        )));
+        // The retry goes to the giver too.
+        p.on_scan_forward_timeout(ctx(1), qid(9, 0), PeerId(2), 0, 1, &mut fx);
+        assert!(fx.drain().iter().any(|e| matches!(
+            e,
+            Effect::Send { to, msg: DsMsg::ScanStep { hop: 1, .. } } if *to == PeerId(2)
+        )));
+        // Once the wait is over, scans follow the successor again.
+        p.balance = Balance::Idle;
+        p.on_scan_step(ctx(1), qid(9, 1), interval, None, 0, &mut fx);
+        assert!(fx.drain().iter().any(|e| matches!(
+            e,
+            Effect::Send { to, msg: DsMsg::ScanStep { hop: 1, .. } } if *to == PeerId(3)
+        )));
     }
 
     #[test]

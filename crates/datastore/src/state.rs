@@ -39,14 +39,12 @@ pub(crate) struct Giving {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Balance {
     Idle,
-    /// A split or merge has been announced to the index layer, or a grant
-    /// this peer asked for is parked behind scan locks.
+    /// A split or merge has been announced to the index layer.
     Busy,
-    /// A merge request went to this successor and is unanswered.
+    /// A merge request — asked for by an underflow or accepting a leave
+    /// offer — went to this successor, and its grant has not installed (or
+    /// been dropped) yet.
     Requesting(PeerId),
-    /// Predecessor side of a voluntary leave: locked for this leaver's
-    /// merge grant.
-    Absorbing(PeerId),
     /// The giving side of a transfer.
     Giving(Giving),
 }
@@ -160,7 +158,7 @@ pub struct DataStoreState {
     pub(crate) balance: Balance,
     /// Leaver side of a voluntary leave: the predecessor the offer went to.
     /// Not a `Balance`: a split or merge may start while the offer is in
-    /// flight, and the offer's ack then declines the leave.
+    /// flight, and the leaver then declines the predecessor's merge request.
     pub(crate) leave_offered_to: Option<PeerId>,
     /// Item writes parked while a give is on the wire.
     pub(crate) blocked_item_writes: Vec<(PeerId, DsMsg)>,
@@ -606,8 +604,17 @@ impl DataStoreState {
             DsMsg::ScanDone { query, hops } => self.on_scan_done(ctx, query, hops),
             DsMsg::ScanFailed { query } => self.finalize_query(ctx, query),
 
-            // Storage balance.
-            DsMsg::Grant { give, range, items } => self.on_grant(ctx, from, give, range, items, fx),
+            // Storage balance. A grant installs once no scan holds the range.
+            DsMsg::Grant { give, range, items } => {
+                let giver = from;
+                let install = DeferredWrite::Install {
+                    give,
+                    range,
+                    items,
+                    giver,
+                };
+                self.write_or_defer(ctx, install, fx)
+            }
             DsMsg::GrantAck { give } => self.on_grant_ack(ctx, give, fx),
             DsMsg::MergeRequest { requester_items } => {
                 self.on_merge_request(from, requester_items, fx)
@@ -622,14 +629,12 @@ impl DataStoreState {
             }
             DsMsg::MergeDeclined => self.on_merge_declined(from, fx),
             DsMsg::LeaveOffer => self.on_leave_offer(from, fx),
-            DsMsg::LeaveOfferAck => self.on_leave_offer_ack(from, fx),
             DsMsg::LeaveOfferDeclined => self.clear_leave_offer(from),
             DsMsg::RebalanceRetry => self.recheck_balance(),
             DsMsg::GiveTimeout { to, give, attempt } => {
                 self.on_give_timeout(ctx, to, give, attempt, fx)
             }
             DsMsg::LeaveOfferTimeout { to } => self.clear_leave_offer(to),
-            DsMsg::LeaveAbsorbTimeout { from } => self.on_leave_absorb_timeout(from),
         }
     }
 }

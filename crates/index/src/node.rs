@@ -407,9 +407,9 @@ impl PeerNode {
     /// Voluntarily leave the ring: offer this peer's range to its
     /// predecessor. The hand-off runs the full availability protections
     /// (extra-hop replication, PEPPER ring leave) once the predecessor has
-    /// locked itself and acknowledged. Returns `false` when the peer cannot
-    /// start a leave right now (free peer, sole ring member, rebalancing, or
-    /// an offer already in flight).
+    /// accepted with a merge request, which locks it. Returns `false` when
+    /// the peer cannot start a leave right now (free peer, sole ring member,
+    /// rebalancing, or an offer already in flight).
     pub fn request_leave(&mut self, ctx: &mut Context<'_, PeerMsg>) -> bool {
         let now = ctx.now();
         self.trace.set_cid(ctx.cid());

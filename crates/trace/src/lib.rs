@@ -9,8 +9,8 @@
 //!   number)` at every root cause (an external request, a harness API call)
 //!   and inherited by every message and timer scheduled while handling an
 //!   event that carried it. Because both components are canonical simulator
-//!   state — never wall clocks, never RNG draws — traces are byte-identical
-//!   across thread counts and shard layouts.
+//!   state — never wall clocks, never RNG draws — two runs of the same seed
+//!   record byte-identical traces.
 //! * [`TraceEvent`] / [`Tracer`] — structured events
 //!   recorded into a bounded per-peer ring buffer ([`RingSink`]). The
 //!   disabled default ([`Tracer::off`]) reduces every record call to an

@@ -155,10 +155,11 @@ impl SystemConfig {
         self.ping_period.max(Duration::from_millis(500))
     }
 
-    /// How long a predecessor that accepted a voluntary-leave offer waits
-    /// for the merge grant before unlocking itself (covers the leaver failing
-    /// mid-leave). The leaver needs one extra-hop replication round plus a
-    /// ring leave, itself bounded by stabilization rounds, before granting.
+    /// How long a peer waits on its ring predecessor, whose failure the ping
+    /// loop never reports: a giver for the acknowledgement of a grant, a
+    /// leaver for the answer to its leave offer. A leaver needs one
+    /// extra-hop replication round plus a ring leave, itself bounded by
+    /// stabilization rounds, before granting.
     pub fn leave_absorb_timeout(&self) -> Duration {
         self.stabilization_period * 4 + Duration::from_secs(2)
     }

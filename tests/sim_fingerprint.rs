@@ -23,7 +23,7 @@ use rand::{Rng, SeedableRng};
 
 // To re-pin after an *intended* protocol change: run
 // `cargo test -q -p pepper-sim --test sim_fingerprint`, copy the "got" value.
-const FINGERPRINT: u64 = 0xe39f_3b8d_fe5e_7722;
+const FINGERPRINT: u64 = 0x8d86_185a_e344_1625;
 
 /// The run's final network counters, checked before [`FINGERPRINT`]. Re-pin
 /// them the same way, from the "left" value of the failed assertion.
@@ -31,11 +31,11 @@ const NET_STATS: NetStats = NetStats {
     messages_sent: 52_615,
     messages_delivered: 52_573,
     messages_dropped: 41,
-    timers_fired: 21_743,
+    timers_fired: 21_742,
     timers_dropped: 6,
     external_delivered: 0,
-    events_processed: 74_363,
-    peak_queue_depth: 418,
+    events_processed: 74_362,
+    peak_queue_depth: 417,
     peak_fifo_channels: 1129,
 };
 
