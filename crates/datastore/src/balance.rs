@@ -125,11 +125,35 @@ impl DataStoreState {
             }
             // The successor — asked to merge, or a leaver whose offer this
             // peer accepted — died before its grant reached this peer.
-            Balance::Requesting(p) if p == peer => {
-                self.balance = Balance::Idle;
-                fx.timer(REBALANCE_RETRY_DELAY, DsMsg::RebalanceRetry);
-            }
+            Balance::Requesting(_) => self.stop_requesting(peer, fx),
             _ => {}
+        }
+    }
+
+    /// Departure cleanup, driven by the ring's ping loop: `peer` answered
+    /// that it is no longer a ring member. Such a peer holds no range, so a
+    /// grant this peer still waits for from it will never come — unless it
+    /// already has: a giver departs only once its grant is acknowledged or
+    /// its guard expired, and per-pair FIFO delivers the grant before the
+    /// reply, so a parked grant keeps the wait. This is what releases a
+    /// requester whose successor crashed and restarted as a free peer
+    /// between two pings, which the failure detector never reports.
+    pub fn on_peer_departed(&mut self, peer: PeerId, fx: &mut Effects<DsMsg>) {
+        let grant_parked = self
+            .deferred
+            .iter()
+            .any(|w| matches!(w, DeferredWrite::Install { giver, .. } if *giver == peer));
+        if !grant_parked {
+            self.stop_requesting(peer, fx);
+        }
+    }
+
+    /// Ends this peer's wait for a grant from `peer`, if that is what it
+    /// waits for, and re-checks the thresholds later.
+    fn stop_requesting(&mut self, peer: PeerId, fx: &mut Effects<DsMsg>) {
+        if self.balance == Balance::Requesting(peer) {
+            self.balance = Balance::Idle;
+            fx.timer(REBALANCE_RETRY_DELAY, DsMsg::RebalanceRetry);
         }
     }
 
@@ -287,7 +311,7 @@ impl DataStoreState {
     /// ping loop, so only a timer can end the wait for its acknowledgement.
     fn arm_give_timeout(&self, to: PeerId, give: Give, attempt: u32, fx: &mut Effects<DsMsg>) {
         let guard = DsMsg::GiveTimeout { to, give, attempt };
-        fx.timer(self.cfg.leave_absorb_timeout(), guard);
+        fx.timer(self.cfg.predecessor_reply_timeout(), guard);
     }
 
     /// Sends the full merge grant (copies; nothing is removed until the
@@ -407,10 +431,7 @@ impl DataStoreState {
     /// stale decline from an already-cleaned-up operation must not unlock
     /// an unrelated in-flight one.
     pub(crate) fn on_merge_declined(&mut self, from: PeerId, fx: &mut Effects<DsMsg>) {
-        if self.balance == Balance::Requesting(from) {
-            self.balance = Balance::Idle;
-            fx.timer(REBALANCE_RETRY_DELAY, DsMsg::RebalanceRetry);
-        }
+        self.stop_requesting(from, fx);
     }
 
     // ------------------------------------------------------------------
@@ -438,7 +459,7 @@ impl DataStoreState {
         // The predecessor's failure is invisible to the ping loop (it is
         // behind this peer); time the offer out so a later leave can retry.
         fx.timer(
-            self.cfg.leave_absorb_timeout(),
+            self.cfg.predecessor_reply_timeout(),
             DsMsg::LeaveOfferTimeout { to: pred },
         );
         true
@@ -457,8 +478,9 @@ impl DataStoreState {
             fx.send(from, DsMsg::LeaveOfferDeclined);
             return;
         }
-        // The leaver is the direct successor, so `on_peer_failed` ends the
-        // wait if it dies before its grant arrives.
+        // The leaver is the direct successor, so the ping loop ends the
+        // wait if it dies before its grant arrives: `on_peer_failed`, or
+        // `on_peer_departed` if it is back as a free peer by the next ping.
         self.send_merge_request(from, fx);
     }
 
@@ -1135,27 +1157,62 @@ mod tests {
             q.set_successor(PeerId(2), PeerValue(100));
             deliver(q, 2, DsMsg::LeaveOffer, fx);
         };
+        // The ring reports the successor failed (a ping timed out), or
+        // departed (a ping was answered `member = false`: it crashed and came
+        // back free before any ping to it timed out).
+        let failed = |q: &mut DataStoreState, p, fx: &mut Effects<DsMsg>| {
+            q.on_peer_failed(ctx(1), p, fx);
+        };
+        let departed = |q: &mut DataStoreState, p, fx: &mut Effects<DsMsg>| {
+            q.on_peer_departed(p, fx);
+        };
         type Request = fn(&mut DataStoreState, &mut Effects<DsMsg>);
+        type Gone = fn(&mut DataStoreState, PeerId, &mut Effects<DsMsg>);
         for request in [underflow as Request, leave_offer] {
-            let mut q = live_peer(1, 0, 30, &[10]);
-            let mut fx = Effects::new();
-            request(&mut q, &mut fx);
-            assert_eq!(q.balance, Balance::Requesting(PeerId(2)));
-            // An unrelated peer's failure changes nothing.
-            q.on_peer_failed(ctx(1), PeerId(7), &mut fx);
-            assert!(q.is_rebalancing());
-            // The asked successor's failure releases the rebalance.
-            let mut fx2 = Effects::new();
-            q.on_peer_failed(ctx(1), PeerId(2), &mut fx2);
-            assert!(!q.is_rebalancing());
-            assert!(fx2.iter().any(|e| matches!(
-                e,
-                Effect::Timer {
-                    msg: DsMsg::RebalanceRetry,
-                    ..
-                }
-            )));
+            for gone in [failed as Gone, departed] {
+                let mut q = live_peer(1, 0, 30, &[10]);
+                let mut fx = Effects::new();
+                request(&mut q, &mut fx);
+                assert_eq!(q.balance, Balance::Requesting(PeerId(2)));
+                // Another peer going changes nothing.
+                let mut fx2 = Effects::new();
+                gone(&mut q, PeerId(7), &mut fx2);
+                assert!(q.is_rebalancing() && fx2.is_empty());
+                // The asked successor going releases the rebalance, and one
+                // retry re-checks the thresholds.
+                gone(&mut q, PeerId(2), &mut fx2);
+                assert!(!q.is_rebalancing());
+                assert!(matches!(
+                    fx2.drain().as_slice(),
+                    [Effect::Timer {
+                        msg: DsMsg::RebalanceRetry,
+                        ..
+                    }]
+                ));
+            }
         }
+    }
+
+    #[test]
+    fn a_departed_givers_parked_grant_keeps_the_wait_until_it_installs() {
+        // q accepted the leave its successor 2 offered, and 2's grant is
+        // parked behind a scan lock when 2 answers a ping `member = false`.
+        // A giver departs only after granting and FIFO delivers the grant
+        // first, so the grant will still install: the wait holds.
+        let mut q = live_peer(1, 0, 30, &[10]);
+        q.set_successor(PeerId(2), PeerValue(100));
+        deliver(&mut q, 2, DsMsg::LeaveOffer, &mut Effects::new());
+        q.acquire_scan_lock();
+        let parked = grant(Give::All, 30, 100, &[40]);
+        deliver(&mut q, 2, parked, &mut Effects::new());
+        let mut fx = Effects::new();
+        q.on_peer_departed(PeerId(2), &mut fx);
+        assert_eq!(q.balance, Balance::Requesting(PeerId(2)));
+        assert!(fx.is_empty());
+        q.release_scan_lock(ctx(1), &mut fx);
+        assert_eq!(q.range(), CircularRange::new(0u64, 100u64));
+        assert_eq!(q.item_count(), 2);
+        assert!(!q.is_rebalancing());
     }
 
     #[test]

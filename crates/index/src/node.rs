@@ -716,6 +716,13 @@ impl PeerNode {
                         self.ds.with(out, |ds, fx| ds.on_peer_failed(ctx, peer, fx));
                     self.process_ds_events(now, ds_events, out);
                 }
+                RingEvent::SuccessorDeparted { peer } => {
+                    // A peer that left the ring, or crashed and came back
+                    // free before any ping to it timed out, grants nothing:
+                    // end a Data Store wait on its grant.
+                    let ((), ds_events) = self.ds.with(out, |ds, fx| ds.on_peer_departed(peer, fx));
+                    self.process_ds_events(now, ds_events, out);
+                }
             }
         }
     }

@@ -58,6 +58,12 @@ pub enum RingEvent {
         /// The failed peer.
         peer: PeerId,
     },
+    /// A successor answered a ping as no longer a ring member (it departed,
+    /// or crashed and came back free) and was removed from the list.
+    SuccessorDeparted {
+        /// The departed peer.
+        peer: PeerId,
+    },
 }
 
 impl RingEvent {
@@ -71,6 +77,7 @@ impl RingEvent {
             RingEvent::NewPredecessor { .. } => "NewPredecessor",
             RingEvent::LeaveComplete { .. } => "LeaveComplete",
             RingEvent::SuccessorFailed { .. } => "SuccessorFailed",
+            RingEvent::SuccessorDeparted { .. } => "SuccessorDeparted",
         }
     }
 }
@@ -106,6 +113,7 @@ mod tests {
                 elapsed: Duration::ZERO,
             },
             RingEvent::SuccessorFailed { peer: PeerId(1) },
+            RingEvent::SuccessorDeparted { peer: PeerId(1) },
         ];
         let mut tags: Vec<&str> = events.iter().map(|e| e.tag()).collect();
         tags.sort_unstable();

@@ -4,9 +4,10 @@
 //! entry if that entry is `LEAVING`, to detect the actual departure). A
 //! missing reply within the ping timeout removes the successor from the list
 //! and surfaces a [`RingEvent::SuccessorFailed`] so higher layers (the
-//! Replication Manager) can react. Peers that have *departed* (naive leave or
-//! post-merge) reply with `member = false`, which removes them promptly
-//! without waiting for a timeout.
+//! Replication Manager) can react. Peers that have *departed* (naive leave,
+//! post-merge, or crashed and restarted as free peers) reply with
+//! `member = false`, which removes them promptly without waiting for a
+//! timeout and surfaces a [`RingEvent::SuccessorDeparted`].
 
 use pepper_net::{Effects, LayerCtx};
 use pepper_types::PeerId;
@@ -105,6 +106,7 @@ impl RingState {
             self.succ_list
                 .retain(|e| e.peer != from || e.state == EntryState::Joining);
             if self.succ_list.len() != before {
+                self.emit(RingEvent::SuccessorDeparted { peer: from });
                 self.maybe_emit_new_successor();
             }
             return;
@@ -296,10 +298,18 @@ mod tests {
         let mut p = member_with(vec![joined(7, 45), joined(5, 50)]);
         p.on_ping_reply(ctx(4), PeerId(7), 1, false, EntryState::Joined);
         assert!(p.succ_list().iter().all(|e| e.peer != PeerId(7)));
-        assert!(p
-            .drain_events()
+        let events = p.drain_events();
+        assert_eq!(
+            events[0],
+            RingEvent::SuccessorDeparted { peer: PeerId(7) },
+            "the departure is reported before the new successor"
+        );
+        assert!(events
             .iter()
             .any(|e| matches!(e, RingEvent::NewSuccessor { peer, .. } if *peer == PeerId(5))));
+        // A later reply from the same peer finds nothing to remove.
+        p.on_ping_reply(ctx(4), PeerId(7), 2, false, EntryState::Joined);
+        assert!(p.drain_events().is_empty());
     }
 
     #[test]

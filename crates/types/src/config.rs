@@ -160,7 +160,7 @@ impl SystemConfig {
     /// leaver for the answer to its leave offer. A leaver needs one
     /// extra-hop replication round plus a ring leave, itself bounded by
     /// stabilization rounds, before granting.
-    pub fn leave_absorb_timeout(&self) -> Duration {
+    pub fn predecessor_reply_timeout(&self) -> Duration {
         self.stabilization_period * 4 + Duration::from_secs(2)
     }
 
@@ -201,7 +201,7 @@ mod tests {
                 c.ping_timeout(),
                 c.insert_timeout(),
                 c.scan_forward_timeout(),
-                c.leave_absorb_timeout(),
+                c.predecessor_reply_timeout(),
                 c.query_timeout(),
             ]
         };
@@ -235,7 +235,7 @@ mod tests {
         assert_eq!(c.stabilization_period, Duration::from_secs(2));
         assert_eq!(c.ping_timeout(), Duration::from_millis(500));
         assert_eq!(c.insert_timeout(), Duration::from_secs(13));
-        assert_eq!(c.leave_absorb_timeout(), Duration::from_secs(10));
+        assert_eq!(c.predecessor_reply_timeout(), Duration::from_secs(10));
         assert_eq!(c.protocol, Protocol::Pepper);
     }
 

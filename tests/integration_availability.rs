@@ -3,6 +3,7 @@
 
 use std::time::Duration;
 
+use pepper_sim::cluster::DurabilityConfig;
 use pepper_sim::{Cluster, ClusterConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -118,6 +119,63 @@ fn a_recycled_leaver_is_not_relearned_after_its_absorber_crashes() {
     let (consistent, connected) = cluster.check_ring();
     assert!(consistent, "successor pointers must stay consistent");
     assert!(connected, "the ring must stay connected");
+}
+
+/// A leaver crashes right after its predecessor accepted its leave, and
+/// restarts as a free peer before any ping to it times out. The failure
+/// detector never reports it: the predecessor's next ping is answered
+/// `member = false`, and that departure must end the predecessor's wait for
+/// the grant, or it would never split, merge or leave again.
+#[test]
+fn a_leaver_restarted_before_any_ping_times_out_releases_its_predecessor() {
+    let mut cluster = Cluster::new(
+        ClusterConfig::paper(5)
+            .with_free_peers(24)
+            .with_durability(DurabilityConfig::default()),
+    );
+    let keys: Vec<u64> = (1..=120u64).map(|k| k << 40).collect();
+    for &k in &keys {
+        cluster.insert_key(k);
+        cluster.run(Duration::from_millis(200));
+    }
+    cluster.run_secs(40);
+    let first = cluster.first;
+    let rebalancing = |c: &Cluster, p| {
+        let node = c.node(p).expect("peer exists");
+        node.data_store().is_rebalancing()
+    };
+    let pred = |c: &Cluster, p| {
+        let node = c.node(p).expect("peer exists");
+        node.ring().pred().expect("a predecessor").0
+    };
+    let (leaver, absorber) = cluster
+        .ring_members()
+        .into_iter()
+        .map(|l| (l, pred(&cluster, l)))
+        .find(|&(l, a)| {
+            ![l, a].contains(&first) && !rebalancing(&cluster, l) && !rebalancing(&cluster, a)
+        })
+        .expect("an idle leaver and predecessor clear of the bootstrap peer");
+
+    assert!(cluster.leave_peer(leaver));
+    // The whole leave takes a few milliseconds: catch the moment the
+    // predecessor has accepted and waits for the grant.
+    let deadline = cluster.now() + Duration::from_secs(1);
+    while !rebalancing(&cluster, absorber) {
+        assert!(cluster.now() < deadline, "the offer was not accepted");
+        cluster.run(Duration::from_micros(100));
+    }
+    assert!(cluster.crash_peer(leaver));
+    assert!(cluster.restart_peer(leaver).is_some());
+    let ping_period = cluster.system().ping_period;
+    run_until(&mut cluster, ping_period * 2, |c| !rebalancing(c, absorber));
+
+    cluster.run_secs(30);
+    let (consistent, connected) = cluster.check_ring();
+    assert!(consistent, "successor pointers must stay consistent");
+    assert!(connected, "the ring must stay connected");
+    let stored = cluster.stored_keys();
+    assert!(keys.iter().all(|k| stored.contains(k)), "no item is lost");
 }
 
 #[test]
