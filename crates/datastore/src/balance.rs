@@ -21,9 +21,9 @@
 //! incoming item inserts/deletes so no item can land in (or silently vanish
 //! from) the moving sub-range.
 //!
-//! A peer is in at most one hand-off at a time, its `Balance`; every guard
-//! timer and late reply checks that the hand-off it belongs to is still the
-//! current one before it acts.
+//! A peer is in at most one hand-off at a time, its `Balance`, named by a
+//! [`HandOff`] identity from the moment it leaves `Idle`. Every guard timer
+//! and acknowledgement acts only while the hand-off it names is current.
 
 use std::time::Duration;
 
@@ -31,7 +31,7 @@ use pepper_net::{Effects, LayerCtx};
 use pepper_types::{CircularRange, PeerId, PeerValue};
 
 use crate::events::DsEvent;
-use crate::messages::{DsMsg, Give};
+use crate::messages::{DsMsg, Give, HandOff};
 use crate::state::{Balance, DataStoreState, DeferredWrite, DsStatus, Giving};
 
 /// Delay before re-checking an overflow/underflow that could not be acted
@@ -39,9 +39,18 @@ use crate::state::{Balance, DataStoreState, DeferredWrite, DsStatus, Giving};
 const REBALANCE_RETRY_DELAY: Duration = Duration::from_millis(500);
 
 impl DataStoreState {
-    // ------------------------------------------------------------------
-    // threshold checks
-    // ------------------------------------------------------------------
+    /// Moves to `step`; leaving `Idle` starts a new hand-off, a new identity.
+    fn enter(&mut self, step: Balance) {
+        if self.balance == Balance::Idle {
+            self.handoff.seq += 1;
+        }
+        self.balance = step;
+    }
+
+    /// Whether `handoff` names the hand-off this peer is in.
+    pub(crate) fn is_current(&self, handoff: HandOff) -> bool {
+        self.balance != Balance::Idle && self.handoff == handoff
+    }
 
     /// Declares an overflow when the store exceeds `2·sf` items.
     pub(crate) fn check_overflow(&mut self) {
@@ -50,7 +59,7 @@ impl DataStoreState {
             && self.store.len() > self.cfg.overflow_threshold()
             && self.store.len() >= 2
         {
-            self.balance = Balance::Busy;
+            self.enter(Balance::Busy);
             self.emit(DsEvent::SplitNeeded {
                 items: self.store.len(),
             });
@@ -65,7 +74,7 @@ impl DataStoreState {
             && !self.range.is_full()
             && self.store.len() < self.cfg.underflow_threshold()
         {
-            self.balance = Balance::Busy;
+            self.enter(Balance::Busy);
             self.emit(DsEvent::MergeNeeded {
                 items: self.store.len(),
             });
@@ -112,7 +121,7 @@ impl DataStoreState {
         // the stale grant here would double-own the granted sub-range. (The
         // grant was a copy — the items live on as replicas — so nothing is
         // lost.)
-        if self.drop_parked_grants(peer, |give| !matches!(give, Give::Upper(_))) {
+        if self.drop_parked_grants(peer, |give, _| !matches!(give, Give::Upper(_))) {
             fx.timer(REBALANCE_RETRY_DELAY, DsMsg::RebalanceRetry);
         }
         match self.balance {
@@ -131,13 +140,14 @@ impl DataStoreState {
     }
 
     /// Departure cleanup, driven by the ring's ping loop: `peer` answered
-    /// that it is no longer a ring member. Such a peer holds no range, so a
-    /// grant this peer still waits for from it will never come — unless it
+    /// that it is no longer a ring member, or is one at a new position. Such
+    /// a peer holds no range to grant, so a grant this peer still waits for
+    /// from it will never come — unless it
     /// already has: a giver departs only once its grant is acknowledged or
     /// its guard expired, and per-pair FIFO delivers the grant before the
     /// reply, so a parked grant keeps the wait. This is what releases a
-    /// requester whose successor crashed and restarted as a free peer
-    /// between two pings, which the failure detector never reports.
+    /// requester whose successor crashed and restarted between two pings,
+    /// which the failure detector never reports.
     pub fn on_peer_departed(&mut self, peer: PeerId, fx: &mut Effects<DsMsg>) {
         let grant_parked = self
             .deferred
@@ -182,11 +192,6 @@ impl DataStoreState {
         }
     }
 
-    /// Whether the in-flight give, if any, is exactly `give`.
-    pub(crate) fn is_giving(&self, give: Give) -> bool {
-        self.giving().map(|g| g.give) == Some(give)
-    }
-
     /// The split waiting on the ring to insert `free`, if any.
     fn split_waiting_on(&self, free: PeerId) -> Option<Giving> {
         self.giving()
@@ -223,7 +228,7 @@ impl DataStoreState {
     }
 
     fn set_giving(&mut self, give: Give, to: PeerId, sent: bool) {
-        self.balance = Balance::Giving(Giving { give, to, sent });
+        self.enter(Balance::Giving(Giving { give, to, sent }));
     }
 
     /// Sends the split hand-off to the freshly joined peer `to`, if the split
@@ -246,9 +251,15 @@ impl DataStoreState {
         // range, not the full circle `parts` moves the items with.
         let range = if give == Give::All { self.range } else { moved };
         self.set_giving(give, to, true);
-        fx.send(to, DsMsg::Grant { give, range, items });
+        let grant = DsMsg::Grant {
+            give,
+            range,
+            items,
+            handoff: self.handoff,
+        };
+        fx.send(to, grant);
         if !matches!(give, Give::Upper(_)) {
-            self.arm_give_timeout(to, give, 1, fx);
+            self.arm_give_timeout(1, fx);
         }
         range
     }
@@ -256,7 +267,7 @@ impl DataStoreState {
     /// Sends a merge request to the successor. Called by the index layer in
     /// response to [`DsEvent::MergeNeeded`].
     pub fn send_merge_request(&mut self, to: PeerId, fx: &mut Effects<DsMsg>) {
-        self.balance = Balance::Requesting(to);
+        self.enter(Balance::Requesting(to));
         fx.send(
             to,
             DsMsg::MergeRequest {
@@ -274,43 +285,41 @@ impl DataStoreState {
         requester_items: usize,
         fx: &mut Effects<DsMsg>,
     ) {
-        let leaving = self.leave_offered_to == Some(from);
-        if leaving {
-            self.leave_offered_to = None;
-        }
-        // A split or merge that started while a leave offer was in flight
-        // declines the leave too, releasing the predecessor.
-        if self.status != DsStatus::Live || self.is_rebalancing() || self.range.is_full() {
+        let accepted = self.balance == Balance::Offering(from);
+        let busy = self.is_rebalancing() && !accepted;
+        if self.status != DsStatus::Live || busy || self.range.is_full() {
             fx.send(from, DsMsg::MergeDeclined);
             return;
         }
         let total = self.store.len() + requester_items;
-        if leaving || total <= self.cfg.overflow_threshold() {
-            self.start_full_give(from);
-            return;
-        }
-        // Redistribute: hand the lower portion over so both end up with
-        // roughly `total / 2` items.
-        let count = (total / 2).saturating_sub(requester_items).max(1);
-        let Some(new_boundary) = self.store.redistribute_point(count, &self.range) else {
-            fx.send(from, DsMsg::MergeDeclined);
-            return;
+        let give = if accepted || total <= self.cfg.overflow_threshold() {
+            Give::All
+        } else {
+            // Redistribute: hand the lower portion over so both end up with
+            // roughly `total / 2` items.
+            let count = (total / 2).saturating_sub(requester_items).max(1);
+            let Some(new_boundary) = self.store.redistribute_point(count, &self.range) else {
+                fx.send(from, DsMsg::MergeDeclined);
+                return;
+            };
+            Give::Lower(PeerValue(new_boundary))
         };
-        self.send_grant(Give::Lower(PeerValue(new_boundary)), from, fx);
+        if give == Give::All {
+            // The index layer first runs the availability protections
+            // (extra-hop replication + ring leave) and then calls
+            // `send_merge_grant`.
+            self.set_giving(give, from, false);
+            self.emit(DsEvent::MergeGiveStarted);
+        } else {
+            self.send_grant(give, from, fx);
+        }
     }
 
-    /// Announces a full give to the predecessor `to`. The index layer first
-    /// runs the availability protections (extra-hop replication + ring
-    /// leave) and then calls `send_merge_grant`.
-    fn start_full_give(&mut self, to: PeerId) {
-        self.set_giving(Give::All, to, false);
-        self.emit(DsEvent::MergeGiveStarted { to });
-    }
-
-    /// Guards a give to the *predecessor*: its failure is invisible to the
-    /// ping loop, so only a timer can end the wait for its acknowledgement.
-    fn arm_give_timeout(&self, to: PeerId, give: Give, attempt: u32, fx: &mut Effects<DsMsg>) {
-        let guard = DsMsg::GiveTimeout { to, give, attempt };
+    /// Guards this hand-off's wait for the *predecessor*: its failure is
+    /// invisible to the ping loop, so only a timer can end the wait.
+    fn arm_give_timeout(&self, attempt: u32, fx: &mut Effects<DsMsg>) {
+        let handoff = self.handoff;
+        let guard = DsMsg::GiveTimeout { handoff, attempt };
         fx.timer(self.cfg.predecessor_reply_timeout(), guard);
     }
 
@@ -324,17 +333,21 @@ impl DataStoreState {
         Some(to)
     }
 
-    /// Aborts an announced merge-give (for example when the ring refuses to
-    /// start a `leave` because another operation is in flight). The requester
-    /// is expected to be told via a `MergeDeclined` by the caller.
-    pub fn cancel_merge_give(&mut self) {
-        self.balance = Balance::Idle;
+    /// Aborts an announced full give not yet on the wire (e.g. the ring
+    /// refuses to start a `leave` because another operation is in flight)
+    /// and declines the predecessor's request, which retries later.
+    pub fn cancel_merge_give(&mut self, fx: &mut Effects<DsMsg>) {
+        if let Some(g) = self.giving().filter(|g| g.give == Give::All && !g.sent) {
+            self.balance = Balance::Idle;
+            fx.send(g.to, DsMsg::MergeDeclined);
+        }
     }
 
-    /// Giving side: the receiver's acknowledgement never arrived — it
-    /// fail-stopped mid-transfer (it is this peer's predecessor, invisible
-    /// to the ping loop).
+    /// The guard of `handoff`, the hand-off in flight, expired: it acts only
+    /// on the wait it was armed for.
     ///
+    /// * An offer the predecessor never answered (failed, or the cached
+    ///   pointer was stale) ends; a later leave can offer again.
     /// * A redistribute give is simply aborted: copy-then-delete means every
     ///   item is still here, and the requester's range is revived by its own
     ///   successor's takeover.
@@ -346,60 +359,46 @@ impl DataStoreState {
     pub(crate) fn on_give_timeout(
         &mut self,
         ctx: LayerCtx,
-        to: PeerId,
-        give: Give,
+        handoff: HandOff,
         attempt: u32,
         fx: &mut Effects<DsMsg>,
     ) {
-        let Some(giving) = self.giving().filter(|g| g.give == give) else {
-            return; // resolved (acked, abort-acked or cancelled) in the meantime
-        };
-        match give {
-            Give::All if giving.to == to => {
-                self.write_or_defer(ctx, DeferredWrite::Finish(give), fx)
+        match (self.balance, attempt) {
+            (Balance::Offering(_), 0) => self.end_offer(),
+            (Balance::Giving(g), 1) if g.give == Give::All => {
+                self.write_or_defer(ctx, DeferredWrite::Finish(g.give, handoff), fx)
             }
             // The requester may be alive with the grant parked behind scan
             // locks: ask it to drop the grant, and only abort unilaterally
             // if that, too, goes unanswered.
-            Give::Lower(b) if attempt == 1 => {
-                fx.send(to, DsMsg::RedistributeAbort { new_boundary: b });
-                self.arm_give_timeout(to, give, 2, fx);
+            (Balance::Giving(g), 1) if matches!(g.give, Give::Lower(_)) => {
+                fx.send(g.to, DsMsg::RedistributeAbort { handoff });
+                self.arm_give_timeout(2, fx);
             }
             // Neither an ack nor an abort ack within a whole extra guard
             // period: the requester is dead.
-            Give::Lower(_) => self.abort_give(ctx, fx),
-            Give::All | Give::Upper(_) => {}
+            (Balance::Giving(_), 2) => self.abort_give(ctx, fx),
+            _ => {}
         }
-    }
-
-    /// Giving side: the receiver installed the grant of `give`. Only the
-    /// record knows whether a split's ack still belongs to the split in
-    /// flight; the other acks are checked against the record when they
-    /// apply.
-    pub(crate) fn on_grant_ack(&mut self, ctx: LayerCtx, give: Give, fx: &mut Effects<DsMsg>) {
-        let give = match (give, self.giving().map(|g| g.give)) {
-            (Give::Upper(_), Some(recorded @ Give::Upper(_))) => {
-                debug_assert_eq!(recorded, give, "a split's ack names its own boundary");
-                recorded
-            }
-            (Give::Upper(_), _) => return,
-            _ => give,
-        };
-        self.write_or_defer(ctx, DeferredWrite::Finish(give), fx);
     }
 
     // ------------------------------------------------------------------
     // the receiving side
     // ------------------------------------------------------------------
 
-    /// Drops the grants from `from` parked behind scan locks whose kind
-    /// `stale` picks out, ending this peer's wait for them. Returns whether
-    /// any was dropped.
-    fn drop_parked_grants(&mut self, from: PeerId, stale: impl Fn(Give) -> bool) -> bool {
+    /// Drops the grants from `from` parked behind scan locks that `stale`
+    /// picks out by give and hand-off, ending this peer's wait for them.
+    /// Returns whether any was dropped.
+    fn drop_parked_grants(&mut self, from: PeerId, stale: impl Fn(Give, HandOff) -> bool) -> bool {
         let before = self.deferred.len();
         self.deferred.retain(|w| match w {
-            DeferredWrite::Install { give, giver, .. } => *giver != from || !stale(*give),
-            DeferredWrite::Finish(_) => true,
+            DeferredWrite::Install {
+                give,
+                giver,
+                handoff,
+                ..
+            } => *giver != from || !stale(*give, *handoff),
+            DeferredWrite::Finish(..) => true,
         });
         let dropped = self.deferred.len() != before;
         if dropped && self.balance == Balance::Requesting(from) {
@@ -409,29 +408,32 @@ impl DataStoreState {
     }
 
     /// Requester side: the granter's guard expired and it wants the grant
-    /// back. If the grant is still parked behind scan locks, drop it and
-    /// confirm; if it was already applied, ignore — our `GrantAck`
-    /// is on its way (per-pair FIFO delivery guarantees the grant itself
-    /// cannot still be in flight behind this abort).
+    /// of `handoff` back. If the grant is still parked behind scan locks,
+    /// drop it and confirm; if it was already applied, ignore — our
+    /// `GrantAck` is on its way (per-pair FIFO delivery guarantees the grant
+    /// itself cannot still be in flight behind this abort).
     pub(crate) fn on_redistribute_abort(
         &mut self,
         from: PeerId,
-        new_boundary: PeerValue,
+        handoff: HandOff,
         fx: &mut Effects<DsMsg>,
     ) {
-        if self.drop_parked_grants(from, |give| give == Give::Lower(new_boundary)) {
-            fx.send(from, DsMsg::RedistributeAbortAck { new_boundary });
+        if self.drop_parked_grants(from, |_, parked| parked == handoff) {
+            fx.send(from, DsMsg::RedistributeAbortAck { handoff });
             fx.timer(REBALANCE_RETRY_DELAY, DsMsg::RebalanceRetry);
         }
     }
 
-    /// Requester side: the successor declined — a merge request, or the
-    /// leave it had offered (e.g. the ring refused to start the leave);
-    /// retry later. The sender must match the request being declined — a
-    /// stale decline from an already-cleaned-up operation must not unlock
-    /// an unrelated in-flight one.
+    /// `from` declined: the successor this peer asked to merge (retry
+    /// later), or the predecessor this peer offered its leave to (stay).
+    /// The sender must match the wait being ended — a stale decline from an
+    /// already-cleaned-up operation must not end an unrelated one.
     pub(crate) fn on_merge_declined(&mut self, from: PeerId, fx: &mut Effects<DsMsg>) {
-        self.stop_requesting(from, fx);
+        if self.balance == Balance::Offering(from) {
+            self.end_offer();
+        } else {
+            self.stop_requesting(from, fx);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -443,26 +445,28 @@ impl DataStoreState {
     /// The predecessor accepts by asking for a merge: its `Requesting` wait
     /// locks it against concurrent splits/merges, so no new peer can be
     /// inserted between the two while the grant is in flight, exactly as
-    /// for an underflow-driven merge. Returns `false` when this peer cannot
-    /// leave right now (free, rebalancing, sole owner of the ring, …).
+    /// for an underflow-driven merge. The offer is this peer's hand-off.
+    /// Returns `false` when this peer cannot leave right now (free, in a
+    /// hand-off, sole owner of the ring, …).
     pub fn begin_voluntary_leave(&mut self, pred: PeerId, fx: &mut Effects<DsMsg>) -> bool {
         if self.status != DsStatus::Live
             || self.is_rebalancing()
-            || self.leave_offered_to.is_some()
             || self.range.is_full()
             || pred == self.id
         {
             return false;
         }
-        self.leave_offered_to = Some(pred);
+        self.enter(Balance::Offering(pred));
         fx.send(pred, DsMsg::LeaveOffer);
-        // The predecessor's failure is invisible to the ping loop (it is
-        // behind this peer); time the offer out so a later leave can retry.
-        fx.timer(
-            self.cfg.predecessor_reply_timeout(),
-            DsMsg::LeaveOfferTimeout { to: pred },
-        );
+        self.arm_give_timeout(0, fx);
         true
+    }
+
+    /// Leaver side: the offer ended without a leave (declined or never
+    /// answered). Thresholds crossed while it was out are acted on now.
+    fn end_offer(&mut self) {
+        self.balance = Balance::Idle;
+        self.recheck_balance();
     }
 
     /// Predecessor side: accept the offer with a merge request, or decline
@@ -475,22 +479,13 @@ impl DataStoreState {
     pub(crate) fn on_leave_offer(&mut self, from: PeerId, fx: &mut Effects<DsMsg>) {
         let from_direct_successor = self.succ.map(|(p, _)| p) == Some(from);
         if self.status != DsStatus::Live || self.is_rebalancing() || !from_direct_successor {
-            fx.send(from, DsMsg::LeaveOfferDeclined);
+            fx.send(from, DsMsg::MergeDeclined);
             return;
         }
         // The leaver is the direct successor, so the ping loop ends the
         // wait if it dies before its grant arrives: `on_peer_failed`, or
         // `on_peer_departed` if it is back as a free peer by the next ping.
         self.send_merge_request(from, fx);
-    }
-
-    /// Leaver side: the predecessor `pred` declined the offer, or never
-    /// answered it (failed, or the cached pointer was stale). Stay in the
-    /// ring; a later leave can offer again.
-    pub(crate) fn clear_leave_offer(&mut self, pred: PeerId) {
-        if self.leave_offered_to == Some(pred) {
-            self.leave_offered_to = None;
-        }
     }
 
     // ------------------------------------------------------------------
@@ -510,6 +505,7 @@ impl DataStoreState {
                 range,
                 items,
                 giver,
+                handoff,
             } => {
                 for (mapped, item) in items {
                     self.emit(DsEvent::ItemStored { item: item.clone() });
@@ -545,25 +541,20 @@ impl DataStoreState {
                 if give == Give::All {
                     self.emit(DsEvent::AbsorbedSuccessor { granter: giver });
                 }
-                fx.send(giver, DsMsg::GrantAck { give });
+                fx.send(giver, DsMsg::GrantAck { give, handoff });
                 // Absorbing (a voluntary leaver above all) can overflow a
                 // peer of any size; re-check so the split fires without
                 // waiting for the next item write.
                 self.recheck_balance();
             }
-            DeferredWrite::Finish(give) => {
-                // Staleness is per kind. A split completion carries its own
+            DeferredWrite::Finish(give, handoff) => {
+                // A completion acts only on the hand-off it belongs to —
+                // not one aborted or completed by its guard, nor a later
+                // one. The split's is the exception: it carries its own
                 // boundary and applies even after `on_peer_failed` cleared
-                // the record. A redistribute ack must match the record: it
-                // may have been aborted by the give timeout, or belong to an
-                // earlier give, and would cut the range at the wrong place.
-                // A full give completes once (give timeout + late ack).
-                let stale = match give {
-                    Give::Upper(_) => false,
-                    Give::Lower(_) => !self.is_giving(give),
-                    Give::All => self.status == DsStatus::Free,
-                };
-                if stale {
+                // the record, because its receiver did install.
+                let current = self.is_current(handoff);
+                if !current && !matches!(give, Give::Upper(_)) {
                     return;
                 }
                 let (moved, kept) = self.parts(give);
@@ -584,9 +575,9 @@ impl DataStoreState {
                         grew: false,
                     });
                 }
-                // A free peer is in no hand-off. A split completion that
-                // outlived its record leaves a newer hand-off alone.
-                if give == Give::All || self.is_giving(give) {
+                // A split completion that outlived its record leaves a newer
+                // hand-off alone.
+                if current {
                     self.unblock_item_writes(ctx, fx);
                 }
                 self.recheck_balance();
@@ -633,7 +624,19 @@ mod tests {
     fn grant(give: Give, low: u64, high: u64, keys: &[u64]) -> DsMsg {
         let items = keys.iter().map(|&k| (k, item(k))).collect();
         let range = CircularRange::new(low, high);
-        DsMsg::Grant { give, range, items }
+        let handoff = HandOff::default();
+        DsMsg::Grant {
+            give,
+            range,
+            items,
+            handoff,
+        }
+    }
+
+    /// The acknowledgement of `give` for `giver`'s current hand-off.
+    fn ack(giver: &DataStoreState, give: Give) -> DsMsg {
+        let handoff = giver.handoff;
+        DsMsg::GrantAck { give, handoff }
     }
 
     /// Delivers `msg` from peer `from` through the layer's message dispatch.
@@ -660,37 +663,37 @@ mod tests {
         assert_eq!(moved, CircularRange::new(30u64, 100u64));
         let handoff = fx.drain();
         let split = Give::Upper(PeerValue(30));
-        let (range, items) = match &handoff[0] {
+        let grant = match &handoff[0] {
             Effect::Send {
                 to,
-                msg: DsMsg::Grant { give, range, items },
+                msg: msg @ DsMsg::Grant { give, items, .. },
             } => {
                 assert_eq!((*to, *give), (PeerId(9), split));
-                (*range, items.clone())
+                assert_eq!(items.len(), 3); // 40, 50, 60 move
+                msg.clone()
             }
             other => panic!("unexpected {other:?}"),
         };
-        assert_eq!(items.len(), 3); // 40, 50, 60 move
-                                    // Items are still at the splitter until the ack (copy-then-delete).
+        // Items are still at the splitter until the ack (copy-then-delete).
         assert_eq!(q.item_count(), 6);
 
         // The new peer installs and acks.
         let mut n = DataStoreState::new_free(PeerId(9), SystemConfig::fast());
         n.became_ring_member(PeerValue(100));
         let mut nfx = Effects::new();
-        let give = split;
-        deliver(&mut n, 1, DsMsg::Grant { give, range, items }, &mut nfx);
+        deliver(&mut n, 1, grant, &mut nfx);
         assert_eq!(n.status(), DsStatus::Live);
         assert_eq!(n.item_count(), 3);
         assert_eq!(n.range(), CircularRange::new(30u64, 100u64));
+        let split_ack = ack(&q, split);
         assert!(nfx.iter().any(|e| matches!(
             e,
-            Effect::Send { to, msg: DsMsg::GrantAck { give } } if *to == PeerId(1) && *give == split
+            Effect::Send { to, msg } if *to == PeerId(1) && *msg == split_ack
         )));
 
         // The splitter completes on the ack.
         let mut qfx = Effects::new();
-        deliver(&mut q, 9, DsMsg::GrantAck { give: split }, &mut qfx);
+        deliver(&mut q, 9, split_ack, &mut qfx);
         assert_eq!(q.item_count(), 3);
         assert_eq!(q.range(), CircularRange::new(0u64, 30u64));
         assert!(!q.is_rebalancing());
@@ -714,7 +717,8 @@ mod tests {
         let moved = q.send_handoff(PeerId(9), &mut fx).unwrap();
         assert_eq!(moved, CircularRange::new(20u64, 100u64));
         let give = Give::Upper(PeerValue(20));
-        deliver(&mut q, 9, DsMsg::GrantAck { give }, &mut fx);
+        let ack = ack(&q, give);
+        deliver(&mut q, 9, ack, &mut fx);
         assert_eq!(q.range(), CircularRange::new(100u64, 20u64));
         assert_eq!(q.item_count(), 2);
     }
@@ -753,7 +757,8 @@ mod tests {
         // outside the shrunk range it bounces back for re-routing.
         let mut fx3 = Effects::new();
         let give = Give::Upper(PeerValue(30));
-        deliver(&mut q, 9, DsMsg::GrantAck { give }, &mut fx3);
+        let ack = ack(&q, give);
+        deliver(&mut q, 9, ack, &mut fx3);
         assert!(fx3.iter().any(|e| matches!(
             e,
             Effect::Send { to, msg: DsMsg::NotResponsible { mapped: 45 } } if *to == PeerId(5)
@@ -791,39 +796,48 @@ mod tests {
             },
             &mut sfx,
         );
-        let grant = sfx.drain().remove(0);
-        let (give, range, items) = match grant {
-            Effect::Send {
-                to,
-                msg: DsMsg::Grant { give, range, items },
-            } => {
+        let grant = match sfx.drain().remove(0) {
+            Effect::Send { to, msg } => {
                 assert_eq!(to, PeerId(1));
-                (give, range, items)
+                msg
             }
             other => panic!("unexpected {other:?}"),
         };
         // total = 7, target ~3 each: s gives 2 items (40, 50), boundary 50;
         // the granter's low end rides along.
-        assert_eq!(give, Give::Lower(PeerValue(50)));
-        assert_eq!(range, CircularRange::new(30u64, 50u64));
+        let give = Give::Lower(PeerValue(50));
+        let DsMsg::Grant { range, items, .. } = &grant else {
+            panic!("unexpected {grant:?}");
+        };
+        assert_eq!(
+            grant,
+            DsMsg::Grant {
+                give,
+                range: *range,
+                items: items.clone(),
+                handoff: s.handoff
+            }
+        );
+        assert_eq!(*range, CircularRange::new(30u64, 50u64));
         assert_eq!(items.len(), 2);
         // Copy-then-delete: s still holds them.
         assert_eq!(s.item_count(), 6);
 
         // Requester installs and acks.
         let mut qfx = Effects::new();
-        deliver(&mut q, 2, DsMsg::Grant { give, range, items }, &mut qfx);
+        deliver(&mut q, 2, grant, &mut qfx);
         assert_eq!(q.item_count(), 3);
         assert_eq!(q.range(), CircularRange::new(0u64, 50u64));
         assert!(!q.is_rebalancing());
+        let lower_ack = ack(&s, give);
         assert!(qfx.iter().any(|e| matches!(
             e,
-            Effect::Send { to, msg: DsMsg::GrantAck { give: g } } if *to == PeerId(2) && *g == give
+            Effect::Send { to, msg } if *to == PeerId(2) && *msg == lower_ack
         )));
 
         // Granter finishes.
         let mut sfx2 = Effects::new();
-        deliver(&mut s, 1, DsMsg::GrantAck { give }, &mut sfx2);
+        deliver(&mut s, 1, lower_ack, &mut sfx2);
         assert_eq!(s.item_count(), 4);
         assert_eq!(s.range(), CircularRange::new(50u64, 100u64));
         assert!(!s.is_rebalancing());
@@ -846,10 +860,8 @@ mod tests {
             fx.is_empty(),
             "full merge defers the grant to the index layer"
         );
-        assert!(matches!(
-            s.drain_events()[0],
-            DsEvent::MergeGiveStarted { to } if to == PeerId(1)
-        ));
+        assert_eq!(s.drain_events(), vec![DsEvent::MergeGiveStarted]);
+        assert_eq!(s.giving().map(|g| g.to), Some(PeerId(1)));
         assert!(s.is_rebalancing());
 
         // Index layer has run leave + extra-hop replication; now grant.
@@ -885,14 +897,15 @@ mod tests {
             .drain_events()
             .iter()
             .any(|e| matches!(e, DsEvent::AbsorbedSuccessor { granter } if *granter == PeerId(2))));
+        let all_ack = ack(&s, Give::All);
         assert!(qfx.iter().any(|e| matches!(
             e,
-            Effect::Send { to, msg: DsMsg::GrantAck { give: Give::All } } if *to == PeerId(2)
+            Effect::Send { to, msg } if *to == PeerId(2) && *msg == all_ack
         )));
 
         // Granter becomes free.
         let mut sfx2 = Effects::new();
-        deliver(&mut s, 1, DsMsg::GrantAck { give: Give::All }, &mut sfx2);
+        deliver(&mut s, 1, all_ack, &mut sfx2);
         assert_eq!(s.status(), DsStatus::Free);
         assert_eq!(s.item_count(), 0);
         assert!(s
@@ -964,7 +977,10 @@ mod tests {
         assert!(fx.iter().any(|e| matches!(
             e,
             Effect::Send {
-                msg: DsMsg::GrantAck { give: Give::All },
+                msg: DsMsg::GrantAck {
+                    give: Give::All,
+                    ..
+                },
                 ..
             }
         )));
@@ -1057,7 +1073,8 @@ mod tests {
         // range lock here: the completion is parked.
         q.acquire_scan_lock();
         let give = Give::Upper(PeerValue(30));
-        deliver(&mut q, 9, DsMsg::GrantAck { give }, &mut fx);
+        let ack = ack(&q, give);
+        deliver(&mut q, 9, ack, &mut fx);
         assert_eq!(q.range(), CircularRange::new(0u64, 100u64));
         // The receiver is then declared failed: the record is cleared and
         // parked item writes resume...
@@ -1081,7 +1098,8 @@ mod tests {
         // lock, and then the receiver is declared failed: the split aborts.
         q.acquire_scan_lock();
         let give = Give::Upper(PeerValue(30));
-        deliver(&mut q, 9, DsMsg::GrantAck { give }, &mut fx);
+        let ack = ack(&q, give);
+        deliver(&mut q, 9, ack, &mut fx);
         q.on_peer_failed(ctx(1), PeerId(9), &mut fx);
         assert!(!q.is_rebalancing());
         // Deletes drain the peer below sf and it asks its successor to merge.
@@ -1227,26 +1245,35 @@ mod tests {
             &mut fx,
         );
         assert!(s.is_rebalancing() && s.is_item_writes_blocked());
-        // A stale guard for a different boundary is ignored.
-        s.on_give_timeout(ctx(2), PeerId(1), Give::Lower(PeerValue(99)), 1, &mut fx);
-        assert!(s.is_rebalancing());
+        let handoff = s.handoff;
+        // A guard of another hand-off is ignored.
+        let other = HandOff {
+            seq: handoff.seq + 1,
+            ..handoff
+        };
+        let guard = |handoff, attempt| DsMsg::GiveTimeout { handoff, attempt };
+        let mut fx_other = Effects::new();
+        deliver(&mut s, 2, guard(other, 1), &mut fx_other);
+        assert!(s.is_rebalancing() && fx_other.is_empty());
         // First matching firing only *asks* the requester to drop the grant
         // (it may be alive with the grant parked behind scan locks).
         let mut fx_ask = Effects::new();
         let give = Give::Lower(PeerValue(50));
-        s.on_give_timeout(ctx(2), PeerId(1), give, 1, &mut fx_ask);
+        let late_ack = ack(&s, give);
+        deliver(&mut s, 2, guard(handoff, 1), &mut fx_ask);
         assert!(s.is_rebalancing());
         assert!(fx_ask.iter().any(|e| matches!(
             e,
-            Effect::Send { to, msg: DsMsg::RedistributeAbort { .. } } if *to == PeerId(1)
+            Effect::Send { to, msg: DsMsg::RedistributeAbort { handoff: h } }
+                if *to == PeerId(1) && *h == handoff
         )));
         // The second firing (still unanswered) aborts unilaterally: items
         // intact, writes unblocked.
-        s.on_give_timeout(ctx(2), PeerId(1), give, 2, &mut fx);
+        deliver(&mut s, 2, guard(handoff, 2), &mut fx);
         assert!(!s.is_rebalancing() && !s.is_item_writes_blocked());
         assert_eq!(s.item_count(), 6);
         // The requester's late ack must not shrink the range a second time.
-        deliver(&mut s, 1, DsMsg::GrantAck { give }, &mut fx);
+        deliver(&mut s, 1, late_ack, &mut fx);
         assert_eq!(s.item_count(), 6);
         assert_eq!(s.range(), CircularRange::new(30u64, 100u64));
 
@@ -1263,17 +1290,19 @@ mod tests {
         );
         g.drain_events();
         g.send_merge_grant(&mut gfx);
-        // Guard for a different requester is ignored.
-        g.on_give_timeout(ctx(3), PeerId(9), Give::All, 1, &mut gfx);
+        let late_ack = ack(&g, Give::All);
+        // The guard of the offer's wait (attempt 0) is not the grant's.
+        let handoff = g.handoff;
+        deliver(&mut g, 3, guard(handoff, 0), &mut gfx);
         assert_eq!(g.status(), DsStatus::Live);
-        g.on_give_timeout(ctx(3), PeerId(1), Give::All, 1, &mut gfx);
+        deliver(&mut g, 3, guard(handoff, 1), &mut gfx);
         assert_eq!(g.status(), DsStatus::Free);
         assert!(g
             .drain_events()
             .iter()
             .any(|e| matches!(e, DsEvent::BecameFree)));
         // A late ack after the forced completion is a no-op.
-        deliver(&mut g, 1, DsMsg::GrantAck { give: Give::All }, &mut gfx);
+        deliver(&mut g, 1, late_ack, &mut gfx);
         assert_eq!(g.status(), DsStatus::Free);
     }
 
@@ -1408,15 +1437,17 @@ mod tests {
 
                 // What the giver puts on the wire, then install and finish.
                 let moved = g.parts(give).0;
+                let handoff = g.handoff;
                 let install = DeferredWrite::Install {
                     give,
                     range: if give == Give::All { g_range } else { moved },
                     items: g.store.items_in_range(&moved),
                     giver: PeerId(2),
+                    handoff,
                 };
                 let mut fx = Effects::new();
                 r.apply_write(ctx(1), install, &mut fx);
-                g.apply_write(ctx(2), DeferredWrite::Finish(give), &mut fx);
+                g.apply_write(ctx(2), DeferredWrite::Finish(give, handoff), &mut fx);
 
                 let what = format!("{give:?} of {g_range:?}");
                 for v in probes {
@@ -1457,32 +1488,32 @@ mod tests {
         q.acquire_scan_lock();
         let mut qfx = Effects::new();
         let give = Give::Lower(PeerValue(50));
-        deliver(&mut q, 2, grant(give, 30, 50, &[40]), &mut qfx);
+        let parked = grant(give, 30, 50, &[40]);
+        let DsMsg::Grant { handoff, .. } = parked else {
+            unreachable!()
+        };
+        deliver(&mut q, 2, parked, &mut qfx);
         assert_eq!(q.range(), CircularRange::new(0u64, 30u64), "still parked");
 
-        // Abort for a different boundary is ignored (nothing dropped).
+        // Abort of another hand-off is ignored (nothing dropped).
         let mut qfx2 = Effects::new();
+        let other = HandOff {
+            seq: handoff.seq + 1,
+            ..handoff
+        };
         deliver(
             &mut q,
             2,
-            DsMsg::RedistributeAbort {
-                new_boundary: PeerValue(99),
-            },
+            DsMsg::RedistributeAbort { handoff: other },
             &mut qfx2,
         );
         assert!(qfx2.is_empty());
         // The matching abort drops the parked grant and confirms.
-        deliver(
-            &mut q,
-            2,
-            DsMsg::RedistributeAbort {
-                new_boundary: PeerValue(50),
-            },
-            &mut qfx2,
-        );
+        deliver(&mut q, 2, DsMsg::RedistributeAbort { handoff }, &mut qfx2);
         assert!(qfx2.iter().any(|e| matches!(
             e,
-            Effect::Send { to, msg: DsMsg::RedistributeAbortAck { .. } } if *to == PeerId(2)
+            Effect::Send { to, msg: DsMsg::RedistributeAbortAck { handoff: h } }
+                if *to == PeerId(2) && *h == handoff
         )));
         assert!(!q.is_rebalancing());
         // Releasing the scan lock now applies nothing.
@@ -1500,27 +1531,27 @@ mod tests {
             &mut sfx,
         );
         assert!(s.is_item_writes_blocked());
-        deliver(
-            &mut s,
-            1,
-            DsMsg::RedistributeAbortAck {
-                new_boundary: PeerValue(50),
-            },
-            &mut sfx,
-        );
+        let abort_ack = DsMsg::RedistributeAbortAck { handoff: s.handoff };
+        deliver(&mut s, 1, abort_ack.clone(), &mut sfx);
         assert!(!s.is_rebalancing() && !s.is_item_writes_blocked());
         assert_eq!(s.item_count(), 6);
         assert_eq!(s.range(), CircularRange::new(30u64, 100u64));
         // A duplicate/stale abort ack is a no-op.
-        deliver(
-            &mut s,
-            1,
-            DsMsg::RedistributeAbortAck {
-                new_boundary: PeerValue(50),
-            },
-            &mut sfx,
-        );
+        deliver(&mut s, 1, abort_ack, &mut sfx);
         assert!(!s.is_rebalancing());
+    }
+
+    /// The offer guards `fx` holds, in arming order.
+    fn offer_guards(fx: &Effects<DsMsg>) -> Vec<DsMsg> {
+        fx.iter()
+            .filter_map(|e| match e {
+                Effect::Timer {
+                    msg: msg @ DsMsg::GiveTimeout { attempt: 0, .. },
+                    ..
+                } => Some(msg.clone()),
+                _ => None,
+            })
+            .collect()
     }
 
     #[test]
@@ -1528,27 +1559,18 @@ mod tests {
         let mut s = live_peer(2, 30, 100, &[40, 90]);
         let mut fx = Effects::new();
         assert!(s.begin_voluntary_leave(PeerId(1), &mut fx));
-        // The predecessor died and never answers; the guard clears the offer.
-        deliver(
-            &mut s,
-            2,
-            DsMsg::LeaveOfferTimeout { to: PeerId(1) },
-            &mut Effects::new(),
-        );
+        // The predecessor died and never answers; the guard ends the offer.
+        let first = offer_guards(&fx).remove(0);
+        deliver(&mut s, 2, first.clone(), &mut Effects::new());
+        assert!(!s.is_rebalancing());
         assert!(s.begin_voluntary_leave(PeerId(1), &mut fx));
-        // An offer guard was armed both times.
-        assert_eq!(
-            fx.iter()
-                .filter(|e| matches!(
-                    e,
-                    Effect::Timer {
-                        msg: DsMsg::LeaveOfferTimeout { .. },
-                        ..
-                    }
-                ))
-                .count(),
-            2
-        );
+        // Each offer armed its own guard; the first one's firing again
+        // leaves the second offer alone.
+        let guards = offer_guards(&fx);
+        assert_eq!(guards.len(), 2);
+        assert_ne!(guards[0], guards[1]);
+        deliver(&mut s, 2, first, &mut Effects::new());
+        assert_eq!(s.balance, Balance::Offering(PeerId(1)));
     }
 
     // ---------------------------------------------------- voluntary leave
@@ -1601,10 +1623,8 @@ mod tests {
         // The request starts the usual merge-give at the leaver.
         let mut sfx2 = Effects::new();
         s.handle(ctx(2), PeerId(1), request, &mut sfx2);
-        assert!(matches!(
-            s.drain_events()[0],
-            DsEvent::MergeGiveStarted { to } if to == PeerId(1)
-        ));
+        assert_eq!(s.drain_events(), vec![DsEvent::MergeGiveStarted]);
+        assert_eq!(s.giving().map(|g| g.to), Some(PeerId(1)));
         // Grant, absorb, ack: the predecessor unlocks on absorption.
         let mut sfx3 = Effects::new();
         assert_eq!(s.send_merge_grant(&mut sfx3), Some(PeerId(1)));
@@ -1625,17 +1645,16 @@ mod tests {
         let mut s = live_peer(2, 30, 100, &[40, 50, 60, 70, 80, 90]);
         let mut fx = Effects::new();
         assert!(s.begin_voluntary_leave(PeerId(1), &mut fx));
+        let offered = s.handoff;
         fx.drain();
         let request = DsMsg::MergeRequest { requester_items: 2 };
         deliver(&mut s, 1, request, &mut fx);
         assert!(fx.is_empty(), "the grant waits for the ring leave");
-        assert_eq!(
-            s.drain_events(),
-            vec![DsEvent::MergeGiveStarted { to: PeerId(1) }]
-        );
-        assert!(s.is_giving(Give::All));
-        // The offer is answered: a later request is an ordinary one.
-        assert_eq!(s.leave_offered_to, None);
+        assert_eq!(s.drain_events(), vec![DsEvent::MergeGiveStarted]);
+        // The offer became the full give: one hand-off, one identity.
+        let giving = s.giving().map(|g| (g.give, g.to));
+        assert_eq!(giving, Some((Give::All, PeerId(1))));
+        assert_eq!(s.handoff, offered);
     }
 
     #[test]
@@ -1648,7 +1667,7 @@ mod tests {
         assert!(!q.is_rebalancing());
         assert!(fx.iter().any(|e| matches!(
             e,
-            Effect::Send { to, msg: DsMsg::LeaveOfferDeclined } if *to == PeerId(7)
+            Effect::Send { to, msg: DsMsg::MergeDeclined } if *to == PeerId(7)
         )));
         // The cached direct successor's offer is accepted: only the peer
         // identity is compared (values go stale when the successor splits).
@@ -1658,11 +1677,11 @@ mod tests {
             e,
             Effect::Send { to, msg: DsMsg::MergeRequest { .. } } if *to == PeerId(2)
         )));
-        // The declined leaver clears its pending offer.
-        let mut s = live_peer(2, 30, 100, &[40]);
+        // The declined leaver ends its offer and may offer again.
+        let mut s = live_peer(2, 30, 100, &[40, 90]);
         let mut sfx = Effects::new();
         assert!(s.begin_voluntary_leave(PeerId(1), &mut sfx));
-        s.handle(ctx(2), PeerId(1), DsMsg::LeaveOfferDeclined, &mut sfx);
+        s.handle(ctx(2), PeerId(1), DsMsg::MergeDeclined, &mut sfx);
         assert!(s.begin_voluntary_leave(PeerId(1), &mut sfx));
     }
 
@@ -1671,8 +1690,20 @@ mod tests {
         let mut s = live_peer(2, 30, 100, &[40, 90]);
         let mut fx = Effects::new();
         assert!(s.begin_voluntary_leave(PeerId(1), &mut fx));
-        // A split/merge started at the leaver while the offer was in flight.
-        s.balance = Balance::Busy;
+        // The offer's guard fires before the predecessor's answer arrives,
+        // and a split starts at the peer that stayed.
+        let guard = offer_guards(&fx).remove(0);
+        deliver(&mut s, 2, guard, &mut Effects::new());
+        for k in [50, 60, 70] {
+            let insert = DsMsg::InsertItem {
+                item: item(k),
+                reply_to: PeerId(5),
+            };
+            deliver(&mut s, 5, insert, &mut Effects::new());
+        }
+        assert!(s.is_rebalancing());
+        s.drain_events();
+        // The late acceptance is declined, releasing the predecessor.
         let mut fx2 = Effects::new();
         let accept = DsMsg::MergeRequest { requester_items: 2 };
         s.handle(ctx(2), PeerId(1), accept, &mut fx2);
@@ -1681,7 +1712,54 @@ mod tests {
             e,
             Effect::Send { to, msg: DsMsg::MergeDeclined } if *to == PeerId(1)
         )));
-        assert_eq!(s.leave_offered_to, None, "the leave is off");
+    }
+
+    #[test]
+    fn an_offering_peer_starts_no_other_hand_off_and_rechecks_when_the_offer_ends() {
+        // The offer ends declined by the predecessor, or on its guard.
+        type End = fn(&mut DataStoreState, DsMsg);
+        let declined = |s: &mut DataStoreState, _guard| {
+            deliver(s, 1, DsMsg::MergeDeclined, &mut Effects::new())
+        };
+        let unanswered = |s: &mut DataStoreState, guard| deliver(s, 2, guard, &mut Effects::new());
+        for end in [declined as End, unanswered] {
+            let mut s = live_peer(2, 30, 100, &[40, 90]);
+            let mut fx = Effects::new();
+            assert!(s.begin_voluntary_leave(PeerId(1), &mut fx));
+            let guard = offer_guards(&fx).remove(0);
+            // Inserts push the offering peer over 2·sf: no split starts.
+            for k in [50, 60, 70] {
+                let insert = DsMsg::InsertItem {
+                    item: item(k),
+                    reply_to: PeerId(5),
+                };
+                deliver(&mut s, 5, insert, &mut Effects::new());
+            }
+            assert!(s
+                .drain_events()
+                .iter()
+                .all(|e| !matches!(e, DsEvent::SplitNeeded { .. } | DsEvent::MergeNeeded { .. })));
+            // Another peer's merge request is declined.
+            let mut fx2 = Effects::new();
+            deliver(
+                &mut s,
+                9,
+                DsMsg::MergeRequest { requester_items: 0 },
+                &mut fx2,
+            );
+            assert!(matches!(
+                fx2.drain().as_slice(),
+                [Effect::Send { to, msg: DsMsg::MergeDeclined }] if *to == PeerId(9)
+            ));
+            assert_eq!(s.balance, Balance::Offering(PeerId(1)));
+            // The offer ends without a leave: the overflow is acted on.
+            end(&mut s, guard);
+            assert_eq!(s.balance, Balance::Busy);
+            assert!(s
+                .drain_events()
+                .iter()
+                .any(|e| matches!(e, DsEvent::SplitNeeded { .. })));
+        }
     }
 
     #[test]
@@ -1697,6 +1775,81 @@ mod tests {
         busy.balance = Balance::Busy;
         assert!(!busy.begin_voluntary_leave(PeerId(1), &mut fx));
         assert!(fx.is_empty());
+    }
+
+    /// Takes `s`, giving its whole range to its predecessor 1, through the
+    /// grant: returns the grant's guard and acknowledgement.
+    fn full_give_sent(s: &mut DataStoreState) -> (DsMsg, DsMsg) {
+        let mut fx = Effects::new();
+        let request = DsMsg::MergeRequest { requester_items: 1 };
+        deliver(s, 1, request, &mut fx);
+        s.send_merge_grant(&mut fx);
+        s.drain_events();
+        let guard = fx
+            .iter()
+            .find_map(|e| match e {
+                Effect::Timer {
+                    msg: msg @ DsMsg::GiveTimeout { .. },
+                    ..
+                } => Some(msg.clone()),
+                _ => None,
+            })
+            .expect("the grant is guarded");
+        (guard, ack(s, Give::All))
+    }
+
+    /// Rejoins the free peer `s` through a split: it receives `(60, 100]`.
+    fn rejoined_by_a_split(s: &mut DataStoreState) {
+        s.became_ring_member(PeerValue(100));
+        let handoff = grant(Give::Upper(PeerValue(60)), 60, 100, &[70, 80]);
+        deliver(s, 5, handoff, &mut Effects::new());
+        assert_eq!(s.range(), CircularRange::new(60u64, 100u64));
+        s.drain_events();
+    }
+
+    #[test]
+    fn the_guard_of_an_acknowledged_full_give_leaves_the_next_one_alone() {
+        // s gives its whole range to its predecessor 1, which acknowledges
+        // before the guard fires; s is free.
+        let mut s = live_peer(2, 30, 100, &[40, 90]);
+        let (stale_guard, ack) = full_give_sent(&mut s);
+        deliver(&mut s, 1, ack, &mut Effects::new());
+        assert_eq!(s.status(), DsStatus::Free);
+        // s rejoins behind 1 through a split and offers 1 its leave, which
+        // 1 accepts: the ring leave runs before the grant goes out.
+        rejoined_by_a_split(&mut s);
+        let mut fx = Effects::new();
+        assert!(s.begin_voluntary_leave(PeerId(1), &mut fx));
+        let accept = DsMsg::MergeRequest { requester_items: 1 };
+        deliver(&mut s, 1, accept, &mut fx);
+        s.drain_events();
+        // The first give's guard fires now: it is not this give's.
+        let mut gfx = Effects::new();
+        deliver(&mut s, 2, stale_guard, &mut gfx);
+        assert!(gfx.is_empty());
+        assert_eq!(s.status(), DsStatus::Live);
+        assert_eq!(s.item_count(), 2);
+        assert!(s.drain_events().is_empty());
+        // The ring leave completes and the grant goes out.
+        assert_eq!(s.send_merge_grant(&mut gfx), Some(PeerId(1)));
+    }
+
+    #[test]
+    fn a_late_ack_of_a_give_completed_on_its_guard_leaves_the_new_range_alone() {
+        // s's full give to 1 goes unacknowledged and completes on its guard.
+        let mut s = live_peer(2, 30, 100, &[40, 90]);
+        let (guard, late_ack) = full_give_sent(&mut s);
+        deliver(&mut s, 2, guard, &mut Effects::new());
+        assert_eq!(s.status(), DsStatus::Free);
+        // s rejoins through a split; then 1's acknowledgement arrives.
+        rejoined_by_a_split(&mut s);
+        let mut fx = Effects::new();
+        deliver(&mut s, 1, late_ack, &mut fx);
+        assert!(fx.is_empty());
+        assert_eq!(s.status(), DsStatus::Live);
+        assert_eq!(s.range(), CircularRange::new(60u64, 100u64));
+        assert_eq!(s.item_count(), 2);
+        assert!(s.drain_events().is_empty());
     }
 
     #[test]
@@ -1718,6 +1871,11 @@ mod tests {
             deliver(&mut q, 2, offer, &mut Effects::new());
             q
         }
+        fn offering() -> DataStoreState {
+            let mut s = live_peer(2, 30, 100, &[40, 90]);
+            s.begin_voluntary_leave(PeerId(1), &mut Effects::new());
+            s
+        }
         fn redistributing() -> DataStoreState {
             let mut s = live_peer(2, 30, 100, &[40, 50, 60, 70, 80, 90]);
             let request = DsMsg::MergeRequest { requester_items: 1 };
@@ -1726,114 +1884,132 @@ mod tests {
         }
         fn redistributed() -> DataStoreState {
             let mut s = redistributing();
-            let ack = DsMsg::GrantAck {
-                give: Give::Lower(PeerValue(50)),
-            };
+            let ack = ack(&s, Give::Lower(PeerValue(50)));
             deliver(&mut s, 1, ack, &mut Effects::new());
             s
         }
         fn merge_giving() -> DataStoreState {
             let mut s = live_peer(2, 30, 100, &[40, 90]);
-            let request = DsMsg::MergeRequest { requester_items: 1 };
-            deliver(&mut s, 1, request, &mut Effects::new());
-            s.send_merge_grant(&mut Effects::new());
+            full_give_sent(&mut s);
             s
         }
         fn leave_declined() -> DataStoreState {
-            let mut s = live_peer(2, 30, 100, &[40, 90]);
-            s.begin_voluntary_leave(PeerId(1), &mut Effects::new());
-            deliver(&mut s, 1, DsMsg::LeaveOfferDeclined, &mut Effects::new());
+            let mut s = offering();
+            deliver(&mut s, 1, DsMsg::MergeDeclined, &mut Effects::new());
             s
         }
-        let give_timeout = |to: u64, give: Give, attempt: u32| DsMsg::GiveTimeout {
-            to: PeerId(to),
-            give,
-            attempt,
-        };
-        let lower = Give::Lower(PeerValue(50));
-        let abort_ack = DsMsg::RedistributeAbortAck {
-            new_boundary: PeerValue(50),
+        let guard = |handoff, attempt| DsMsg::GiveTimeout { handoff, attempt };
+        // The identity of the hand-off before the current (or last) one.
+        let earlier = |ds: &DataStoreState| HandOff {
+            seq: ds.handoff.seq - 1,
+            ..ds.handoff
         };
         type Setup = fn() -> DataStoreState;
+        type Message = Box<dyn Fn(&DataStoreState) -> DsMsg>;
         // (what, setup, sender, message); a timer's sender is the peer itself.
-        let cases: Vec<(&str, Setup, u64, DsMsg)> = vec![
+        let cases: Vec<(&str, Setup, u64, Message)> = vec![
             (
                 "redistribute guard, attempt 1, after the ack",
                 redistributed,
                 2,
-                give_timeout(1, lower, 1),
+                Box::new(move |ds| guard(ds.handoff, 1)),
             ),
             (
                 "redistribute guard, attempt 2, after the ack",
                 redistributed,
                 2,
-                give_timeout(1, lower, 2),
+                Box::new(move |ds| guard(ds.handoff, 2)),
             ),
             (
-                "redistribute guard during a merge give",
+                "an earlier hand-off's guard during a merge give",
                 merge_giving,
                 2,
-                give_timeout(1, lower, 1),
+                Box::new(move |ds| guard(earlier(ds), 1)),
             ),
             (
-                "merge-give guard during a redistribute",
-                redistributing,
-                2,
-                give_timeout(1, Give::All, 1),
-            ),
-            (
-                "merge-give guard for another receiver",
+                "an offer's guard during a merge give",
                 merge_giving,
                 2,
-                give_timeout(9, Give::All, 1),
+                Box::new(move |ds| guard(ds.handoff, 0)),
             ),
             (
-                "merge-give guard while requesting",
+                "a grant's guard while offering",
+                offering,
+                2,
+                Box::new(move |ds| guard(ds.handoff, 1)),
+            ),
+            (
+                "a grant's guard while requesting",
                 requesting,
                 1,
-                give_timeout(2, Give::All, 1),
+                Box::new(move |ds| guard(ds.handoff, 1)),
             ),
             (
-                "leave-offer guard after the decline",
+                "an offer's guard after the decline",
                 leave_declined,
                 2,
-                DsMsg::LeaveOfferTimeout { to: PeerId(1) },
+                Box::new(move |ds| guard(ds.handoff, 0)),
             ),
             (
-                "leave-offer guard while requesting",
+                "an offer's guard while requesting",
                 requesting,
                 1,
-                DsMsg::LeaveOfferTimeout { to: PeerId(2) },
+                Box::new(move |ds| guard(ds.handoff, 0)),
+            ),
+            (
+                "an earlier hand-off's ack during a merge give",
+                merge_giving,
+                1,
+                Box::new(move |ds| DsMsg::GrantAck {
+                    give: Give::All,
+                    handoff: earlier(ds),
+                }),
             ),
             (
                 "abort ack after the redistribute finished",
                 redistributed,
                 1,
-                abort_ack.clone(),
+                Box::new(|ds| DsMsg::RedistributeAbortAck {
+                    handoff: ds.handoff,
+                }),
             ),
-            ("abort ack during a merge give", merge_giving, 1, abort_ack),
+            (
+                "an earlier hand-off's abort ack during a merge give",
+                merge_giving,
+                1,
+                Box::new(move |ds| DsMsg::RedistributeAbortAck {
+                    handoff: earlier(ds),
+                }),
+            ),
             (
                 "decline from a non-counterpart while requesting",
                 requesting,
                 9,
-                DsMsg::MergeDeclined,
+                Box::new(|_| DsMsg::MergeDeclined),
             ),
             (
                 "decline from a non-counterpart after accepting a leave",
                 leave_accepted,
                 9,
-                DsMsg::MergeDeclined,
+                Box::new(|_| DsMsg::MergeDeclined),
+            ),
+            (
+                "decline from a non-counterpart while offering",
+                offering,
+                9,
+                Box::new(|_| DsMsg::MergeDeclined),
             ),
             (
                 "decline from the receiver of a redistribute",
                 redistributing,
                 1,
-                DsMsg::MergeDeclined,
+                Box::new(|_| DsMsg::MergeDeclined),
             ),
         ];
         for (what, setup, from, msg) in cases {
             let mut ds = setup();
             ds.drain_events();
+            let msg = msg(&ds);
             let (snapshot, rebalancing, state) =
                 (ds.snapshot(), ds.is_rebalancing(), format!("{ds:?}"));
             let mut fx = Effects::new();
@@ -1845,7 +2021,6 @@ mod tests {
             assert!(ds.drain_events().is_empty(), "{what}: no event");
         }
     }
-
     #[test]
     fn a_leaver_dying_with_its_grant_parked_unlocks_and_rechecks() {
         // q (one item, below sf) accepted a leave offer from its successor;

@@ -38,11 +38,9 @@ pub enum DsEvent {
     /// (a full merge). The index layer should now perform the item-
     /// availability protection (replicate-to-additional-hop) and the ring
     /// `leave`, then call
-    /// [`send_merge_grant`](crate::DataStoreState::send_merge_grant).
-    MergeGiveStarted {
-        /// The predecessor that will absorb this peer's range.
-        to: PeerId,
-    },
+    /// [`send_merge_grant`](crate::DataStoreState::send_merge_grant), or
+    /// [`cancel_merge_give`](crate::DataStoreState::cancel_merge_give).
+    MergeGiveStarted,
     /// This peer granted a full merge to its predecessor and gave up its
     /// entire range: it is now a free peer and should depart the ring.
     BecameFree,
@@ -123,7 +121,7 @@ impl DsEvent {
             DsEvent::SplitNeeded { .. } => "SplitNeeded",
             DsEvent::MergeNeeded { .. } => "MergeNeeded",
             DsEvent::RangeChanged { .. } => "RangeChanged",
-            DsEvent::MergeGiveStarted { .. } => "MergeGiveStarted",
+            DsEvent::MergeGiveStarted => "MergeGiveStarted",
             DsEvent::BecameFree => "BecameFree",
             DsEvent::AbsorbedSuccessor { .. } => "AbsorbedSuccessor",
             DsEvent::RangeBridged { .. } => "RangeBridged",

@@ -1,5 +1,6 @@
 //! Data Store protocol messages.
 
+use pepper_net::SimTime;
 use pepper_types::{CircularRange, Item, ItemId, KeyInterval, PeerId, PeerValue};
 
 /// Identifies one range query: the issuing peer plus a per-issuer sequence
@@ -29,6 +30,17 @@ pub enum Give {
     /// Full merge or voluntary leave: everything goes to the predecessor
     /// and this peer becomes free.
     All,
+}
+
+/// Names one storage-balance hand-off of one peer, from leaving `Idle` until
+/// back there. A restarted peer counts from zero again, under a later
+/// incarnation stamp, so no hand-off of a peer reuses an identity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct HandOff {
+    /// Virtual time this incarnation of the peer started its layers.
+    pub incarnation: SimTime,
+    /// Hand-offs this incarnation has started, this one included.
+    pub seq: u64,
 }
 
 /// Messages exchanged by the Data Store layer (timers included).
@@ -170,11 +182,15 @@ pub enum DsMsg {
         range: CircularRange,
         /// The items in that range (mapped value, item).
         items: Vec<(u64, Item)>,
+        /// The giver's hand-off, echoed by the acknowledgement.
+        handoff: HandOff,
     },
     /// The receiver has installed the [`DsMsg::Grant`] of this `give`.
     GrantAck {
         /// The give being acknowledged.
         give: Give,
+        /// The giver's hand-off the grant belonged to.
+        handoff: HandOff,
     },
     /// An underflowing peer asks its successor to merge or redistribute.
     MergeRequest {
@@ -189,17 +205,17 @@ pub enum DsMsg {
     /// arrives within another guard period does the granter conclude the
     /// requester is dead and abort unilaterally.
     RedistributeAbort {
-        /// The boundary of the give being aborted.
-        new_boundary: PeerValue,
+        /// The granter's hand-off being aborted.
+        handoff: HandOff,
     },
     /// The requester dropped the unapplied grant: the granter may safely
     /// keep its range and items.
     RedistributeAbortAck {
-        /// The boundary of the aborted give.
-        new_boundary: PeerValue,
+        /// The granter's aborted hand-off.
+        handoff: HandOff,
     },
-    /// The successor declines to merge or redistribute right now (e.g. it is
-    /// itself rebalancing); the requester retries later.
+    /// "Not now", to a merge request or to a leave offer (e.g. the receiver
+    /// is itself rebalancing); the requester retries later, the leaver stays.
     MergeDeclined,
 
     // ---- voluntary leave ------------------------------------------------------
@@ -209,35 +225,20 @@ pub enum DsMsg {
     /// splits/merges (so no new peer can appear between the two while the
     /// hand-off is in flight); the leaver answers with a full give.
     LeaveOffer,
-    /// The predecessor cannot absorb the leaver right now (it is rebalancing
-    /// or the offer did not come from its direct successor).
-    LeaveOfferDeclined,
 
     // ---- timers ---------------------------------------------------------------
     /// Re-check overflow / underflow after a deferred or declined rebalance.
     RebalanceRetry,
-    /// Guard on the *giving* side of a transfer (full merge grant or
-    /// redistribution): fires if the receiver's acknowledgement never
-    /// arrives. The receiver is the giver's ring *predecessor*, which the
-    /// ping loop never probes, so a timer is the only way out of the wait.
+    /// Guard on every wait for the ring *predecessor*, which the ping loop
+    /// never probes, so a timer is the only way out: the answer to a leave
+    /// offer, and the acknowledgement of a full give or a redistribution.
     GiveTimeout {
-        /// The receiver the guarded transfer went to.
-        to: PeerId,
-        /// The guarded give — ties the guard to the exact transfer so a
-        /// stale timer cannot fire into a later one.
-        give: Give,
-        /// Which firing this is: a redistribute give first *asks* the
-        /// requester to drop the grant (attempt 1) and only aborts
-        /// unilaterally when that, too, goes unanswered (attempt 2).
+        /// The guarded hand-off; the guard is a no-op once it is over.
+        handoff: HandOff,
+        /// Which wait this guards: the offer's answer (0) or the grant's
+        /// acknowledgement. A redistribute give first *asks* the requester to
+        /// drop the grant (1), and aborts only if that goes unanswered (2).
         attempt: u32,
-    },
-    /// Guard on an outstanding voluntary-leave offer: fires if the
-    /// predecessor never answers (failed, or the cached pointer was stale),
-    /// so the leaver can offer again later.
-    LeaveOfferTimeout {
-        /// The predecessor the guarded offer went to (a stale guard from an
-        /// earlier, already-resolved offer must not clear a newer one).
-        to: PeerId,
     },
 }
 
@@ -266,7 +267,7 @@ impl DsMsg {
                 Give::Lower(_) => "RedistributeGrant",
                 Give::All => "MergeGrant",
             },
-            DsMsg::GrantAck { give } => match give {
+            DsMsg::GrantAck { give, .. } => match give {
                 Give::Upper(_) => "HandoffAck",
                 Give::Lower(_) => "RedistributeAck",
                 Give::All => "MergeGrantAck",
@@ -276,10 +277,8 @@ impl DsMsg {
             DsMsg::RedistributeAbortAck { .. } => "RedistributeAbortAck",
             DsMsg::MergeDeclined => "MergeDeclined",
             DsMsg::LeaveOffer => "LeaveOffer",
-            DsMsg::LeaveOfferDeclined => "LeaveOfferDeclined",
             DsMsg::RebalanceRetry => "RebalanceRetry",
             DsMsg::GiveTimeout { .. } => "GiveTimeout",
-            DsMsg::LeaveOfferTimeout { .. } => "LeaveOfferTimeout",
         }
     }
 }
@@ -322,9 +321,15 @@ mod tests {
             (Give::All, "MergeGrant", "MergeGrantAck"),
         ] {
             let range = CircularRange::new(1u64, 7u64);
-            let items = Vec::new();
-            assert_eq!(DsMsg::Grant { give, range, items }.tag(), grant);
-            assert_eq!(DsMsg::GrantAck { give }.tag(), ack);
+            let (items, handoff) = (Vec::new(), HandOff::default());
+            let msg = DsMsg::Grant {
+                give,
+                range,
+                items,
+                handoff,
+            };
+            assert_eq!(msg.tag(), grant);
+            assert_eq!(DsMsg::GrantAck { give, handoff }.tag(), ack);
         }
     }
 }

@@ -366,7 +366,7 @@ impl DataStoreState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::messages::Give;
+    use crate::messages::{Give, HandOff};
     use pepper_net::{Effect, ProtocolLayer, SimTime};
     use pepper_types::{CircularRange, PeerValue, Protocol, SearchKey, SystemConfig};
 
@@ -536,6 +536,7 @@ mod tests {
             give: Give::Lower(PeerValue(60)),
             range: CircularRange::new(50u64, 60u64),
             items: vec![(60, item(60))],
+            handoff: HandOff::default(),
         };
         p.handle(ctx(1), PeerId(2), grant, &mut fx);
         assert_eq!(p.range(), CircularRange::new(0u64, 50u64));

@@ -7,7 +7,7 @@ use pepper_net::{Effects, LayerCtx, ProtocolLayer, SimTime};
 use pepper_types::{CircularRange, Item, KeyInterval, PeerId, PeerValue, RangeQuery, SystemConfig};
 
 use crate::events::DsEvent;
-use crate::messages::{DsMsg, Give, QueryId};
+use crate::messages::{DsMsg, Give, HandOff, QueryId};
 use crate::store::ItemStore;
 
 /// Whether the peer currently stores data (is part of the ring) or is a free
@@ -45,6 +45,8 @@ pub(crate) enum Balance {
     /// offer — went to this successor, and its grant has not installed (or
     /// been dropped) yet.
     Requesting(PeerId),
+    /// A voluntary leave was offered to this predecessor, not yet answered.
+    Offering(PeerId),
     /// The giving side of a transfer.
     Giving(Giving),
 }
@@ -64,10 +66,12 @@ pub(crate) enum DeferredWrite {
         items: Vec<(u64, Item)>,
         /// The giver, to be acknowledged once installed.
         giver: PeerId,
+        /// The giver's hand-off, echoed in the acknowledgement.
+        handoff: HandOff,
     },
-    /// Giving side: the receiver installed; drop the moved items and shrink
-    /// the range.
-    Finish(Give),
+    /// Giving side: the receiver of this give and hand-off installed; drop
+    /// the moved items and shrink the range.
+    Finish(Give, HandOff),
 }
 
 /// Bookkeeping for a scan hand-off awaiting the successor's acknowledgement.
@@ -156,10 +160,8 @@ pub struct DataStoreState {
     pub(crate) queries: HashMap<QueryId, QueryProgress>,
     pub(crate) next_query_seq: u64,
     pub(crate) balance: Balance,
-    /// Leaver side of a voluntary leave: the predecessor the offer went to.
-    /// Not a `Balance`: a split or merge may start while the offer is in
-    /// flight, and the leaver then declines the predecessor's merge request.
-    pub(crate) leave_offered_to: Option<PeerId>,
+    /// The identity of `balance`'s hand-off; stale while it is `Idle`.
+    pub(crate) handoff: HandOff,
     /// Item writes parked while a give is on the wire.
     pub(crate) blocked_item_writes: Vec<(PeerId, DsMsg)>,
     /// Events buffered for the composed peer, drained through
@@ -193,7 +195,7 @@ impl DataStoreState {
             queries: HashMap::new(),
             next_query_seq: 0,
             balance: Balance::Idle,
-            leave_offered_to: None,
+            handoff: HandOff::default(),
             blocked_item_writes: Vec::new(),
             events: Vec::new(),
         }
@@ -255,7 +257,7 @@ impl DataStoreState {
         self.store.version()
     }
 
-    /// Whether a rebalance (split/merge/redistribute) is currently in flight.
+    /// Whether a hand-off (split, merge, redistribute, leave offer) is in flight.
     pub fn is_rebalancing(&self) -> bool {
         self.balance != Balance::Idle
     }
@@ -275,7 +277,8 @@ impl DataStoreState {
             status: self.status,
             range: self.range,
             mapped_keys: self.store.items().map(|(m, _)| *m).collect(),
-            rebalancing: self.is_rebalancing(),
+            // An offer moves nothing: the oracles judge it like an idle peer.
+            rebalancing: !matches!(self.balance, Balance::Idle | Balance::Offering(_)),
             writes_blocked: self.is_item_writes_blocked(),
             scan_locks: self.scan_locks,
             open_queries: self.queries.len(),
@@ -605,36 +608,41 @@ impl DataStoreState {
             DsMsg::ScanFailed { query } => self.finalize_query(ctx, query),
 
             // Storage balance. A grant installs once no scan holds the range.
-            DsMsg::Grant { give, range, items } => {
-                let giver = from;
+            DsMsg::Grant {
+                give,
+                range,
+                items,
+                handoff,
+            } => {
                 let install = DeferredWrite::Install {
                     give,
                     range,
                     items,
-                    giver,
+                    giver: from,
+                    handoff,
                 };
                 self.write_or_defer(ctx, install, fx)
             }
-            DsMsg::GrantAck { give } => self.on_grant_ack(ctx, give, fx),
             DsMsg::MergeRequest { requester_items } => {
                 self.on_merge_request(from, requester_items, fx)
             }
-            DsMsg::RedistributeAbort { new_boundary } => {
-                self.on_redistribute_abort(from, new_boundary, fx)
-            }
-            DsMsg::RedistributeAbortAck { new_boundary } => {
-                if self.is_giving(Give::Lower(new_boundary)) {
-                    self.abort_give(ctx, fx);
-                }
-            }
+            DsMsg::RedistributeAbort { handoff } => self.on_redistribute_abort(from, handoff, fx),
             DsMsg::MergeDeclined => self.on_merge_declined(from, fx),
             DsMsg::LeaveOffer => self.on_leave_offer(from, fx),
-            DsMsg::LeaveOfferDeclined => self.clear_leave_offer(from),
             DsMsg::RebalanceRetry => self.recheck_balance(),
-            DsMsg::GiveTimeout { to, give, attempt } => {
-                self.on_give_timeout(ctx, to, give, attempt, fx)
+            // A guard or an acknowledgement acts only while the hand-off it
+            // was armed for is the current one.
+            DsMsg::GrantAck { give, handoff } if self.is_current(handoff) => {
+                self.write_or_defer(ctx, DeferredWrite::Finish(give, handoff), fx)
             }
-            DsMsg::LeaveOfferTimeout { to } => self.clear_leave_offer(to),
+            DsMsg::RedistributeAbortAck { handoff } if self.is_current(handoff) => {
+                self.abort_give(ctx, fx)
+            }
+            DsMsg::GiveTimeout { handoff, attempt } if self.is_current(handoff) => {
+                self.on_give_timeout(ctx, handoff, attempt, fx)
+            }
+            DsMsg::GrantAck { .. } | DsMsg::RedistributeAbortAck { .. } => {}
+            DsMsg::GiveTimeout { .. } => {}
         }
     }
 }
@@ -644,9 +652,13 @@ impl ProtocolLayer for DataStoreState {
     type Event = DsEvent;
 
     /// The Data Store has no periodic protocol of its own; its only timers
-    /// (scan-forward timeouts, rebalance retries, query deadlines) are armed
-    /// by the handlers that need them.
-    fn start_timers(&mut self, _ctx: LayerCtx, _fx: &mut Effects<DsMsg>) {}
+    /// (scan-forward timeouts, rebalance retries, query deadlines, hand-off
+    /// guards) are armed by the handlers that need them. Runs once per
+    /// incarnation, before its first hand-off: it stamps the incarnation
+    /// every hand-off identity carries.
+    fn start_timers(&mut self, ctx: LayerCtx, _fx: &mut Effects<DsMsg>) {
+        self.handoff.incarnation = ctx.now;
+    }
 
     fn handle(&mut self, ctx: LayerCtx, from: PeerId, msg: DsMsg, fx: &mut Effects<DsMsg>) {
         self.dispatch(ctx, from, msg, fx);
@@ -968,7 +980,7 @@ mod tests {
         // A split completion arrives while the scan lock is held: deferred.
         ds.write_or_defer(
             ctx(1),
-            DeferredWrite::Finish(Give::Upper(PeerValue(20))),
+            DeferredWrite::Finish(Give::Upper(PeerValue(20)), ds.handoff),
             &mut fx,
         );
         assert_eq!(ds.item_count(), 4);

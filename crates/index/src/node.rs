@@ -763,7 +763,7 @@ impl PeerNode {
                     });
                     self.process_ds_events(now, ds_events, out);
                 }
-                DsEvent::MergeGiveStarted { to } => {
+                DsEvent::MergeGiveStarted => {
                     self.merge_started = Some(now);
                     let ctx = self.layer_ctx(now);
                     // Item availability protection: replicate everything this
@@ -781,8 +781,8 @@ impl PeerNode {
                         // Cannot leave right now (e.g. an insert is in
                         // flight); decline the merge so the requester retries.
                         self.merge_started = None;
-                        self.ds.cancel_merge_give();
-                        out.send(to, PeerMsg::Ds(DsMsg::MergeDeclined));
+                        let ((), ds_events) = self.ds.with(out, |ds, fx| ds.cancel_merge_give(fx));
+                        self.process_ds_events(now, ds_events, out);
                     }
                     self.process_ring_events(now, ring_events, out);
                 }

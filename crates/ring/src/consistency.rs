@@ -387,11 +387,12 @@ mod tests {
     }
 
     #[test]
-    fn joining_peers_are_exempt() {
-        // Peer 9 is JOINING: pointers to (or missing pointers to) it are not
+    fn free_peers_are_exempt() {
+        // Peer 9 is free (perhaps being inserted, its join message not yet
+        // arrived): pointers to (or missing pointers to) it are not
         // violations.
         let mut ring = consistent_ring();
-        ring.push(snap(9, 35, RingPhase::Joining, &[], true));
+        ring.push(snap(9, 35, RingPhase::Free, &[], true));
         assert!(check_consistent_successor_pointers(&ring).is_consistent());
     }
 

@@ -83,11 +83,9 @@ impl fmt::Display for SuccEntry {
 /// The phase of the *peer itself* in the ring protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RingPhase {
-    /// Not part of the ring (a free peer, or a peer that has departed).
+    /// Not part of the ring: a free peer — also while it is being inserted,
+    /// until its inserter's join message arrives — or a departed one.
     Free,
-    /// Currently being inserted into the ring (passive; waits for the join
-    /// message from its inserter).
-    Joining,
     /// A full member of the ring.
     Joined,
     /// A full member that is currently inserting a new successor
@@ -112,7 +110,6 @@ impl RingPhase {
     pub fn as_entry_state(&self) -> EntryState {
         match self {
             RingPhase::Leaving => EntryState::Leaving,
-            RingPhase::Joining => EntryState::Joining,
             _ => EntryState::Joined,
         }
     }
@@ -122,7 +119,6 @@ impl fmt::Display for RingPhase {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
             RingPhase::Free => "FREE",
-            RingPhase::Joining => "JOINING",
             RingPhase::Joined => "JOINED",
             RingPhase::Inserting => "INSERTING",
             RingPhase::Leaving => "LEAVING",
@@ -148,7 +144,6 @@ mod tests {
     #[test]
     fn phase_membership() {
         assert!(!RingPhase::Free.is_member());
-        assert!(!RingPhase::Joining.is_member());
         assert!(RingPhase::Joined.is_member());
         assert!(RingPhase::Inserting.is_member());
         assert!(RingPhase::Leaving.is_member());
@@ -159,7 +154,6 @@ mod tests {
         assert_eq!(RingPhase::Joined.as_entry_state(), EntryState::Joined);
         assert_eq!(RingPhase::Inserting.as_entry_state(), EntryState::Joined);
         assert_eq!(RingPhase::Leaving.as_entry_state(), EntryState::Leaving);
-        assert_eq!(RingPhase::Joining.as_entry_state(), EntryState::Joining);
     }
 
     #[test]

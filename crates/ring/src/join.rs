@@ -162,7 +162,7 @@ impl RingState {
         your_value: PeerValue,
         fx: &mut Effects<RingMsg>,
     ) {
-        if self.phase != RingPhase::Free && self.phase != RingPhase::Joining {
+        if self.phase != RingPhase::Free {
             return;
         }
         self.value = your_value;

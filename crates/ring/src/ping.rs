@@ -115,7 +115,8 @@ impl RingState {
         // transition is impossible (a leave never reverts), so the peer must
         // have departed and *rejoined elsewhere* in the meantime. The entry
         // is a phantom of the old incarnation — drop it rather than
-        // "updating" it to JOINED at a position the peer no longer occupies.
+        // "updating" it to JOINED at a position the peer no longer occupies
+        // — and report the departure like a `member = false` answer.
         let rejoined = state == EntryState::Joined
             && self
                 .succ_list
@@ -127,6 +128,7 @@ impl RingState {
             // position (possibly in this very list).
             self.succ_list
                 .retain(|e| !(e.peer == from && e.state == EntryState::Leaving));
+            self.emit(RingEvent::SuccessorDeparted { peer: from });
             self.maybe_emit_new_successor();
             return;
         }
@@ -309,6 +311,28 @@ mod tests {
             .any(|e| matches!(e, RingEvent::NewSuccessor { peer, .. } if *peer == PeerId(5))));
         // A later reply from the same peer finds nothing to remove.
         p.on_ping_reply(ctx(4), PeerId(7), 2, false, EntryState::Joined);
+        assert!(p.drain_events().is_empty());
+    }
+
+    #[test]
+    fn a_leaving_entry_answering_joined_is_reported_departed() {
+        // Peer 7 was leaving, then crashed, restarted and was split into
+        // another position before this ping: it answers as a JOINED member.
+        let leaving = SuccEntry::new(PeerId(7), PeerValue(45), EntryState::Leaving);
+        let mut p = member_with(vec![leaving, joined(5, 50)]);
+        p.on_ping_reply(ctx(4), PeerId(7), 1, true, EntryState::Joined);
+        assert!(p.succ_list().iter().all(|e| e.peer != PeerId(7)));
+        let events = p.drain_events();
+        assert_eq!(
+            events[0],
+            RingEvent::SuccessorDeparted { peer: PeerId(7) },
+            "the departure is reported before the new successor"
+        );
+        assert!(events
+            .iter()
+            .any(|e| matches!(e, RingEvent::NewSuccessor { peer, .. } if *peer == PeerId(5))));
+        // Its later answers find no phantom left and report nothing.
+        p.on_ping_reply(ctx(4), PeerId(7), 2, true, EntryState::Joined);
         assert!(p.drain_events().is_empty());
     }
 

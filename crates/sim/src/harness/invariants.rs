@@ -145,7 +145,15 @@ pub fn check_range_partition(view: &SystemView, allow_gaps: bool) -> Vec<Violati
                     ),
                 });
             }
-        } else if !allow_gaps {
+        } else if !allow_gaps
+            && !live
+                .iter()
+                .any(|o| o.id != s.id && o.range.contains(actual))
+        {
+            // A gap leaves `actual` itself unowned. The sorted-order
+            // predecessor is not always the peer that owns it: while a
+            // split's ack is in flight, giver and receiver share a high,
+            // and the tie may sort the receiver first.
             out.push(Violation {
                 invariant: "range-partition",
                 peers: vec![s.id, prev.id],
@@ -167,8 +175,8 @@ pub fn check_range_partition(view: &SystemView, allow_gaps: bool) -> Vec<Violati
 /// storage: a restarted peer's range is stale by definition (the live ring
 /// reassigned it during the downtime), so holding a Live Data Store with a
 /// non-empty range while being ring-`Free` means recovered state was
-/// installed without the rejoin handshake. Ring members in any joining /
-/// joined / leaving phase are legitimate owners; only the Free phase is
+/// installed without the rejoin handshake. Ring members in the joined,
+/// inserting or leaving phase are legitimate owners; only the Free phase is
 /// impossible for a correct storing peer (a leaver stays `Leaving` until its
 /// range is fully given away, and departing empties the range in the same
 /// step).
@@ -388,6 +396,36 @@ mod tests {
     }
 
     #[test]
+    fn a_split_giver_sorted_after_its_receiver_has_no_gap() {
+        // A split's ack is in flight: the giver 3 still owns (20, 80] and
+        // the receiver 2 already owns (50, 80]. They share the high 80 and
+        // the receiver sorts first, so the giver's sorted predecessor is the
+        // receiver — but the giver's low end 20 is where peer 1 ends.
+        let mut giver = store(3, 20, 80, &[30, 60]);
+        giver.writes_blocked = true;
+        let v = view(vec![
+            store(1, 80, 20, &[10]),
+            store(2, 50, 80, &[60]),
+            giver,
+        ]);
+        let viols = check_range_partition(&v, false);
+        assert!(viols.is_empty(), "{viols:?}");
+    }
+
+    #[test]
+    fn a_gap_below_two_peers_sharing_a_high_is_still_flagged() {
+        // The same split, but peer 1 ends at 10: (10, 20] is unowned.
+        let mut giver = store(3, 20, 80, &[30, 60]);
+        giver.writes_blocked = true;
+        let v = view(vec![store(1, 80, 10, &[5]), store(2, 50, 80, &[60]), giver]);
+        let viols = check_range_partition(&v, false);
+        assert_eq!(viols.len(), 1, "{viols:?}");
+        assert!(viols[0].details.contains("gap"), "{viols:?}");
+        assert_eq!(viols[0].peers, [PeerId(3), PeerId(2)]);
+        assert!(check_range_partition(&v, true).is_empty(), "in grace");
+    }
+
+    #[test]
     fn recovered_stale_range_is_flagged_only_in_the_free_phase() {
         let ring_snap = |phase: RingPhase| RingSnapshot {
             id: PeerId(1),
@@ -398,12 +436,7 @@ mod tests {
             alive: true,
         };
         let mut v = view(vec![store(1, 80, 20, &[10])]);
-        for legit in [
-            RingPhase::Joined,
-            RingPhase::Inserting,
-            RingPhase::Leaving,
-            RingPhase::Joining,
-        ] {
+        for legit in [RingPhase::Joined, RingPhase::Inserting, RingPhase::Leaving] {
             v.ring = vec![ring_snap(legit)];
             assert!(check_recovered_range(&v).is_empty(), "{legit:?}");
         }

@@ -249,6 +249,16 @@ impl HarnessConfig {
                 seed,
                 RecoveryMode::ServeStaleRange,
             )),
+            // Leave-heavy: offers, their declines and their guards.
+            "quick-leave" => Ok(HarnessConfig {
+                weights: OpWeights {
+                    leave: 8,
+                    add_free_peer: 6,
+                    ..OpWeights::default()
+                },
+                profile: "quick-leave".to_string(),
+                ..HarnessConfig::quick(seed)
+            }),
             "quick-zipf" => Ok(Self::zipfed(HarnessConfig::quick(seed), profile)),
             "quick-sequential" => Ok(HarnessConfig {
                 // Stride chosen so a full quick run stays inside the query
