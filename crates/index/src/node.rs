@@ -718,8 +718,9 @@ impl PeerNode {
                 }
                 RingEvent::SuccessorDeparted { peer } => {
                     // A peer that left the ring, or crashed and came back
-                    // free before any ping to it timed out, grants nothing:
-                    // end a Data Store wait on its grant.
+                    // (free, or elsewhere in the ring) before any ping to it
+                    // timed out, grants nothing: end a Data Store wait on
+                    // its grant.
                     let ((), ds_events) = self.ds.with(out, |ds, fx| ds.on_peer_departed(peer, fx));
                     self.process_ds_events(now, ds_events, out);
                 }

@@ -59,7 +59,9 @@ pub enum RingEvent {
         peer: PeerId,
     },
     /// A successor answered a ping as no longer a ring member (it departed,
-    /// or crashed and came back free) and was removed from the list.
+    /// or crashed and came back free), or a `LEAVING` one answered as a
+    /// `JOINED` member (it came back at another position), and was removed
+    /// from the list.
     SuccessorDeparted {
         /// The departed peer.
         peer: PeerId,
