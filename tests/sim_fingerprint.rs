@@ -143,8 +143,9 @@ fn a_seeded_run_through_crash_restart_and_leave_matches_the_pinned_fingerprint()
 /// `(profile, OpTrace::hash, final_state_hash)` of each fast-timer harness
 /// profile at seed 1. Re-pin the way [`FINGERPRINT`] is re-pinned. At seed 1
 /// the two broken-recovery profiles end exactly where `quick` does.
-const PROFILE_HASHES: [(&str, u64, u64); 7] = [
+const PROFILE_HASHES: [(&str, u64, u64); 8] = [
     ("quick", 0x1f12_b5d9_642a_41c7, 0x2340_4fef_5cdc_bed6),
+    ("quick-leave", 0x3fbf_7065_d893_0505, 0xe679_aa64_c2f2_9b55),
     (
         "quick-no-failures",
         0xb248_46f3_1129_c14b,
