@@ -6,10 +6,8 @@
 //! tracks (peak event queue depth + peak FIFO-channel count), the
 //! crash-restart recovery counters, a hop-count histogram over every
 //! completed range query and a per-peer delivered-load profile (the
-//! baselines any routing-depth or load-balancing work has to beat), plus a
-//! focused WAL-replay throughput micro-measurement at two log lengths
-//! (whose throughput ratio would expose a super-linear replay regression),
-//! and writes the results to `BENCH_macro.json` at the repository root.
+//! baselines any routing-depth or load-balancing work has to beat), and
+//! writes the results to `BENCH_macro.json` at the repository root.
 //! The file is committed so every future PR can diff its perf trajectory
 //! against the previous one; CI runs a reduced `--smoke` variant that
 //! fails only on panic or invariant violation, never on timing noise.
@@ -40,17 +38,12 @@ pub fn bench_trace_config() -> TraceConfig {
     }
 }
 
-/// Schema identifier written into the JSON (bump on layout changes).
-/// v3: per-run `trace_hash` + `final_state_hash` (the determinism
-/// witnesses), hop-count histogram + percentile summary, per-peer load
-/// summary, the `xlarge` N=4096 rung, and a two-length WAL-replay scaling
-/// block.
-/// v4: percentiles are linearly interpolated (fractional values on small
-/// samples), and every run carries the per-layer metrics registry (`metrics`
-/// counters and `metrics_histograms` summaries) collected with tracing off.
-/// v5: one row per `(profile, seed)` — the `threads` and `engine_*` columns
-/// went with the epoch-parallel engine.
-pub const SCHEMA: &str = "pepper-bench-macro/v5";
+/// Schema identifier written into the JSON (bump on layout changes). The
+/// file holds `schema`, `smoke` and `runs`: one row per `(profile, seed)`
+/// with its determinism witnesses (`trace_hash`, `final_state_hash`), its
+/// hop-count histogram and interpolated percentiles, its per-peer load
+/// summary and its per-layer metrics registry, collected with tracing off.
+pub const SCHEMA: &str = "pepper-bench-macro/v6";
 
 /// Default output path: `BENCH_macro.json` at the repository root.
 pub fn default_out_path() -> PathBuf {
@@ -259,46 +252,6 @@ impl MacroRun {
     }
 }
 
-/// The WAL-replay throughput micro-bench: how fast `PeerStorage::recover`
-/// chews through a synthetic log of `records` framed entries (the
-/// recovery-time metric of the perf trajectory — a restart's latency is
-/// dominated by replaying the WAL tail on top of the last snapshot).
-struct RecoveryBench {
-    records: u64,
-    wall_ms: f64,
-    records_per_sec: f64,
-}
-
-fn measure_wal_replay(records: u64) -> RecoveryBench {
-    use pepper_storage::{PeerStorage, RecoveryMode, StorageConfig};
-    use pepper_types::{Item, ItemId, PeerId, SearchKey};
-    let mut storage = PeerStorage::new_mem(
-        7,
-        StorageConfig {
-            // Keep everything in the WAL: the point is replay throughput.
-            snapshot_after_records: usize::MAX,
-        },
-    );
-    for i in 0..records {
-        let item = Item::new(ItemId::new(PeerId(1), i), SearchKey(i), format!("v{i}"));
-        // 2:1 insert/delete mix so replay exercises both record paths.
-        storage.log_item_insert(i, &item);
-        if i % 2 == 0 {
-            storage.log_item_delete(i);
-        }
-    }
-    let total = records + records / 2;
-    let start = Instant::now();
-    let recovered = storage.recover(RecoveryMode::Clean);
-    let wall = start.elapsed().as_secs_f64().max(1e-9);
-    assert_eq!(recovered.wal_records_replayed, total);
-    RecoveryBench {
-        records: total,
-        wall_ms: wall * 1e3,
-        records_per_sec: total as f64 / wall,
-    }
-}
-
 /// Config facts captured before the harness consumes the config.
 struct RunMeta {
     profile: String,
@@ -423,44 +376,10 @@ pub fn run(args: &[String]) -> i32 {
         }
     }
 
-    // The recovery-time metric: WAL-replay throughput through the real
-    // recovery path, at two log lengths 4× apart. The map-based replay
-    // image makes the pass O(n log n), so the throughput ratio stays near
-    // 1.0; a quadratic regression would show up as a collapse at the
-    // longer length (and is pinned by a regression test in
-    // `pepper-storage`). Reported, never judged — like every timing here.
-    let recovery_short = measure_wal_replay(25_000);
-    let recovery = measure_wal_replay(100_000);
-    let scaling = recovery.records_per_sec / recovery_short.records_per_sec.max(1e-9);
-    println!(
-        "wal-replay  records={} wall={:>8.1}ms ({:>9.0} records/s; {:.2}x throughput at 4x length)",
-        recovery.records, recovery.wall_ms, recovery.records_per_sec, scaling,
-    );
-
     let mut json = String::new();
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"schema\": \"{SCHEMA}\",");
     let _ = writeln!(json, "  \"smoke\": {smoke},");
-    let _ = writeln!(json, "  \"recovery\": {{");
-    let _ = writeln!(json, "    \"wal_replay_records\": {},", recovery.records);
-    let _ = writeln!(json, "    \"wal_replay_wall_ms\": {:.1},", recovery.wall_ms);
-    let _ = writeln!(
-        json,
-        "    \"wal_replay_records_per_sec\": {:.0},",
-        recovery.records_per_sec
-    );
-    let _ = writeln!(
-        json,
-        "    \"wal_replay_short_records\": {},",
-        recovery_short.records
-    );
-    let _ = writeln!(
-        json,
-        "    \"wal_replay_short_records_per_sec\": {:.0},",
-        recovery_short.records_per_sec
-    );
-    let _ = writeln!(json, "    \"wal_replay_scaling_ratio\": {scaling:.2}");
-    let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"runs\": [");
     let body: Vec<String> = runs.iter().map(MacroRun::to_json).collect();
     let _ = writeln!(json, "{}", body.join(",\n"));

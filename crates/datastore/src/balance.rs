@@ -761,7 +761,7 @@ mod tests {
         deliver(&mut q, 9, ack, &mut fx3);
         assert!(fx3.iter().any(|e| matches!(
             e,
-            Effect::Send { to, msg: DsMsg::NotResponsible { mapped: 45 } } if *to == PeerId(5)
+            Effect::Send { to, msg: DsMsg::NotResponsible { mapped: 45, item: Some(_) } } if *to == PeerId(5)
         )));
     }
 

@@ -73,7 +73,8 @@ pub enum DsEvent {
         mapped: u64,
     },
     /// The first peer of a scan rejected it (it no longer owns the query's
-    /// lower bound); the index layer should re-route the scan start.
+    /// lower bound) while the query is still open; the index layer should
+    /// re-route the scan start, or abandon the query.
     QueryRejected {
         /// Query identity.
         query: QueryId,
@@ -111,6 +112,8 @@ pub enum DsEvent {
     Rerouted {
         /// The mapped value of the bounced request.
         mapped: u64,
+        /// The bounced insert's item, or `None` for a delete.
+        item: Option<ItemId>,
     },
 }
 

@@ -76,10 +76,12 @@ pub enum DsMsg {
         found: bool,
     },
     /// The receiving peer is not responsible for the mapped value (stale
-    /// routing); the sender should re-route.
+    /// routing); the issuer should re-route the request it names.
     NotResponsible {
         /// The mapped value the request was about.
         mapped: u64,
+        /// The bounced insert's item, or `None` for a delete.
+        item: Option<ItemId>,
     },
 
     // ---- PEPPER scanRange --------------------------------------------------

@@ -27,10 +27,6 @@ use crate::state::{Balance, DataStoreState, DsStatus, PendingForward};
 /// inconsistent (naive) rings.
 pub const MAX_SCAN_HOPS: u32 = 1024;
 
-/// How many times a rejected scan start is re-routed before the query is
-/// finalized with whatever has been collected.
-pub const MAX_SCAN_REROUTES: u32 = 5;
-
 /// How many times a scan hand-off is sent before the scan is reported as
 /// incomplete (the first send plus three retries).
 const SCAN_MAX_RETRIES: usize = 4;
@@ -255,15 +251,9 @@ impl DataStoreState {
     }
 
     /// The first peer rejected the scan (stale routing): ask the index layer
-    /// to re-route, or finalize after too many attempts.
-    pub(crate) fn on_scan_rejected(&mut self, ctx: LayerCtx, query: QueryId) {
-        let Some(progress) = self.queries.get_mut(&query) else {
-            return;
-        };
-        progress.reroutes += 1;
-        if progress.reroutes > MAX_SCAN_REROUTES {
-            self.finalize_query(ctx, query);
-        } else {
+    /// to re-route it, if the query is still open.
+    pub(crate) fn on_scan_rejected(&mut self, query: QueryId) {
+        if self.queries.contains_key(&query) {
             self.emit(DsEvent::QueryRejected { query });
         }
     }
@@ -697,7 +687,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_rejection_requests_rerouting_then_gives_up() {
+    fn a_rejected_scan_start_is_reported_only_while_its_query_is_open() {
         let mut issuer = live_peer(9, 0, 100, &[]);
         let mut fx = Effects::new();
         let (id, _) = issuer
@@ -707,27 +697,38 @@ mod tests {
                 &mut fx,
             )
             .unwrap();
-        for _ in 0..MAX_SCAN_REROUTES {
-            issuer.on_scan_rejected(ctx(9), id);
+        // Every rejection of an open query asks the index layer to re-route:
+        // the Data Store keeps no re-route budget of its own.
+        for _ in 0..8 {
+            issuer.handle(
+                ctx(9),
+                PeerId(4),
+                DsMsg::ScanRejected { query: id },
+                &mut fx,
+            );
+            assert!(matches!(
+                &issuer.drain_events()[..],
+                [DsEvent::QueryRejected { query }] if *query == id
+            ));
         }
-        assert_eq!(
-            issuer
-                .drain_events()
-                .iter()
-                .filter(|e| matches!(e, DsEvent::QueryRejected { .. }))
-                .count(),
-            MAX_SCAN_REROUTES as usize
-        );
-        // One more rejection finalizes the query as incomplete.
-        issuer.on_scan_rejected(ctx(9), id);
-        assert!(issuer.drain_events().iter().any(|e| matches!(
-            e,
-            DsEvent::QueryCompleted {
+        // The index layer gives up: the query ends incomplete, and a late
+        // rejection is dropped.
+        issuer.abandon_query(ctx(9), id);
+        assert!(matches!(
+            &issuer.drain_events()[..],
+            [DsEvent::QueryCompleted {
                 complete: false,
                 ..
-            }
-        )));
+            }]
+        ));
         assert_eq!(issuer.open_queries(), 0);
+        issuer.handle(
+            ctx(9),
+            PeerId(4),
+            DsMsg::ScanRejected { query: id },
+            &mut fx,
+        );
+        assert!(issuer.drain_events().is_empty());
     }
 
     #[test]

@@ -135,8 +135,6 @@ pub struct QueryProgress {
     /// The hop that reported `ScanDone`, once it has. Results of earlier
     /// hops travel other links and may still be on their way.
     pub final_hop: Option<u32>,
-    /// How many times the scan start has been rejected and re-routed.
-    pub reroutes: u32,
 }
 
 /// The per-peer Data Store state machine.
@@ -306,12 +304,6 @@ impl DataStoreState {
         self.cfg.key_map.map(item.skv).raw()
     }
 
-    /// The interval of a query issued at this peer (used by the composed
-    /// peer for re-routing rejected scans).
-    pub fn query_interval(&self, query: QueryId) -> Option<KeyInterval> {
-        self.queries.get(&query).map(|q| q.interval)
-    }
-
     /// Number of queries currently in flight at this peer.
     pub fn open_queries(&self) -> usize {
         self.queries.len()
@@ -464,7 +456,8 @@ impl DataStoreState {
         }
         let mapped = self.map_key(&item);
         if self.status != DsStatus::Live || !self.range.contains(mapped) {
-            fx.send(reply_to, DsMsg::NotResponsible { mapped });
+            let item = Some(item.id);
+            fx.send(reply_to, DsMsg::NotResponsible { mapped, item });
             return;
         }
         self.emit(DsEvent::ItemStored { item: item.clone() });
@@ -480,7 +473,7 @@ impl DataStoreState {
             return;
         }
         if self.status != DsStatus::Live || !self.range.contains(mapped) {
-            fx.send(reply_to, DsMsg::NotResponsible { mapped });
+            fx.send(reply_to, DsMsg::NotResponsible { mapped, item: None });
             return;
         }
         let removed = self.store.remove(mapped);
@@ -532,12 +525,18 @@ impl DataStoreState {
                 hops: 0,
                 hop_results: Vec::new(),
                 final_hop: None,
-                reroutes: 0,
             },
         );
         // Safety net: finalize the query even if the scan dies somewhere.
         fx.timer(self.cfg.query_timeout(), DsMsg::ScanFailed { query: id });
         Some((id, interval))
+    }
+
+    /// Ends a query issued at this peer whose scan never started (its
+    /// issuer gave up re-routing the scan start): it completes with what it
+    /// collected, which leaves it incomplete.
+    pub fn abandon_query(&mut self, ctx: LayerCtx, query: QueryId) {
+        self.finalize_query(ctx, query);
     }
 
     pub(crate) fn finalize_query(&mut self, ctx: LayerCtx, query: QueryId) {
@@ -577,7 +576,7 @@ impl DataStoreState {
             DsMsg::DeleteItemAck { mapped, found } => {
                 self.emit(DsEvent::DeleteAcked { mapped, found })
             }
-            DsMsg::NotResponsible { mapped } => self.emit(DsEvent::Rerouted { mapped }),
+            DsMsg::NotResponsible { mapped, item } => self.emit(DsEvent::Rerouted { mapped, item }),
 
             DsMsg::ScanStep {
                 query,
@@ -592,7 +591,7 @@ impl DataStoreState {
                 hop,
                 attempt,
             } => self.on_scan_forward_timeout(ctx, query, target, hop, attempt, fx),
-            DsMsg::ScanRejected { query } => self.on_scan_rejected(ctx, query),
+            DsMsg::ScanRejected { query } => self.on_scan_rejected(query),
             DsMsg::NaiveScanStep {
                 query,
                 interval,
@@ -783,7 +782,10 @@ mod tests {
         assert!(fx.iter().any(|e| matches!(
             e,
             pepper_net::Effect::Send {
-                msg: DsMsg::NotResponsible { mapped: 500 },
+                msg: DsMsg::NotResponsible {
+                    mapped: 500,
+                    item: Some(_),
+                },
                 ..
             }
         )));
@@ -859,7 +861,7 @@ mod tests {
         assert!(fx2.iter().any(|e| matches!(
             e,
             pepper_net::Effect::Send {
-                msg: DsMsg::NotResponsible { .. },
+                msg: DsMsg::NotResponsible { item: None, .. },
                 ..
             }
         )));
@@ -922,7 +924,6 @@ mod tests {
             .unwrap();
         assert_eq!(interval, KeyInterval::new(10, 30).unwrap());
         assert_eq!(ds.open_queries(), 1);
-        assert_eq!(ds.query_interval(id), Some(interval));
         // A safety-net timer was armed.
         assert!(fx
             .iter()

@@ -8,7 +8,12 @@
 //! * the **index API** (`insertItem`, `deleteItem`, `rangeQuery`) is exposed
 //!   as methods on [`PeerNode`] that the harness invokes on any peer;
 //! * item operations and scan starts are **routed** to the responsible peer
-//!   with the content router;
+//!   with the content router. The issuing peer keeps every routed request
+//!   it waits on in one table, keyed by its operation (an insert's item, a
+//!   delete's key or a query), until it is answered; a bounce off a peer
+//!   that is not responsible names the request, which is routed again
+//!   after its retry policy's pause or given up once its re-routes are
+//!   used up;
 //! * ring events drive the Data Store (successor caching, range takeover on
 //!   predecessor failure + replica revival) and the split/merge sagas tie
 //!   the Data Store's storage balance to the ring's `insertSucc`/`leave`
@@ -31,6 +36,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod free_pool;
+mod issued;
 pub mod messages;
 pub mod node;
 pub mod observations;

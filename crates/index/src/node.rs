@@ -12,32 +12,17 @@ use pepper_router::HierarchicalRouter;
 use pepper_storage::{DurableImage, PeerStorage, RecoveredState, RecoveryMode};
 use pepper_trace::{Metrics, TraceConfig, TraceEvent, Tracer};
 use pepper_types::{
-    CircularRange, Item, ItemId, PeerId, PeerValue, Protocol, RangeQuery, SearchKey, SystemConfig,
+    CircularRange, Item, PeerId, PeerValue, Protocol, RangeQuery, SearchKey, SystemConfig,
 };
 
 use crate::free_pool::FreePool;
+use crate::issued::{Issued, Request, RetryPolicy};
 use crate::messages::{PeerMsg, RoutePayload};
 use crate::observations::Observation;
 
 /// Maximum number of routing hops before a request bounces back to its
 /// issuer for a retry.
 pub const MAX_ROUTE_HOPS: u32 = 32;
-
-/// Maximum number of times an item insert/delete is re-routed before it is
-/// reported as failed.
-pub const MAX_ITEM_ATTEMPTS: u32 = 8;
-
-/// Maximum number of re-routes for a *donation* insert (a restarted peer
-/// handing recovered items back to their live owners), and the pause between
-/// attempts. A donation may race the multi-second failure-detection +
-/// range-takeover window that follows the donor's own crash — while the
-/// crashed peer's old range is unowned every routed insert into it bounces —
-/// so donations retry patiently where a client insert would give up: the
-/// recovered item's WAL copy is gone from the live ring's point of view, and
-/// dropping the donation would lose an acknowledged item.
-pub const MAX_DONATION_ATTEMPTS: u32 = 40;
-/// Pause between donation re-routes (see [`MAX_DONATION_ATTEMPTS`]).
-pub const DONATION_RETRY_PAUSE: Duration = Duration::from_millis(250);
 
 /// How long a hop taken from a router slot waits for its
 /// [`PeerMsg::RouteAck`] before the target is presumed gone and the request
@@ -47,21 +32,6 @@ const ROUTE_GUARD: Duration = Duration::from_millis(500);
 /// Period of the snapshot tick (WAL compaction). A peer without a storage
 /// engine ticks too, and persists nothing; not a paper parameter.
 const SNAPSHOT_PERIOD: Duration = Duration::from_secs(10);
-
-#[derive(Debug, Clone)]
-struct PendingItemInsert {
-    item: Item,
-    mapped: u64,
-    attempts: u32,
-    started: SimTime,
-    /// Whether this is a restart-recovery donation (longer retry budget).
-    donation: bool,
-}
-
-#[derive(Debug, Clone)]
-struct PendingItemDelete {
-    attempts: u32,
-}
 
 /// A hop taken from a router shortcut, awaiting its [`PeerMsg::RouteAck`]:
 /// the shortcut it used, and the request, to re-forward if the ack never
@@ -103,8 +73,8 @@ pub struct PeerNode {
     pool: FreePool,
     /// When the in-flight merge-give (this peer giving up its range) started.
     merge_started: Option<SimTime>,
-    pending_inserts: HashMap<ItemId, PendingItemInsert>,
-    pending_deletes: HashMap<u64, PendingItemDelete>,
+    /// The routed requests this peer issued and still waits on.
+    issued: HashMap<Request, Issued>,
     /// Sequence number of the last acked hop this peer sent.
     hop_seq: u64,
     pending_hops: HashMap<u64, PendingHop>,
@@ -159,8 +129,7 @@ impl PeerNode {
             pool,
             cfg,
             merge_started: None,
-            pending_inserts: HashMap::new(),
-            pending_deletes: HashMap::new(),
+            issued: HashMap::new(),
             hop_seq: 0,
             pending_hops: HashMap::new(),
             observations: Vec::new(),
@@ -335,26 +304,9 @@ impl PeerNode {
         let mapped = self.cfg.key_map.map(item.skv).raw();
         self.trace.set_cid(ctx.cid());
         self.note(now, "api", "InsertItem", || format!("mapped={mapped}"));
-        self.pending_inserts.insert(
-            item.id,
-            PendingItemInsert {
-                item: item.clone(),
-                mapped,
-                attempts: 0,
-                started: now,
-                donation: false,
-            },
-        );
-        self.handle_route(
-            now,
-            mapped,
-            RoutePayload::Insert {
-                item,
-                reply_to: self.id,
-            },
-            0,
-            ctx.effects(),
-        );
+        let reply_to = self.id;
+        let payload = RoutePayload::Insert { item, reply_to };
+        self.issue(now, mapped, payload, RetryPolicy::CLIENT, ctx.effects());
     }
 
     /// `deleteItem`: remove the item with search key `key` from the index.
@@ -363,18 +315,9 @@ impl PeerNode {
         let mapped = self.cfg.key_map.map(key).raw();
         self.trace.set_cid(ctx.cid());
         self.note(now, "api", "DeleteItem", || format!("mapped={mapped}"));
-        self.pending_deletes
-            .insert(mapped, PendingItemDelete { attempts: 0 });
-        self.handle_route(
-            now,
-            mapped,
-            RoutePayload::Delete {
-                mapped,
-                reply_to: self.id,
-            },
-            0,
-            ctx.effects(),
-        );
+        let reply_to = self.id;
+        let payload = RoutePayload::Delete { mapped, reply_to };
+        self.issue(now, mapped, payload, RetryPolicy::CLIENT, ctx.effects());
     }
 
     /// `rangeQuery` / `findItems`: evaluate a range query. The result is
@@ -394,13 +337,10 @@ impl PeerNode {
             .ds
             .with(out, |ds, fx| ds.register_query(lctx, query, fx));
         self.process_ds_events(now, ds_events, out);
-        registered.map(|(id, interval)| {
-            let payload = RoutePayload::ScanStart {
-                query: id,
-                interval,
-            };
-            self.handle_route(now, interval.lo(), payload, 0, out);
-            id
+        registered.map(|(query, interval)| {
+            let payload = RoutePayload::ScanStart { query, interval };
+            self.issue(now, interval.lo(), payload, RetryPolicy::SCAN_START, out);
+            query
         })
     }
 
@@ -857,22 +797,7 @@ impl PeerNode {
                         }
                     }
                 }
-                DsEvent::QueryRejected { query } => {
-                    // Re-route after a pause: rejections mean the routing
-                    // state is stale (a peer departed or a range moved); the
-                    // ring repairs itself within a ping/stabilization round.
-                    if let Some(interval) = self.ds.query_interval(query) {
-                        out.timer(
-                            Duration::from_millis(500),
-                            PeerMsg::Route {
-                                target: interval.lo(),
-                                payload: RoutePayload::ScanStart { query, interval },
-                                hops: 0,
-                                ack: None,
-                            },
-                        );
-                    }
-                }
+                DsEvent::QueryRejected { query } => self.on_bounce(now, Request::Scan(query), out),
                 DsEvent::QueryCompleted {
                     query,
                     items,
@@ -880,6 +805,7 @@ impl PeerNode {
                     elapsed,
                     complete,
                 } => {
+                    self.issued.remove(&Request::Scan(query));
                     self.metrics.observe("ds", "scan_hops", hops as u64);
                     self.metrics
                         .observe("ds", "scan_elapsed_nanos", elapsed.as_nanos() as u64);
@@ -901,19 +827,22 @@ impl PeerNode {
                     });
                 }
                 DsEvent::InsertAcked { item } => {
-                    if let Some(pending) = self.pending_inserts.remove(&item) {
+                    if let Some(issued) = self.issued.remove(&Request::Insert(item)) {
                         self.observations.push(Observation::InsertAcked {
                             item,
-                            elapsed: now - pending.started,
+                            elapsed: now - issued.started,
                         });
                     }
                 }
                 DsEvent::DeleteAcked { mapped, found } => {
-                    self.pending_deletes.remove(&mapped);
+                    self.issued.remove(&Request::Delete(mapped));
                     self.observations
                         .push(Observation::DeleteAcked { mapped, found });
                 }
-                DsEvent::Rerouted { mapped } => self.retry_item_op(now, mapped, out),
+                DsEvent::Rerouted { mapped, item } => {
+                    let request = item.map_or(Request::Delete(mapped), Request::Insert);
+                    self.on_bounce(now, request, out);
+                }
             }
         }
     }
@@ -1018,27 +947,10 @@ impl PeerNode {
         }
         let donation = std::mem::take(&mut self.recovered_donation);
         let donated = donation.len();
+        let reply_to = self.id;
         for (mapped, item) in donation {
-            self.pending_inserts.insert(
-                item.id,
-                PendingItemInsert {
-                    item: item.clone(),
-                    mapped,
-                    attempts: 0,
-                    started: now,
-                    donation: true,
-                },
-            );
-            self.handle_route(
-                now,
-                mapped,
-                RoutePayload::Insert {
-                    item,
-                    reply_to: self.id,
-                },
-                0,
-                out,
-            );
+            let payload = RoutePayload::Insert { item, reply_to };
+            self.issue(now, mapped, payload, RetryPolicy::DONATION, out);
         }
         self.pool.readmit(self.id);
         donated
@@ -1069,81 +981,50 @@ impl PeerNode {
         self.process_ring_events(now, ring_events, out);
     }
 
-    /// Re-routes an item insert/delete that bounced off a non-responsible
-    /// peer, giving up after [`MAX_ITEM_ATTEMPTS`].
-    fn retry_item_op(&mut self, _now: SimTime, mapped: u64, out: &mut Effects<PeerMsg>) {
-        // The lowest id of the key's pending inserts: a choice that does not
-        // depend on the map's per-process iteration order.
-        let insert_id = self
-            .pending_inserts
-            .iter()
-            .filter(|(_, p)| p.mapped == mapped)
-            .map(|(id, _)| *id)
-            .min();
-        if let Some(id) = insert_id {
-            let retry = {
-                let pending = self.pending_inserts.get_mut(&id).expect("present");
-                pending.attempts += 1;
-                let budget = if pending.donation {
-                    MAX_DONATION_ATTEMPTS
-                } else {
-                    MAX_ITEM_ATTEMPTS
-                };
-                if pending.attempts > budget {
-                    None
-                } else {
-                    Some((pending.item.clone(), pending.donation))
-                }
+    // ---- issued requests -----------------------------------------------
+
+    /// Enters a request in the issued-request table and routes it to
+    /// `target`.
+    fn issue(
+        &mut self,
+        now: SimTime,
+        target: u64,
+        payload: RoutePayload,
+        policy: RetryPolicy,
+        out: &mut Effects<PeerMsg>,
+    ) {
+        let issued = Issued::new(target, payload.clone(), now, policy);
+        self.issued.insert(Request::of(&payload), issued);
+        self.handle_route(now, target, payload, 0, out);
+    }
+
+    /// An issued request bounced off a peer that is not responsible for its
+    /// key: route it again after its policy's pause, or give up once its
+    /// re-routes are used up. An insert reports its failure, a delete ends
+    /// silently and a scan ends incomplete.
+    fn on_bounce(&mut self, now: SimTime, request: Request, out: &mut Effects<PeerMsg>) {
+        let Some(issued) = self.issued.get_mut(&request) else {
+            return;
+        };
+        if let Some(pause) = issued.bounced() {
+            let (target, payload) = (issued.target, issued.payload.clone());
+            let route = PeerMsg::Route {
+                target,
+                payload,
+                hops: 0,
+                ack: None,
             };
-            match retry {
-                Some((item, donation)) => {
-                    // Retry after a pause: client-insert bounces usually mean
-                    // a split or merge is mid-flight and settle within a few
-                    // round trips; donation bounces can be waiting out a
-                    // whole failure-detection + takeover window.
-                    let pause = if donation {
-                        DONATION_RETRY_PAUSE
-                    } else {
-                        Duration::from_millis(25)
-                    };
-                    out.timer(
-                        pause,
-                        PeerMsg::Route {
-                            target: mapped,
-                            payload: RoutePayload::Insert {
-                                item,
-                                reply_to: self.id,
-                            },
-                            hops: 0,
-                            ack: None,
-                        },
-                    );
-                }
-                None => {
-                    self.pending_inserts.remove(&id);
-                    self.observations
-                        .push(Observation::InsertFailed { item: id });
-                }
-            }
+            out.timer(pause, route);
             return;
         }
-        if let Some(pending) = self.pending_deletes.get_mut(&mapped) {
-            pending.attempts += 1;
-            if pending.attempts > MAX_ITEM_ATTEMPTS {
-                self.pending_deletes.remove(&mapped);
-            } else {
-                out.timer(
-                    Duration::from_millis(25),
-                    PeerMsg::Route {
-                        target: mapped,
-                        payload: RoutePayload::Delete {
-                            mapped,
-                            reply_to: self.id,
-                        },
-                        hops: 0,
-                        ack: None,
-                    },
-                );
+        self.issued.remove(&request);
+        match request {
+            Request::Insert(item) => self.observations.push(Observation::InsertFailed { item }),
+            Request::Delete(_) => {}
+            Request::Scan(query) => {
+                let ctx = self.layer_ctx(now);
+                let ((), ds_events) = self.ds.with(out, |ds, _fx| ds.abandon_query(ctx, query));
+                self.process_ds_events(now, ds_events, out);
             }
         }
     }
@@ -1177,17 +1058,16 @@ impl PeerNode {
     }
 
     fn bounce(&mut self, payload: RoutePayload, target: u64, out: &mut Effects<PeerMsg>) {
-        match payload {
-            RoutePayload::Insert { reply_to, .. } | RoutePayload::Delete { reply_to, .. } => {
-                out.send(
-                    reply_to,
-                    PeerMsg::Ds(DsMsg::NotResponsible { mapped: target }),
-                );
-            }
+        let (issuer, item) = match payload {
+            RoutePayload::Insert { item, reply_to } => (reply_to, Some(item.id)),
+            RoutePayload::Delete { reply_to, .. } => (reply_to, None),
             RoutePayload::ScanStart { query, .. } => {
                 out.send(query.origin, PeerMsg::Ds(DsMsg::ScanRejected { query }));
+                return;
             }
-        }
+        };
+        let mapped = target;
+        out.send(issuer, PeerMsg::Ds(DsMsg::NotResponsible { mapped, item }));
     }
 
     fn handle_route(
@@ -1348,6 +1228,7 @@ mod tests {
         check_connectivity, check_consistent_successor_pointers, RingSnapshot,
     };
     use pepper_ring::RingMsg;
+    use pepper_types::ItemId;
 
     /// Builds a cluster: one first peer plus `free` free peers, all running
     /// with `cfg`.
@@ -2063,12 +1944,101 @@ mod tests {
         assert_eq!(node.metrics().counter("storage", "SnapshotDue"), 3);
     }
 
+    /// The re-routes `out` arms: each one's pause and payload.
+    fn reroutes(out: &Effects<PeerMsg>) -> Vec<(Duration, RoutePayload)> {
+        out.iter()
+            .filter_map(|e| match e {
+                pepper_net::Effect::Timer {
+                    delay,
+                    msg:
+                        PeerMsg::Route {
+                            payload,
+                            hops: 0,
+                            ack: None,
+                            ..
+                        },
+                } => Some((*delay, payload.clone())),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Delivers a bounce naming `mapped` and `item` to `at` and returns the
+    /// re-routes it arms.
+    fn bounce_at(
+        sim: &mut Simulator<PeerNode>,
+        at: PeerId,
+        mapped: u64,
+        item: Option<ItemId>,
+    ) -> Vec<(Duration, RoutePayload)> {
+        let now = sim.now();
+        let bounce = PeerMsg::Ds(DsMsg::NotResponsible { mapped, item });
+        let mut out = Effects::new();
+        let node = sim.node_mut(at).expect("alive");
+        node.dispatch(now, PeerId(99), bounce, &mut out);
+        reroutes(&out)
+    }
+
     #[test]
-    fn a_bounce_retries_the_lowest_pending_insert_of_its_key() {
-        // Free peers route nowhere: every insert bounces back to its issuer,
-        // and each bounce re-sends one pending insert of the bounced key. Of
-        // two inserts of one key, the one picked fails first — the lower
-        // id, in every run of the seed and on every peer.
+    fn a_bounced_delete_is_re_sent_beside_a_donation_of_its_key() {
+        // A restarted peer donates a recovered item, and a client deletes the
+        // same key there. Both bounces of the delete re-send the delete, not
+        // the donation; the donation's own bounce re-sends the donation.
+        let cfg = SystemConfig::fast();
+        let key = SearchKey(7);
+        let mapped = cfg.key_map.map(key).raw();
+        let mut sim: Simulator<PeerNode> = Simulator::new(NetworkConfig::lan(5));
+        let p = sim.add_node(move |id| PeerNode::free_unpooled(id, cfg, FreePool::new()));
+        let donated = Item::new(ItemId::new(PeerId(9), 1), key, "x");
+        sim.node_mut(p).expect("alive").recovered_donation = vec![(mapped, donated.clone())];
+        sim.with_node_ctx(p, |node, ctx| {
+            assert_eq!(node.restart_rejoin(ctx, None), 1);
+            node.delete_item(ctx, key);
+        });
+        let delete = RoutePayload::Delete {
+            mapped,
+            reply_to: p,
+        };
+        for _ in 0..2 {
+            let client = RetryPolicy::CLIENT.pause;
+            assert_eq!(
+                bounce_at(&mut sim, p, mapped, None),
+                [(client, delete.clone())]
+            );
+        }
+        let donation = RoutePayload::Insert {
+            item: donated.clone(),
+            reply_to: p,
+        };
+        let patient = RetryPolicy::DONATION.pause;
+        let bounced = bounce_at(&mut sim, p, mapped, Some(donated.id));
+        assert_eq!(bounced, [(patient, donation)]);
+    }
+
+    #[test]
+    fn a_bounce_re_sends_the_insert_it_names() {
+        // Of two inserts of one key, the one that bounced is re-sent.
+        let cfg = SystemConfig::fast();
+        let key = SearchKey(7);
+        let mapped = cfg.key_map.map(key).raw();
+        let mut sim: Simulator<PeerNode> = Simulator::new(NetworkConfig::lan(5));
+        let p = sim.add_node(move |id| PeerNode::free(id, cfg, FreePool::new()));
+        let items: Vec<Item> = (1..=2)
+            .map(|seq| Item::new(ItemId::new(p, seq), key, "x"))
+            .collect();
+        for item in &items {
+            sim.with_node_ctx(p, |node, ctx| node.insert_item(ctx, item.clone()));
+        }
+        let second = RoutePayload::Insert {
+            item: items[1].clone(),
+            reply_to: p,
+        };
+        let client = RetryPolicy::CLIENT.pause;
+        let bounced = bounce_at(&mut sim, p, mapped, Some(items[1].id));
+        assert_eq!(bounced, [(client, second)]);
+
+        // Free peers route nowhere: every insert bounces back to its issuer
+        // until it fails, each after its own re-routes.
         let pool = FreePool::new();
         let mut sim: Simulator<PeerNode> = Simulator::new(NetworkConfig::lan(5));
         let peers: Vec<PeerId> = (0..16)
@@ -2079,15 +2049,14 @@ mod tests {
             .collect();
         for &p in &peers {
             for seq in [1, 2] {
-                let item = Item::new(ItemId::new(p, seq), SearchKey(7), "x");
+                let item = Item::new(ItemId::new(p, seq), key, "x");
                 sim.with_node_ctx(p, |node, ctx| node.insert_item(ctx, item));
             }
         }
         sim.run_for(Duration::from_secs(3));
         for &p in &peers {
-            let failed: Vec<ItemId> = sim
-                .node(p)
-                .expect("alive")
+            let node = sim.node(p).expect("alive");
+            let mut failed: Vec<ItemId> = node
                 .observations()
                 .iter()
                 .filter_map(|o| match o {
@@ -2095,8 +2064,56 @@ mod tests {
                     _ => None,
                 })
                 .collect();
+            failed.sort_unstable();
             assert_eq!(failed, [ItemId::new(p, 1), ItemId::new(p, 2)], "{p:?}");
+            assert!(node.issued.is_empty());
         }
+    }
+
+    #[test]
+    fn a_rejected_scan_start_is_re_routed_then_abandoned() {
+        // A free peer routes nowhere: its scan start is rejected at once,
+        // re-routed five times 500 ms apart, and the sixth rejection ends
+        // the query incomplete.
+        let metrics = TraceConfig {
+            metrics: true,
+            ..TraceConfig::off()
+        };
+        let mut sim: Simulator<PeerNode> = Simulator::new(NetworkConfig::lan(3));
+        let p = sim.add_node(move |id| {
+            PeerNode::free(id, SystemConfig::fast(), FreePool::new()).with_trace(&metrics)
+        });
+        let q = RangeQuery::closed(10u64, 20u64);
+        let id = sim
+            .with_node_ctx(p, |node, ctx| node.range_query(ctx, q))
+            .expect("alive")
+            .expect("query registered");
+        sim.run_for(Duration::from_secs(4));
+        let node = sim.node(p).expect("alive");
+        let completed: Vec<_> = node
+            .observations()
+            .iter()
+            .filter_map(|o| match o {
+                Observation::QueryCompleted {
+                    query,
+                    elapsed,
+                    complete,
+                    ..
+                } => Some((*query, *elapsed, *complete)),
+                _ => None,
+            })
+            .collect();
+        let [(query, elapsed, complete)] = completed[..] else {
+            panic!("one completion expected: {completed:?}");
+        };
+        assert_eq!(query, id);
+        assert!(!complete);
+        let pauses = RetryPolicy::SCAN_START.pause * 5;
+        assert!(elapsed >= pauses && elapsed < pauses + Duration::from_millis(100));
+        assert_eq!(node.metrics().counter("ds", "ScanRejected"), 6);
+        assert_eq!(node.metrics().counter("index", "Route"), 5);
+        assert!(node.issued.is_empty());
+        assert_eq!(node.data_store().open_queries(), 0);
     }
 
     #[test]

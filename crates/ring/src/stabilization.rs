@@ -16,8 +16,15 @@
 //!   own predecessor (`StabilizeNow`) so the propagation completes in a chain
 //!   of round-trips instead of waiting for the periodic stabilization timer
 //!   (the optimization described in Sections 4.3.1 and 6.3.1).
+//!
+//! A member whose list names no peer but itself stabilizes with its
+//! predecessor while that predecessor's lease is live: in a ring, a peer
+//! that knows no other successor has its predecessor as its successor
+//! (Chord's predecessor rule; Zave, *How to Make Chord Correct*). Once the
+//! lease has run out, the member adopts itself as its predecessor, like a
+//! freshly bootstrapped ring.
 
-use pepper_net::{Effects, LayerCtx};
+use pepper_net::{Effects, LayerCtx, SimTime};
 use pepper_types::{PeerId, PeerValue};
 
 use crate::entry::{EntryState, RingPhase, SuccEntry};
@@ -36,23 +43,30 @@ impl RingState {
     /// `insertSucc` is in flight) are skipped by *state*, never by position
     /// — skipping by index would skip the real successor whenever the
     /// in-flight entry is missing or not at the head.
-    pub(crate) fn stabilization_target(&self) -> Option<PeerId> {
-        self.succ_list
-            .iter()
-            .find(|e| e.state == EntryState::Joined && e.peer != self.id)
+    pub(crate) fn stabilization_target(&self, now: SimTime) -> Option<PeerId> {
+        let other = |state| {
+            self.succ_list
+                .iter()
+                .find(|e| e.state == state && e.peer != self.id)
+                .map(|e| e.peer)
+        };
+        // No JOINED successor at all — e.g. a two-member ring whose other
+        // member is LEAVING. Stabilize with the leaver anyway: it still
+        // answers (LEAVING peers serve until the hand-off completes), and the
+        // rebuild is the only path that puts the LEAVING entry into the
+        // penultimate slot and fires the leave ack. Without this fallback
+        // the leave never completes and the pair wedges mid-merge forever.
+        other(EntryState::Joined)
+            .or_else(|| other(EntryState::Leaving))
             .or_else(|| {
-                // No JOINED successor at all — e.g. a two-member ring whose
-                // other member is LEAVING. Stabilize with the leaver anyway:
-                // it still answers (LEAVING peers serve until the hand-off
-                // completes), and the rebuild is the only path that puts the
-                // LEAVING entry into the penultimate slot and fires the
-                // leave ack. Without this fallback the leave never
-                // completes and the pair wedges mid-merge forever.
-                self.succ_list
-                    .iter()
-                    .find(|e| e.state == EntryState::Leaving && e.peer != self.id)
+                // Chord's predecessor rule: a list that names no peer but
+                // this one means the ring holds at most one other member, its
+                // predecessor, which is then its successor too.
+                let alone = self.succ_list.iter().all(|e| e.peer == self.id);
+                self.pred
+                    .map(|(pred, _)| pred)
+                    .filter(|&pred| alone && pred != self.id && self.pred_lease_live(now))
             })
-            .map(|e| e.peer)
     }
 
     /// Sends a stabilization request to the first eligible successor.
@@ -60,7 +74,7 @@ impl RingState {
         if !self.is_member() {
             return;
         }
-        if let Some(target) = self.stabilization_target() {
+        if let Some(target) = self.stabilization_target(ctx.now) {
             fx.send(
                 target,
                 RingMsg::StabRequest {
@@ -82,17 +96,16 @@ impl RingState {
         // the predecessor lease so an active real predecessor is never
         // usurped, and self-corrects via the takeover re-validation if an
         // unknown member notifies in the meantime.
-        if self.phase == RingPhase::Joined && self.pred.map(|(p, _)| p) != Some(self.id) {
-            let lease_expired =
-                ctx.now.duration_since(self.pred_heard) > self.cfg.stabilization_period * 3;
-            if lease_expired {
-                self.pred = Some((self.id, self.value));
-                self.pred_heard = ctx.now;
-                self.emit(crate::events::RingEvent::NewPredecessor {
-                    peer: self.id,
-                    value: self.value,
-                });
-            }
+        if self.phase == RingPhase::Joined
+            && self.pred.map(|(p, _)| p) != Some(self.id)
+            && !self.pred_lease_live(ctx.now)
+        {
+            self.pred = Some((self.id, self.value));
+            self.pred_heard = ctx.now;
+            self.emit(crate::events::RingEvent::NewPredecessor {
+                peer: self.id,
+                value: self.value,
+            });
         }
     }
 
@@ -145,7 +158,7 @@ impl RingState {
         // the new peer was promoted to JOINED — would silently exclude the
         // newly joined peer from the ring forever (and let stale predecessor
         // values corrupt the Data Store ranges downstream).
-        if self.stabilization_target() != Some(from) {
+        if self.stabilization_target(ctx.now) != Some(from) {
             return;
         }
 
@@ -560,6 +573,50 @@ mod tests {
             .drain_events()
             .iter()
             .any(|e| matches!(e, RingEvent::NewSuccessor { peer, .. } if *peer == PeerId(5))));
+    }
+
+    #[test]
+    fn a_member_that_knows_only_itself_stabilizes_with_its_live_predecessor() {
+        // A two-member ring whose other member p2 is this peer's
+        // predecessor, while this peer's list names nobody but itself.
+        let mut p4 = member(4, 40, 2, vec![joined(4, 40)]);
+        p4.pred = Some((PeerId(2), PeerValue(20)));
+        p4.pred_heard = SimTime::from_secs(1);
+        let mut fx = Effects::new();
+        p4.run_stabilization(ctx(4), &mut fx);
+        assert!(matches!(
+            &fx.drain()[..],
+            [Effect::Send { to, msg: RingMsg::StabRequest { .. } }] if *to == PeerId(2)
+        ));
+        p4.on_stab_response(
+            ctx(4),
+            PeerId(2),
+            vec![joined(4, 40), joined(2, 20)],
+            EntryState::Joined,
+            PeerValue(20),
+            Some((PeerId(4), PeerValue(40))),
+            &mut fx,
+        );
+        let peers: Vec<PeerId> = p4.succ_list().iter().map(|e| e.peer).collect();
+        assert_eq!(peers, vec![PeerId(2), PeerId(4)]);
+        assert!(p4
+            .drain_events()
+            .iter()
+            .any(|e| matches!(e, RingEvent::NewSuccessor { peer, .. } if *peer == PeerId(2))));
+
+        // Once the predecessor's lease has run out, the sole survivor adopts
+        // itself as its predecessor, as before.
+        let mut alone = member(4, 40, 2, vec![joined(4, 40)]);
+        alone.pred = Some((PeerId(2), PeerValue(20)));
+        let late = SimTime::from_secs(1) + SystemConfig::fast().stabilization_period * 4;
+        alone.pred_heard = SimTime::from_secs(1);
+        alone.run_stabilization(LayerCtx::new(PeerId(4), late), &mut fx);
+        assert!(fx.is_empty());
+        assert_eq!(alone.pred(), Some((PeerId(4), PeerValue(40))));
+        assert!(matches!(
+            &alone.drain_events()[..],
+            [RingEvent::NewPredecessor { peer, .. }] if *peer == PeerId(4)
+        ));
     }
 
     #[test]

@@ -293,6 +293,12 @@ impl RingState {
         }
     }
 
+    /// Whether the predecessor was heard from within its lease of three
+    /// stabilization periods.
+    pub(crate) fn pred_lease_live(&self, now: SimTime) -> bool {
+        now.duration_since(self.pred_heard) <= self.cfg.stabilization_period * 3
+    }
+
     /// Records a predecessor observed through a stabilization request,
     /// emitting [`RingEvent::NewPredecessor`] if the peer or its value
     /// changed.
@@ -330,9 +336,7 @@ impl RingState {
             let closer = cur_peer == self.id
                 || value == cur_value
                 || in_open(cur_value.raw(), value.raw(), self.value.raw());
-            let lease_expired =
-                now.duration_since(self.pred_heard) > self.cfg.stabilization_period * 3;
-            if !closer && !lease_expired {
+            if !closer && self.pred_lease_live(now) {
                 return; // the current predecessor is alive and closer
             }
         }

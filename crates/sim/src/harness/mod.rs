@@ -90,11 +90,9 @@ pub struct HarnessConfig {
     pub check_every: usize,
     /// Relative op weights.
     pub weights: OpWeights,
-    /// Durable peer storage. When present every peer journals through a
-    /// deterministic in-memory VFS and the `crash_restart` op class is
-    /// enabled; when absent the `crash_restart` weight is forced to zero
-    /// (a crash that can never restart is just an unannounced kill).
-    pub durability: Option<DurabilityConfig>,
+    /// Durable peer storage: every peer journals through a deterministic
+    /// in-memory VFS, which the `crash_restart` op class restarts from.
+    pub durability: DurabilityConfig,
     /// Distribution of generated insert keys (the key-distribution knob:
     /// skewed Zipf keys stress split/merge balancing, sequential keys are
     /// the order-preserving worst case).
@@ -119,7 +117,7 @@ impl HarnessConfig {
             failures_per_100s: 12.0,
             check_every: 1,
             weights: OpWeights::default(),
-            durability: Some(DurabilityConfig::default()),
+            durability: DurabilityConfig::default(),
             key_distribution: KeyDistribution::Uniform { domain: KEY_DOMAIN },
             trace: TraceConfig::off(),
         }
@@ -147,7 +145,7 @@ impl HarnessConfig {
                 leave: 1,
                 crash_restart: 2,
             },
-            durability: Some(DurabilityConfig::default()),
+            durability: DurabilityConfig::default(),
             key_distribution: KeyDistribution::Uniform { domain: KEY_DOMAIN },
             trace: TraceConfig::off(),
         }
@@ -205,10 +203,10 @@ impl HarnessConfig {
     /// pinned red tests proving the oracles catch bad recoveries run these.
     fn quick_broken_recovery(profile: &str, seed: u64, recovery: RecoveryMode) -> Self {
         HarnessConfig {
-            durability: Some(DurabilityConfig {
+            durability: DurabilityConfig {
                 recovery,
                 ..DurabilityConfig::default()
-            }),
+            },
             profile: profile.to_string(),
             ..HarnessConfig::quick(seed)
         }
@@ -284,19 +282,9 @@ impl HarnessConfig {
             system: SystemConfig::fast().with_protocol(self.protocol),
             network: NetworkConfig::lan(self.seed),
             initial_free_peers: self.initial_free_peers,
-            durability: self.durability,
+            durability: Some(self.durability),
             trace: self.trace,
         })
-    }
-
-    /// The effective op weights: the `crash_restart` class needs durable
-    /// storage to restart from, so it is forced to zero without it.
-    fn effective_weights(&self) -> OpWeights {
-        let mut weights = self.weights;
-        if self.durability.is_none() {
-            weights.crash_restart = 0;
-        }
-        weights
     }
 
     /// Expected virtual time of the scheduled (pre-settle) phase, derived
@@ -474,7 +462,7 @@ impl Harness {
     pub fn run_generated(cfg: HarnessConfig) -> RunReport {
         let mut gen = ScenarioGenerator::new(
             cfg.seed,
-            cfg.effective_weights(),
+            cfg.weights,
             cfg.failures_per_100s,
             cfg.failure_horizon(),
         )
@@ -936,7 +924,7 @@ impl Harness {
         let store_dump = self.render_store_dump();
         // The durable bytes are part of the replayed state: fold every
         // peer's VFS digest into the hash so artifact replays pin the
-        // in-memory VFS contents too (zero-effect when durability is off).
+        // in-memory VFS contents too.
         let storage_digest = self.cluster.storage_digest();
         let final_state_hash =
             fnv1a(format!("{ring_dump}\n{store_dump}\nstorage {storage_digest:016x}").as_bytes());

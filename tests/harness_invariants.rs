@@ -114,6 +114,19 @@ fn a_leave_is_not_completed_by_the_guard_of_an_earlier_give() {
 }
 
 #[test]
+fn a_member_that_knows_only_itself_rejoins_its_predecessor() {
+    // Seed 1561 of the leave-heavy profile: in a two-member ring, one
+    // member's successor list collapsed to itself. It had no peer to
+    // stabilize with, so it never re-learned its live predecessor as its
+    // successor, and the other member stayed unreachable to the end.
+    let cfg = HarnessConfig {
+        ops: 400,
+        ..HarnessConfig::from_profile("quick-leave", 1561).expect("known profile")
+    };
+    run_clean(cfg);
+}
+
+#[test]
 fn same_seed_reproduces_the_same_trace_and_final_state() {
     let ops = env_usize("PEPPER_HARNESS_OPS", 150);
     // Tracing and metrics on: what the observability layer records is part
