@@ -91,12 +91,11 @@ impl Issued {
         started: SimTime,
         policy: RetryPolicy,
     ) -> Self {
-        let attempts = 0;
         Issued {
             target,
             payload,
             started,
-            attempts,
+            attempts: 0,
             policy,
         }
     }
