@@ -40,7 +40,7 @@ impl Request {
 
 /// How a request is retried after a bounce: the pause before each re-route,
 /// and how many re-routes it gets before it gives up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct RetryPolicy {
     pub(crate) pause: Duration,
     reroutes: u32,
@@ -71,7 +71,7 @@ impl RetryPolicy {
 }
 
 /// One issued request awaiting its answer.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Issued {
     /// The key it is routed to.
     pub(crate) target: u64,
