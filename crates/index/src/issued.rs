@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use pepper_datastore::QueryId;
 use pepper_net::SimTime;
-use pepper_types::ItemId;
+use pepper_types::{ItemId, SystemConfig};
 
 use crate::messages::RoutePayload;
 
@@ -38,36 +38,55 @@ impl Request {
     }
 }
 
-/// How a request is retried after a bounce: the pause before each re-route,
-/// and how many re-routes it gets before it gives up.
+/// How a request is retried after a bounce: the pause before the first
+/// re-route, the longest pause it doubles up to, and how many re-routes it
+/// gets before it gives up.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RetryPolicy {
-    pub(crate) pause: Duration,
+    first: Duration,
+    longest: Duration,
     reroutes: u32,
 }
 
 impl RetryPolicy {
-    /// A client insert or delete. Its bounces usually mean a split or merge
-    /// is mid-flight, which settles within a few round trips.
-    pub(crate) const CLIENT: Self = RetryPolicy {
-        pause: Duration::from_millis(25),
-        reroutes: 8,
-    };
+    /// A client insert or delete. Most bounces mean a split or merge is
+    /// mid-flight, which settles within a few round trips, so the first
+    /// re-routes come quickly. A failed peer's range stays unowned until its
+    /// successor takes it over, several stabilization rounds later, so the
+    /// pause doubles up to one stabilization period and the re-routes
+    /// outlast a takeover (about 38 s at paper timers).
+    pub(crate) fn client(cfg: &SystemConfig) -> Self {
+        RetryPolicy {
+            first: Duration::from_millis(25),
+            longest: cfg.stabilization_period,
+            reroutes: 16,
+        }
+    }
     /// A donation: a restarted peer handing a recovered item back to its
     /// live owner. It may race the failure-detection and takeover window
     /// that follows the donor's own crash, in which every insert into the
     /// donor's old range bounces, so it retries patiently: dropping it would
     /// lose an acknowledged item.
-    pub(crate) const DONATION: Self = RetryPolicy {
-        pause: Duration::from_millis(250),
-        reroutes: 40,
-    };
+    pub(crate) const DONATION: Self = RetryPolicy::constant(Duration::from_millis(250), 40);
     /// A scan start. A rejection means a peer departed or a range moved; the
     /// ring repairs itself within a ping or stabilization round.
-    pub(crate) const SCAN_START: Self = RetryPolicy {
-        pause: Duration::from_millis(500),
-        reroutes: 5,
-    };
+    pub(crate) const SCAN_START: Self = RetryPolicy::constant(Duration::from_millis(500), 5);
+
+    /// The same `pause` before each of `reroutes` re-routes.
+    const fn constant(pause: Duration, reroutes: u32) -> Self {
+        RetryPolicy {
+            first: pause,
+            longest: pause,
+            reroutes,
+        }
+    }
+
+    /// The pause before re-route `n` (counted from 1): the first pause,
+    /// doubled per earlier re-route, up to the longest.
+    pub(crate) fn pause(&self, n: u32) -> Duration {
+        let doublings = n.saturating_sub(1).min(31);
+        self.first.saturating_mul(1 << doublings).min(self.longest)
+    }
 }
 
 /// One issued request awaiting its answer.
@@ -104,6 +123,6 @@ impl Issued {
     /// `None` once its re-routes are used up.
     pub(crate) fn bounced(&mut self) -> Option<Duration> {
         self.attempts += 1;
-        (self.attempts <= self.policy.reroutes).then_some(self.policy.pause)
+        (self.attempts <= self.policy.reroutes).then(|| self.policy.pause(self.attempts))
     }
 }

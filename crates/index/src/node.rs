@@ -306,7 +306,8 @@ impl PeerNode {
         self.note(now, "api", "InsertItem", || format!("mapped={mapped}"));
         let reply_to = self.id;
         let payload = RoutePayload::Insert { item, reply_to };
-        self.issue(now, mapped, payload, RetryPolicy::CLIENT, ctx.effects());
+        let policy = RetryPolicy::client(&self.cfg);
+        self.issue(now, mapped, payload, policy, ctx.effects());
     }
 
     /// `deleteItem`: remove the item with search key `key` from the index.
@@ -317,7 +318,8 @@ impl PeerNode {
         self.note(now, "api", "DeleteItem", || format!("mapped={mapped}"));
         let reply_to = self.id;
         let payload = RoutePayload::Delete { mapped, reply_to };
-        self.issue(now, mapped, payload, RetryPolicy::CLIENT, ctx.effects());
+        let policy = RetryPolicy::client(&self.cfg);
+        self.issue(now, mapped, payload, policy, ctx.effects());
     }
 
     /// `rangeQuery` / `findItems`: evaluate a range query. The result is
@@ -463,6 +465,13 @@ impl PeerNode {
             PeerMsg::Ring(m) => {
                 let events = self.ring.handle(ctx, from, m, out);
                 self.process_ring_events(now, events, out);
+                // The router's near slots are the ring's successors: copy
+                // them after every batch instead of probing for them.
+                if self.ring.is_member() {
+                    let joined = self.ring.succ_list().iter();
+                    let joined = joined.filter(|e| e.state == EntryState::Joined);
+                    self.router.follow_ring(joined.map(|e| (e.peer, e.value)));
+                }
             }
             PeerMsg::Ds(m) => {
                 let events = self.ds.handle(ctx, from, m, out);
@@ -685,10 +694,16 @@ impl PeerNode {
         // are skipped whenever this batch snapshots anyway. The store is
         // already fully updated when the batch is processed, so the
         // snapshot covers every item of the batch regardless of order.
-        let snapshot_in_batch = self.storage.is_some()
-            && events
-                .iter()
-                .any(|e| matches!(e, DsEvent::RangeChanged { .. } | DsEvent::BecameFree));
+        let bulk = events
+            .iter()
+            .any(|e| matches!(e, DsEvent::RangeChanged { .. } | DsEvent::BecameFree));
+        let snapshot_in_batch = self.storage.is_some() && bulk;
+        // Replicate-on-store: an item stored outside a bulk transfer (a
+        // client insert, a donation, a revival) would otherwise wait for the
+        // next periodic refresh round to reach any replica — a window in
+        // which a single fail-stop loses an acknowledged item. One round per
+        // batch, as a range change that grew does.
+        let mut stored = false;
         for event in events {
             self.note(now, "ds", event.tag(), String::new);
             match event {
@@ -776,6 +791,7 @@ impl PeerNode {
                     self.process_ring_events(now, ring_events, out);
                 }
                 DsEvent::ItemStored { item } => {
+                    stored = true;
                     // Journal-then-ack: this WAL append (synced) happens in
                     // the same handler invocation that queues the ack
                     // effect, so an acknowledged insert is durable by
@@ -844,6 +860,9 @@ impl PeerNode {
                     self.on_bounce(now, request, out);
                 }
             }
+        }
+        if stored && !bulk {
+            self.push_replicas(now, out);
         }
     }
 
@@ -1701,6 +1720,102 @@ mod tests {
         }
     }
 
+    /// The replica pushes in `out`, by target.
+    fn pushes(out: &Effects<PeerMsg>) -> Vec<PeerId> {
+        out.iter()
+            .filter_map(|e| match e {
+                pepper_net::Effect::Send {
+                    to,
+                    msg: PeerMsg::Repl(ReplMsg::Push { .. }),
+                } => Some(*to),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The first `k` `JOINED` successors of `node` other than itself: the
+    /// targets of one replication round.
+    fn replica_targets(node: &PeerNode) -> Vec<PeerId> {
+        let joined = PeerNode::joined_successors(node.ring()).filter(|p| *p != node.id());
+        joined.take(node.cfg.replication_factor).collect()
+    }
+
+    #[test]
+    fn a_stored_item_is_replicated_at_once_and_a_hand_off_batch_pushes_one_round() {
+        let mut sim = settled_ring(41);
+        let (me, key) = sim
+            .alive_nodes_iter()
+            .filter(|(_, n)| n.is_ring_member() && replica_targets(n).len() >= 2)
+            .find_map(|(p, n)| {
+                let range = n.data_store().range();
+                let key = (1..).map(|k| k * 1_000_003).find(|k| range.contains(*k))?;
+                Some((p, key))
+            })
+            .expect("a member with two replica targets");
+        let now = sim.now();
+        let node = sim.node_mut(me).expect("alive");
+        let targets = replica_targets(node);
+
+        // A client insert delivered here: the ack and one push per replica
+        // target leave in the same handler.
+        let item = Item::new(ItemId::new(me, 77), SearchKey(key), "x");
+        let payload = RoutePayload::Insert { item, reply_to: me };
+        let mut out = Effects::new();
+        node.handle_route(now, key, payload, 0, &mut out);
+        assert_eq!(pushes(&out), targets);
+
+        // A hand-off batch (items, then the range change that brought them
+        // in) still pushes one round, not one per item.
+        let stored: Vec<Item> = node.ds.items_mapped().map(|(_, i)| i.clone()).collect();
+        let mut events: Vec<DsEvent> = stored
+            .into_iter()
+            .map(|item| DsEvent::ItemStored { item })
+            .collect();
+        assert!(events.len() >= 2);
+        events.push(DsEvent::RangeChanged {
+            range: node.ds.range(),
+            value: node.ring.value(),
+            grew: true,
+        });
+        let mut out = Effects::new();
+        node.process_ds_events(now, events, &mut out);
+        assert_eq!(pushes(&out), targets);
+    }
+
+    #[test]
+    fn a_stab_response_feeds_the_routers_near_slots() {
+        let mut sim = settled_ring(43);
+        let now = sim.now();
+        let me = sim
+            .alive_nodes_iter()
+            .find(|(_, n)| n.is_ring_member() && n.ring().stabilized_succ().is_some())
+            .map(|(p, _)| p)
+            .expect("a member with a stabilized successor");
+        let node = sim.node_mut(me).expect("alive");
+        let succ = node.ring().stabilized_succ().expect("checked");
+        // The successor answers with four peers the ring has never seen.
+        let theirs = (1..=4).map(|i| {
+            let value = PeerValue(succ.value.raw().wrapping_add(i));
+            pepper_ring::SuccEntry::joined_stab(PeerId(100 + i), value)
+        });
+        let response = RingMsg::StabResponse {
+            succ_list: theirs.collect(),
+            responder_state: EntryState::Joined,
+            responder_value: succ.value,
+            responder_pred: Some((me, node.ring().value())),
+        };
+        node.dispatch(now, succ.peer, PeerMsg::Ring(response), &mut Effects::new());
+        let joined: Vec<_> = node
+            .ring()
+            .succ_list()
+            .iter()
+            .filter(|e| e.state == EntryState::Joined && e.peer != me)
+            .map(|e| Some((e.peer, e.value)))
+            .collect();
+        assert_eq!(joined[1].map(|(p, _)| p), Some(PeerId(101)));
+        assert_eq!(node.router().entries()[1..3], [joined[1], joined[3]]);
+    }
+
     /// A settled ring of several members whose routers hold shortcuts.
     fn settled_ring(seed: u64) -> Simulator<PeerNode> {
         let cfg = SystemConfig::fast();
@@ -1999,18 +2114,18 @@ mod tests {
             mapped,
             reply_to: p,
         };
-        for _ in 0..2 {
-            let client = RetryPolicy::CLIENT.pause;
+        let client = RetryPolicy::client(&SystemConfig::fast());
+        for n in 1..=2 {
             assert_eq!(
                 bounce_at(&mut sim, p, mapped, None),
-                [(client, delete.clone())]
+                [(client.pause(n), delete.clone())]
             );
         }
         let donation = RoutePayload::Insert {
             item: donated.clone(),
             reply_to: p,
         };
-        let patient = RetryPolicy::DONATION.pause;
+        let patient = RetryPolicy::DONATION.pause(1);
         let bounced = bounce_at(&mut sim, p, mapped, Some(donated.id));
         assert_eq!(bounced, [(patient, donation)]);
     }
@@ -2033,9 +2148,9 @@ mod tests {
             item: items[1].clone(),
             reply_to: p,
         };
-        let client = RetryPolicy::CLIENT.pause;
+        let client = RetryPolicy::client(&SystemConfig::fast());
         let bounced = bounce_at(&mut sim, p, mapped, Some(items[1].id));
-        assert_eq!(bounced, [(client, second)]);
+        assert_eq!(bounced, [(client.pause(1), second)]);
 
         // Free peers route nowhere: every insert bounces back to its issuer
         // until it fails, each after its own re-routes.
@@ -2053,7 +2168,8 @@ mod tests {
                 sim.with_node_ctx(p, |node, ctx| node.insert_item(ctx, item));
             }
         }
-        sim.run_for(Duration::from_secs(3));
+        let pauses: Duration = (1..=16).map(|n| client.pause(n)).sum();
+        sim.run_for(pauses + Duration::from_secs(1));
         for &p in &peers {
             let node = sim.node(p).expect("alive");
             let mut failed: Vec<ItemId> = node
@@ -2108,7 +2224,7 @@ mod tests {
         };
         assert_eq!(query, id);
         assert!(!complete);
-        let pauses = RetryPolicy::SCAN_START.pause * 5;
+        let pauses = RetryPolicy::SCAN_START.pause(1) * 5;
         assert!(elapsed >= pauses && elapsed < pauses + Duration::from_millis(100));
         assert_eq!(node.metrics().counter("ds", "ScanRejected"), 6);
         assert_eq!(node.metrics().counter("index", "Route"), 5);

@@ -9,9 +9,10 @@
 //! crate therefore provides:
 //!
 //! * [`HierarchicalRouter`]: a position-based shortcut router in the spirit
-//!   of the P-Ring hierarchy — level `i` points roughly `2^i` peers ahead and
-//!   is maintained lazily by asking the level `i-1` target for *its* level
-//!   `i-1` pointer. Routing picks the farthest shortcut that does not
+//!   of the P-Ring hierarchy — level `i` points roughly `2^i` peers ahead.
+//!   The levels within the ring's successor list are copied from it; the
+//!   others are maintained lazily by asking the level `i-1` target for *its*
+//!   level `i-1` pointer. Routing picks the farthest shortcut that does not
 //!   overshoot the destination and falls back to the ring successor, giving
 //!   `O(log n)` hops on a stable ring and graceful degradation under churn;
 //! * a trivial linear fallback (just follow successors), which is what the

@@ -10,7 +10,7 @@ use crate::messages::RouterMsg;
 
 /// A slot's refresh period doubles while its replies keep it filled (or
 /// keep it empty), up to this many maintenance periods.
-const MAX_BACKOFF: u32 = 4;
+const MAX_BACKOFF: u32 = 8;
 
 /// Number of shortcut levels maintained (level `i` points roughly `2^i`
 /// peers ahead).
@@ -28,14 +28,22 @@ pub enum RouterEvent {}
 /// The per-peer content router: a table of shortcuts at exponentially
 /// increasing ring distances.
 ///
-/// Each slot `i ≥ 1` is refreshed on its own schedule: a maintenance tick
-/// probes only the slots that are due. A reply that leaves the slot filled,
-/// or leaves it empty, doubles its period (up to `MAX_BACKOFF` = 4
+/// The near slots `i ≥ 1` with `2^i ≤ d` (the successor-list length) come
+/// from the ring: slot `i` is the `2^i`-th `JOINED` successor, copied in by
+/// [`HierarchicalRouter::follow_ring`] and never probed. They are the last
+/// hops of every route, and the ring refreshes them every stabilization
+/// round anyway. A near slot the list is too short to fill falls back to
+/// probing.
+///
+/// Every other slot `i ≥ 1` is refreshed on its own schedule: a maintenance
+/// tick probes only the slots that are due. A reply that leaves the slot
+/// filled, or leaves it empty, doubles its period (up to `MAX_BACKOFF` = 8
 /// maintenance periods); filling or emptying a slot resets it and the slot
 /// above it — whose probe target it is — to the base period, and so do a
-/// level-0 change and [`HierarchicalRouter::forget_peer`]. Shortcuts only buy
-/// speed, so a slot that goes stale between probes costs a hop, which the
-/// composed peer notices and repairs when it routes through it.
+/// level-0 change, a near slot the ring moved, and
+/// [`HierarchicalRouter::forget_peer`]. Shortcuts only buy speed, so a slot
+/// that goes stale between probes costs a hop, which the composed peer
+/// notices and repairs when it routes through it.
 #[derive(Debug, Clone)]
 pub struct HierarchicalRouter {
     id: PeerId,
@@ -46,16 +54,24 @@ pub struct HierarchicalRouter {
     /// Per slot: its refresh period, in maintenance periods, and when it is
     /// next due (slot 0 comes from the ring and is never probed).
     refresh: Vec<(u32, SimTime)>,
+    /// The highest slot the successor list can feed: `log2(d)`.
+    near: usize,
+    /// Per slot: whether the successor list currently feeds it.
+    from_ring: Vec<bool>,
 }
 
 impl HierarchicalRouter {
     /// Creates a router for peer `id`.
     pub fn new(id: PeerId, cfg: SystemConfig) -> Self {
+        let d = cfg.succ_list_len.max(1);
+        let near = (d.ilog2() as usize).min(ROUTER_LEVELS - 1);
         HierarchicalRouter {
             id,
             cfg,
             entries: vec![None; ROUTER_LEVELS],
             refresh: vec![(1, SimTime::ZERO); ROUTER_LEVELS],
+            near,
+            from_ring: vec![false; ROUTER_LEVELS],
         }
     }
 
@@ -75,6 +91,37 @@ impl HierarchicalRouter {
         if self.entries[0] != Some((peer, value)) {
             self.entries[0] = Some((peer, value));
             self.reset(0);
+        }
+    }
+
+    /// Copies the near slots from the ring's `JOINED` successors, in list
+    /// order (called by the composed peer after each batch of ring
+    /// handling): slot `i` takes the `2^i`-th one that is not this peer. A
+    /// slot whose entry moved resets the slot above it, its probe target; a
+    /// slot the list is too short to fill goes back to probing, due at the
+    /// next tick.
+    pub fn follow_ring(&mut self, joined: impl IntoIterator<Item = (PeerId, PeerValue)>) {
+        let id = self.id;
+        let mut joined = joined.into_iter().filter(|(p, _)| *p != id);
+        let mut passed = 0;
+        for slot in 1..=self.near {
+            let rank = 1 << slot;
+            let entry = joined.nth(rank - passed - 1);
+            passed = rank;
+            match entry {
+                Some(entry) => {
+                    self.from_ring[slot] = true;
+                    if self.entries[slot] != Some(entry) {
+                        self.entries[slot] = Some(entry);
+                        self.reset(slot);
+                    }
+                }
+                None if self.from_ring[slot] => {
+                    self.from_ring[slot] = false;
+                    self.reset(slot);
+                }
+                None => {}
+            }
         }
     }
 
@@ -103,6 +150,7 @@ impl HierarchicalRouter {
     pub fn clear(&mut self) {
         self.entries.fill(None);
         self.refresh.fill((1, SimTime::ZERO));
+        self.from_ring.fill(false);
     }
 
     /// Puts `slot` and the slot above it back on the base period, due at the
@@ -113,14 +161,14 @@ impl HierarchicalRouter {
         }
     }
 
-    /// One maintenance round: every due level `i` is refreshed by asking the
-    /// level `i-1` target for *its* level `i-1` shortcut (doubling the
-    /// distance).
+    /// One maintenance round: every due level `i` the ring does not feed is
+    /// refreshed by asking the level `i-1` target for *its* level `i-1`
+    /// shortcut (doubling the distance).
     fn run_maintenance(&mut self, now: SimTime, fx: &mut Effects<RouterMsg>) {
         for slot in 1..self.entries.len() {
             let (periods, due) = &mut self.refresh[slot];
             match self.entries[slot - 1] {
-                Some((peer, _)) if peer != self.id && now >= *due => {
+                Some((peer, _)) if peer != self.id && now >= *due && !self.from_ring[slot] => {
                     *due = now + self.cfg.router_refresh_period * *periods;
                     fx.send(
                         peer,
@@ -205,7 +253,7 @@ impl ProtocolLayer for HierarchicalRouter {
                 fx.send(from, RouterMsg::EntryReply { slot, entry });
             }
             RouterMsg::EntryReply { slot, entry } => {
-                if slot > 0 && slot < self.entries.len() {
+                if slot > 0 && slot < self.entries.len() && !self.from_ring[slot] {
                     self.store_reply(slot, entry);
                 }
             }
@@ -416,9 +464,9 @@ mod tests {
                 .map(|(t, _)| *t)
                 .collect()
         };
-        // Periods 1, 2, then 4 maintenance periods from there on.
-        assert_eq!(ticks(1), vec![0, 2, 6, 10, 14]);
-        assert_eq!(ticks(2), vec![0, 2, 6, 10, 14]);
+        // Periods 1, 2, 4, then 8 maintenance periods from there on.
+        assert_eq!(ticks(1), vec![0, 2, 6, 14]);
+        assert_eq!(ticks(2), vec![0, 2, 6, 14]);
         assert!(ticks(3).is_empty());
         assert_eq!(r.refresh[1].0, MAX_BACKOFF);
         assert_eq!(r.refresh[2].0, MAX_BACKOFF);
@@ -468,6 +516,138 @@ mod tests {
         r.forget_peer(PeerId(9));
         assert_eq!(r.refresh, before);
         assert!(r.refresh[4..].iter().all(|p| *p == HELD));
+    }
+
+    /// `n` `JOINED` successors: peer `i` at value `10 i`.
+    fn successors(n: u64) -> Vec<(PeerId, PeerValue)> {
+        (1..=n).map(|i| (PeerId(i), PeerValue(i * 10))).collect()
+    }
+
+    /// The slots one maintenance tick at `at` probes.
+    fn probed_at(r: &mut HierarchicalRouter, at: SimTime) -> Vec<usize> {
+        let mut fx = Effects::new();
+        r.handle(
+            LayerCtx::new(r.id, at),
+            r.id,
+            RouterMsg::MaintainTick,
+            &mut fx,
+        );
+        let probed = fx.drain().into_iter().filter_map(|e| match e {
+            Effect::Send {
+                msg: RouterMsg::GetEntry { slot, .. },
+                ..
+            } => Some(slot),
+            _ => None,
+        });
+        probed.collect()
+    }
+
+    #[test]
+    fn the_near_slots_are_the_rings_second_and_fourth_successors_and_are_never_probed() {
+        // d = 4: slots 1 and 2 come from the list; this peer's own entry in
+        // it is skipped.
+        let mut r = router_with(0, &[(1, 10)]);
+        let mut list = successors(5);
+        list.insert(2, (PeerId(0), PeerValue(0)));
+        r.follow_ring(list);
+        let near = &r.entries()[1..3];
+        assert_eq!(
+            near,
+            [
+                Some((PeerId(2), PeerValue(20))),
+                Some((PeerId(4), PeerValue(40)))
+            ]
+        );
+        // Only slot 3 is probed, through slot 2's target.
+        let mut fx = Effects::new();
+        r.handle(ctx(0), PeerId(0), RouterMsg::MaintainTick, &mut fx);
+        let probes: Vec<_> = fx
+            .drain()
+            .into_iter()
+            .filter_map(|e| match e {
+                Effect::Send {
+                    to,
+                    msg: RouterMsg::GetEntry { level, slot },
+                } => Some((to, level, slot)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(probes, [(PeerId(4), 2, 3)]);
+        // Nor does any later tick probe them.
+        for tick in 1..20 {
+            let at = SimTime::ZERO + r.cfg.router_refresh_period * tick;
+            assert!(probed_at(&mut r, at).iter().all(|s| *s > 2));
+        }
+    }
+
+    #[test]
+    fn a_reply_for_a_ring_fed_slot_is_ignored() {
+        let mut r = router_with(0, &[(1, 10)]);
+        r.follow_ring(successors(4));
+        let reply = RouterMsg::EntryReply {
+            slot: 1,
+            entry: Some((PeerId(9), PeerValue(90))),
+        };
+        r.handle(ctx(0), PeerId(1), reply, &mut Effects::new());
+        assert_eq!(r.entries()[1], Some((PeerId(2), PeerValue(20))));
+        let emptied = RouterMsg::EntryReply {
+            slot: 1,
+            entry: None,
+        };
+        r.handle(ctx(0), PeerId(1), emptied, &mut Effects::new());
+        assert_eq!(r.entries()[1], Some((PeerId(2), PeerValue(20))));
+    }
+
+    #[test]
+    fn a_list_too_short_hands_the_slot_back_to_probing_at_the_next_tick() {
+        let mut r = backed_off(&[(1, 10)]);
+        r.follow_ring(successors(4));
+        assert_eq!(&r.refresh[1..5], &[BASE, BASE, BASE, HELD]);
+        let later = SimTime::from_secs(60);
+        assert_eq!(probed_at(&mut r, later), [3]);
+        // Three JOINED successors name the 2nd but no 4th: slot 2 is due at
+        // once and probed through slot 1's target; slot 1 stays fed.
+        r.follow_ring(successors(3));
+        assert_eq!(r.refresh[2], BASE);
+        assert_eq!(r.entries()[2], Some((PeerId(4), PeerValue(40))));
+        let mut fx = Effects::new();
+        r.handle(
+            LayerCtx::new(r.id, later),
+            r.id,
+            RouterMsg::MaintainTick,
+            &mut fx,
+        );
+        assert!(fx.drain().iter().any(|e| matches!(
+            e,
+            Effect::Send { to, msg: RouterMsg::GetEntry { level: 1, slot: 2 } } if *to == PeerId(2)
+        )));
+        // Its reply is stored again.
+        let reply = RouterMsg::EntryReply {
+            slot: 2,
+            entry: Some((PeerId(5), PeerValue(50))),
+        };
+        r.handle(ctx(0), PeerId(2), reply, &mut Effects::new());
+        assert_eq!(r.entries()[2], Some((PeerId(5), PeerValue(50))));
+    }
+
+    #[test]
+    fn a_near_slot_the_ring_moved_resets_the_slot_above_it() {
+        let mut r = router_with(0, &[(1, 10)]);
+        r.follow_ring(successors(4));
+        r.refresh = vec![HELD; r.refresh.len()];
+        // The same list again changes nothing.
+        r.follow_ring(successors(4));
+        assert!(r.refresh.iter().all(|p| *p == HELD));
+        // The 4th successor at a new value moves slot 2: slot 3 is due.
+        let mut list = successors(4);
+        list[3].1 = PeerValue(45);
+        r.follow_ring(list);
+        assert_eq!(&r.refresh[1..5], &[HELD, BASE, BASE, HELD]);
+        // Clearing the table hands the near slots back to probing.
+        r.clear();
+        assert_eq!(probed_at(&mut r, SimTime::ZERO), Vec::<usize>::new());
+        r.set_successor(PeerId(1), PeerValue(10));
+        assert_eq!(probed_at(&mut r, SimTime::ZERO), [1]);
     }
 
     #[test]

@@ -228,11 +228,13 @@ fn churn_only_profile_is_clean_without_any_failures() {
 
 /// A handcrafted schedule in which the WAL is provably load-bearing: the
 /// last insert (key `161011111`, owned by `p1`) is acknowledged 45 ms before
-/// `p1` crashes — after the last snapshot, before any replica-refresh round
-/// — so its **only** surviving copy is `p1`'s synced WAL tail. The trace
-/// ends with the quick profile's exact settle advance, which makes a replay
-/// run the full quiescence oracle pass. Discovered by seed search against
-/// seed 777; re-pin (see TESTING.md) if protocol timing changes.
+/// `p1` crashes — after the last snapshot — and its replica holders `p2` and
+/// `p3` crash with it. Their replica receipts are journaled unsynced by
+/// design, so the crash tears them away, and the key's **only** surviving
+/// copy is `p1`'s synced WAL tail. The trace ends with the quick profile's
+/// exact settle advance, which makes a replay run the full quiescence
+/// oracle pass. Discovered by seed search against seed 777; re-pin (see
+/// TESTING.md) if protocol timing changes.
 const WAL_LOAD_BEARING_TRACE: &str = "\
 insert 0 70000000\nadvance-ms 150\ninsert 0 140000000\nadvance-ms 150\n\
 insert 0 210000000\nadvance-ms 150\ninsert 0 280000000\nadvance-ms 150\n\
@@ -241,8 +243,8 @@ insert 0 490000000\nadvance-ms 150\ninsert 0 560000000\nadvance-ms 150\n\
 insert 0 630000000\nadvance-ms 150\ninsert 0 700000000\nadvance-ms 150\n\
 insert 0 770000000\nadvance-ms 150\ninsert 0 840000000\nadvance-ms 150\n\
 add-free-peer\nadd-free-peer\nadvance-ms 6000\n\
-insert 0 161011111\nadvance-ms 45\ncrash 1\nadvance-ms 1000\nrestart 1\n\
-advance-ms 40000\n";
+insert 0 161011111\nadvance-ms 45\ncrash 1\ncrash 2\ncrash 3\nadvance-ms 1000\n\
+restart 1\nrestart 2\nrestart 3\nadvance-ms 40000\n";
 
 #[test]
 fn broken_recovery_skipping_the_wal_tail_is_caught_by_the_oracle() {
@@ -266,7 +268,7 @@ fn broken_recovery_skipping_the_wal_tail_is_caught_by_the_oracle() {
         "expected an item-conservation violation for the WAL-only key: {:?}",
         report.violations
     );
-    assert_eq!(report.stats.restarts, 1);
+    assert_eq!(report.stats.restarts, 3);
 
     // The identical schedule with the correct recovery replays the WAL tail
     // and donates the key back to the live ring: green, key present.
