@@ -163,52 +163,13 @@ impl RingState {
         }
 
         // ---- rebuild the successor list (Algorithm 17) -------------------
-        let mut new_list: Vec<SuccEntry> = Vec::with_capacity(their_list.len() + 2);
-
-        // Keep this peer's own in-flight JOINING entry at the front.
-        if self.phase == RingPhase::Inserting {
-            if let Some(first) = self.succ_list.first() {
-                if first.state == EntryState::Joining {
-                    new_list.push(*first);
-                }
-            }
-        }
-        // Keep LEAVING entries that precede the responder in the current
-        // list (they are still ahead of us on the ring).
-        for e in &self.succ_list {
-            if e.peer == from {
-                break;
-            }
-            if e.state == EntryState::Leaving {
-                new_list.push(*e);
-            }
-        }
-        // The responder itself, stabilized.
-        new_list.push(SuccEntry {
+        let responder = SuccEntry {
             peer: from,
             value: responder_value,
             state: responder_state,
             stabilized: true,
-        });
-        // The responder's successors.
-        for e in their_list {
-            new_list.push(SuccEntry {
-                stabilized: false,
-                ..e
-            });
-        }
-        // De-duplicate by peer id, keeping the first (closest) occurrence.
-        let mut seen: Vec<PeerId> = Vec::with_capacity(new_list.len());
-        new_list.retain(|e| {
-            if seen.contains(&e.peer) {
-                false
-            } else {
-                seen.push(e.peer);
-                true
-            }
-        });
-
-        self.succ_list = new_list;
+        };
+        self.rebuild_succ_list(responder, their_list);
 
         // ---- Chord-style `notify` repair -----------------------------------
         // If the responder's predecessor lies strictly between this peer and
@@ -280,6 +241,46 @@ impl RingState {
                     fx.send(pred, RingMsg::StabilizeNow);
                 }
             }
+        }
+    }
+
+    /// Rebuilds the successor list from the `responder`'s answer: this
+    /// peer's own in-flight `JOINING` head, the `LEAVING` entries that
+    /// precede the responder in the current list (they are still ahead of
+    /// us on the ring), the responder, then the responder's list. A peer
+    /// named twice keeps its first (closest) entry.
+    ///
+    /// Runs in place, in the old list's buffer: the kept entries are
+    /// compacted to the front and the rest is appended, each entry only if
+    /// its peer is not in the list yet.
+    fn rebuild_succ_list(&mut self, responder: SuccEntry, their_list: Vec<SuccEntry>) {
+        fn append(list: &mut Vec<SuccEntry>, e: SuccEntry) {
+            if !list.iter().any(|k| k.peer == e.peer) {
+                list.push(e);
+            }
+        }
+        let joining_head = self.phase == RingPhase::Inserting
+            && (self.succ_list.first()).is_some_and(|e| e.state == EntryState::Joining);
+        let ahead = (self.succ_list.iter())
+            .position(|e| e.peer == responder.peer)
+            .unwrap_or(self.succ_list.len());
+        let mut kept = 0;
+        for i in 0..self.succ_list.len() {
+            let e = self.succ_list[i];
+            let keep = (i == 0 && joining_head) || (i < ahead && e.state == EntryState::Leaving);
+            if keep && !self.succ_list[..kept].iter().any(|k| k.peer == e.peer) {
+                self.succ_list[kept] = e;
+                kept += 1;
+            }
+        }
+        self.succ_list.truncate(kept);
+        append(&mut self.succ_list, responder);
+        for e in their_list {
+            let e = SuccEntry {
+                stabilized: false,
+                ..e
+            };
+            append(&mut self.succ_list, e);
         }
     }
 }
@@ -617,6 +618,78 @@ mod tests {
             &alone.drain_events()[..],
             [RingEvent::NewPredecessor { peer, .. }] if *peer == PeerId(4)
         ));
+    }
+
+    #[test]
+    fn the_in_place_rebuild_keeps_the_first_entry_of_every_peer() {
+        let leaving =
+            |peer, value| SuccEntry::new(PeerId(peer), PeerValue(value), EntryState::Leaving);
+        let joining = SuccEntry::new(PeerId(9), PeerValue(45), EntryState::Joining);
+        let responder = |peer, value| SuccEntry {
+            stabilized: true,
+            ..SuccEntry::new(PeerId(peer), PeerValue(value), EntryState::Joined)
+        };
+        let unstab = |e: SuccEntry| SuccEntry {
+            stabilized: false,
+            ..e
+        };
+
+        // An inserting peer whose JOINING head is also the responder keeps
+        // the head as it was; the responder's own entry is a duplicate.
+        let mut p = member(4, 40, 3, vec![joining, joined(1, 10)]);
+        p.phase = RingPhase::Inserting;
+        p.rebuild_succ_list(responder(9, 45), vec![joined(1, 10), joined(9, 45)]);
+        assert_eq!(p.succ_list(), [joining, unstab(joined(1, 10))]);
+
+        // LEAVING entries ahead of the responder are kept in order, the
+        // JOINED ones between them and anything past the responder are not.
+        let mut p = member(
+            4,
+            40,
+            3,
+            vec![
+                leaving(7, 42),
+                joined(3, 43),
+                leaving(8, 44),
+                joined(5, 50),
+                leaving(6, 55),
+            ],
+        );
+        p.rebuild_succ_list(responder(5, 50), vec![joined(1, 10)]);
+        assert_eq!(
+            p.succ_list(),
+            [
+                leaving(7, 42),
+                leaving(8, 44),
+                responder(5, 50),
+                unstab(joined(1, 10))
+            ]
+        );
+
+        // A peer named by both lists, or twice by one, keeps its first entry:
+        // the kept LEAVING entry over the responder's JOINED copy of it, the
+        // responder over its own appearance in its list. Not inserting, a
+        // JOINING head is dropped like any other entry ahead.
+        let mut p = member(
+            4,
+            40,
+            3,
+            vec![joining, leaving(7, 42), leaving(7, 42), joined(5, 50)],
+        );
+        p.rebuild_succ_list(
+            responder(5, 50),
+            vec![
+                joined(7, 42),
+                joined(5, 50),
+                joined(1, 10),
+                joined(1, 10),
+                joined(2, 20),
+            ],
+        );
+        let peers: Vec<u64> = p.succ_list().iter().map(|e| e.peer.raw()).collect();
+        assert_eq!(peers, [7, 5, 1, 2]);
+        assert_eq!(p.succ_list()[0], leaving(7, 42));
+        assert_eq!(p.succ_list()[1], responder(5, 50));
     }
 
     #[test]
