@@ -49,12 +49,14 @@ pub(crate) struct RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A client insert or delete. Most bounces mean a split or merge is
-    /// mid-flight, which settles within a few round trips, so the first
-    /// re-routes come quickly. A failed peer's range stays unowned until its
-    /// successor takes it over, several stabilization rounds later, so the
-    /// pause doubles up to one stabilization period and the re-routes
-    /// outlast a takeover (about 38 s at paper timers).
+    /// A client insert, delete or scan start. Most bounces mean a split or
+    /// merge is mid-flight, which settles within a few round trips, so the
+    /// first re-routes come quickly. A failed peer's range stays unowned
+    /// until its successor takes it over, several stabilization rounds
+    /// later, so the pause doubles up to one stabilization period and the
+    /// re-routes outlast a takeover (about 38 s at paper timers). A scan
+    /// start that never gets through is ended incomplete by its query's
+    /// safety net, just before its last re-route.
     pub(crate) fn client(cfg: &SystemConfig) -> Self {
         RetryPolicy {
             first: Duration::from_millis(25),
@@ -68,9 +70,6 @@ impl RetryPolicy {
     /// donor's old range bounces, so it retries patiently: dropping it would
     /// lose an acknowledged item.
     pub(crate) const DONATION: Self = RetryPolicy::constant(Duration::from_millis(250), 40);
-    /// A scan start. A rejection means a peer departed or a range moved; the
-    /// ring repairs itself within a ping or stabilization round.
-    pub(crate) const SCAN_START: Self = RetryPolicy::constant(Duration::from_millis(500), 5);
 
     /// The same `pause` before each of `reroutes` re-routes.
     const fn constant(pause: Duration, reroutes: u32) -> Self {

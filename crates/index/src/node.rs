@@ -341,7 +341,8 @@ impl PeerNode {
         self.process_ds_events(now, ds_events, out);
         registered.map(|(query, interval)| {
             let payload = RoutePayload::ScanStart { query, interval };
-            self.issue(now, interval.lo(), payload, RetryPolicy::SCAN_START, out);
+            let policy = RetryPolicy::client(&self.cfg);
+            self.issue(now, interval.lo(), payload, policy, out);
             query
         })
     }
@@ -418,20 +419,18 @@ impl PeerNode {
 
     /// The currently `JOINED` successors of `ring`, in list order (the
     /// snapshot the replication layer works against).
-    fn joined_successors(ring: &RingState) -> impl Iterator<Item = PeerId> + '_ {
+    fn joined_successors(ring: &RingState) -> impl Iterator<Item = PeerId> + Clone + '_ {
         ring.succ_list()
             .iter()
             .filter(|e| e.state == EntryState::Joined)
             .map(|e| e.peer)
     }
 
-    /// One replication refresh round of the CFS scheme, fed with the
-    /// cross-layer snapshot only the composed peer can take: the Data
-    /// Store's items, cloned into a batch all successors share — once per
-    /// change of the item set, not once per round.
-    fn push_replicas(&mut self, now: SimTime, out: &mut Effects<PeerMsg>) {
+    /// The Data Store's items as a batch all successors share, and its
+    /// stamp: cloned once per change of the item set, not once per push.
+    fn current_batch(&mut self, now: SimTime) -> (BatchStamp, Batch) {
         let store_version = self.ds.items_version();
-        let (stamp, batch) = match &self.built_batch {
+        match &self.built_batch {
             Some((stamp, batch)) if stamp.store_version == store_version => {
                 (*stamp, Arc::clone(batch))
             }
@@ -448,9 +447,27 @@ impl PeerNode {
                 self.built_batch = Some((stamp, Arc::clone(&batch)));
                 (stamp, batch)
             }
-        };
+        }
+    }
+
+    /// Pushes the Data Store's items to the replica targets now: an item was
+    /// stored, or a range change brought items in. Never skipped.
+    fn push_replicas(&mut self, now: SimTime, out: &mut Effects<PeerMsg>) {
+        let (stamp, batch) = self.current_batch(now);
         let ((), repl_events) = self.repl.with(out, |repl, fx| {
             repl.push_batch(batch, Some(stamp), Self::joined_successors(&self.ring), fx)
+        });
+        self.process_repl_events(now, repl_events, out);
+    }
+
+    /// One periodic refresh round of the CFS scheme, fed with the
+    /// cross-layer snapshot only the composed peer can take. It stays quiet
+    /// when neither the items nor the targets changed since the last push
+    /// (see [`ReplicationManager::refresh`]).
+    fn refresh_replicas(&mut self, now: SimTime, out: &mut Effects<PeerMsg>) {
+        let (stamp, batch) = self.current_batch(now);
+        let ((), repl_events) = self.repl.with(out, |repl, fx| {
+            repl.refresh(batch, stamp, Self::joined_successors(&self.ring), fx)
         });
         self.process_repl_events(now, repl_events, out);
     }
@@ -877,7 +894,7 @@ impl PeerNode {
         for event in events {
             self.note(now, "repl", event.tag(), String::new);
             match event {
-                ReplEvent::RefreshDue => self.push_replicas(now, out),
+                ReplEvent::RefreshDue => self.refresh_replicas(now, out),
                 ReplEvent::Recovered { items } => {
                     // Recovery replies after a range takeover: the Data
                     // Store keeps only what falls in its range and is not
@@ -1243,6 +1260,7 @@ impl Node for PeerNode {
 mod tests {
     use super::*;
     use pepper_net::{NetworkConfig, Simulator};
+    use pepper_replication::REFRESH_FLOOR;
     use pepper_ring::consistency::{
         check_connectivity, check_consistent_successor_pointers, RingSnapshot,
     };
@@ -1783,6 +1801,84 @@ mod tests {
     }
 
     #[test]
+    fn a_refresh_round_pushes_only_after_a_change_or_at_the_floor() {
+        let mut sim = settled_ring(41);
+        let now = sim.now();
+        let (me, key) = sim
+            .alive_nodes_iter()
+            .filter(|(_, n)| n.ring().stabilized_succ().is_some())
+            .filter(|(_, n)| n.item_count() >= 2 && replica_targets(n).len() >= 2)
+            .find_map(|(p, n)| {
+                let range = n.data_store().range();
+                let key = (1..).map(|k| k * 1_000_003).find(|k| range.contains(*k))?;
+                Some((p, key))
+            })
+            .expect("a member with items and two replica targets");
+        let node = sim.node_mut(me).expect("alive");
+        let targets = replica_targets(node);
+        let refresh = |node: &mut PeerNode| {
+            let mut out = Effects::new();
+            node.refresh_replicas(now, &mut out);
+            pushes(&out)
+        };
+        let route = |node: &mut PeerNode, target, payload| {
+            let mut out = Effects::new();
+            node.handle_route(now, target, payload, 0, &mut out);
+            pushes(&out)
+        };
+
+        // A stored item is pushed at once; the rounds after it have nothing
+        // new until the floor: rounds 1-7 send nothing and round 8 pushes.
+        let item = Item::new(ItemId::new(me, 77), SearchKey(key), "x");
+        let payload = RoutePayload::Insert { item, reply_to: me };
+        assert_eq!(route(node, key, payload), targets);
+        for round in 1..REFRESH_FLOOR {
+            assert_eq!(refresh(node), [], "round {round}");
+        }
+        assert_eq!(refresh(node), targets);
+
+        // A deleted item is not pushed at once, but at the next round.
+        let (mapped, _) = node.ds.items_mapped().next().expect("items");
+        let payload = RoutePayload::Delete {
+            mapped,
+            reply_to: me,
+        };
+        assert_eq!(route(node, mapped, payload), []);
+        assert_eq!(refresh(node), targets);
+        assert_eq!(refresh(node), []);
+
+        // A range change that grew pushes even when nothing is new.
+        let grew = DsEvent::RangeChanged {
+            range: node.ds.range(),
+            value: node.ring.value(),
+            grew: true,
+        };
+        let mut out = Effects::new();
+        node.process_ds_events(now, vec![grew], &mut out);
+        assert_eq!(pushes(&out), targets);
+        assert_eq!(refresh(node), []);
+
+        // The successor answers stabilization with peers this one has never
+        // seen: the next round pushes to the new targets.
+        let succ = node.ring().stabilized_succ().expect("checked");
+        let theirs = (1..=4).map(|i| {
+            let value = PeerValue(succ.value.raw().wrapping_add(i));
+            pepper_ring::SuccEntry::joined_stab(PeerId(100 + i), value)
+        });
+        let response = RingMsg::StabResponse {
+            succ_list: theirs.collect(),
+            responder_state: EntryState::Joined,
+            responder_value: succ.value,
+            responder_pred: Some((me, node.ring().value())),
+        };
+        node.dispatch(now, succ.peer, PeerMsg::Ring(response), &mut Effects::new());
+        let moved = replica_targets(node);
+        assert_ne!(moved, targets);
+        assert_eq!(refresh(node), moved);
+        assert_eq!(refresh(node), []);
+    }
+
+    #[test]
     fn a_stab_response_feeds_the_routers_near_slots() {
         let mut sim = settled_ring(43);
         let now = sim.now();
@@ -2189,8 +2285,8 @@ mod tests {
     #[test]
     fn a_rejected_scan_start_is_re_routed_then_abandoned() {
         // A free peer routes nowhere: its scan start is rejected at once,
-        // re-routed five times 500 ms apart, and the sixth rejection ends
-        // the query incomplete.
+        // re-routed 16 times after the doubling pauses of a client write,
+        // and the 17th rejection ends the query incomplete.
         let metrics = TraceConfig {
             metrics: true,
             ..TraceConfig::off()
@@ -2224,10 +2320,11 @@ mod tests {
         };
         assert_eq!(query, id);
         assert!(!complete);
-        let pauses = RetryPolicy::SCAN_START.pause(1) * 5;
+        let client = RetryPolicy::client(&SystemConfig::fast());
+        let pauses: Duration = (1..=16).map(|n| client.pause(n)).sum();
         assert!(elapsed >= pauses && elapsed < pauses + Duration::from_millis(100));
-        assert_eq!(node.metrics().counter("ds", "ScanRejected"), 6);
-        assert_eq!(node.metrics().counter("index", "Route"), 5);
+        assert_eq!(node.metrics().counter("ds", "ScanRejected"), 17);
+        assert_eq!(node.metrics().counter("index", "Route"), 16);
         assert!(node.issued.is_empty());
         assert_eq!(node.data_store().open_queries(), 0);
     }

@@ -7,8 +7,8 @@
 /// the message handler (which would break the uniform
 /// [`ProtocolLayer`](pepper_net::ProtocolLayer) boundary), the layer reports
 /// that a refresh round is due and the composed peer calls
-/// [`push_to_successors`](crate::ReplicationManager::push_to_successors) with
-/// the cross-layer snapshot.
+/// [`refresh`](crate::ReplicationManager::refresh) with the cross-layer
+/// snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReplEvent {
     /// The periodic refresh timer fired: the composed peer should push the

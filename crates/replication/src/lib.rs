@@ -1,8 +1,11 @@
 //! The Replication Manager: CFS-style successor replication plus the
 //! paper's *replicate-to-additional-hop* item-availability protection.
 //!
-//! Every peer periodically pushes the items of its own Data Store to its `k`
-//! successors (Section 2.3, CFS replication). When a predecessor fails, its
+//! Every peer pushes the items of its own Data Store to its `k` successors
+//! (Section 2.3, CFS replication): at once when an item is stored or a range
+//! change brings items in, and in periodic refresh rounds. A refresh round
+//! whose items and targets are those of the peer's last push stays quiet,
+//! except for every [`REFRESH_FLOOR`]-th round. When a predecessor fails, its
 //! successor takes over the failed range and *revives* the items from its
 //! replica store. When a peer is about to give up its range in a merge, it
 //! first replicates everything it stores — its own items *and* the replicas
@@ -19,5 +22,5 @@ pub mod manager;
 pub mod messages;
 
 pub use events::ReplEvent;
-pub use manager::{PushOutcome, ReplicationManager};
+pub use manager::{PushOutcome, ReplicationManager, REFRESH_FLOOR};
 pub use messages::{Batch, BatchStamp, ReplMsg};

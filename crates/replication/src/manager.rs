@@ -22,6 +22,11 @@ pub enum PushOutcome {
     NoopWalk,
 }
 
+/// Every `REFRESH_FLOOR`-th periodic refresh round pushes even when nothing
+/// changed since this peer's last push: the anti-entropy floor under the
+/// quiet rounds of [`ReplicationManager::refresh`].
+pub const REFRESH_FLOOR: u32 = 8;
+
 /// The per-peer replication manager.
 #[derive(Debug, Clone)]
 pub struct ReplicationManager {
@@ -34,6 +39,12 @@ pub struct ReplicationManager {
     /// again would install nothing. Every mutation of `replica_store` goes
     /// through [`Self::store_changed`], which empties this.
     walked: Vec<(PeerId, BatchStamp)>,
+    /// The last push this peer sent: its stamp (`None`: unstamped) and its
+    /// targets, and how many refresh rounds stayed quiet since. A refresh
+    /// round that would repeat that push sends nothing.
+    last_push: Option<BatchStamp>,
+    pushed_to: Vec<PeerId>,
+    quiet_rounds: u32,
     /// Events buffered for the composed peer.
     events: Vec<ReplEvent>,
 }
@@ -46,6 +57,9 @@ impl ReplicationManager {
             cfg,
             replica_store: BTreeMap::new(),
             walked: Vec::new(),
+            last_push: None,
+            pushed_to: Vec::new(),
+            quiet_rounds: 0,
             events: Vec::new(),
         }
     }
@@ -81,10 +95,11 @@ impl ReplicationManager {
         self.push_batch(own_items.into(), None, successors.iter().copied(), fx);
     }
 
-    /// One refresh round over an already built batch: every one of the `k`
-    /// nearest successors is sent the same shared `batch`. A caller that
+    /// Pushes an already built batch now, never skipped: every one of the
+    /// `k` nearest successors is sent the same shared `batch`. A caller that
     /// keeps the batch across rounds names it with a `stamp` (equal stamps,
-    /// same batch), which lets receivers skip a batch they already hold.
+    /// same batch), which lets receivers skip a batch they already hold, and
+    /// lets [`Self::refresh`] skip a round that would repeat this push.
     pub fn push_batch(
         &mut self,
         batch: Batch,
@@ -95,11 +110,11 @@ impl ReplicationManager {
         if batch.is_empty() {
             return;
         }
-        let targets = successors
-            .into_iter()
-            .filter(|p| *p != self.id)
-            .take(self.cfg.replication_factor);
-        for target in targets {
+        self.pushed_to.clear();
+        let targets = successors.into_iter().filter(|p| *p != self.id);
+        self.pushed_to
+            .extend(targets.take(self.cfg.replication_factor));
+        for &target in &self.pushed_to {
             fx.send(
                 target,
                 ReplMsg::Push {
@@ -108,6 +123,32 @@ impl ReplicationManager {
                 },
             );
         }
+        self.last_push = stamp;
+        self.quiet_rounds = 0;
+    }
+
+    /// A periodic refresh round: [`Self::push_batch`], unless this peer's
+    /// last push carried the same `stamp` to the same targets. Then every
+    /// target already holds the batch, and the round stays quiet; every
+    /// [`REFRESH_FLOOR`]-th round pushes anyway.
+    pub fn refresh(
+        &mut self,
+        batch: Batch,
+        stamp: BatchStamp,
+        successors: impl Iterator<Item = PeerId> + Clone,
+        fx: &mut Effects<ReplMsg>,
+    ) {
+        let targets = successors.clone().filter(|p| *p != self.id);
+        if self.last_push == Some(stamp)
+            && self.quiet_rounds + 1 < REFRESH_FLOOR
+            && targets
+                .take(self.cfg.replication_factor)
+                .eq(self.pushed_to.iter().copied())
+        {
+            self.quiet_rounds += 1;
+            return;
+        }
+        self.push_batch(batch, Some(stamp), successors, fx);
     }
 
     /// The paper's replicate-to-additional-hop: before this peer gives up its
@@ -143,6 +184,8 @@ impl ReplicationManager {
         if candidates.is_empty() {
             return false;
         }
+        // An unstamped push: the next refresh round is not quiet.
+        self.last_push = None;
         let target = candidates
             .get(self.cfg.replication_factor)
             .copied()
@@ -904,6 +947,111 @@ mod tests {
             skipped > 200 && noop > 0,
             "the sequence must exercise both: {skipped} skipped, {noop} walked for nothing"
         );
+    }
+
+    /// The targets of the pushes in `fx`, drained.
+    fn pushed(fx: &mut Effects<ReplMsg>) -> Vec<PeerId> {
+        let targets = fx.iter().filter_map(|e| match e {
+            Effect::Send {
+                to,
+                msg: ReplMsg::Push { .. },
+            } => Some(*to),
+            _ => None,
+        });
+        let targets = targets.collect();
+        fx.drain();
+        targets
+    }
+
+    #[test]
+    fn a_refresh_round_with_nothing_new_is_quiet_until_the_floor() {
+        let mut rm = ReplicationManager::new(PeerId(0), SystemConfig::fast());
+        let mut fx = Effects::new();
+        let batch: Batch = vec![item(10), item(20)].into();
+        let succs = [PeerId(0), PeerId(1), PeerId(2), PeerId(3)];
+        let refresh = |rm: &mut ReplicationManager, stamp, succs: &[PeerId], fx: &mut _| {
+            rm.refresh(Arc::clone(&batch), stamp, succs.iter().copied(), fx);
+        };
+        // The first round has nothing to compare against and pushes.
+        refresh(&mut rm, stamp(1, 5), &succs, &mut fx);
+        assert_eq!(pushed(&mut fx), [PeerId(1), PeerId(2)]);
+        // Same items, same targets: rounds 1-7 send nothing, round 8 pushes.
+        for _ in 0..3 {
+            for round in 1..REFRESH_FLOOR {
+                refresh(&mut rm, stamp(1, 5), &succs, &mut fx);
+                assert!(fx.is_empty(), "round {round}");
+            }
+            refresh(&mut rm, stamp(1, 5), &succs, &mut fx);
+            assert_eq!(pushed(&mut fx), [PeerId(1), PeerId(2)]);
+        }
+        // A stored or deleted item is a new store version: the next round
+        // pushes, and the one after is quiet again.
+        refresh(&mut rm, stamp(1, 5), &succs, &mut fx);
+        refresh(&mut rm, stamp(9, 6), &succs, &mut fx);
+        assert_eq!(pushed(&mut fx), [PeerId(1), PeerId(2)]);
+        refresh(&mut rm, stamp(9, 6), &succs, &mut fx);
+        assert!(fx.is_empty());
+        // A changed target list: the next round pushes to the new list. A
+        // change past the first k, or of this peer's own entry, is none.
+        refresh(
+            &mut rm,
+            stamp(9, 6),
+            &[PeerId(1), PeerId(2), PeerId(7)],
+            &mut fx,
+        );
+        assert!(fx.is_empty());
+        let moved = [PeerId(1), PeerId(4), PeerId(2)];
+        refresh(&mut rm, stamp(9, 6), &moved, &mut fx);
+        assert_eq!(pushed(&mut fx), [PeerId(1), PeerId(4)]);
+        refresh(&mut rm, stamp(9, 6), &moved, &mut fx);
+        assert!(fx.is_empty());
+        let shorter = [PeerId(1)];
+        refresh(&mut rm, stamp(9, 6), &shorter, &mut fx);
+        assert_eq!(pushed(&mut fx), [PeerId(1)]);
+        refresh(&mut rm, stamp(9, 6), &shorter, &mut fx);
+        assert!(fx.is_empty());
+    }
+
+    #[test]
+    fn store_range_and_extra_hop_pushes_are_never_skipped_and_reset_the_memo() {
+        let mut rm = ReplicationManager::new(PeerId(0), SystemConfig::fast());
+        let mut fx = Effects::new();
+        let batch: Batch = vec![item(10)].into();
+        let succs = [PeerId(1), PeerId(2), PeerId(3)];
+        let refresh = |rm: &mut ReplicationManager, fx: &mut _| {
+            rm.refresh(Arc::clone(&batch), stamp(1, 5), succs.iter().copied(), fx);
+        };
+        refresh(&mut rm, &mut fx);
+        assert_eq!(pushed(&mut fx).len(), 2);
+        // A store push or a range push (`push_batch`) repeating the last
+        // push still sends, and restarts the count to the floor.
+        for _ in 0..3 {
+            refresh(&mut rm, &mut fx);
+        }
+        assert!(fx.is_empty());
+        let push = |rm: &mut ReplicationManager, fx: &mut _| {
+            rm.push_batch(Arc::clone(&batch), Some(stamp(1, 5)), succs, fx);
+        };
+        push(&mut rm, &mut fx);
+        assert_eq!(pushed(&mut fx), [PeerId(1), PeerId(2)]);
+        for _ in 1..REFRESH_FLOOR {
+            refresh(&mut rm, &mut fx);
+        }
+        assert!(fx.is_empty());
+        refresh(&mut rm, &mut fx);
+        assert_eq!(pushed(&mut fx).len(), 2);
+        // An unstamped push, the pinned `push_to_successors` or the extra
+        // hop, leaves nothing to compare against: the next round pushes.
+        rm.push_to_successors(ctx(0), &batch, &succs, &mut fx);
+        assert_eq!(pushed(&mut fx).len(), 2);
+        refresh(&mut rm, &mut fx);
+        assert_eq!(pushed(&mut fx).len(), 2);
+        assert!(rm.replicate_additional_hop(ctx(0), &batch, &succs, &mut fx));
+        assert_eq!(pushed(&mut fx), [PeerId(3)]);
+        refresh(&mut rm, &mut fx);
+        assert_eq!(pushed(&mut fx).len(), 2);
+        refresh(&mut rm, &mut fx);
+        assert!(fx.is_empty());
     }
 
     #[test]
