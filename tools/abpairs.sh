@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Interleaved A/B pairs of the benchmark: a parent commit against a change.
 #
-#   tools/abpairs.sh [-n PAIRS] [-w "W1 W2 ..."] [-d DIR] [BASE [CHANGE]]
+#   tools/abpairs.sh [-n PAIRS] [-s SEEDS] [-w "W1 W2 ..."] [-d DIR] [BASE [CHANGE]]
 #
 # BASE and CHANGE are revisions of this repository (default HEAD~1 and HEAD).
 # Each side is cloned into DIR (default ${TMPDIR:-/tmp}/abpairs; an existing
@@ -10,13 +10,17 @@
 #
 #   pepper-benchmark run --workload W --seed S --trace 0
 #
-# run back to back: seeds cycle 1-5 and the side that runs first alternates,
-# so slow phases of a shared box hit both sides alike. Per workload and host
-# metric it prints the parent's median [q1, q3], the change's median, where
-# that median falls against the parent's quartiles, and in how many pairs the
-# change was lower. Below that it prints the parent's and the change's medians
-# of every virtual-time end-to-end metric and of the failed-op count, the
-# before/after rows of a change that is meant to move the simulation.
+# run back to back: seeds cycle 1..SEEDS (default 5) and the side that runs
+# first alternates, so slow phases of a shared box hit both sides alike. Per
+# workload and host metric it prints the parent's median [q1, q3], the
+# change's median, where that median falls against the parent's quartiles,
+# and in how many pairs the change was lower. Below that it prints the
+# parent's and the change's medians of every virtual-time end-to-end metric
+# and of the failed-op count, the before/after rows of a change that is meant
+# to move the simulation, then both sides' failed-op totals per class and in
+# how many pairs the change failed fewer or more ops. With PAIRS = SEEDS each
+# seed runs once per side: `-n 21 -s 21 -w peer_churn` is the failure table
+# over seeds 1-21.
 #
 # Exit status: 0 when every pair agrees exactly in its witness, its failed and
 # attempted op counts and every virtual-time metric; 1 when any pair differs
@@ -25,15 +29,17 @@
 set -euo pipefail
 
 pairs=10
+seeds=5
 workloads="steady scan_heavy grow_shrink peer_churn"
 dir="${TMPDIR:-/tmp}/abpairs"
 usage() {
     sed -n '4p' "$0" | sed 's/^# *//' >&2
     exit 2
 }
-while getopts "n:w:d:h" opt; do
+while getopts "n:s:w:d:h" opt; do
     case "$opt" in
         n) pairs="$OPTARG" ;;
+        s) seeds="$OPTARG" ;;
         w) workloads="$OPTARG" ;;
         d) dir="$OPTARG" ;;
         *) usage ;;
@@ -65,7 +71,7 @@ rm -rf "$runs"
 mkdir -p "$runs"
 for w in $workloads; do
     for ((i = 0; i < pairs; i++)); do
-        seed=$((i % 5 + 1))
+        seed=$((i % seeds + 1))
         order="parent change"
         [ $((i % 2)) -eq 0 ] || order="change parent"
         for side in $order; do
@@ -118,6 +124,15 @@ for w in sys.argv[4:]:
         a = statistics.median(value(p, name) for p, _ in docs)
         b = statistics.median(value(c, name) for _, c in docs)
         print(f"  {name:<14} parent median {a:12.4f}  change median {b:12.4f}")
+    fewer = sum(c["failed"] < p["failed"] for p, c in docs)
+    more = sum(c["failed"] > p["failed"] for p, c in docs)
+    print(f"  failed ops     parent total {sum(p['failed'] for p, _ in docs):8}"
+          f"  change total {sum(c['failed'] for _, c in docs):8}"
+          f"  change fewer in {fewer}/{pairs}, more in {more}/{pairs}")
+    for cls in docs[0][0]["failed_by_class"]:
+        a = sum(p["failed_by_class"][cls] for p, _ in docs)
+        b = sum(c["failed_by_class"][cls] for _, c in docs)
+        print(f"    {cls:<18} parent total {a:8}  change total {b:8}")
     for i, (p, c) in enumerate(docs):
         fields = ["witness", "attempted", "failed", "correct"]
         diffs = [f for f in fields if p[f] != c[f]]
