@@ -1879,6 +1879,48 @@ mod tests {
     }
 
     #[test]
+    fn a_displaced_live_predecessor_reasserts_itself_before_any_takeover() {
+        // A settled predecessor stabilizes only every few periods, so its
+        // lease lapses in between. A farther peer that stabilizes to this
+        // peer then is adopted; the live predecessor sees the changed
+        // digest in its next ping reply and takes its place back, long
+        // before the takeover armed for the farther peer would run.
+        let mut sim = settled_ring(43);
+        let cfg = SystemConfig::fast();
+        let (me, pred, far) = sim
+            .alive_nodes_iter()
+            .filter(|(_, n)| n.is_ring_member())
+            .find_map(|(me, n)| {
+                let (pred, _) = n.ring().pred().filter(|&(p, _)| p != me)?;
+                let far = n.ring().succ_list().iter().find(|e| e.peer != pred)?;
+                Some((me, pred, (far.peer, far.value)))
+            })
+            .expect("a member with a predecessor and a successor");
+        let range = sim.node(me).expect("alive").data_store().range();
+        let mut displaced = false;
+        for _ in 0..100 {
+            sim.with_node_ctx(me, |node, ctx| {
+                let request = RingMsg::StabRequest { from_value: far.1 };
+                node.dispatch(ctx.now(), far.0, PeerMsg::Ring(request), ctx.effects());
+            });
+            if sim.node(me).expect("alive").ring().pred() == Some(far) {
+                displaced = true;
+                break;
+            }
+            sim.run_for(cfg.ping_period / 2);
+        }
+        assert!(displaced, "the predecessor's lease never lapsed");
+        sim.run_for(cfg.ping_period * 2);
+        let node = sim.node(me).expect("alive");
+        assert_eq!(node.ring().pred().map(|(p, _)| p), Some(pred));
+        // Past the takeover's delay, this peer still owns what it owned.
+        sim.run_for(cfg.stabilization_period * 4);
+        let node = sim.node(me).expect("alive");
+        assert_eq!(node.ring().pred().map(|(p, _)| p), Some(pred));
+        assert_eq!(node.data_store().range(), range);
+    }
+
+    #[test]
     fn a_stab_response_feeds_the_routers_near_slots() {
         let mut sim = settled_ring(43);
         let now = sim.now();

@@ -103,6 +103,10 @@ pub enum RingMsg {
         member: bool,
         /// The responder's advertised entry state.
         state: EntryState,
+        /// [`crate::stabilization::response_digest`] of the `StabResponse`
+        /// the responder would send now: a requester whose last applied
+        /// response from it has another digest stabilizes at once.
+        digest: u64,
     },
 }
 
@@ -168,6 +172,7 @@ mod tests {
                 seq: 1,
                 member: true,
                 state: EntryState::Joined,
+                digest: 0,
             },
         ];
         let mut tags: Vec<&str> = msgs.iter().map(|m| m.tag()).collect();

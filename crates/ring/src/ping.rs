@@ -18,8 +18,9 @@ use crate::messages::RingMsg;
 use crate::state::RingState;
 
 impl RingState {
-    /// Periodic ping tick: re-arm and probe.
-    pub(crate) fn on_ping_tick(&mut self, _ctx: LayerCtx, fx: &mut Effects<RingMsg>) {
+    /// Periodic ping tick: re-arm, probe, and stabilize if a round is due
+    /// (see [`crate::stabilization`]).
+    pub(crate) fn on_ping_tick(&mut self, ctx: LayerCtx, fx: &mut Effects<RingMsg>) {
         fx.timer(self.cfg.ping_period, RingMsg::PingTick);
         if !self.is_member() {
             return;
@@ -49,6 +50,7 @@ impl RingState {
                 self.send_ping(target, fx);
             }
         }
+        self.stabilize_if_due(ctx, fx);
     }
 
     fn send_ping(&mut self, target: PeerId, fx: &mut Effects<RingMsg>) {
@@ -62,7 +64,8 @@ impl RingState {
         );
     }
 
-    /// Answers a liveness probe. Departed peers answer `member = false`.
+    /// Answers a liveness probe with the digest of this peer's
+    /// stabilization response. Departed peers answer `member = false`.
     pub(crate) fn on_ping(
         &mut self,
         _ctx: LayerCtx,
@@ -76,18 +79,23 @@ impl RingState {
                 seq,
                 member: self.is_member(),
                 state: self.phase.as_entry_state(),
+                digest: self.own_digest(),
             },
         );
     }
 
-    /// Handles a ping reply.
+    /// Handles a ping reply, and stabilizes at once when the stabilization
+    /// target reports a digest other than that of its last applied response.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_ping_reply(
         &mut self,
-        _ctx: LayerCtx,
+        ctx: LayerCtx,
         from: PeerId,
         seq: u64,
         member: bool,
         state: EntryState,
+        digest: u64,
+        fx: &mut Effects<RingMsg>,
     ) {
         // A reply answers this ping and every earlier one to the same peer.
         self.outstanding_pings
@@ -101,10 +109,18 @@ impl RingState {
             // a peer being inserted truthfully answers "not a member yet"
             // (it may even be the old incarnation's LEAVING relic that was
             // pinged), and dropping the in-flight entry would wedge the
-            // inserter in the INSERTING phase with nothing to promote.
+            // inserter in the INSERTING phase with nothing to promote. So is
+            // the entry of the peer this node is inserting once the join ack
+            // promoted it: the peer answers "not a member" until the `Join`
+            // reaches it, and dropping it then leaves it out of its
+            // inserter's list for good.
+            let inserting = self.pending_insert.map(|p| p.new_peer) == Some(from);
             let before = self.succ_list.len();
-            self.succ_list
-                .retain(|e| e.peer != from || e.state == EntryState::Joining);
+            self.succ_list.retain(|e| {
+                e.peer != from
+                    || e.state == EntryState::Joining
+                    || (inserting && e.state == EntryState::Joined)
+            });
             if self.succ_list.len() != before {
                 self.emit(RingEvent::SuccessorDeparted { peer: from });
                 self.maybe_emit_new_successor();
@@ -139,6 +155,7 @@ impl RingState {
                 e.state = state;
             }
         }
+        self.stabilize_on_digest(ctx, from, digest, fx);
     }
 
     /// Handles a ping timeout: if no reply with a sequence at least `seq`
@@ -289,7 +306,7 @@ mod tests {
         let mut p = member_with(vec![joined(5, 50), joined(1, 10)]);
         let mut fx = Effects::new();
         p.on_ping_tick(ctx(4), &mut fx);
-        p.on_ping_reply(ctx(4), PeerId(5), 1, true, EntryState::Joined);
+        p.on_ping_reply(ctx(4), PeerId(5), 1, true, EntryState::Joined, 0, &mut Effects::new());
         p.on_ping_timeout(ctx(4), PeerId(5), 1);
         assert!(p.succ_list().iter().any(|e| e.peer == PeerId(5)));
         assert!(p.drain_events().is_empty());
@@ -298,7 +315,7 @@ mod tests {
     #[test]
     fn reply_with_member_false_removes_departed_peer() {
         let mut p = member_with(vec![joined(7, 45), joined(5, 50)]);
-        p.on_ping_reply(ctx(4), PeerId(7), 1, false, EntryState::Joined);
+        p.on_ping_reply(ctx(4), PeerId(7), 1, false, EntryState::Joined, 0, &mut Effects::new());
         assert!(p.succ_list().iter().all(|e| e.peer != PeerId(7)));
         let events = p.drain_events();
         assert_eq!(
@@ -310,8 +327,33 @@ mod tests {
             .iter()
             .any(|e| matches!(e, RingEvent::NewSuccessor { peer, .. } if *peer == PeerId(5))));
         // A later reply from the same peer finds nothing to remove.
-        p.on_ping_reply(ctx(4), PeerId(7), 2, false, EntryState::Joined);
+        p.on_ping_reply(ctx(4), PeerId(7), 2, false, EntryState::Joined, 0, &mut Effects::new());
         assert!(p.drain_events().is_empty());
+    }
+
+    #[test]
+    fn a_stale_not_member_reply_keeps_the_peer_just_promoted() {
+        // p7 left and was recycled: this peer inserts it again, right in
+        // front of its LEAVING relic, and pings the relic. The join ack
+        // promotes the new entry before the relic's ping is answered.
+        let mut p = member_with(vec![
+            joined(5, 50),
+            SuccEntry::new(PeerId(7), PeerValue(55), EntryState::Leaving),
+            joined(1, 10),
+        ]);
+        p.pred = Some((PeerId(3), PeerValue(30)));
+        let mut fx = Effects::new();
+        p.insert_succ(ctx(4), PeerId(7), PeerValue(45), &mut fx);
+        assert_eq!(p.phase(), RingPhase::Inserting);
+        p.on_ping_tick(ctx(4), &mut fx);
+        let seq = p.ping_seq;
+        p.on_join_ack(ctx(4), PeerId(7), &mut fx);
+        p.on_ping_reply(ctx(4), PeerId(7), seq, false, EntryState::Joined, 0, &mut fx);
+        // The relic is gone; the peer being inserted stays at the head.
+        let entries: Vec<(PeerId, EntryState)> =
+            p.succ_list().iter().map(|e| (e.peer, e.state)).collect();
+        assert_eq!(entries[0], (PeerId(7), EntryState::Joined));
+        assert_eq!(entries.iter().filter(|e| e.0 == PeerId(7)).count(), 1);
     }
 
     #[test]
@@ -320,7 +362,7 @@ mod tests {
         // another position before this ping: it answers as a JOINED member.
         let leaving = SuccEntry::new(PeerId(7), PeerValue(45), EntryState::Leaving);
         let mut p = member_with(vec![leaving, joined(5, 50)]);
-        p.on_ping_reply(ctx(4), PeerId(7), 1, true, EntryState::Joined);
+        p.on_ping_reply(ctx(4), PeerId(7), 1, true, EntryState::Joined, 0, &mut Effects::new());
         assert!(p.succ_list().iter().all(|e| e.peer != PeerId(7)));
         let events = p.drain_events();
         assert_eq!(
@@ -332,14 +374,14 @@ mod tests {
             .iter()
             .any(|e| matches!(e, RingEvent::NewSuccessor { peer, .. } if *peer == PeerId(5))));
         // Its later answers find no phantom left and report nothing.
-        p.on_ping_reply(ctx(4), PeerId(7), 2, true, EntryState::Joined);
+        p.on_ping_reply(ctx(4), PeerId(7), 2, true, EntryState::Joined, 0, &mut Effects::new());
         assert!(p.drain_events().is_empty());
     }
 
     #[test]
     fn reply_updates_advertised_state_to_leaving() {
         let mut p = member_with(vec![joined(5, 50), joined(1, 10)]);
-        p.on_ping_reply(ctx(4), PeerId(5), 1, true, EntryState::Leaving);
+        p.on_ping_reply(ctx(4), PeerId(5), 1, true, EntryState::Leaving, 0, &mut Effects::new());
         assert_eq!(p.succ_list()[0].state, EntryState::Leaving);
     }
 
@@ -352,7 +394,7 @@ mod tests {
         // stale seq-1 timeout must not remove it.
         p.on_ping_tick(ctx(4), &mut fx);
         p.on_ping_tick(ctx(4), &mut fx);
-        p.on_ping_reply(ctx(4), PeerId(5), 2, true, EntryState::Joined);
+        p.on_ping_reply(ctx(4), PeerId(5), 2, true, EntryState::Joined, 0, &mut Effects::new());
         p.on_ping_timeout(ctx(4), PeerId(5), 1);
         assert!(p.succ_list().iter().any(|e| e.peer == PeerId(5)));
         assert!(p.drain_events().is_empty());
@@ -386,7 +428,7 @@ mod tests {
             p.send_ping(PeerId(target), &mut fx);
             let seq = p.ping_seq;
             if target % 2 == 0 {
-                p.on_ping_reply(ctx(4), PeerId(target), seq, true, EntryState::Joined);
+                p.on_ping_reply(ctx(4), PeerId(target), seq, true, EntryState::Joined, 0, &mut Effects::new());
             }
             p.on_ping_timeout(ctx(4), PeerId(target), seq);
         }

@@ -1,8 +1,8 @@
 //! Ring stabilization (the paper's Algorithm 2 / appendix Algorithms 16–18).
 //!
-//! Every peer periodically contacts its first live successor, copies its
-//! successor list (shifted by one), and applies the trimming rules that make
-//! the PEPPER `insertSucc` and `leave` protocols work:
+//! A peer contacts its first live successor, copies its successor list
+//! (shifted by one), and applies the trimming rules that make the PEPPER
+//! `insertSucc` and `leave` protocols work:
 //!
 //! * `JOINING` entries ride backwards through the predecessors; when the
 //!   farthest predecessor that must know about the new peer observes it in
@@ -23,6 +23,51 @@
 //! (Chord's predecessor rule; Zave, *How to Make Chord Correct*). Once the
 //! lease has run out, the member adopts itself as its predecessor, like a
 //! freshly bootstrapped ring.
+//!
+//! # Cadence: stabilize on change
+//!
+//! A round re-reads the successor's list, so it is worth its two messages
+//! only when that list, or this peer's own, changed. The successor is
+//! pinged every `ping_period` (half the stabilization period) anyway, and
+//! its `PingReply` carries a **digest** ([`response_digest`]) of what a
+//! `StabResponse` from it would carry now: every entry's peer, value and
+//! state, plus the replier's state, value and predecessor. The requester
+//! computes the same function over each `StabResponse` it applies. A round
+//! runs:
+//!
+//! * at every `StabilizeTick`. The tick re-arms after `stabilization_period
+//!   × b`; `b` doubles up to [`STAB_FLOOR`] while this peer's own digest is
+//!   unchanged since its last tick, and falls back to 1 when it changed;
+//! * at once, on a `PingReply` from the stabilization target whose digest
+//!   differs from the last response applied from that peer (or when no
+//!   response from it was applied yet): a change propagates one ping period
+//!   per hop;
+//! * at a `PingTick`, when this peer's list changed since the last applied
+//!   rebuild (a ping timeout, a join in flight), or its value since its
+//!   last request (a split, a merge). The value is checked against the
+//!   request, not the rebuild: a merge grant installed while a round is in
+//!   flight changes the value after the request left, and the successor
+//!   would otherwise keep the absorber's old value and take over the range
+//!   the absorber just took;
+//! * at a `PingTick`, once a stabilization period has passed since the last
+//!   round (with half a ping period of slack), while the peer is
+//!   *unsettled*: its successor's last response did not name it as the
+//!   predecessor, its phase is not `JOINED`, its list holds a non-`JOINED`
+//!   entry, or its target is not pinged (the predecessor rule, or no
+//!   target at all);
+//! * on a `StabilizeNow` poke, as before.
+//!
+//! A digest collision can only delay a round to the next tick, at most
+//! `STAB_FLOOR` periods later; it never skips the rules of a round.
+//!
+//! The predecessor lease (three stabilization periods, see
+//! `RingState::update_pred`) is refreshed only by stabilization requests,
+//! so a settled predecessor's lease usually lapses between its backed-off
+//! ticks. A farther peer that stabilizes to this peer in that window is
+//! adopted, which changes this peer's digest; the live predecessor sees the
+//! change in its next `PingReply`, stabilizes at once and, being closer, is
+//! re-adopted, well inside the index layer's `PredTakeover` re-validation
+//! (three stabilization periods).
 
 use pepper_net::{Effects, LayerCtx, SimTime};
 use pepper_types::{PeerId, PeerValue};
@@ -31,11 +76,148 @@ use crate::entry::{EntryState, RingPhase, SuccEntry};
 use crate::messages::RingMsg;
 use crate::state::RingState;
 
+/// The largest multiple of `stabilization_period` a settled peer's
+/// `StabilizeTick` backs off to.
+pub const STAB_FLOOR: u32 = 8;
+
+/// What a peer remembers of its stabilization rounds, to run them on change.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct StabMemo {
+    /// The responder and digest of the last applied `StabResponse`.
+    applied: Option<(PeerId, u64)>,
+    /// Whether that response named this peer as the responder's predecessor.
+    named_pred: bool,
+    /// Digest of this peer's successor list right after that response was
+    /// applied.
+    rebuilt: Option<u64>,
+    /// The value this peer's last `StabRequest` carried to its successor.
+    sent_value: Option<PeerValue>,
+    /// This peer's own [`RingState::own_digest`] at its last tick.
+    at_tick: u64,
+    /// The tick's current period, in stabilization periods (1..=STAB_FLOOR).
+    backoff: u32,
+    /// When this peer last sent a `StabRequest`.
+    last_round: Option<SimTime>,
+}
+
+impl Default for StabMemo {
+    fn default() -> Self {
+        StabMemo {
+            applied: None,
+            named_pred: false,
+            rebuilt: None,
+            sent_value: None,
+            at_tick: 0,
+            backoff: 1,
+            last_round: None,
+        }
+    }
+}
+
+/// One step of the digest: FxHash's rotate, xor and multiply.
+fn mix(h: u64, x: u64) -> u64 {
+    (h.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95)
+}
+
+fn state_code(state: EntryState) -> u64 {
+    match state {
+        EntryState::Joining => 1,
+        EntryState::Joined => 2,
+        EntryState::Leaving => 3,
+    }
+}
+
+fn list_digest(list: &[SuccEntry]) -> u64 {
+    list.iter().fold(0, |h, e| {
+        mix(mix(mix(h, e.peer.raw()), e.value.raw()), state_code(e.state))
+    })
+}
+
+/// Digest of what a `StabResponse` carries: every entry's peer, value and
+/// state (not the `stabilized` flag, which the requester resets), and the
+/// responder's state, value and predecessor.
+pub fn response_digest(
+    list: &[SuccEntry],
+    state: EntryState,
+    value: PeerValue,
+    pred: Option<(PeerId, PeerValue)>,
+) -> u64 {
+    let h = mix(mix(list_digest(list), value.raw()), state_code(state));
+    match pred {
+        Some((peer, value)) => mix(mix(h, peer.raw()), value.raw()),
+        None => mix(h, u64::MAX),
+    }
+}
+
 impl RingState {
-    /// Periodic stabilization tick: re-arms the timer and runs one round.
+    /// The digest of the `StabResponse` this peer would send now; its
+    /// `PingReply` carries it.
+    pub(crate) fn own_digest(&self) -> u64 {
+        let state = self.phase.as_entry_state();
+        response_digest(&self.succ_list, state, self.value, self.pred)
+    }
+
+    /// Stabilization tick: re-arms after `stabilization_period × b`, where
+    /// `b` doubles up to [`STAB_FLOOR`] while this peer's own digest is
+    /// unchanged since the last tick and is 1 otherwise, then runs a round.
     pub(crate) fn on_stabilize_tick(&mut self, ctx: LayerCtx, fx: &mut Effects<RingMsg>) {
-        fx.timer(self.cfg.stabilization_period, RingMsg::StabilizeTick);
+        let own = self.own_digest();
+        let memo = &mut self.stab;
+        memo.backoff = if own == memo.at_tick {
+            (memo.backoff * 2).min(STAB_FLOOR)
+        } else {
+            1
+        };
+        memo.at_tick = own;
+        fx.timer(
+            self.cfg.stabilization_period * memo.backoff,
+            RingMsg::StabilizeTick,
+        );
         self.run_stabilization(ctx, fx);
+    }
+
+    /// Runs a round at a `PingTick` if this peer's list changed since the
+    /// last applied rebuild or its value since its last request, or if it
+    /// is unsettled and a stabilization period (less half a ping period) has
+    /// passed since its last round.
+    pub(crate) fn stabilize_if_due(&mut self, ctx: LayerCtx, fx: &mut Effects<RingMsg>) {
+        let changed = self.stab.rebuilt != Some(list_digest(&self.succ_list))
+            || self.stab.sent_value != Some(self.value);
+        let period_passed = self.stab.last_round.is_none_or(|at| {
+            ctx.now.duration_since(at) + self.cfg.ping_period / 2 >= self.cfg.stabilization_period
+        });
+        if changed || (period_passed && self.unsettled(ctx.now)) {
+            self.run_stabilization(ctx, fx);
+        }
+    }
+
+    /// Runs a round now if `from` is the stabilization target and its
+    /// ping-reported `digest` is not that of the last response applied from
+    /// it.
+    pub(crate) fn stabilize_on_digest(
+        &mut self,
+        ctx: LayerCtx,
+        from: PeerId,
+        digest: u64,
+        fx: &mut Effects<RingMsg>,
+    ) {
+        if self.stab.applied != Some((from, digest))
+            && self.stabilization_target(ctx.now) == Some(from)
+        {
+            self.run_stabilization(ctx, fx);
+        }
+    }
+
+    /// Whether this peer must keep stabilizing every period: its successor
+    /// has not accepted it as predecessor, it or an entry of its list is
+    /// not `JOINED`, or its target is not one it pings.
+    fn unsettled(&self, now: SimTime) -> bool {
+        !self.stab.named_pred
+            || self.phase != RingPhase::Joined
+            || self.succ_list.iter().any(|e| e.state != EntryState::Joined)
+            || self
+                .stabilization_target(now)
+                .is_none_or(|target| self.succ_list.iter().all(|e| e.peer != target))
     }
 
     /// The peer this node currently stabilizes with: the first `JOINED`
@@ -75,6 +257,8 @@ impl RingState {
             return;
         }
         if let Some(target) = self.stabilization_target(ctx.now) {
+            self.stab.last_round = Some(ctx.now);
+            self.stab.sent_value = Some(self.value);
             fx.send(
                 target,
                 RingMsg::StabRequest {
@@ -161,6 +345,11 @@ impl RingState {
         if self.stabilization_target(ctx.now) != Some(from) {
             return;
         }
+        self.stab.applied = Some((
+            from,
+            response_digest(&their_list, responder_state, responder_value, responder_pred),
+        ));
+        self.stab.named_pred = responder_pred.is_some_and(|(p, _)| p == self.id);
 
         // ---- rebuild the successor list (Algorithm 17) -------------------
         let responder = SuccEntry {
@@ -242,6 +431,7 @@ impl RingState {
                 }
             }
         }
+        self.stab.rebuilt = Some(list_digest(&self.succ_list));
     }
 
     /// Rebuilds the successor list from the `responder`'s answer: this
@@ -690,6 +880,198 @@ mod tests {
         assert_eq!(peers, [7, 5, 1, 2]);
         assert_eq!(p.succ_list()[0], leaving(7, 42));
         assert_eq!(p.succ_list()[1], responder(5, 50));
+    }
+
+    /// Stabilization requests among `fx`'s effects.
+    fn requests(fx: &Effects<RingMsg>) -> Vec<PeerId> {
+        fx.iter()
+            .filter_map(|e| match e {
+                Effect::Send {
+                    to,
+                    msg: RingMsg::StabRequest { .. },
+                } => Some(*to),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// p4 (value 40, predecessor p3) after a round with p5 whose response
+    /// named `named` as p5's predecessor; also returns that response's
+    /// digest.
+    fn after_round_with_p5(named: u64) -> (RingState, u64) {
+        let mut p4 = member(4, 40, 2, vec![joined(5, 50), joined(1, 10)]);
+        p4.pred = Some((PeerId(3), PeerValue(30)));
+        let theirs = vec![joined(1, 10), joined(2, 20)];
+        let pred = Some((PeerId(named), PeerValue(named * 10)));
+        let digest = response_digest(&theirs, EntryState::Joined, PeerValue(50), pred);
+        let mut fx = Effects::new();
+        p4.run_stabilization(ctx(4), &mut fx);
+        p4.on_stab_response(
+            ctx(4),
+            PeerId(5),
+            theirs,
+            EntryState::Joined,
+            PeerValue(50),
+            pred,
+            &mut fx,
+        );
+        (p4, digest)
+    }
+
+    /// One ping exchange with p5 at `at`, p5 answering with `digest`.
+    fn ping_p5(p4: &mut RingState, at: SimTime, digest: u64, fx: &mut Effects<RingMsg>) {
+        let c = LayerCtx::new(PeerId(4), at);
+        p4.on_ping_tick(c, fx);
+        let seq = p4.ping_seq;
+        p4.on_ping_reply(c, PeerId(5), seq, true, EntryState::Joined, digest, fx);
+    }
+
+    #[test]
+    fn a_settled_peer_sends_no_request_between_its_backed_off_ticks() {
+        let (mut p4, digest) = after_round_with_p5(4);
+        let cfg = p4.config().clone();
+        let mut at = SimTime::from_secs(1);
+        let mut next_tick = at;
+        let mut tick_periods = Vec::new();
+        for _ in 0..80 {
+            let mut fx = Effects::new();
+            if at >= next_tick {
+                p4.on_stabilize_tick(LayerCtx::new(PeerId(4), at), &mut fx);
+                assert_eq!(requests(&fx), [PeerId(5)], "every tick stabilizes");
+                let delay = fx
+                    .iter()
+                    .find_map(|e| match e {
+                        Effect::Timer {
+                            delay,
+                            msg: RingMsg::StabilizeTick,
+                        } => Some(*delay),
+                        _ => None,
+                    })
+                    .expect("the tick re-arms");
+                tick_periods.push(delay.as_millis() / cfg.stabilization_period.as_millis());
+                next_tick = at + delay;
+                fx.drain();
+            }
+            ping_p5(&mut p4, at, digest, &mut fx);
+            assert_eq!(requests(&fx), [], "no round between ticks at {at:?}");
+            at += cfg.ping_period;
+        }
+        // 80 ping periods are 40 stabilization periods: the tick backs off
+        // to the floor and stays there.
+        assert_eq!(tick_periods, [1, 2, 4, 8, 8, 8, 8, 8]);
+        assert_eq!(STAB_FLOOR, 8);
+    }
+
+    #[test]
+    fn a_changed_digest_runs_exactly_one_round() {
+        let (mut p4, digest) = after_round_with_p5(4);
+        let at = SimTime::from_secs(2);
+        // p5 split: it answers the ping from a lower value.
+        let theirs = vec![joined(1, 10), joined(2, 20)];
+        let pred = Some((PeerId(4), PeerValue(40)));
+        let moved = response_digest(&theirs, EntryState::Joined, PeerValue(48), pred);
+        assert_ne!(moved, digest);
+        // A ping reply from a peer that is not the target changes nothing.
+        let mut fx = Effects::new();
+        let c = LayerCtx::new(PeerId(4), at);
+        p4.on_ping_reply(c, PeerId(1), 1, true, EntryState::Joined, moved, &mut fx);
+        assert_eq!(requests(&fx), []);
+        ping_p5(&mut p4, at, moved, &mut fx);
+        assert_eq!(requests(&fx), [PeerId(5)]);
+        p4.on_stab_response(
+            c,
+            PeerId(5),
+            theirs,
+            EntryState::Joined,
+            PeerValue(48),
+            pred,
+            &mut fx,
+        );
+        assert_eq!(p4.succ_list()[0].value, PeerValue(48));
+        // The applied response carried the new digest: the pings that
+        // follow are quiet again.
+        let mut fx = Effects::new();
+        let ping_period = p4.cfg.ping_period;
+        for i in 1..=10u32 {
+            ping_p5(&mut p4, at + ping_period * i, moved, &mut fx);
+        }
+        assert_eq!(requests(&fx), []);
+    }
+
+    #[test]
+    fn a_value_or_list_change_runs_a_round_at_the_next_ping_tick() {
+        let (mut p4, digest) = after_round_with_p5(4);
+        let at = SimTime::from_secs(2);
+        let mut fx = Effects::new();
+        ping_p5(&mut p4, at, digest, &mut fx);
+        assert_eq!(requests(&fx), []);
+        // A split moved this peer's own value: its successor must learn it.
+        p4.set_value(PeerValue(38));
+        let mut fx = Effects::new();
+        p4.on_ping_tick(LayerCtx::new(PeerId(4), at), &mut fx);
+        assert_eq!(requests(&fx), [PeerId(5)]);
+
+        // A merge grant moves the value while a round is in flight: the
+        // rebuild that follows does not tell p5, so the next tick does.
+        let (mut p4, digest) = after_round_with_p5(4);
+        let c = LayerCtx::new(PeerId(4), at);
+        let mut fx = Effects::new();
+        p4.run_stabilization(c, &mut fx);
+        p4.set_value(PeerValue(45));
+        let theirs = vec![joined(1, 10), joined(2, 20)];
+        let pred = Some((PeerId(4), PeerValue(40)));
+        p4.on_stab_response(
+            c,
+            PeerId(5),
+            theirs,
+            EntryState::Joined,
+            PeerValue(50),
+            pred,
+            &mut fx,
+        );
+        let mut fx = Effects::new();
+        let next = at + p4.cfg.ping_period;
+        ping_p5(&mut p4, next, digest, &mut fx);
+        assert_eq!(requests(&fx), [PeerId(5)]);
+
+        // p5 stops answering: the ping timeout drops it from the list, and
+        // the next ping tick stabilizes with p1 behind it.
+        let (mut p4, _) = after_round_with_p5(4);
+        let c = LayerCtx::new(PeerId(4), at);
+        let mut fx = Effects::new();
+        p4.on_ping_tick(c, &mut fx);
+        assert_eq!(requests(&fx), []);
+        let seq = p4.ping_seq;
+        p4.on_ping_timeout(c, PeerId(5), seq);
+        let mut fx = Effects::new();
+        p4.on_ping_tick(LayerCtx::new(PeerId(4), at + p4.cfg.ping_period), &mut fx);
+        assert_eq!(requests(&fx), [PeerId(1)]);
+    }
+
+    #[test]
+    fn an_unsettled_peer_stabilizes_once_per_period_with_half_a_ping_of_slack() {
+        // p5's predecessor is p3, not p4: p4 is unsettled. Its ping ticks
+        // fall half a ping period after its rounds, the case an exact
+        // compare would stretch to one and a half periods.
+        let (mut p4, digest) = after_round_with_p5(3);
+        let cfg = p4.config().clone();
+        let start = SimTime::from_secs(2);
+        let mut fx = Effects::new();
+        p4.on_stabilize_tick(LayerCtx::new(PeerId(4), start), &mut fx);
+        let mut rounds = vec![start];
+        let mut at = start + cfg.ping_period / 2;
+        for _ in 0..20 {
+            let mut fx = Effects::new();
+            ping_p5(&mut p4, at, digest, &mut fx);
+            if !requests(&fx).is_empty() {
+                rounds.push(at);
+            }
+            at += cfg.ping_period;
+        }
+        let gaps: Vec<_> = rounds.windows(2).map(|w| w[1].duration_since(w[0])).collect();
+        assert_eq!(gaps.len(), 10);
+        assert!(gaps[1..].iter().all(|&g| g == cfg.stabilization_period), "{gaps:?}");
+        assert_eq!(gaps[0], cfg.stabilization_period - cfg.ping_period / 2);
     }
 
     #[test]

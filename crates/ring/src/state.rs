@@ -17,6 +17,7 @@ use pepper_types::{in_open, PeerId, PeerValue, SystemConfig};
 use crate::entry::{EntryState, RingPhase, SuccEntry};
 use crate::events::RingEvent;
 use crate::messages::RingMsg;
+use crate::stabilization::StabMemo;
 
 /// Bookkeeping for an in-flight `insertSucc` at the inserter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,6 +54,9 @@ pub struct RingState {
     pub(crate) outstanding_pings: Vec<(PeerId, u64)>,
     /// The successor last announced through [`RingEvent::NewSuccessor`].
     pub(crate) last_new_succ: Option<(PeerId, PeerValue)>,
+    /// What the stabilization cadence remembers (see
+    /// [`crate::stabilization`]).
+    pub(crate) stab: StabMemo,
     /// Events buffered for the composed peer, drained through
     /// [`ProtocolLayer::drain_events`].
     pub(crate) events: Vec<RingEvent>,
@@ -90,6 +94,7 @@ impl RingState {
             ping_seq: 0,
             outstanding_pings: Vec::new(),
             last_new_succ: None,
+            stab: StabMemo::default(),
             events: Vec::new(),
         }
     }
@@ -219,6 +224,7 @@ impl RingState {
         self.pending_insert = None;
         self.leave_started = None;
         self.last_new_succ = None;
+        self.stab = StabMemo::default();
     }
 
     // ------------------------------------------------------------------
@@ -395,9 +401,12 @@ impl ProtocolLayer for RingState {
             RingMsg::LeaveAck => self.on_leave_ack(ctx),
             RingMsg::PingTick => self.on_ping_tick(ctx, fx),
             RingMsg::Ping { seq } => self.on_ping(ctx, from, seq, fx),
-            RingMsg::PingReply { seq, member, state } => {
-                self.on_ping_reply(ctx, from, seq, member, state)
-            }
+            RingMsg::PingReply {
+                seq,
+                member,
+                state,
+                digest,
+            } => self.on_ping_reply(ctx, from, seq, member, state, digest, fx),
             RingMsg::PingTimeout { target, seq } => self.on_ping_timeout(ctx, target, seq),
         }
     }

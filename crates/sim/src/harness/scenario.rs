@@ -298,8 +298,9 @@ pub const FAILURE_GRACE: Duration = Duration::from_secs(5);
 
 /// How long after a fail-stop the ring consistency/connectivity checks stay
 /// suspended. Repair of *deep* successor-list pointers — corrected knowledge
-/// ripples one chained stabilization hop per round — can take most of the
-/// failure-grace window in a growing ring, so it matches [`FAILURE_GRACE`].
+/// ripples back one hop per ping period, when a predecessor's ping reply
+/// shows the changed list — stays well inside the failure-grace window, so
+/// it matches [`FAILURE_GRACE`].
 /// The settled end state is always checked strictly, and the
 /// `quick-no-failures` profile checks every step with no grace at all.
 pub const RING_GRACE: Duration = Duration::from_secs(5);

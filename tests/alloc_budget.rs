@@ -15,12 +15,12 @@ use pepper_sim::cluster::{Cluster, ClusterConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Heap allocations allowed per simulated event in the steady state: 0.156
-/// (0.177 before refresh rounds reused their batch) plus 50%. The stretch
-/// now measures 0.197: lazy shortcut refresh cut its allocations from
-/// 63 118 to 42 061, but cut its mostly allocation-free router events
-/// faster (405 270 → 213 116 events).
-const BUDGET: f64 = 0.234;
+/// Heap allocations allowed per simulated event in the steady state: the
+/// measured 0.106 plus 50%. Stabilizing on change cut the stretch from
+/// 20 824 allocations over 147 942 events (0.141) to 13 278 over 125 235:
+/// most rounds no longer send a `StabResponse`, whose successor-list `Vec`
+/// was one of the last allocation sites.
+const BUDGET: f64 = 0.159;
 
 /// Counts every allocation request (growth through `realloc` included) and
 /// otherwise defers to the system allocator.

@@ -101,6 +101,21 @@ fn every_invariant_holds_across_the_seed_matrix_with_frequent_leaves() {
 }
 
 #[test]
+fn every_invariant_holds_across_the_seed_matrix_with_zipf_keys() {
+    run_matrix("quick-zipf");
+}
+
+#[test]
+fn every_invariant_holds_across_the_seed_matrix_with_sequential_keys() {
+    run_matrix("quick-sequential");
+}
+
+#[test]
+fn every_invariant_holds_across_the_seed_matrix_without_failures() {
+    run_matrix("quick-no-failures");
+}
+
+#[test]
 fn a_leave_is_not_completed_by_the_guard_of_an_earlier_give() {
     // Seed 2547 of the leave-heavy profile: the guard of a full give its
     // predecessor had acknowledged fired into the same peer's next leave to
@@ -124,6 +139,17 @@ fn a_member_that_knows_only_itself_rejoins_its_predecessor() {
         ..HarnessConfig::from_profile("quick-leave", 1561).expect("known profile")
     };
     run_clean(cfg);
+}
+
+#[test]
+fn a_recycled_insertee_stays_in_its_inserters_list() {
+    // The inserter pinged the LEAVING relic of the peer's old incarnation;
+    // its "not a member" reply arrived after the join ack had promoted the
+    // new entry, and used to drop that entry too (TESTING.md).
+    run_clean(HarnessConfig {
+        ops: 300,
+        ..HarnessConfig::from_profile("quick-no-failures", 1408).expect("known profile")
+    });
 }
 
 #[test]
