@@ -103,8 +103,8 @@ pub enum RingMsg {
         member: bool,
         /// The responder's advertised entry state.
         state: EntryState,
-        /// [`crate::stabilization::response_digest`] of the `StabResponse`
-        /// the responder would send now: a requester whose last applied
+        /// Digest of the `StabResponse` the responder would send now (see
+        /// [`crate::stabilization`]): a requester whose last applied
         /// response from it has another digest stabilizes at once.
         digest: u64,
     },

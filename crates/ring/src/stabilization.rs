@@ -29,7 +29,7 @@
 //! A round re-reads the successor's list, so it is worth its two messages
 //! only when that list, or this peer's own, changed. The successor is
 //! pinged every `ping_period` (half the stabilization period) anyway, and
-//! its `PingReply` carries a **digest** ([`response_digest`]) of what a
+//! its `PingReply` carries a **digest** (`response_digest`) of what a
 //! `StabResponse` from it would carry now: every entry's peer, value and
 //! state, plus the replier's state, value and predecessor. The requester
 //! computes the same function over each `StabResponse` it applies. A round
@@ -119,30 +119,22 @@ fn mix(h: u64, x: u64) -> u64 {
     (h.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95)
 }
 
-fn state_code(state: EntryState) -> u64 {
-    match state {
-        EntryState::Joining => 1,
-        EntryState::Joined => 2,
-        EntryState::Leaving => 3,
-    }
-}
-
 fn list_digest(list: &[SuccEntry]) -> u64 {
     list.iter().fold(0, |h, e| {
-        mix(mix(mix(h, e.peer.raw()), e.value.raw()), state_code(e.state))
+        mix(mix(mix(h, e.peer.raw()), e.value.raw()), e.state as u64)
     })
 }
 
 /// Digest of what a `StabResponse` carries: every entry's peer, value and
 /// state (not the `stabilized` flag, which the requester resets), and the
 /// responder's state, value and predecessor.
-pub fn response_digest(
+pub(crate) fn response_digest(
     list: &[SuccEntry],
     state: EntryState,
     value: PeerValue,
     pred: Option<(PeerId, PeerValue)>,
 ) -> u64 {
-    let h = mix(mix(list_digest(list), value.raw()), state_code(state));
+    let h = mix(mix(list_digest(list), value.raw()), state as u64);
     match pred {
         Some((peer, value)) => mix(mix(h, peer.raw()), value.raw()),
         None => mix(h, u64::MAX),
@@ -183,7 +175,7 @@ impl RingState {
     pub(crate) fn stabilize_if_due(&mut self, ctx: LayerCtx, fx: &mut Effects<RingMsg>) {
         let changed = self.stab.rebuilt != Some(list_digest(&self.succ_list))
             || self.stab.sent_value != Some(self.value);
-        let period_passed = self.stab.last_round.is_none_or(|at| {
+        let period_passed = self.stab.last_round.map_or(true, |at| {
             ctx.now.duration_since(at) + self.cfg.ping_period / 2 >= self.cfg.stabilization_period
         });
         if changed || (period_passed && self.unsettled(ctx.now)) {
@@ -215,9 +207,9 @@ impl RingState {
         !self.stab.named_pred
             || self.phase != RingPhase::Joined
             || self.succ_list.iter().any(|e| e.state != EntryState::Joined)
-            || self
-                .stabilization_target(now)
-                .is_none_or(|target| self.succ_list.iter().all(|e| e.peer != target))
+            || self.stabilization_target(now).map_or(true, |target| {
+                self.succ_list.iter().all(|e| e.peer != target)
+            })
     }
 
     /// The peer this node currently stabilizes with: the first `JOINED`
@@ -347,7 +339,12 @@ impl RingState {
         }
         self.stab.applied = Some((
             from,
-            response_digest(&their_list, responder_state, responder_value, responder_pred),
+            response_digest(
+                &their_list,
+                responder_state,
+                responder_value,
+                responder_pred,
+            ),
         ));
         self.stab.named_pred = responder_pred.is_some_and(|(p, _)| p == self.id);
 
@@ -1068,9 +1065,15 @@ mod tests {
             }
             at += cfg.ping_period;
         }
-        let gaps: Vec<_> = rounds.windows(2).map(|w| w[1].duration_since(w[0])).collect();
+        let gaps: Vec<_> = rounds
+            .windows(2)
+            .map(|w| w[1].duration_since(w[0]))
+            .collect();
         assert_eq!(gaps.len(), 10);
-        assert!(gaps[1..].iter().all(|&g| g == cfg.stabilization_period), "{gaps:?}");
+        assert!(
+            gaps[1..].iter().all(|&g| g == cfg.stabilization_period),
+            "{gaps:?}"
+        );
         assert_eq!(gaps[0], cfg.stabilization_period - cfg.ping_period / 2);
     }
 
