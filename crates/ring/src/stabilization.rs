@@ -64,10 +64,13 @@
 //! `RingState::update_pred`) is refreshed only by stabilization requests,
 //! so a settled predecessor's lease usually lapses between its backed-off
 //! ticks. A farther peer that stabilizes to this peer in that window is
-//! adopted, which changes this peer's digest; the live predecessor sees the
+//! adopted, typically the predecessor of a peer that just started to leave.
+//! The adoption changes this peer's digest: a live predecessor sees the
 //! change in its next `PingReply`, stabilizes at once and, being closer, is
-//! re-adopted, well inside the index layer's `PredTakeover` re-validation
-//! (three stabilization periods).
+//! re-adopted; once the leave completed, the absorber's new value arrives
+//! with its next `PingTick`. Both land well inside the index layer's
+//! `PredTakeover` re-validation (three stabilization periods), which then
+//! finds its takeover stale.
 
 use pepper_net::{Effects, LayerCtx, SimTime};
 use pepper_types::{PeerId, PeerValue};
