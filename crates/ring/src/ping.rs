@@ -214,6 +214,11 @@ mod tests {
         SuccEntry::joined_stab(PeerId(peer), PeerValue(value))
     }
 
+    /// Delivers a ping reply that carries no digest of interest.
+    fn reply(p: &mut RingState, from: PeerId, seq: u64, member: bool, state: EntryState) {
+        p.on_ping_reply(ctx(4), from, seq, member, state, 0, &mut Effects::new());
+    }
+
     fn member_with(list: Vec<SuccEntry>) -> RingState {
         let mut s = RingState::new_first(
             PeerId(4),
@@ -306,15 +311,7 @@ mod tests {
         let mut p = member_with(vec![joined(5, 50), joined(1, 10)]);
         let mut fx = Effects::new();
         p.on_ping_tick(ctx(4), &mut fx);
-        p.on_ping_reply(
-            ctx(4),
-            PeerId(5),
-            1,
-            true,
-            EntryState::Joined,
-            0,
-            &mut Effects::new(),
-        );
+        reply(&mut p, PeerId(5), 1, true, EntryState::Joined);
         p.on_ping_timeout(ctx(4), PeerId(5), 1);
         assert!(p.succ_list().iter().any(|e| e.peer == PeerId(5)));
         assert!(p.drain_events().is_empty());
@@ -323,15 +320,7 @@ mod tests {
     #[test]
     fn reply_with_member_false_removes_departed_peer() {
         let mut p = member_with(vec![joined(7, 45), joined(5, 50)]);
-        p.on_ping_reply(
-            ctx(4),
-            PeerId(7),
-            1,
-            false,
-            EntryState::Joined,
-            0,
-            &mut Effects::new(),
-        );
+        reply(&mut p, PeerId(7), 1, false, EntryState::Joined);
         assert!(p.succ_list().iter().all(|e| e.peer != PeerId(7)));
         let events = p.drain_events();
         assert_eq!(
@@ -343,15 +332,7 @@ mod tests {
             .iter()
             .any(|e| matches!(e, RingEvent::NewSuccessor { peer, .. } if *peer == PeerId(5))));
         // A later reply from the same peer finds nothing to remove.
-        p.on_ping_reply(
-            ctx(4),
-            PeerId(7),
-            2,
-            false,
-            EntryState::Joined,
-            0,
-            &mut Effects::new(),
-        );
+        reply(&mut p, PeerId(7), 2, false, EntryState::Joined);
         assert!(p.drain_events().is_empty());
     }
 
@@ -372,15 +353,7 @@ mod tests {
         p.on_ping_tick(ctx(4), &mut fx);
         let seq = p.ping_seq;
         p.on_join_ack(ctx(4), PeerId(7), &mut fx);
-        p.on_ping_reply(
-            ctx(4),
-            PeerId(7),
-            seq,
-            false,
-            EntryState::Joined,
-            0,
-            &mut fx,
-        );
+        reply(&mut p, PeerId(7), seq, false, EntryState::Joined);
         // The relic is gone; the peer being inserted stays at the head.
         let entries: Vec<(PeerId, EntryState)> =
             p.succ_list().iter().map(|e| (e.peer, e.state)).collect();
@@ -394,15 +367,7 @@ mod tests {
         // another position before this ping: it answers as a JOINED member.
         let leaving = SuccEntry::new(PeerId(7), PeerValue(45), EntryState::Leaving);
         let mut p = member_with(vec![leaving, joined(5, 50)]);
-        p.on_ping_reply(
-            ctx(4),
-            PeerId(7),
-            1,
-            true,
-            EntryState::Joined,
-            0,
-            &mut Effects::new(),
-        );
+        reply(&mut p, PeerId(7), 1, true, EntryState::Joined);
         assert!(p.succ_list().iter().all(|e| e.peer != PeerId(7)));
         let events = p.drain_events();
         assert_eq!(
@@ -414,30 +379,14 @@ mod tests {
             .iter()
             .any(|e| matches!(e, RingEvent::NewSuccessor { peer, .. } if *peer == PeerId(5))));
         // Its later answers find no phantom left and report nothing.
-        p.on_ping_reply(
-            ctx(4),
-            PeerId(7),
-            2,
-            true,
-            EntryState::Joined,
-            0,
-            &mut Effects::new(),
-        );
+        reply(&mut p, PeerId(7), 2, true, EntryState::Joined);
         assert!(p.drain_events().is_empty());
     }
 
     #[test]
     fn reply_updates_advertised_state_to_leaving() {
         let mut p = member_with(vec![joined(5, 50), joined(1, 10)]);
-        p.on_ping_reply(
-            ctx(4),
-            PeerId(5),
-            1,
-            true,
-            EntryState::Leaving,
-            0,
-            &mut Effects::new(),
-        );
+        reply(&mut p, PeerId(5), 1, true, EntryState::Leaving);
         assert_eq!(p.succ_list()[0].state, EntryState::Leaving);
     }
 
@@ -450,15 +399,7 @@ mod tests {
         // stale seq-1 timeout must not remove it.
         p.on_ping_tick(ctx(4), &mut fx);
         p.on_ping_tick(ctx(4), &mut fx);
-        p.on_ping_reply(
-            ctx(4),
-            PeerId(5),
-            2,
-            true,
-            EntryState::Joined,
-            0,
-            &mut Effects::new(),
-        );
+        reply(&mut p, PeerId(5), 2, true, EntryState::Joined);
         p.on_ping_timeout(ctx(4), PeerId(5), 1);
         assert!(p.succ_list().iter().any(|e| e.peer == PeerId(5)));
         assert!(p.drain_events().is_empty());
@@ -492,15 +433,7 @@ mod tests {
             p.send_ping(PeerId(target), &mut fx);
             let seq = p.ping_seq;
             if target % 2 == 0 {
-                p.on_ping_reply(
-                    ctx(4),
-                    PeerId(target),
-                    seq,
-                    true,
-                    EntryState::Joined,
-                    0,
-                    &mut Effects::new(),
-                );
+                reply(&mut p, PeerId(target), seq, true, EntryState::Joined);
             }
             p.on_ping_timeout(ctx(4), PeerId(target), seq);
         }
