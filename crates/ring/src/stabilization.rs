@@ -367,9 +367,16 @@ impl RingState {
         // with the same id). Positional successor lists have no other way to
         // re-learn a forgotten peer: lists only propagate *successors of
         // successors*, never anyone behind the stabilization target.
+        //
+        // The responder may still name a predecessor that has since moved
+        // behind this peer: a splitter hands its old value to the peer it
+        // inserts and moves down, and the responder keeps the old pointer
+        // until a closer peer stabilizes to it. That predecessor is this
+        // peer's own predecessor, so it is not re-learned as a successor.
         if let Some((pp, pv)) = responder_pred {
             if pp != self.id
                 && pp != from
+                && self.pred.map(|(p, _)| p) != Some(pp)
                 && pepper_types::in_open(self.value.raw(), pv.raw(), responder_value.raw())
                 && !self.succ_list.iter().any(|e| e.peer == pp)
             {
@@ -1078,6 +1085,40 @@ mod tests {
             "{gaps:?}"
         );
         assert_eq!(gaps[0], cfg.stabilization_period - cfg.ping_period / 2);
+    }
+
+    #[test]
+    fn a_responders_stale_predecessor_that_is_our_own_is_not_relearned() {
+        // p9 split at value 60: it inserted p4 there and moved down to 30,
+        // so it is p4's predecessor. p5 still names p9 at 60, which lies
+        // between p4 (now 55 after its own split) and p5.
+        let mut p4 = member(4, 55, 2, vec![joined(5, 65), joined(1, 10)]);
+        p4.pred = Some((PeerId(9), PeerValue(30)));
+        let mut fx = Effects::new();
+        p4.on_stab_response(
+            ctx(4),
+            PeerId(5),
+            vec![joined(1, 10), joined(2, 20)],
+            EntryState::Joined,
+            PeerValue(65),
+            Some((PeerId(9), PeerValue(60))),
+            &mut fx,
+        );
+        let peers: Vec<PeerId> = p4.succ_list().iter().map(|e| e.peer).collect();
+        assert_eq!(peers, vec![PeerId(5), PeerId(1)]);
+        // Another peer named there is a successor p4 lost track of.
+        let mut p4 = member(4, 55, 2, vec![joined(5, 65), joined(1, 10)]);
+        p4.pred = Some((PeerId(9), PeerValue(30)));
+        p4.on_stab_response(
+            ctx(4),
+            PeerId(5),
+            vec![joined(1, 10), joined(2, 20)],
+            EntryState::Joined,
+            PeerValue(65),
+            Some((PeerId(7), PeerValue(60))),
+            &mut fx,
+        );
+        assert_eq!(p4.succ_list()[0].peer, PeerId(7));
     }
 
     #[test]
