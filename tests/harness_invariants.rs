@@ -143,9 +143,9 @@ fn a_member_that_knows_only_itself_rejoins_its_predecessor() {
 
 #[test]
 fn a_recycled_insertee_stays_in_its_inserters_list() {
-    // The inserter pinged the LEAVING relic of the peer's old incarnation;
-    // its "not a member" reply arrived after the join ack had promoted the
-    // new entry, and used to drop that entry too (TESTING.md).
+    // The inserter pings the LEAVING relic of the peer's old incarnation,
+    // and the relic's "not a member" reply arrives after the join ack has
+    // promoted the new entry: that reply must not drop it (TESTING.md).
     run_clean(HarnessConfig {
         ops: 300,
         ..HarnessConfig::from_profile("quick-no-failures", 1408).expect("known profile")
