@@ -43,6 +43,9 @@ struct PendingHop {
     target: u64,
     payload: RoutePayload,
     hops: u32,
+    /// The peers whose guard already fired for this request here: a
+    /// re-route never picks them again.
+    skip: Vec<PeerId>,
 }
 
 /// A full PEPPER peer: the four framework layers composed behind the index
@@ -73,6 +76,9 @@ pub struct PeerNode {
     pool: FreePool,
     /// When the in-flight merge-give (this peer giving up its range) started.
     merge_started: Option<SimTime>,
+    /// The gap the last [`PeerMsg::PredTakeover`] was armed for (the
+    /// predecessor's value and this peer's low end), and when it runs.
+    takeover_due: Option<(PeerValue, PeerValue, SimTime)>,
     /// The routed requests this peer issued and still waits on.
     issued: HashMap<Request, Issued>,
     /// Sequence number of the last acked hop this peer sent.
@@ -129,6 +135,7 @@ impl PeerNode {
             pool,
             cfg,
             merge_started: None,
+            takeover_due: None,
             issued: HashMap::new(),
             hop_seq: 0,
             pending_hops: HashMap::new(),
@@ -523,7 +530,7 @@ impl PeerNode {
                     let at = (self.ds.status() == DsStatus::Live).then(|| self.ring.value());
                     out.send(from, PeerMsg::RouteAck { seq, at });
                 }
-                self.handle_route(now, target, payload, hops, out)
+                self.handle_route(now, target, payload, hops, Vec::new(), out)
             }
             PeerMsg::RouteAck { seq, at } => self.on_route_ack(seq, at),
             PeerMsg::RouteGuard { seq } => self.on_route_guard(now, seq, out),
@@ -647,18 +654,27 @@ impl PeerNode {
                     // this peer within a round and cancels the takeover; if
                     // the departing peer failed mid-leave, the grant never
                     // lands, the gap persists, and the takeover proceeds.
+                    // A new predecessor at the value the last timer was
+                    // armed for (an absorber taking a leaver's value) leaves
+                    // the gap as it was, so it keeps that timer's deadline.
                     let range = self.ds.range();
+                    let low = range.low();
                     let gap_hypothesized = self.ds.status() == DsStatus::Live
                         && !range.is_empty()
                         && !range.is_full()
-                        && range.low() != value;
+                        && low != value;
+                    let due = match self.takeover_due {
+                        Some((v, l, due)) if (v, l) == (value, low) => due,
+                        _ => now + self.cfg.stabilization_period * 3,
+                    };
+                    self.takeover_due = gap_hypothesized.then_some((value, low, due));
                     if gap_hypothesized {
                         out.timer(
-                            self.cfg.stabilization_period * 3,
+                            due - now,
                             PeerMsg::PredTakeover {
                                 peer,
                                 value,
-                                low_at_arm: range.low(),
+                                low_at_arm: low,
                             },
                         );
                     }
@@ -1031,7 +1047,7 @@ impl PeerNode {
     ) {
         let issued = Issued::new(target, payload.clone(), now, policy);
         self.issued.insert(Request::of(&payload), issued);
-        self.handle_route(now, target, payload, 0, out);
+        self.handle_route(now, target, payload, 0, Vec::new(), out);
     }
 
     /// An issued request bounced off a peer that is not responsible for its
@@ -1106,12 +1122,24 @@ impl PeerNode {
         out.send(issuer, PeerMsg::Ds(DsMsg::NotResponsible { mapped, item }));
     }
 
+    /// The acked hop towards `target`: the farthest of the router's
+    /// shortcuts and the ring's `JOINED` successors that does not overshoot
+    /// it, never a peer in `skip`.
+    fn next_hop(&self, target: u64, skip: &[PeerId]) -> Option<(PeerId, PeerValue)> {
+        let list = self.ring.succ_list().iter();
+        let list = list.filter(|e| e.state == EntryState::Joined);
+        let list = list.map(|e| (e.peer, e.value));
+        self.router
+            .next_hop(self.ring.value(), PeerValue(target), list, skip)
+    }
+
     fn handle_route(
         &mut self,
         now: SimTime,
         target: u64,
         payload: RoutePayload,
         hops: u32,
+        skip: Vec<PeerId>,
         out: &mut Effects<PeerMsg>,
     ) {
         if self.ds.status() == DsStatus::Live && self.ds.range().contains(target) {
@@ -1122,11 +1150,12 @@ impl PeerNode {
             self.bounce(payload, target, out);
             return;
         }
-        // Prefer the content router's shortcuts, and have the hop acked:
-        // a shortcut may be stale (see `on_route_ack`). Fall back to the
-        // ring successor so routing makes progress even before the router
-        // has learned any shortcut (e.g. right after a split).
-        if let Some((peer, value)) = self.router.next_hop(self.ring.value(), PeerValue(target)) {
+        // Take the farthest hop the router's shortcuts and the ring's
+        // successor list offer, and have it acked: either may be stale (see
+        // `on_route_ack`). Fall back to the ring successor so routing makes
+        // progress even before the router has learned any shortcut (e.g.
+        // right after a split).
+        if let Some((peer, value)) = self.next_hop(target, &skip) {
             self.hop_seq += 1;
             let seq = self.hop_seq;
             self.pending_hops.insert(
@@ -1137,6 +1166,7 @@ impl PeerNode {
                     target,
                     payload: payload.clone(),
                     hops,
+                    skip,
                 },
             );
             out.send(
@@ -1157,7 +1187,7 @@ impl PeerNode {
             .map(|e| (e.peer, e.value))
             .or_else(|| self.ds.successor());
         match fallback {
-            Some((next, _)) if next != self.id => {
+            Some((next, _)) if next != self.id && !skip.contains(&next) => {
                 out.send(
                     next,
                     PeerMsg::Route {
@@ -1189,13 +1219,15 @@ impl PeerNode {
 
     /// A hop's guard fired. If its ack has not arrived, the target is
     /// presumed dead: forget it and re-forward the request through the next
-    /// best hop, which the router now chooses without it.
+    /// best hop without it. The successor list keeps the peer until the
+    /// ring's own ping times out, so the re-route skips it explicitly.
     fn on_route_guard(&mut self, now: SimTime, seq: u64, out: &mut Effects<PeerMsg>) {
-        let Some(hop) = self.pending_hops.remove(&seq) else {
+        let Some(mut hop) = self.pending_hops.remove(&seq) else {
             return;
         };
         self.router.forget_peer(hop.peer);
-        self.handle_route(now, hop.target, hop.payload, hop.hops, out);
+        hop.skip.push(hop.peer);
+        self.handle_route(now, hop.target, hop.payload, hop.hops, hop.skip, out);
     }
 }
 
@@ -1779,7 +1811,7 @@ mod tests {
         let item = Item::new(ItemId::new(me, 77), SearchKey(key), "x");
         let payload = RoutePayload::Insert { item, reply_to: me };
         let mut out = Effects::new();
-        node.handle_route(now, key, payload, 0, &mut out);
+        node.handle_route(now, key, payload, 0, Vec::new(), &mut out);
         assert_eq!(pushes(&out), targets);
 
         // A hand-off batch (items, then the range change that brought them
@@ -1823,7 +1855,7 @@ mod tests {
         };
         let route = |node: &mut PeerNode, target, payload| {
             let mut out = Effects::new();
-            node.handle_route(now, target, payload, 0, &mut out);
+            node.handle_route(now, target, payload, 0, Vec::new(), &mut out);
             pushes(&out)
         };
 
@@ -1921,6 +1953,75 @@ mod tests {
     }
 
     #[test]
+    fn a_same_value_predecessor_change_keeps_the_takeovers_deadline() {
+        // The predecessor fails and a farther peer `a` is adopted at time
+        // `t`: the takeover of the gap is armed. Two periods later an
+        // absorber `b` takes `a`'s value (`a` left into it). The gap is
+        // unchanged, so the takeover runs at t + 3 periods (12 s at paper
+        // timers), not at t + 5 (20 s).
+        let mut sim = settled_ring(43);
+        let cfg = SystemConfig::fast();
+        let period = cfg.stabilization_period;
+        let (me, pred, low) = sim
+            .alive_nodes_iter()
+            .filter(|(_, n)| n.is_ring_member())
+            .find_map(|(me, n)| {
+                let (pred, value) = n.ring().pred().filter(|&(p, _)| p != me)?;
+                let range = n.data_store().range();
+                (range.low() == value && !range.is_full()).then_some((me, pred, value))
+            })
+            .expect("a member with a predecessor");
+        let gap_low = PeerValue(low.raw() - 1);
+        let (a, b) = (PeerId(1000), PeerId(1001));
+        // Stabilization requests from `from` at the gap's low end every half
+        // ping period until `until` (or until `from` is adopted, if `adopt`).
+        let hold = |sim: &mut Simulator<PeerNode>, from: PeerId, until: SimTime, adopt: bool| {
+            while sim.now() < until {
+                sim.with_node_ctx(me, |node, ctx| {
+                    let request = RingMsg::StabRequest {
+                        from_value: gap_low,
+                    };
+                    node.dispatch(ctx.now(), from, PeerMsg::Ring(request), ctx.effects());
+                });
+                let node = sim.node(me).expect("alive");
+                if adopt && node.ring().pred() == Some((from, gap_low)) {
+                    return;
+                }
+                let step = (cfg.ping_period / 2).min(until - sim.now());
+                sim.run_for(step);
+            }
+        };
+        sim.kill(pred);
+        let killed = sim.now();
+        hold(&mut sim, a, killed + period * 10, true);
+        let node = sim.node(me).expect("alive");
+        assert_eq!(node.ring().pred(), Some((a, gap_low)), "a is never adopted");
+        let t = sim.now();
+        hold(&mut sim, a, t + period * 2, false);
+        hold(&mut sim, b, t + period * 2 + Duration::from_millis(1), true);
+        assert_eq!(
+            sim.node(me).expect("alive").ring().pred(),
+            Some((b, gap_low))
+        );
+        let low_at =
+            |sim: &Simulator<PeerNode>| sim.node(me).expect("alive").data_store().range().low();
+        hold(
+            &mut sim,
+            b,
+            t + (period * 3 - Duration::from_millis(5)),
+            false,
+        );
+        assert_eq!(low_at(&sim), low);
+        hold(
+            &mut sim,
+            b,
+            t + period * 3 + Duration::from_millis(5),
+            false,
+        );
+        assert_eq!(low_at(&sim), gap_low);
+    }
+
+    #[test]
     fn a_stab_response_feeds_the_routers_near_slots() {
         let mut sim = settled_ring(43);
         let now = sim.now();
@@ -1956,32 +2057,35 @@ mod tests {
 
     /// A settled ring of several members whose routers hold shortcuts.
     fn settled_ring(seed: u64) -> Simulator<PeerNode> {
-        let cfg = SystemConfig::fast();
-        let (mut sim, _pool, first) = cluster(&cfg, 12, seed);
+        settled_ring_with(&SystemConfig::fast(), seed)
+    }
+
+    /// [`settled_ring`] at the timers of `cfg`.
+    fn settled_ring_with(cfg: &SystemConfig, seed: u64) -> Simulator<PeerNode> {
+        let (mut sim, _pool, first) = cluster(cfg, 12, seed);
         insert_keys(&mut sim, first, (1..=30).map(|k| k * 100_000_000_000));
-        sim.run_for(Duration::from_secs(6));
+        sim.run_for(cfg.stabilization_period * 30);
         assert!(ring_members(&sim) >= 6);
         sim
     }
 
-    /// A ring member and a shortcut of its router (not its ring successor)
-    /// that its route to the key just past the shortcut's value takes — a
-    /// key the shortcut's successor owns: `(member, peer, value)`.
+    /// A ring member and a shortcut of its router (not one of its ring
+    /// successors) that its route to the key just past the shortcut's value
+    /// takes — a key the shortcut's successor owns: `(member, peer, value)`.
     fn shortcut(sim: &Simulator<PeerNode>) -> (PeerId, PeerId, PeerValue) {
         sim.alive_nodes_iter()
             .filter(|(_, n)| n.is_ring_member())
             .find_map(|(me, n)| {
-                let succ = n.ring().best_succ()?.peer;
+                let listed = |p| n.ring().succ_list().iter().any(|e| e.peer == p);
                 n.router()
                     .entries()
                     .iter()
                     .flatten()
                     .find_map(|&(peer, value)| {
                         let key = value.raw() + 1;
-                        let hop = n.router().next_hop(n.ring().value(), PeerValue(key));
-                        (peer != succ
+                        (!listed(peer)
                             && !n.data_store().range().contains(key)
-                            && hop == Some((peer, value)))
+                            && n.next_hop(key, &[]) == Some((peer, value)))
                         .then_some((me, peer, value))
                     })
             })
@@ -2011,6 +2115,46 @@ mod tests {
         let elapsed = acked_after(&sim, issuer, id).expect("the insert is acked");
         assert!(elapsed >= ROUTE_GUARD, "acked after {elapsed:?}");
         assert!(sim.node(issuer).expect("alive").pending_hops.is_empty());
+    }
+
+    #[test]
+    fn a_re_route_after_a_guard_skips_the_successor_the_list_still_holds() {
+        // A member routes to the key just past one of its farther `JOINED`
+        // successors, which is killed. The hop's guard makes the router
+        // forget it, but the successor list still names it until a
+        // stabilization round drops it: the re-route must not pick it again.
+        // Paper timers keep the dead peer listed past the guard.
+        let cfg = SystemConfig {
+            storage_factor: 2,
+            ..SystemConfig::paper_defaults()
+        };
+        let mut sim = settled_ring_with(&cfg, 43);
+        let (issuer, victim, value) = sim
+            .alive_nodes_iter()
+            .filter(|(_, n)| n.is_ring_member())
+            .find_map(|(me, n)| {
+                let first = n.ring().best_succ()?.peer;
+                n.ring().succ_list().iter().rev().find_map(|e| {
+                    let key = e.value.raw() + 1;
+                    (e.state == EntryState::Joined
+                        && e.peer != first
+                        && !n.data_store().range().contains(key)
+                        && n.next_hop(key, &[]) == Some((e.peer, e.value)))
+                    .then_some((me, e.peer, e.value))
+                })
+            })
+            .expect("a member routing through a successor");
+        sim.kill(victim);
+        let item = Item::new(ItemId::new(issuer, 1), SearchKey(value.raw() + 1), "x");
+        sim.with_node_ctx(issuer, |node, ctx| node.insert_item(ctx, item));
+        sim.run_for(ROUTE_GUARD / 2);
+        let node = sim.node(issuer).expect("issuer alive");
+        assert!(node.pending_hops.values().any(|h| h.peer == victim));
+        sim.run_for(ROUTE_GUARD / 2 + Duration::from_millis(1));
+        let node = sim.node(issuer).expect("issuer alive");
+        let listed = node.ring().succ_list().iter().any(|e| e.peer == victim);
+        assert!(listed, "the ring dropped the victim before the guard");
+        assert!(node.pending_hops.values().all(|h| h.peer != victim));
     }
 
     #[test]

@@ -65,3 +65,45 @@ fn storage_stays_within_bounds_as_the_index_grows() {
         );
     }
 }
+
+/// SplitMix64, the generator `benchmark/src/rng.rs` draws its inputs from.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % n
+    }
+}
+
+#[test]
+fn a_settled_paper_timer_ring_has_a_member_with_three_router_levels() {
+    // The setup of the benchmark's micro drivers (`benchmark/src/micro.rs`,
+    // `prepare`): 150 spaced inserts into a paper-timer ring with 64 free
+    // peers, then 80 s to settle. Its router driver needs a mid-ring member
+    // whose router holds at least three levels.
+    const DOMAIN: u64 = 1 << 40;
+    for seed in 1..=2 {
+        let mut cluster = Cluster::new(ClusterConfig::paper(seed).with_free_peers(64));
+        let mut rng = SplitMix(seed);
+        for _ in 0..150 {
+            let at = cluster.with_ring_members(|m| m[rng.below(m.len() as u64) as usize]);
+            cluster.insert_key_at(at, rng.below(DOMAIN));
+            cluster.run(Duration::from_millis(100));
+        }
+        cluster.run_secs(80);
+        let settled = cluster.ring_members().into_iter().any(|p| {
+            let node = cluster.node(p).expect("member exists");
+            let ds = node.data_store();
+            node.ring().pred().is_some()
+                && node.ring().succ_list().len() >= 2
+                && !ds.range().wraps()
+                && (4..9).contains(&ds.item_count())
+                && node.router().populated_levels() >= 3
+        });
+        assert!(settled, "seed {seed}: no settled mid-ring member");
+    }
+}

@@ -23,20 +23,20 @@ use rand::{Rng, SeedableRng};
 
 // To re-pin after an *intended* protocol change: run
 // `cargo test -q -p pepper-sim --test sim_fingerprint`, copy the "got" value.
-const FINGERPRINT: u64 = 0xbebf_c7b8_8c72_9b2d;
+const FINGERPRINT: u64 = 0x0d59_4215_226c_e6cc;
 
 /// The run's final network counters, checked before [`FINGERPRINT`]. Re-pin
 /// them the same way, from the "left" value of the failed assertion.
 const NET_STATS: NetStats = NetStats {
-    messages_sent: 34_908,
-    messages_delivered: 34_878,
-    messages_dropped: 29,
-    timers_fired: 19_890,
+    messages_sent: 34_449,
+    messages_delivered: 34_422,
+    messages_dropped: 26,
+    timers_fired: 19_751,
     timers_dropped: 6,
     external_delivered: 0,
-    events_processed: 54_803,
+    events_processed: 54_205,
     peak_queue_depth: 411,
-    peak_fifo_channels: 1113,
+    peak_fifo_channels: 1083,
 };
 
 const KEY_SPACE: u64 = 1 << 40;

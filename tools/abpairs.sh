@@ -18,7 +18,10 @@
 # parent's and the change's medians of every virtual-time end-to-end metric
 # and of the failed-op count, the before/after rows of a change that is meant
 # to move the simulation, then both sides' failed-op totals per class and in
-# how many pairs the change failed fewer or more ops. With PAIRS = SEEDS each
+# how many pairs the change failed fewer or more ops, and a verdict line: every
+# end-to-end metric whose change median is worse than the parent's by more than
+# its BENCHMARK.json bound, and MORE FAILURES when the change's median ok_share
+# is below the parent's. With PAIRS = SEEDS each
 # seed runs once per side: `-n 21 -s 21 -w peer_churn` is the failure table
 # over seeds 1-21.
 #
@@ -142,6 +145,19 @@ for w in sys.argv[4:]:
             print(f"  pair {i + 1} (seed {p['seed']}) DIFFERS in {', '.join(diffs)}")
     correct = all(p["correct"] and c["correct"] for p, c in docs)
     print(f"  every run correct: {correct}")
+    # The pipeline's verdict: a median worse than the parent's by more than
+    # the metric's bound, or a lower median ok_share.
+    verdict = []
+    for m in bench["end_to_end"]:
+        a = statistics.median(value(p, m["name"]) for p, _ in docs)
+        b = statistics.median(value(c, m["name"]) for _, c in docs)
+        worse = (b - a) if m["better"] == "lower" else (a - b)
+        if a and worse / abs(a) > m["bound"]:
+            verdict.append(f"WORSE {m['name']} ({worse / abs(a):+.1%} > {m['bound']:.0%})")
+    ok = [statistics.median(value(d, "ok_share") for d in side) for side in zip(*docs)]
+    if ok[1] < ok[0]:
+        verdict.append("MORE FAILURES")
+    print(f"  verdict: {', '.join(verdict) or 'within every bound'}")
 print(f"{differing} pair(s) differing in a witness, an op count or a virtual-time metric")
 sys.exit(1 if differing else 0)
 EOF
