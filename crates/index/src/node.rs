@@ -24,7 +24,7 @@ use crate::observations::Observation;
 /// issuer for a retry.
 pub const MAX_ROUTE_HOPS: u32 = 32;
 
-/// How long a hop taken from a router slot waits for its
+/// How long an acked hop (see [`PeerNode::next_hop`]) waits for its
 /// [`PeerMsg::RouteAck`] before the target is presumed gone and the request
 /// takes the next-best hop. A round trip takes under a millisecond.
 const ROUTE_GUARD: Duration = Duration::from_millis(500);
@@ -33,9 +33,9 @@ const ROUTE_GUARD: Duration = Duration::from_millis(500);
 /// engine ticks too, and persists nothing; not a paper parameter.
 const SNAPSHOT_PERIOD: Duration = Duration::from_secs(10);
 
-/// A hop taken from a router shortcut, awaiting its [`PeerMsg::RouteAck`]:
-/// the shortcut it used, and the request, to re-forward if the ack never
-/// comes.
+/// An acked hop, awaiting its [`PeerMsg::RouteAck`]: the router slot or
+/// successor-list entry it used, and the request, to re-forward if the ack
+/// never comes.
 #[derive(Debug, Clone)]
 struct PendingHop {
     peer: PeerId,
@@ -1202,8 +1202,8 @@ impl PeerNode {
         }
     }
 
-    /// A hop taken from a router slot arrived: repair the shortcut if the
-    /// receiver has moved to another ring value, or forget it if the
+    /// An acked hop arrived: repair the router's shortcuts to the peer if the
+    /// receiver has moved to another ring value, or forget them if the
     /// receiver owns nothing anymore. An unknown `seq` (already settled by
     /// its guard) is ignored.
     fn on_route_ack(&mut self, seq: u64, at: Option<PeerValue>) {
