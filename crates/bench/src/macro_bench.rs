@@ -284,16 +284,12 @@ fn measure(cfg: HarnessConfig) -> (MacroRun, RunReport) {
     (MacroRun::from_report(wall_s, meta, &report), report)
 }
 
-/// One line per run. The last three figures say how redundant the replica
-/// refresh traffic was: pushes delivered, and the shares the receiver skipped
-/// as already held or walked without installing anything.
+/// One line per run, ending with the replica pushes delivered.
 fn print_run(run: &MacroRun, report: &RunReport) {
-    let pushes = report.metrics.counter("repl", "Push");
-    let share = |name| 100.0 * report.metrics.counter("repl", name) as f64 / pushes.max(1) as f64;
     println!(
         "{:<10} peers={:<4} ops={:<5} seed={:<5} wall={:>8.1}ms events={:>9} \
          ({:>9.0}/s) members={:<4} hops_p99={:<6.2} load_imb={:<5.2} violations={} \
-         repl_push={} skipped={:.1}% noop_walk={:.1}%",
+         repl_push={}",
         run.profile,
         run.peers,
         run.ops,
@@ -305,9 +301,7 @@ fn print_run(run: &MacroRun, report: &RunReport) {
         run.hops_p99,
         run.load_imbalance,
         run.violations,
-        pushes,
-        share("push_skipped"),
-        share("push_noop_walk"),
+        report.metrics.counter("repl", "Push"),
     );
 }
 

@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use pepper_datastore::{DataStoreState, DsEvent, DsMsg, DsStatus, QueryId};
 use pepper_net::{Context, Effects, LayerCtx, LayerSlot, Node, SimTime};
-use pepper_replication::{Batch, BatchStamp, PushOutcome, ReplEvent, ReplMsg, ReplicationManager};
+use pepper_replication::{Batch, ReplEvent, ReplMsg, ReplicationManager};
 use pepper_ring::{EntryState, RingEvent, RingState};
 use pepper_router::HierarchicalRouter;
 use pepper_storage::{DurableImage, PeerStorage, RecoveredState, RecoveryMode};
@@ -70,9 +70,10 @@ pub struct PeerNode {
     /// Items recovered from durable storage, awaiting donation to their
     /// current owners through [`PeerNode::restart_rejoin`].
     recovered_donation: Vec<(u64, Item)>,
-    /// The replica batch the last refresh round built, and its stamp. Reused
-    /// for as long as the Data Store's item set stays what it was built from.
-    built_batch: Option<(BatchStamp, Batch)>,
+    /// The replica batch the last refresh round built, and the Data Store
+    /// items version it was built from. Reused for as long as the item set
+    /// stays at that version.
+    built_batch: Option<(u64, Batch)>,
     pool: FreePool,
     /// When the in-flight merge-give (this peer giving up its range) started.
     merge_started: Option<SimTime>,
@@ -434,25 +435,20 @@ impl PeerNode {
     }
 
     /// The Data Store's items as a batch all successors share, and its
-    /// stamp: cloned once per change of the item set, not once per push.
-    fn current_batch(&mut self, now: SimTime) -> (BatchStamp, Batch) {
-        let store_version = self.ds.items_version();
+    /// items version: cloned once per change of the item set, not once per
+    /// push.
+    fn current_batch(&mut self) -> (u64, Batch) {
+        let version = self.ds.items_version();
         match &self.built_batch {
-            Some((stamp, batch)) if stamp.store_version == store_version => {
-                (*stamp, Arc::clone(batch))
-            }
+            Some((built, batch)) if *built == version => (version, Arc::clone(batch)),
             _ => {
-                let stamp = BatchStamp {
-                    built_at: now,
-                    store_version,
-                };
                 let batch: Batch = self
                     .ds
                     .items_mapped()
                     .map(|(mapped, item)| (mapped, item.clone()))
                     .collect();
-                self.built_batch = Some((stamp, Arc::clone(&batch)));
-                (stamp, batch)
+                self.built_batch = Some((version, Arc::clone(&batch)));
+                (version, batch)
             }
         }
     }
@@ -460,9 +456,14 @@ impl PeerNode {
     /// Pushes the Data Store's items to the replica targets now: an item was
     /// stored, or a range change brought items in. Never skipped.
     fn push_replicas(&mut self, now: SimTime, out: &mut Effects<PeerMsg>) {
-        let (stamp, batch) = self.current_batch(now);
+        let (version, batch) = self.current_batch();
         let ((), repl_events) = self.repl.with(out, |repl, fx| {
-            repl.push_batch(batch, Some(stamp), Self::joined_successors(&self.ring), fx)
+            repl.push_batch(
+                batch,
+                Some(version),
+                Self::joined_successors(&self.ring),
+                fx,
+            )
         });
         self.process_repl_events(now, repl_events, out);
     }
@@ -472,9 +473,9 @@ impl PeerNode {
     /// when neither the items nor the targets changed since the last push
     /// (see [`ReplicationManager::refresh`]).
     fn refresh_replicas(&mut self, now: SimTime, out: &mut Effects<PeerMsg>) {
-        let (stamp, batch) = self.current_batch(now);
+        let (version, batch) = self.current_batch();
         let ((), repl_events) = self.repl.with(out, |repl, fx| {
-            repl.refresh(batch, stamp, Self::joined_successors(&self.ring), fx)
+            repl.refresh(batch, version, Self::joined_successors(&self.ring), fx)
         });
         self.process_repl_events(now, repl_events, out);
     }
@@ -500,17 +501,6 @@ impl PeerNode {
             PeerMsg::Ds(m) => {
                 let events = self.ds.handle(ctx, from, m, out);
                 self.process_ds_events(now, events, out);
-            }
-            PeerMsg::Repl(ReplMsg::Push { items, stamp }) => {
-                let (outcome, events) = self
-                    .repl
-                    .with(out, |repl, _| repl.receive_push(from, &items, stamp));
-                // Only the rare outcome is counted: `Cluster::metrics`
-                // derives the skipped pushes from the other two.
-                if outcome == PushOutcome::NoopWalk {
-                    self.metrics.bump("repl", "push_noop_walk");
-                }
-                self.process_repl_events(now, events, out);
             }
             PeerMsg::Repl(m) => {
                 let events = self.repl.handle(ctx, from, m, out);
@@ -1683,11 +1673,8 @@ mod tests {
     }
 
     /// One refresh round of `peer` taken outside the simulator: the pushes
-    /// it would send (target, batch, stamp).
-    fn refresh_round(
-        sim: &mut Simulator<PeerNode>,
-        peer: PeerId,
-    ) -> Vec<(PeerId, Batch, Option<BatchStamp>)> {
+    /// it would send (target, batch).
+    fn refresh_round(sim: &mut Simulator<PeerNode>, peer: PeerId) -> Vec<(PeerId, Batch)> {
         let now = sim.now();
         let mut out = Effects::new();
         sim.node_mut(peer)
@@ -1698,8 +1685,8 @@ mod tests {
             .filter_map(|e| match e {
                 pepper_net::Effect::Send {
                     to,
-                    msg: PeerMsg::Repl(ReplMsg::Push { items, stamp }),
-                } => Some((to, items, stamp)),
+                    msg: PeerMsg::Repl(ReplMsg::Push { items }),
+                } => Some((to, items)),
                 _ => None,
             })
             .collect()
@@ -1722,15 +1709,13 @@ mod tests {
             node.data_store().local_items_mapped()
         };
         assert_eq!(last[0].1.to_vec(), stored(&sim));
-        assert!(last[0].2.is_some());
         sim.run_for(Duration::from_secs(1));
-        for (_, batch, stamp) in refresh_round(&mut sim, first) {
+        for (_, batch) in refresh_round(&mut sim, first) {
             assert!(Arc::ptr_eq(&batch, &last[0].1) && Arc::ptr_eq(&batch, &last[1].1));
-            assert_eq!(stamp, last[0].2);
         }
 
         // An insert, a delete and a split hand-off each change the item
-        // set: the next round builds a fresh batch under a fresh stamp.
+        // set: the next round builds a fresh batch.
         let own = |sim: &Simulator<PeerNode>, key: u64| {
             let node = sim.node(first).expect("first exists");
             node.data_store().range().contains(key)
@@ -1760,10 +1745,9 @@ mod tests {
             assert_ne!(stored(&sim), before, "{what} changed nothing");
             let round = refresh_round(&mut sim, first);
             assert!(!round.is_empty(), "{what}");
-            for (_, batch, stamp) in &round {
+            for (_, batch) in &round {
                 assert!(Arc::ptr_eq(batch, &round[0].1), "{what}");
                 assert!(!Arc::ptr_eq(batch, &last[0].1), "{what}");
-                assert_ne!(*stamp, last[0].2, "{what}");
             }
             assert_eq!(round[0].1.to_vec(), stored(&sim), "{what}");
             last = round;
@@ -1908,6 +1892,52 @@ mod tests {
         assert_ne!(moved, targets);
         assert_eq!(refresh(node), moved);
         assert_eq!(refresh(node), []);
+    }
+
+    #[test]
+    fn a_restarted_peer_pushes_its_first_round_at_a_version_its_past_incarnation_pushed() {
+        // The quiet-round memo names a batch by its items version alone, and
+        // a restarted peer counts versions from zero again. Its first round
+        // still pushes: `Cluster::restart_peer` rebuilds the peer through
+        // `PeerNode::restarted`, and the memo belongs to the incarnation.
+        let mut sim = settled_ring(41);
+        let now = sim.now();
+        let me = sim
+            .alive_nodes_iter()
+            .find(|(_, n)| n.item_count() >= 2 && replica_targets(n).len() >= 2)
+            .map(|(p, _)| p)
+            .expect("a member with items and two replica targets");
+        let node = sim.node_mut(me).expect("alive");
+        let targets = replica_targets(node);
+        let refresh = |node: &mut PeerNode| {
+            let mut out = Effects::new();
+            node.refresh_replicas(now, &mut out);
+            pushes(&out)
+        };
+        // Rounds until a quiet one: this version went to these targets.
+        let pushed = (0..=REFRESH_FLOOR).find(|_| refresh(node).is_empty());
+        assert!(pushed.is_some(), "a quiet round within the floor");
+
+        // The next incarnation, once it owns the same items at the same
+        // version behind the same successors.
+        let storage = PeerStorage::new_mem(41, Default::default());
+        let recovered = storage.recover(RecoveryMode::Clean);
+        let cfg = node.cfg.clone();
+        let mut reborn = PeerNode::restarted(
+            me,
+            cfg,
+            FreePool::new(),
+            storage,
+            recovered,
+            RecoveryMode::Clean,
+        );
+        reborn.ring = node.ring.clone();
+        reborn.ds = node.ds.clone();
+        assert_eq!(reborn.ds.items_version(), node.ds.items_version());
+        assert_eq!(replica_targets(&reborn), targets);
+        assert_eq!(refresh(&mut reborn), targets);
+        assert_eq!(refresh(&mut reborn), []);
+        assert_eq!(refresh(node), [], "the past incarnation stays quiet");
     }
 
     #[test]

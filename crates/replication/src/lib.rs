@@ -22,5 +22,5 @@ pub mod manager;
 pub mod messages;
 
 pub use events::ReplEvent;
-pub use manager::{PushOutcome, ReplicationManager, REFRESH_FLOOR};
-pub use messages::{Batch, BatchStamp, ReplMsg};
+pub use manager::{ReplicationManager, REFRESH_FLOOR};
+pub use messages::{Batch, ReplMsg};

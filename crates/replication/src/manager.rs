@@ -8,19 +8,7 @@ use pepper_net::{Effects, LayerCtx, ProtocolLayer};
 use pepper_types::{CircularRange, Item, PeerId, Protocol, SystemConfig};
 
 use crate::events::ReplEvent;
-use crate::messages::{Batch, BatchStamp, ReplMsg};
-
-/// What one received replica push did; see
-/// [`ReplicationManager::receive_push`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PushOutcome {
-    /// A stamped batch already held in full: not walked.
-    Skipped,
-    /// Walked, and installed at least one new or changed replica.
-    Installed,
-    /// Walked, and installed nothing: the redundancy the skip misses.
-    NoopWalk,
-}
+use crate::messages::{Batch, ReplMsg};
 
 /// Every `REFRESH_FLOOR`-th periodic refresh round pushes even when nothing
 /// changed since this peer's last push: the anti-entropy floor under the
@@ -34,15 +22,11 @@ pub struct ReplicationManager {
     cfg: SystemConfig,
     /// Replicas held on behalf of predecessors, keyed by mapped value.
     replica_store: BTreeMap<u64, Item>,
-    /// The stamped batches walked since `replica_store` last changed, one per
-    /// sender: the store still holds every entry of each, so walking one
-    /// again would install nothing. Every mutation of `replica_store` goes
-    /// through [`Self::store_changed`], which empties this.
-    walked: Vec<(PeerId, BatchStamp)>,
-    /// The last push this peer sent: its stamp (`None`: unstamped) and its
-    /// targets, and how many refresh rounds stayed quiet since. A refresh
-    /// round that would repeat that push sends nothing.
-    last_push: Option<BatchStamp>,
+    /// The last push this peer sent: the items version its batch was built
+    /// from (`None`: a one-off batch) and its targets, and how many refresh
+    /// rounds stayed quiet since. A refresh round that would repeat that
+    /// push sends nothing.
+    last_push: Option<u64>,
     pushed_to: Vec<PeerId>,
     quiet_rounds: u32,
     /// Events buffered for the composed peer.
@@ -56,7 +40,6 @@ impl ReplicationManager {
             id,
             cfg,
             replica_store: BTreeMap::new(),
-            walked: Vec::new(),
             last_push: None,
             pushed_to: Vec::new(),
             quiet_rounds: 0,
@@ -83,8 +66,8 @@ impl ReplicationManager {
     }
 
     /// Pushes this peer's items to its `k` nearest successors (one refresh
-    /// round of the CFS scheme). The batch is built here and unstamped, so
-    /// every receiver walks it.
+    /// round of the CFS scheme). The batch is built here, a one-off: the next
+    /// [`Self::refresh`] round pushes again.
     pub fn push_to_successors(
         &mut self,
         _ctx: LayerCtx,
@@ -97,13 +80,13 @@ impl ReplicationManager {
 
     /// Pushes an already built batch now, never skipped: every one of the
     /// `k` nearest successors is sent the same shared `batch`. A caller that
-    /// keeps the batch across rounds names it with a `stamp` (equal stamps,
-    /// same batch), which lets receivers skip a batch they already hold, and
+    /// keeps the batch across rounds names it with the Data Store
+    /// `items_version` it was built from (equal versions, same batch), which
     /// lets [`Self::refresh`] skip a round that would repeat this push.
     pub fn push_batch(
         &mut self,
         batch: Batch,
-        stamp: Option<BatchStamp>,
+        version: Option<u64>,
         successors: impl IntoIterator<Item = PeerId>,
         fx: &mut Effects<ReplMsg>,
     ) {
@@ -119,27 +102,29 @@ impl ReplicationManager {
                 target,
                 ReplMsg::Push {
                     items: Arc::clone(&batch),
-                    stamp,
                 },
             );
         }
-        self.last_push = stamp;
+        self.last_push = version;
         self.quiet_rounds = 0;
     }
 
     /// A periodic refresh round: [`Self::push_batch`], unless this peer's
-    /// last push carried the same `stamp` to the same targets. Then every
-    /// target already holds the batch, and the round stays quiet; every
-    /// [`REFRESH_FLOOR`]-th round pushes anyway.
+    /// last push carried the batch of the same items `version` to the same
+    /// targets. Then every target already holds the batch, and the round
+    /// stays quiet; every [`REFRESH_FLOOR`]-th round pushes anyway.
+    ///
+    /// A version names one batch only within one incarnation: a restarted
+    /// peer is a new manager whose first round always pushes.
     pub fn refresh(
         &mut self,
         batch: Batch,
-        stamp: BatchStamp,
+        version: u64,
         successors: impl Iterator<Item = PeerId> + Clone,
         fx: &mut Effects<ReplMsg>,
     ) {
         let targets = successors.clone().filter(|p| *p != self.id);
-        if self.last_push == Some(stamp)
+        if self.last_push == Some(version)
             && self.quiet_rounds + 1 < REFRESH_FLOOR
             && targets
                 .take(self.cfg.replication_factor)
@@ -148,7 +133,7 @@ impl ReplicationManager {
             self.quiet_rounds += 1;
             return;
         }
-        self.push_batch(batch, Some(stamp), successors, fx);
+        self.push_batch(batch, Some(version), successors, fx);
     }
 
     /// The paper's replicate-to-additional-hop: before this peer gives up its
@@ -184,72 +169,21 @@ impl ReplicationManager {
         if candidates.is_empty() {
             return false;
         }
-        // An unstamped push: the next refresh round is not quiet.
+        // A one-off push: the next refresh round is not quiet.
         self.last_push = None;
         let target = candidates
             .get(self.cfg.replication_factor)
             .copied()
             .unwrap_or_else(|| *candidates.last().expect("non-empty"));
-        fx.send(
-            target,
-            ReplMsg::Push {
-                items: payload,
-                stamp: None,
-            },
-        );
+        fx.send(target, ReplMsg::Push { items: payload });
         // Also hand the replicas we hold to our immediate successor so the
         // items of our predecessors keep k copies after we are gone.
         if let Some(first) = candidates.first().copied() {
             if first != target && !held.is_empty() {
-                fx.send(
-                    first,
-                    ReplMsg::Push {
-                        items: held,
-                        stamp: None,
-                    },
-                );
+                fx.send(first, ReplMsg::Push { items: held });
             }
         }
         true
-    }
-
-    /// Receives one replica push from `from` and says what it did. A stamped
-    /// batch already walked, with the replica store unchanged since, is
-    /// skipped; any other batch is walked, and what it installs is reported
-    /// as [`ReplEvent::ReplicasInstalled`].
-    pub fn receive_push(
-        &mut self,
-        from: PeerId,
-        items: &[(u64, Item)],
-        stamp: Option<BatchStamp>,
-    ) -> PushOutcome {
-        if stamp.is_some_and(|stamp| self.walked.contains(&(from, stamp))) {
-            // Debug builds (the test suite, the harness seed matrix) do the
-            // walk the skip saves, to check it.
-            debug_assert!(
-                items
-                    .iter()
-                    .all(|(mapped, item)| self.replica_store.get(mapped) == Some(item)),
-                "skipped push {stamp:?} from {from} would have installed something"
-            );
-            return PushOutcome::Skipped;
-        }
-        let delta = self.install_delta(items);
-        // Recorded after the walk, which empties `walked` when it installs
-        // something: the batch is held in full either way.
-        if let Some(stamp) = stamp {
-            match self.walked.iter_mut().find(|(peer, _)| *peer == from) {
-                Some(entry) => entry.1 = stamp,
-                None => self.walked.push((from, stamp)),
-            }
-        }
-        if delta.is_empty() {
-            PushOutcome::NoopWalk
-        } else {
-            self.events
-                .push(ReplEvent::ReplicasInstalled { items: delta });
-            PushOutcome::Installed
-        }
     }
 
     /// Returns (and removes from the replica store) the replicas that fall
@@ -264,9 +198,6 @@ impl ReplicationManager {
             }
             !take
         });
-        if !taken.is_empty() {
-            self.store_changed();
-        }
         taken
     }
 
@@ -274,7 +205,6 @@ impl ReplicationManager {
     /// event is emitted: the records are already journaled).
     pub fn install_replicas(&mut self, items: Vec<(u64, Item)>) {
         self.replica_store.extend(items);
-        self.store_changed();
     }
 
     /// Drops replicas that are now owned by this peer itself (they live in
@@ -282,34 +212,8 @@ impl ReplicationManager {
     /// opportunistically by the composed peer; keeps the replica store from
     /// growing without bound in long experiments.
     pub fn prune_owned(&mut self, own_range: &CircularRange) {
-        let held = self.replica_store.len();
         self.replica_store
             .retain(|mapped, _| !own_range.contains(*mapped));
-        if self.replica_store.len() != held {
-            self.store_changed();
-        }
-    }
-
-    /// Must follow every mutation of `replica_store`: a batch walked before
-    /// the change may no longer be held in full.
-    fn store_changed(&mut self) {
-        self.walked.clear();
-    }
-
-    /// Installs what `items` holds that the replica store does not, and
-    /// returns it.
-    fn install_delta(&mut self, items: &[(u64, Item)]) -> Vec<(u64, Item)> {
-        let mut delta = Vec::new();
-        for (mapped, item) in items {
-            if self.replica_store.get(mapped) != Some(item) {
-                delta.push((*mapped, item.clone()));
-                self.replica_store.insert(*mapped, item.clone());
-            }
-        }
-        if !delta.is_empty() {
-            self.store_changed();
-        }
-        delta
     }
 }
 
@@ -328,15 +232,27 @@ impl ProtocolLayer for ReplicationManager {
 
     /// Handles a replication message. The refresh round itself is performed
     /// by the composed peer in response to [`ReplEvent::RefreshDue`], because
-    /// it needs the Data Store's items and the ring's successor list.
+    /// it needs the Data Store's items and the ring's successor list. A push
+    /// is walked in full: what it holds that the replica store does not is
+    /// installed and reported as [`ReplEvent::ReplicasInstalled`].
     fn handle(&mut self, _ctx: LayerCtx, from: PeerId, msg: ReplMsg, fx: &mut Effects<ReplMsg>) {
         match msg {
             ReplMsg::RefreshTick => {
                 fx.timer(self.cfg.replica_refresh_period, ReplMsg::RefreshTick);
                 self.events.push(ReplEvent::RefreshDue);
             }
-            ReplMsg::Push { items, stamp } => {
-                self.receive_push(from, &items, stamp);
+            ReplMsg::Push { items } => {
+                let mut delta = Vec::new();
+                for (mapped, item) in items.iter() {
+                    if self.replica_store.get(mapped) != Some(item) {
+                        delta.push((*mapped, item.clone()));
+                        self.replica_store.insert(*mapped, item.clone());
+                    }
+                }
+                if !delta.is_empty() {
+                    self.events
+                        .push(ReplEvent::ReplicasInstalled { items: delta });
+                }
             }
             ReplMsg::RecoverRequest { range } => {
                 // Answer with copies: the requester owns the range now, so
@@ -464,7 +380,6 @@ mod tests {
             PeerId(0),
             ReplMsg::Push {
                 items: vec![item(10), item(20)].into(),
-                stamp: None,
             },
             &[],
             &[],
@@ -487,7 +402,6 @@ mod tests {
             PeerId(0),
             ReplMsg::Push {
                 items: vec![item(10), item(20), item(30)].into(),
-                stamp: None,
             },
             &[],
             &[],
@@ -511,7 +425,6 @@ mod tests {
             PeerId(9),
             ReplMsg::Push {
                 items: vec![item(5)].into(),
-                stamp: None,
             },
             &[],
             &[],
@@ -525,13 +438,13 @@ mod tests {
         // to the (k+1)-th successor (index 2).
         assert!(effects.iter().any(|e| matches!(
             e,
-            Effect::Send { to, msg: ReplMsg::Push { items, stamp: None } }
+            Effect::Send { to, msg: ReplMsg::Push { items } }
                 if *to == PeerId(3) && items[..] == [item(10), item(5)]
         )));
         // The held replicas also move to the immediate successor.
         assert!(effects.iter().any(|e| matches!(
             e,
-            Effect::Send { to, msg: ReplMsg::Push { items, stamp: None } }
+            Effect::Send { to, msg: ReplMsg::Push { items } }
                 if *to == PeerId(1) && items[..] == [item(5)]
         )));
         assert_eq!(effects.len(), 2);
@@ -554,7 +467,7 @@ mod tests {
         assert!(rm.replicate_additional_hop(ctx(0), &[item(10)], &[PeerId(1), PeerId(2)], &mut fx));
         assert!(fx.iter().any(|e| matches!(
             e,
-            Effect::Send { to, msg: ReplMsg::Push { stamp: None, .. } } if *to == PeerId(2)
+            Effect::Send { to, msg: ReplMsg::Push { .. } } if *to == PeerId(2)
         )));
     }
 
@@ -568,7 +481,6 @@ mod tests {
             PeerId(0),
             ReplMsg::Push {
                 items: vec![item(10), item(50)].into(),
-                stamp: None,
             },
             &[],
             &[],
@@ -590,7 +502,6 @@ mod tests {
             PeerId(9),
             ReplMsg::Push {
                 items: vec![item(10), item(50)].into(),
-                stamp: None,
             },
             &mut fx,
         );
@@ -656,7 +567,6 @@ mod tests {
             PeerId(0),
             ReplMsg::Push {
                 items: vec![item(10), item(20)].into(),
-                stamp: None,
             },
             &mut fx,
         );
@@ -672,7 +582,6 @@ mod tests {
             PeerId(0),
             ReplMsg::Push {
                 items: vec![item(10), item(20)].into(),
-                stamp: None,
             },
             &mut fx,
         );
@@ -692,7 +601,6 @@ mod tests {
             PeerId(0),
             ReplMsg::Push {
                 items: vec![changed.clone(), item(20)].into(),
-                stamp: None,
             },
             &mut fx,
         );
@@ -707,7 +615,6 @@ mod tests {
         let batch: Batch = vec![item(10), item(20)].into();
         let push = ReplMsg::Push {
             items: Arc::clone(&batch),
-            stamp: None,
         };
         let mut fx = Effects::new();
         // One receiver already holds item 10, the other holds nothing.
@@ -730,75 +637,20 @@ mod tests {
         assert!(fx.is_empty());
     }
 
-    fn stamp(built_at_secs: u64, store_version: u64) -> BatchStamp {
-        BatchStamp {
-            built_at: SimTime::from_secs(built_at_secs),
-            store_version,
-        }
-    }
-
     fn versioned(k: u64, payload: &str) -> (u64, Item) {
         let id = pepper_types::ItemId::new(PeerId(7), k);
         (k, Item::new(id, SearchKey(k), payload))
     }
 
     /// Delivers one push and returns the events it led to.
-    fn deliver(
-        rm: &mut ReplicationManager,
-        from: PeerId,
-        items: &Batch,
-        stamp: Option<BatchStamp>,
-    ) -> Vec<ReplEvent> {
+    fn deliver(rm: &mut ReplicationManager, from: PeerId, items: &Batch) -> Vec<ReplEvent> {
         let push = ReplMsg::Push {
             items: Arc::clone(items),
-            stamp,
         };
         let mut fx = Effects::new();
         ProtocolLayer::handle(rm, ctx(1), from, push, &mut fx);
         assert!(fx.is_empty());
         rm.drain_events()
-    }
-
-    #[test]
-    fn a_stamped_batch_already_walked_is_skipped_but_still_counted() {
-        let mut rm = ReplicationManager::new(PeerId(1), SystemConfig::fast());
-        let batch: Batch = vec![item(10), item(20)].into();
-        let first = deliver(&mut rm, PeerId(0), &batch, Some(stamp(1, 5)));
-        assert!(matches!(
-            &first[..],
-            [ReplEvent::ReplicasInstalled { items }] if items[..] == batch[..]
-        ));
-        // The refresh rounds that follow resend the very same batch.
-        let skip =
-            |rm: &mut ReplicationManager, from| rm.receive_push(from, &batch, Some(stamp(1, 5)));
-        for _ in 1..=3 {
-            assert_eq!(skip(&mut rm, PeerId(0)), PushOutcome::Skipped);
-        }
-        // The memo is per sender: the same stamp from another peer names
-        // another batch. It is walked once, then skipped too.
-        assert_eq!(skip(&mut rm, PeerId(9)), PushOutcome::NoopWalk);
-        assert_eq!(skip(&mut rm, PeerId(9)), PushOutcome::Skipped);
-        assert_eq!(skip(&mut rm, PeerId(0)), PushOutcome::Skipped);
-        // An unstamped push of the same items is always walked.
-        assert_eq!(
-            rm.receive_push(PeerId(0), &batch, None),
-            PushOutcome::NoopWalk
-        );
-        assert!(rm.drain_events().is_empty());
-        assert_eq!(rm.replicas(), batch.to_vec());
-    }
-
-    #[test]
-    fn a_skipped_push_leaves_the_whole_manager_state_unchanged() {
-        let mut rm = ReplicationManager::new(PeerId(1), SystemConfig::fast());
-        let batch: Batch = vec![item(10), item(20)].into();
-        assert_eq!(
-            deliver(&mut rm, PeerId(0), &batch, Some(stamp(1, 5))).len(),
-            1
-        );
-        let before = format!("{rm:?}");
-        assert!(deliver(&mut rm, PeerId(0), &batch, Some(stamp(1, 5))).is_empty());
-        assert_eq!(format!("{rm:?}"), before);
     }
 
     #[test]
@@ -809,7 +661,7 @@ mod tests {
         let changes: [(&str, Change); 4] = [
             ("another sender overwrites a key", |rm| {
                 let other: Batch = vec![versioned(10, "theirs")].into();
-                assert_eq!(deliver(rm, PeerId(8), &other, Some(stamp(1, 1))).len(), 1);
+                assert_eq!(deliver(rm, PeerId(8), &other).len(), 1);
             }),
             ("prune_owned removes a key", |rm| {
                 rm.prune_owned(&CircularRange::new(5u64, 10u64));
@@ -827,13 +679,10 @@ mod tests {
         for (what, change) in changes {
             let mut rm = ReplicationManager::new(PeerId(1), SystemConfig::fast());
             let batch: Batch = vec![item(10), item(20)].into();
-            let skipped = |rm: &mut ReplicationManager| {
-                rm.receive_push(PeerId(0), &batch, Some(stamp(1, 5))) == PushOutcome::Skipped
-            };
-            deliver(&mut rm, PeerId(0), &batch, Some(stamp(1, 5)));
-            assert!(skipped(&mut rm), "{what}");
+            deliver(&mut rm, PeerId(0), &batch);
+            assert!(deliver(&mut rm, PeerId(0), &batch).is_empty(), "{what}");
             change(&mut rm);
-            let events = deliver(&mut rm, PeerId(0), &batch, Some(stamp(1, 5)));
+            let events = deliver(&mut rm, PeerId(0), &batch);
             assert!(
                 matches!(
                     &events[..],
@@ -842,111 +691,9 @@ mod tests {
                 "{what}: {events:?}"
             );
             assert_eq!(rm.replicas(), batch.to_vec(), "{what}");
-            // Whole again: the next round is skipped.
-            assert!(skipped(&mut rm), "{what}");
+            // Whole again: the next round installs nothing.
+            assert!(deliver(&mut rm, PeerId(0), &batch).is_empty(), "{what}");
         }
-        // A prune or take that finds nothing leaves the memo alone.
-        let mut rm = ReplicationManager::new(PeerId(1), SystemConfig::fast());
-        let batch: Batch = vec![item(10), item(20)].into();
-        deliver(&mut rm, PeerId(0), &batch, Some(stamp(1, 5)));
-        rm.prune_owned(&CircularRange::new(40u64, 60u64));
-        assert!(rm
-            .take_replicas_in(&CircularRange::new(40u64, 60u64))
-            .is_empty());
-        assert_eq!(
-            rm.receive_push(PeerId(0), &batch, Some(stamp(1, 5))),
-            PushOutcome::Skipped
-        );
-    }
-
-    #[test]
-    fn a_restarted_sender_reaching_an_old_store_version_is_not_mistaken_for_its_past() {
-        let mut rm = ReplicationManager::new(PeerId(1), SystemConfig::fast());
-        let before: Batch = vec![item(10), item(20)].into();
-        deliver(&mut rm, PeerId(0), &before, Some(stamp(1, 2)));
-        assert!(deliver(&mut rm, PeerId(0), &before, Some(stamp(1, 2))).is_empty());
-        // Peer 0 crashes, restarts with its counter reset, and two mutations
-        // later owns other items under store version 2 again. Nothing
-        // touched this replica store in between.
-        let after: Batch = vec![item(30), item(40)].into();
-        let events = deliver(&mut rm, PeerId(0), &after, Some(stamp(90, 2)));
-        assert!(matches!(
-            &events[..],
-            [ReplEvent::ReplicasInstalled { items }] if items[..] == after[..]
-        ));
-        assert_eq!(rm.replica_count(), 4);
-    }
-
-    #[test]
-    fn skipping_never_changes_what_a_manager_holds_or_reports() {
-        // Three senders whose batches change now and then push to `memo`
-        // with stamps and to `reference` without, so `reference` walks
-        // everything; prunes, revivals and recoveries hit both alike.
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move |n: u64| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state % n
-        };
-        let mut memo = ReplicationManager::new(PeerId(1), SystemConfig::fast());
-        let mut reference = memo.clone();
-        let mut outcomes = Vec::new();
-        let senders = [PeerId(10), PeerId(11), PeerId(12)];
-        let mut batches: Vec<(BatchStamp, Batch)> =
-            vec![(stamp(0, 0), Arc::new([])); senders.len()];
-        for step in 1..=4000u64 {
-            let range = {
-                let low = next(64);
-                CircularRange::new(low, (low + 1 + next(8)) % 64)
-            };
-            match next(20) {
-                0..=11 => {
-                    let s = next(3) as usize;
-                    let (stamp, batch) = &batches[s];
-                    outcomes.push(memo.receive_push(senders[s], batch, Some(*stamp)));
-                    let got = memo.drain_events();
-                    assert_eq!(got, deliver(&mut reference, senders[s], batch, None));
-                }
-                12..=14 => {
-                    // Senders overlap on keys 0..64 and disagree on payloads.
-                    let s = next(3) as usize;
-                    let items: Vec<(u64, Item)> = (0..64)
-                        .filter_map(|k| match next(8) {
-                            0 => Some(versioned(k, "a")),
-                            1 => Some(versioned(k, "b")),
-                            _ => None,
-                        })
-                        .collect();
-                    batches[s] = (stamp(step, batches[s].0.store_version + 1), items.into());
-                }
-                15 | 16 => {
-                    memo.prune_owned(&range);
-                    reference.prune_owned(&range);
-                }
-                17 => assert_eq!(
-                    memo.take_replicas_in(&range),
-                    reference.take_replicas_in(&range)
-                ),
-                18 => {
-                    let items = vec![versioned(next(64), "recovered")];
-                    memo.install_replicas(items.clone());
-                    reference.install_replicas(items);
-                }
-                _ => {
-                    let batch: Batch = vec![versioned(next(64), "hop")].into();
-                    let got = deliver(&mut memo, PeerId(13), &batch, None);
-                    assert_eq!(got, deliver(&mut reference, PeerId(13), &batch, None));
-                }
-            }
-            assert_eq!(memo.replicas(), reference.replicas(), "step {step}");
-        }
-        let count = |o| outcomes.iter().filter(|x| **x == o).count();
-        let (skipped, noop) = (count(PushOutcome::Skipped), count(PushOutcome::NoopWalk));
-        assert!(
-            skipped > 200 && noop > 0,
-            "the sequence must exercise both: {skipped} skipped, {noop} walked for nothing"
-        );
     }
 
     /// The targets of the pushes in `fx`, drained.
@@ -969,46 +716,41 @@ mod tests {
         let mut fx = Effects::new();
         let batch: Batch = vec![item(10), item(20)].into();
         let succs = [PeerId(0), PeerId(1), PeerId(2), PeerId(3)];
-        let refresh = |rm: &mut ReplicationManager, stamp, succs: &[PeerId], fx: &mut _| {
-            rm.refresh(Arc::clone(&batch), stamp, succs.iter().copied(), fx);
+        let refresh = |rm: &mut ReplicationManager, version, succs: &[PeerId], fx: &mut _| {
+            rm.refresh(Arc::clone(&batch), version, succs.iter().copied(), fx);
         };
         // The first round has nothing to compare against and pushes.
-        refresh(&mut rm, stamp(1, 5), &succs, &mut fx);
+        refresh(&mut rm, 5, &succs, &mut fx);
         assert_eq!(pushed(&mut fx), [PeerId(1), PeerId(2)]);
         // Same items, same targets: rounds 1-7 send nothing, round 8 pushes.
         for _ in 0..3 {
             for round in 1..REFRESH_FLOOR {
-                refresh(&mut rm, stamp(1, 5), &succs, &mut fx);
+                refresh(&mut rm, 5, &succs, &mut fx);
                 assert!(fx.is_empty(), "round {round}");
             }
-            refresh(&mut rm, stamp(1, 5), &succs, &mut fx);
+            refresh(&mut rm, 5, &succs, &mut fx);
             assert_eq!(pushed(&mut fx), [PeerId(1), PeerId(2)]);
         }
         // A stored or deleted item is a new store version: the next round
         // pushes, and the one after is quiet again.
-        refresh(&mut rm, stamp(1, 5), &succs, &mut fx);
-        refresh(&mut rm, stamp(9, 6), &succs, &mut fx);
+        refresh(&mut rm, 5, &succs, &mut fx);
+        refresh(&mut rm, 6, &succs, &mut fx);
         assert_eq!(pushed(&mut fx), [PeerId(1), PeerId(2)]);
-        refresh(&mut rm, stamp(9, 6), &succs, &mut fx);
+        refresh(&mut rm, 6, &succs, &mut fx);
         assert!(fx.is_empty());
         // A changed target list: the next round pushes to the new list. A
         // change past the first k, or of this peer's own entry, is none.
-        refresh(
-            &mut rm,
-            stamp(9, 6),
-            &[PeerId(1), PeerId(2), PeerId(7)],
-            &mut fx,
-        );
+        refresh(&mut rm, 6, &[PeerId(1), PeerId(2), PeerId(7)], &mut fx);
         assert!(fx.is_empty());
         let moved = [PeerId(1), PeerId(4), PeerId(2)];
-        refresh(&mut rm, stamp(9, 6), &moved, &mut fx);
+        refresh(&mut rm, 6, &moved, &mut fx);
         assert_eq!(pushed(&mut fx), [PeerId(1), PeerId(4)]);
-        refresh(&mut rm, stamp(9, 6), &moved, &mut fx);
+        refresh(&mut rm, 6, &moved, &mut fx);
         assert!(fx.is_empty());
         let shorter = [PeerId(1)];
-        refresh(&mut rm, stamp(9, 6), &shorter, &mut fx);
+        refresh(&mut rm, 6, &shorter, &mut fx);
         assert_eq!(pushed(&mut fx), [PeerId(1)]);
-        refresh(&mut rm, stamp(9, 6), &shorter, &mut fx);
+        refresh(&mut rm, 6, &shorter, &mut fx);
         assert!(fx.is_empty());
     }
 
@@ -1019,7 +761,7 @@ mod tests {
         let batch: Batch = vec![item(10)].into();
         let succs = [PeerId(1), PeerId(2), PeerId(3)];
         let refresh = |rm: &mut ReplicationManager, fx: &mut _| {
-            rm.refresh(Arc::clone(&batch), stamp(1, 5), succs.iter().copied(), fx);
+            rm.refresh(Arc::clone(&batch), 5, succs.iter().copied(), fx);
         };
         refresh(&mut rm, &mut fx);
         assert_eq!(pushed(&mut fx).len(), 2);
@@ -1030,7 +772,7 @@ mod tests {
         }
         assert!(fx.is_empty());
         let push = |rm: &mut ReplicationManager, fx: &mut _| {
-            rm.push_batch(Arc::clone(&batch), Some(stamp(1, 5)), succs, fx);
+            rm.push_batch(Arc::clone(&batch), Some(5), succs, fx);
         };
         push(&mut rm, &mut fx);
         assert_eq!(pushed(&mut fx), [PeerId(1), PeerId(2)]);
@@ -1040,7 +782,7 @@ mod tests {
         assert!(fx.is_empty());
         refresh(&mut rm, &mut fx);
         assert_eq!(pushed(&mut fx).len(), 2);
-        // An unstamped push, the pinned `push_to_successors` or the extra
+        // A one-off push, the pinned `push_to_successors` or the extra
         // hop, leaves nothing to compare against: the next round pushes.
         rm.push_to_successors(ctx(0), &batch, &succs, &mut fx);
         assert_eq!(pushed(&mut fx).len(), 2);
