@@ -220,6 +220,12 @@ impl RingState {
     /// `insertSucc` is in flight) are skipped by *state*, never by position
     /// — skipping by index would skip the real successor whenever the
     /// in-flight entry is missing or not at the head.
+    ///
+    /// One exception: a `JOINING` entry in front of the first `JOINED` one,
+    /// behind a `LEAVING` one. The leaver is the `JOINING` peer's inserter,
+    /// still answers, and is the one successor whose list says whether the
+    /// join was acknowledged; a round with the `JOINED` peer farther on
+    /// would anchor the rebuild past the `JOINING` entry and drop it.
     pub(crate) fn stabilization_target(&self, now: SimTime) -> Option<PeerId> {
         let other = |state| {
             self.succ_list
@@ -227,6 +233,16 @@ impl RingState {
                 .find(|e| e.state == state && e.peer != self.id)
                 .map(|e| e.peer)
         };
+        let first_joined = (self.succ_list.iter())
+            .position(|e| e.state == EntryState::Joined && e.peer != self.id)
+            .unwrap_or(self.succ_list.len());
+        let ahead = &self.succ_list[..first_joined];
+        if let Some(joining) = ahead.iter().position(|e| e.state == EntryState::Joining) {
+            let mut behind = ahead[..joining].iter().rev();
+            if let Some(e) = behind.find(|e| e.state == EntryState::Leaving && e.peer != self.id) {
+                return Some(e.peer);
+            }
+        }
         // No JOINED successor at all — e.g. a two-member ring whose other
         // member is LEAVING. Stabilize with the leaver anyway: it still
         // answers (LEAVING peers serve until the hand-off completes), and the
@@ -684,6 +700,43 @@ mod tests {
                 ..
             }
         )));
+    }
+
+    #[test]
+    fn a_leaving_successor_is_not_skipped_past_the_joining_peer_it_inserted() {
+        // p1's successor p3 is leaving, and p3's insertee p4 still shows as
+        // JOINING here after p3's join ack promoted it. A round with p0
+        // would anchor the rebuild past p4 and drop it from the list.
+        let mut p1 = member(
+            1,
+            26,
+            4,
+            vec![
+                SuccEntry::new(PeerId(3), PeerValue(33), EntryState::Leaving),
+                SuccEntry::new(PeerId(4), PeerValue(75), EntryState::Joining),
+                joined(0, 12),
+                joined(2, 17),
+            ],
+        );
+        let mut fx = Effects::new();
+        p1.run_stabilization(ctx(1), &mut fx);
+        assert!(matches!(&fx.drain()[0], Effect::Send { to, .. } if *to == PeerId(3)));
+        // The leaver's answer shows p4 JOINED: p4 is the next target.
+        p1.on_stab_response(
+            ctx(1),
+            PeerId(3),
+            vec![joined(4, 75), joined(0, 12), joined(2, 17), joined(1, 26)],
+            EntryState::Leaving,
+            PeerValue(33),
+            Some((PeerId(1), PeerValue(26))),
+            &mut fx,
+        );
+        let peers: Vec<PeerId> = p1.succ_list().iter().map(|e| e.peer).collect();
+        assert_eq!(peers[..2], [PeerId(3), PeerId(4)]);
+        assert_eq!(
+            p1.stabilization_target(SimTime::from_secs(1)),
+            Some(PeerId(4))
+        );
     }
 
     #[test]

@@ -153,6 +153,18 @@ fn a_recycled_insertee_stays_in_its_inserters_list() {
 }
 
 #[test]
+fn a_leaving_successor_is_not_skipped_past_the_peer_it_inserted() {
+    // Seed 16929 of the Zipf profile: a peer whose successor turned LEAVING
+    // while that successor's insertee still showed JOINING in its list
+    // stabilized with the JOINED peer beyond both, dropped the insertee,
+    // and once the leave completed the insertee was in nobody's list.
+    run_clean(HarnessConfig {
+        ops: 400,
+        ..HarnessConfig::from_profile("quick-zipf", 16929).expect("known profile")
+    });
+}
+
+#[test]
 fn same_seed_reproduces_the_same_trace_and_final_state() {
     let ops = env_usize("PEPPER_HARNESS_OPS", 150);
     // Tracing and metrics on: what the observability layer records is part
