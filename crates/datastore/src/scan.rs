@@ -62,8 +62,8 @@ impl DataStoreState {
         if self.range.is_empty() {
             return false;
         }
-        let walked = |v: u64| v.wrapping_sub(interval.lo());
-        walked(self.range.high().raw()) >= walked(interval.hi())
+        let from_lo = |v: u64| v.wrapping_sub(interval.lo());
+        from_lo(self.range.high().raw()) >= from_lo(interval.hi())
     }
 
     /// The peer a scan leaving this peer goes to next: the peer that owns
@@ -652,7 +652,7 @@ mod tests {
         // Range (MAX-6, 5] wraps and contains hi: plain ownership.
         let p_owner = live_peer(1, u64::MAX - 6, 5, &[]);
         assert!(p_owner.scan_reached_upper_bound(&interval));
-        // Range (2, 20]: entirely past the wrap, high walked beyond hi.
+        // Range (2, 20]: entirely past the wrap, high beyond hi.
         let p_past = live_peer(2, 2, 20, &[]);
         assert!(p_past.scan_reached_upper_bound(&interval));
         // Range (MAX-10, MAX-5]: mid-walk, must keep forwarding.

@@ -1915,8 +1915,8 @@ mod tests {
             pushes(&out)
         };
         // Rounds until a quiet one: this version went to these targets.
-        let pushed = (0..=REFRESH_FLOOR).find(|_| refresh(node).is_empty());
-        assert!(pushed.is_some(), "a quiet round within the floor");
+        let quiet = (0..=REFRESH_FLOOR).find(|_| refresh(node).is_empty());
+        assert!(quiet.is_some(), "a quiet round within the floor");
 
         // The next incarnation, once it owns the same items at the same
         // version behind the same successors.

@@ -233,7 +233,7 @@ impl ProtocolLayer for ReplicationManager {
     /// Handles a replication message. The refresh round itself is performed
     /// by the composed peer in response to [`ReplEvent::RefreshDue`], because
     /// it needs the Data Store's items and the ring's successor list. A push
-    /// is walked in full: what it holds that the replica store does not is
+    /// is read in full: what it holds that the replica store does not is
     /// installed and reported as [`ReplEvent::ReplicasInstalled`].
     fn handle(&mut self, _ctx: LayerCtx, from: PeerId, msg: ReplMsg, fx: &mut Effects<ReplMsg>) {
         match msg {
