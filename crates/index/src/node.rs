@@ -185,7 +185,8 @@ impl PeerNode {
     /// range must never be served as owned. Its recovered items are parked
     /// for donation to their current owners ([`PeerNode::restart_rejoin`]),
     /// its recovered replica holdings are installed as replicas (soft state
-    /// the live ring refreshes anyway), and the storage engine keeps the
+    /// its owners push again once it is back in their lists), and the
+    /// storage engine keeps the
     /// *pre-crash* durable image until the donation outcome is journaled by
     /// normal operation — crashing again mid-donation just re-donates.
     ///
@@ -471,7 +472,8 @@ impl PeerNode {
     /// One periodic refresh round of the CFS scheme, fed with the
     /// cross-layer snapshot only the composed peer can take. It stays quiet
     /// when neither the items nor the targets changed since the last push
-    /// (see [`ReplicationManager::refresh`]).
+    /// and no target dropped out of the list in between (see
+    /// [`ReplicationManager::refresh`]).
     fn refresh_replicas(&mut self, now: SimTime, out: &mut Effects<PeerMsg>) {
         let (version, batch) = self.current_batch();
         let ((), repl_events) = self.repl.with(out, |repl, fx| {
@@ -490,6 +492,11 @@ impl PeerNode {
             PeerMsg::Ring(m) => {
                 let events = self.ring.handle(ctx, from, m, out);
                 self.process_ring_events(now, events, out);
+                // A replica target that drops out of the list may return
+                // without the replicas a crash tore from its WAL tail: the
+                // next refresh round pushes to it again.
+                self.repl
+                    .forget_unlisted_targets(Self::joined_successors(&self.ring));
                 // The router's near slots are the ring's successors: copy
                 // them after every batch instead of probing for them.
                 if self.ring.is_member() {
@@ -910,9 +917,10 @@ impl PeerNode {
                 }
                 ReplEvent::ReplicasInstalled { items } => {
                     // Journal the replica delta lazily (appended, not
-                    // synced): replicas are soft state the live owners
-                    // re-push every refresh round, and the un-synced tail
-                    // is what gives the crash injector real torn writes.
+                    // synced): replicas are soft state, a crashed holder
+                    // drops out of its owners' lists and is pushed again
+                    // when it comes back, and the un-synced tail is what
+                    // gives the crash injector real torn writes.
                     if let Some(storage) = self.storage.as_mut() {
                         storage.log_replica_puts(&items);
                         self.metrics
@@ -1282,7 +1290,6 @@ impl Node for PeerNode {
 mod tests {
     use super::*;
     use pepper_net::{NetworkConfig, Simulator};
-    use pepper_replication::REFRESH_FLOOR;
     use pepper_ring::consistency::{
         check_connectivity, check_consistent_successor_pointers, RingSnapshot,
     };
@@ -1817,7 +1824,7 @@ mod tests {
     }
 
     #[test]
-    fn a_refresh_round_pushes_only_after_a_change_or_at_the_floor() {
+    fn a_refresh_round_pushes_only_after_a_change() {
         let mut sim = settled_ring(41);
         let now = sim.now();
         let (me, key) = sim
@@ -1844,14 +1851,13 @@ mod tests {
         };
 
         // A stored item is pushed at once; the rounds after it have nothing
-        // new until the floor: rounds 1-7 send nothing and round 8 pushes.
+        // new and send nothing, however many there are.
         let item = Item::new(ItemId::new(me, 77), SearchKey(key), "x");
         let payload = RoutePayload::Insert { item, reply_to: me };
         assert_eq!(route(node, key, payload), targets);
-        for round in 1..REFRESH_FLOOR {
+        for round in 1..=64 {
             assert_eq!(refresh(node), [], "round {round}");
         }
-        assert_eq!(refresh(node), targets);
 
         // A deleted item is not pushed at once, but at the next round.
         let (mapped, _) = node.ds.items_mapped().next().expect("items");
@@ -1915,8 +1921,8 @@ mod tests {
             pushes(&out)
         };
         // Rounds until a quiet one: this version went to these targets.
-        let quiet = (0..=REFRESH_FLOOR).find(|_| refresh(node).is_empty());
-        assert!(quiet.is_some(), "a quiet round within the floor");
+        let quiet = (0..2).find(|_| refresh(node).is_empty());
+        assert!(quiet.is_some(), "the round after a push is quiet");
 
         // The next incarnation, once it owns the same items at the same
         // version behind the same successors.
@@ -1938,6 +1944,105 @@ mod tests {
         assert_eq!(refresh(&mut reborn), targets);
         assert_eq!(refresh(&mut reborn), []);
         assert_eq!(refresh(node), [], "the past incarnation stays quiet");
+    }
+
+    #[test]
+    fn a_replica_target_that_leaves_its_owners_list_keeps_or_regains_its_replicas() {
+        // A quiet round trusts every target of the last push to still hold
+        // it. A target that leaves its owner's list and comes back between
+        // two rounds does: a peer that becomes free keeps its replica store,
+        // and a restarted peer reloads its replicas from its WAL. Only the
+        // un-synced WAL tail a crash tears is lost, and the owner pushes
+        // again to a target that dropped out of its list.
+        let mut sim = settled_ring(41);
+        let leaver = sim
+            .alive_nodes_iter()
+            .filter(|(_, n)| n.is_ring_member() && n.replication().replica_count() >= 2)
+            .map(|(p, _)| p)
+            .find(|p| *p != PeerId(0))
+            .expect("a member holding replicas");
+        let held = sim.node(leaver).expect("alive").replication().replicas();
+        let started = sim.with_node_ctx(leaver, |node, ctx| node.request_leave(ctx));
+        assert_eq!(started, Some(true), "the leave offer is accepted");
+        let member =
+            |sim: &Simulator<PeerNode>| sim.node(leaver).is_some_and(|n| n.is_ring_member());
+        for _ in 0..1000 {
+            if !member(&sim) {
+                break;
+            }
+            sim.run_for(Duration::from_millis(10));
+        }
+        assert!(!member(&sim), "the leaver is free");
+        let node = sim.node(leaver).expect("alive");
+        for (mapped, _) in &held {
+            assert!(node.replication().holds_replica(*mapped), "{mapped}");
+        }
+
+        // A crash keeps what the WAL synced: a snapshot or a synced append
+        // after the replica put.
+        let now = sim.now();
+        let cfg = SystemConfig::fast();
+        let storage = PeerStorage::new_mem(41, Default::default());
+        let mut holder = PeerNode::free(PeerId(90), cfg.clone(), FreePool::new());
+        holder = holder.with_storage(storage);
+        let push = ReplMsg::Push {
+            items: held.clone().into(),
+        };
+        holder.dispatch(now, PeerId(0), PeerMsg::Repl(push), &mut Effects::new());
+        holder.persist_snapshot();
+        holder.on_killed();
+        let storage = holder.take_storage().expect("attached");
+        let recovered = storage.recover(RecoveryMode::Clean);
+        let reborn = PeerNode::restarted(
+            PeerId(90),
+            cfg,
+            FreePool::new(),
+            storage,
+            recovered,
+            RecoveryMode::Clean,
+        );
+        assert_eq!(reborn.replication().replicas(), held);
+
+        // An owner whose second target drops out of its list and is back
+        // before the next round pushes that round, then is quiet again.
+        let me = sim
+            .alive_nodes_iter()
+            .filter(|(_, n)| n.ring().stabilized_succ().is_some())
+            .find(|(_, n)| n.item_count() >= 2 && replica_targets(n).len() >= 2)
+            .map(|(p, _)| p)
+            .expect("a member with items and two replica targets");
+        let succ = sim.node(me).expect("alive").ring().stabilized_succ();
+        let succ = succ.expect("checked");
+        let theirs = sim
+            .node(succ.peer)
+            .expect("alive")
+            .ring()
+            .succ_list()
+            .to_vec();
+        let node = sim.node_mut(me).expect("alive");
+        let targets = replica_targets(node);
+        let refresh = |node: &mut PeerNode| {
+            let mut out = Effects::new();
+            node.refresh_replicas(now, &mut out);
+            pushes(&out)
+        };
+        let quiet = (0..2).find(|_| refresh(node).is_empty());
+        assert!(quiet.is_some(), "the round after a push is quiet");
+        let respond = |node: &mut PeerNode, list: Vec<pepper_ring::SuccEntry>| {
+            let response = RingMsg::StabResponse {
+                succ_list: list,
+                responder_state: EntryState::Joined,
+                responder_value: succ.value,
+                responder_pred: Some((me, node.ring().value())),
+            };
+            node.dispatch(now, succ.peer, PeerMsg::Ring(response), &mut Effects::new());
+            replica_targets(node)
+        };
+        let without = theirs.iter().filter(|e| e.peer != targets[1]).cloned();
+        assert!(!respond(node, without.collect()).contains(&targets[1]));
+        assert_eq!(respond(node, theirs), targets, "the target is back");
+        assert_eq!(refresh(node), targets);
+        assert_eq!(refresh(node), []);
     }
 
     #[test]

@@ -22,9 +22,9 @@ pub enum ReplEvent {
         items: Vec<(u64, pepper_types::Item)>,
     },
     /// A replica push landed and actually changed the replica store. Only
-    /// the *delta* (new or replaced entries) is reported: the periodic
-    /// refresh re-pushes every item every round, and journaling those
-    /// no-ops would grow the durable WAL without bound.
+    /// the *delta* (new or replaced entries) is reported: every push carries
+    /// the owner's whole item set, and journaling the entries already held
+    /// would grow the durable WAL with no-ops.
     ReplicasInstalled {
         /// The new or changed replicas (mapped value, item).
         items: Vec<(u64, pepper_types::Item)>,

@@ -4,8 +4,9 @@
 //! Every peer pushes the items of its own Data Store to its `k` successors
 //! (Section 2.3, CFS replication): at once when an item is stored or a range
 //! change brings items in, and in periodic refresh rounds. A refresh round
-//! whose items and targets are those of the peer's last push stays quiet,
-//! except for every [`REFRESH_FLOOR`]-th round. When a predecessor fails, its
+//! pushes only when the peer's items or its targets changed since its last
+//! push, or a target dropped out of its successor list in between; every
+//! other round stays quiet. When a predecessor fails, its
 //! successor takes over the failed range and *revives* the items from its
 //! replica store. When a peer is about to give up its range in a merge, it
 //! first replicates everything it stores — its own items *and* the replicas
@@ -22,5 +23,5 @@ pub mod manager;
 pub mod messages;
 
 pub use events::ReplEvent;
-pub use manager::{ReplicationManager, REFRESH_FLOOR};
+pub use manager::ReplicationManager;
 pub use messages::{Batch, ReplMsg};

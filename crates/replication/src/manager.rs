@@ -10,11 +10,6 @@ use pepper_types::{CircularRange, Item, PeerId, Protocol, SystemConfig};
 use crate::events::ReplEvent;
 use crate::messages::{Batch, ReplMsg};
 
-/// Every `REFRESH_FLOOR`-th periodic refresh round pushes even when nothing
-/// changed since this peer's last push: the anti-entropy floor under the
-/// quiet rounds of [`ReplicationManager::refresh`].
-pub const REFRESH_FLOOR: u32 = 8;
-
 /// The per-peer replication manager.
 #[derive(Debug, Clone)]
 pub struct ReplicationManager {
@@ -23,12 +18,10 @@ pub struct ReplicationManager {
     /// Replicas held on behalf of predecessors, keyed by mapped value.
     replica_store: BTreeMap<u64, Item>,
     /// The last push this peer sent: the items version its batch was built
-    /// from (`None`: a one-off batch) and its targets, and how many refresh
-    /// rounds stayed quiet since. A refresh round that would repeat that
-    /// push sends nothing.
+    /// from (`None`: a one-off batch, or forgotten) and its targets. A
+    /// refresh round that would repeat that push sends nothing.
     last_push: Option<u64>,
     pushed_to: Vec<PeerId>,
-    quiet_rounds: u32,
     /// Events buffered for the composed peer.
     events: Vec<ReplEvent>,
 }
@@ -42,7 +35,6 @@ impl ReplicationManager {
             replica_store: BTreeMap::new(),
             last_push: None,
             pushed_to: Vec::new(),
-            quiet_rounds: 0,
             events: Vec::new(),
         }
     }
@@ -98,21 +90,16 @@ impl ReplicationManager {
         self.pushed_to
             .extend(targets.take(self.cfg.replication_factor));
         for &target in &self.pushed_to {
-            fx.send(
-                target,
-                ReplMsg::Push {
-                    items: Arc::clone(&batch),
-                },
-            );
+            let items = Arc::clone(&batch);
+            fx.send(target, ReplMsg::Push { items });
         }
         self.last_push = version;
-        self.quiet_rounds = 0;
     }
 
     /// A periodic refresh round: [`Self::push_batch`], unless this peer's
     /// last push carried the batch of the same items `version` to the same
     /// targets. Then every target already holds the batch, and the round
-    /// stays quiet; every [`REFRESH_FLOOR`]-th round pushes anyway.
+    /// stays quiet, however many rounds in a row.
     ///
     /// A version names one batch only within one incarnation: a restarted
     /// peer is a new manager whose first round always pushes.
@@ -125,15 +112,25 @@ impl ReplicationManager {
     ) {
         let targets = successors.clone().filter(|p| *p != self.id);
         if self.last_push == Some(version)
-            && self.quiet_rounds + 1 < REFRESH_FLOOR
             && targets
                 .take(self.cfg.replication_factor)
                 .eq(self.pushed_to.iter().copied())
         {
-            self.quiet_rounds += 1;
             return;
         }
         self.push_batch(batch, Some(version), successors, fx);
+    }
+
+    /// Forgets the last push once one of its targets is missing from
+    /// `listed`, the `JOINED` successors this peer lists now, so the next
+    /// [`Self::refresh`] round pushes even if that target is back by then.
+    /// A target that left the list may have crashed, and a restart reloads
+    /// only the replicas its WAL had synced.
+    pub fn forget_unlisted_targets(&mut self, listed: impl Iterator<Item = PeerId> + Clone) {
+        let gone = |target: &PeerId| !listed.clone().any(|p| p == *target);
+        if self.pushed_to.iter().any(gone) {
+            self.last_push = None;
+        }
     }
 
     /// The paper's replicate-to-additional-hop: before this peer gives up its
@@ -190,14 +187,10 @@ impl ReplicationManager {
     /// in `acquired`, to be revived into the Data Store after this peer took
     /// over a failed predecessor's range.
     pub fn take_replicas_in(&mut self, acquired: &CircularRange) -> Vec<(u64, Item)> {
-        let mut taken = Vec::new();
-        self.replica_store.retain(|mapped, item| {
-            let take = acquired.contains(*mapped);
-            if take {
-                taken.push((*mapped, item.clone()));
-            }
-            !take
-        });
+        let (taken, kept): (Vec<_>, Vec<_>) = std::mem::take(&mut self.replica_store)
+            .into_iter()
+            .partition(|(mapped, _)| acquired.contains(*mapped));
+        self.replica_store = kept.into_iter().collect();
         taken
     }
 
@@ -207,10 +200,13 @@ impl ReplicationManager {
         self.replica_store.extend(items);
     }
 
-    /// Drops replicas that are now owned by this peer itself (they live in
-    /// the Data Store) or that fall outside the watched range. Called
-    /// opportunistically by the composed peer; keeps the replica store from
-    /// growing without bound in long experiments.
+    /// Drops the replicas inside this peer's own range: it owns them now, and
+    /// they live in its Data Store. Called by the composed peer on every
+    /// range change; keeps the replica store from growing without bound in
+    /// long experiments. Besides this and [`Self::take_replicas_in`], nothing
+    /// empties the store while the peer runs: a peer that becomes free keeps
+    /// its replicas, because only the composed peer's construction builds a
+    /// manager.
     pub fn prune_owned(&mut self, own_range: &CircularRange) {
         self.replica_store
             .retain(|mapped, _| !own_range.contains(*mapped));
@@ -711,7 +707,7 @@ mod tests {
     }
 
     #[test]
-    fn a_refresh_round_with_nothing_new_is_quiet_until_the_floor() {
+    fn a_refresh_round_with_nothing_new_stays_quiet() {
         let mut rm = ReplicationManager::new(PeerId(0), SystemConfig::fast());
         let mut fx = Effects::new();
         let batch: Batch = vec![item(10), item(20)].into();
@@ -722,21 +718,18 @@ mod tests {
         // The first round has nothing to compare against and pushes.
         refresh(&mut rm, 5, &succs, &mut fx);
         assert_eq!(pushed(&mut fx), [PeerId(1), PeerId(2)]);
-        // Same items, same targets: rounds 1-7 send nothing, round 8 pushes.
-        for _ in 0..3 {
-            for round in 1..REFRESH_FLOOR {
-                refresh(&mut rm, 5, &succs, &mut fx);
-                assert!(fx.is_empty(), "round {round}");
-            }
+        // Same items, same targets: no round sends anything.
+        for round in 1..=64 {
             refresh(&mut rm, 5, &succs, &mut fx);
-            assert_eq!(pushed(&mut fx), [PeerId(1), PeerId(2)]);
+            assert!(fx.is_empty(), "round {round}");
         }
         // A stored or deleted item is a new store version: the next round
-        // pushes, and the one after is quiet again.
-        refresh(&mut rm, 5, &succs, &mut fx);
+        // pushes, and the ones after are quiet again.
         refresh(&mut rm, 6, &succs, &mut fx);
         assert_eq!(pushed(&mut fx), [PeerId(1), PeerId(2)]);
-        refresh(&mut rm, 6, &succs, &mut fx);
+        for _ in 0..64 {
+            refresh(&mut rm, 6, &succs, &mut fx);
+        }
         assert!(fx.is_empty());
         // A changed target list: the next round pushes to the new list. A
         // change past the first k, or of this peer's own entry, is none.
@@ -765,23 +758,16 @@ mod tests {
         };
         refresh(&mut rm, &mut fx);
         assert_eq!(pushed(&mut fx).len(), 2);
-        // A store push or a range push (`push_batch`) repeating the last
-        // push still sends, and restarts the count to the floor.
-        for _ in 0..3 {
-            refresh(&mut rm, &mut fx);
-        }
-        assert!(fx.is_empty());
-        let push = |rm: &mut ReplicationManager, fx: &mut _| {
-            rm.push_batch(Arc::clone(&batch), Some(5), succs, fx);
-        };
-        push(&mut rm, &mut fx);
-        assert_eq!(pushed(&mut fx), [PeerId(1), PeerId(2)]);
-        for _ in 1..REFRESH_FLOOR {
-            refresh(&mut rm, &mut fx);
-        }
-        assert!(fx.is_empty());
         refresh(&mut rm, &mut fx);
-        assert_eq!(pushed(&mut fx).len(), 2);
+        assert!(fx.is_empty());
+        // A store push or a range push (`push_batch`) repeating the last
+        // push still sends, and the rounds after it stay quiet.
+        rm.push_batch(Arc::clone(&batch), Some(5), succs, &mut fx);
+        assert_eq!(pushed(&mut fx), [PeerId(1), PeerId(2)]);
+        for _ in 0..64 {
+            refresh(&mut rm, &mut fx);
+        }
+        assert!(fx.is_empty());
         // A one-off push, the pinned `push_to_successors` or the extra
         // hop, leaves nothing to compare against: the next round pushes.
         rm.push_to_successors(ctx(0), &batch, &succs, &mut fx);
@@ -792,6 +778,31 @@ mod tests {
         assert_eq!(pushed(&mut fx), [PeerId(3)]);
         refresh(&mut rm, &mut fx);
         assert_eq!(pushed(&mut fx).len(), 2);
+        refresh(&mut rm, &mut fx);
+        assert!(fx.is_empty());
+    }
+
+    #[test]
+    fn a_target_that_left_the_list_and_came_back_is_pushed_again() {
+        let mut rm = ReplicationManager::new(PeerId(0), SystemConfig::fast());
+        let mut fx = Effects::new();
+        let batch: Batch = vec![item(10)].into();
+        let succs = [PeerId(1), PeerId(2), PeerId(3)];
+        let refresh = |rm: &mut ReplicationManager, fx: &mut _| {
+            rm.refresh(Arc::clone(&batch), 5, succs.iter().copied(), fx);
+        };
+        refresh(&mut rm, &mut fx);
+        assert_eq!(pushed(&mut fx), [PeerId(1), PeerId(2)]);
+        // A list that keeps both targets, in any order or past the first
+        // k, changes nothing.
+        rm.forget_unlisted_targets([PeerId(4), PeerId(2), PeerId(1)].into_iter());
+        refresh(&mut rm, &mut fx);
+        assert!(fx.is_empty());
+        // Target 2 drops out of the list and is back by the next round:
+        // that round pushes, and the one after is quiet again.
+        rm.forget_unlisted_targets([PeerId(1), PeerId(3)].into_iter());
+        refresh(&mut rm, &mut fx);
+        assert_eq!(pushed(&mut fx), [PeerId(1), PeerId(2)]);
         refresh(&mut rm, &mut fx);
         assert!(fx.is_empty());
     }

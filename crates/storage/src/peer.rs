@@ -8,7 +8,8 @@
 //!   peer's acknowledgement effect leaves the simulator handler — an acked
 //!   op is durable by construction;
 //! * replica receipts are appended **lazily** (no sync): replicas are soft
-//!   state that live owners re-push every refresh period, so losing the
+//!   state — a crashed holder drops out of its owners' successor lists, and
+//!   each owner pushes to it again when it is back — so losing the
 //!   un-synced tail in a crash costs nothing the protocol has promised —
 //!   and it is exactly what gives the fault injector real torn tails to cut;
 //! * every range change writes a fresh snapshot and truncates the WAL, and
@@ -144,9 +145,9 @@ impl PeerStorage {
         self.wal_records += 1;
     }
 
-    /// Journals received replicas. Appended lazily (NOT synced): replicas
-    /// are refreshed by live owners anyway, and the un-synced tail is what
-    /// the crash injector tears.
+    /// Journals received replicas. Appended lazily (NOT synced): live owners
+    /// push again to a holder that left their lists and came back, and the
+    /// un-synced tail is what the crash injector tears.
     pub fn log_replica_puts(&mut self, items: &[(u64, Item)]) {
         for (mapped, item) in items {
             let rec = WalRecord::ReplicaPut {
