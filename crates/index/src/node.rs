@@ -610,7 +610,7 @@ impl PeerNode {
         out: &mut Effects<PeerMsg>,
     ) {
         for event in events {
-            self.note(now, "ring", event.tag(), String::new);
+            self.note(now, "ring", event.tag(), || event.detail());
             match event {
                 RingEvent::Joined { value, .. } => {
                     self.ds.became_ring_member(value);

@@ -82,6 +82,28 @@ impl RingEvent {
             RingEvent::SuccessorDeparted { .. } => "SuccessorDeparted",
         }
     }
+
+    /// The event's fields, rendered for a trace line (`peer=p4 value=v7`).
+    pub fn detail(&self) -> String {
+        match self {
+            RingEvent::Joined {
+                value,
+                pred,
+                pred_value,
+            } => format!("value={value} pred={pred} pred_value={pred_value}"),
+            RingEvent::InsertSuccComplete { new_peer, elapsed } => {
+                format!("new_peer={new_peer} elapsed={elapsed:?}")
+            }
+            RingEvent::InsertSuccAborted { new_peer } => format!("new_peer={new_peer}"),
+            RingEvent::NewSuccessor { peer, value } | RingEvent::NewPredecessor { peer, value } => {
+                format!("peer={peer} value={value}")
+            }
+            RingEvent::LeaveComplete { elapsed } => format!("elapsed={elapsed:?}"),
+            RingEvent::SuccessorFailed { peer } | RingEvent::SuccessorDeparted { peer } => {
+                format!("peer={peer}")
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -121,5 +143,27 @@ mod tests {
         tags.sort_unstable();
         tags.dedup();
         assert_eq!(tags.len(), events.len());
+    }
+
+    #[test]
+    fn details_name_every_field() {
+        let joined = RingEvent::Joined {
+            value: PeerValue(9),
+            pred: PeerId(2),
+            pred_value: PeerValue(5),
+        };
+        assert_eq!(joined.detail(), "value=v9 pred=p2 pred_value=v5");
+        let succ = RingEvent::NewSuccessor {
+            peer: PeerId(4),
+            value: PeerValue(7),
+        };
+        assert_eq!(succ.detail(), "peer=p4 value=v7");
+        let done = RingEvent::InsertSuccComplete {
+            new_peer: PeerId(3),
+            elapsed: Duration::from_millis(2),
+        };
+        assert_eq!(done.detail(), "new_peer=p3 elapsed=2ms");
+        let gone = RingEvent::SuccessorDeparted { peer: PeerId(1) };
+        assert_eq!(gone.detail(), "peer=p1");
     }
 }

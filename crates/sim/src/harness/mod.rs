@@ -836,24 +836,33 @@ impl Harness {
     /// Captures the trace tail for a red artifact: re-executes the recorded
     /// schedule with tracing enabled (bounded rings, so every peer keeps
     /// exactly its last [`Self::TRACE_TAIL_EVENTS`] events) and renders the
-    /// buffers of the peers the violations implicate. Determinism guarantees
-    /// the traced re-run lands on the identical violation, so the rendered
-    /// tail is a genuine post-mortem of the original run.
+    /// buffers of the peers the violations implicate and of their ring
+    /// neighbours — each one's predecessor and successor-list peers at the
+    /// violation, whose state changes are often what broke it. Determinism
+    /// guarantees the traced re-run lands on the identical violation, so the
+    /// rendered tail is a genuine post-mortem of the original run.
     fn render_trace_tail(&self) -> String {
-        let involved: BTreeSet<PeerId> = self
-            .violations
-            .iter()
-            .flat_map(|v| v.peers.iter().copied())
-            .collect();
+        let named = self.violations.iter().flat_map(|v| v.peers.iter());
+        let mut involved: BTreeSet<PeerId> = named.copied().collect();
         if involved.is_empty() {
             return String::new();
         }
+        let neighbours: Vec<PeerId> = involved
+            .iter()
+            .filter_map(|p| self.cluster.sim.node(*p))
+            .flat_map(|n| {
+                let ring = n.ring();
+                let list = ring.succ_list().iter().map(|e| e.peer);
+                ring.pred().map(|(p, _)| p).into_iter().chain(list)
+            })
+            .collect();
+        involved.extend(neighbours);
         let mut cfg = self.cfg.clone();
         cfg.trace = TraceConfig::enabled().with_ring_capacity(Self::TRACE_TAIL_EVENTS);
         let replay = Harness::replay(cfg, &self.trace);
         let mut traces: HashMap<PeerId, Vec<TraceEvent>> = replay.traces.into_iter().collect();
-        // Every implicated peer gets a section, even an empty one — "this
-        // peer recorded nothing" is itself a triage datum.
+        // Every implicated peer and neighbour gets a section, even an empty
+        // one — "this peer recorded nothing" is itself a triage datum.
         let tails: Vec<(u64, Vec<TraceEvent>)> = involved
             .into_iter()
             .map(|p| (p.raw(), traces.remove(&p).unwrap_or_default()))

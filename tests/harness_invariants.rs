@@ -304,6 +304,40 @@ fn harness_catches_naive_protocol_violations_and_replays_them() {
 }
 
 #[test]
+fn a_red_artifacts_trace_tail_covers_the_ring_neighbours_of_the_implicated_peers() {
+    // The peer whose state change broke the ring is often a neighbour the
+    // violation does not name, so the tail has a section for every
+    // implicated peer's predecessor and successor-list peers too, and ring
+    // events record their fields.
+    let cfg = HarnessConfig::from_profile("quick-naive", 1).expect("known profile");
+    let report = Harness::run_generated(cfg);
+    let artifact = report.artifact.as_ref().expect("seed 1 is red");
+    let named: Vec<u64> = artifact
+        .violations
+        .iter()
+        .flat_map(|v| v.peers.iter().map(|p| p.raw()))
+        .collect();
+    let sections: Vec<u64> = artifact
+        .trace_tail
+        .lines()
+        .filter_map(|l| l.strip_prefix("peer ")?.split(' ').next()?.parse().ok())
+        .collect();
+    assert!(
+        sections.iter().any(|p| !named.contains(p)),
+        "no section for a neighbour of {named:?}:\n{}",
+        artifact.trace_tail
+    );
+    assert!(
+        artifact
+            .trace_tail
+            .lines()
+            .any(|l| l.contains("ring/NewSuccessor peer=p")),
+        "no NewSuccessor line names its peer:\n{}",
+        artifact.trace_tail
+    );
+}
+
+#[test]
 fn churn_only_profile_is_clean_without_any_failures() {
     // Sanity split: with fail-stops and leaves disabled, the strictest
     // versions of every check apply (no grace windows, resurrection checks
