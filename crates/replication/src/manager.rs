@@ -570,8 +570,8 @@ mod tests {
             &rm.drain_events()[..],
             [ReplEvent::ReplicasInstalled { items }] if items.len() == 2
         ));
-        // An identical re-push (the periodic refresh) changes nothing and
-        // reports nothing — the WAL must not grow on refresh rounds.
+        // An identical re-push changes nothing and reports nothing — the WAL
+        // must not grow on pushes that bring nothing new.
         ProtocolLayer::handle(
             &mut rm,
             ctx(1),

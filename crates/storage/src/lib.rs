@@ -12,7 +12,8 @@
 //! * the **WAL** ([`wal`]) is an append-only log of length- and
 //!   checksum-framed records; acknowledged item operations are synced before
 //!   the acknowledgement leaves the peer, replica receipts are appended
-//!   lazily (they are soft state a live ring re-pushes anyway);
+//!   lazily (they are soft state: a live owner pushes again to a holder
+//!   that dropped out of its successor list and came back);
 //! * a **snapshot** ([`snapshot`]) atomically captures the full durable
 //!   image (status, range, items, replicas) and truncates the WAL; the
 //!   composed peer writes one on every range change and on its periodic

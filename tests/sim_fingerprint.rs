@@ -23,18 +23,18 @@ use rand::{Rng, SeedableRng};
 
 // To re-pin after an *intended* protocol change: run
 // `cargo test -q -p pepper-sim --test sim_fingerprint`, copy the "got" value.
-const FINGERPRINT: u64 = 0x0d59_4215_226c_e6cc;
+const FINGERPRINT: u64 = 0x3b29_a326_ebc7_f917;
 
 /// The run's final network counters, checked before [`FINGERPRINT`]. Re-pin
 /// them the same way, from the "left" value of the failed assertion.
 const NET_STATS: NetStats = NetStats {
-    messages_sent: 34_449,
-    messages_delivered: 34_422,
-    messages_dropped: 26,
+    messages_sent: 33_693,
+    messages_delivered: 33_665,
+    messages_dropped: 27,
     timers_fired: 19_751,
     timers_dropped: 6,
     external_delivered: 0,
-    events_processed: 54_205,
+    events_processed: 53_449,
     peak_queue_depth: 411,
     peak_fifo_channels: 1083,
 };
