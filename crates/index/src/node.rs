@@ -185,7 +185,7 @@ impl PeerNode {
     /// range must never be served as owned. Its recovered items are parked
     /// for donation to their current owners ([`PeerNode::restart_rejoin`]),
     /// its recovered replica holdings are installed as replicas (soft state
-    /// its owners push again once it is back in their lists), and the
+    /// its owners push again once they see it join again), and the
     /// storage engine keeps the
     /// *pre-crash* durable image until the donation outcome is journaled by
     /// normal operation — crashing again mid-donation just re-donates.
@@ -472,7 +472,7 @@ impl PeerNode {
     /// One periodic refresh round of the CFS scheme, fed with the
     /// cross-layer snapshot only the composed peer can take. It stays quiet
     /// when neither the items nor the targets changed since the last push
-    /// and no target dropped out of the list in between (see
+    /// and no target was seen joining again in between (see
     /// [`ReplicationManager::refresh`]).
     fn refresh_replicas(&mut self, now: SimTime, out: &mut Effects<PeerMsg>) {
         let (version, batch) = self.current_batch();
@@ -492,11 +492,12 @@ impl PeerNode {
             PeerMsg::Ring(m) => {
                 let events = self.ring.handle(ctx, from, m, out);
                 self.process_ring_events(now, events, out);
-                // A replica target that drops out of the list may return
-                // without the replicas a crash tore from its WAL tail: the
-                // next refresh round pushes to it again.
-                self.repl
-                    .forget_unlisted_targets(Self::joined_successors(&self.ring));
+                // A replica target seen joining again may have lost the
+                // replicas a crash tore from its WAL tail: the next refresh
+                // round pushes to it again.
+                let joining = self.ring.succ_list().iter();
+                let joining = joining.filter(|e| e.state == EntryState::Joining);
+                self.repl.forget_rejoined_targets(joining.map(|e| e.peer));
                 // The router's near slots are the ring's successors: copy
                 // them after every batch instead of probing for them.
                 if self.ring.is_member() {
@@ -918,9 +919,9 @@ impl PeerNode {
                 ReplEvent::ReplicasInstalled { items } => {
                     // Journal the replica delta lazily (appended, not
                     // synced): replicas are soft state, a crashed holder
-                    // drops out of its owners' lists and is pushed again
-                    // when it comes back, and the un-synced tail is what
-                    // gives the crash injector real torn writes.
+                    // is pushed again by its owners when they see it join
+                    // again, and the un-synced tail is what gives the crash
+                    // injector real torn writes.
                     if let Some(storage) = self.storage.as_mut() {
                         storage.log_replica_puts(&items);
                         self.metrics
@@ -1953,7 +1954,7 @@ mod tests {
         // two rounds does: a peer that becomes free keeps its replica store,
         // and a restarted peer reloads its replicas from its WAL. Only the
         // un-synced WAL tail a crash tears is lost, and the owner pushes
-        // again to a target that dropped out of its list.
+        // again to a target it sees joining the ring again.
         let mut sim = settled_ring(41);
         let leaver = sim
             .alive_nodes_iter()
@@ -2003,8 +2004,8 @@ mod tests {
         );
         assert_eq!(reborn.replication().replicas(), held);
 
-        // An owner whose second target drops out of its list and is back
-        // before the next round pushes that round, then is quiet again.
+        // An owner that sees its second target joining again, and joined
+        // by the next round, pushes that round, then is quiet again.
         let me = sim
             .alive_nodes_iter()
             .filter(|(_, n)| n.ring().stabilized_succ().is_some())
@@ -2038,8 +2039,13 @@ mod tests {
             node.dispatch(now, succ.peer, PeerMsg::Ring(response), &mut Effects::new());
             replica_targets(node)
         };
-        let without = theirs.iter().filter(|e| e.peer != targets[1]).cloned();
-        assert!(!respond(node, without.collect()).contains(&targets[1]));
+        let rejoining = theirs.iter().cloned().map(|mut e| {
+            if e.peer == targets[1] {
+                e.state = EntryState::Joining;
+            }
+            e
+        });
+        assert!(!respond(node, rejoining.collect()).contains(&targets[1]));
         assert_eq!(respond(node, theirs), targets, "the target is back");
         assert_eq!(refresh(node), targets);
         assert_eq!(refresh(node), []);

@@ -121,14 +121,13 @@ impl ReplicationManager {
         self.push_batch(batch, Some(version), successors, fx);
     }
 
-    /// Forgets the last push once one of its targets is missing from
-    /// `listed`, the `JOINED` successors this peer lists now, so the next
-    /// [`Self::refresh`] round pushes even if that target is back by then.
-    /// A target that left the list may have crashed, and a restart reloads
-    /// only the replicas its WAL had synced.
-    pub fn forget_unlisted_targets(&mut self, listed: impl Iterator<Item = PeerId> + Clone) {
-        let gone = |target: &PeerId| !listed.clone().any(|p| p == *target);
-        if self.pushed_to.iter().any(gone) {
+    /// Forgets the last push if one of its targets is `joining`, listed as
+    /// `JOINING` in this peer's successor list: it left the ring and is
+    /// being inserted again, maybe after a crash, whose restart reloads only
+    /// the replicas its WAL had synced. The next [`Self::refresh`] round
+    /// then pushes even if the targets look as they did.
+    pub fn forget_rejoined_targets(&mut self, mut joining: impl Iterator<Item = PeerId>) {
+        if joining.any(|peer| self.pushed_to.contains(&peer)) {
             self.last_push = None;
         }
     }
@@ -783,7 +782,7 @@ mod tests {
     }
 
     #[test]
-    fn a_target_that_left_the_list_and_came_back_is_pushed_again() {
+    fn a_target_seen_joining_again_is_pushed_again() {
         let mut rm = ReplicationManager::new(PeerId(0), SystemConfig::fast());
         let mut fx = Effects::new();
         let batch: Batch = vec![item(10)].into();
@@ -793,14 +792,13 @@ mod tests {
         };
         refresh(&mut rm, &mut fx);
         assert_eq!(pushed(&mut fx), [PeerId(1), PeerId(2)]);
-        // A list that keeps both targets, in any order or past the first
-        // k, changes nothing.
-        rm.forget_unlisted_targets([PeerId(4), PeerId(2), PeerId(1)].into_iter());
+        // A joining peer that was no target changes nothing.
+        rm.forget_rejoined_targets([PeerId(4)].into_iter());
         refresh(&mut rm, &mut fx);
         assert!(fx.is_empty());
-        // Target 2 drops out of the list and is back by the next round:
-        // that round pushes, and the one after is quiet again.
-        rm.forget_unlisted_targets([PeerId(1), PeerId(3)].into_iter());
+        // Target 2 left, is seen joining again and is back by the next
+        // round: that round pushes, and the one after is quiet again.
+        rm.forget_rejoined_targets([PeerId(4), PeerId(2)].into_iter());
         refresh(&mut rm, &mut fx);
         assert_eq!(pushed(&mut fx), [PeerId(1), PeerId(2)]);
         refresh(&mut rm, &mut fx);

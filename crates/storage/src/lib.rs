@@ -13,7 +13,7 @@
 //!   checksum-framed records; acknowledged item operations are synced before
 //!   the acknowledgement leaves the peer, replica receipts are appended
 //!   lazily (they are soft state: a live owner pushes again to a holder
-//!   that dropped out of its successor list and came back);
+//!   it sees join the ring again);
 //! * a **snapshot** ([`snapshot`]) atomically captures the full durable
 //!   image (status, range, items, replicas) and truncates the WAL; the
 //!   composed peer writes one on every range change and on its periodic

@@ -8,8 +8,8 @@
 //!   peer's acknowledgement effect leaves the simulator handler — an acked
 //!   op is durable by construction;
 //! * replica receipts are appended **lazily** (no sync): replicas are soft
-//!   state — a crashed holder drops out of its owners' successor lists, and
-//!   each owner pushes to it again when it is back — so losing the
+//!   state — each owner pushes again to a holder it sees join the ring
+//!   again, as a crashed one must — so losing the
 //!   un-synced tail in a crash costs nothing the protocol has promised —
 //!   and it is exactly what gives the fault injector real torn tails to cut;
 //! * every range change writes a fresh snapshot and truncates the WAL, and
@@ -146,7 +146,7 @@ impl PeerStorage {
     }
 
     /// Journals received replicas. Appended lazily (NOT synced): live owners
-    /// push again to a holder that left their lists and came back, and the
+    /// push again to a holder they see join the ring again, and the
     /// un-synced tail is what the crash injector tears.
     pub fn log_replica_puts(&mut self, items: &[(u64, Item)]) {
         for (mapped, item) in items {

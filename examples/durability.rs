@@ -47,8 +47,8 @@ fn main() {
         println!("WAL: +300 (insert), -100 (delete) — synced");
 
         // Replica receipts are journaled lazily (no sync): soft state each
-        // live owner pushes again once the holder drops out of its
-        // successor list and comes back.
+        // live owner pushes again once it sees the holder join the ring
+        // again.
         storage.log_replica_puts(&[(7, item(7)), (8, item(8))]);
         println!("WAL: replicas 7, 8 appended (not synced)");
         // The process "crashes" here: storage is dropped without another
