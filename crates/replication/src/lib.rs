@@ -4,9 +4,8 @@
 //! Every peer pushes the items of its own Data Store to its `k` successors
 //! (Section 2.3, CFS replication): at once when an item is stored or a range
 //! change brings items in, and in periodic refresh rounds. A refresh round
-//! pushes only when the peer's items or its targets changed since its last
-//! push, or a target was seen joining the ring again in between; every
-//! other round stays quiet. When a predecessor fails, its
+//! pushes only if the items or targets changed since the last push, or a
+//! target rejoined the ring in between. When a predecessor fails, its
 //! successor takes over the failed range and *revives* the items from its
 //! replica store. When a peer is about to give up its range in a merge, it
 //! first replicates everything it stores — its own items *and* the replicas

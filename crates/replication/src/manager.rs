@@ -90,8 +90,12 @@ impl ReplicationManager {
         self.pushed_to
             .extend(targets.take(self.cfg.replication_factor));
         for &target in &self.pushed_to {
-            let items = Arc::clone(&batch);
-            fx.send(target, ReplMsg::Push { items });
+            fx.send(
+                target,
+                ReplMsg::Push {
+                    items: Arc::clone(&batch),
+                },
+            );
         }
         self.last_push = version;
     }
@@ -121,11 +125,8 @@ impl ReplicationManager {
         self.push_batch(batch, Some(version), successors, fx);
     }
 
-    /// Forgets the last push if one of its targets is `joining`, listed as
-    /// `JOINING` in this peer's successor list: it left the ring and is
-    /// being inserted again, maybe after a crash, whose restart reloads only
-    /// the replicas its WAL had synced. The next [`Self::refresh`] round
-    /// then pushes even if the targets look as they did.
+    /// Forgets the last push if a target of it is listed `JOINING`: it left
+    /// the ring, and may have crashed and lost replicas its WAL had not synced.
     pub fn forget_rejoined_targets(&mut self, mut joining: impl Iterator<Item = PeerId>) {
         if joining.any(|peer| self.pushed_to.contains(&peer)) {
             self.last_push = None;
@@ -186,10 +187,14 @@ impl ReplicationManager {
     /// in `acquired`, to be revived into the Data Store after this peer took
     /// over a failed predecessor's range.
     pub fn take_replicas_in(&mut self, acquired: &CircularRange) -> Vec<(u64, Item)> {
-        let (taken, kept): (Vec<_>, Vec<_>) = std::mem::take(&mut self.replica_store)
-            .into_iter()
-            .partition(|(mapped, _)| acquired.contains(*mapped));
-        self.replica_store = kept.into_iter().collect();
+        let mut taken = Vec::new();
+        self.replica_store.retain(|mapped, item| {
+            let take = acquired.contains(*mapped);
+            if take {
+                taken.push((*mapped, item.clone()));
+            }
+            !take
+        });
         taken
     }
 
@@ -199,13 +204,12 @@ impl ReplicationManager {
         self.replica_store.extend(items);
     }
 
-    /// Drops the replicas inside this peer's own range: it owns them now, and
-    /// they live in its Data Store. Called by the composed peer on every
-    /// range change; keeps the replica store from growing without bound in
-    /// long experiments. Besides this and [`Self::take_replicas_in`], nothing
-    /// empties the store while the peer runs: a peer that becomes free keeps
-    /// its replicas, because only the composed peer's construction builds a
-    /// manager.
+    /// Drops the replicas inside this peer's own range: it owns them now,
+    /// and they live in its Data Store. Called on every range change, it
+    /// keeps the store from growing without bound. Only this and
+    /// [`Self::take_replicas_in`] empty the store: a peer that becomes free
+    /// keeps its replicas, since only the composed peer's construction
+    /// builds a manager.
     pub fn prune_owned(&mut self, own_range: &CircularRange) {
         self.replica_store
             .retain(|mapped, _| !own_range.contains(*mapped));
