@@ -842,8 +842,11 @@ impl Harness {
     /// guarantees the traced re-run lands on the identical violation, so the
     /// rendered tail is a genuine post-mortem of the original run.
     fn render_trace_tail(&self) -> String {
-        let named = self.violations.iter().flat_map(|v| v.peers.iter());
-        let mut involved: BTreeSet<PeerId> = named.copied().collect();
+        let mut involved: BTreeSet<PeerId> = self
+            .violations
+            .iter()
+            .flat_map(|v| v.peers.iter().copied())
+            .collect();
         if involved.is_empty() {
             return String::new();
         }

@@ -280,38 +280,10 @@ fn harness_catches_naive_protocol_violations_and_replays_them() {
         .as_ref()
         .expect("violations freeze an artifact");
     assert!(artifact.violations.iter().any(|v| v.invariant == "ring"));
-
-    // The artifact round-trips through its text form and replays to the
-    // exact same violation — byte-for-byte the same schedule and end state.
-    let parsed = FailureArtifact::parse(&artifact.encode()).expect("artifact parses back");
-    assert_eq!(parsed.trace.hash(), report.trace.hash());
-    let replayed = Harness::replay_artifact(&parsed).expect("profile reconstructs");
-    assert_eq!(replayed.trace.hash(), report.trace.hash());
-    assert_eq!(replayed.final_state_hash, report.final_state_hash);
-    assert_eq!(
-        replayed
-            .violations
-            .iter()
-            .map(|v| v.invariant)
-            .collect::<Vec<_>>(),
-        report
-            .violations
-            .iter()
-            .map(|v| v.invariant)
-            .collect::<Vec<_>>(),
-        "replay must reproduce the same violations"
-    );
-}
-
-#[test]
-fn a_red_artifacts_trace_tail_covers_the_ring_neighbours_of_the_implicated_peers() {
     // The peer whose state change broke the ring is often a neighbour the
-    // violation does not name, so the tail has a section for every
+    // violation does not name, so the trace tail has a section for every
     // implicated peer's predecessor and successor-list peers too, and ring
     // events record their fields.
-    let cfg = HarnessConfig::from_profile("quick-naive", 1).expect("known profile");
-    let report = Harness::run_generated(cfg);
-    let artifact = report.artifact.as_ref().expect("seed 1 is red");
     let named: Vec<u64> = artifact
         .violations
         .iter()
@@ -334,6 +306,27 @@ fn a_red_artifacts_trace_tail_covers_the_ring_neighbours_of_the_implicated_peers
             .any(|l| l.contains("ring/NewSuccessor peer=p")),
         "no NewSuccessor line names its peer:\n{}",
         artifact.trace_tail
+    );
+
+    // The artifact round-trips through its text form and replays to the
+    // exact same violation — byte-for-byte the same schedule and end state.
+    let parsed = FailureArtifact::parse(&artifact.encode()).expect("artifact parses back");
+    assert_eq!(parsed.trace.hash(), report.trace.hash());
+    let replayed = Harness::replay_artifact(&parsed).expect("profile reconstructs");
+    assert_eq!(replayed.trace.hash(), report.trace.hash());
+    assert_eq!(replayed.final_state_hash, report.final_state_hash);
+    assert_eq!(
+        replayed
+            .violations
+            .iter()
+            .map(|v| v.invariant)
+            .collect::<Vec<_>>(),
+        report
+            .violations
+            .iter()
+            .map(|v| v.invariant)
+            .collect::<Vec<_>>(),
+        "replay must reproduce the same violations"
     );
 }
 
