@@ -73,9 +73,11 @@
 //! finds its takeover stale.
 
 use pepper_net::{Effects, LayerCtx, SimTime};
+use pepper_types::range::in_half_open;
 use pepper_types::{PeerId, PeerValue};
 
 use crate::entry::{EntryState, RingPhase, SuccEntry};
+use crate::events::RingEvent;
 use crate::messages::RingMsg;
 use crate::state::RingState;
 
@@ -101,6 +103,10 @@ pub(crate) struct StabMemo {
     backoff: u32,
     /// When this peer last sent a `StabRequest`.
     last_round: Option<SimTime>,
+    /// The peer the last `notify` repair inserted, and the value of the
+    /// responder whose predecessor pointer named it: until the next applied
+    /// response, the repaired entry is only trusted inside that gap.
+    repaired: Option<(PeerId, PeerValue)>,
 }
 
 impl Default for StabMemo {
@@ -113,6 +119,7 @@ impl Default for StabMemo {
             at_tick: 0,
             backoff: 1,
             last_round: None,
+            repaired: None,
         }
     }
 }
@@ -297,7 +304,7 @@ impl RingState {
         {
             self.pred = Some((self.id, self.value));
             self.pred_heard = ctx.now;
-            self.emit(crate::events::RingEvent::NewPredecessor {
+            self.emit(RingEvent::NewPredecessor {
                 peer: self.id,
                 value: self.value,
             });
@@ -356,6 +363,25 @@ impl RingState {
         if self.stabilization_target(ctx.now) != Some(from) {
             return;
         }
+        // A peer the `notify` repair below inserted was named by a
+        // predecessor pointer that may be stale: the peer may have left and
+        // been recycled elsewhere since. If its first answer puts it outside
+        // the gap it was learned in, its list is another part of the ring;
+        // adopting it would cut every peer of that gap out of this list. Drop
+        // the entry, like a departed successor. A value at either end of the
+        // gap is a split in progress and is accepted.
+        if let Some((repaired, bound)) = self.stab.repaired.take() {
+            let v = responder_value.raw();
+            if repaired == from
+                && v != self.value.raw()
+                && !in_half_open(self.value.raw(), v, bound.raw())
+            {
+                self.succ_list.retain(|e| e.peer != from);
+                self.emit(RingEvent::SuccessorDeparted { peer: from });
+                self.maybe_emit_new_successor();
+                return;
+            }
+        }
         self.stab.applied = Some((
             from,
             response_digest(
@@ -398,6 +424,7 @@ impl RingState {
             {
                 self.succ_list
                     .insert(0, SuccEntry::new(pp, pv, EntryState::Joined));
+                self.stab.repaired = Some((pp, responder_value));
             }
         }
         self.trim_succ_list();
@@ -501,7 +528,6 @@ impl RingState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::RingEvent;
     use pepper_net::{Effect, ProtocolLayer, SimTime};
     use pepper_types::SystemConfig;
 
@@ -1172,6 +1198,60 @@ mod tests {
             &mut fx,
         );
         assert_eq!(p4.succ_list()[0].peer, PeerId(7));
+    }
+
+    /// p4 at 55, whose successor p5 at 65 names p7 at 60 as its
+    /// predecessor: p4 re-learns p7 and then stabilizes with it.
+    fn repaired_p7() -> RingState {
+        let mut p4 = member(4, 55, 2, vec![joined(5, 65), joined(1, 10)]);
+        p4.pred = Some((PeerId(9), PeerValue(30)));
+        p4.on_stab_response(
+            ctx(4),
+            PeerId(5),
+            vec![joined(1, 10), joined(2, 20)],
+            EntryState::Joined,
+            PeerValue(65),
+            Some((PeerId(7), PeerValue(60))),
+            &mut Effects::new(),
+        );
+        assert_eq!(p4.succ_list()[0].peer, PeerId(7));
+        p4.drain_events();
+        p4
+    }
+
+    fn p7_answers(p4: &mut RingState, value: u64) {
+        p4.on_stab_response(
+            ctx(4),
+            PeerId(7),
+            vec![joined(3, 95), joined(8, 99)],
+            EntryState::Joined,
+            PeerValue(value),
+            Some((PeerId(4), PeerValue(55))),
+            &mut Effects::new(),
+        );
+    }
+
+    #[test]
+    fn a_repaired_successor_answering_from_outside_its_gap_is_dropped() {
+        // p7 left and was recycled by a split at 97 before p4's round with
+        // it: its list is another part of the ring, and adopting it would
+        // cut p5 out of p4's list.
+        let mut p4 = repaired_p7();
+        p7_answers(&mut p4, 97);
+        let peers: Vec<PeerId> = p4.succ_list().iter().map(|e| e.peer).collect();
+        assert_eq!(peers, vec![PeerId(5)]);
+        assert!(p4
+            .drain_events()
+            .contains(&RingEvent::SuccessorDeparted { peer: PeerId(7) }));
+        // Only the first answer is checked: once accepted, the peer is an
+        // ordinary successor.
+        for (value, next) in [(62, 97), (65, 97), (55, 97)] {
+            let mut p4 = repaired_p7();
+            p7_answers(&mut p4, value);
+            assert_eq!(p4.succ_list()[0].peer, PeerId(7), "answer at {value}");
+            p7_answers(&mut p4, next);
+            assert_eq!(p4.succ_list()[0].peer, PeerId(7), "then at {next}");
+        }
     }
 
     #[test]
