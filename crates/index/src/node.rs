@@ -1121,13 +1121,12 @@ impl PeerNode {
         out.send(issuer, PeerMsg::Ds(DsMsg::NotResponsible { mapped, item }));
     }
 
-    /// The acked hop towards `target`: the farthest of the router's
-    /// shortcuts and the ring's `JOINED` successors that does not overshoot
-    /// it, never a peer in `skip`.
+    /// The acked hop towards `target`: the owner the successor list names,
+    /// else the farthest of the router's shortcuts and the ring's `JOINED`
+    /// successors that does not overshoot it; never a peer in `skip`.
     fn next_hop(&self, target: u64, skip: &[PeerId]) -> Option<(PeerId, PeerValue)> {
         let list = self.ring.succ_list().iter();
-        let list = list.filter(|e| e.state == EntryState::Joined);
-        let list = list.map(|e| (e.peer, e.value));
+        let list = list.map(|e| (e.state == EntryState::Joined).then_some((e.peer, e.value)));
         self.router
             .next_hop(self.ring.value(), PeerValue(target), list, skip)
     }
@@ -1149,11 +1148,11 @@ impl PeerNode {
             self.bounce(payload, target, out);
             return;
         }
-        // Take the farthest hop the router's shortcuts and the ring's
-        // successor list offer, and have it acked: either may be stale (see
-        // `on_route_ack`). Fall back to the ring successor so routing makes
-        // progress even before the router has learned any shortcut (e.g.
-        // right after a split).
+        // Hop to the owner the successor list names, else the farthest hop
+        // the router's shortcuts and the list offer, and have it acked:
+        // either may be stale (see `on_route_ack`). Fall back to the ring
+        // successor so routing makes progress even before the router has
+        // learned any shortcut (e.g. right after a split).
         if let Some((peer, value)) = self.next_hop(target, &skip) {
             self.hop_seq += 1;
             let seq = self.hop_seq;

@@ -12,10 +12,12 @@
 //!   of the P-Ring hierarchy — level `i` points roughly `2^i` peers ahead.
 //!   The levels within the ring's successor list are copied from it; the
 //!   others are maintained lazily by asking the level `i-1` target for *its*
-//!   level `i-1` pointer. Routing picks the farthest of the shortcuts and
-//!   the ring's successor list that does not overshoot the destination and
-//!   falls back to the ring successor, giving
-//!   `O(log n)` hops on a stable ring and graceful degradation under churn;
+//!   level `i-1` pointer. Routing hops straight to the destination's owner
+//!   when the leading `JOINED` run of the ring's successor list names it;
+//!   otherwise it picks the farthest of the shortcuts and the list that
+//!   does not overshoot the destination, and falls back to the ring
+//!   successor, giving `O(log n)` hops on a stable ring and graceful
+//!   degradation under churn;
 //! * a trivial linear fallback (just follow successors), which is what the
 //!   hierarchical router degenerates to before its shortcuts are built.
 

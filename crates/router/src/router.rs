@@ -1,17 +1,19 @@
 //! The hierarchical shortcut router.
 //!
-//! A routed request takes the farthest hop that does not overshoot its
-//! target, chosen from the ring's `JOINED` successor list and this table's
-//! shortcuts ([`HierarchicalRouter::next_hop`]). The list is the structure
-//! the ring keeps right; the shortcuts only save hops, so the slots the list
-//! would hold are copied from it rather than probed, and every other slot is
+//! A routed request hops straight to its target's owner when the leading
+//! run of `JOINED` entries of the ring's successor list names it; otherwise
+//! it takes the farthest hop that does not overshoot the target, chosen
+//! from the list's `JOINED` entries and this table's shortcuts
+//! ([`HierarchicalRouter::next_hop`]). The list is the structure the ring
+//! keeps right; the shortcuts only save hops, so the slots the list would
+//! hold are copied from it rather than probed, and every other slot is
 //! probed less and less often while its answers hold (up to 16 maintenance
 //! periods).
 
 use std::time::Duration;
 
 use pepper_net::{Effects, LayerCtx, ProtocolLayer, SimTime};
-use pepper_types::range::in_open;
+use pepper_types::range::{in_half_open, in_open};
 use pepper_types::{PeerId, PeerValue, SystemConfig};
 
 use crate::messages::RouterMsg;
@@ -192,24 +194,52 @@ impl HierarchicalRouter {
         }
     }
 
-    /// Chooses the next hop towards the peer responsible for `target`: the
-    /// farthest candidate that lies strictly between this peer's value and
-    /// the target (so it never overshoots), falling back to the successor.
-    /// The candidates are this table's shortcuts and `list`, the ring's
-    /// `JOINED` successors; a peer in `skip` is never chosen.
+    /// Chooses the next hop towards the peer responsible for `target`.
+    ///
+    /// `list` is the ring's successor list in order, with `None` for an
+    /// entry that is `JOINING` or `LEAVING`. When the list names the owner,
+    /// the hop goes straight to it: walking the leading run of `JOINED`
+    /// entries from this peer's own value, the owner is the first entry `e`
+    /// with `prev < target ≤ e` on the circle, `prev` being the entry (or
+    /// own value) before it. Equal consecutive values (a split in progress)
+    /// own nothing. The walk stops at the first entry that is not `JOINED`.
+    ///
+    /// Otherwise, or when the owner is this peer or in `skip`, the hop is
+    /// the farthest candidate strictly between this peer's value and the
+    /// target (so it never overshoots), falling back to the successor. The
+    /// candidates are this table's shortcuts and the list's `JOINED`
+    /// entries; a peer in `skip` is never chosen. The receiver checks its
+    /// own range either way, so a stale list costs a hop, not a wrong
+    /// delivery.
     ///
     /// Returns `None` when no other peer qualifies.
-    pub fn next_hop(
+    pub fn next_hop<L>(
         &self,
         self_value: PeerValue,
         target: PeerValue,
-        list: impl IntoIterator<Item = (PeerId, PeerValue)>,
+        list: L,
         skip: &[PeerId],
-    ) -> Option<(PeerId, PeerValue)> {
+    ) -> Option<(PeerId, PeerValue)>
+    where
+        L: IntoIterator<Item = Option<(PeerId, PeerValue)>>,
+        L::IntoIter: Clone,
+    {
         let usable = |(p, _): &(PeerId, PeerValue)| *p != self.id && !skip.contains(p);
+        let list = list.into_iter();
+        let mut prev = self_value.raw();
+        for (peer, value) in list.clone().map_while(|e| e) {
+            let v = value.raw();
+            if prev != v && in_half_open(prev, target.raw(), v) {
+                if usable(&(peer, value)) {
+                    return Some((peer, value));
+                }
+                break;
+            }
+            prev = v;
+        }
         let shortcuts = self.entries.iter().flatten().copied();
         let mut best: Option<(PeerId, PeerValue)> = None;
-        for (peer, value) in shortcuts.chain(list).filter(usable) {
+        for (peer, value) in shortcuts.chain(list.flatten()).filter(usable) {
             if in_open(self_value.raw(), value.raw(), target.raw()) {
                 match best {
                     Some((_, best_value))
@@ -397,15 +427,16 @@ mod tests {
     #[test]
     fn the_farthest_list_entry_beats_a_nearer_router_slot() {
         let r = router_with(0, &[(1, 10), (2, 20)]);
-        let list = successors(4);
+        let list = listed(4);
         // Routing to 45: the 4th successor (value 40) beats slot 1 (20).
         assert_eq!(
             r.next_hop(PeerValue(0), PeerValue(45), list.clone(), &[]),
             Some((PeerId(4), PeerValue(40)))
         );
-        // A list entry past the target is not a candidate.
+        // A list entry past the target is not a candidate unless it owns
+        // the target: with the owner skipped, the hop stops short of it.
         assert_eq!(
-            r.next_hop(PeerValue(0), PeerValue(25), list, &[]),
+            r.next_hop(PeerValue(0), PeerValue(25), list, &[PeerId(3)]),
             Some((PeerId(2), PeerValue(20)))
         );
     }
@@ -414,7 +445,7 @@ mod tests {
     fn a_farther_router_slot_beats_the_list() {
         let r = router_with(0, &[(1, 10), (2, 20), (4, 40), (8, 80)]);
         assert_eq!(
-            r.next_hop(PeerValue(0), PeerValue(95), successors(4), &[]),
+            r.next_hop(PeerValue(0), PeerValue(95), listed(4), &[]),
             Some((PeerId(8), PeerValue(80)))
         );
     }
@@ -424,12 +455,12 @@ mod tests {
         let r = router_with(0, &[(1, 10), (8, 80)]);
         // The list's farthest entry is skipped: the next one is taken.
         assert_eq!(
-            r.next_hop(PeerValue(0), PeerValue(45), successors(4), &[PeerId(4)]),
+            r.next_hop(PeerValue(0), PeerValue(45), listed(4), &[PeerId(4)]),
             Some((PeerId(3), PeerValue(30)))
         );
         // Skipping a router slot leaves the list.
         assert_eq!(
-            r.next_hop(PeerValue(0), PeerValue(95), successors(4), &[PeerId(8)]),
+            r.next_hop(PeerValue(0), PeerValue(95), listed(4), &[PeerId(8)]),
             Some((PeerId(4), PeerValue(40)))
         );
         // A skipped successor is no fallback either.
@@ -574,6 +605,70 @@ mod tests {
     /// `n` `JOINED` successors: peer `i` at value `10 i`.
     fn successors(n: u64) -> Vec<(PeerId, PeerValue)> {
         (1..=n).map(|i| (PeerId(i), PeerValue(i * 10))).collect()
+    }
+
+    /// [`successors`] as the successor list `next_hop` reads.
+    fn listed(n: u64) -> Vec<Option<(PeerId, PeerValue)>> {
+        successors(n).into_iter().map(Some).collect()
+    }
+
+    /// The hop from peer 0 at value 0, whose slot 0 is its successor p1 at
+    /// 10, towards `target` through `list`.
+    fn hop(list: &[Option<(u64, u64)>], target: u64, skip: &[PeerId]) -> Option<(u64, u64)> {
+        let r = router_with(0, &[(1, 10)]);
+        let list = list
+            .iter()
+            .map(|e| e.map(|(p, v)| (PeerId(p), PeerValue(v))));
+        let hop = r.next_hop(PeerValue(0), PeerValue(target), list, skip);
+        hop.map(|(p, v)| (p.raw(), v.raw()))
+    }
+
+    const A: Option<(u64, u64)> = Some((1, 10));
+    const B: Option<(u64, u64)> = Some((2, 20));
+    const C: Option<(u64, u64)> = Some((3, 30));
+
+    #[test]
+    fn a_target_a_listed_successor_owns_goes_straight_to_it() {
+        // (a, b] is b's, (b, c] is c's: no hop stops at the peer before.
+        assert_eq!(hop(&[A, B, C], 15, &[]), B);
+        assert_eq!(hop(&[A, B, C], 20, &[]), B);
+        assert_eq!(hop(&[A, B, C], 21, &[]), C);
+        // (self, a] is a's, as before.
+        assert_eq!(hop(&[A, B, C], 5, &[]), A);
+        assert_eq!(hop(&[A, B, C], 10, &[]), A);
+        // Past the list's last entry, the farthest entry that does not
+        // overshoot.
+        assert_eq!(hop(&[A, B, C], 45, &[]), C);
+    }
+
+    #[test]
+    fn a_joining_or_leaving_entry_ends_the_owner_walk() {
+        // The walk reaches b, then stops: c's interval is not read past the
+        // entry in between, and the hop stops short of the target.
+        assert_eq!(hop(&[A, B, None, C], 15, &[]), B);
+        assert_eq!(hop(&[A, B, None, C], 25, &[]), B);
+        assert_eq!(hop(&[A, None, B, C], 25, &[]), B);
+        assert_eq!(hop(&[None, A, B, C], 15, &[]), A);
+    }
+
+    #[test]
+    fn equal_consecutive_values_own_nothing() {
+        // b and b' share 20 while a split is in progress: (20, 20] is empty,
+        // not the full circle.
+        let b2 = Some((4, 20));
+        assert_eq!(hop(&[A, B, b2, C], 25, &[]), C);
+        assert_eq!(hop(&[A, B, b2, C], 15, &[]), B);
+        assert_eq!(hop(&[A, B, b2], 25, &[]), B);
+    }
+
+    #[test]
+    fn a_skipped_owner_falls_back_to_the_farthest_hop_short_of_the_target() {
+        assert_eq!(hop(&[A, B, C], 25, &[]), C);
+        assert_eq!(hop(&[A, B, C], 25, &[PeerId(3)]), B);
+        assert_eq!(hop(&[A, B, C], 15, &[PeerId(2)]), A);
+        // An owner that is this peer itself is no hop either.
+        let me = Some((0, 0));
+        assert_eq!(hop(&[A, me], 95, &[]), A);
     }
 
     /// The slots one maintenance tick at `at` probes.

@@ -3,7 +3,8 @@
 
 use std::time::Duration;
 
-use pepper_sim::{Cluster, ClusterConfig};
+use pepper_ring::EntryState;
+use pepper_sim::{Cluster, ClusterConfig, TraceConfig};
 
 #[test]
 fn insert_query_delete_lifecycle() {
@@ -106,4 +107,41 @@ fn a_settled_paper_timer_ring_has_a_member_with_three_router_levels() {
         });
         assert!(settled, "seed {seed}: no settled mid-ring member");
     }
+}
+
+#[test]
+fn an_insert_the_third_listed_successor_owns_takes_one_route() {
+    // A settled fast-timer ring, counting deliveries per message tag.
+    let metrics = TraceConfig {
+        metrics: true,
+        ..TraceConfig::off()
+    };
+    let cfg = ClusterConfig::fast(105).with_free_peers(12);
+    let mut cluster = Cluster::new(cfg.with_trace(metrics));
+    for k in 1..=30u64 {
+        cluster.insert_key(k * 3_000_000);
+        cluster.run(Duration::from_millis(60));
+    }
+    cluster.run_secs(10);
+    // A member whose list starts with three JOINED successors, the third
+    // owning its own value: the owner is two peers past the first hop.
+    let (issuer, owner, key) = cluster
+        .ring_members()
+        .into_iter()
+        .find_map(|me| {
+            let list = cluster.node(me)?.ring().succ_list();
+            let third = list.get(2)?;
+            let mut settled = list.iter().take(3);
+            (settled.all(|e| e.state == EntryState::Joined && e.peer != me)
+                && cluster.owner_of(third.value.raw()) == Some(third.peer))
+            .then_some((me, third.peer, third.value.raw()))
+        })
+        .expect("a member with three settled successors");
+    let routes = |c: &Cluster| c.metrics().counter("index", "Route");
+    let before = routes(&cluster);
+    cluster.insert_key_at(issuer, key);
+    cluster.run(Duration::from_millis(200));
+    assert_eq!(routes(&cluster) - before, 1, "one hop, straight to {owner}");
+    assert!(cluster.stored_keys().contains(&key));
+    assert_eq!(cluster.owner_of(key), Some(owner));
 }
