@@ -128,8 +128,8 @@ fn every_invariant_holds_across_the_seed_matrix_without_failures() {
 const WIDE_SWEEP_RATCHET: [(&str, usize); 5] = [
     ("quick", 1),
     ("quick-leave", 0),
-    ("quick-zipf", 3),
-    ("quick-sequential", 3),
+    ("quick-zipf", 2),
+    ("quick-sequential", 2),
     ("quick-no-failures", 0),
 ];
 
