@@ -2079,10 +2079,10 @@ mod tests {
                 displaced = true;
                 break;
             }
-            sim.run_for(cfg.ping_period / 2);
+            sim.run_for(cfg.ping_period() / 2);
         }
         assert!(displaced, "the predecessor's lease never lapsed");
-        sim.run_for(cfg.ping_period * 2);
+        sim.run_for(cfg.ping_period() * 2);
         let node = sim.node(me).expect("alive");
         assert_eq!(node.ring().pred().map(|(p, _)| p), Some(pred));
         // Past the takeover's delay, this peer still owns what it owned.
@@ -2127,7 +2127,7 @@ mod tests {
                 if adopt && node.ring().pred() == Some((from, gap_low)) {
                     return;
                 }
-                let step = (cfg.ping_period / 2).min(until - sim.now());
+                let step = (cfg.ping_period() / 2).min(until - sim.now());
                 sim.run_for(step);
             }
         };

@@ -224,7 +224,7 @@ impl ProtocolLayer for ReplicationManager {
     fn start_timers(&mut self, _ctx: LayerCtx, fx: &mut Effects<ReplMsg>) {
         let stagger = Duration::from_micros((self.id.raw() % 89) * 300);
         fx.timer(
-            self.cfg.replica_refresh_period / 2 + stagger,
+            self.cfg.stabilization_period / 2 + stagger,
             ReplMsg::RefreshTick,
         );
     }
@@ -237,7 +237,7 @@ impl ProtocolLayer for ReplicationManager {
     fn handle(&mut self, _ctx: LayerCtx, from: PeerId, msg: ReplMsg, fx: &mut Effects<ReplMsg>) {
         match msg {
             ReplMsg::RefreshTick => {
-                fx.timer(self.cfg.replica_refresh_period, ReplMsg::RefreshTick);
+                fx.timer(self.cfg.stabilization_period, ReplMsg::RefreshTick);
                 self.events.push(ReplEvent::RefreshDue);
             }
             ReplMsg::Push { items } => {

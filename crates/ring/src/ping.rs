@@ -21,7 +21,7 @@ impl RingState {
     /// Periodic ping tick: re-arm, probe, and stabilize if a round is due
     /// (see [`crate::stabilization`]).
     pub(crate) fn on_ping_tick(&mut self, ctx: LayerCtx, fx: &mut Effects<RingMsg>) {
-        fx.timer(self.cfg.ping_period, RingMsg::PingTick);
+        fx.timer(self.cfg.ping_period(), RingMsg::PingTick);
         if !self.is_member() {
             return;
         }

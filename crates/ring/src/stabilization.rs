@@ -186,7 +186,7 @@ impl RingState {
         let changed = self.stab.rebuilt != Some(list_digest(&self.succ_list))
             || self.stab.sent_value != Some(self.value);
         let period_passed = self.stab.last_round.map_or(true, |at| {
-            ctx.now.duration_since(at) + self.cfg.ping_period / 2 >= self.cfg.stabilization_period
+            ctx.now.duration_since(at) + self.cfg.ping_period() / 2 >= self.cfg.stabilization_period
         });
         if changed || (period_passed && self.unsettled(ctx.now)) {
             self.run_stabilization(ctx, fx);
@@ -1040,7 +1040,7 @@ mod tests {
             }
             ping_p5(&mut p4, at, digest, &mut fx);
             assert_eq!(requests(&fx), [], "no round between ticks at {at:?}");
-            at += cfg.ping_period;
+            at += cfg.ping_period();
         }
         // 80 ping periods are 40 stabilization periods: the tick backs off
         // to the floor and stays there.
@@ -1077,7 +1077,7 @@ mod tests {
         // The applied response carried the new digest: the pings that
         // follow are quiet again.
         let mut fx = Effects::new();
-        let ping_period = p4.cfg.ping_period;
+        let ping_period = p4.cfg.ping_period();
         for i in 1..=10u32 {
             ping_p5(&mut p4, at + ping_period * i, moved, &mut fx);
         }
@@ -1116,7 +1116,7 @@ mod tests {
             &mut fx,
         );
         let mut fx = Effects::new();
-        let next = at + p4.cfg.ping_period;
+        let next = at + p4.cfg.ping_period();
         ping_p5(&mut p4, next, digest, &mut fx);
         assert_eq!(requests(&fx), [PeerId(5)]);
 
@@ -1130,7 +1130,7 @@ mod tests {
         let seq = p4.ping_seq;
         p4.on_ping_timeout(c, PeerId(5), seq);
         let mut fx = Effects::new();
-        p4.on_ping_tick(LayerCtx::new(PeerId(4), at + p4.cfg.ping_period), &mut fx);
+        p4.on_ping_tick(LayerCtx::new(PeerId(4), at + p4.cfg.ping_period()), &mut fx);
         assert_eq!(requests(&fx), [PeerId(1)]);
     }
 
@@ -1145,14 +1145,14 @@ mod tests {
         let mut fx = Effects::new();
         p4.on_stabilize_tick(LayerCtx::new(PeerId(4), start), &mut fx);
         let mut rounds = vec![start];
-        let mut at = start + cfg.ping_period / 2;
+        let mut at = start + cfg.ping_period() / 2;
         for _ in 0..20 {
             let mut fx = Effects::new();
             ping_p5(&mut p4, at, digest, &mut fx);
             if !requests(&fx).is_empty() {
                 rounds.push(at);
             }
-            at += cfg.ping_period;
+            at += cfg.ping_period();
         }
         let gaps: Vec<_> = rounds
             .windows(2)
@@ -1163,7 +1163,7 @@ mod tests {
             gaps[1..].iter().all(|&g| g == cfg.stabilization_period),
             "{gaps:?}"
         );
-        assert_eq!(gaps[0], cfg.stabilization_period - cfg.ping_period / 2);
+        assert_eq!(gaps[0], cfg.stabilization_period - cfg.ping_period() / 2);
     }
 
     #[test]

@@ -365,7 +365,7 @@ impl ProtocolLayer for RingState {
             self.cfg.stabilization_period / 2 + stagger,
             RingMsg::StabilizeTick,
         );
-        fx.timer(self.cfg.ping_period / 2 + stagger, RingMsg::PingTick);
+        fx.timer(self.cfg.ping_period() / 2 + stagger, RingMsg::PingTick);
     }
 
     fn handle(&mut self, ctx: LayerCtx, from: PeerId, msg: RingMsg, fx: &mut Effects<RingMsg>) {

@@ -163,7 +163,7 @@ impl HierarchicalRouter {
             let (periods, due) = &mut self.refresh[slot];
             match self.entries[slot - 1] {
                 Some((peer, _)) if peer != self.id && now >= *due => {
-                    *due = now + self.cfg.router_refresh_period * *periods;
+                    *due = now + self.cfg.stabilization_period * *periods;
                     fx.send(
                         peer,
                         RouterMsg::GetEntry {
@@ -189,7 +189,7 @@ impl HierarchicalRouter {
         } else {
             let (periods, due) = &mut self.refresh[slot];
             let grown = (*periods * 2).min(MAX_BACKOFF);
-            *due += self.cfg.router_refresh_period * (grown - *periods);
+            *due += self.cfg.stabilization_period * (grown - *periods);
             *periods = grown;
         }
     }
@@ -260,7 +260,7 @@ impl ProtocolLayer for HierarchicalRouter {
     fn start_timers(&mut self, _ctx: LayerCtx, fx: &mut Effects<RouterMsg>) {
         let stagger = Duration::from_micros((self.id.raw() % 83) * 400);
         fx.timer(
-            self.cfg.router_refresh_period / 2 + stagger,
+            self.cfg.stabilization_period / 2 + stagger,
             RouterMsg::MaintainTick,
         );
     }
@@ -269,7 +269,7 @@ impl ProtocolLayer for HierarchicalRouter {
     fn handle(&mut self, ctx: LayerCtx, from: PeerId, msg: RouterMsg, fx: &mut Effects<RouterMsg>) {
         match msg {
             RouterMsg::MaintainTick => {
-                fx.timer(self.cfg.router_refresh_period, RouterMsg::MaintainTick);
+                fx.timer(self.cfg.stabilization_period, RouterMsg::MaintainTick);
                 self.run_maintenance(ctx.now, fx);
             }
             RouterMsg::GetEntry { level, slot } => {
@@ -511,7 +511,7 @@ mod tests {
     ) -> Vec<(u64, usize)> {
         let mut probed = Vec::new();
         for tick in ticks {
-            let at = SimTime::ZERO + r.cfg.router_refresh_period * tick as u32;
+            let at = SimTime::ZERO + r.cfg.stabilization_period * tick as u32;
             let ctx = LayerCtx::new(r.id, at);
             let mut fx = Effects::new();
             r.handle(ctx, r.id, RouterMsg::MaintainTick, &mut fx);
@@ -723,7 +723,7 @@ mod tests {
         assert_eq!(probes, [(PeerId(4), 2, 3)]);
         // Nor does any later tick probe them.
         for tick in 1..20 {
-            let at = SimTime::ZERO + r.cfg.router_refresh_period * tick;
+            let at = SimTime::ZERO + r.cfg.stabilization_period * tick;
             assert!(probed_at(&mut r, at).iter().all(|s| *s > 2));
         }
     }

@@ -95,11 +95,9 @@ mod tests {
 
     #[test]
     fn grow_cluster_produces_a_multi_peer_ring() {
-        let mut system = SystemConfig::paper_defaults().with_storage_factor(2);
-        system.stabilization_period = Duration::from_millis(200);
-        system.ping_period = Duration::from_millis(100);
-        system.replica_refresh_period = Duration::from_millis(300);
-        system.router_refresh_period = Duration::from_millis(300);
+        let system = SystemConfig::paper_defaults()
+            .with_storage_factor(2)
+            .with_stabilization_period(Duration::from_millis(200));
         let mut cluster = grow_cluster(
             system,
             3,

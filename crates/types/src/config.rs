@@ -39,19 +39,15 @@ pub struct SystemConfig {
     /// 2–8 in Figures 19 and 22).
     pub succ_list_len: usize,
     /// Ring stabilization period (paper default: 4 s, swept 2–8 s in
-    /// Figure 20).
+    /// Figure 20): the one clock of every periodic loop. The replica
+    /// refresh and the router's maintenance tick run at this period, the
+    /// successor ping at half of it ([`SystemConfig::ping_period`]).
     pub stabilization_period: Duration,
-    /// Period of the successor ping / failure detection loop.
-    pub ping_period: Duration,
     /// Storage factor `sf` of the P-Ring Data Store: a live peer holds
     /// between `sf` and `2·sf` items (paper default: 5).
     pub storage_factor: usize,
     /// Replication factor `k` of the Replication Manager (paper default: 6).
     pub replication_factor: usize,
-    /// Period of the replica refresh loop.
-    pub replica_refresh_period: Duration,
-    /// Period of the content-router maintenance loop.
-    pub router_refresh_period: Duration,
     /// The map `M : K -> PV` used by the Data Store (the identity).
     pub key_map: KeyMap,
     /// PEPPER or the naive baselines.
@@ -64,28 +60,22 @@ impl SystemConfig {
         SystemConfig {
             succ_list_len: 4,
             stabilization_period: Duration::from_secs(4),
-            ping_period: Duration::from_secs(2),
             storage_factor: 5,
             replication_factor: 6,
-            replica_refresh_period: Duration::from_secs(4),
-            router_refresh_period: Duration::from_secs(4),
             key_map: KeyMap,
             protocol: Protocol::Pepper,
         }
     }
 
-    /// The paper's configuration with shrunk periods (`sf` 2, `k` 2, 200 ms
-    /// stabilization, replica and router refresh, 100 ms ping), so tests and
-    /// the fault-injection harness finish quickly. Protocol semantics are
-    /// unchanged.
+    /// The paper's configuration shrunk so tests and the fault-injection
+    /// harness finish quickly: `sf` 2, `k` 2 and a 200 ms stabilization
+    /// period (so a 100 ms ping, and 200 ms replica and router rounds).
+    /// Protocol semantics are unchanged.
     pub fn fast() -> Self {
         SystemConfig {
             stabilization_period: Duration::from_millis(200),
-            ping_period: Duration::from_millis(100),
             storage_factor: 2,
             replication_factor: 2,
-            replica_refresh_period: Duration::from_millis(200),
-            router_refresh_period: Duration::from_millis(200),
             ..SystemConfig::paper_defaults()
         }
     }
@@ -130,11 +120,17 @@ impl SystemConfig {
         self.storage_factor
     }
 
+    /// Period of the successor ping / failure detection loop: half the
+    /// stabilization period.
+    pub fn ping_period(&self) -> Duration {
+        self.stabilization_period / 2
+    }
+
     /// How long the ring waits for a ping reply before declaring the
     /// successor failed: a quarter of the ping period, at least 20 ms, so
     /// failure detection keeps working when experiments shrink the periods.
     pub fn ping_timeout(&self) -> Duration {
-        (self.ping_period / 4).max(Duration::from_millis(20))
+        (self.ping_period() / 4).max(Duration::from_millis(20))
     }
 
     /// How long an `insertSucc` may stay in flight before it is aborted. A
@@ -152,7 +148,7 @@ impl SystemConfig {
     /// detection has had a chance to update the cached successor, so the
     /// retry actually reaches a different peer.
     pub fn scan_forward_timeout(&self) -> Duration {
-        self.ping_period.max(Duration::from_millis(500))
+        self.ping_period().max(Duration::from_millis(500))
     }
 
     /// How long a peer waits on its ring predecessor, whose failure the ping
@@ -225,15 +221,16 @@ mod tests {
 
     #[test]
     fn derived_from_system_config() {
-        // The ring reads the successor list length, the periods and the
-        // protocol straight from the system config, and its timeouts follow
-        // an overridden stabilization period.
+        // The ring reads the successor list length, the period and the
+        // protocol straight from the system config, and its ping and
+        // timeouts follow an overridden stabilization period.
         let c = SystemConfig::paper_defaults()
             .with_succ_list_len(6)
             .with_stabilization_period(Duration::from_secs(2));
         assert_eq!(c.succ_list_len, 6);
         assert_eq!(c.stabilization_period, Duration::from_secs(2));
-        assert_eq!(c.ping_timeout(), Duration::from_millis(500));
+        assert_eq!(c.ping_period(), Duration::from_secs(1));
+        assert_eq!(c.ping_timeout(), Duration::from_millis(250));
         assert_eq!(c.insert_timeout(), Duration::from_secs(13));
         assert_eq!(c.predecessor_reply_timeout(), Duration::from_secs(10));
         assert_eq!(c.protocol, Protocol::Pepper);
@@ -248,16 +245,12 @@ mod tests {
         assert_eq!(c.overflow_threshold(), 14);
         assert_eq!(c.underflow_threshold(), 7);
         assert_eq!(c.protocol, Protocol::Pepper);
-        let slow_ping = SystemConfig {
-            ping_period: Duration::from_secs(3),
-            ..c.clone()
-        };
+        let slow_ping = c.clone().with_stabilization_period(Duration::from_secs(6));
+        assert_eq!(slow_ping.ping_period(), Duration::from_secs(3));
         assert_eq!(slow_ping.scan_forward_timeout(), Duration::from_secs(3));
         assert_eq!(slow_ping.query_timeout(), Duration::from_secs(42));
-        let quick_ping = SystemConfig {
-            ping_period: Duration::from_millis(40),
-            ..c
-        };
+        let quick_ping = c.with_stabilization_period(Duration::from_millis(80));
+        assert_eq!(quick_ping.ping_period(), Duration::from_millis(40));
         assert_eq!(
             quick_ping.scan_forward_timeout(),
             Duration::from_millis(500)

@@ -167,7 +167,7 @@ fn a_leaver_restarted_before_any_ping_times_out_releases_its_predecessor() {
     }
     assert!(cluster.crash_peer(leaver));
     assert!(cluster.restart_peer(leaver).is_some());
-    let ping_period = cluster.system().ping_period;
+    let ping_period = cluster.system().ping_period();
     run_until(&mut cluster, ping_period * 2, |c| !rebalancing(c, absorber));
 
     cluster.run_secs(30);
