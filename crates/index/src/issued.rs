@@ -91,8 +91,6 @@ impl RetryPolicy {
 /// One issued request awaiting its answer.
 #[derive(Debug)]
 pub(crate) struct Issued {
-    /// The key it is routed to.
-    pub(crate) target: u64,
     pub(crate) payload: RoutePayload,
     /// When it was issued.
     pub(crate) started: SimTime,
@@ -102,15 +100,9 @@ pub(crate) struct Issued {
 }
 
 impl Issued {
-    /// A request routed to `target` at `started`, not bounced yet.
-    pub(crate) fn new(
-        target: u64,
-        payload: RoutePayload,
-        started: SimTime,
-        policy: RetryPolicy,
-    ) -> Self {
+    /// A request routed at `started`, not bounced yet.
+    pub(crate) fn new(payload: RoutePayload, started: SimTime, policy: RetryPolicy) -> Self {
         Issued {
-            target,
             payload,
             started,
             attempts: 0,

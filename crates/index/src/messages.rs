@@ -4,10 +4,10 @@ use pepper_datastore::{DsMsg, QueryId};
 use pepper_replication::ReplMsg;
 use pepper_ring::RingMsg;
 use pepper_router::RouterMsg;
-use pepper_types::{Item, KeyInterval, PeerId, PeerValue};
+use pepper_types::{Item, KeyInterval, KeyMap, PeerId, PeerValue};
 
-/// Payload of a routed request: delivered to the peer responsible for the
-/// target value.
+/// Payload of a routed request: delivered to the peer responsible for its
+/// [target](RoutePayload::target).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RoutePayload {
     /// Store an item at the responsible peer.
@@ -33,6 +33,18 @@ pub enum RoutePayload {
     },
 }
 
+impl RoutePayload {
+    /// The mapped value the request must reach: the item's key under
+    /// `key_map`, the deleted mapped value, or the scan's first key.
+    pub fn target(&self, key_map: &KeyMap) -> u64 {
+        match self {
+            RoutePayload::Insert { item, .. } => key_map.map(item.skv).raw(),
+            RoutePayload::Delete { mapped, .. } => *mapped,
+            RoutePayload::ScanStart { interval, .. } => interval.lo(),
+        }
+    }
+}
+
 /// The unified message type of the composed peer: each protocol layer's
 /// messages are wrapped, plus the index-level routing envelope.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,10 +57,9 @@ pub enum PeerMsg {
     Repl(ReplMsg),
     /// Content router traffic.
     Router(RouterMsg),
-    /// A request being routed towards the peer responsible for `target`.
+    /// A request being routed towards the peer responsible for its
+    /// payload's [target](RoutePayload::target).
     Route {
-        /// The mapped value the request must reach.
-        target: u64,
         /// The request itself.
         payload: RoutePayload,
         /// Routing hop counter (guards against loops on inconsistent rings).
@@ -142,7 +153,6 @@ mod tests {
         assert_eq!(PeerMsg::SnapshotTick.tag(), "SnapshotTick");
         assert_eq!(
             PeerMsg::Route {
-                target: 5,
                 payload: RoutePayload::Delete {
                     mapped: 5,
                     reply_to: PeerId(1)

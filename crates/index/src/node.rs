@@ -40,7 +40,6 @@ const SNAPSHOT_PERIOD: Duration = Duration::from_secs(10);
 struct PendingHop {
     peer: PeerId,
     value: PeerValue,
-    target: u64,
     payload: RoutePayload,
     hops: u32,
     /// The peers whose guard already fired for this request here: a
@@ -316,7 +315,7 @@ impl PeerNode {
         let reply_to = self.id;
         let payload = RoutePayload::Insert { item, reply_to };
         let policy = RetryPolicy::client(&self.cfg);
-        self.issue(now, mapped, payload, policy, ctx.effects());
+        self.issue(now, payload, policy, ctx.effects());
     }
 
     /// `deleteItem`: remove the item with search key `key` from the index.
@@ -328,7 +327,7 @@ impl PeerNode {
         let reply_to = self.id;
         let payload = RoutePayload::Delete { mapped, reply_to };
         let policy = RetryPolicy::client(&self.cfg);
-        self.issue(now, mapped, payload, policy, ctx.effects());
+        self.issue(now, payload, policy, ctx.effects());
     }
 
     /// `rangeQuery` / `findItems`: evaluate a range query. The result is
@@ -351,7 +350,7 @@ impl PeerNode {
         registered.map(|(query, interval)| {
             let payload = RoutePayload::ScanStart { query, interval };
             let policy = RetryPolicy::client(&self.cfg);
-            self.issue(now, interval.lo(), payload, policy, out);
+            self.issue(now, payload, policy, out);
             query
         })
     }
@@ -518,17 +517,12 @@ impl PeerNode {
                 // RouterEvent is uninhabited: nothing to process.
                 self.router.handle(ctx, from, m, out);
             }
-            PeerMsg::Route {
-                target,
-                payload,
-                hops,
-                ack,
-            } => {
+            PeerMsg::Route { payload, hops, ack } => {
                 if let Some(seq) = ack {
                     let at = (self.ds.status() == DsStatus::Live).then(|| self.ring.value());
                     out.send(from, PeerMsg::RouteAck { seq, at });
                 }
-                self.handle_route(now, target, payload, hops, Vec::new(), out)
+                self.handle_route(now, payload, hops, Vec::new(), out)
             }
             PeerMsg::RouteAck { seq, at } => self.on_route_ack(seq, at),
             PeerMsg::RouteGuard { seq } => self.on_route_guard(now, seq, out),
@@ -999,9 +993,9 @@ impl PeerNode {
         let donation = std::mem::take(&mut self.recovered_donation);
         let donated = donation.len();
         let reply_to = self.id;
-        for (mapped, item) in donation {
+        for (_, item) in donation {
             let payload = RoutePayload::Insert { item, reply_to };
-            self.issue(now, mapped, payload, RetryPolicy::DONATION, out);
+            self.issue(now, payload, RetryPolicy::DONATION, out);
         }
         self.pool.readmit(self.id);
         donated
@@ -1034,19 +1028,17 @@ impl PeerNode {
 
     // ---- issued requests -----------------------------------------------
 
-    /// Enters a request in the issued-request table and routes it to
-    /// `target`.
+    /// Enters a request in the issued-request table and routes it.
     fn issue(
         &mut self,
         now: SimTime,
-        target: u64,
         payload: RoutePayload,
         policy: RetryPolicy,
         out: &mut Effects<PeerMsg>,
     ) {
-        let issued = Issued::new(target, payload.clone(), now, policy);
+        let issued = Issued::new(payload.clone(), now, policy);
         self.issued.insert(Request::of(&payload), issued);
-        self.handle_route(now, target, payload, 0, Vec::new(), out);
+        self.handle_route(now, payload, 0, Vec::new(), out);
     }
 
     /// An issued request bounced off a peer that is not responsible for its
@@ -1058,10 +1050,8 @@ impl PeerNode {
             return;
         };
         if let Some(pause) = issued.bounced() {
-            let (target, payload) = (issued.target, issued.payload.clone());
             let route = PeerMsg::Route {
-                target,
-                payload,
+                payload: issued.payload.clone(),
                 hops: 0,
                 ack: None,
             };
@@ -1108,7 +1098,8 @@ impl PeerNode {
         self.process_ds_events(now, events, out);
     }
 
-    fn bounce(&mut self, payload: RoutePayload, target: u64, out: &mut Effects<PeerMsg>) {
+    fn bounce(&mut self, payload: RoutePayload, out: &mut Effects<PeerMsg>) {
+        let mapped = payload.target(&self.cfg.key_map);
         let (issuer, item) = match payload {
             RoutePayload::Insert { item, reply_to } => (reply_to, Some(item.id)),
             RoutePayload::Delete { reply_to, .. } => (reply_to, None),
@@ -1117,7 +1108,6 @@ impl PeerNode {
                 return;
             }
         };
-        let mapped = target;
         out.send(issuer, PeerMsg::Ds(DsMsg::NotResponsible { mapped, item }));
     }
 
@@ -1134,18 +1124,18 @@ impl PeerNode {
     fn handle_route(
         &mut self,
         now: SimTime,
-        target: u64,
         payload: RoutePayload,
         hops: u32,
         skip: Vec<PeerId>,
         out: &mut Effects<PeerMsg>,
     ) {
+        let target = payload.target(&self.cfg.key_map);
         if self.ds.status() == DsStatus::Live && self.ds.range().contains(target) {
             self.deliver_locally(now, payload, out);
             return;
         }
         if hops >= MAX_ROUTE_HOPS {
-            self.bounce(payload, target, out);
+            self.bounce(payload, out);
             return;
         }
         // Hop to the owner the successor list names, else the farthest hop
@@ -1161,7 +1151,6 @@ impl PeerNode {
                 PendingHop {
                     peer,
                     value,
-                    target,
                     payload: payload.clone(),
                     hops,
                     skip,
@@ -1170,7 +1159,6 @@ impl PeerNode {
             out.send(
                 peer,
                 PeerMsg::Route {
-                    target,
                     payload,
                     hops: hops + 1,
                     ack: Some(seq),
@@ -1189,14 +1177,13 @@ impl PeerNode {
                 out.send(
                     next,
                     PeerMsg::Route {
-                        target,
                         payload,
                         hops: hops + 1,
                         ack: None,
                     },
                 );
             }
-            _ => self.bounce(payload, target, out),
+            _ => self.bounce(payload, out),
         }
     }
 
@@ -1225,7 +1212,7 @@ impl PeerNode {
         };
         self.router.forget_peer(hop.peer);
         hop.skip.push(hop.peer);
-        self.handle_route(now, hop.target, hop.payload, hop.hops, hop.skip, out);
+        self.handle_route(now, hop.payload, hop.hops, hop.skip, out);
     }
 }
 
@@ -1802,7 +1789,7 @@ mod tests {
         let item = Item::new(ItemId::new(me, 77), SearchKey(key), "x");
         let payload = RoutePayload::Insert { item, reply_to: me };
         let mut out = Effects::new();
-        node.handle_route(now, key, payload, 0, Vec::new(), &mut out);
+        node.handle_route(now, payload, 0, Vec::new(), &mut out);
         assert_eq!(pushes(&out), targets);
 
         // A hand-off batch (items, then the range change that brought them
@@ -1844,9 +1831,9 @@ mod tests {
             node.refresh_replicas(now, &mut out);
             pushes(&out)
         };
-        let route = |node: &mut PeerNode, target, payload| {
+        let route = |node: &mut PeerNode, payload| {
             let mut out = Effects::new();
-            node.handle_route(now, target, payload, 0, Vec::new(), &mut out);
+            node.handle_route(now, payload, 0, Vec::new(), &mut out);
             pushes(&out)
         };
 
@@ -1854,7 +1841,7 @@ mod tests {
         // new and send nothing, however many there are.
         let item = Item::new(ItemId::new(me, 77), SearchKey(key), "x");
         let payload = RoutePayload::Insert { item, reply_to: me };
-        assert_eq!(route(node, key, payload), targets);
+        assert_eq!(route(node, payload), targets);
         for round in 1..=64 {
             assert_eq!(refresh(node), [], "round {round}");
         }
@@ -1865,7 +1852,7 @@ mod tests {
             mapped,
             reply_to: me,
         };
-        assert_eq!(route(node, mapped, payload), []);
+        assert_eq!(route(node, payload), []);
         assert_eq!(refresh(node), targets);
         assert_eq!(refresh(node), []);
 
@@ -2492,7 +2479,6 @@ mod tests {
                             payload,
                             hops: 0,
                             ack: None,
-                            ..
                         },
                 } => Some((*delay, payload.clone())),
                 _ => None,
