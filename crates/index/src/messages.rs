@@ -86,18 +86,11 @@ pub enum PeerMsg {
     /// over the range in between. A predecessor *failure* requires the
     /// takeover; a predecessor that *departed* through a merge or leave does
     /// not (its range is granted to the other side), and the two are locally
-    /// indistinguishable at the moment the pointer changes.
-    PredTakeover {
-        /// The new predecessor observed when the timer was armed.
-        peer: PeerId,
-        /// Its value at that moment.
-        value: PeerValue,
-        /// This peer's own range low end at that moment. If it has moved by
-        /// the time the timer fires, the gap was resolved by an explicit
-        /// hand-off (e.g. this peer redistributed its low range away) and
-        /// the takeover is stale.
-        low_at_arm: PeerValue,
-    },
+    /// indistinguishable at the moment the pointer changes. The peer keeps
+    /// the one takeover it waits on (the predecessor, its value and its own
+    /// low end when armed, and the deadline); the timer only says when to
+    /// look.
+    PredTakeover,
     /// Self-timer of the periodic snapshot (WAL compaction); a peer with no
     /// storage engine attached just re-arms it.
     SnapshotTick,
@@ -114,7 +107,7 @@ impl PeerMsg {
             PeerMsg::Route { .. } => "Route",
             PeerMsg::RouteAck { .. } => "RouteAck",
             PeerMsg::RouteGuard { .. } => "RouteGuard",
-            PeerMsg::PredTakeover { .. } => "PredTakeover",
+            PeerMsg::PredTakeover => "PredTakeover",
             PeerMsg::SnapshotTick => "SnapshotTick",
         }
     }
@@ -132,7 +125,7 @@ impl PeerMsg {
             PeerMsg::Route { .. }
             | PeerMsg::RouteAck { .. }
             | PeerMsg::RouteGuard { .. }
-            | PeerMsg::PredTakeover { .. } => "index",
+            | PeerMsg::PredTakeover => "index",
         }
     }
 }
@@ -177,14 +170,6 @@ mod tests {
             "router"
         );
         assert_eq!(PeerMsg::SnapshotTick.layer_tag(), "storage");
-        assert_eq!(
-            PeerMsg::PredTakeover {
-                peer: PeerId(1),
-                value: PeerValue(0),
-                low_at_arm: PeerValue(0)
-            }
-            .layer_tag(),
-            "index"
-        );
+        assert_eq!(PeerMsg::PredTakeover.layer_tag(), "index");
     }
 }

@@ -76,9 +76,9 @@ pub struct PeerNode {
     pool: FreePool,
     /// When the in-flight merge-give (this peer giving up its range) started.
     merge_started: Option<SimTime>,
-    /// The gap the last [`PeerMsg::PredTakeover`] was armed for (the
-    /// predecessor's value and this peer's low end), and when it runs.
-    takeover_due: Option<(PeerValue, PeerValue, SimTime)>,
+    /// The takeover the last [`PeerMsg::PredTakeover`] was armed for: the
+    /// predecessor and its value, this peer's low end, and when it runs.
+    takeover_due: Option<(PeerId, PeerValue, PeerValue, SimTime)>,
     /// The routed requests this peer issued and still waits on.
     issued: HashMap<Request, Issued>,
     /// Sequence number of the last acked hop this peer sent.
@@ -526,30 +526,25 @@ impl PeerNode {
             }
             PeerMsg::RouteAck { seq, at } => self.on_route_ack(seq, at),
             PeerMsg::RouteGuard { seq } => self.on_route_guard(now, seq, out),
-            PeerMsg::PredTakeover {
-                peer,
-                value,
-                low_at_arm,
-            } => self.on_pred_takeover(now, peer, value, low_at_arm, out),
+            PeerMsg::PredTakeover => self.on_pred_takeover(now, out),
             PeerMsg::SnapshotTick => self.on_snapshot_tick(now, out),
         }
     }
 
     /// Re-validated predecessor takeover (armed by a `NewPredecessor` ring
     /// event, see the comment there): extend this peer's range down to the
-    /// predecessor's value and revive the replicas that fall inside.
-    fn on_pred_takeover(
-        &mut self,
-        now: SimTime,
-        peer: PeerId,
-        value: PeerValue,
-        low_at_arm: PeerValue,
-        out: &mut Effects<PeerMsg>,
-    ) {
-        // The predecessor (or its value) changed again since the timer was
-        // armed: a newer event carries its own timer, or the gap was
-        // absorbed by a merge grant. Either way this takeover is stale.
-        if self.ring.pred() != Some((peer, value)) {
+    /// predecessor's value and revive the replicas that fall inside. Only
+    /// the last arm's record counts: a timer of an earlier arm, or of a
+    /// gap no longer hypothesized, changes nothing before that record's
+    /// deadline.
+    fn on_pred_takeover(&mut self, now: SimTime, out: &mut Effects<PeerMsg>) {
+        let Some((peer, value, low_at_arm, due)) = self.takeover_due else {
+            return;
+        };
+        // The predecessor (or its value) changed again since the takeover
+        // was armed: the gap was absorbed by a merge grant, or a newer
+        // predecessor is on its own wait. Either way this takeover is stale.
+        if now < due || self.ring.pred() != Some((peer, value)) {
             return;
         }
         if self.ds.status() != DsStatus::Live || self.ds.range().is_empty() {
@@ -646,9 +641,9 @@ impl PeerNode {
                     // this peer within a round and cancels the takeover; if
                     // the departing peer failed mid-leave, the grant never
                     // lands, the gap persists, and the takeover proceeds.
-                    // A new predecessor at the value the last timer was
+                    // A new predecessor at the value the last takeover was
                     // armed for (an absorber taking a leaver's value) leaves
-                    // the gap as it was, so it keeps that timer's deadline.
+                    // the gap as it was, so it keeps that deadline.
                     let range = self.ds.range();
                     let low = range.low();
                     let gap_hypothesized = self.ds.status() == DsStatus::Live
@@ -656,19 +651,12 @@ impl PeerNode {
                         && !range.is_full()
                         && low != value;
                     let due = match self.takeover_due {
-                        Some((v, l, due)) if (v, l) == (value, low) => due,
+                        Some((_, v, l, due)) if (v, l) == (value, low) => due,
                         _ => now + self.cfg.stabilization_period * 3,
                     };
-                    self.takeover_due = gap_hypothesized.then_some((value, low, due));
+                    self.takeover_due = gap_hypothesized.then_some((peer, value, low, due));
                     if gap_hypothesized {
-                        out.timer(
-                            due - now,
-                            PeerMsg::PredTakeover {
-                                peer,
-                                value,
-                                low_at_arm: low,
-                            },
-                        );
+                        out.timer(due - now, PeerMsg::PredTakeover);
                     }
                 }
                 RingEvent::LeaveComplete { elapsed } => {
@@ -2146,6 +2134,71 @@ mod tests {
             false,
         );
         assert_eq!(low_at(&sim), gap_low);
+    }
+
+    #[test]
+    fn a_takeover_never_runs_before_its_re_armed_deadline() {
+        // The predecessor fails and `p` is adopted at `v`, the gap's low end:
+        // a takeover is armed for t + 3 periods. One period later the
+        // predecessor reads as `q` at `w`, one more later as `p` at `v`
+        // again, which arms a fresh wait until t + 5 periods. The first
+        // arm's timer finds the same predecessor and low end at its
+        // deadline, yet the range must not move before the fresh wait ends.
+        let mut sim = settled_ring(43);
+        let cfg = SystemConfig::fast();
+        let period = cfg.stabilization_period;
+        let (me, pred, low) = sim
+            .alive_nodes_iter()
+            .filter(|(_, n)| n.is_ring_member())
+            .find_map(|(me, n)| {
+                let (pred, value) = n.ring().pred().filter(|&(p, _)| p != me)?;
+                let range = n.data_store().range();
+                (range.low() == value && !range.is_full()).then_some((me, pred, value))
+            })
+            .expect("a member with a predecessor");
+        let (v, w) = (PeerValue(low.raw() - 2), PeerValue(low.raw() - 1));
+        let (p, q) = (PeerId(1000), PeerId(1001));
+        // Stabilization requests from `p` at `v` every half ping period
+        // until `until` (or until `p` is adopted, if `adopt`).
+        let hold = |sim: &mut Simulator<PeerNode>, until: SimTime, adopt: bool| {
+            while sim.now() < until {
+                sim.with_node_ctx(me, |node, ctx| {
+                    let request = RingMsg::StabRequest { from_value: v };
+                    node.dispatch(ctx.now(), p, PeerMsg::Ring(request), ctx.effects());
+                });
+                let node = sim.node(me).expect("alive");
+                if adopt && node.ring().pred() == Some((p, v)) {
+                    return;
+                }
+                let step = (cfg.ping_period() / 2).min(until - sim.now());
+                sim.run_for(step);
+            }
+        };
+        let flip = |sim: &mut Simulator<PeerNode>, peer, value| {
+            sim.with_node_ctx(me, |node, ctx| {
+                let event = RingEvent::NewPredecessor { peer, value };
+                node.process_ring_events(ctx.now(), vec![event], ctx.effects());
+            });
+        };
+        sim.kill(pred);
+        let killed = sim.now();
+        hold(&mut sim, killed + period * 10, true);
+        let node = sim.node(me).expect("alive");
+        assert_eq!(node.ring().pred(), Some((p, v)), "p is never adopted");
+        let t = sim.now();
+        hold(&mut sim, t + period, false);
+        flip(&mut sim, q, w);
+        hold(&mut sim, t + period * 2, false);
+        flip(&mut sim, p, v);
+        let low_at =
+            |sim: &Simulator<PeerNode>| sim.node(me).expect("alive").data_store().range().low();
+        // Past the first arm's deadline, and just before the fresh one.
+        hold(&mut sim, t + period * 3 + Duration::from_millis(5), false);
+        assert_eq!(low_at(&sim), low, "taken over at the first deadline");
+        hold(&mut sim, t + (period * 5 - Duration::from_millis(5)), false);
+        assert_eq!(low_at(&sim), low);
+        hold(&mut sim, t + period * 5 + Duration::from_millis(5), false);
+        assert_eq!(low_at(&sim), v);
     }
 
     #[test]
