@@ -1,7 +1,6 @@
 //! The composed peer: ring + data store + replication + router + index API.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Duration;
 
 use pepper_datastore::{DataStoreState, DsEvent, DsMsg, DsStatus, QueryId};
@@ -69,10 +68,6 @@ pub struct PeerNode {
     /// Items recovered from durable storage, awaiting donation to their
     /// current owners through [`PeerNode::restart_rejoin`].
     recovered_donation: Vec<(u64, Item)>,
-    /// The replica batch the last refresh round built, and the Data Store
-    /// items version it was built from. Reused for as long as the item set
-    /// stays at that version.
-    built_batch: Option<(u64, Batch)>,
     pool: FreePool,
     /// When the in-flight merge-give (this peer giving up its range) started.
     merge_started: Option<SimTime>,
@@ -131,7 +126,6 @@ impl PeerNode {
             storage: None,
             recovery_mode: RecoveryMode::Clean,
             recovered_donation: Vec::new(),
-            built_batch: None,
             pool,
             cfg,
             merge_started: None,
@@ -434,29 +428,18 @@ impl PeerNode {
             .map(|e| e.peer)
     }
 
-    /// The Data Store's items as a batch all successors share, and its
-    /// items version: cloned once per change of the item set, not once per
-    /// push.
-    fn current_batch(&mut self) -> (u64, Batch) {
-        let version = self.ds.items_version();
-        match &self.built_batch {
-            Some((built, batch)) if *built == version => (version, Arc::clone(batch)),
-            _ => {
-                let batch: Batch = self
-                    .ds
-                    .items_mapped()
-                    .map(|(mapped, item)| (mapped, item.clone()))
-                    .collect();
-                self.built_batch = Some((version, Arc::clone(&batch)));
-                (version, batch)
-            }
-        }
+    /// The Data Store's items as one batch every replica target shares.
+    fn items_batch(ds: &DataStoreState) -> Batch {
+        ds.items_mapped()
+            .map(|(mapped, item)| (mapped, item.clone()))
+            .collect()
     }
 
     /// Pushes the Data Store's items to the replica targets now: an item was
     /// stored, or a range change brought items in. Never skipped.
     fn push_replicas(&mut self, now: SimTime, out: &mut Effects<PeerMsg>) {
-        let (version, batch) = self.current_batch();
+        let version = self.ds.items_version();
+        let batch = Self::items_batch(&self.ds);
         let ((), repl_events) = self.repl.with(out, |repl, fx| {
             repl.push_batch(
                 batch,
@@ -474,9 +457,10 @@ impl PeerNode {
     /// and no target was seen joining again in between (see
     /// [`ReplicationManager::refresh`]).
     fn refresh_replicas(&mut self, now: SimTime, out: &mut Effects<PeerMsg>) {
-        let (version, batch) = self.current_batch();
+        let version = self.ds.items_version();
         let ((), repl_events) = self.repl.with(out, |repl, fx| {
-            repl.refresh(batch, version, Self::joined_successors(&self.ring), fx)
+            let targets = Self::joined_successors(&self.ring);
+            repl.refresh(version, targets, || Self::items_batch(&self.ds), fx)
         });
         self.process_repl_events(now, repl_events, out);
     }
@@ -1270,6 +1254,7 @@ mod tests {
     };
     use pepper_ring::RingMsg;
     use pepper_types::ItemId;
+    use std::sync::Arc;
 
     /// Builds a cluster: one first peer plus `free` free peers, all running
     /// with `cfg`.
@@ -1675,29 +1660,26 @@ mod tests {
     }
 
     #[test]
-    fn refresh_rounds_share_one_batch_until_the_item_set_changes() {
+    fn a_push_shares_one_batch_of_the_current_items() {
         let cfg = SystemConfig::fast();
         let (mut sim, _pool, first) = cluster(&cfg, 4, 23);
         insert_keys(&mut sim, first, (1..=10).map(|k| k * 1_000_000));
         sim.run_for(Duration::from_secs(3));
         assert!(ring_members(&sim) >= 3);
 
-        // Every successor of one round is handed the same allocation, and
-        // so is every later round while the Data Store is left alone.
+        // Every successor of one push is handed the same allocation, which
+        // holds the Data Store's items.
         let mut last = refresh_round(&mut sim, first);
         assert_eq!(last.len(), 2, "k = 2 successors");
+        assert!(Arc::ptr_eq(&last[0].1, &last[1].1));
         let stored = |sim: &Simulator<PeerNode>| {
             let node = sim.node(first).expect("first exists");
             node.data_store().local_items_mapped()
         };
         assert_eq!(last[0].1.to_vec(), stored(&sim));
-        sim.run_for(Duration::from_secs(1));
-        for (_, batch) in refresh_round(&mut sim, first) {
-            assert!(Arc::ptr_eq(&batch, &last[0].1) && Arc::ptr_eq(&batch, &last[1].1));
-        }
 
         // An insert, a delete and a split hand-off each change the item
-        // set: the next round builds a fresh batch.
+        // set: the next push carries a fresh batch of the new items.
         let own = |sim: &Simulator<PeerNode>, key: u64| {
             let node = sim.node(first).expect("first exists");
             node.data_store().range().contains(key)

@@ -71,10 +71,10 @@ impl ReplicationManager {
     }
 
     /// Pushes an already built batch now, never skipped: every one of the
-    /// `k` nearest successors is sent the same shared `batch`. A caller that
-    /// keeps the batch across rounds names it with the Data Store
-    /// `items_version` it was built from (equal versions, same batch), which
-    /// lets [`Self::refresh`] skip a round that would repeat this push.
+    /// `k` nearest successors is sent the same shared `batch`. A caller
+    /// names the batch with the Data Store `items_version` it was built from
+    /// (equal versions, same items), which lets [`Self::refresh`] skip a
+    /// round that would repeat this push.
     pub fn push_batch(
         &mut self,
         batch: Batch,
@@ -100,18 +100,19 @@ impl ReplicationManager {
         self.last_push = version;
     }
 
-    /// A periodic refresh round: [`Self::push_batch`], unless this peer's
-    /// last push carried the batch of the same items `version` to the same
-    /// targets. Then every target already holds the batch, and the round
-    /// stays quiet, however many rounds in a row.
+    /// A periodic refresh round: [`Self::push_batch`] of the batch `build`
+    /// returns, unless this peer's last push carried the same items
+    /// `version` to the same targets. Then every target already holds the
+    /// batch, and the round stays quiet, however many rounds in a row;
+    /// `build` is called only by a round that pushes.
     ///
     /// A version names one batch only within one incarnation: a restarted
     /// peer is a new manager whose first round always pushes.
     pub fn refresh(
         &mut self,
-        batch: Batch,
         version: u64,
         successors: impl Iterator<Item = PeerId> + Clone,
+        build: impl FnOnce() -> Batch,
         fx: &mut Effects<ReplMsg>,
     ) {
         let targets = successors.clone().filter(|p| *p != self.id);
@@ -122,7 +123,7 @@ impl ReplicationManager {
         {
             return;
         }
-        self.push_batch(batch, Some(version), successors, fx);
+        self.push_batch(build(), Some(version), successors, fx);
     }
 
     /// Forgets the last push if a target of it is listed `JOINING`: it left
@@ -715,8 +716,14 @@ mod tests {
         let mut fx = Effects::new();
         let batch: Batch = vec![item(10), item(20)].into();
         let succs = [PeerId(0), PeerId(1), PeerId(2), PeerId(3)];
+        // Only a round that pushes builds its batch.
+        let built = std::cell::Cell::new(0);
         let refresh = |rm: &mut ReplicationManager, version, succs: &[PeerId], fx: &mut _| {
-            rm.refresh(Arc::clone(&batch), version, succs.iter().copied(), fx);
+            let build = || {
+                built.set(built.get() + 1);
+                Arc::clone(&batch)
+            };
+            rm.refresh(version, succs.iter().copied(), build, fx);
         };
         // The first round has nothing to compare against and pushes.
         refresh(&mut rm, 5, &succs, &mut fx);
@@ -748,6 +755,7 @@ mod tests {
         assert_eq!(pushed(&mut fx), [PeerId(1)]);
         refresh(&mut rm, 6, &shorter, &mut fx);
         assert!(fx.is_empty());
+        assert_eq!(built.get(), 4, "a batch per pushing round");
     }
 
     #[test]
@@ -757,7 +765,7 @@ mod tests {
         let batch: Batch = vec![item(10)].into();
         let succs = [PeerId(1), PeerId(2), PeerId(3)];
         let refresh = |rm: &mut ReplicationManager, fx: &mut _| {
-            rm.refresh(Arc::clone(&batch), 5, succs.iter().copied(), fx);
+            rm.refresh(5, succs.iter().copied(), || Arc::clone(&batch), fx);
         };
         refresh(&mut rm, &mut fx);
         assert_eq!(pushed(&mut fx).len(), 2);
@@ -792,7 +800,7 @@ mod tests {
         let batch: Batch = vec![item(10)].into();
         let succs = [PeerId(1), PeerId(2), PeerId(3)];
         let refresh = |rm: &mut ReplicationManager, fx: &mut _| {
-            rm.refresh(Arc::clone(&batch), 5, succs.iter().copied(), fx);
+            rm.refresh(5, succs.iter().copied(), || Arc::clone(&batch), fx);
         };
         refresh(&mut rm, &mut fx);
         assert_eq!(pushed(&mut fx), [PeerId(1), PeerId(2)]);
