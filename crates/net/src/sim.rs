@@ -41,7 +41,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::effect::{Effect, Effects};
-use crate::latency::NetworkConfig;
+use crate::latency::{NetworkConfig, PROCESSING_DELAY};
 use crate::stats::NetStats;
 use crate::time::SimTime;
 use crate::wheel::EventWheel;
@@ -337,7 +337,7 @@ impl<N: Node> Simulator<N> {
     /// a fresh [`Cid`] minted from the delivery time and the event's
     /// sequence number, which every downstream effect inherits.
     pub fn send_external(&mut self, to: PeerId, msg: N::Msg) {
-        let at = self.now + self.config.processing_delay;
+        let at = self.now + PROCESSING_DELAY;
         let cid = Cid::new(at.as_nanos(), self.seq);
         self.push(
             at,
@@ -427,7 +427,7 @@ impl<N: Node> Simulator<N> {
     fn schedule_send(&mut self, from: PeerId, to: PeerId) -> SimTime {
         self.stats.messages_sent += 1;
         let latency = self.config.latency.sample(&mut self.rng);
-        let mut at = self.now + latency + self.config.processing_delay;
+        let mut at = self.now + latency + PROCESSING_DELAY;
         // Enforce FIFO delivery per (sender, receiver) pair.
         match self.fifo.entry((from, to)) {
             Entry::Occupied(mut prev) => {
@@ -858,7 +858,7 @@ mod tests {
 
     #[test]
     fn add_node_assigns_dense_ids() {
-        let mut sim: Simulator<TokenNode> = Simulator::new(NetworkConfig::instant(1));
+        let mut sim: Simulator<TokenNode> = Simulator::new(NetworkConfig::lan(1));
         let a = sim.add_node(token_node);
         let b = sim.add_node(token_node);
         assert_eq!(a, PeerId(0));

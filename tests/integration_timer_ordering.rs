@@ -134,7 +134,7 @@ impl Node for ThreeLayerNode {
 
 fn run_three_layer(seed: u64, rounds: u32) -> Vec<(SimTime, &'static str)> {
     let period = Duration::from_millis(100);
-    let mut sim: Simulator<ThreeLayerNode> = Simulator::new(NetworkConfig::instant(seed));
+    let mut sim: Simulator<ThreeLayerNode> = Simulator::new(NetworkConfig::lan(seed));
     let id = sim.add_node(|_| ThreeLayerNode::new(period));
     sim.with_node_ctx(id, |node, ctx| node.start(ctx));
     sim.run_for(period * rounds + Duration::from_millis(1));
