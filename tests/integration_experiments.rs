@@ -1,5 +1,6 @@
 //! Cross-crate integration: every experiment driver runs end to end at the
-//! quick effort level and produces well-formed tables.
+//! quick effort level and produces well-formed tables, and Figure 20 keeps
+//! the paper's shape at full effort.
 
 use pepper_sim::experiments::{availability, correctness, insert_succ, leave, scan_range, Effort};
 
@@ -11,6 +12,23 @@ fn figure_19_driver_runs() {
     for row in &t.rows {
         assert!(row.iter().all(|v| v.is_finite()));
     }
+}
+
+#[test]
+fn figure_20_pepper_insert_succ_grows_with_the_stabilization_period() {
+    // Every periodic loop runs off the stabilization period, so a slower
+    // period slows the rounds a PEPPER insertSucc waits on: the paper's
+    // curve never falls and grows far above its 2 s point by 8 s.
+    let t = insert_succ::figure_20(Effort::Full, 2026);
+    let pepper = t.column("pepper_insert_succ").expect("a PEPPER column");
+    assert_eq!(pepper.len(), 7, "periods 2..=8 s: {pepper:?}");
+    for pair in pepper.windows(2) {
+        assert!(pair[1] >= pair[0], "the PEPPER column falls: {pepper:?}");
+    }
+    assert!(
+        pepper[6] >= 10.0 * pepper[0],
+        "8 s is not 10x the 2 s point: {pepper:?}"
+    );
 }
 
 #[test]
