@@ -517,17 +517,17 @@ impl PeerNode {
 
     /// Re-validated predecessor takeover (armed by a `NewPredecessor` ring
     /// event, see the comment there): extend this peer's range down to the
-    /// predecessor's value and revive the replicas that fall inside. Only
-    /// the last arm's record counts: a timer of an earlier arm, or of a
-    /// gap no longer hypothesized, changes nothing before that record's
-    /// deadline.
+    /// predecessor's value and revive the replicas that fall inside. Every
+    /// timer acts on the one record of the last arm, `takeover_due`, and
+    /// only once its deadline has passed: an earlier arm's timer never runs
+    /// a takeover early.
     fn on_pred_takeover(&mut self, now: SimTime, out: &mut Effects<PeerMsg>) {
         let Some((peer, value, low_at_arm, due)) = self.takeover_due else {
             return;
         };
-        // The predecessor (or its value) changed again since the takeover
-        // was armed: the gap was absorbed by a merge grant, or a newer
-        // predecessor is on its own wait. Either way this takeover is stale.
+        // Not due yet, or the predecessor (or its value) changed since the
+        // takeover was armed: the gap was absorbed by a merge grant, or a
+        // newer predecessor waits on its own timer. Either way, not now.
         if now < due || self.ring.pred() != Some((peer, value)) {
             return;
         }
