@@ -473,11 +473,9 @@ impl DataStoreState {
     /// it. The offer is only accepted when it comes from this peer's
     /// *direct* successor as currently cached — anything else means the
     /// topology between the two has changed and absorbing the range would
-    /// corrupt the partition. Only the peer identity is compared: the cached
-    /// successor *value* reflects the moment the successor was announced and
-    /// goes stale when the successor later splits (its value moves down).
+    /// corrupt the partition.
     pub(crate) fn on_leave_offer(&mut self, from: PeerId, fx: &mut Effects<DsMsg>) {
-        let from_direct_successor = self.succ.map(|(p, _)| p) == Some(from);
+        let from_direct_successor = self.succ == Some(from);
         if self.status != DsStatus::Live || self.is_rebalancing() || !from_direct_successor {
             fx.send(from, DsMsg::MergeDeclined);
             return;
@@ -535,7 +533,6 @@ impl DataStoreState {
                 }
                 self.emit(DsEvent::RangeChanged {
                     range: self.range,
-                    value: self.range.high(),
                     grew: true,
                 });
                 if give == Give::All {
@@ -571,7 +568,6 @@ impl DataStoreState {
                 } else {
                     self.emit(DsEvent::RangeChanged {
                         range: self.range,
-                        value: self.range.high(),
                         grew: false,
                     });
                 }
@@ -1172,7 +1168,7 @@ mod tests {
             q.send_merge_request(PeerId(2), fx);
         };
         let leave_offer = |q: &mut DataStoreState, fx: &mut Effects<DsMsg>| {
-            q.set_successor(PeerId(2), PeerValue(100));
+            q.set_successor(PeerId(2));
             deliver(q, 2, DsMsg::LeaveOffer, fx);
         };
         // The ring reports the successor failed (a ping timed out), or
@@ -1218,7 +1214,7 @@ mod tests {
         // A giver departs only after granting and FIFO delivers the grant
         // first, so the grant will still install: the wait holds.
         let mut q = live_peer(1, 0, 30, &[10]);
-        q.set_successor(PeerId(2), PeerValue(100));
+        q.set_successor(PeerId(2));
         deliver(&mut q, 2, DsMsg::LeaveOffer, &mut Effects::new());
         q.acquire_scan_lock();
         let parked = grant(Give::All, 30, 100, &[40]);
@@ -1579,7 +1575,7 @@ mod tests {
     fn voluntary_leave_handshake_locks_predecessor_and_merges() {
         // Leaver s owns (30, 100]; predecessor q owns (0, 30].
         let mut q = live_peer(1, 0, 30, &[10, 20]);
-        q.set_successor(PeerId(2), PeerValue(100));
+        q.set_successor(PeerId(2));
         let mut s = live_peer(2, 30, 100, &[40, 90]);
 
         let mut sfx = Effects::new();
@@ -1660,7 +1656,7 @@ mod tests {
     #[test]
     fn leave_offer_from_non_successor_is_declined() {
         let mut q = live_peer(1, 0, 30, &[10, 20]);
-        q.set_successor(PeerId(2), PeerValue(100));
+        q.set_successor(PeerId(2));
         // Offer from peer 7, which is not q's cached direct successor.
         let mut fx = Effects::new();
         deliver(&mut q, 7, DsMsg::LeaveOffer, &mut fx);
@@ -1859,14 +1855,14 @@ mod tests {
         // hand-off (or to one already over) and must be a pure no-op.
         fn requesting() -> DataStoreState {
             let mut q = live_peer(1, 0, 30, &[10]);
-            q.set_successor(PeerId(2), PeerValue(100));
+            q.set_successor(PeerId(2));
             q.check_underflow();
             q.send_merge_request(PeerId(2), &mut Effects::new());
             q
         }
         fn leave_accepted() -> DataStoreState {
             let mut q = live_peer(1, 0, 30, &[10, 20]);
-            q.set_successor(PeerId(2), PeerValue(100));
+            q.set_successor(PeerId(2));
             let offer = DsMsg::LeaveOffer;
             deliver(&mut q, 2, offer, &mut Effects::new());
             q
@@ -2026,7 +2022,7 @@ mod tests {
         // q (one item, below sf) accepted a leave offer from its successor;
         // the grant arrives while a scan holds q's range lock.
         let mut q = live_peer(1, 0, 30, &[10]);
-        q.set_successor(PeerId(2), PeerValue(100));
+        q.set_successor(PeerId(2));
         let offer = DsMsg::LeaveOffer;
         deliver(&mut q, 2, offer, &mut Effects::new());
         q.acquire_scan_lock();
@@ -2071,10 +2067,10 @@ mod tests {
         // s leaves the ring before granting, so q's cached successor is
         // already peer 3, behind s.
         let mut q = live_peer(1, 0, 30, &[10]);
-        q.set_successor(PeerId(2), PeerValue(100));
+        q.set_successor(PeerId(2));
         q.check_underflow();
         q.send_merge_request(PeerId(2), &mut Effects::new());
-        q.set_successor(PeerId(3), PeerValue(200));
+        q.set_successor(PeerId(3));
         // A scan holds q's range lock when s's grant arrives: it parks.
         let interval = KeyInterval::new(5, 150).unwrap();
         let scan = |seq| DsMsg::ScanStep {

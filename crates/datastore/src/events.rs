@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use pepper_types::{CircularRange, Item, ItemId, PeerId, PeerValue};
+use pepper_types::{CircularRange, Item, ItemId, PeerId};
 
 use crate::messages::QueryId;
 
@@ -25,10 +25,9 @@ pub enum DsEvent {
     /// or predecessor change). The replication manager uses this to know
     /// what to replicate; the oracle uses it to track item liveness.
     RangeChanged {
-        /// The new range.
+        /// The new range; its high end is the peer's (possibly new) ring
+        /// value.
         range: CircularRange,
-        /// The peer's (possibly new) ring value.
-        value: PeerValue,
         /// Whether the change brought items *in* (hand-off install, grant,
         /// extension) — the signal for replicate-on-receive. Shrinks (the
         /// giving side completing a transfer) hold no new items to push.
@@ -150,7 +149,6 @@ mod tests {
         assert_eq!(
             DsEvent::RangeChanged {
                 range: CircularRange::new(1u64, 2u64),
-                value: PeerValue(2),
                 grew: false,
             }
             .tag(),

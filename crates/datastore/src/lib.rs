@@ -16,9 +16,7 @@
 //!   scan holds the lock are *deferred* and applied when the lock is
 //!   released;
 //! * the **naive application-level scan** used as the baseline in Section 6,
-//!   which takes no locks and can therefore miss items (Section 4.2.2);
-//! * a **hashed placement** baseline (Chord/CFS style) used by the
-//!   load-balance ablation.
+//!   which takes no locks and can therefore miss items (Section 4.2.2).
 //!
 //! Like the ring, the Data Store is a pure state machine: handlers consume
 //! [`DsMsg`]s and emit effects plus [`DsEvent`]s for the composed peer.

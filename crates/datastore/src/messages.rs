@@ -115,11 +115,9 @@ pub enum DsMsg {
     ScanForwardTimeout {
         /// Query identity.
         query: QueryId,
-        /// The successor the step was forwarded to.
-        target: PeerId,
-        /// The forwarding peer's hop counter for this forward. Two forwards
-        /// of the same query (a scan that revisits the peer) share the same
-        /// target and starting attempt; the hop pins the guard to its own.
+        /// The forwarding peer's hop counter for this forward. A scan that
+        /// revisits the peer forwards once per visit; the hop pins the guard
+        /// to its own.
         hop: u32,
         /// Retry attempt the guard belongs to.
         attempt: usize,

@@ -32,15 +32,6 @@ pub const MAX_SCAN_HOPS: u32 = 1024;
 const SCAN_MAX_RETRIES: usize = 4;
 
 impl DataStoreState {
-    fn collect_local(&self, interval: &KeyInterval) -> (Vec<Item>, Vec<KeyInterval>) {
-        let pieces = self.range.intersect_interval(interval);
-        let mut items = Vec::new();
-        for piece in &pieces {
-            items.extend(self.store.items_in_interval(piece));
-        }
-        (items, pieces)
-    }
-
     /// Whether the scan walk terminates at this peer: either its range owns
     /// the interval's upper bound, or the walk has *overshot* it.
     ///
@@ -75,9 +66,70 @@ impl DataStoreState {
     fn scan_next_hop(&self) -> Option<PeerId> {
         let next = match self.balance {
             Balance::Requesting(giver) => giver,
-            _ => self.succ?.0,
+            _ => self.succ?,
         };
         (next != self.id).then_some(next)
+    }
+
+    /// Reports this hop's items in the interval to the query origin, and
+    /// `ScanDone` too if the walk ends at this peer. Returns whether it
+    /// ended.
+    fn report_hop(
+        &self,
+        query: QueryId,
+        interval: &KeyInterval,
+        hop: u32,
+        fx: &mut Effects<DsMsg>,
+    ) -> bool {
+        let covered = self.range.intersect_interval(interval);
+        let mut items = Vec::new();
+        for piece in &covered {
+            items.extend(self.store.items_in_interval(piece));
+        }
+        let result = DsMsg::ScanResult {
+            query,
+            items,
+            covered,
+            hop,
+        };
+        fx.send(query.origin, result);
+        let ended = self.scan_reached_upper_bound(interval) || hop >= MAX_SCAN_HOPS;
+        if ended {
+            fx.send(query.origin, DsMsg::ScanDone { query, hops: hop });
+        }
+        ended
+    }
+
+    /// Sends attempt `attempt` of this hop's hand-off to the next peer,
+    /// records it and arms its guard. Returns `false` when there is no next
+    /// peer.
+    fn forward_scan(
+        &mut self,
+        query: QueryId,
+        interval: KeyInterval,
+        hop: u32,
+        attempt: usize,
+        fx: &mut Effects<DsMsg>,
+    ) -> bool {
+        let Some(next) = self.scan_next_hop() else {
+            return false;
+        };
+        let step = DsMsg::ScanStep {
+            query,
+            interval,
+            prev: Some(self.id),
+            hop: hop + 1,
+        };
+        fx.send(next, step);
+        let pending = PendingForward { interval, attempt };
+        self.pending_forwards.insert((query, hop), pending);
+        let guard = DsMsg::ScanForwardTimeout {
+            query,
+            hop,
+            attempt,
+        };
+        fx.timer(self.cfg.scan_forward_timeout(), guard);
+        true
     }
 
     /// One hop of the PEPPER `scanRange`.
@@ -108,67 +160,18 @@ impl DataStoreState {
         if let Some(p) = prev {
             fx.send(p, DsMsg::ScanStepAck { query, hop });
         }
-
-        let (items, covered) = self.collect_local(&interval);
-        fx.send(
-            query.origin,
-            DsMsg::ScanResult {
-                query,
-                items,
-                covered,
-                hop,
-            },
-        );
-
-        if self.scan_reached_upper_bound(&interval) || hop >= MAX_SCAN_HOPS {
-            fx.send(query.origin, DsMsg::ScanDone { query, hops: hop });
+        // Done, or forwarded with the lock kept until the next peer acks.
+        if self.report_hop(query, &interval, hop, fx) {
             self.release_scan_lock(ctx, fx);
-            return;
-        }
-
-        // Forward to the successor, keeping our lock until it acknowledges.
-        match self.scan_next_hop() {
-            Some(succ) => {
-                fx.send(
-                    succ,
-                    DsMsg::ScanStep {
-                        query,
-                        interval,
-                        prev: Some(self.id),
-                        hop: hop + 1,
-                    },
-                );
-                self.pending_forwards
-                    .entry(query)
-                    .or_default()
-                    .push(PendingForward {
-                        target: succ,
-                        interval,
-                        hop,
-                        attempt: 1,
-                    });
-                fx.timer(
-                    self.cfg.scan_forward_timeout(),
-                    DsMsg::ScanForwardTimeout {
-                        query,
-                        target: succ,
-                        hop,
-                        attempt: 1,
-                    },
-                );
-            }
-            None => {
-                fx.send(query.origin, DsMsg::ScanFailed { query });
-                self.release_scan_lock(ctx, fx);
-            }
+        } else if !self.forward_scan(query, interval, hop, 1, fx) {
+            fx.send(query.origin, DsMsg::ScanFailed { query });
+            self.release_scan_lock(ctx, fx);
         }
     }
 
-    /// The successor acknowledged the hand-off: release the corresponding
-    /// range lock (one per outstanding hand-off of this query). The ack's
-    /// hop counter identifies which forward it answers — acks for different
-    /// visits of the same query can arrive out of order, and matching the
-    /// wrong one would strand a lost forward without its retry.
+    /// The next peer acknowledged the hand-off of hop `ack_hop - 1`: release
+    /// the lock that hop holds. Acks for different visits of the same query
+    /// can arrive out of order; the hop ties each to its own hand-off.
     pub(crate) fn on_scan_step_ack(
         &mut self,
         ctx: LayerCtx,
@@ -176,77 +179,34 @@ impl DataStoreState {
         ack_hop: u32,
         fx: &mut Effects<DsMsg>,
     ) {
-        if let Some(pending) = self.pending_forwards.get_mut(&query) {
-            let Some(idx) = pending.iter().position(|p| p.hop + 1 == ack_hop) else {
-                return;
-            };
-            pending.remove(idx);
-            if pending.is_empty() {
-                self.pending_forwards.remove(&query);
-            }
+        let Some(hop) = ack_hop.checked_sub(1) else {
+            return;
+        };
+        if self.pending_forwards.remove(&(query, hop)).is_some() {
             self.release_scan_lock(ctx, fx);
         }
     }
 
-    /// The successor did not acknowledge in time: retry via the (possibly
-    /// new) successor or give up.
-    #[allow(clippy::too_many_arguments)]
+    /// The next peer did not acknowledge in time: retry via the (possibly
+    /// new) next peer or give up. A guard acts only while the send it was
+    /// armed for is the latest of a hand-off still held.
     pub(crate) fn on_scan_forward_timeout(
         &mut self,
         ctx: LayerCtx,
         query: QueryId,
-        target: PeerId,
-        guard_hop: u32,
+        hop: u32,
         attempt: usize,
         fx: &mut Effects<DsMsg>,
     ) {
-        let Some(pending) = self.pending_forwards.get(&query) else {
-            return;
+        let interval = match self.pending_forwards.get(&(query, hop)) {
+            Some(pending) if pending.attempt == attempt => pending.interval,
+            _ => return, // acknowledged, or superseded by a later send
         };
-        let Some(idx) = pending
-            .iter()
-            .position(|p| p.target == target && p.hop == guard_hop && p.attempt == attempt)
-        else {
-            return; // superseded
-        };
-        let (interval, hop) = (pending[idx].interval, pending[idx].hop);
-        let next_attempt = attempt + 1;
-        match self.scan_next_hop() {
-            Some(succ) if attempt < SCAN_MAX_RETRIES => {
-                fx.send(
-                    succ,
-                    DsMsg::ScanStep {
-                        query,
-                        interval,
-                        prev: Some(self.id),
-                        hop: hop + 1,
-                    },
-                );
-                self.pending_forwards.get_mut(&query).expect("present")[idx] = PendingForward {
-                    target: succ,
-                    interval,
-                    hop,
-                    attempt: next_attempt,
-                };
-                fx.timer(
-                    self.cfg.scan_forward_timeout(),
-                    DsMsg::ScanForwardTimeout {
-                        query,
-                        target: succ,
-                        hop,
-                        attempt: next_attempt,
-                    },
-                );
-            }
-            _ => {
-                let pending = self.pending_forwards.get_mut(&query).expect("present");
-                pending.remove(idx);
-                if pending.is_empty() {
-                    self.pending_forwards.remove(&query);
-                }
-                fx.send(query.origin, DsMsg::ScanFailed { query });
-                self.release_scan_lock(ctx, fx);
-            }
+        if attempt >= SCAN_MAX_RETRIES || !self.forward_scan(query, interval, hop, attempt + 1, fx)
+        {
+            self.pending_forwards.remove(&(query, hop));
+            fx.send(query.origin, DsMsg::ScanFailed { query });
+            self.release_scan_lock(ctx, fx);
         }
     }
 
@@ -261,45 +221,26 @@ impl DataStoreState {
     /// One hop of the naive, lock-free application-level scan.
     pub(crate) fn on_naive_scan_step(
         &mut self,
-        _ctx: LayerCtx,
         query: QueryId,
         interval: KeyInterval,
         hop: u32,
         fx: &mut Effects<DsMsg>,
     ) {
-        if self.status != DsStatus::Live {
-            // The naive scan has no recovery: the origin's timeout finalizes
-            // the query with whatever was collected.
+        // The naive scan has no recovery: on a departed peer, the origin's
+        // timeout finalizes the query with whatever was collected.
+        if self.status != DsStatus::Live || self.report_hop(query, &interval, hop, fx) {
             return;
         }
-        let (items, covered) = self.collect_local(&interval);
-        fx.send(
-            query.origin,
-            DsMsg::ScanResult {
-                query,
-                items,
-                covered,
-                hop,
-            },
-        );
-        if self.scan_reached_upper_bound(&interval) || hop >= MAX_SCAN_HOPS {
-            fx.send(query.origin, DsMsg::ScanDone { query, hops: hop });
-            return;
-        }
-        match self.succ {
-            Some((succ, _)) if succ != self.id => {
-                fx.send(
-                    succ,
-                    DsMsg::NaiveScanStep {
-                        query,
-                        interval,
-                        hop: hop + 1,
-                    },
-                );
+        match self.succ.filter(|&succ| succ != self.id) {
+            Some(succ) => {
+                let step = DsMsg::NaiveScanStep {
+                    query,
+                    interval,
+                    hop: hop + 1,
+                };
+                fx.send(succ, step);
             }
-            _ => {
-                fx.send(query.origin, DsMsg::ScanFailed { query });
-            }
+            None => fx.send(query.origin, DsMsg::ScanFailed { query }),
         }
     }
 
@@ -429,7 +370,7 @@ mod tests {
     #[test]
     fn multi_hop_scan_forwards_and_holds_lock_until_ack() {
         let mut p = live_peer(1, 0, 50, &[10, 40]);
-        p.set_successor(PeerId(2), PeerValue(100));
+        p.set_successor(PeerId(2));
         let mut fx = Effects::new();
         let interval = KeyInterval::new(5, 90).unwrap();
         p.on_scan_step(ctx(1), qid(9, 3), interval, None, 0, &mut fx);
@@ -461,7 +402,7 @@ mod tests {
         // forwards are outstanding; the second visit's ack arrives first and
         // must not consume the first forward's bookkeeping.
         let mut p = live_peer(1, 0, 50, &[10]);
-        p.set_successor(PeerId(2), PeerValue(100));
+        p.set_successor(PeerId(2));
         let mut fx = Effects::new();
         let interval = KeyInterval::new(5, 90).unwrap();
         p.on_scan_step(ctx(1), qid(9, 0), interval, None, 0, &mut fx); // hop 0 → fwd hop 1
@@ -473,7 +414,7 @@ mod tests {
         p.on_scan_step_ack(ctx(1), qid(9, 0), 5, &mut fx);
         assert_eq!(p.scan_locks(), 1);
         // The first forward is still tracked: its timeout retries it.
-        p.on_scan_forward_timeout(ctx(1), qid(9, 0), PeerId(2), 0, 1, &mut fx);
+        p.on_scan_forward_timeout(ctx(1), qid(9, 0), 0, 1, &mut fx);
         assert!(fx.drain().iter().any(|e| matches!(
             e,
             Effect::Send {
@@ -515,7 +456,7 @@ mod tests {
         // A redistribute grant arrives while the peer is mid-scan (lock held
         // waiting for the successor's ack): the range change waits.
         let mut p = live_peer(1, 0, 50, &[10, 40]);
-        p.set_successor(PeerId(2), PeerValue(100));
+        p.set_successor(PeerId(2));
         p.balance = Balance::Requesting(PeerId(2));
         let mut fx = Effects::new();
         let interval = KeyInterval::new(5, 90).unwrap();
@@ -539,7 +480,7 @@ mod tests {
     #[test]
     fn forward_timeout_retries_then_gives_up() {
         let mut p = live_peer(1, 0, 50, &[10]);
-        p.set_successor(PeerId(2), PeerValue(100));
+        p.set_successor(PeerId(2));
         let mut fx = Effects::new();
         let interval = KeyInterval::new(5, 90).unwrap();
         p.on_scan_step(ctx(1), qid(9, 0), interval, None, 0, &mut fx);
@@ -547,11 +488,10 @@ mod tests {
 
         // Every timeout but the last: the successor has changed (failure
         // handled by the ring); the scan is re-forwarded to the new successor.
-        let mut target = PeerId(2);
         for attempt in 1..SCAN_MAX_RETRIES {
             let next = PeerId(2 + attempt as u64);
-            p.set_successor(next, PeerValue(100));
-            p.on_scan_forward_timeout(ctx(1), qid(9, 0), target, 0, attempt, &mut fx);
+            p.set_successor(next);
+            p.on_scan_forward_timeout(ctx(1), qid(9, 0), 0, attempt, &mut fx);
             let effects = fx.drain();
             assert!(effects.iter().any(|e| matches!(
                 e,
@@ -565,11 +505,10 @@ mod tests {
                 }
             )));
             assert_eq!(p.scan_locks(), 1);
-            target = next;
         }
 
         // Exhausting the retries reports failure and releases the lock.
-        p.on_scan_forward_timeout(ctx(1), qid(9, 0), target, 0, SCAN_MAX_RETRIES, &mut fx);
+        p.on_scan_forward_timeout(ctx(1), qid(9, 0), 0, SCAN_MAX_RETRIES, &mut fx);
         let effects = fx.drain();
         assert!(effects.iter().any(|e| matches!(
             e,
@@ -578,7 +517,45 @@ mod tests {
         assert_eq!(p.scan_locks(), 0);
 
         // A stale timeout afterwards is ignored.
-        p.on_scan_forward_timeout(ctx(1), qid(9, 0), target, 0, SCAN_MAX_RETRIES, &mut fx);
+        p.on_scan_forward_timeout(ctx(1), qid(9, 0), 0, SCAN_MAX_RETRIES, &mut fx);
+        assert_eq!(p.scan_locks(), 0);
+    }
+
+    #[test]
+    fn a_retried_hand_off_releases_its_lock_exactly_once() {
+        let mut p = live_peer(1, 0, 50, &[10]);
+        p.set_successor(PeerId(2));
+        let mut fx = Effects::new();
+        let interval = KeyInterval::new(5, 90).unwrap();
+        // Two scans hold a lock each, so a second release would show.
+        p.on_scan_step(ctx(1), qid(9, 0), interval, None, 0, &mut fx);
+        p.on_scan_step(ctx(1), qid(9, 1), interval, None, 0, &mut fx);
+        assert_eq!(p.scan_locks(), 2);
+
+        // The first scan's guard fires and its retry goes to a new successor.
+        p.set_successor(PeerId(3));
+        p.on_scan_forward_timeout(ctx(1), qid(9, 0), 0, 1, &mut fx);
+        assert!(fx.drain().iter().any(|e| matches!(
+            e,
+            Effect::Send { to, msg: DsMsg::ScanStep { hop: 1, .. } } if *to == PeerId(3)
+        )));
+        assert_eq!(p.scan_locks(), 2);
+
+        // The first target's ack arrives late: the lock is released.
+        let ack = || DsMsg::ScanStepAck {
+            query: qid(9, 0),
+            hop: 1,
+        };
+        p.handle(ctx(1), PeerId(2), ack(), &mut fx);
+        assert_eq!(p.scan_locks(), 1);
+        // The retry target's ack and the retry's guard change nothing.
+        p.handle(ctx(1), PeerId(3), ack(), &mut fx);
+        p.on_scan_forward_timeout(ctx(1), qid(9, 0), 0, 2, &mut fx);
+        assert!(fx.drain().is_empty());
+        assert_eq!(p.scan_locks(), 1);
+
+        // The other scan still holds its own lock until its own ack.
+        p.on_scan_step_ack(ctx(1), qid(9, 1), 1, &mut fx);
         assert_eq!(p.scan_locks(), 0);
     }
 
@@ -592,7 +569,7 @@ mod tests {
         // finalize the scan instead of forwarding it around the entire ring
         // until MAX_SCAN_HOPS.
         let mut p = live_peer(4, 200, 300, &[250]);
-        p.set_successor(PeerId(5), PeerValue(400));
+        p.set_successor(PeerId(5));
         let mut fx = Effects::new();
         let interval = KeyInterval::new(50, 150).unwrap();
         p.on_scan_step(ctx(4), qid(9, 0), interval, Some(PeerId(3)), 2, &mut fx);
@@ -620,10 +597,10 @@ mod tests {
     #[test]
     fn naive_scan_overshooting_a_gap_terminates_too() {
         let mut p = live_peer(4, 200, 300, &[250]);
-        p.set_successor(PeerId(5), PeerValue(400));
+        p.set_successor(PeerId(5));
         let mut fx = Effects::new();
         let interval = KeyInterval::new(50, 150).unwrap();
-        p.on_naive_scan_step(ctx(4), qid(9, 0), interval, 2, &mut fx);
+        p.on_naive_scan_step(qid(9, 0), interval, 2, &mut fx);
         let effects = fx.drain();
         assert!(effects.iter().any(|e| matches!(
             e,
@@ -667,10 +644,10 @@ mod tests {
     #[test]
     fn naive_scan_reports_and_forwards_without_locks() {
         let mut p = live_peer(1, 0, 50, &[10, 40]);
-        p.set_successor(PeerId(2), PeerValue(100));
+        p.set_successor(PeerId(2));
         let mut fx = Effects::new();
         let interval = KeyInterval::new(5, 90).unwrap();
-        p.on_naive_scan_step(ctx(1), qid(9, 0), interval, 0, &mut fx);
+        p.on_naive_scan_step(qid(9, 0), interval, 0, &mut fx);
         let effects = fx.drain();
         assert!(effects.iter().any(|e| matches!(
             e,
@@ -856,10 +833,10 @@ mod tests {
     fn a_peer_awaiting_its_successors_range_forwards_to_the_giver() {
         let interval = KeyInterval::new(5, 90).unwrap();
         let mut p = live_peer(1, 0, 50, &[10]);
-        p.set_successor(PeerId(2), PeerValue(70));
+        p.set_successor(PeerId(2));
         p.balance = Balance::Requesting(PeerId(2));
         // The giver is LEAVING: the ring names the peer behind it.
-        p.set_successor(PeerId(3), PeerValue(100));
+        p.set_successor(PeerId(3));
         let mut fx = Effects::new();
         p.on_scan_step(ctx(1), qid(9, 0), interval, None, 0, &mut fx);
         assert!(fx.drain().iter().any(|e| matches!(
@@ -867,7 +844,7 @@ mod tests {
             Effect::Send { to, msg: DsMsg::ScanStep { hop: 1, .. } } if *to == PeerId(2)
         )));
         // The retry goes to the giver too.
-        p.on_scan_forward_timeout(ctx(1), qid(9, 0), PeerId(2), 0, 1, &mut fx);
+        p.on_scan_forward_timeout(ctx(1), qid(9, 0), 0, 1, &mut fx);
         assert!(fx.drain().iter().any(|e| matches!(
             e,
             Effect::Send { to, msg: DsMsg::ScanStep { hop: 1, .. } } if *to == PeerId(2)
@@ -908,13 +885,7 @@ mod tests {
             SystemConfig::fast().with_protocol(Protocol::Naive),
         );
         let mut fx = Effects::new();
-        free.on_naive_scan_step(
-            ctx(3),
-            qid(9, 0),
-            KeyInterval::new(5, 90).unwrap(),
-            1,
-            &mut fx,
-        );
+        free.on_naive_scan_step(qid(9, 0), KeyInterval::new(5, 90).unwrap(), 1, &mut fx);
         assert!(fx.is_empty());
     }
 }

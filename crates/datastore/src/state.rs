@@ -74,12 +74,12 @@ pub(crate) enum DeferredWrite {
     Finish(Give, HandOff),
 }
 
-/// Bookkeeping for a scan hand-off awaiting the successor's acknowledgement.
+/// A scan hand-off awaiting the next peer's acknowledgement; the range lock
+/// it holds is released when the ack arrives or the scan gives up.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct PendingForward {
-    pub target: PeerId,
     pub interval: KeyInterval,
-    pub hop: u32,
+    /// The send the armed guard belongs to (1 for the first send).
     pub attempt: usize,
 }
 
@@ -145,15 +145,19 @@ pub struct DataStoreState {
     pub(crate) range: CircularRange,
     pub(crate) store: ItemStore,
     pub(crate) cfg: SystemConfig,
-    pub(crate) succ: Option<(PeerId, PeerValue)>,
+    /// The ring successor, as last announced by the ring.
+    pub(crate) succ: Option<PeerId>,
     // scan locking
     pub(crate) scan_locks: usize,
     pub(crate) deferred: Vec<DeferredWrite>,
-    /// Outstanding scan hand-offs per query. A list, not a single slot: a
-    /// scan can visit the same peer twice (wrap-around over a degenerate
-    /// ring), and each visit holds its own range lock until its own ack —
-    /// overwriting the first hand-off would leak its lock forever.
-    pub(crate) pending_forwards: HashMap<QueryId, Vec<PendingForward>>,
+    /// Outstanding scan hand-offs, one per held lock, keyed by the query
+    /// and this peer's hop. A scan can visit the same peer twice (a
+    /// wrap-around over a degenerate ring), but a walk's hop only grows, so
+    /// the two visits hold two keys. No peer holds two locks for one hop:
+    /// under reliable FIFO links a live peer acks a step long before
+    /// `scan_forward_timeout`, so a guard fires, and a retry goes out, only
+    /// when the step it repeats holds no lock on any live peer.
+    pub(crate) pending_forwards: HashMap<(QueryId, u32), PendingForward>,
     // queries issued at this peer
     pub(crate) queries: HashMap<QueryId, QueryProgress>,
     pub(crate) next_query_seq: u64,
@@ -290,12 +294,12 @@ impl DataStoreState {
 
     /// Updates the cached successor (called by the composed peer on ring
     /// `NewSuccessor` events).
-    pub fn set_successor(&mut self, peer: PeerId, value: PeerValue) {
-        self.succ = Some((peer, value));
+    pub fn set_successor(&mut self, peer: PeerId) {
+        self.succ = Some(peer);
     }
 
     /// The cached successor.
-    pub fn successor(&self) -> Option<(PeerId, PeerValue)> {
+    pub fn successor(&self) -> Option<PeerId> {
         self.succ
     }
 
@@ -348,7 +352,6 @@ impl DataStoreState {
             self.range = CircularRange::full(current.high().raw());
             self.emit(DsEvent::RangeChanged {
                 range: self.range,
-                value: self.range.high(),
                 grew: true,
             });
             return Some(acquired);
@@ -370,7 +373,6 @@ impl DataStoreState {
         self.range = CircularRange::new(pred_value, current.high());
         self.emit(DsEvent::RangeChanged {
             range: self.range,
-            value: self.range.high(),
             grew: true,
         });
         Some(acquired)
@@ -587,16 +589,15 @@ impl DataStoreState {
             DsMsg::ScanStepAck { query, hop } => self.on_scan_step_ack(ctx, query, hop, fx),
             DsMsg::ScanForwardTimeout {
                 query,
-                target,
                 hop,
                 attempt,
-            } => self.on_scan_forward_timeout(ctx, query, target, hop, attempt, fx),
+            } => self.on_scan_forward_timeout(ctx, query, hop, attempt, fx),
             DsMsg::ScanRejected { query } => self.on_scan_rejected(query),
             DsMsg::NaiveScanStep {
                 query,
                 interval,
                 hop,
-            } => self.on_naive_scan_step(ctx, query, interval, hop, fx),
+            } => self.on_naive_scan_step(query, interval, hop, fx),
             DsMsg::ScanResult {
                 query,
                 items,

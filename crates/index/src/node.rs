@@ -606,7 +606,7 @@ impl PeerNode {
                     self.process_ds_events(now, ds_events, out);
                 }
                 RingEvent::NewSuccessor { peer, value } => {
-                    self.ds.set_successor(peer, value);
+                    self.ds.set_successor(peer);
                     self.router.set_successor(peer, value);
                 }
                 RingEvent::NewPredecessor { peer, value } => {
@@ -739,8 +739,8 @@ impl PeerNode {
                     }
                     self.process_ring_events(now, ring_events, out);
                 }
-                DsEvent::RangeChanged { range, value, grew } => {
-                    self.ring.set_value(value);
+                DsEvent::RangeChanged { range, grew } => {
+                    self.ring.set_value(range.high());
                     self.repl.prune_owned(&range);
                     // Range changes move whole item sets at once (hand-offs,
                     // grants, takeovers): a fresh snapshot is the only
@@ -947,7 +947,7 @@ impl PeerNode {
     pub fn restart_rejoin(
         &mut self,
         ctx: &mut Context<'_, PeerMsg>,
-        contact: Option<(PeerId, PeerValue)>,
+        contact: Option<PeerId>,
     ) -> usize {
         if self.recovery_mode == RecoveryMode::ServeStaleRange {
             return 0;
@@ -959,8 +959,8 @@ impl PeerNode {
             format!("donating={donation_len}")
         });
         let out = ctx.effects();
-        if let Some((peer, value)) = contact {
-            self.ds.set_successor(peer, value);
+        if let Some(peer) = contact {
+            self.ds.set_successor(peer);
         }
         let donation = std::mem::take(&mut self.recovered_donation);
         let donated = donation.len();
@@ -1142,10 +1142,10 @@ impl PeerNode {
         let fallback = self
             .ring
             .best_succ()
-            .map(|e| (e.peer, e.value))
+            .map(|e| e.peer)
             .or_else(|| self.ds.successor());
         match fallback {
-            Some((next, _)) if next != self.id && !skip.contains(&next) => {
+            Some(next) if next != self.id && !skip.contains(&next) => {
                 out.send(
                     next,
                     PeerMsg::Route {
@@ -1541,7 +1541,7 @@ mod tests {
             .filter(|(p, n)| *p != first && n.is_ring_member())
             .find_map(|(p, n)| {
                 let (pred, _) = n.ring().pred()?;
-                let (succ, _) = n.data_store().successor()?;
+                let succ = n.data_store().successor()?;
                 let range = n.data_store().range();
                 let plain = range.low() < range.high() && range.high().raw() < u64::MAX;
                 (plain && pred != succ && ![pred, succ].contains(&p)).then_some((p, pred, succ))
@@ -1549,7 +1549,7 @@ mod tests {
             .expect("a member with two distinct neighbours");
         let absorber = |sim: &Simulator<PeerNode>| {
             let ds = sim.node(pred).expect("alive").data_store();
-            (ds.range().high(), ds.successor().map(|(p, _)| p))
+            (ds.range().high(), ds.successor())
         };
         assert_eq!(absorber(&sim).1, Some(leaver));
         let granted = sim.node(leaver).expect("alive").data_store().range();
@@ -1772,7 +1772,6 @@ mod tests {
         assert!(events.len() >= 2);
         events.push(DsEvent::RangeChanged {
             range: node.ds.range(),
-            value: node.ring.value(),
             grew: true,
         });
         let mut out = Effects::new();
@@ -1829,7 +1828,6 @@ mod tests {
         // A range change that grew pushes even when nothing is new.
         let grew = DsEvent::RangeChanged {
             range: node.ds.range(),
-            value: node.ring.value(),
             grew: true,
         };
         let mut out = Effects::new();

@@ -285,18 +285,7 @@ impl Cluster {
         // Seed the rejoin with a live contact (the lowest-id ring member):
         // a restarted process re-bootstraps from a configured contact list,
         // never from its stale ring state.
-        let contact = self
-            .with_ring_members(|m| m.iter().copied().find(|p| *p != peer))
-            .map(|p| {
-                (
-                    p,
-                    self.sim
-                        .node(p)
-                        .expect("member exists")
-                        .data_store()
-                        .value(),
-                )
-            });
+        let contact = self.with_ring_members(|m| m.iter().copied().find(|p| *p != peer));
         let donated = self
             .sim
             .with_node_ctx(peer, |node, ctx| node.restart_rejoin(ctx, contact))
