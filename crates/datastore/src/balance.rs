@@ -1465,7 +1465,9 @@ mod tests {
                 );
                 for ds in [&g, &r] {
                     assert!(
-                        ds.items_mapped().all(|(k, _)| ds.range().contains(k)),
+                        ds.item_entries()
+                            .iter()
+                            .all(|(k, _)| ds.range().contains(*k)),
                         "{what}: every item sits inside its holder's range"
                     );
                 }

@@ -239,7 +239,7 @@ impl DataStoreState {
 
     /// The items stored at this peer (the paper's `getLocalItems`).
     pub fn local_items(&self) -> Vec<Item> {
-        self.store.to_vec().into_iter().map(|(_, i)| i).collect()
+        self.store.items().map(|(_, i)| i.clone()).collect()
     }
 
     /// The items stored at this peer together with their mapped values.
@@ -249,12 +249,12 @@ impl DataStoreState {
 
     /// The stored items with their mapped values, by reference, in
     /// mapped-value order (what [`Self::local_items_mapped`] clones).
-    pub fn items_mapped(&self) -> impl Iterator<Item = (u64, &Item)> {
-        self.store.items().map(|(mapped, item)| (*mapped, item))
+    pub fn item_entries(&self) -> &[(u64, Item)] {
+        self.store.entries()
     }
 
     /// Mutation counter of the item set: as long as it reads the same,
-    /// [`Self::items_mapped`] yields the same items.
+    /// [`Self::item_entries`] holds the same items.
     pub fn items_version(&self) -> u64 {
         self.store.version()
     }
@@ -278,7 +278,7 @@ impl DataStoreState {
             id: self.id,
             status: self.status,
             range: self.range,
-            mapped_keys: self.store.items().map(|(m, _)| *m).collect(),
+            mapped_keys: self.store.items().map(|(m, _)| m).collect(),
             // An offer moves nothing: the oracles judge it like an idle peer.
             rebalancing: !matches!(self.balance, Balance::Idle | Balance::Offering(_)),
             writes_blocked: self.is_item_writes_blocked(),

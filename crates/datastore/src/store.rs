@@ -1,20 +1,21 @@
 //! The local item store of one peer.
 //!
-//! Items are keyed by their *mapped* value `M(i.skv)` so that range
-//! operations (collecting the items of a scan sub-range, finding a split
-//! point, handing off a sub-range) are cheap ordered-map operations.
+//! Items are keyed by their *mapped* value `M(i.skv)` in one
+//! [`ItemMap`], a flat array sorted by mapped value, so every range
+//! operation is slice work: a scan sub-range is one binary-searched slice,
+//! a hand-off's circular range at most two, and a split point in ring order
+//! is an index into the array rotated at the range's low end.
 
-use std::collections::BTreeMap;
-
-use pepper_types::{CircularRange, Item, KeyInterval};
+use pepper_types::{CircularRange, Item, ItemMap, KeyInterval};
 
 /// An ordered collection of items keyed by mapped value.
 #[derive(Debug, Clone, Default)]
 pub struct ItemStore {
-    map: BTreeMap<u64, Item>,
+    map: ItemMap,
     /// Bumped by every mutator (the only writers of `map`), so equal
-    /// versions of one store mean an unchanged item set. It lets the
-    /// replication refresh reuse the batch it built last round.
+    /// versions of one store mean an unchanged item set. It lets
+    /// `ReplicationManager::refresh` skip a round that would push the
+    /// same items again.
     version: u64,
 }
 
@@ -54,7 +55,7 @@ impl ItemStore {
     /// Removes the item stored under `mapped`.
     pub fn remove(&mut self, mapped: u64) -> Option<Item> {
         self.version += 1;
-        self.map.remove(&mapped)
+        self.map.remove(mapped)
     }
 
     /// The mutation counter: unchanged between two reads means the item set
@@ -66,86 +67,75 @@ impl ItemStore {
 
     /// Returns the item stored under `mapped`, if any.
     pub fn get(&self, mapped: u64) -> Option<&Item> {
-        self.map.get(&mapped)
+        self.map.get(mapped)
     }
 
     /// Returns `true` iff an item is stored under `mapped`.
     pub fn contains(&self, mapped: u64) -> bool {
-        self.map.contains_key(&mapped)
+        self.map.contains(mapped)
     }
 
     /// All items, in mapped-value order.
-    pub fn items(&self) -> impl Iterator<Item = (&u64, &Item)> {
+    pub fn items(&self) -> impl Iterator<Item = (u64, &Item)> {
         self.map.iter()
+    }
+
+    /// All items with their mapped values, in mapped-value order.
+    pub fn entries(&self) -> &[(u64, Item)] {
+        self.map.as_slice()
     }
 
     /// All items as owned clones, in mapped-value order.
     pub fn to_vec(&self) -> Vec<(u64, Item)> {
-        self.map.iter().map(|(k, v)| (*k, v.clone())).collect()
+        self.entries().to_vec()
     }
 
     /// The items whose mapped value lies in the closed interval.
     pub fn items_in_interval(&self, iv: &KeyInterval) -> Vec<Item> {
         self.map
-            .range(iv.lo()..=iv.hi())
+            .interval(iv)
+            .iter()
             .map(|(_, v)| v.clone())
             .collect()
     }
 
-    /// The items whose mapped value lies in the circular range.
+    /// The items whose mapped value lies in the circular range, in
+    /// mapped-value order.
     pub fn items_in_range(&self, range: &CircularRange) -> Vec<(u64, Item)> {
         self.map
-            .iter()
-            .filter(|(k, _)| range.contains(**k))
-            .map(|(k, v)| (*k, v.clone()))
+            .runs(range)
+            .into_iter()
+            .flatten()
+            .cloned()
             .collect()
     }
 
     /// Removes and returns the items whose mapped value lies in the circular
-    /// range (used by hand-offs).
+    /// range (used by hand-offs), in mapped-value order.
     pub fn take_range(&mut self, range: &CircularRange) -> Vec<(u64, Item)> {
         self.version += 1;
-        let keys: Vec<u64> = self
-            .map
-            .keys()
-            .filter(|k| range.contains(**k))
-            .copied()
-            .collect();
-        keys.into_iter()
-            .map(|k| (k, self.map.remove(&k).expect("key collected above")))
-            .collect()
+        self.map.take_runs(range)
     }
 
-    /// Bulk-inserts items.
+    /// Bulk-inserts items; a mapped value written twice keeps the last item.
     pub fn extend(&mut self, items: impl IntoIterator<Item = (u64, Item)>) {
         self.version += 1;
         self.map.extend(items);
     }
 
-    /// The stored mapped values in *ring order* for the given responsibility
-    /// range: starting just after `range.low()` and wrapping around the top
-    /// of the domain if the range does. For a non-wrapping range this is
-    /// plain ascending order.
-    fn keys_in_ring_order(&self, range: &CircularRange) -> Vec<u64> {
-        let low = range.low().raw();
-        let mut upper: Vec<u64> = self.map.keys().copied().filter(|k| *k > low).collect();
-        let wrapped: Vec<u64> = self.map.keys().copied().filter(|k| *k <= low).collect();
-        upper.extend(wrapped);
-        upper
-    }
-
     /// Chooses a split point: the mapped value `mid` such that roughly half
     /// of the items lie in `(range.low, mid]` in ring order (those stay) and
     /// the rest in `(mid, range.high]` (those move to the new peer). Ring
-    /// order matters: for a *wrapping* range, plain ascending order would
-    /// pick a boundary with almost everything on one side. Returns `None`
-    /// for stores with fewer than two items.
+    /// order — the stored values above `range.low`, then those up to it —
+    /// matters: for a *wrapping* range, plain ascending order would pick a
+    /// boundary with almost everything on one side. Returns `None` for
+    /// stores with fewer than two items.
     pub fn split_point(&self, range: &CircularRange) -> Option<u64> {
         if self.map.len() < 2 {
             return None;
         }
         let keep = self.map.len() / 2;
-        self.keys_in_ring_order(range).get(keep - 1).copied()
+        self.map.nth_after(range.low().raw(), keep - 1)
     }
 
     /// Chooses a redistribution point for giving the *lower* portion of this
@@ -156,7 +146,7 @@ impl ItemStore {
         if give == 0 || give >= self.map.len() {
             return None;
         }
-        self.keys_in_ring_order(range).get(give - 1).copied()
+        self.map.nth_after(range.low().raw(), give - 1)
     }
 }
 
@@ -291,10 +281,53 @@ mod tests {
         assert_eq!(s.redistribute_point(3, &range), Some(10));
     }
 
+    /// The rule both points followed when they sorted the keys into ring
+    /// order: the keys above `range.low`, then the keys up to it.
+    fn old_ring_order(s: &ItemStore, range: &CircularRange) -> Vec<u64> {
+        let low = range.low().raw();
+        let keys = || s.items().map(|(k, _)| k);
+        keys()
+            .filter(|k| *k > low)
+            .chain(keys().filter(|k| *k <= low))
+            .collect()
+    }
+
+    #[test]
+    fn split_and_redistribute_points_match_the_ring_order_rule_on_random_stores() {
+        // SplitMix64 over a small domain with both ends of `u64` in it.
+        let mut state = 7u64;
+        let mut next = move |n: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            let v = (z ^ (z >> 31)) % (n + 2);
+            [0, u64::MAX].get(v as usize).copied().unwrap_or(v)
+        };
+        for _ in 0..500 {
+            let len = next(40) as usize % 40;
+            let s = store_with(&(0..len).map(|_| next(200)).collect::<Vec<_>>());
+            let (low, high) = (next(200), next(200));
+            for range in [
+                CircularRange::new(low, high),
+                CircularRange::full(high),
+                CircularRange::empty(high),
+            ] {
+                let ring = old_ring_order(&s, &range);
+                let split = (s.len() >= 2).then(|| ring[s.len() / 2 - 1]);
+                assert_eq!(s.split_point(&range), split, "{range} {ring:?}");
+                for give in 0..=s.len() + 1 {
+                    let want = (give > 0 && give < s.len()).then(|| ring[give - 1]);
+                    assert_eq!(s.redistribute_point(give, &range), want, "{give} {range}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn ordering_is_by_mapped_value() {
         let s = store_with(&[50, 1, 30]);
-        let keys: Vec<u64> = s.items().map(|(k, _)| *k).collect();
+        let keys: Vec<u64> = s.items().map(|(k, _)| k).collect();
         assert_eq!(keys, vec![1, 30, 50]);
         assert_eq!(s.to_vec().len(), 3);
     }

@@ -8,7 +8,7 @@ use pepper_net::{Context, Effects, LayerCtx, LayerSlot, Node, SimTime};
 use pepper_replication::{Batch, ReplEvent, ReplMsg, ReplicationManager};
 use pepper_ring::{EntryState, RingEvent, RingState};
 use pepper_router::HierarchicalRouter;
-use pepper_storage::{DurableImage, PeerStorage, RecoveredState, RecoveryMode};
+use pepper_storage::{PeerStorage, RecoveredState, RecoveryMode};
 use pepper_trace::{Metrics, TraceConfig, TraceEvent, Tracer};
 use pepper_types::{
     CircularRange, Item, PeerId, PeerValue, Protocol, RangeQuery, SearchKey, SystemConfig,
@@ -141,9 +141,9 @@ impl PeerNode {
 
     /// Attaches a durable-storage engine and journals the current state as
     /// the initial snapshot. Builder-style, used at node construction.
-    pub fn with_storage(mut self, mut storage: PeerStorage) -> Self {
-        storage.write_snapshot(&self.durable_image());
+    pub fn with_storage(mut self, storage: PeerStorage) -> Self {
         self.storage = Some(storage);
+        self.write_snapshot();
         self
     }
 
@@ -430,9 +430,7 @@ impl PeerNode {
 
     /// The Data Store's items as one batch every replica target shares.
     fn items_batch(ds: &DataStoreState) -> Batch {
-        ds.items_mapped()
-            .map(|(mapped, item)| (mapped, item.clone()))
-            .collect()
+        ds.item_entries().into()
     }
 
     /// Pushes the Data Store's items to the replica targets now: an item was
@@ -721,10 +719,10 @@ impl PeerNode {
                     let ctx = self.layer_ctx(now);
                     // Item availability protection: replicate everything this
                     // peer stores one additional hop before leaving.
-                    let own_items = self.ds.local_items_mapped();
+                    let own_items = self.ds.item_entries();
                     let succs: Vec<PeerId> = Self::joined_successors(&self.ring).collect();
                     let (_, repl_events) = self.repl.with(out, |repl, fx| {
-                        repl.replicate_additional_hop(ctx, &own_items, &succs, fx)
+                        repl.replicate_additional_hop(ctx, own_items, &succs, fx)
                     });
                     self.process_repl_events(now, repl_events, out);
                     // System availability protection: leave the ring properly
@@ -911,27 +909,28 @@ impl PeerNode {
         }
     }
 
-    /// The full durable image of this peer right now.
-    fn durable_image(&self) -> DurableImage {
-        DurableImage {
-            live: self.ds.status() == DsStatus::Live,
-            range: self.ds.range(),
-            items: self.ds.local_items_mapped(),
-            replicas: self.repl.replicas(),
-        }
-    }
-
     /// Atomically rewrites the snapshot (and truncates the WAL), if a
     /// storage engine is attached.
     fn persist_snapshot(&mut self) {
-        if self.storage.is_none() {
-            return;
-        }
-        let image = self.durable_image();
-        if let Some(storage) = self.storage.as_mut() {
-            storage.write_snapshot(&image);
+        if self.write_snapshot() {
             self.metrics.bump("storage", "snapshot_write");
         }
+    }
+
+    /// Writes the full durable image of this peer right now, encoded
+    /// straight from the item and replica stores. Returns `false` when no
+    /// storage engine is attached.
+    fn write_snapshot(&mut self) -> bool {
+        let Some(storage) = self.storage.as_mut() else {
+            return false;
+        };
+        storage.write_snapshot_parts(
+            self.ds.status() == DsStatus::Live,
+            self.ds.range(),
+            self.ds.item_entries(),
+            self.repl.replica_entries(),
+        );
+        true
     }
 
     /// The rejoin handshake of a restarted peer: reconcile recovered stale
@@ -1764,7 +1763,12 @@ mod tests {
 
         // A hand-off batch (items, then the range change that brought them
         // in) still pushes one round, not one per item.
-        let stored: Vec<Item> = node.ds.items_mapped().map(|(_, i)| i.clone()).collect();
+        let stored: Vec<Item> = node
+            .ds
+            .item_entries()
+            .iter()
+            .map(|(_, i)| i.clone())
+            .collect();
         let mut events: Vec<DsEvent> = stored
             .into_iter()
             .map(|item| DsEvent::ItemStored { item })
@@ -1816,7 +1820,7 @@ mod tests {
         }
 
         // A deleted item is not pushed at once, but at the next round.
-        let (mapped, _) = node.ds.items_mapped().next().expect("items");
+        let (mapped, _) = node.ds.item_entries()[0];
         let payload = RoutePayload::Delete {
             mapped,
             reply_to: me,

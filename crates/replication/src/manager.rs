@@ -1,11 +1,10 @@
 //! The replication manager state machine.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use pepper_net::{Effects, LayerCtx, ProtocolLayer};
-use pepper_types::{CircularRange, Item, PeerId, Protocol, SystemConfig};
+use pepper_types::{CircularRange, Item, ItemMap, PeerId, Protocol, SystemConfig};
 
 use crate::events::ReplEvent;
 use crate::messages::{Batch, ReplMsg};
@@ -16,7 +15,7 @@ pub struct ReplicationManager {
     id: PeerId,
     cfg: SystemConfig,
     /// Replicas held on behalf of predecessors, keyed by mapped value.
-    replica_store: BTreeMap<u64, Item>,
+    replica_store: ItemMap,
     /// The last push this peer sent: the items version its batch was built
     /// from (`None`: a one-off batch, or forgotten) and its targets. A
     /// refresh round that would repeat that push sends nothing.
@@ -32,7 +31,7 @@ impl ReplicationManager {
         ReplicationManager {
             id,
             cfg,
-            replica_store: BTreeMap::new(),
+            replica_store: ItemMap::new(),
             last_push: None,
             pushed_to: Vec::new(),
             events: Vec::new(),
@@ -46,15 +45,17 @@ impl ReplicationManager {
 
     /// All replicas held (mapped value, item).
     pub fn replicas(&self) -> Vec<(u64, Item)> {
-        self.replica_store
-            .iter()
-            .map(|(k, v)| (*k, v.clone()))
-            .collect()
+        self.replica_entries().to_vec()
+    }
+
+    /// All replicas held, as one slice in mapped-value order.
+    pub fn replica_entries(&self) -> &[(u64, Item)] {
+        self.replica_store.as_slice()
     }
 
     /// Whether a replica for `mapped` is currently held.
     pub fn holds_replica(&self, mapped: u64) -> bool {
-        self.replica_store.contains_key(&mapped)
+        self.replica_store.contains(mapped)
     }
 
     /// Pushes this peer's items to its `k` nearest successors (one refresh
@@ -150,7 +151,7 @@ impl ReplicationManager {
         if self.cfg.protocol == Protocol::Naive {
             return false;
         }
-        let held: Batch = self.replicas().into();
+        let held: Batch = self.replica_entries().into();
         let payload: Batch = own_items.iter().chain(held.iter()).cloned().collect();
         if payload.is_empty() {
             return false;
@@ -188,15 +189,7 @@ impl ReplicationManager {
     /// in `acquired`, to be revived into the Data Store after this peer took
     /// over a failed predecessor's range.
     pub fn take_replicas_in(&mut self, acquired: &CircularRange) -> Vec<(u64, Item)> {
-        let mut taken = Vec::new();
-        self.replica_store.retain(|mapped, item| {
-            let take = acquired.contains(*mapped);
-            if take {
-                taken.push((*mapped, item.clone()));
-            }
-            !take
-        });
-        taken
+        self.replica_store.take_runs(acquired)
     }
 
     /// Installs replicas recovered from durable storage after a restart (no
@@ -212,8 +205,7 @@ impl ReplicationManager {
     /// keeps its replicas, since only the composed peer's construction
     /// builds a manager.
     pub fn prune_owned(&mut self, own_range: &CircularRange) {
-        self.replica_store
-            .retain(|mapped, _| !own_range.contains(*mapped));
+        self.replica_store.remove_runs(own_range);
     }
 }
 
@@ -244,7 +236,7 @@ impl ProtocolLayer for ReplicationManager {
             ReplMsg::Push { items } => {
                 let mut delta = Vec::new();
                 for (mapped, item) in items.iter() {
-                    if self.replica_store.get(mapped) != Some(item) {
+                    if self.replica_store.get(*mapped) != Some(item) {
                         delta.push((*mapped, item.clone()));
                         self.replica_store.insert(*mapped, item.clone());
                     }
@@ -257,12 +249,8 @@ impl ProtocolLayer for ReplicationManager {
             ReplMsg::RecoverRequest { range } => {
                 // Answer with copies: the requester owns the range now, so
                 // the copies this peer keeps remain valid replicas.
-                let items: Vec<(u64, Item)> = self
-                    .replica_store
-                    .iter()
-                    .filter(|(k, _)| range.contains(**k))
-                    .map(|(k, v)| (*k, v.clone()))
-                    .collect();
+                let runs = self.replica_store.runs(&range);
+                let items: Vec<(u64, Item)> = runs.into_iter().flatten().cloned().collect();
                 if !items.is_empty() {
                     fx.send(from, ReplMsg::RecoverReply { items });
                 }

@@ -526,12 +526,8 @@ impl Cluster {
         self.sim
             .alive_nodes_iter()
             .map(|(p, n)| {
-                let keys = n
-                    .replication()
-                    .replicas()
-                    .into_iter()
-                    .map(|(m, _)| m)
-                    .collect();
+                let replicas = n.replication().replica_entries();
+                let keys = replicas.iter().map(|(m, _)| *m).collect();
                 (p, keys)
             })
             .collect()

@@ -161,7 +161,24 @@ impl PeerStorage {
 
     /// Atomically replaces the snapshot with `image` and truncates the WAL.
     pub fn write_snapshot(&mut self, image: &DurableImage) {
-        self.vfs.write_atomic(SNAPSHOT_FILE, &image.encode());
+        self.replace_snapshot(&image.encode());
+    }
+
+    /// [`Self::write_snapshot`] of the image these parts make up, encoded
+    /// straight from the borrowed item and replica slices (both in
+    /// mapped-value order) instead of from an owned copy of them.
+    pub fn write_snapshot_parts(
+        &mut self,
+        live: bool,
+        range: CircularRange,
+        items: &[(u64, Item)],
+        replicas: &[(u64, Item)],
+    ) {
+        self.replace_snapshot(&Snapshot::encode_parts(live, range, items, replicas));
+    }
+
+    fn replace_snapshot(&mut self, encoded: &[u8]) {
+        self.vfs.write_atomic(SNAPSHOT_FILE, encoded);
         self.vfs.truncate(WAL_FILE);
         self.wal_records = 0;
     }
@@ -274,6 +291,25 @@ mod tests {
         );
         assert_eq!(rec.wal_records_replayed, 3);
         assert!(!rec.torn_tail);
+    }
+
+    #[test]
+    fn a_snapshot_written_from_parts_is_the_image_written_whole() {
+        let whole = image(&[10, 20]);
+        let replicas = [(5, item(5))];
+        let (mut a, mut b) = (mem_storage(6), mem_storage(6));
+        for st in [&mut a, &mut b] {
+            st.log_item_insert(1, &item(1));
+        }
+        a.write_snapshot(&DurableImage {
+            replicas: replicas.to_vec(),
+            ..whole.clone()
+        });
+        b.write_snapshot_parts(whole.live, whole.range, &whole.items, &replicas);
+        assert_eq!(a.digest(), b.digest());
+        let rec = b.recover(RecoveryMode::Clean);
+        assert_eq!(rec, a.recover(RecoveryMode::Clean));
+        assert_eq!((rec.items, rec.wal_records_replayed), (whole.items, 0));
     }
 
     #[test]

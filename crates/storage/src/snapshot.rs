@@ -39,20 +39,28 @@ impl Default for Snapshot {
 impl Snapshot {
     /// Encodes the snapshot as one framed blob.
     pub fn encode(&self) -> Vec<u8> {
+        Self::encode_parts(self.live, self.range, &self.items, &self.replicas)
+    }
+
+    /// Encodes the snapshot these parts make up, byte for byte what
+    /// [`Self::encode`] writes for them, without building a [`Snapshot`].
+    pub fn encode_parts(
+        live: bool,
+        range: CircularRange,
+        items: &[(u64, Item)],
+        replicas: &[(u64, Item)],
+    ) -> Vec<u8> {
         let mut body = Vec::new();
-        body.push(u8::from(self.live));
-        put_u64(&mut body, self.range.low().raw());
-        put_u64(&mut body, self.range.high().raw());
-        body.push(u8::from(self.range.is_full()));
-        put_u32(&mut body, self.items.len() as u32);
-        for (mapped, item) in &self.items {
-            put_u64(&mut body, *mapped);
-            put_item(&mut body, item);
-        }
-        put_u32(&mut body, self.replicas.len() as u32);
-        for (mapped, item) in &self.replicas {
-            put_u64(&mut body, *mapped);
-            put_item(&mut body, item);
+        body.push(u8::from(live));
+        put_u64(&mut body, range.low().raw());
+        put_u64(&mut body, range.high().raw());
+        body.push(u8::from(range.is_full()));
+        for pairs in [items, replicas] {
+            put_u32(&mut body, pairs.len() as u32);
+            for (mapped, item) in pairs {
+                put_u64(&mut body, *mapped);
+                put_item(&mut body, item);
+            }
         }
         frame(&body)
     }

@@ -7,6 +7,8 @@
 //! * [`SearchKey`] — the totally ordered domain `K` of search key values,
 //! * [`PeerValue`] — the domain `PV` of peer positions on the ring,
 //! * [`Item`] — a `(value, item)` pair stored in the index,
+//! * [`ItemMap`] — items keyed by mapped value in one flat sorted array,
+//!   the form of both the Data Store and the replica store,
 //! * [`PeerId`] — a physical peer identifier,
 //! * [`CircularRange`] — the half-open range `(pred.val, p.val]` a peer is
 //!   responsible for on the circular value space,
@@ -24,6 +26,7 @@
 
 pub mod config;
 pub mod item;
+pub mod item_map;
 pub mod key;
 pub mod peer;
 pub mod query;
@@ -31,6 +34,7 @@ pub mod range;
 
 pub use config::{Protocol, SystemConfig};
 pub use item::{Item, ItemId};
+pub use item_map::ItemMap;
 pub use key::{KeyMap, PeerValue, SearchKey};
 pub use peer::PeerId;
 pub use query::{Bound, RangeQuery};
