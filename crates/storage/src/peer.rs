@@ -161,7 +161,7 @@ impl PeerStorage {
 
     /// Atomically replaces the snapshot with `image` and truncates the WAL.
     pub fn write_snapshot(&mut self, image: &DurableImage) {
-        self.replace_snapshot(&image.encode());
+        self.write_snapshot_parts(image.live, image.range, &image.items, &image.replicas);
     }
 
     /// [`Self::write_snapshot`] of the image these parts make up, encoded
@@ -174,11 +174,8 @@ impl PeerStorage {
         items: &[(u64, Item)],
         replicas: &[(u64, Item)],
     ) {
-        self.replace_snapshot(&Snapshot::encode_parts(live, range, items, replicas));
-    }
-
-    fn replace_snapshot(&mut self, encoded: &[u8]) {
-        self.vfs.write_atomic(SNAPSHOT_FILE, encoded);
+        let encoded = Snapshot::encode_parts(live, range, items, replicas);
+        self.vfs.write_atomic(SNAPSHOT_FILE, &encoded);
         self.vfs.truncate(WAL_FILE);
         self.wal_records = 0;
     }
