@@ -1,10 +1,10 @@
 //! The Data Store state machine: storage, range locking, item insertion and
 //! deletion, and the top-level message dispatch.
 
-use std::collections::HashMap;
-
 use pepper_net::{Effects, LayerCtx, ProtocolLayer, SimTime};
-use pepper_types::{CircularRange, Item, KeyInterval, PeerId, PeerValue, RangeQuery, SystemConfig};
+use pepper_types::{
+    CircularRange, Item, KeyInterval, PeerId, PeerValue, RangeQuery, SystemConfig, VecMap,
+};
 
 use crate::events::DsEvent;
 use crate::messages::{DsMsg, Give, HandOff, QueryId};
@@ -157,9 +157,9 @@ pub struct DataStoreState {
     /// under reliable FIFO links a live peer acks a step long before
     /// `scan_forward_timeout`, so a guard fires, and a retry goes out, only
     /// when the step it repeats holds no lock on any live peer.
-    pub(crate) pending_forwards: HashMap<(QueryId, u32), PendingForward>,
+    pub(crate) pending_forwards: VecMap<(QueryId, u32), PendingForward>,
     // queries issued at this peer
-    pub(crate) queries: HashMap<QueryId, QueryProgress>,
+    pub(crate) queries: VecMap<QueryId, QueryProgress>,
     pub(crate) next_query_seq: u64,
     pub(crate) balance: Balance,
     /// The identity of `balance`'s hand-off; stale while it is `Idle`.
@@ -193,8 +193,8 @@ impl DataStoreState {
             succ: None,
             scan_locks: 0,
             deferred: Vec::new(),
-            pending_forwards: HashMap::new(),
-            queries: HashMap::new(),
+            pending_forwards: VecMap::new(),
+            queries: VecMap::new(),
             next_query_seq: 0,
             balance: Balance::Idle,
             handoff: HandOff::default(),

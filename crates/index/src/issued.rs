@@ -17,7 +17,7 @@ use pepper_types::{ItemId, SystemConfig};
 use crate::messages::RoutePayload;
 
 /// A routed request, named by its operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Request {
     /// An item insert, a client's or a donation, by item id.
     Insert(ItemId),

@@ -1,6 +1,5 @@
 //! The composed peer: ring + data store + replication + router + index API.
 
-use std::collections::HashMap;
 use std::time::Duration;
 
 use pepper_datastore::{DataStoreState, DsEvent, DsMsg, DsStatus, QueryId};
@@ -11,7 +10,7 @@ use pepper_router::HierarchicalRouter;
 use pepper_storage::{PeerStorage, RecoveredState, RecoveryMode};
 use pepper_trace::{Metrics, TraceConfig, TraceEvent, Tracer};
 use pepper_types::{
-    CircularRange, Item, PeerId, PeerValue, Protocol, RangeQuery, SearchKey, SystemConfig,
+    CircularRange, Item, PeerId, PeerValue, Protocol, RangeQuery, SearchKey, SystemConfig, VecMap,
 };
 
 use crate::free_pool::FreePool;
@@ -75,10 +74,10 @@ pub struct PeerNode {
     /// predecessor and its value, this peer's low end, and when it runs.
     takeover_due: Option<(PeerId, PeerValue, PeerValue, SimTime)>,
     /// The routed requests this peer issued and still waits on.
-    issued: HashMap<Request, Issued>,
+    issued: VecMap<Request, Issued>,
     /// Sequence number of the last acked hop this peer sent.
     hop_seq: u64,
-    pending_hops: HashMap<u64, PendingHop>,
+    pending_hops: VecMap<u64, PendingHop>,
     observations: Vec<Observation>,
     /// Causal trace recorder (off by default; see [`PeerNode::with_trace`]).
     trace: Tracer,
@@ -130,9 +129,9 @@ impl PeerNode {
             cfg,
             merge_started: None,
             takeover_due: None,
-            issued: HashMap::new(),
+            issued: VecMap::new(),
             hop_seq: 0,
-            pending_hops: HashMap::new(),
+            pending_hops: VecMap::new(),
             observations: Vec::new(),
             trace: Tracer::off(),
             metrics: Metrics::disabled(),

@@ -157,8 +157,10 @@ type FifoMap = HashMap<(PeerId, PeerId), SimTime, BuildHasherDefault<PairHasher>
 /// The discrete-event simulator.
 pub struct Simulator<N: Node> {
     /// Node state per peer slot (never removed: dead nodes stay
-    /// inspectable). The per-peer vectors below are indexed the same way.
-    nodes: Vec<N>,
+    /// inspectable), boxed so that a slot costs a pointer and the vector's
+    /// growth slack stays a few pointers, not a few nodes. The per-peer
+    /// vectors below are indexed the same way.
+    nodes: Vec<Box<N>>,
     alive: Vec<bool>,
     /// Revive delivery floor per peer: an event with `seq <` floor was
     /// aimed at a previous incarnation.
@@ -258,7 +260,7 @@ impl<N: Node> Simulator<N> {
     pub fn add_node(&mut self, build: impl FnOnce(PeerId) -> N) -> PeerId {
         let id = PeerId(self.nodes.len() as u64);
         self.version += 1;
-        self.nodes.push(build(id));
+        self.nodes.push(Box::new(build(id)));
         self.alive.push(true);
         self.floor.push(0);
         self.deliveries_by_slot.push(0);
@@ -273,14 +275,14 @@ impl<N: Node> Simulator<N> {
 
     /// Immutable access to a node's state (dead nodes remain inspectable).
     pub fn node(&self, id: PeerId) -> Option<&N> {
-        self.slot(id).map(|s| &self.nodes[s])
+        self.slot(id).map(|s| &*self.nodes[s])
     }
 
     /// Mutable access to a node's state.
     pub fn node_mut(&mut self, id: PeerId) -> Option<&mut N> {
         self.version += 1;
         let s = self.slot(id)?;
-        Some(&mut self.nodes[s])
+        Some(&mut *self.nodes[s])
     }
 
     /// All registered peer ids (alive and dead), in increasing order.
@@ -290,7 +292,7 @@ impl<N: Node> Simulator<N> {
 
     /// Every registered node tagged with its id, in increasing id order.
     pub fn nodes_iter(&self) -> impl Iterator<Item = (PeerId, &N)> {
-        self.peers().zip(&self.nodes)
+        self.peers().zip(self.nodes.iter().map(|node| &**node))
     }
 
     /// Every alive node tagged with its id, in increasing id order.
@@ -307,7 +309,7 @@ impl<N: Node> Simulator<N> {
         self.nodes
             .iter_mut()
             .enumerate()
-            .map(|(s, node)| (PeerId(s as u64), node))
+            .map(|(s, node)| (PeerId(s as u64), &mut **node))
     }
 
     /// Number of alive peers.
@@ -383,7 +385,7 @@ impl<N: Node> Simulator<N> {
         assert!(!self.alive[s], "revive: peer {peer} is still alive");
         self.version += 1;
         self.floor[s] = self.seq;
-        self.nodes[s] = node;
+        *self.nodes[s] = node;
         self.alive[s] = true;
         self.alive_count += 1;
     }
@@ -414,7 +416,7 @@ impl<N: Node> Simulator<N> {
             is_timer: false,
             out: &mut out,
         };
-        let result = f(&mut self.nodes[s], &mut ctx);
+        let result = f(&mut *self.nodes[s], &mut ctx);
         self.schedule_effects(id, cid, &mut out);
         self.scratch = Some(out);
         Some(result)

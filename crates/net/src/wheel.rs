@@ -7,7 +7,9 @@
 //! replaces it with:
 //!
 //! * a **payload slab**: messages are stored once and addressed by a `u32`
-//!   handle, so ordering structures only ever move 24-byte entries;
+//!   handle, so ordering structures only ever move 24-byte entries; its
+//!   slots come in fixed pages, so a peak queue costs at most one page of
+//!   slack;
 //! * a **near ring** of [`NEAR_SLOTS`] time buckets ([`SLOT_NANOS`] ns
 //!   each, ~268 ms of look-ahead at the default width) with an occupancy
 //!   bitmask — pushes into the near future are O(1) bucket appends, and
@@ -57,36 +59,63 @@ struct Entry {
     idx: u32,
 }
 
+/// log2 of the number of payload slots in one slab page.
+const PAGE_SHIFT: u32 = 10;
+/// Payload slots per slab page.
+const PAGE_SLOTS: usize = 1 << PAGE_SHIFT;
+const PAGE_MASK: u32 = PAGE_SLOTS as u32 - 1;
+
 /// Slab of event payloads addressed by `u32` handles with free-list reuse:
 /// message buffers are recycled in place instead of being reallocated per
-/// event.
+/// event. The slots live in fixed pages of [`PAGE_SLOTS`], allocated as the
+/// queue first grows past them, so the slab holds at most one page it does
+/// not use instead of a doubling vector's slack. A handle is
+/// `page << PAGE_SHIFT | slot`.
 struct Slab<T> {
-    data: Vec<Option<T>>,
+    pages: Vec<Vec<Option<T>>>,
     free: Vec<u32>,
 }
 
 impl<T> Slab<T> {
     fn new() -> Self {
         Slab {
-            data: Vec::new(),
+            pages: Vec::new(),
             free: Vec::new(),
         }
     }
 
+    fn slot(&mut self, idx: u32) -> &mut Option<T> {
+        &mut self.pages[(idx >> PAGE_SHIFT) as usize][(idx & PAGE_MASK) as usize]
+    }
+
     fn insert(&mut self, value: T) -> u32 {
         if let Some(idx) = self.free.pop() {
-            self.data[idx as usize] = Some(value);
-            idx
-        } else {
-            self.data.push(Some(value));
-            (self.data.len() - 1) as u32
+            *self.slot(idx) = Some(value);
+            return idx;
         }
+        if self
+            .pages
+            .last()
+            .map_or(true, |page| page.len() == PAGE_SLOTS)
+        {
+            self.pages.push(Vec::with_capacity(PAGE_SLOTS));
+        }
+        let page = (self.pages.len() - 1) as u32;
+        let last = self.pages.last_mut().expect("a page with room");
+        last.push(Some(value));
+        page << PAGE_SHIFT | (last.len() - 1) as u32
     }
 
     fn take(&mut self, idx: u32) -> T {
-        let v = self.data[idx as usize].take().expect("slab slot occupied");
+        let v = self.slot(idx).take().expect("slab slot occupied");
         self.free.push(idx);
         v
+    }
+
+    /// Slots handed out so far, over every page.
+    #[cfg(test)]
+    fn slots(&self) -> usize {
+        self.pages.iter().map(Vec::len).sum()
     }
 }
 
@@ -342,6 +371,7 @@ mod tests {
             let mut seq = 0u64;
             let mut now = 0u64;
             let mut popped = 0usize;
+            let mut most_queued = 0usize;
             for step in 0..4000 {
                 let burst = rng.next() % 4;
                 for _ in 0..=burst {
@@ -357,6 +387,7 @@ mod tests {
                     reference.push(at, seq, seq as u32);
                     seq += 1;
                 }
+                most_queued = most_queued.max(wheel.len());
                 if step % 2 == 0 {
                     for _ in 0..(rng.next() % 4) {
                         let got = wheel.pop();
@@ -381,6 +412,12 @@ mod tests {
             assert!(wheel.pop().is_none());
             assert!(wheel.is_empty());
             assert!(popped > 1000, "sweep too small to mean anything");
+            // Handles on three or more pages: the sweep crossed at least two
+            // page boundaries of the slab.
+            assert!(
+                most_queued > 2 * PAGE_SLOTS,
+                "queue peaked at {most_queued}"
+            );
         }
     }
 
@@ -412,7 +449,7 @@ mod tests {
             assert_eq!(p, vec![round as u8]);
         }
         // One push-pop at a time: the slab never needs more than one slot.
-        assert_eq!(w.payloads.data.len(), 1, "slab must recycle freed slots");
+        assert_eq!(w.payloads.slots(), 1, "slab must recycle freed slots");
     }
 
     #[test]

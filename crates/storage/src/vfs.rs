@@ -59,6 +59,9 @@ pub trait Vfs: std::fmt::Debug {
     }
 }
 
+/// One file's bytes. A buffer the file empties is released, not kept at
+/// its largest size: a WAL that a snapshot truncated, or a tail that a
+/// sync, an atomic write or a crash consumed, holds no memory.
 #[derive(Debug, Clone, Default)]
 struct MemFile {
     /// Bytes guaranteed to survive a crash.
@@ -101,7 +104,7 @@ impl MemVfs {
             }
             let keep = self.rng.gen_range(0..=file.unsynced.len());
             file.durable.extend_from_slice(&file.unsynced[..keep]);
-            file.unsynced.clear();
+            file.unsynced = Vec::new();
         }
     }
 }
@@ -125,13 +128,12 @@ impl Vfs for MemVfs {
     fn write_atomic(&mut self, file: &str, data: &[u8]) {
         let f = self.files.entry(file.to_string()).or_default();
         f.durable = data.to_vec();
-        f.unsynced.clear();
+        f.unsynced = Vec::new();
     }
 
     fn truncate(&mut self, file: &str) {
         if let Some(f) = self.files.get_mut(file) {
-            f.durable.clear();
-            f.unsynced.clear();
+            *f = MemFile::default();
         }
     }
 
@@ -314,6 +316,37 @@ mod tests {
         vfs.sync("wal");
         vfs.truncate("wal");
         assert_eq!(vfs.read("wal").unwrap(), b"");
+    }
+
+    #[test]
+    fn truncate_releases_both_buffers() {
+        let write = |vfs: &mut MemVfs| {
+            vfs.append("wal", &[7; 4096]);
+            vfs.sync("wal");
+            vfs.append("wal", &[8; 512]);
+        };
+        let mut released = MemVfs::new(5);
+        write(&mut released);
+        released.truncate("wal");
+        let file = &released.files["wal"];
+        assert_eq!(file.durable.capacity(), 0);
+        assert_eq!(file.unsynced.capacity(), 0);
+        // The same writes, emptied the way that kept both buffers.
+        let mut kept = MemVfs::new(5);
+        write(&mut kept);
+        let file = kept.files.get_mut("wal").unwrap();
+        file.durable.clear();
+        file.unsynced.clear();
+        assert!(file.durable.capacity() >= 4096);
+        assert_eq!(released.read("wal"), kept.read("wal"));
+        assert_eq!(released.read("wal").unwrap(), b"");
+        assert_eq!(released.digest(), kept.digest());
+        for vfs in [&mut released, &mut kept] {
+            vfs.append("wal", b"again");
+            vfs.sync("wal");
+        }
+        assert_eq!(released.read("wal"), kept.read("wal"));
+        assert_eq!(released.digest(), kept.digest());
     }
 
     #[test]

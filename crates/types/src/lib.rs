@@ -9,6 +9,8 @@
 //! * [`Item`] — a `(value, item)` pair stored in the index,
 //! * [`ItemMap`] — items keyed by mapped value in one flat sorted array,
 //!   the form of both the Data Store and the replica store,
+//! * [`VecMap`] — a small ordered map in one sorted array that frees its
+//!   buffer when it empties, the form of every in-flight request table,
 //! * [`PeerId`] — a physical peer identifier,
 //! * [`CircularRange`] — the half-open range `(pred.val, p.val]` a peer is
 //!   responsible for on the circular value space,
@@ -31,6 +33,7 @@ pub mod key;
 pub mod peer;
 pub mod query;
 pub mod range;
+pub mod vec_map;
 
 pub use config::{Protocol, SystemConfig};
 pub use item::{Item, ItemId};
@@ -39,3 +42,4 @@ pub use key::{KeyMap, PeerValue, SearchKey};
 pub use peer::PeerId;
 pub use query::{Bound, RangeQuery};
 pub use range::{in_half_open, in_open, CircularRange, KeyInterval};
+pub use vec_map::VecMap;
