@@ -474,7 +474,7 @@ mod tests {
         // Ack from the successor releases the lock and applies the change.
         p.on_scan_step_ack(ctx(1), qid(9, 0), 1, &mut fx);
         assert_eq!(p.range(), CircularRange::new(0u64, 60u64));
-        assert!(p.store.contains(60));
+        assert!(p.store.contains_key(&60));
     }
 
     #[test]

@@ -239,18 +239,18 @@ impl DataStoreState {
 
     /// The items stored at this peer (the paper's `getLocalItems`).
     pub fn local_items(&self) -> Vec<Item> {
-        self.store.items().map(|(_, i)| i.clone()).collect()
+        self.store.values().cloned().collect()
     }
 
     /// The items stored at this peer together with their mapped values.
     pub fn local_items_mapped(&self) -> Vec<(u64, Item)> {
-        self.store.to_vec()
+        self.store.as_slice().to_vec()
     }
 
     /// The stored items with their mapped values, by reference, in
     /// mapped-value order (what [`Self::local_items_mapped`] clones).
     pub fn item_entries(&self) -> &[(u64, Item)] {
-        self.store.entries()
+        self.store.as_slice()
     }
 
     /// Mutation counter of the item set: as long as it reads the same,
@@ -278,7 +278,7 @@ impl DataStoreState {
             id: self.id,
             status: self.status,
             range: self.range,
-            mapped_keys: self.store.items().map(|(m, _)| m).collect(),
+            mapped_keys: self.store.as_slice().iter().map(|(m, _)| *m).collect(),
             // An offer moves nothing: the oracles judge it like an idle peer.
             rebalancing: !matches!(self.balance, Balance::Idle | Balance::Offering(_)),
             writes_blocked: self.is_item_writes_blocked(),
@@ -397,7 +397,7 @@ impl DataStoreState {
     /// Inserts items revived from replicas (after a predecessor failure).
     pub fn install_revived(&mut self, items: Vec<(u64, Item)>) {
         for (mapped, item) in items {
-            if self.range.contains(mapped) && !self.store.contains(mapped) {
+            if self.range.contains(mapped) && !self.store.contains_key(&mapped) {
                 self.emit(DsEvent::ItemStored { item: item.clone() });
                 self.store.insert(mapped, item);
             }
@@ -912,8 +912,8 @@ mod tests {
         let mut ds = live_peer(1, 50, 100, &[60]);
         ds.install_revived(vec![(55, item(55)), (60, item(60)), (10, item(10))]);
         assert_eq!(ds.item_count(), 2); // 55 added, 60 duplicate, 10 outside
-        assert!(ds.store.contains(55));
-        assert!(!ds.store.contains(10));
+        assert!(ds.store.contains_key(&55));
+        assert!(!ds.store.contains_key(&10));
     }
 
     #[test]

@@ -1,17 +1,16 @@
-//! The local item store of one peer.
-//!
-//! Items are keyed by their *mapped* value `M(i.skv)` in one
-//! [`ItemMap`], a flat array sorted by mapped value, so every range
-//! operation is slice work: a scan sub-range is one binary-searched slice,
-//! a hand-off's circular range at most two, and a split point in ring order
-//! is an index into the array rotated at the range's low end.
+//! The local item store of one peer: items keyed by their *mapped* value
+//! `M(i.skv)` in one [`VecMap`], with a version and ring-order split points.
 
-use pepper_types::{CircularRange, Item, ItemMap, KeyInterval};
+use std::ops::Deref;
 
-/// An ordered collection of items keyed by mapped value.
+use pepper_types::{CircularRange, Item, KeyInterval, VecMap};
+
+/// An ordered collection of items keyed by mapped value. It reads as its
+/// [`VecMap`] (through `Deref`); every write goes through its own mutators,
+/// which count a version.
 #[derive(Debug, Clone, Default)]
 pub struct ItemStore {
-    map: ItemMap,
+    map: VecMap<u64, Item>,
     /// Bumped by every mutator (the only writers of `map`), so equal
     /// versions of one store mean an unchanged item set. It lets
     /// `ReplicationManager::refresh` skip a round that would push the
@@ -29,20 +28,18 @@ impl PartialEq for ItemStore {
 
 impl Eq for ItemStore {}
 
+impl Deref for ItemStore {
+    type Target = VecMap<u64, Item>;
+
+    fn deref(&self) -> &VecMap<u64, Item> {
+        &self.map
+    }
+}
+
 impl ItemStore {
     /// Creates an empty store.
     pub fn new() -> Self {
         ItemStore::default()
-    }
-
-    /// Number of items stored.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Returns `true` when the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 
     /// Inserts an item under its mapped value. Returns the previous item
@@ -55,7 +52,7 @@ impl ItemStore {
     /// Removes the item stored under `mapped`.
     pub fn remove(&mut self, mapped: u64) -> Option<Item> {
         self.version += 1;
-        self.map.remove(mapped)
+        self.map.remove(&mapped)
     }
 
     /// The mutation counter: unchanged between two reads means the item set
@@ -63,31 +60,6 @@ impl ItemStore {
     /// nothing to do still counts).
     pub fn version(&self) -> u64 {
         self.version
-    }
-
-    /// Returns the item stored under `mapped`, if any.
-    pub fn get(&self, mapped: u64) -> Option<&Item> {
-        self.map.get(mapped)
-    }
-
-    /// Returns `true` iff an item is stored under `mapped`.
-    pub fn contains(&self, mapped: u64) -> bool {
-        self.map.contains(mapped)
-    }
-
-    /// All items, in mapped-value order.
-    pub fn items(&self) -> impl Iterator<Item = (u64, &Item)> {
-        self.map.iter()
-    }
-
-    /// All items with their mapped values, in mapped-value order.
-    pub fn entries(&self) -> &[(u64, Item)] {
-        self.map.as_slice()
-    }
-
-    /// All items as owned clones, in mapped-value order.
-    pub fn to_vec(&self) -> Vec<(u64, Item)> {
-        self.entries().to_vec()
     }
 
     /// The items whose mapped value lies in the closed interval.
@@ -172,8 +144,8 @@ mod tests {
         let mut s = ItemStore::new();
         assert!(s.is_empty());
         assert!(s.insert(5, item(5)).is_none());
-        assert!(s.contains(5));
-        assert_eq!(s.get(5).unwrap().skv, SearchKey(5));
+        assert!(s.contains_key(&5));
+        assert_eq!(s.get(&5).unwrap().skv, SearchKey(5));
         assert_eq!(s.len(), 1);
         // Replacing under the same mapped value returns the old item.
         assert!(s.insert(5, item(5)).is_some());
@@ -207,8 +179,8 @@ mod tests {
         let keys: Vec<u64> = taken.iter().map(|(k, _)| *k).collect();
         assert_eq!(keys, vec![8, 12]);
         assert_eq!(s.len(), 3);
-        assert!(!s.contains(8));
-        assert!(s.contains(5)); // 5 is excluded by the half-open low bound
+        assert!(!s.contains_key(&8));
+        assert!(s.contains_key(&5)); // 5 is excluded by the half-open low bound
     }
 
     #[test]
@@ -235,8 +207,8 @@ mod tests {
         seen.push(s.version());
         assert!(seen.windows(2).all(|w| w[0] < w[1]), "{seen:?}");
         // Reads leave it alone.
-        s.get(5);
-        s.to_vec();
+        s.get(&5);
+        s.items_in_range(&CircularRange::full(0u64));
         s.split_point(&CircularRange::full(100u64));
         assert_eq!(s.version(), *seen.last().unwrap());
         // Same items through a different history: equal stores.
@@ -285,7 +257,7 @@ mod tests {
     /// order: the keys above `range.low`, then the keys up to it.
     fn old_ring_order(s: &ItemStore, range: &CircularRange) -> Vec<u64> {
         let low = range.low().raw();
-        let keys = || s.items().map(|(k, _)| k);
+        let keys = || s.as_slice().iter().map(|(k, _)| *k);
         keys()
             .filter(|k| *k > low)
             .chain(keys().filter(|k| *k <= low))
@@ -327,8 +299,7 @@ mod tests {
     #[test]
     fn ordering_is_by_mapped_value() {
         let s = store_with(&[50, 1, 30]);
-        let keys: Vec<u64> = s.items().map(|(k, _)| k).collect();
+        let keys: Vec<u64> = s.as_slice().iter().map(|(k, _)| *k).collect();
         assert_eq!(keys, vec![1, 30, 50]);
-        assert_eq!(s.to_vec().len(), 3);
     }
 }

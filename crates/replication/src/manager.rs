@@ -4,7 +4,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pepper_net::{Effects, LayerCtx, ProtocolLayer};
-use pepper_types::{CircularRange, Item, ItemMap, PeerId, Protocol, SystemConfig};
+use pepper_types::{CircularRange, Item, PeerId, Protocol, SystemConfig, VecMap};
 
 use crate::events::ReplEvent;
 use crate::messages::{Batch, ReplMsg};
@@ -15,7 +15,7 @@ pub struct ReplicationManager {
     id: PeerId,
     cfg: SystemConfig,
     /// Replicas held on behalf of predecessors, keyed by mapped value.
-    replica_store: ItemMap,
+    replica_store: VecMap<u64, Item>,
     /// The last push this peer sent: the items version its batch was built
     /// from (`None`: a one-off batch, or forgotten) and its targets. A
     /// refresh round that would repeat that push sends nothing.
@@ -31,7 +31,7 @@ impl ReplicationManager {
         ReplicationManager {
             id,
             cfg,
-            replica_store: ItemMap::new(),
+            replica_store: VecMap::new(),
             last_push: None,
             pushed_to: Vec::new(),
             events: Vec::new(),
@@ -55,7 +55,7 @@ impl ReplicationManager {
 
     /// Whether a replica for `mapped` is currently held.
     pub fn holds_replica(&self, mapped: u64) -> bool {
-        self.replica_store.contains(mapped)
+        self.replica_store.contains_key(&mapped)
     }
 
     /// Pushes this peer's items to its `k` nearest successors (one refresh
@@ -236,7 +236,7 @@ impl ProtocolLayer for ReplicationManager {
             ReplMsg::Push { items } => {
                 let mut delta = Vec::new();
                 for (mapped, item) in items.iter() {
-                    if self.replica_store.get(*mapped) != Some(item) {
+                    if self.replica_store.get(mapped) != Some(item) {
                         delta.push((*mapped, item.clone()));
                         self.replica_store.insert(*mapped, item.clone());
                     }

@@ -60,10 +60,10 @@ pub struct HierarchicalRouter {
     cfg: SystemConfig,
     /// `entries[0]` is the ring successor; `entries[i]` points roughly
     /// `2^i` peers ahead.
-    entries: Vec<Option<(PeerId, PeerValue)>>,
+    entries: [Option<(PeerId, PeerValue)>; ROUTER_LEVELS],
     /// Per slot: its refresh period, in maintenance periods, and when it is
     /// next due (slot 0 comes from the ring and is never probed).
-    refresh: Vec<(u32, SimTime)>,
+    refresh: [(u32, SimTime); ROUTER_LEVELS],
     /// The highest slot the successor list feeds: `log2(d)`.
     near: usize,
 }
@@ -76,8 +76,8 @@ impl HierarchicalRouter {
         HierarchicalRouter {
             id,
             cfg,
-            entries: vec![None; ROUTER_LEVELS],
-            refresh: vec![(1, SimTime::ZERO); ROUTER_LEVELS],
+            entries: [None; ROUTER_LEVELS],
+            refresh: [(1, SimTime::ZERO); ROUTER_LEVELS],
             near,
         }
     }
@@ -558,7 +558,7 @@ mod tests {
 
     fn backed_off(entries: &[(u64, u64)]) -> HierarchicalRouter {
         let mut r = router_with(0, entries);
-        r.refresh = vec![(MAX_BACKOFF, SimTime::from_secs(9)); r.refresh.len()];
+        r.refresh = [(MAX_BACKOFF, SimTime::from_secs(9)); ROUTER_LEVELS];
         r
     }
 
@@ -596,7 +596,7 @@ mod tests {
         assert_eq!(r.entries()[2], None);
         assert_eq!(&r.refresh[1..5], &[HELD, BASE, BASE, HELD]);
         // Forgetting a peer the table does not hold changes nothing.
-        let before = r.refresh.clone();
+        let before = r.refresh;
         r.forget_peer(PeerId(9));
         assert_eq!(r.refresh, before);
         assert!(r.refresh[4..].iter().all(|p| *p == HELD));
@@ -749,7 +749,7 @@ mod tests {
     #[test]
     fn a_list_too_short_leaves_the_near_slot_in_place_and_unprobed() {
         let mut r = ring_fed(&[(1, 10)]);
-        r.refresh = vec![HELD; r.refresh.len()];
+        r.refresh = [HELD; ROUTER_LEVELS];
         r.follow_ring(successors(4));
         assert_eq!(&r.refresh[1..5], &[BASE, BASE, BASE, HELD]);
         let later = SimTime::from_secs(60);
@@ -771,7 +771,7 @@ mod tests {
     fn a_near_slot_the_ring_moved_resets_the_slot_above_it() {
         let mut r = ring_fed(&[(1, 10)]);
         r.follow_ring(successors(4));
-        r.refresh = vec![HELD; r.refresh.len()];
+        r.refresh = [HELD; ROUTER_LEVELS];
         // The same list again changes nothing.
         r.follow_ring(successors(4));
         assert!(r.refresh.iter().all(|p| *p == HELD));

@@ -57,8 +57,9 @@ use crate::workload::KeyDistribution;
 
 pub use invariants::{SystemView, Violation};
 pub use oracle::ModelOracle;
+pub use pepper_storage::fnv1a;
 pub use report::FailureArtifact;
-pub use scenario::{fnv1a, GeneratorView, Op, OpTrace, OpWeights, ScenarioGenerator};
+pub use scenario::{GeneratorView, Op, OpTrace, OpWeights, ScenarioGenerator};
 
 use scenario::{ADVANCE_RANGE_MS, FAILURE_GRACE, KEY_DOMAIN, PRE_KILL_SETTLE, RING_GRACE, SETTLE};
 

@@ -10,6 +10,7 @@
 use std::time::Duration;
 
 use pepper_net::{FailureSchedule, SimTime};
+use pepper_storage::fnv1a;
 use pepper_types::PeerId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -193,17 +194,6 @@ impl OpTrace {
     pub fn hash(&self) -> u64 {
         fnv1a(self.encode().as_bytes())
     }
-}
-
-/// FNV-1a over a byte string (stable across platforms and runs, unlike
-/// `std::hash`'s randomized hasher).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Relative weights of the generated operations. Kills are not weighted —

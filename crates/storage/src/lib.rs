@@ -44,4 +44,4 @@ pub mod wal;
 pub use peer::{DurableImage, PeerStorage, RecoveredState, RecoveryMode, StorageConfig};
 pub use snapshot::Snapshot;
 pub use vfs::{FileVfs, MemVfs, Vfs};
-pub use wal::WalRecord;
+pub use wal::{fnv1a, WalRecord};

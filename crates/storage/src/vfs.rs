@@ -11,10 +11,10 @@
 //! * [`FileVfs`] — a thin real-file implementation for examples; `sync` maps
 //!   to `File::sync_all`, atomic writes go through a temp-file rename.
 
-use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::PathBuf;
 
+use pepper_types::VecMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -74,7 +74,9 @@ struct MemFile {
 /// The deterministic in-memory VFS used by the simulator and harness.
 #[derive(Debug, Clone)]
 pub struct MemVfs {
-    files: BTreeMap<String, MemFile>,
+    /// The files by name, in name order: the order `crash` draws torn-tail
+    /// lengths in and `digest` folds them.
+    files: VecMap<String, MemFile>,
     /// Drives crash-fault decisions (torn-tail lengths). Seeded from the
     /// simulation seed and the owning peer id, so replays are identical.
     rng: StdRng,
@@ -84,7 +86,7 @@ impl MemVfs {
     /// Creates an empty in-memory VFS with the given fault-injection seed.
     pub fn new(seed: u64) -> Self {
         MemVfs {
-            files: BTreeMap::new(),
+            files: VecMap::new(),
             rng: StdRng::seed_from_u64(seed),
         }
     }
@@ -112,8 +114,7 @@ impl MemVfs {
 impl Vfs for MemVfs {
     fn append(&mut self, file: &str, data: &[u8]) {
         self.files
-            .entry(file.to_string())
-            .or_default()
+            .get_or_insert_with(file, MemFile::default)
             .unsynced
             .extend_from_slice(data);
     }
@@ -126,7 +127,7 @@ impl Vfs for MemVfs {
     }
 
     fn write_atomic(&mut self, file: &str, data: &[u8]) {
-        let f = self.files.entry(file.to_string()).or_default();
+        let f = self.files.get_or_insert_with(file, MemFile::default);
         f.durable = data.to_vec();
         f.unsynced = Vec::new();
     }
@@ -147,7 +148,7 @@ impl Vfs for MemVfs {
 
     fn digest(&self) -> u64 {
         let mut h: u64 = FNV_OFFSET;
-        for (name, file) in &self.files {
+        for (name, file) in self.files.as_slice() {
             h = fnv1a(h, name.as_bytes());
             h = fnv1a(h, &(file.durable.len() as u64).to_le_bytes());
             h = fnv1a(h, &file.durable);
@@ -328,7 +329,7 @@ mod tests {
         let mut released = MemVfs::new(5);
         write(&mut released);
         released.truncate("wal");
-        let file = &released.files["wal"];
+        let file = released.files.get("wal").unwrap();
         assert_eq!(file.durable.capacity(), 0);
         assert_eq!(file.unsynced.capacity(), 0);
         // The same writes, emptied the way that kept both buffers.
@@ -347,6 +348,24 @@ mod tests {
         }
         assert_eq!(released.read("wal"), kept.read("wal"));
         assert_eq!(released.digest(), kept.digest());
+    }
+
+    #[test]
+    fn files_are_visited_in_name_order_whatever_order_made_them() {
+        // `crash` draws each file's torn-tail length, and `digest` folds
+        // the files, in name order, not in the order they were created.
+        let crashed = |names: [&str; 2]| {
+            let mut vfs = MemVfs::new(11);
+            for name in names {
+                vfs.append(name, &vec![name.len() as u8; 40 * name.len()]);
+            }
+            vfs.crash();
+            vfs
+        };
+        let (a, b) = (crashed(["wal", "snapshot"]), crashed(["snapshot", "wal"]));
+        assert_eq!(a.read("wal"), b.read("wal"));
+        assert_eq!(a.read("snapshot"), b.read("snapshot"));
+        assert_eq!(a.digest(), b.digest());
     }
 
     #[test]

@@ -133,7 +133,9 @@ pub(crate) fn fnv1a_fold(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a over a byte string (stable across platforms and runs, unlike
+/// `std::hash`'s randomized hasher).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_fold(FNV_OFFSET, bytes)
 }
 

@@ -7,10 +7,9 @@
 //! * [`SearchKey`] — the totally ordered domain `K` of search key values,
 //! * [`PeerValue`] — the domain `PV` of peer positions on the ring,
 //! * [`Item`] — a `(value, item)` pair stored in the index,
-//! * [`ItemMap`] — items keyed by mapped value in one flat sorted array,
-//!   the form of both the Data Store and the replica store,
-//! * [`VecMap`] — a small ordered map in one sorted array that frees its
-//!   buffer when it empties, the form of every in-flight request table,
+//! * [`VecMap`] — a small ordered map in one flat sorted array, the form
+//!   of every keyed table a peer holds: its Data Store, its replica store,
+//!   its in-flight request tables and its in-memory files,
 //! * [`PeerId`] — a physical peer identifier,
 //! * [`CircularRange`] — the half-open range `(pred.val, p.val]` a peer is
 //!   responsible for on the circular value space,
@@ -28,7 +27,6 @@
 
 pub mod config;
 pub mod item;
-pub mod item_map;
 pub mod key;
 pub mod peer;
 pub mod query;
@@ -37,7 +35,6 @@ pub mod vec_map;
 
 pub use config::{Protocol, SystemConfig};
 pub use item::{Item, ItemId};
-pub use item_map::ItemMap;
 pub use key::{KeyMap, PeerValue, SearchKey};
 pub use peer::PeerId;
 pub use query::{Bound, RangeQuery};

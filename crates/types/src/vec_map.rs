@@ -1,22 +1,38 @@
-//! [`VecMap`]: a small ordered map in one sorted array that frees its
-//! buffer when it empties.
+//! [`VecMap`]: a small ordered map in one flat sorted array.
 //!
-//! A peer's tables of in-flight requests — the routed requests it issued,
-//! its unacknowledged hops, its open queries and held scan locks — hold a
-//! handful of entries at a time and are empty most of the time. A hash map
-//! keeps its table after its last entry leaves, and iterates in an order
-//! that changes from process to process. A `Vec` sorted by key answers
-//! each lookup with a binary search, iterates in ascending key order, and
-//! is given back to the allocator as soon as it holds nothing.
+//! Every keyed table a peer holds is small: its Data Store items and the
+//! replicas it keeps for its predecessors (a few to a few hundred pairs
+//! keyed by mapped value), its tables of in-flight requests (a handful of
+//! entries, empty most of the time) and its storage engine's files (two).
+//! A `Vec` of pairs sorted by key answers each lookup with a binary search,
+//! iterates in ascending key order as an ordered map does, and spends no
+//! node headers or half-empty nodes on small tables. Every range operation
+//! on the item tables — a scan step's interval, a hand-off's circular
+//! range, a split point in ring order — is a contiguous run of the sorted
+//! pairs: a binary search and a slice.
+//!
+//! Spare capacity is bounded, at most `len / 8 + 4` pairs, so that many
+//! small maps stay small, and an empty map owns no buffer.
 
+use std::borrow::Borrow;
 use std::fmt;
+use std::ops::Range;
+
+use crate::range::{CircularRange, KeyInterval};
+
+/// The most spare entries a map of `len` entries keeps: an eighth of its
+/// length plus four. Growth and shrinking both aim at half of it, so an
+/// insert after a shrink (or a removal after a growth) reallocates nothing.
+const fn max_spare(len: usize) -> usize {
+    len / 8 + 4
+}
 
 /// `(key, value)` pairs sorted by key, one pair per key.
 ///
-/// Iteration is ascending by key, and `Debug` prints the pairs as a map,
-/// `{key: value, …}`, like an ordered map would. An empty map owns no
-/// buffer: removing the last entry releases it.
-#[derive(Clone)]
+/// Iteration is ascending by key everywhere, and `Debug` prints the pairs
+/// as a map, `{key: value, …}`, like an ordered map would. An empty map
+/// owns no buffer: removing the last entry releases it.
+#[derive(Clone, PartialEq, Eq)]
 pub struct VecMap<K, V> {
     entries: Vec<(K, V)>,
 }
@@ -47,18 +63,32 @@ impl<K: Ord, V> VecMap<K, V> {
         self.entries.is_empty()
     }
 
+    /// All pairs, in ascending key order.
+    pub fn as_slice(&self) -> &[(K, V)] {
+        &self.entries
+    }
+
     /// The value stored under `key`, if any.
-    pub fn get(&self, key: &K) -> Option<&V> {
+    pub fn get<Q: Ord + ?Sized>(&self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+    {
         self.search(key).ok().map(|i| &self.entries[i].1)
     }
 
     /// The value stored under `key`, mutably, if any.
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+    pub fn get_mut<Q: Ord + ?Sized>(&mut self, key: &Q) -> Option<&mut V>
+    where
+        K: Borrow<Q>,
+    {
         self.search(key).ok().map(|i| &mut self.entries[i].1)
     }
 
     /// Returns `true` iff a value is stored under `key`.
-    pub fn contains_key(&self, key: &K) -> bool {
+    pub fn contains_key<Q: Ord + ?Sized>(&self, key: &Q) -> bool
+    where
+        K: Borrow<Q>,
+    {
         self.search(key).is_ok()
     }
 
@@ -67,21 +97,71 @@ impl<K: Ord, V> VecMap<K, V> {
         match self.search(&key) {
             Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
             Err(i) => {
+                self.reserve(1);
                 self.entries.insert(i, (key, value));
                 None
             }
         }
     }
 
-    /// Removes and returns the value stored under `key`. Removing the last
-    /// entry frees the buffer.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
+    /// The value stored under `key`, mutably; when there is none, first
+    /// stores `make()` under an owned copy of `key`, which is built only then.
+    pub fn get_or_insert_with<Q>(&mut self, key: &Q, make: impl FnOnce() -> V) -> &mut V
+    where
+        K: Borrow<Q>,
+        Q: Ord + ToOwned<Owned = K> + ?Sized,
+    {
+        let i = match self.search(key) {
+            Ok(i) => i,
+            Err(i) => {
+                self.reserve(1);
+                self.entries.insert(i, (key.to_owned(), make()));
+                i
+            }
+        };
+        &mut self.entries[i].1
+    }
+
+    /// Removes and returns the value stored under `key`.
+    pub fn remove<Q: Ord + ?Sized>(&mut self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+    {
         let i = self.search(key).ok()?;
         let (_, value) = self.entries.remove(i);
-        if self.entries.is_empty() {
-            self.entries = Vec::new();
-        }
+        self.trim();
         Some(value)
+    }
+
+    /// Stores every pair of `pairs`, in any order. Where a key repeats, in
+    /// `pairs` or against the map, the last write wins.
+    pub fn extend(&mut self, pairs: impl IntoIterator<Item = (K, V)>) {
+        let pairs = pairs.into_iter();
+        self.reserve(pairs.size_hint().0);
+        let old = self.entries.len();
+        self.entries.extend(pairs);
+        // The old pairs are sorted and unique, so only an appended run that
+        // does not climb strictly above them needs sorting. The sort is
+        // stable: equal keys stay in write order, and the dedup swaps each
+        // later write into the slot it keeps.
+        let appended = &self.entries[old.saturating_sub(1)..];
+        if appended.windows(2).any(|w| w[0].0 >= w[1].0) {
+            self.entries.sort_by(|a, b| a.0.cmp(&b.0));
+            self.entries.dedup_by(|later, kept| {
+                let same = later.0 == kept.0;
+                if same {
+                    std::mem::swap(later, kept);
+                }
+                same
+            });
+        }
+        self.trim();
+    }
+
+    /// Keeps only the pairs for which `keep` returns `true`.
+    pub fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) {
+        self.entries.retain(|(key, value)| keep(key, value));
+        self.trim();
     }
 
     /// All values, in ascending key order.
@@ -89,9 +169,115 @@ impl<K: Ord, V> VecMap<K, V> {
         self.entries.iter().map(|(_, value)| value)
     }
 
+    /// All values, mutably, in ascending key order.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> + '_ {
+        self.entries.iter_mut().map(|(_, value)| value)
+    }
+
     /// Index of `key`, or where it would be inserted.
-    fn search(&self, key: &K) -> Result<usize, usize> {
-        self.entries.binary_search_by(|(k, _)| k.cmp(key))
+    fn search<Q: Ord + ?Sized>(&self, key: &Q) -> Result<usize, usize>
+    where
+        K: Borrow<Q>,
+    {
+        self.entries.binary_search_by(|(k, _)| k.borrow().cmp(key))
+    }
+
+    /// Makes room for `additional` more pairs, leaving half the bounded
+    /// spare capacity when it has to grow.
+    fn reserve(&mut self, additional: usize) {
+        let len = self.entries.len();
+        let need = len + additional;
+        if need > self.entries.capacity() {
+            self.entries.reserve_exact(need + max_spare(need) / 2 - len);
+        }
+    }
+
+    /// Gives back spare capacity beyond the bound, down to half of it, and
+    /// the whole buffer once the map is empty.
+    fn trim(&mut self) {
+        let len = self.entries.len();
+        if len == 0 {
+            self.entries = Vec::new();
+        } else if self.entries.capacity() - len > max_spare(len) {
+            self.entries.shrink_to(len + max_spare(len) / 2);
+        }
+    }
+}
+
+/// Range operations on maps keyed by mapped value (the item tables).
+impl<V> VecMap<u64, V> {
+    /// The pairs whose key lies in the closed interval.
+    pub fn interval(&self, iv: &KeyInterval) -> &[(u64, V)] {
+        let start = self.rank_below(iv.lo());
+        let end = self.rank(iv.hi());
+        &self.entries[start..end]
+    }
+
+    /// The pairs whose key lies in `range`, as at most two runs in
+    /// ascending key order: a wrapping range `(low, high]` is the run
+    /// `[0, high]` followed by the run `(low, MAX]`.
+    pub fn runs(&self, range: &CircularRange) -> [&[(u64, V)]; 2] {
+        let [a, b] = self.run_bounds(range);
+        [&self.entries[a], &self.entries[b]]
+    }
+
+    /// Removes and returns the pairs whose key lies in `range`, in
+    /// ascending key order.
+    pub fn take_runs(&mut self, range: &CircularRange) -> Vec<(u64, V)> {
+        let [a, b] = self.run_bounds(range);
+        let mut taken = Vec::with_capacity(a.len() + b.len());
+        let shift = a.len();
+        taken.extend(self.entries.drain(a));
+        taken.extend(self.entries.drain(b.start - shift..b.end - shift));
+        self.trim();
+        taken
+    }
+
+    /// Removes the pairs whose key lies in `range`.
+    pub fn remove_runs(&mut self, range: &CircularRange) {
+        let [a, b] = self.run_bounds(range);
+        // The later run first, so the earlier one's indices stay valid.
+        self.entries.drain(b);
+        self.entries.drain(a);
+        self.trim();
+    }
+
+    /// The `n`-th stored key (counting from zero) in *ring order* after
+    /// `low`: the keys above `low` ascending, then, wrapping around the top
+    /// of the domain, the keys up to `low` ascending. `None` when fewer
+    /// than `n + 1` pairs are stored.
+    pub fn nth_after(&self, low: u64, n: usize) -> Option<u64> {
+        let len = self.entries.len();
+        (n < len).then(|| self.entries[(self.rank(low) + n) % len].0)
+    }
+
+    /// Number of pairs whose key is at most `v`.
+    fn rank(&self, v: u64) -> usize {
+        self.entries.partition_point(|(k, _)| *k <= v)
+    }
+
+    /// Number of pairs whose key is below `v`.
+    fn rank_below(&self, v: u64) -> usize {
+        self.entries.partition_point(|(k, _)| *k < v)
+    }
+
+    /// The index runs of [`Self::runs`]; the second starts at or after the
+    /// end of the first.
+    fn run_bounds(&self, range: &CircularRange) -> [Range<usize>; 2] {
+        let len = self.entries.len();
+        if range.is_full() {
+            return [0..len, len..len];
+        }
+        if range.is_empty() {
+            return [0..0, 0..0];
+        }
+        let (low, high) = (range.low().raw(), range.high().raw());
+        let (low_rank, high_rank) = (self.rank(low), self.rank(high));
+        if low < high {
+            [low_rank..high_rank, high_rank..high_rank]
+        } else {
+            [0..high_rank, low_rank..len]
+        }
     }
 }
 
@@ -108,6 +294,16 @@ mod tests {
     use std::collections::BTreeMap;
 
     use super::*;
+    use crate::{Item, ItemId, PeerId, SearchKey};
+
+    /// An item whose payload records which write stored it.
+    fn item(mapped: u64, write: u64) -> Item {
+        Item::new(
+            ItemId::new(PeerId(write), mapped),
+            SearchKey(mapped),
+            write.to_string(),
+        )
+    }
 
     /// SplitMix64: a small seeded generator, enough to drive the sequences.
     struct Rng(u64);
@@ -124,49 +320,222 @@ mod tests {
         fn below(&mut self, n: u64) -> u64 {
             self.next() % n
         }
+
+        /// A key from a small domain (so writes collide), now and then one
+        /// at either end of `u64`.
+        fn key(&mut self, domain: u64) -> u64 {
+            match self.below(16) {
+                0 => 0,
+                1 => u64::MAX - self.below(3),
+                _ => self.below(domain),
+            }
+        }
+
+        fn range(&mut self, domain: u64) -> CircularRange {
+            let (low, high) = (self.key(domain), self.key(domain));
+            match self.below(8) {
+                0 => CircularRange::full(high),
+                1 => CircularRange::empty(high),
+                _ => CircularRange::new(low, high),
+            }
+        }
+    }
+
+    type Items = VecMap<u64, Item>;
+
+    /// The spare capacity a map holds: room allocated but not used.
+    fn spare<K, V>(map: &VecMap<K, V>) -> usize {
+        map.entries.capacity() - map.entries.len()
+    }
+
+    /// The ring-order rule the stores used before: the keys above `low`
+    /// ascending, then the keys up to `low` ascending.
+    fn ring_order(reference: &BTreeMap<u64, Item>, low: u64) -> Vec<u64> {
+        let upper = reference.keys().copied().filter(|k| *k > low);
+        upper
+            .chain(reference.keys().copied().filter(|k| *k <= low))
+            .collect()
+    }
+
+    fn map_of(items: impl IntoIterator<Item = (u64, Item)>) -> Items {
+        let mut map = VecMap::new();
+        map.extend(items);
+        map
+    }
+
+    fn pairs<'a>(runs: impl IntoIterator<Item = &'a [(u64, Item)]>) -> Vec<(u64, Item)> {
+        runs.into_iter().flatten().cloned().collect()
+    }
+
+    fn check(map: &Items, reference: &BTreeMap<u64, Item>, rng: &mut Rng, domain: u64, at: &str) {
+        let expected: Vec<(u64, Item)> = reference.iter().map(|(k, v)| (*k, v.clone())).collect();
+        assert_eq!(map.as_slice(), &expected[..], "{at}");
+        assert!(map.values().eq(reference.values()), "{at}");
+        assert_eq!(map.len(), reference.len());
+        assert_eq!(map.is_empty(), reference.is_empty());
+        assert!(spare(map) <= map.len() / 8 + 4, "{at}: spare");
+        if map.is_empty() {
+            assert_eq!(map.entries.capacity(), 0, "{at}: capacity");
+        }
+        for _ in 0..4 {
+            let k = rng.key(domain);
+            assert_eq!(map.get(&k), reference.get(&k), "{at}: get {k}");
+            assert_eq!(map.contains_key(&k), reference.contains_key(&k));
+            let (lo, hi) = (rng.key(domain), rng.key(domain));
+            let iv = KeyInterval::new(lo.min(hi), lo.max(hi)).unwrap();
+            let want: Vec<(u64, Item)> = reference
+                .range(iv.lo()..=iv.hi())
+                .map(|(k, v)| (*k, v.clone()))
+                .collect();
+            assert_eq!(map.interval(&iv), &want[..], "{at}: {iv}");
+            let range = rng.range(domain);
+            let want: Vec<(u64, Item)> = reference
+                .iter()
+                .filter(|(k, _)| range.contains(**k))
+                .map(|(k, v)| (*k, v.clone()))
+                .collect();
+            assert_eq!(pairs(map.runs(&range)), want, "{at}: {range}");
+            let low = rng.key(domain);
+            let ring = ring_order(reference, low);
+            for n in [0, 1, map.len() / 2, map.len().saturating_sub(1), map.len()] {
+                assert_eq!(map.nth_after(low, n), ring.get(n).copied(), "{low} {n}");
+            }
+        }
     }
 
     #[test]
     fn matches_an_ordered_map_reference_under_random_mutation() {
         for seed in 0..64 {
             let mut rng = Rng(seed);
-            let mut map: VecMap<(u64, u32), u64> = VecMap::new();
+            let mut map = VecMap::new();
             let mut reference = BTreeMap::new();
-            // A small key domain, so writes collide, and a removal bias that
-            // drains the map to empty again and again.
-            let domain = 1 + rng.below(24);
-            for step in 0..400u64 {
-                let key = (rng.below(domain), rng.below(2) as u32);
-                match rng.below(10) {
-                    0..=3 => assert_eq!(map.insert(key, step), reference.insert(key, step)),
-                    4..=7 => assert_eq!(map.remove(&key), reference.remove(&key)),
+            // Odd seeds draw from a tiny domain, where removals drain the
+            // map to empty again and again.
+            let domain = if seed % 2 == 0 { 96 } else { 1 + rng.below(8) };
+            for step in 0..300 {
+                let at = format!("seed {seed}, step {step}");
+                let write = step as u64;
+                match rng.below(11) {
+                    0..=3 => {
+                        let k = rng.key(domain);
+                        let it = item(k, write);
+                        assert_eq!(map.insert(k, it.clone()), reference.insert(k, it));
+                    }
+                    4 | 5 => {
+                        let k = rng.key(domain);
+                        assert_eq!(map.remove(&k), reference.remove(&k), "{at}");
+                    }
+                    6 => {
+                        // Unsorted, with repeats inside the batch.
+                        let n = rng.below(12);
+                        let batch: Vec<(u64, Item)> = (0..n)
+                            .map(|i| {
+                                let k = rng.key(domain);
+                                (k, item(k, write * 100 + i))
+                            })
+                            .collect();
+                        map.extend(batch.clone());
+                        reference.extend(batch);
+                    }
+                    7 => {
+                        let cut = rng.key(domain);
+                        map.retain(|k, _| k % 3 != cut % 3);
+                        reference.retain(|k, _| k % 3 != cut % 3);
+                    }
                     8 => {
-                        let got = map.get_mut(&key).map(|v| {
-                            *v += 1_000;
-                            *v
-                        });
-                        let want = reference.get_mut(&key).map(|v| {
-                            *v += 1_000;
-                            *v
-                        });
-                        assert_eq!(got, want, "seed {seed}, step {step}");
+                        let range = rng.range(domain);
+                        let want: Vec<u64> = reference
+                            .keys()
+                            .copied()
+                            .filter(|k| range.contains(*k))
+                            .collect();
+                        let taken = map.take_runs(&range);
+                        assert!(taken.iter().map(|(k, _)| *k).eq(want.iter().copied()));
+                        for (k, v) in taken {
+                            assert_eq!(reference.remove(&k), Some(v));
+                        }
+                    }
+                    9 => {
+                        let k = rng.key(domain);
+                        let got = map.get_mut(&k).map(|v| *v = item(k, write));
+                        let want = reference.get_mut(&k).map(|v| *v = item(k, write));
+                        assert_eq!(got, want, "{at}");
                     }
                     _ => {
-                        assert_eq!(map.contains_key(&key), reference.contains_key(&key));
-                        assert_eq!(map.get(&key), reference.get(&key));
+                        let range = rng.range(domain);
+                        map.remove_runs(&range);
+                        reference.retain(|k, _| !range.contains(*k));
                     }
                 }
-                assert!(
-                    map.values().eq(reference.values()),
-                    "seed {seed}, step {step}"
-                );
-                assert_eq!(map.len(), reference.len());
-                assert_eq!(map.is_empty(), reference.is_empty());
-                if map.is_empty() {
-                    assert_eq!(map.entries.capacity(), 0, "seed {seed}, step {step}");
-                }
+                check(&map, &reference, &mut rng, domain, &at);
             }
         }
+    }
+
+    #[test]
+    fn keys_of_any_ordered_type_are_looked_up_by_their_borrowed_form() {
+        let mut map: VecMap<String, Vec<u8>> = VecMap::new();
+        map.get_or_insert_with("wal", Vec::new).push(1);
+        map.get_or_insert_with("snapshot", Vec::new).push(2);
+        // A name already present is not built again, and keeps its value.
+        map.get_or_insert_with("wal", || unreachable!()).push(3);
+        map.get_mut("snapshot").unwrap().push(4);
+        assert_eq!(format!("{map:?}"), r#"{"snapshot": [2, 4], "wal": [1, 3]}"#);
+        assert!(map.contains_key("wal") && !map.contains_key("absent"));
+        assert_eq!(map.remove("wal"), Some(vec![1, 3]));
+        assert_eq!(map.get("snapshot"), Some(&vec![2, 4]));
+    }
+
+    #[test]
+    fn extend_keeps_the_last_write_and_sorts() {
+        let mut map = map_of([(5, item(5, 1)), (1, item(1, 1))]);
+        map.extend([(9, item(9, 2)), (5, item(5, 2)), (9, item(9, 3))]);
+        let got: Vec<(u64, &str)> = map
+            .as_slice()
+            .iter()
+            .map(|(k, v)| (*k, &*v.payload))
+            .collect();
+        assert_eq!(got, [(1, "1"), (5, "2"), (9, "3")]);
+        // An ascending batch above every key appends without a sort.
+        map.extend([(10, item(10, 4)), (11, item(11, 4))]);
+        assert_eq!(map.len(), 5);
+        assert_eq!(map.get(&11), Some(&item(11, 4)));
+    }
+
+    #[test]
+    fn circular_runs_on_wrapping_full_and_empty_ranges() {
+        let map = map_of([1, 5, 20, u64::MAX].map(|k| (k, item(k, 0))));
+        let keys = |range| -> Vec<u64> {
+            pairs(map.runs(&range))
+                .into_iter()
+                .map(|(k, _)| k)
+                .collect()
+        };
+        assert_eq!(keys(CircularRange::new(4u64, 20u64)), [5, 20]);
+        assert_eq!(keys(CircularRange::new(5u64, 1u64)), [1, 20, u64::MAX]);
+        assert_eq!(keys(CircularRange::new(u64::MAX, 5u64)), [1, 5]);
+        assert_eq!(keys(CircularRange::full(5u64)), [1, 5, 20, u64::MAX]);
+        assert!(keys(CircularRange::empty(5u64)).is_empty());
+        assert_eq!(map.nth_after(5, 0), Some(20));
+        assert_eq!(map.nth_after(5, 2), Some(1));
+        assert_eq!(map.nth_after(5, 4), None);
+    }
+
+    #[test]
+    fn spare_capacity_stays_bounded_through_growth_and_shrinking() {
+        let mut map = VecMap::new();
+        assert_eq!(spare(&map), 0);
+        for k in 0..1000 {
+            map.insert(k * 7 % 1000, item(k, 0));
+            assert!(spare(&map) <= map.len() / 8 + 4, "{} entries", map.len());
+        }
+        for k in 0..990 {
+            map.remove(&k);
+            assert!(spare(&map) <= map.len() / 8 + 4, "{} entries", map.len());
+        }
+        map.remove_runs(&CircularRange::full(0u64));
+        assert!(map.is_empty());
+        assert_eq!(map.entries.capacity(), 0);
     }
 
     #[test]
@@ -187,11 +556,8 @@ mod tests {
 
     #[test]
     fn debug_reads_like_an_ordered_map() {
-        let reference: BTreeMap<u32, &str> = [(3, "c"), (1, "a")].into();
-        let mut map = VecMap::new();
-        for (k, v) in [(3, "c"), (1, "a")] {
-            map.insert(k, v);
-        }
+        let reference: BTreeMap<u64, Item> = [(3, item(3, 0)), (1, item(1, 0))].into();
+        let map = map_of(reference.clone());
         assert_eq!(format!("{map:?}"), format!("{reference:?}"));
         assert_eq!(format!("{map:#?}"), format!("{reference:#?}"));
     }

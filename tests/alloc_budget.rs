@@ -30,11 +30,13 @@ const BUDGET: f64 = 0.159;
 /// Live heap bytes allowed per stored entry (items plus replicas) once the
 /// ring has settled: the measured 168 B plus 10%. Per-peer `BTreeMap`
 /// stores held 4 366 044 B for 2 000 items and 15 490 replicas (250 B per
-/// entry); the flat sorted stores of `pepper_types::ItemMap` held
-/// 3 850 828 B (220 B). Releasing what is empty took it to 2 930 472 B for
+/// entry); flat sorted stores (a type of their own then, one
+/// `pepper_types::VecMap` each now) held 3 850 828 B (220 B). Releasing what is empty took it to 2 930 472 B for
 /// 17 490 entries (168 B): truncated WALs and consumed tails free their
 /// buffers, request tables free theirs with their last entry, node slots
-/// are boxed, and the event slab grows by fixed pages.
+/// are boxed, and the event slab grows by fixed pages. One sorted table
+/// type under one capacity rule, with the router's tables inline in the
+/// node, left it at 2 901 624 B (166 B).
 const HEAP_BUDGET: f64 = 185.0;
 
 /// Counts every allocation request (growth through `realloc` included) and
