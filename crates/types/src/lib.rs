@@ -33,6 +33,12 @@ pub mod query;
 pub mod range;
 pub mod vec_map;
 
+/// Tests of [`VecMap`] as an item table, under the `item_map` name these
+/// checks have always run by.
+#[cfg(test)]
+#[path = "item_table_tests.rs"]
+mod item_map;
+
 pub use config::{Protocol, SystemConfig};
 pub use item::{Item, ItemId};
 pub use key::{KeyMap, PeerValue, SearchKey};
